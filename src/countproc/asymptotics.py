@@ -23,7 +23,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .lifetimes import EquilibriumOf, LifetimeDistribution
-from .processes import Delayed, Modulated, Plain, ProcessSpec, StationaryMA
+from .processes import (
+    DEFAULT_EVENT_CAP,
+    Delayed,
+    EventCapExceeded,
+    Modulated,
+    Plain,
+    ProcessSpec,
+    StationaryMA,
+)
 
 __all__ = [
     "DiffusionScalingResult",
@@ -284,6 +292,10 @@ def _simulate_chunk(
     delayed = isinstance(spec, Delayed)
 
     while True:
+        if cols > DEFAULT_EVENT_CAP:
+            raise EventCapExceeded(
+                f"a path would need {cols} events, over the event cap of {DEFAULT_EVENT_CAP}"
+            )
         gaps, delay = _draw_gap_matrix(spec, rng, rows, cols)
         times = np.cumsum(gaps, axis=1)
         if delayed:
@@ -432,12 +444,9 @@ def residual_limit_ks(
     flags = _arithmetic_flags(spec)
     if flags:
         raise ValueError("the residual-law limit needs a non-arithmetic lifetime law")
-    if isinstance(spec, (Plain, Delayed)):
-        dist = spec.lifetime
-    elif isinstance(spec, StationaryMA):
+    if not isinstance(spec, (Plain, Delayed)):
         raise ValueError("the stationary-excess target is defined for renewal specs only")
-    else:
-        raise ValueError("the stationary-excess target is defined for renewal specs only")
+    dist = spec.lifetime
     stats = path_statistics(spec, [t], reps, seed, threads=threads)
     r = np.sort(stats["residual"][:, 0])
     cdf = np.asarray(dist.equilibrium_cdf(r))

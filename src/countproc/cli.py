@@ -26,7 +26,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from . import asymptotics, decomposition, renewal_solver
-from .lifetimes import LifetimeDistribution
+from .lifetimes import Exponential
 from .processes import (
     Delayed,
     EventCapExceeded,
@@ -131,8 +131,17 @@ def validate_config(obj: Mapping) -> tuple[ExperimentConfig | None, list[str]]:
         errors.append("spec: experiment 'modulated' needs a modulated spec")
     if kind == "palm" and not isinstance(spec, StationaryMA):
         errors.append("spec: experiment 'palm' needs a stationary_ma spec")
+    renewal = isinstance(spec, (Plain, Delayed))
+    if kind in ("renewal-solve", "sgibnev", "residual-law") and not renewal:
+        errors.append(f"spec: experiment {kind!r} needs a plain or delayed spec")
+    if kind == "residual-law" and renewal and spec.lifetime.is_arithmetic().arithmetic:
+        errors.append("spec: experiment 'residual-law' needs a non-arithmetic lifetime law")
     if kind in ("variance", "rm-cross", "diffusion") and not isinstance(spec, Plain):
         errors.append(f"spec: experiment {kind!r} needs a plain spec")
+    elif kind in ("variance", "diffusion") and math.isinf(spec.lifetime.moment(2)):
+        errors.append(f"spec: experiment {kind!r} needs a finite E[T^2]")
+    elif kind == "rm-cross" and math.isinf(spec.lifetime.moment(3)):
+        errors.append("spec: experiment 'rm-cross' needs a finite E[T^3]")
 
     seed = obj.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0 or seed >= 1 << 64:
@@ -355,15 +364,11 @@ def _run_rm_cross(cfg: ExperimentConfig) -> tuple[list[dict], list[Check]]:
 
 def _run_renewal_solve(cfg: ExperimentConfig) -> tuple[list[dict], list[Check]]:
     horizon, step = cfg.knobs["horizon"], cfg.knobs["step"]
-    dist = cfg.spec.lifetime if isinstance(cfg.spec, (Plain, Delayed)) else None
-    if dist is None:
-        raise ValueError("renewal-solve needs a plain or delayed spec")
+    dist = cfg.spec.lifetime
     gen = renewal_solver.GridFunction.from_callable(lambda u: np.ones_like(u), horizon, step)
     sol = renewal_solver.solve_renewal_equation(gen, dist)
     with open(cfg.out / "renewal_solution.csv", "w") as fp:
         sol.to_csv(fp)
-    from .lifetimes import Exponential
-
     if isinstance(dist, Exponential):
         exact = 1.0 + dist.rate * sol.times
         err = float(np.max(np.abs(sol.values - exact)))
@@ -383,9 +388,7 @@ def _run_renewal_solve(cfg: ExperimentConfig) -> tuple[list[dict], list[Check]]:
 
 def _run_sgibnev(cfg: ExperimentConfig) -> tuple[list[dict], list[Check]]:
     t, step = cfg.knobs["t"], cfg.knobs["step"]
-    dist = cfg.spec.lifetime if isinstance(cfg.spec, (Plain, Delayed)) else None
-    if dist is None:
-        raise ValueError("sgibnev needs a plain or delayed spec")
+    dist = cfg.spec.lifetime
     grid = renewal_solver.solve_residual_mean(dist, t, step)
     asym = renewal_solver.sgibnev_asymptote(dist, t)
     ratio = float(grid.values[-1]) / asym

@@ -159,8 +159,6 @@ class ConditionalMeanOracle:
 
     def __init__(self, spec):
         self.spec = spec
-        if isinstance(spec, Modulated):
-            self._per_state = dict.fromkeys(spec.states)
 
     def interval_means(self, path: SamplePath, v: float) -> np.ndarray:
         if not v > 0:
@@ -188,9 +186,6 @@ class ConditionalMeanOracle:
             out = known + np.where(m * v - s > 0, rest, 0.0)
             return out
         raise TypeError(f"unsupported spec type {type(spec).__name__}")
-
-    def __call__(self, path: SamplePath, interval: int, v: float) -> float:
-        return float(self.interval_means(path, v)[interval])
 
 
 def _tm(dist: LifetimeDistribution, v: float) -> float:

@@ -2,15 +2,18 @@
 
 Every distribution here puts all of its mass on (0, infinity) and has a
 finite mean, so each can serve as the inter-arrival law of an orderly
-counting process.  Moments, tails and truncated means use closed forms
-throughout (SciPy's regularized incomplete gamma functions cover the Gamma
-family); divergent higher moments are reported as ``math.inf`` rather than
-a large float so that callers can branch on finiteness.
+counting process.  Each law evaluates one closed-form primitive, the
+excess moment ``e_k(t) = E[((T - t)+)^k]`` (``e_0`` is the tail); SciPy's
+regularized incomplete gamma functions cover the Gamma family.  Tails,
+moments, the quadratic excess and the integrals of excess moments all
+derive from it, so no target needs numerical quadrature.  Divergent
+moments are reported as ``math.inf`` rather than a large float so that
+callers can branch on finiteness.
 
-``tail``, ``truncated_mean`` and ``equilibrium_cdf`` accept scalars or
-numpy arrays and return a matching shape.  Samplers take an explicit
-``numpy.random.Generator`` and are otherwise stateless; distribution
-objects are immutable and safe to share across threads.
+``excess_moment``, ``tail``, ``truncated_mean`` and ``equilibrium_cdf``
+accept scalars or numpy arrays and return a matching shape.  Samplers take
+an explicit ``numpy.random.Generator`` and are otherwise stateless;
+distribution objects are immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 __all__ = [
     "ArithmeticSpan",
@@ -43,11 +46,6 @@ __all__ = [
 # probability 2**-53 per draw; clamping keeps event times strictly increasing.
 _POSITIVE_FLOOR = 1e-300
 
-# Absolute tolerance for the quadrature fallbacks (equilibrium truncated
-# means, integrated generators).  Grid-solver steps dominate this by orders
-# of magnitude.
-_QUAD_TOL = 1e-10
-
 _LATTICE_TOL = 1e-9
 
 
@@ -63,7 +61,7 @@ def _scalarize(x: np.ndarray, scalar: bool) -> float | np.ndarray:
 
 
 def breakpoints(dist: "LifetimeDistribution") -> list[float]:
-    """Locations where the tail jumps or kinks (atoms of any component)."""
+    """Locations where the tail jumps or kinks: atoms and uniform support ends."""
     if isinstance(dist, Mixture):
         out: set[float] = set()
         for w, c in zip(dist.weights, dist.components):
@@ -72,36 +70,32 @@ def breakpoints(dist: "LifetimeDistribution") -> list[float]:
         return sorted(out)
     if isinstance(dist, EquilibriumOf):
         return breakpoints(dist.base)
+    if isinstance(dist, Uniform):
+        return [dist.low, dist.high]
     atoms = dist.atoms()
     return [loc for loc, _ in atoms] if atoms else []
-
-
-def _quad_tail_integral(dist: "LifetimeDistribution", lo: float, hi: float) -> float:
-    """Integrate ``dist.tail`` over [lo, hi], splitting at jump/kink points."""
-    pts = [a for a in breakpoints(dist) if lo < a < hi]
-    val, _ = integrate.quad(
-        lambda u: float(dist.tail(u)), lo, hi,
-        points=pts or None, limit=400, epsabs=_QUAD_TOL, epsrel=1e-12,
-    )
-    return val
 
 
 @dataclass(frozen=True)
 class LifetimeDistribution:
     """Base class for positive lifetime laws.
 
-    Subclasses implement ``tail``, ``moment``, ``truncated_mean``,
-    ``draw`` and ``is_arithmetic``; everything else derives from those.
+    Subclasses implement the excess moment ``excess_moment(k, t)``, the
+    truncated mean (kept per law because ``E[T] - e_1(v)`` cancels at
+    small v), ``draw`` and ``to_json``, plus ``is_arithmetic`` and
+    ``atoms`` for lattice laws.  ``tail``, ``moment``,
+    ``excess_second_moment`` and ``integrated_excess`` derive from the
+    excess moment; laws whose moments can diverge override
+    ``integrated_excess``, whose default needs ``E[T^(k+1)] < inf``.
     """
 
     # -- primitive surface -------------------------------------------------
 
-    def tail(self, x):
-        """P(T > x), right-continuous and nonincreasing in x."""
-        raise NotImplementedError
+    def excess_moment(self, k: int, t):
+        """e_k(t) = E[((T - t)+)^k] for integer k >= 0 and t >= 0.
 
-    def moment(self, k: int) -> float:
-        """Exact E[T**k] for k in {1, 2, 3}; ``math.inf`` when divergent."""
+        ``e_0`` is the tail P(T > t); ``math.inf`` when E[T^k] diverges.
+        """
         raise NotImplementedError
 
     def truncated_mean(self, v):
@@ -125,6 +119,24 @@ class LifetimeDistribution:
 
     # -- derived quantities -------------------------------------------------
 
+    def tail(self, x):
+        """P(T > x), right-continuous and nonincreasing in x."""
+        return self.excess_moment(0, x)
+
+    def moment(self, k: int) -> float:
+        """Exact E[T**k] for k in {1, 2, 3}; ``math.inf`` when divergent."""
+        _check_k(k)
+        return self._moments[k - 1]
+
+    @cached_property
+    def _moments(self) -> tuple[float, float, float]:
+        # samplers and per-path code ask for the mean thousands of times
+        return tuple(self.excess_moment(k, 0.0) for k in (1, 2, 3))
+
+    def integrated_excess(self, k: int, t):
+        """Integral of e_k over [0, t], i.e. (E[T^(k+1)] - e_(k+1)(t)) / (k+1)."""
+        return (self.excess_moment(k + 1, 0.0) - self.excess_moment(k + 1, t)) / (k + 1)
+
     @property
     def mean(self) -> float:
         return self.moment(1)
@@ -147,19 +159,10 @@ class LifetimeDistribution:
         return self.truncated_mean(x) / self.moment(1)
 
     def excess_second_moment(self, t):
-        """E[(T - t)^2 ; T > t], i.e. twice the t-shifted integrated tail.
-
-        Default implementation integrates 2*(x - t)*tail(x) numerically;
-        subclasses override with closed forms.
-        """
-        t = float(t)
-        hi = t + 60.0 * max(self.moment(1), 1.0)
-        pts = [a for a in breakpoints(self) if t < a < hi]
-        val, _ = integrate.quad(
-            lambda x: 2.0 * (x - t) * float(self.tail(x)), t, hi,
-            points=pts or None, limit=400, epsabs=_QUAD_TOL,
-        )
-        return val
+        """E[(T - t)^2 ; T > t], i.e. twice the t-shifted integrated tail."""
+        if math.isinf(self.moment(2)):
+            raise ValueError("E[(T-t)^2; T>t] diverges when E[T^2] is infinite")
+        return self.excess_moment(2, t)
 
 
 @dataclass(frozen=True)
@@ -170,23 +173,15 @@ class Exponential(LifetimeDistribution):
         if not self.rate > 0:
             raise ValueError(f"exponential rate must be positive, got {self.rate}")
 
-    def tail(self, x):
-        x = np.asarray(x, dtype=float)
-        return _scalarize(np.exp(-self.rate * x), x.ndim == 0)
-
-    def moment(self, k):
-        _check_k(k)
-        return math.factorial(k) / self.rate**k
+    def excess_moment(self, k, t):
+        # memorylessness: tail(t) * E[T^k]
+        t = np.asarray(t, dtype=float)
+        return _scalarize(math.factorial(k) / self.rate**k * np.exp(-self.rate * t), t.ndim == 0)
 
     def truncated_mean(self, v):
         v = np.asarray(v, dtype=float)
         out = -np.expm1(-self.rate * v) / self.rate
         return _scalarize(out, v.ndim == 0)
-
-    def excess_second_moment(self, t):
-        # memorylessness: tail(t) * E[T^2]
-        t = np.asarray(t, dtype=float)
-        return _scalarize(np.exp(-self.rate * t) * (2.0 / self.rate**2), t.ndim == 0)
 
     def draw(self, rng, size=None):
         return np.maximum(rng.exponential(1.0 / self.rate, size), _POSITIVE_FLOOR)
@@ -204,16 +199,17 @@ class Gamma(LifetimeDistribution):
         if not (self.shape > 0 and self.rate > 0):
             raise ValueError("gamma shape and rate must be positive")
 
-    def tail(self, x):
-        x = np.asarray(x, dtype=float)
-        return _scalarize(special.gammaincc(self.shape, self.rate * x), x.ndim == 0)
-
-    def moment(self, k):
-        _check_k(k)
-        val = 1.0
-        for j in range(k):
-            val *= (self.shape + j) / self.rate
-        return val
+    def excess_moment(self, k, t):
+        # binomial expansion of (T - t)^k on {T > t}, with
+        # E[T^j; T > t] = (a)_j / rate^j * Q(a + j, rate * t)
+        t = np.asarray(t, dtype=float)
+        a, r = self.shape, self.rate
+        out = 0.0
+        head = 1.0  # (a)_j / rate^j
+        for j in range(k + 1):
+            out = out + math.comb(k, j) * (-t) ** (k - j) * head * special.gammaincc(a + j, r * t)
+            head *= (a + j) / r
+        return _scalarize(out, t.ndim == 0)
 
     def truncated_mean(self, v):
         # E[T; T<=v] + v P(T>v), with x*f(x; a) = (a/rate)*f(x; a+1)
@@ -221,15 +217,6 @@ class Gamma(LifetimeDistribution):
         a, r = self.shape, self.rate
         out = (a / r) * special.gammainc(a + 1, r * v) + v * special.gammaincc(a, r * v)
         return _scalarize(out, v.ndim == 0)
-
-    def excess_second_moment(self, t):
-        t = np.asarray(t, dtype=float)
-        a, r = self.shape, self.rate
-        # E[T^2; T>t] - 2t E[T; T>t] + t^2 P(T>t)
-        m1_above = (a / r) * special.gammaincc(a + 1, r * t)
-        m2_above = (a * (a + 1) / r**2) * special.gammaincc(a + 2, r * t)
-        out = m2_above - 2.0 * t * m1_above + t**2 * special.gammaincc(a, r * t)
-        return _scalarize(out, t.ndim == 0)
 
     def draw(self, rng, size=None):
         return np.maximum(rng.gamma(self.shape, 1.0 / self.rate, size), _POSITIVE_FLOOR)
@@ -247,15 +234,16 @@ class Uniform(LifetimeDistribution):
         if not (self.low >= 0 and self.high > self.low):
             raise ValueError("uniform support must satisfy 0 <= low < high")
 
-    def tail(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.clip((self.high - x) / (self.high - self.low), 0.0, 1.0)
-        return _scalarize(out, x.ndim == 0)
-
-    def moment(self, k):
-        _check_k(k)
+    def excess_moment(self, k, t):
+        t = np.asarray(t, dtype=float)
         a, b = self.low, self.high
-        return (b ** (k + 1) - a ** (k + 1)) / ((k + 1) * (b - a))
+        s = np.minimum(t, b)  # past the support every excess is +0
+        lo = np.maximum(s, a)
+        # ((b-s)^(k+1) - (lo-s)^(k+1)) / ((k+1)(b-a)), factored so that the
+        # difference b - lo is exact: the tail is exactly 1 below the support
+        x, y = b - s, lo - s
+        out = (b - lo) * sum(x**i * y ** (k - i) for i in range(k + 1)) / ((k + 1) * (b - a))
+        return _scalarize(out, t.ndim == 0)
 
     def truncated_mean(self, v):
         v = np.asarray(v, dtype=float)
@@ -264,13 +252,6 @@ class Uniform(LifetimeDistribution):
         mid = a + (vc - a) * (2 * b - a - vc) / (2 * (b - a))
         out = np.where(v <= a, v, np.where(v >= b, (a + b) / 2.0, mid))
         return _scalarize(out, v.ndim == 0)
-
-    def excess_second_moment(self, t):
-        t = np.asarray(t, dtype=float)
-        a, b = self.low, self.high
-        lo = np.clip(t, a, b)
-        out = np.where(t >= b, 0.0, ((b - t) ** 3 - (lo - t) ** 3) / (3 * (b - a)))
-        return _scalarize(out, t.ndim == 0)
 
     def draw(self, rng, size=None):
         return np.maximum(rng.uniform(self.low, self.high, size), _POSITIVE_FLOOR)
@@ -287,22 +268,14 @@ class Deterministic(LifetimeDistribution):
         if not self.value > 0:
             raise ValueError("deterministic lifetime must be positive")
 
-    def tail(self, x):
-        x = np.asarray(x, dtype=float)
-        return _scalarize((x < self.value).astype(float), x.ndim == 0)
-
-    def moment(self, k):
-        _check_k(k)
-        return self.value**k
+    def excess_moment(self, k, t):
+        t = np.asarray(t, dtype=float)
+        out = np.where(t < self.value, (self.value - t) ** k, 0.0)
+        return _scalarize(out, t.ndim == 0)
 
     def truncated_mean(self, v):
         v = np.asarray(v, dtype=float)
         return _scalarize(np.minimum(v, self.value), v.ndim == 0)
-
-    def excess_second_moment(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.where(t < self.value, (self.value - t) ** 2, 0.0)
-        return _scalarize(out, t.ndim == 0)
 
     def draw(self, rng, size=None):
         if size is None:
@@ -329,33 +302,36 @@ class ParetoShifted(LifetimeDistribution):
         if not self.alpha > 1:
             raise ValueError("alpha must exceed 1 so the mean is finite")
 
-    def tail(self, x):
-        x = np.asarray(x, dtype=float)
-        return _scalarize((1.0 + x) ** (-self.alpha), x.ndim == 0)
-
-    def moment(self, k):
-        _check_k(k)
-        a = self.alpha
-        if k >= a:
+    def _scale(self, k: int) -> float:
+        """c_k = k! / prod_{j=1..k} (alpha - j) = E[T^k]; inf when alpha <= k."""
+        if self.alpha <= k:
             return math.inf
-        if k == 1:
-            return 1.0 / (a - 1)
-        if k == 2:
-            return 2.0 / ((a - 1) * (a - 2))
-        return 6.0 / ((a - 1) * (a - 2) * (a - 3))
+        return math.factorial(k) / math.prod(self.alpha - j for j in range(1, k + 1))
+
+    def excess_moment(self, k, t):
+        # the excess over t is again a shifted power law, with scale 1 + t
+        c = self._scale(k)
+        if math.isinf(c):
+            return math.inf
+        t = np.asarray(t, dtype=float)
+        return _scalarize(c * (1.0 + t) ** (k - self.alpha), t.ndim == 0)
+
+    def integrated_excess(self, k, t):
+        # direct antiderivative of c_k (1 + u)^(k - alpha); finite even when
+        # E[T^(k+1)] is not
+        c = self._scale(k)
+        if math.isinf(c):
+            return math.inf
+        t = np.asarray(t, dtype=float)
+        p = k + 1 - self.alpha
+        log1p = np.log1p(t)
+        out = c * log1p if p == 0 else c * np.expm1(p * log1p) / p
+        return _scalarize(out, t.ndim == 0)
 
     def truncated_mean(self, v):
         v = np.asarray(v, dtype=float)
         out = (1.0 - (1.0 + v) ** (1.0 - self.alpha)) / (self.alpha - 1.0)
         return _scalarize(out, v.ndim == 0)
-
-    def excess_second_moment(self, t):
-        a = self.alpha
-        if a <= 2:
-            raise ValueError("E[(T-t)^2; T>t] diverges for alpha <= 2")
-        t = np.asarray(t, dtype=float)
-        out = 2.0 * (1.0 + t) ** (2.0 - a) / ((a - 1.0) * (a - 2.0))
-        return _scalarize(out, t.ndim == 0)
 
     def draw(self, rng, size=None):
         u = rng.random(size)
@@ -389,28 +365,22 @@ class Lattice(LifetimeDistribution):
     def _sites(self) -> np.ndarray:
         return self.span * np.arange(1, len(self.pmf) + 1)
 
-    def tail(self, x):
-        x = np.asarray(x, dtype=float)
-        # number of atoms at or below x; the +tol keeps P(T > j*span) exclusive
-        idx = np.floor(x / self.span + _LATTICE_TOL).astype(int)
-        idx = np.clip(idx, 0, len(self.pmf))
-        cum = np.concatenate([[0.0], self._cum])
-        return _scalarize(1.0 - cum[idx], x.ndim == 0)
-
-    def moment(self, k):
-        _check_k(k)
-        return float(np.dot(self.pmf, self._sites**k))
+    def excess_moment(self, k, t):
+        t = np.asarray(t, dtype=float)
+        if k == 0:
+            # number of atoms at or below t; the +tol keeps P(T > j*span) exclusive
+            # clip before the cast: past ~9e18 spans the int cast overflows
+            idx = np.clip(np.floor(t / self.span + _LATTICE_TOL), 0, len(self.pmf)).astype(int)
+            out = 1.0 - np.concatenate([[0.0], self._cum])[idx]
+        else:
+            diff = self._sites - t[..., None]
+            out = np.where(diff > 0, diff**k, 0.0) @ np.asarray(self.pmf)
+        return _scalarize(np.asarray(out), t.ndim == 0)
 
     def truncated_mean(self, v):
         v = np.asarray(v, dtype=float)
         out = np.minimum(v[..., None], self._sites) @ np.asarray(self.pmf)
         return _scalarize(np.asarray(out), v.ndim == 0)
-
-    def excess_second_moment(self, t):
-        t = np.asarray(t, dtype=float)
-        diff = self._sites - t[..., None]
-        out = np.where(diff > 0, diff**2, 0.0) @ np.asarray(self.pmf)
-        return _scalarize(np.asarray(out), t.ndim == 0)
 
     def draw(self, rng, size=None):
         u = rng.random(size)
@@ -446,32 +416,20 @@ class Mixture(LifetimeDistribution):
         if abs(sum(self.weights) - 1.0) > 1e-12:
             raise ValueError("mixture weights must sum to 1 within 1e-12")
 
-    def tail(self, x):
-        x = np.asarray(x, dtype=float)
-        out = sum(w * np.asarray(c.tail(x)) for w, c in zip(self.weights, self.components))
-        return _scalarize(np.asarray(out), x.ndim == 0)
+    def _weighted(self, f, x):
+        """Weighted sum of f over the components with positive weight, so
+        that 0 * inf never appears."""
+        out = sum(w * np.asarray(f(c)) for w, c in zip(self.weights, self.components) if w > 0)
+        return _scalarize(np.asarray(out), np.ndim(x) == 0)
 
-    def moment(self, k):
-        _check_k(k)
-        total = 0.0
-        for w, c in zip(self.weights, self.components):
-            if w == 0:
-                continue
-            m = c.moment(k)
-            if math.isinf(m):
-                return math.inf
-            total += w * m
-        return total
+    def excess_moment(self, k, t):
+        return self._weighted(lambda c: c.excess_moment(k, t), t)
+
+    def integrated_excess(self, k, t):
+        return self._weighted(lambda c: c.integrated_excess(k, t), t)
 
     def truncated_mean(self, v):
-        v = np.asarray(v, dtype=float)
-        out = sum(w * np.asarray(c.truncated_mean(v)) for w, c in zip(self.weights, self.components))
-        return _scalarize(np.asarray(out), v.ndim == 0)
-
-    def excess_second_moment(self, t):
-        t = np.asarray(t, dtype=float)
-        out = sum(w * np.asarray(c.excess_second_moment(t)) for w, c in zip(self.weights, self.components))
-        return _scalarize(np.asarray(out), t.ndim == 0)
+        return self._weighted(lambda c: c.truncated_mean(v), v)
 
     def draw(self, rng, size=None):
         if size is None:
@@ -501,7 +459,8 @@ class Mixture(LifetimeDistribution):
             if not sub.arithmetic:
                 return ArithmeticSpan(False, None)
             spans.append(sub.span)
-        return ArithmeticSpan(True, _common_span(spans))
+        span = _common_span(spans)
+        return ArithmeticSpan(span is not None, span)
 
     def atoms(self):
         merged: dict[float, float] = {}
@@ -539,25 +498,18 @@ class EquilibriumOf(LifetimeDistribution):
                 "equilibrium delay needs a finite second moment of the lifetime law"
             )
 
-    def tail(self, x):
-        x = np.asarray(x, dtype=float)
-        out = 1.0 - np.asarray(self.base.equilibrium_cdf(x))
-        return _scalarize(np.asarray(out), x.ndim == 0)
+    # The excess law has density tail(x) / E[T] of the base law, so each of
+    # its excess moments and their integrals is one order up on the base.
 
-    def moment(self, k):
-        _check_k(k)
-        if k == 3:
-            raise ValueError("third moment of an equilibrium law needs E[T^4]; unsupported")
-        num = self.base.moment(k + 1)
-        if math.isinf(num):
-            return math.inf
-        return num / ((k + 1) * self.base.moment(1))
+    def excess_moment(self, k, t):
+        return self.base.excess_moment(k + 1, t) / ((k + 1) * self.base.moment(1))
+
+    def integrated_excess(self, k, t):
+        return self.base.integrated_excess(k + 1, t) / ((k + 1) * self.base.moment(1))
 
     def truncated_mean(self, v):
-        v = np.asarray(v, dtype=float)
-        if v.ndim == 0:
-            return _quad_tail_integral(self, 0.0, float(v))
-        return np.array([_quad_tail_integral(self, 0.0, float(x)) for x in v.ravel()]).reshape(v.shape)
+        # (E[T^2] - e_2(v)) / (2 E[T]) of the base law
+        return self.integrated_excess(0, v)
 
     def draw(self, rng, size=None):
         scalar = size is None
@@ -593,13 +545,15 @@ def _check_k(k: int) -> None:
         raise ValueError(f"moment order must be 1, 2 or 3, got {k}")
 
 
-def _common_span(spans: Sequence[float]) -> float:
+def _common_span(spans: Sequence[float]) -> float | None:
     """Largest delta such that every input span is an integer multiple.
 
     Floats are dyadic rationals, so the Fraction-based gcd is exact for
     cleanly represented parameters; when the exact answer collapses below
     1e-9 (decimal-looking inputs such as 0.1 and 0.3) fall back to a
-    tolerance-based Euclid pass.
+    tolerance-based Euclid pass.  A candidate that leaves some span more
+    than ``_LATTICE_TOL`` multiples off an integer is rounding debris, not
+    a lattice, and gives None.
     """
     fracs = [Fraction(s).limit_denominator(1 << 62) for s in spans]
     # exact gcd of fractions: gcd(a/b, c/d) = gcd(a*d, c*b) / (b*d)
@@ -618,7 +572,9 @@ def _common_span(spans: Sequence[float]) -> float:
             if abs(b - a) < _LATTICE_TOL:  # residue indistinguishable from divisor
                 b = 0.0
         out = a
-    return out
+    if all(abs(s / out - round(s / out)) <= _LATTICE_TOL for s in spans):
+        return out
+    return None
 
 
 _JSON_KINDS = {

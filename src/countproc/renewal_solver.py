@@ -11,6 +11,8 @@ The module also evaluates the standard generators fed to the solver: the
 integrated tail (whose solution is the mean residual time), the quadratic
 excess (whose solution is the mean squared residual), their integrals,
 and the integrated-tail asymptote for the mean residual at large times.
+Each is an excess moment ``e_k(t) = E[((T - t)+)^k]`` of the lifetime law
+or an integral of one, evaluated in closed form by the law itself.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from dataclasses import dataclass
 from typing import IO, Callable
 
 import numpy as np
-from scipy import integrate
 
-from .lifetimes import Deterministic, Lattice, LifetimeDistribution, Mixture, breakpoints
+from .lifetimes import Deterministic, Lattice, LifetimeDistribution, Mixture
 
 __all__ = [
     "GridFunction",
@@ -38,7 +39,6 @@ __all__ = [
     "solve_residual_second",
 ]
 
-_QUAD_TOL = 1e-10
 _SNAP_WARN_REL = 1e-9
 
 
@@ -176,12 +176,7 @@ def solve_renewal_equation(
 
 def residual_mean_generator(dist: LifetimeDistribution, t):
     """Integrated tail E[(T-t); T>t] = E[T] - E[min(t, T)]; the mean-residual generator."""
-    mean = dist.moment(1)
-    if math.isinf(mean):
-        raise ValueError("the residual-mean generator needs a finite mean")
-    t_arr = np.asarray(t, dtype=float)
-    out = mean - np.asarray(dist.truncated_mean(t_arr))
-    return float(out) if t_arr.ndim == 0 else out
+    return dist.excess_moment(1, t)
 
 
 def residual_second_generator(dist: LifetimeDistribution, t):
@@ -194,14 +189,9 @@ def integrated_second_generator(dist: LifetimeDistribution, t: float) -> float:
     t = float(t)
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if t == 0:
-        return 0.0
-    pts = [a for a in breakpoints(dist) if 0 < a < t] or None
-    val, _ = integrate.quad(
-        lambda u: float(dist.excess_second_moment(u)), 0.0, t,
-        points=pts, limit=400, epsabs=_QUAD_TOL,
-    )
-    return val
+    if math.isinf(dist.moment(2)):
+        raise ValueError("the quadratic excess diverges when E[T^2] is infinite")
+    return dist.integrated_excess(2, t)
 
 
 def sgibnev_asymptote(dist: LifetimeDistribution, t: float) -> float:
@@ -214,14 +204,7 @@ def sgibnev_asymptote(dist: LifetimeDistribution, t: float) -> float:
     t = float(t)
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if t == 0:
-        return 0.0
-    pts = [a for a in breakpoints(dist) if 0 < a < t] or None
-    val, _ = integrate.quad(
-        lambda u: float(residual_mean_generator(dist, u)), 0.0, t,
-        points=pts, limit=400, epsabs=_QUAD_TOL,
-    )
-    return dist.renewal_rate * val
+    return dist.renewal_rate * dist.integrated_excess(1, t)
 
 
 def solve_residual_mean(dist: LifetimeDistribution, horizon: float, step: float) -> GridFunction:

@@ -2,9 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import countproc
 from countproc.cli import main, validate_config
 
 
@@ -16,6 +20,21 @@ def write_config(tmp_path, obj, name="config.json"):
 
 GAMMA_SPEC = {"kind": "plain", "lifetime": {"kind": "gamma", "shape": 2.0, "rate": 2.0}}
 EXP_SPEC = {"kind": "plain", "lifetime": {"kind": "exponential", "rate": 1.0}}
+MODULATED_SPEC = {
+    "kind": "modulated",
+    "states": ["a", "b"],
+    "kernel": [[0.0, 1.0], [1.0, 0.0]],
+    "lifetimes": {
+        "a": {"kind": "exponential", "rate": 1.0},
+        "b": {"kind": "exponential", "rate": 0.5},
+    },
+    "initial": None,
+}
+MA_SPEC = {"kind": "stationary_ma", "order": 2, "base": {"kind": "exponential", "rate": 1.0}}
+
+
+def pareto_spec(alpha):
+    return {"kind": "plain", "lifetime": {"kind": "pareto_shifted", "alpha": alpha}}
 
 
 class TestValidate:
@@ -64,6 +83,33 @@ class TestValidate:
 
     def test_unreadable_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "missing.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"experiment": "sgibnev", "spec": MODULATED_SPEC, "t": 50, "step": 0.1},
+            {"experiment": "renewal-solve", "spec": MA_SPEC, "horizon": 5, "step": 0.01},
+            {"experiment": "residual-law", "spec": MA_SPEC, "t": 50, "reps": 1000},
+            {"experiment": "residual-law", "t": 50, "reps": 1000,
+             "spec": {"kind": "plain", "lifetime": {"kind": "deterministic", "value": 1.0}}},
+            {"experiment": "rm-cross", "spec": pareto_spec(2.5), "t": 50, "reps": 1000},
+            {"experiment": "variance", "spec": pareto_spec(1.5), "t": 50, "reps": 1000},
+            {"experiment": "diffusion", "spec": pareto_spec(1.5), "n": 10, "t": 1, "reps": 1000},
+        ],
+        ids=["sgibnev-modulated", "renewal-solve-ma", "residual-law-ma",
+             "residual-law-arithmetic", "rm-cross-m3", "variance-m2", "diffusion-m2"],
+    )
+    def test_unrunnable_spec_rejected(self, tmp_path, capsys, obj):
+        cfg = write_config(tmp_path, obj)
+        assert main(["validate", str(cfg)]) == 2
+        assert "invalid: spec:" in capsys.readouterr().err
+
+    def test_variance_order_bound_config_valid(self):
+        # finite E[T^2], infinite E[T^3]: the order-bound branch runs it
+        cfg, errors = validate_config(
+            {"experiment": "variance", "spec": pareto_spec(2.5), "t": 50, "reps": 1000}
+        )
+        assert cfg is not None and errors == []
 
 
 class TestRun:
@@ -151,3 +197,22 @@ class TestRun:
     def test_invalid_config_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, {"experiment": "blackwell", "spec": GAMMA_SPEC})
         assert main(["run", str(cfg)]) == 2
+
+    def test_event_cap_exit_3(self, tmp_path, capsys):
+        # 2e8 events per path: over the cap, refused before anything is drawn
+        cfg = write_config(tmp_path, {
+            "experiment": "blackwell",
+            "spec": {"kind": "plain", "lifetime": {"kind": "exponential", "rate": 1e6}},
+            "t": 200, "h": 1, "reps": 1000, "out": str(tmp_path / "res"),
+        })
+        assert main(["run", str(cfg)]) == 3
+        assert "event cap" in capsys.readouterr().out
+
+
+def test_cli_import_skips_quadrature():
+    src = Path(countproc.__file__).resolve().parents[1]
+    code = "import sys, countproc.cli; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

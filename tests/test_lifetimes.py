@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from scipy import integrate
 
 from countproc.lifetimes import (
@@ -27,6 +27,28 @@ from conftest import any_distribution, light_tailed
 def quad_tail(dist, lo, hi):
     pts = [a for a in breakpoints(dist) if lo < a < hi] or None
     return integrate.quad(lambda u: float(dist.tail(u)), lo, hi, points=pts, limit=300)[0]
+
+
+def quad_far_moment(dist, k, lo):
+    """Tail quadrature of int_lo^inf k x^(k-1) tail(x) dx, exact in a power-law tail index.
+
+    A tail ~ x^-beta with beta just above k puts most of this integral beyond
+    the largest float, out of reach of plain quad. With x = lo/s the integrand
+    is g(s) * s^(beta-k-1) with g smooth, and QAWS integrates the singular
+    factor exactly. beta is read off the tail at 1e30 and 1e60; a tail that
+    is zero there is light and goes to plain quad.
+    """
+    x1, x2 = 1e30, 1e60
+    far = float(dist.tail(x2))
+    if far == 0.0:
+        return integrate.quad(lambda x: k * x ** (k - 1) * float(dist.tail(x)), lo, np.inf, limit=400)[0]
+    beta = math.log(float(dist.tail(x1)) / far) / math.log(x2 / x1)
+
+    def g(s):
+        x = lo / s if s > lo / x2 else x2  # s -> 0 limit read off at x2
+        return k * lo**k * (x / lo) ** beta * float(dist.tail(x))
+
+    return integrate.quad(g, 0.0, 1.0, weight="alg", wvar=(beta - k - 1, 0.0), limit=400)[0]
 
 
 class TestMoments:
@@ -56,6 +78,8 @@ class TestMoments:
 
     @settings(max_examples=40, deadline=None)
     @given(any_distribution)
+    @example(ParetoShifted(2.00001))
+    @example(ParetoShifted(3.00001))
     def test_moments_match_tail_quadrature(self, dist):
         for k in (1, 2, 3):
             m = dist.moment(k)
@@ -68,8 +92,56 @@ class TestMoments:
                 return k * x ** (k - 1) * float(dist.tail(x))
 
             oracle = integrate.quad(integrand, 0, mid, points=pts, limit=400)[0]
-            oracle += integrate.quad(integrand, mid, np.inf, limit=400)[0]
+            oracle += quad_far_moment(dist, k, mid)
             assert m == pytest.approx(oracle, rel=1e-6, abs=1e-8)
+
+
+CATALOG = {
+    "exp": Exponential(1.3),
+    "gamma": Gamma(0.7, 1.5),
+    "uniform": Uniform(0.3, 2.0),
+    "det": Deterministic(1.5),
+    "pareto": ParetoShifted(4.5),
+    "lattice": Lattice(0.5, (0.2, 0.5, 0.3)),
+    "mixture": Mixture((0.3, 0.3, 0.4), (Gamma(2, 2), Uniform(0.3, 2.0), Deterministic(1.5))),
+    "equilibrium": EquilibriumOf(Gamma(2, 2)),
+    # E[T^3] diverges at alpha = 2.5, so e_3 is infinite for every t
+    "pareto-heavy": ParetoShifted(2.5),
+}
+
+
+class TestExcessMoment:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("dist", CATALOG.values(), ids=CATALOG.keys())
+    def test_matches_tail_quadrature(self, dist, k):
+        for t in (0.0, 0.4, 1.0, 2.5, 6.0):
+            closed = dist.excess_moment(k, t)
+            if k >= getattr(dist, "alpha", math.inf):
+                assert closed == math.inf
+                continue
+            mid = t + 60.0 * dist.moment(1)
+            pts = [a for a in breakpoints(dist) if t < a < mid] or None
+
+            def integrand(x):
+                return k * (x - t) ** (k - 1) * float(dist.tail(x))
+
+            oracle = integrate.quad(integrand, t, mid, points=pts, limit=400)[0]
+            oracle += integrate.quad(integrand, mid, np.inf, limit=400)[0]
+            assert closed == pytest.approx(oracle, rel=1e-7, abs=1e-9)
+
+    def test_vectorized_matches_scalar(self):
+        ts = np.array([0.0, 0.4, 1.0, 2.5, 6.0])
+        for dist in CATALOG.values():
+            for k in (0, 1, 2):
+                vec = np.asarray(dist.excess_moment(k, ts))
+                assert vec.shape == ts.shape
+                assert np.allclose(vec, [dist.excess_moment(k, t) for t in ts], rtol=1e-14, atol=0)
+
+    def test_laws_implement_only_the_primitive(self):
+        for dist in CATALOG.values():
+            own = vars(type(dist))
+            assert "excess_moment" in own
+            assert not {"tail", "moment", "excess_second_moment"} & set(own)
 
 
 class TestTail:
@@ -80,6 +152,10 @@ class TestTail:
 
     def test_pareto_hand_value(self):
         assert ParetoShifted(1.5).tail(3.0) == pytest.approx(0.125)
+
+    def test_lattice_far_tail_is_zero(self):
+        # t / span past the int64 range must not wrap round to the first atom
+        assert Lattice(1.0, (1.0,)).tail(1e30) == 0.0
 
     def test_deterministic_right_continuity(self):
         d = Deterministic(1.0)
@@ -108,6 +184,7 @@ class TestTruncatedMean:
 
     @settings(max_examples=50, deadline=None)
     @given(any_distribution)
+    @example(Uniform(0.3, 2.0))
     def test_matches_quadrature(self, dist):
         for v in (0.1, 0.7, 1.0, 3.7, 10.0):
             closed = float(dist.truncated_mean(v))
@@ -220,6 +297,7 @@ class TestArithmetic:
 
     @settings(max_examples=30, deadline=None)
     @given(any_distribution)
+    @example(Mixture((0.5, 0.5), (Deterministic(1.0), Deterministic(0.689861864921478))))
     def test_span_divides_every_atom(self, dist):
         arith, span = dist.is_arithmetic()
         if not arith:
