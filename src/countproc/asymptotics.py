@@ -1,12 +1,15 @@
 """Monte Carlo estimators and closed-form targets for counting-process limits.
 
-Replications are simulated in vectorized batches: a chunk draws a matrix
-of inter-arrival times, accumulates event times row-wise, and reads off
-counts, residual times and quadratic-variation sums at the query times.
-Each chunk derives its generator from (root seed, chunk index), chunk
-sizes depend only on the spec and horizon, and chunks are reduced in index
-order, so every estimate is bit-reproducible from the root seed and
-independent of the worker-pool size.
+Replications are simulated in chunks of rows, one path per row, streamed
+through column blocks of inter-arrival times: a block is accumulated from
+each row's last event time, folded into the running counts, residuals and
+quadratic-variation sums at the query times, and discarded; later blocks
+go only to rows not yet past the horizon, and ``EventCapExceeded`` stops a
+path that needs more than the event cap.  Chunk sizes and block widths
+depend only on the spec and horizon, each chunk derives its generator from
+(root seed, chunk index), and chunks are reduced in index order, so every
+estimate is bit-reproducible from the root seed and independent of the
+worker-pool size.
 
 Closed-form constants (the long-run rate of a modulated process, the
 variance-drift constant for laws with three finite moments, the
@@ -15,14 +18,15 @@ residual/noise cross-term limit) live here next to their estimators.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .lifetimes import EquilibriumOf, LifetimeDistribution
+from .lifetimes import LifetimeDistribution
 from .processes import (
     DEFAULT_EVENT_CAP,
     Delayed,
@@ -55,7 +59,7 @@ __all__ = [
 ]
 
 _CHUNK_ROWS = 1 << 14
-_CHUNK_BUDGET = 8_000_000  # max doubles per chunk matrix; bounds memory
+_BLOCK_COLS = 256  # widest block: a chunk holds at most _CHUNK_ROWS x _BLOCK_COLS draws
 _Z95 = 1.959963984540054
 
 
@@ -197,15 +201,16 @@ def _strongly_connected(kernel: np.ndarray) -> bool:
     return reach(kernel) and reach(kernel.T)
 
 
-def _arithmetic_flags(spec: ProcessSpec) -> tuple[str, ...]:
-    dists: list[LifetimeDistribution]
+def _lifetime_laws(spec: ProcessSpec) -> list[LifetimeDistribution]:
     if isinstance(spec, (Plain, Delayed)):
-        dists = [spec.lifetime]
-    elif isinstance(spec, Modulated):
-        dists = [spec.lifetimes[s] for s in spec.states]
-    else:
-        dists = [spec.base]
-    if any(d.is_arithmetic().arithmetic for d in dists):
+        return [spec.lifetime]
+    if isinstance(spec, Modulated):
+        return [spec.lifetimes[s] for s in spec.states]
+    return [spec.base]
+
+
+def _arithmetic_flags(spec: ProcessSpec) -> tuple[str, ...]:
+    if any(d.is_arithmetic().arithmetic for d in _lifetime_laws(spec)):
         return ("arithmetic lifetime law: the non-lattice hypothesis is violated",)
     return ()
 
@@ -215,67 +220,67 @@ def _arithmetic_flags(spec: ProcessSpec) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _column_budget(spec: ProcessSpec, tmax: float) -> int:
-    """Columns needed so that event times almost surely pass tmax."""
-    if isinstance(spec, (Plain, Delayed)):
-        mean = spec.lifetime.moment(1)
-        var = spec.lifetime.variance
-    elif isinstance(spec, StationaryMA):
-        mean = spec.base.moment(1)
-        var = spec.base.variance
-    else:
-        mean = min(spec.lifetimes[s].moment(1) for s in spec.states)
-        var = max(
-            v for v in (spec.lifetimes[s].variance for s in spec.states) if not math.isinf(v)
-        ) if any(not math.isinf(spec.lifetimes[s].variance) for s in spec.states) else mean**2
-    n_mean = tmax / mean
-    lam = 1.0 / mean
-    if math.isinf(var):
-        spread = 4.0 * math.sqrt(n_mean + 1.0) + 3.0 * n_mean**0.75
-    else:
-        spread = 12.0 * math.sqrt(lam**3 * var * tmax + 1.0)
-    return int(n_mean + spread) + 32
+def _block_widths(spec: ProcessSpec, tmax: float) -> Iterator[int]:
+    """Column widths of a chunk's successive blocks; they depend only on (spec, tmax).
 
-
-def _draw_gap_matrix(spec: ProcessSpec, rng: np.random.Generator, rows: int, cols: int):
-    """(gaps, delay): inter-arrival matrix and, for delayed specs, the delays."""
-    if isinstance(spec, Plain):
-        return spec.lifetime.draw(rng, (rows, cols)), None
-    if isinstance(spec, Delayed):
-        dist = spec.delay_distribution
-        if isinstance(dist, EquilibriumOf):
-            delay = dist.inverse_cdf(rng.random(rows))
-        else:
-            delay = np.atleast_1d(dist.draw(rng, rows))
-        return spec.lifetime.draw(rng, (rows, cols)), delay
-    if isinstance(spec, StationaryMA):
-        m = spec.order
-        u = spec.base.draw(rng, (rows, cols + m - 1))
-        csum = np.concatenate([np.zeros((rows, 1)), np.cumsum(u, axis=1)], axis=1)
-        gaps = (csum[:, m:] - csum[:, :-m]) / m
-        return gaps, None
-    if isinstance(spec, Modulated):
-        return _draw_modulated_gaps(spec, rng, rows, cols), None
-    raise TypeError(f"unsupported spec type {type(spec).__name__}")
-
-
-def _draw_modulated_gaps(spec: Modulated, rng: np.random.Generator, rows: int, cols: int):
-    n_states = len(spec.states)
-    kernel_cum = np.cumsum(spec.kernel_matrix(), axis=1)
-    init_cum = np.cumsum(spec.initial_law())
-    state = np.minimum(
-        np.searchsorted(init_cum, rng.random(rows), side="right"), n_states - 1
+    Blocks of at most ``_BLOCK_COLS`` columns cover the mean event count up
+    to ``tmax`` plus one standard deviation; blocks of about one standard
+    deviation follow for the rows still at or before ``tmax``.  The mean
+    gap is taken as the average over the spec's lifetime laws, exact for a
+    modulated chain whose stationary law is uniform.  Raises
+    :class:`EventCapExceeded`, before anything is drawn, when the mean
+    count alone is over the event cap.
+    """
+    laws = _lifetime_laws(spec)
+    mean = sum(d.moment(1) for d in laws) / len(laws)
+    var = max(d.variance for d in laws)
+    events = tmax / mean
+    if events > DEFAULT_EVENT_CAP:
+        raise EventCapExceeded(
+            f"a path would need about {events:.3g} events, over the event cap of {DEFAULT_EVENT_CAP}"
+        )
+    sd = events**0.75 if math.isinf(var) else math.sqrt(var * events) / mean
+    full, rest = divmod(int(events + sd) + 1, _BLOCK_COLS)
+    return itertools.chain(
+        itertools.repeat(_BLOCK_COLS, full), [rest] if rest else [],
+        itertools.repeat(min(_BLOCK_COLS, max(16, int(sd)))),
     )
-    gaps = np.empty((rows, cols))
-    for c in range(cols):
-        for si, label in enumerate(spec.states):
-            mask = state == si
-            k = int(mask.sum())
-            if k:
-                gaps[mask, c] = spec.lifetimes[label].draw(rng, k)
-        u = rng.random(rows)
-        state = np.minimum((u[:, None] >= kernel_cum[state]).sum(axis=1), n_states - 1)
-    return gaps
+
+
+def _initial_carry(spec: ProcessSpec, rng: np.random.Generator, rows: int) -> np.ndarray:
+    """Per-row sampler state before the first block: the moving-average
+    pre-roll, the modulated chain's initial state, or nothing."""
+    if isinstance(spec, StationaryMA):
+        return spec.base.draw(rng, (rows, spec.order - 1))
+    if isinstance(spec, Modulated):
+        init_cum = np.cumsum(spec.initial_law())
+        return np.minimum(np.searchsorted(init_cum, rng.random(rows), side="right"),
+                          len(spec.states) - 1)
+    return np.empty((rows, 0))
+
+
+def _draw_block(spec: ProcessSpec, rng: np.random.Generator, carry: np.ndarray, width: int):
+    """(gaps, carry): ``width`` inter-arrivals for each row of ``carry``."""
+    n = carry.shape[0]
+    if isinstance(spec, (Plain, Delayed)):
+        return spec.lifetime.draw(rng, (n, width)), carry
+    if isinstance(spec, StationaryMA):
+        u = np.concatenate([carry, spec.base.draw(rng, (n, width))], axis=1)
+        gaps = np.lib.stride_tricks.sliding_window_view(u, spec.order, axis=1).mean(axis=2)
+        return gaps, u[:, width:]
+    # a semi-Markov chain needs only its state path sequentially: walk it
+    # column by column, then draw each state's gaps for the whole block
+    kernel_cum = np.cumsum(spec.kernel_matrix(), axis=1)
+    u = rng.random((n, width))
+    states = np.empty((n, width), dtype=np.intp)
+    for c in range(width):
+        states[:, c] = carry
+        carry = np.minimum((u[:, c, None] >= kernel_cum[carry]).sum(axis=1), len(spec.states) - 1)
+    gaps = np.empty((n, width))
+    for si, label in enumerate(spec.states):
+        mask = states == si
+        gaps[mask] = spec.lifetimes[label].draw(rng, int(mask.sum()))
+    return gaps, carry
 
 
 def _simulate_chunk(
@@ -286,52 +291,49 @@ def _simulate_chunk(
     chunk_index: int,
     qv_rate: float | None,
 ) -> dict[str, np.ndarray]:
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
+    """Stream one chunk of paths through column blocks (see the module docstring).
+
+    Per query time t a path's count is the number of its gaps that start at
+    or before t, its residual is the first event time after t minus t, and
+    its qv sums (1 - qv_rate * gap)^2 over the same gaps.
+    """
     tmax = float(np.max(ts))
-    cols = _column_budget(spec, tmax)
+    widths = _block_widths(spec, tmax)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
     delayed = isinstance(spec, Delayed)
-
-    while True:
-        if cols > DEFAULT_EVENT_CAP:
-            raise EventCapExceeded(
-                f"a path would need {cols} events, over the event cap of {DEFAULT_EVENT_CAP}"
-            )
-        gaps, delay = _draw_gap_matrix(spec, rng, rows, cols)
-        times = np.cumsum(gaps, axis=1)
-        if delayed:
-            times = np.concatenate([delay[:, None], delay[:, None] + times], axis=1)
-        if float(times[:, -1].min()) > tmax:
-            break
-        cols = int(cols * 1.6) + 16  # rare: redraw the whole chunk wider
-
-    k = ts.size
-    out_count = np.empty((rows, k))
-    out_resid = np.empty((rows, k))
-    out_qv = np.empty((rows, k)) if qv_rate is not None else None
-    if qv_rate is not None:
-        qq = np.cumsum((1.0 - qv_rate * gaps) ** 2, axis=1)
-    row_idx = np.arange(rows)
-    for i, t in enumerate(ts):
-        cnt = (times <= t).sum(axis=1)
-        out_resid[:, i] = times[row_idx, cnt] - t
-        if delayed:
-            out_count[:, i] = cnt
-            if qv_rate is not None:
-                out_qv[:, i] = np.where(cnt > 0, qq[row_idx, np.maximum(cnt - 1, 0)], 0.0)
-        else:
-            out_count[:, i] = cnt + 1
-            if qv_rate is not None:
-                out_qv[:, i] = qq[row_idx, cnt]
-    result = {"count": out_count, "residual": out_resid}
+    start = np.asarray(spec.delay_distribution.draw(rng, rows), float) if delayed else np.zeros(rows)
+    result = {"count": np.zeros((rows, ts.size)), "residual": start[:, None] - ts}
     if delayed:
-        result["delay"] = np.asarray(delay, dtype=float)
+        result["delay"] = start
     if qv_rate is not None:
-        result["qv"] = out_qv
+        result["qv"] = np.zeros((rows, ts.size))
+    active = np.flatnonzero(start <= tmax)
+    last, carry = start[active], _initial_carry(spec, rng, rows)[active]
+    drawn = 0
+    for width in widths:
+        if not active.size:
+            break
+        drawn += width
+        if drawn > DEFAULT_EVENT_CAP:
+            raise EventCapExceeded(f"a path needs over {DEFAULT_EVENT_CAP} events, the event cap")
+        gaps, carry = _draw_block(spec, rng, carry, width)
+        if qv_rate is not None:
+            qq = np.zeros((active.size, width + 1))
+            np.cumsum((1.0 - qv_rate * gaps) ** 2, axis=1, out=qq[:, 1:])
+        gaps[:, 0] += last
+        times = np.cumsum(gaps, axis=1, out=gaps)
+        for i, t in enumerate(ts):
+            before = np.count_nonzero(times <= t, axis=1)
+            open_ = last <= t
+            n = np.minimum(before + open_, width)
+            result["count"][active, i] += n
+            if qv_rate is not None:
+                result["qv"][active, i] += qq[np.arange(active.size), n]
+            hit = np.flatnonzero(open_ & (before < width))
+            result["residual"][active[hit], i] = times[hit, before[hit]] - t
+        keep = times[:, -1] <= tmax
+        active, last, carry = active[keep], times[keep, -1], carry[keep]
     return result
-
-
-def _chunk_worker(args):
-    return _simulate_chunk(*args)
 
 
 def path_statistics(
@@ -353,33 +355,14 @@ def path_statistics(
         raise ValueError("reps must be at least 1")
     if np.any(ts < 0):
         raise ValueError("query times must be nonnegative")
-    cols_est = _column_budget(spec, float(np.max(ts)))
-    rows = max(64, min(_CHUNK_ROWS, _CHUNK_BUDGET // max(cols_est, 1)))
-    starts = list(range(0, reps, rows))
-    jobs = [(spec, ts, min(rows, reps - s), seed, i, qv_rate) for i, s in enumerate(starts)]
-
-    out = {
-        "count": np.empty((reps, ts.size)),
-        "residual": np.empty((reps, ts.size)),
-    }
-    if qv_rate is not None:
-        out["qv"] = np.empty((reps, ts.size))
-    if isinstance(spec, Delayed):
-        out["delay"] = np.empty(reps)
-
-    def fill(start, chunk):
-        stop = start + chunk["count"].shape[0]
-        for key, arr in chunk.items():
-            out[key][start:stop] = arr
-
+    jobs = [(spec, ts, min(_CHUNK_ROWS, reps - start), seed, i, qv_rate)
+            for i, start in enumerate(range(0, reps, _CHUNK_ROWS))]
     if threads > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for start, chunk in zip(starts, pool.map(_chunk_worker, jobs, chunksize=1)):
-                fill(start, chunk)
+            chunks = list(pool.map(_simulate_chunk, *zip(*jobs)))
     else:
-        for start, job in zip(starts, jobs):
-            fill(start, _simulate_chunk(*job))
-    return out
+        chunks = [_simulate_chunk(*job) for job in jobs]
+    return {key: np.concatenate([chunk[key] for chunk in chunks]) for key in chunks[0]}
 
 
 # ---------------------------------------------------------------------------

@@ -307,7 +307,7 @@ def residual(path: SamplePath, t):
 def equilibrium_delay_sample(lifetime: LifetimeDistribution, rng: np.random.Generator) -> float:
     """One draw from the stationary-excess law of ``lifetime``.
 
-    Inverts the monotone equilibrium CDF by bisection (tolerance 1e-10).
+    Inverts the equilibrium CDF by safeguarded Newton steps (tolerance 1e-10).
     Raises when the lifetime law has an infinite second moment, which would
     make the excess law's mean infinite.
     """

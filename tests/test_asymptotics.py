@@ -1,18 +1,21 @@
 """Estimators: closed-form targets, convergence checks, reproducibility."""
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
+from countproc import asymptotics
 from countproc.lifetimes import (
     Deterministic,
     Exponential,
     Gamma,
+    LifetimeDistribution,
     ParetoShifted,
     Uniform,
 )
-from countproc.processes import Delayed, Modulated, Plain, StationaryMA
+from countproc.processes import Delayed, EventCapExceeded, Modulated, Plain, StationaryMA
 from countproc.asymptotics import (
     Estimate,
     estimate_blackwell,
@@ -125,6 +128,16 @@ class TestRate:
     def test_stationary_ma(self):
         est = estimate_rate(StationaryMA(2, Exponential(1.0)), 200.0, 10_000, seed=4)
         assert est.z_against(1.0 + 1.0 / 200.0) <= 4.0
+
+    def test_modulated_two_state(self):
+        # The chain alternates a, b from a uniform start, so counting cycles
+        # (mean 4, E[C^2] = 26) as a renewal process from the origin gives
+        # E[N(t)] = t/2 + 1 + 2 (26/32 - 1) + (3/4 + 1/4)/2 + o(1): the origin
+        # event, two events per cycle, and the mid-cycle event, which has
+        # happened with probability E[B]/E[C] from a and E[A]/E[C] from b.
+        t = 100.0
+        est = estimate_rate(TWO_STATE, t, 20_000, seed=4)
+        assert est.z_against(modulated_rate(TWO_STATE) + 1.125 / t) <= 4.0
 
 
 class TestResidualLaw:
@@ -244,15 +257,105 @@ class TestReproducibility:
         b = estimate_blackwell(Plain(Gamma(2, 2)), 20.0, 1.0, 5_000, seed=100)
         assert a.value != b.value
 
+    @staticmethod
+    def _assert_thread_invariant(spec):
+        seq = path_statistics(spec, [5.0], 40_000, seed=101, qv_rate=1.0, threads=1)
+        par = path_statistics(spec, [5.0], 40_000, seed=101, qv_rate=1.0, threads=2)
+        assert seq.keys() == par.keys()
+        for key in seq:
+            assert np.array_equal(seq[key], par[key])
+
     def test_thread_count_invariance(self):
-        spec = Plain(Gamma(2, 2))
-        seq = path_statistics(spec, [5.0], 40_000, seed=101, threads=1)
-        par = path_statistics(spec, [5.0], 40_000, seed=101, threads=2)
-        assert np.array_equal(seq["count"], par["count"])
-        assert np.array_equal(seq["residual"], par["residual"])
+        self._assert_thread_invariant(Plain(Gamma(2, 2)))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [Delayed("equilibrium", Gamma(2, 2)), TWO_STATE, StationaryMA(2, Exponential(1.0))],
+        ids=["delayed", "modulated", "ma"],
+    )
+    def test_thread_count_invariance_other_kinds(self, spec):
+        self._assert_thread_invariant(spec)
 
     def test_delayed_statistics_reproducible(self):
         spec = Delayed("equilibrium", Gamma(2, 2))
         a = path_statistics(spec, [5.0], 2_000, seed=7)
         b = path_statistics(spec, [5.0], 2_000, seed=7)
         assert np.array_equal(a["delay"], b["delay"])
+
+
+@dataclass(frozen=True)
+class Recording(LifetimeDistribution):
+    """Test double: draws from ``base`` and keeps a copy of every block it returns."""
+
+    base: LifetimeDistribution
+    blocks: list = field(default_factory=list, compare=False)
+
+    def excess_moment(self, k, t):
+        return self.base.excess_moment(k, t)
+
+    def truncated_mean(self, v):
+        return self.base.truncated_mean(v)
+
+    def draw(self, rng, size=None):
+        out = self.base.draw(rng, size)
+        self.blocks.append(np.array(out, copy=True))
+        return out
+
+
+def replay(blocks, start, tmax):
+    """Per-row event times rebuilt from the recorded blocks.
+
+    Each block holds one row per path still at or before tmax, in row
+    order; event times accumulate from the start point like a running sum.
+    """
+    gaps = [[] for _ in start]
+    active = [r for r, s in enumerate(start) if s <= tmax]
+    for block in blocks:
+        assert block.shape[0] == len(active)
+        for r, row in zip(active, block):
+            gaps[r].extend(row)
+        active = [r for r in active if np.cumsum([start[r], *gaps[r]])[-1] <= tmax]
+    assert not active
+    return [np.cumsum([s, *g]) for s, g in zip(start, gaps)]
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize(
+        "kind,ts",
+        [("plain", [0.0, 2.5, 7.0]), ("plain", [40.0, 600.0]),
+         ("delayed", [0.0, 3.0, 6.0]), ("delayed", [5.0, 300.0])],
+    )
+    def test_matches_brute_force(self, kind, ts):
+        life, delay = Recording(Gamma(2, 2)), Recording(Uniform(0.0, 8.0))
+        spec = Plain(life) if kind == "plain" else Delayed(delay, life)
+        stats = path_statistics(spec, ts, 300, seed=41, qv_rate=0.5)
+        tmax = max(ts)
+        if kind == "delayed":
+            start = delay.blocks[0]
+            assert np.array_equal(stats["delay"], start)
+        else:
+            start = np.zeros(300)
+        assert len(life.blocks) >= 2  # some rows outlast the first block
+        for r, events in enumerate(replay(life.blocks, start, tmax)):
+            for i, t in enumerate(ts):
+                n = int(np.searchsorted(events, t, side="right"))
+                assert stats["count"][r, i] == n
+                assert stats["residual"][r, i] == events[n] - t
+                q = np.sum((1.0 - 0.5 * np.diff(events)[:n]) ** 2)
+                assert stats["qv"][r, i] == pytest.approx(q, rel=1e-12, abs=1e-12)
+        if kind == "delayed":
+            assert np.any(start > ts[0])  # t below the delay on some rows
+
+
+class TestEventCap:
+    def test_cap_counts_drawn_events(self, monkeypatch):
+        # the mean count 50 passes the up-front check; the paths that need
+        # more than 60 events are caught while they are drawn
+        monkeypatch.setattr(asymptotics, "DEFAULT_EVENT_CAP", 60)
+        with pytest.raises(EventCapExceeded, match="event cap"):
+            path_statistics(Plain(Exponential(1.0)), [50.0], 1_000, seed=0)
+
+    def test_cap_not_reached(self, monkeypatch):
+        monkeypatch.setattr(asymptotics, "DEFAULT_EVENT_CAP", 200)
+        stats = path_statistics(Plain(Exponential(1.0)), [50.0], 1_000, seed=0)
+        assert stats["count"].max() < 200

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import countproc
+import countproc.asymptotics
 from countproc.cli import main, validate_config
 
 
@@ -204,6 +205,16 @@ class TestRun:
             "experiment": "blackwell",
             "spec": {"kind": "plain", "lifetime": {"kind": "exponential", "rate": 1e6}},
             "t": 200, "h": 1, "reps": 1000, "out": str(tmp_path / "res"),
+        })
+        assert main(["run", str(cfg)]) == 3
+        assert "event cap" in capsys.readouterr().out
+
+    def test_event_cap_on_drawn_events_exit_3(self, tmp_path, capsys, monkeypatch):
+        # mean count 50 is under a cap of 60, but some paths need more events
+        monkeypatch.setattr(countproc.asymptotics, "DEFAULT_EVENT_CAP", 60)
+        cfg = write_config(tmp_path, {
+            "experiment": "blackwell", "spec": EXP_SPEC,
+            "t": 49, "h": 1, "reps": 1000, "out": str(tmp_path / "res"),
         })
         assert main(["run", str(cfg)]) == 3
         assert "event cap" in capsys.readouterr().out

@@ -324,6 +324,35 @@ class TestEquilibriumLaw:
             assert eq.truncated_mean(v) == pytest.approx(oracle, abs=1e-8)
 
 
+def bisection_inverse(base, u):
+    """Reference inverse of the equilibrium CDF: doubling bracket, then bisection to float resolution."""
+    lo, hi = np.zeros_like(u), np.full_like(u, max(base.moment(1), 1.0))
+    while np.any(base.equilibrium_cdf(hi) < u):
+        hi = np.where(base.equilibrium_cdf(hi) < u, 2.0 * hi, hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        below = np.asarray(base.equilibrium_cdf(mid)) < u
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+class TestEquilibriumInverse:
+    # Past 1 - 1e-4 the density at the root falls to ~1e-6 for the exponential
+    # laws, so the CDF is flat to within rounding over more than 1e-10 and no
+    # inverse is determined to that tolerance.
+    U = np.array([0.0, 1e-12, 1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-4])
+
+    @pytest.mark.parametrize("base", CATALOG.values(), ids=CATALOG.keys())
+    def test_newton_matches_bisection(self, base):
+        x = EquilibriumOf(base).inverse_cdf(self.U)
+        assert np.max(np.abs(x - bisection_inverse(base, self.U))) <= 1e-10
+
+    def test_keeps_the_shape_of_u(self):
+        eq = EquilibriumOf(Uniform(0.3, 2.0))
+        assert eq.inverse_cdf(self.U[:8].reshape(2, 4)).shape == (2, 4)
+        assert isinstance(eq.draw(np.random.default_rng(0)), float)
+
+
 class TestSerialization:
     @settings(max_examples=50, deadline=None)
     @given(any_distribution)
