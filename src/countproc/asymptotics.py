@@ -1,15 +1,13 @@
 """Monte Carlo estimators and closed-form targets for counting-process limits.
 
 Replications are simulated in chunks of rows, one path per row, streamed
-through column blocks of inter-arrival times: a block is accumulated from
-each row's last event time, folded into the running counts, residuals and
-quadratic-variation sums at the query times, and discarded; later blocks
-go only to rows not yet past the horizon, and ``EventCapExceeded`` stops a
-path that needs more than the event cap.  Chunk sizes and block widths
-depend only on the spec and horizon, each chunk derives its generator from
-(root seed, chunk index), and chunks are reduced in index order, so every
-estimate is bit-reproducible from the root seed and independent of the
-worker-pool size.
+through the column-block sampler of :mod:`countproc.processes`: each block
+is folded into the running counts, residuals and quadratic-variation sums
+at the query times and discarded.  Chunk sizes and block widths depend
+only on the spec and horizon, chunk i draws from ``child_rng(seed, i)``,
+and chunks are reduced in index order, so every estimate is
+bit-reproducible from the root seed and independent of the number of
+worker threads.
 
 Closed-form constants (the long-run rate of a modulated process, the
 variance-drift constant for laws with three finite moments, the
@@ -18,23 +16,25 @@ residual/noise cross-term limit) live here next to their estimators.
 
 from __future__ import annotations
 
-import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .lifetimes import LifetimeDistribution
 from .processes import (
+    _CHUNK_ROWS,
     DEFAULT_EVENT_CAP,
     Delayed,
-    EventCapExceeded,
     Modulated,
     Plain,
     ProcessSpec,
     StationaryMA,
+    _column_blocks,
+    _lifetime_laws,
+    child_rng,
 )
 
 __all__ = [
@@ -58,8 +58,6 @@ __all__ = [
     "wald_ratio",
 ]
 
-_CHUNK_ROWS = 1 << 14
-_BLOCK_COLS = 256  # widest block: a chunk holds at most _CHUNK_ROWS x _BLOCK_COLS draws
 _Z95 = 1.959963984540054
 
 
@@ -201,14 +199,6 @@ def _strongly_connected(kernel: np.ndarray) -> bool:
     return reach(kernel) and reach(kernel.T)
 
 
-def _lifetime_laws(spec: ProcessSpec) -> list[LifetimeDistribution]:
-    if isinstance(spec, (Plain, Delayed)):
-        return [spec.lifetime]
-    if isinstance(spec, Modulated):
-        return [spec.lifetimes[s] for s in spec.states]
-    return [spec.base]
-
-
 def _arithmetic_flags(spec: ProcessSpec) -> tuple[str, ...]:
     if any(d.is_arithmetic().arithmetic for d in _lifetime_laws(spec)):
         return ("arithmetic lifetime law: the non-lattice hypothesis is violated",)
@@ -220,69 +210,6 @@ def _arithmetic_flags(spec: ProcessSpec) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _block_widths(spec: ProcessSpec, tmax: float) -> Iterator[int]:
-    """Column widths of a chunk's successive blocks; they depend only on (spec, tmax).
-
-    Blocks of at most ``_BLOCK_COLS`` columns cover the mean event count up
-    to ``tmax`` plus one standard deviation; blocks of about one standard
-    deviation follow for the rows still at or before ``tmax``.  The mean
-    gap is taken as the average over the spec's lifetime laws, exact for a
-    modulated chain whose stationary law is uniform.  Raises
-    :class:`EventCapExceeded`, before anything is drawn, when the mean
-    count alone is over the event cap.
-    """
-    laws = _lifetime_laws(spec)
-    mean = sum(d.moment(1) for d in laws) / len(laws)
-    var = max(d.variance for d in laws)
-    events = tmax / mean
-    if events > DEFAULT_EVENT_CAP:
-        raise EventCapExceeded(
-            f"a path would need about {events:.3g} events, over the event cap of {DEFAULT_EVENT_CAP}"
-        )
-    sd = events**0.75 if math.isinf(var) else math.sqrt(var * events) / mean
-    full, rest = divmod(int(events + sd) + 1, _BLOCK_COLS)
-    return itertools.chain(
-        itertools.repeat(_BLOCK_COLS, full), [rest] if rest else [],
-        itertools.repeat(min(_BLOCK_COLS, max(16, int(sd)))),
-    )
-
-
-def _initial_carry(spec: ProcessSpec, rng: np.random.Generator, rows: int) -> np.ndarray:
-    """Per-row sampler state before the first block: the moving-average
-    pre-roll, the modulated chain's initial state, or nothing."""
-    if isinstance(spec, StationaryMA):
-        return spec.base.draw(rng, (rows, spec.order - 1))
-    if isinstance(spec, Modulated):
-        init_cum = np.cumsum(spec.initial_law())
-        return np.minimum(np.searchsorted(init_cum, rng.random(rows), side="right"),
-                          len(spec.states) - 1)
-    return np.empty((rows, 0))
-
-
-def _draw_block(spec: ProcessSpec, rng: np.random.Generator, carry: np.ndarray, width: int):
-    """(gaps, carry): ``width`` inter-arrivals for each row of ``carry``."""
-    n = carry.shape[0]
-    if isinstance(spec, (Plain, Delayed)):
-        return spec.lifetime.draw(rng, (n, width)), carry
-    if isinstance(spec, StationaryMA):
-        u = np.concatenate([carry, spec.base.draw(rng, (n, width))], axis=1)
-        gaps = np.lib.stride_tricks.sliding_window_view(u, spec.order, axis=1).mean(axis=2)
-        return gaps, u[:, width:]
-    # a semi-Markov chain needs only its state path sequentially: walk it
-    # column by column, then draw each state's gaps for the whole block
-    kernel_cum = np.cumsum(spec.kernel_matrix(), axis=1)
-    u = rng.random((n, width))
-    states = np.empty((n, width), dtype=np.intp)
-    for c in range(width):
-        states[:, c] = carry
-        carry = np.minimum((u[:, c, None] >= kernel_cum[carry]).sum(axis=1), len(spec.states) - 1)
-    gaps = np.empty((n, width))
-    for si, label in enumerate(spec.states):
-        mask = states == si
-        gaps[mask] = spec.lifetimes[label].draw(rng, int(mask.sum()))
-    return gaps, carry
-
-
 def _simulate_chunk(
     spec: ProcessSpec,
     ts: np.ndarray,
@@ -291,37 +218,22 @@ def _simulate_chunk(
     chunk_index: int,
     qv_rate: float | None,
 ) -> dict[str, np.ndarray]:
-    """Stream one chunk of paths through column blocks (see the module docstring).
+    """Fold one chunk of paths, streamed in column blocks, into per-path summaries.
 
     Per query time t a path's count is the number of its gaps that start at
     or before t, its residual is the first event time after t minus t, and
     its qv sums (1 - qv_rate * gap)^2 over the same gaps.
     """
-    tmax = float(np.max(ts))
-    widths = _block_widths(spec, tmax)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
-    delayed = isinstance(spec, Delayed)
-    start = np.asarray(spec.delay_distribution.draw(rng, rows), float) if delayed else np.zeros(rows)
+    blocks = _column_blocks(spec, float(np.max(ts)), rows, child_rng(seed, chunk_index),
+                            DEFAULT_EVENT_CAP, qv_rate)
+    start = next(blocks)
     result = {"count": np.zeros((rows, ts.size)), "residual": start[:, None] - ts}
-    if delayed:
+    if isinstance(spec, Delayed):
         result["delay"] = start
     if qv_rate is not None:
         result["qv"] = np.zeros((rows, ts.size))
-    active = np.flatnonzero(start <= tmax)
-    last, carry = start[active], _initial_carry(spec, rng, rows)[active]
-    drawn = 0
-    for width in widths:
-        if not active.size:
-            break
-        drawn += width
-        if drawn > DEFAULT_EVENT_CAP:
-            raise EventCapExceeded(f"a path needs over {DEFAULT_EVENT_CAP} events, the event cap")
-        gaps, carry = _draw_block(spec, rng, carry, width)
-        if qv_rate is not None:
-            qq = np.zeros((active.size, width + 1))
-            np.cumsum((1.0 - qv_rate * gaps) ** 2, axis=1, out=qq[:, 1:])
-        gaps[:, 0] += last
-        times = np.cumsum(gaps, axis=1, out=gaps)
+    for active, last, times, _, qq in blocks:
+        width = times.shape[1]
         for i, t in enumerate(ts):
             before = np.count_nonzero(times <= t, axis=1)
             open_ = last <= t
@@ -331,8 +243,6 @@ def _simulate_chunk(
                 result["qv"][active, i] += qq[np.arange(active.size), n]
             hit = np.flatnonzero(open_ & (before < width))
             result["residual"][active[hit], i] = times[hit, before[hit]] - t
-        keep = times[:, -1] <= tmax
-        active, last, carry = active[keep], times[keep, -1], carry[keep]
     return result
 
 
@@ -358,7 +268,7 @@ def path_statistics(
     jobs = [(spec, ts, min(_CHUNK_ROWS, reps - start), seed, i, qv_rate)
             for i, start in enumerate(range(0, reps, _CHUNK_ROWS))]
     if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(_simulate_chunk, *zip(*jobs)))
     else:
         chunks = [_simulate_chunk(*job) for job in jobs]

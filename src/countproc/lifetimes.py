@@ -38,7 +38,6 @@ __all__ = [
     "Mixture",
     "ParetoShifted",
     "Uniform",
-    "breakpoints",
     "distribution_from_json",
 ]
 
@@ -58,22 +57,6 @@ class ArithmeticSpan(NamedTuple):
 
 def _scalarize(x: np.ndarray, scalar: bool) -> float | np.ndarray:
     return float(x) if scalar else x
-
-
-def breakpoints(dist: "LifetimeDistribution") -> list[float]:
-    """Locations where the tail jumps or kinks: atoms and uniform support ends."""
-    if isinstance(dist, Mixture):
-        out: set[float] = set()
-        for w, c in zip(dist.weights, dist.components):
-            if w > 0:
-                out.update(breakpoints(c))
-        return sorted(out)
-    if isinstance(dist, EquilibriumOf):
-        return breakpoints(dist.base)
-    if isinstance(dist, Uniform):
-        return [dist.low, dist.high]
-    atoms = dist.atoms()
-    return [loc for loc, _ in atoms] if atoms else []
 
 
 @dataclass(frozen=True)

@@ -9,16 +9,24 @@ a stationary moving-average construction whose inter-arrivals form an
 
 A simulated path stores every event up to the horizon plus one overshoot
 event, so counts and residual times are defined everywhere on [0, horizon].
-Simulation is a pure function of (spec, horizon, seed); replication seeds
-should be derived with :func:`child_rng`.
+
+Every path comes from one sampler that draws rows of inter-arrivals in
+column blocks; later blocks go only to rows not yet past the horizon.
+:func:`simulate_paths` keeps each row's events, :func:`simulate_path` is
+its one-row case, and :func:`countproc.asymptotics.path_statistics` folds
+the same blocks into per-path summaries.  The event cap counts the gaps
+drawn for a path still at or before the horizon.  Simulation is a pure
+function of (spec, horizon, rows, seed); seeds should be derived with
+:func:`child_rng`.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
-from typing import IO, Literal, Mapping, Sequence, Union
+from dataclasses import dataclass
+from typing import IO, Iterator, Literal, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -40,8 +48,10 @@ __all__ = [
     "count",
     "equilibrium_delay_sample",
     "path_from_interarrivals",
+    "paths_per_chunk",
     "residual",
     "simulate_path",
+    "simulate_paths",
     "spec_from_json",
     "write_events_ndjson",
 ]
@@ -336,8 +346,178 @@ def path_from_interarrivals(
 
 
 # ---------------------------------------------------------------------------
-# Simulation
+# Simulation: the column-block sampler
 # ---------------------------------------------------------------------------
+
+_CHUNK_ROWS = 1 << 14
+_BLOCK_COLS = 256  # widest block: a chunk holds at most _CHUNK_ROWS x _BLOCK_COLS draws
+
+
+def _lifetime_laws(spec: ProcessSpec) -> list[LifetimeDistribution]:
+    if isinstance(spec, (Plain, Delayed)):
+        return [spec.lifetime]
+    if isinstance(spec, Modulated):
+        return [spec.lifetimes[s] for s in spec.states]
+    return [spec.base]
+
+
+def _block_widths(spec: ProcessSpec, tmax: float, event_cap: int) -> tuple[int, Iterator[int]]:
+    """(cover, widths): the column widths of a chunk's successive blocks,
+    which depend only on (spec, tmax), and their sum before the stragglers.
+
+    Blocks of at most ``_BLOCK_COLS`` columns cover the mean event count up
+    to ``tmax`` plus one standard deviation; blocks of about one standard
+    deviation follow for the rows still at or before ``tmax``.  The mean
+    gap is taken as the average over the spec's lifetime laws, exact for a
+    modulated chain whose stationary law is uniform.  Raises
+    :class:`EventCapExceeded`, before anything is drawn, when the mean
+    count alone is over the event cap.
+    """
+    laws = _lifetime_laws(spec)
+    mean = sum(d.moment(1) for d in laws) / len(laws)
+    var = max(d.variance for d in laws)
+    events = tmax / mean
+    if events > event_cap:
+        raise EventCapExceeded(
+            f"a path would need about {events:.3g} events, over the event cap of {event_cap}"
+        )
+    sd = events**0.75 if math.isinf(var) else math.sqrt(var * events) / mean
+    cover = int(events + sd) + 1
+    full, rest = divmod(cover, _BLOCK_COLS)
+    return cover, itertools.chain(
+        itertools.repeat(_BLOCK_COLS, full), [rest] if rest else [],
+        itertools.repeat(min(_BLOCK_COLS, max(16, int(sd)))),
+    )
+
+
+def _initial_carry(spec: ProcessSpec, rng: np.random.Generator, rows: int) -> np.ndarray:
+    """Per-row sampler state before the first block: the moving-average
+    pre-roll, the modulated chain's initial state, or nothing."""
+    if isinstance(spec, StationaryMA):
+        return spec.base.draw(rng, (rows, spec.order - 1))
+    if isinstance(spec, Modulated):
+        init_cum = np.cumsum(spec.initial_law())
+        return np.minimum(np.searchsorted(init_cum, rng.random(rows), side="right"),
+                          len(spec.states) - 1)
+    return np.empty((rows, 0))
+
+
+def _draw_block(spec: ProcessSpec, rng: np.random.Generator, carry: np.ndarray, width: int):
+    """(gaps, carry, marks): ``width`` inter-arrivals for each row of ``carry``.
+
+    ``marks`` has one column per gap plus one for the gap after the block:
+    the state that governs it (modulated), the sum of the m-1 base draws
+    it shares with the gap before (moving average), or None.
+    """
+    n = carry.shape[0]
+    if isinstance(spec, (Plain, Delayed)):
+        return spec.lifetime.draw(rng, (n, width)), carry, None
+    if isinstance(spec, StationaryMA):
+        u = np.concatenate([carry, spec.base.draw(rng, (n, width))], axis=1)
+        gaps = np.lib.stride_tricks.sliding_window_view(u, spec.order, axis=1).mean(axis=2)
+        marks = np.lib.stride_tricks.sliding_window_view(u, spec.order - 1, axis=1).sum(axis=2)
+        return gaps, u[:, width:], marks
+    # a semi-Markov chain needs only its state path sequentially: walk it
+    # column by column, then draw each state's gaps for the whole block
+    kernel_cum = np.cumsum(spec.kernel_matrix(), axis=1)
+    u = rng.random((n, width))
+    states = np.empty((n, width + 1), dtype=np.intp)
+    for c in range(width):
+        states[:, c] = carry
+        carry = np.minimum((u[:, c, None] >= kernel_cum[carry]).sum(axis=1), len(spec.states) - 1)
+    states[:, width] = carry
+    gaps = np.empty((n, width))
+    for si, label in enumerate(spec.states):
+        mask = states[:, :width] == si
+        gaps[mask] = spec.lifetimes[label].draw(rng, int(mask.sum()))
+    return gaps, carry, states
+
+
+def _column_blocks(spec, tmax, rows, rng, event_cap, qv_rate=None):
+    """The one sampler behind every simulated path.
+
+    Yields first each row's start (its delay, or 0), then per block
+    ``(active, last, times, marks, qq)`` for the rows ``active`` still at or
+    before ``tmax``: their last event time before the block, the block's
+    event times accumulated from it, the marks of :func:`_draw_block`, and
+    the running sums of (1 - qv_rate * gap)^2 after a zero column (None
+    without ``qv_rate``).  Raises :class:`EventCapExceeded` when a
+    still-active row has drawn more than ``event_cap`` gaps.
+    """
+    _, widths = _block_widths(spec, tmax, event_cap)
+    if isinstance(spec, Delayed):
+        start = np.asarray(spec.delay_distribution.draw(rng, rows), float)
+    else:
+        start = np.zeros(rows)
+    yield start
+    active = np.flatnonzero(start <= tmax)
+    last, carry = start[active], _initial_carry(spec, rng, rows)[active]
+    drawn = 0
+    for width in widths:
+        if not active.size:
+            return
+        drawn += width
+        if drawn > event_cap:
+            raise EventCapExceeded(f"a path needs over {event_cap} events, the event cap")
+        gaps, carry, marks = _draw_block(spec, rng, carry, width)
+        qq = None
+        if qv_rate is not None:
+            qq = np.zeros((active.size, width + 1))
+            np.cumsum((1.0 - qv_rate * gaps) ** 2, axis=1, out=qq[:, 1:])
+        gaps[:, 0] += last
+        times = np.cumsum(gaps, axis=1, out=gaps)
+        yield active, last, times, marks, qq
+        keep = times[:, -1] <= tmax
+        active, last, carry = active[keep], times[keep, -1], carry[keep]
+
+
+def simulate_paths(
+    spec: ProcessSpec,
+    horizon: float,
+    rows: int,
+    rng: np.random.Generator,
+    event_cap: int = DEFAULT_EVENT_CAP,
+) -> list[SamplePath]:
+    """``rows`` paths of ``spec`` covering [0, horizon], drawn together in column blocks.
+
+    ``rng`` is consumed as one chunk of
+    :func:`countproc.asymptotics.path_statistics` consumes it: with
+    ``rng = child_rng(seed, i)`` and ``horizon`` the largest query time,
+    the rows are the paths that chunk i summarizes.  Raises
+    :class:`EventCapExceeded` when a path still at or before the horizon
+    has drawn more than ``event_cap`` gaps.
+    """
+    if not horizon > 0:
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    blocks = _column_blocks(spec, float(horizon), rows, rng, event_cap)
+    times = [[s] for s in next(blocks)[:, None]]
+    marks = [[] for _ in range(rows)]
+    for active, _, block_times, block_marks, _ in blocks:
+        for i, r in enumerate(active.tolist()):
+            times[r].append(block_times[i])
+            if block_marks is not None:
+                marks[r].append(block_marks[i])
+    paths = []
+    for t, m in zip(times, marks):
+        events = np.concatenate(t)
+        events = events[: np.searchsorted(events, horizon, side="right") + 1]
+        extra = {}
+        if m:  # a block's last mark is the next block's first: keep it once
+            mark = np.concatenate([b[:-1] for b in m] + [m[-1][-1:]])[: events.size]
+            if isinstance(spec, Modulated):
+                extra["states"] = tuple(spec.states[k] for k in mark.tolist())
+            else:
+                extra["ma_trace"] = mark
+        paths.append(SamplePath(horizon=horizon, events=events, spec=spec,
+                                delayed=isinstance(spec, Delayed), **extra))
+    return paths
+
+
+def paths_per_chunk(spec: ProcessSpec, horizon: float) -> int:
+    """Rows per :func:`simulate_paths` call whose kept events fit one chunk's
+    draw budget of ``_CHUNK_ROWS x _BLOCK_COLS`` values (at least one row)."""
+    cover, _ = _block_widths(spec, horizon, DEFAULT_EVENT_CAP)
+    return max(1, _CHUNK_ROWS * _BLOCK_COLS // cover)
 
 
 def simulate_path(
@@ -346,136 +526,32 @@ def simulate_path(
     seed,
     event_cap: int = DEFAULT_EVENT_CAP,
 ) -> SamplePath:
-    """Simulate one path of ``spec`` covering [0, horizon].
-
-    Deterministic in ``seed`` (an int, SeedSequence or Generator).  Raises
-    :class:`EventCapExceeded` when more than ``event_cap`` events would be
-    stored, which guards against misconfigured heavy-traffic specs.
-    """
-    if not horizon > 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    rng = _as_rng(seed)
-    if isinstance(spec, Plain):
-        return _simulate_renewal(spec, spec.lifetime, horizon, rng, event_cap, delay=None)
-    if isinstance(spec, Delayed):
-        t0 = float(spec.delay_distribution.draw(rng))
-        return _simulate_renewal(spec, spec.lifetime, horizon, rng, event_cap, delay=t0)
-    if isinstance(spec, Modulated):
-        return _simulate_modulated(spec, horizon, rng, event_cap)
-    if isinstance(spec, StationaryMA):
-        return _simulate_stationary_ma(spec, horizon, rng, event_cap)
-    raise TypeError(f"unsupported spec type {type(spec).__name__}")
-
-
-def _draw_until(
-    draw_block, mean_gap: float, start: float, horizon: float, event_cap: int
-) -> np.ndarray:
-    """Accumulate positive increments from ``start`` until the sum exceeds horizon."""
-    blocks: list[np.ndarray] = []
-    total = start
-    n = 0
-    while total <= horizon:
-        expect = (horizon - total) / max(mean_gap, 1e-12)
-        need = int(min(max(expect * 1.2 + 16, 16), 65536))
-        block = np.atleast_1d(draw_block(need))
-        blocks.append(block)
-        total += float(block.sum())
-        n += block.size
-        if n > event_cap:
-            raise EventCapExceeded(f"path would exceed the event cap of {event_cap}")
-    times = start + np.cumsum(np.concatenate(blocks))
-    keep = int(np.searchsorted(times, horizon, side="right")) + 1  # one overshoot point
-    return times[:keep]
-
-
-def _simulate_renewal(spec, lifetime, horizon, rng, event_cap, delay):
-    mean = lifetime.moment(1)
-    start = 0.0 if delay is None else delay
-
-    def block(n):
-        return lifetime.draw(rng, n)
-
-    if start > horizon:
-        events = np.array([start])
-    else:
-        times = _draw_until(block, mean, start, horizon, event_cap)
-        events = np.concatenate([[start], times])
-    return SamplePath(horizon=horizon, events=events, spec=spec, delayed=delay is not None)
-
-
-def _simulate_modulated(spec: Modulated, horizon, rng, event_cap):
-    kernel_cum = np.cumsum(spec.kernel_matrix(), axis=1)
-    init_cum = np.cumsum(spec.initial_law())
-    state_idx = int(np.searchsorted(init_cum, rng.random(), side="right"))
-    state_idx = min(state_idx, len(spec.states) - 1)
-
-    times = [0.0]
-    states = [state_idx]
-    t = 0.0
-    while t <= horizon:
-        label = spec.states[state_idx]
-        gap = float(spec.lifetimes[label].draw(rng))
-        t += gap
-        times.append(t)
-        if len(times) - 1 > event_cap:
-            raise EventCapExceeded(f"path would exceed the event cap of {event_cap}")
-        state_idx = int(np.searchsorted(kernel_cum[state_idx], rng.random(), side="right"))
-        state_idx = min(state_idx, len(spec.states) - 1)
-        states.append(state_idx)
-    return SamplePath(
-        horizon=horizon,
-        events=np.array(times),
-        spec=spec,
-        states=tuple(spec.states[i] for i in states),
-    )
-
-
-def _simulate_stationary_ma(spec: StationaryMA, horizon, rng, event_cap):
-    m = spec.order
-    base = spec.base
-    mean = base.moment(1)
-
-    # U_1..U_{n+m-1} support n inter-arrivals; T_k averages draws k..k+m-1,
-    # so the first m-1 draws are the pre-roll that makes T_1 stationary.
-    n_u = int(horizon / max(mean, 1e-12) * 1.25) + 8 * m + 32
-    u = np.atleast_1d(base.draw(rng, n_u))
-    while True:
-        window = np.lib.stride_tricks.sliding_window_view(u, m)
-        gaps = window.mean(axis=1)
-        times = np.cumsum(gaps)
-        if times[-1] > horizon:
-            break
-        if u.size > event_cap + m:
-            raise EventCapExceeded(f"path would exceed the event cap of {event_cap}")
-        u = np.concatenate([u, np.atleast_1d(base.draw(rng, max(32, u.size // 2)))])
-
-    keep = int(np.searchsorted(times, horizon, side="right")) + 1
-    if keep > event_cap:
-        raise EventCapExceeded(f"path would exceed the event cap of {event_cap}")
-    events = np.concatenate([[0.0], times[:keep]])
-    # trace[i] = sum of the m-1 draws shared between T_i's window and T_{i+1}'s
-    if m == 1:
-        trace = np.zeros(events.size)
-    else:
-        csum = np.concatenate([[0.0], np.cumsum(u)])
-        i = np.arange(events.size)
-        trace = csum[i + m - 1] - csum[i]
-    return SamplePath(horizon=horizon, events=events, spec=spec, ma_trace=trace)
+    """One path of ``spec`` covering [0, horizon]: the one-row case of
+    :func:`simulate_paths`, deterministic in ``seed`` (an int, SeedSequence
+    or Generator)."""
+    return simulate_paths(spec, horizon, 1, _as_rng(seed), event_cap)[0]
 
 
 # ---------------------------------------------------------------------------
 # Export
 # ---------------------------------------------------------------------------
 
+_NDJSON_BATCH = 2048
+
 
 def write_events_ndjson(path: SamplePath, fp: IO[str]) -> None:
-    """One JSON object per event: index, time, inter-arrival, state."""
-    gaps = path.interarrivals
-    for i, t in enumerate(path.events):
-        rec = {
-            "index": i,
-            "time": float(t),
-            "interarrival": float(gaps[i - 1]) if i > 0 else None,
-            "state": path.states[i] if path.states is not None else None,
-        }
-        fp.write(json.dumps(rec) + "\n")
+    """One JSON object per event: index, time, inter-arrival, state.
+
+    Written in batches of lines; a finite float is written as its ``repr``,
+    as ``json.dumps`` writes it, and only state labels go through ``json.dumps``.
+    """
+    times, gaps, states = path.events, path.interarrivals, path.states
+    labels = None if states is None else {s: json.dumps(s) for s in set(states)}
+    for lo in range(0, times.size, _NDJSON_BATCH):
+        hi = min(lo + _NDJSON_BATCH, times.size)
+        gap = ["null"] * (lo == 0) + [repr(g) for g in gaps[max(lo - 1, 0) : hi - 1].tolist()]
+        state = ["null"] * (hi - lo) if labels is None else [labels[s] for s in states[lo:hi]]
+        fp.write("".join(
+            f'{{"index": {i}, "time": {t!r}, "interarrival": {g}, "state": {s}}}\n'
+            for i, t, g, s in zip(range(lo, hi), times[lo:hi].tolist(), gap, state)
+        ))

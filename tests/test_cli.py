@@ -1,16 +1,22 @@
 """Experiment runner: validation diagnostics, artifacts, determinism."""
 
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import countproc
 import countproc.asymptotics
+import countproc.cli
 from countproc.cli import main, validate_config
+from countproc.decomposition import build_reports, reports_to_csv
+from countproc.lifetimes import Exponential, Gamma, Uniform
+from countproc.processes import Plain, child_rng, simulate_paths
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -126,6 +132,38 @@ class TestRun:
         assert csv.splitlines()[0].startswith("experiment,spec_hash")
         assert ",7," in csv.splitlines()[1]
 
+    def test_rate_plain_gamma(self, tmp_path, capsys):
+        # E[N(50)]/50 = rate * (1 + E[R(50)]/50) = 1.015 for Gamma(2,2); the
+        # estimate is about 10 se away from rate + 1/t = 1.02
+        cfg = write_config(tmp_path, {
+            "experiment": "rate", "spec": GAMMA_SPEC,
+            "t": 50, "reps": 50000, "seed": 7, "out": str(tmp_path / "res"),
+        })
+        assert main(["run", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("PASS rate") and "solver error" in out
+
+    def test_rate_target_one_percent_off_fails(self, tmp_path, capsys, monkeypatch):
+        exact = countproc.cli._rate_target
+        monkeypatch.setattr(countproc.cli, "_rate_target",
+                            lambda spec, t: (1.01 * exact(spec, t)[0], None))
+        cfg = write_config(tmp_path, {
+            "experiment": "rate", "spec": GAMMA_SPEC,
+            "t": 50, "reps": 50000, "seed": 7, "out": str(tmp_path / "res"),
+        })
+        assert main(["run", str(cfg)]) == 1
+        assert capsys.readouterr().out.startswith("FAIL rate")
+
+    @pytest.mark.parametrize("lifetime,exact", [
+        (Gamma(2, 2), 1.0 + 0.75 / 50),  # E[R(t)] = 3/4 - exp(-4t)/4
+        (Uniform(0, 2), 1.0 + (2 / 3) / 50),  # E[R(t)] -> E[T^2]/(2 E[T]), converged by t = 50
+        (Exponential(1.0), 1.0 + 1.0 / 50),
+    ])
+    def test_rate_target_plain(self, lifetime, exact):
+        target, error = countproc.cli._rate_target(Plain(lifetime), 50.0)
+        assert target == pytest.approx(exact, abs=1e-6)
+        assert error < 1e-4
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, {
             "experiment": "blackwell", "spec": GAMMA_SPEC,
@@ -159,6 +197,23 @@ class TestRun:
         assert "PASS decompose-truncated" in out
         header = (tmp_path / "res" / "decomposition.csv").read_text().splitlines()[0]
         assert "identity_residual" in header
+
+    def test_decompose_in_chunks(self, tmp_path, capsys, monkeypatch):
+        # 20 paths in chunks of 7, 7 and 6 rows; chunk i is seeded by
+        # child_rng(seed, i) and the report is built from the first path
+        monkeypatch.setattr(countproc.cli, "paths_per_chunk", lambda spec, horizon: 7)
+        cfg = write_config(tmp_path, {
+            "experiment": "decompose", "spec": EXP_SPEC,
+            "horizon": 10, "reps": 20, "v": 1.0, "seed": 3,
+            "out": str(tmp_path / "res"),
+        })
+        assert main(["run", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert "PASS decompose-identity" in out and "over 20 paths" in out
+        first = simulate_paths(Plain(Exponential(1.0)), 10.0, 7, child_rng(3, 0))[0]
+        buf = io.StringIO()
+        reports_to_csv(build_reports(first, 1.0, 1.0, 1.0, np.linspace(0.1, 10.0, 100)), buf)
+        assert (tmp_path / "res" / "decomposition.csv").read_text() == buf.getvalue()
 
     def test_renewal_solve_run(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

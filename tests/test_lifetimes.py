@@ -17,11 +17,26 @@ from countproc.lifetimes import (
     Mixture,
     ParetoShifted,
     Uniform,
-    breakpoints,
     distribution_from_json,
 )
 
 from conftest import any_distribution, light_tailed
+
+
+def breakpoints(dist) -> list[float]:
+    """Locations where the tail jumps or kinks: atoms and uniform support ends."""
+    if isinstance(dist, Mixture):
+        out: set[float] = set()
+        for w, c in zip(dist.weights, dist.components):
+            if w > 0:
+                out.update(breakpoints(c))
+        return sorted(out)
+    if isinstance(dist, EquilibriumOf):
+        return breakpoints(dist.base)
+    if isinstance(dist, Uniform):
+        return [dist.low, dist.high]
+    atoms = dist.atoms()
+    return [loc for loc, _ in atoms] if atoms else []
 
 
 def quad_tail(dist, lo, hi):

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from countproc.lifetimes import Deterministic, EquilibriumOf, Exponential, Gamma
+from countproc.decomposition import optional_quadratic_variation
+from countproc.lifetimes import Deterministic, EquilibriumOf, Exponential, Gamma, Uniform
 from countproc.processes import (
+    _CHUNK_ROWS,
     Delayed,
     EventCapExceeded,
     Modulated,
@@ -20,8 +22,10 @@ from countproc.processes import (
     count,
     equilibrium_delay_sample,
     path_from_interarrivals,
+    paths_per_chunk,
     residual,
     simulate_path,
+    simulate_paths,
     spec_from_json,
     write_events_ndjson,
 )
@@ -64,6 +68,24 @@ class TestSimulate:
         with pytest.raises(EventCapExceeded):
             simulate_path(Plain(Exponential(1.0)), 1000.0, 0, event_cap=100)
 
+    def test_event_cap_counts_drawn_gaps(self):
+        # the mean count 50 passes the up-front check under a cap of 60; a
+        # path still before the horizon after its first block of 58 gaps is
+        # stopped when the next block takes it past 60 drawn gaps
+        raised = 0
+        for seed in range(40):
+            try:
+                p = simulate_path(Plain(Exponential(1.0)), 50.0, seed, event_cap=60)
+            except EventCapExceeded:
+                raised += 1
+            else:
+                assert p.events.size <= 61
+        assert 0 < raised < 40
+
+    def test_paths_per_chunk(self):
+        assert paths_per_chunk(Plain(Gamma(2, 2)), 200.0) >= 500
+        assert paths_per_chunk(Plain(Gamma(2, 2)), 1e8) == 1
+
     def test_stationary_ma_mean_gap(self):
         # the first gap already carries the stationary law: mean E[U]
         spec = StationaryMA(2, Exponential(1.0))
@@ -73,6 +95,57 @@ class TestSimulate:
         ]
         se = np.std(first, ddof=1) / math.sqrt(len(first))
         assert abs(np.mean(first) - 1.0) <= 3 * se
+
+
+ENGINE_SPECS = {
+    "plain": Plain(Gamma(2, 2)),
+    "delayed": Delayed(Uniform(0.0, 8.0), Gamma(2, 2)),
+    "modulated": TWO_STATE,
+    "ma": StationaryMA(2, Exponential(1.0)),
+}
+
+
+class TestEngineAgreement:
+    """Paths kept by simulate_paths and the summaries path_statistics folds
+    come from one sampler: on the same stream they must agree."""
+
+    @pytest.mark.parametrize("kind", ENGINE_SPECS)
+    @pytest.mark.parametrize("ts", [[0.0, 2.5, 7.0, 40.0], [5.0, 600.0], [1.0, 6.0]])
+    @pytest.mark.parametrize("reps", [1, 300])
+    def test_summaries_match(self, kind, ts, reps):
+        assert reps <= _CHUNK_ROWS
+        spec = ENGINE_SPECS[kind]
+        stats = path_statistics(spec, ts, reps, seed=23, qv_rate=0.5)
+        if reps == 1:
+            paths = [simulate_path(spec, max(ts), child_rng(23, 0))]
+        else:
+            paths = simulate_paths(spec, max(ts), reps, child_rng(23, 0))
+        assert len(paths) == reps
+        for r, p in enumerate(paths):
+            assert np.array_equal(count(p, ts), stats["count"][r])
+            assert np.array_equal(residual(p, ts), stats["residual"][r])
+            np.testing.assert_allclose(optional_quadratic_variation(p, 0.5, ts), stats["qv"][r],
+                                       rtol=1e-12, atol=0)
+            if kind == "delayed":
+                assert p.delay == stats["delay"][r]
+
+    def test_rows_outlast_first_block(self):
+        # the 600-horizon case above reaches the straggler blocks: some row
+        # needs more gaps than the blocks covering mean + 1 sd events
+        cover = int(600 + math.sqrt(0.5 * 600)) + 1
+        paths = simulate_paths(Plain(Gamma(2, 2)), 600.0, 300, child_rng(23, 0))
+        assert max(p.events.size - 1 for p in paths) > cover
+
+    def test_marks_cover_every_event(self):
+        # the overshoot event is marked too: TWO_STATE alternates its states,
+        # and for MA(2) trace[i + 1] = U_{i+1} = 2 T_i - trace[i]
+        for p in simulate_paths(TWO_STATE, 30.0, 50, child_rng(2, 0)):
+            assert len(p.states) == p.events.size
+            assert all(a != b for a, b in zip(p.states, p.states[1:]))
+        for p in simulate_paths(StationaryMA(2, Exponential(1.0)), 30.0, 50, child_rng(2, 0)):
+            assert p.ma_trace.size == p.events.size
+            np.testing.assert_allclose(p.ma_trace[1:], 2 * p.interarrivals - p.ma_trace[:-1],
+                                       rtol=1e-9, atol=1e-9)
 
 
 class TestQueries:
@@ -255,6 +328,28 @@ class TestSerialization:
         assert lines[0]["index"] == 0 and lines[0]["interarrival"] is None
         assert lines[1]["interarrival"] == pytest.approx(float(p.events[1] - p.events[0]))
         assert lines[0]["state"] in ("a", "b")
+
+    @pytest.mark.parametrize("spec,horizon", [
+        (Plain(Gamma(2, 2)), 5000.0),
+        (Modulated(states=('a"b', "é"), kernel=((0.0, 1.0), (1.0, 0.0)),
+                   lifetimes={'a"b': Exponential(1.0), "é": Exponential(1.0 / 3.0)}), 10000.0),
+    ], ids=["plain", "modulated-escaped-labels"])
+    def test_ndjson_matches_json_dumps(self, spec, horizon):
+        p = simulate_path(spec, horizon, 4)
+        assert p.events.size > 4096  # several write batches
+        gaps = p.interarrivals
+        expected = "".join(
+            json.dumps({
+                "index": i,
+                "time": float(t),
+                "interarrival": float(gaps[i - 1]) if i > 0 else None,
+                "state": p.states[i] if p.states is not None else None,
+            }) + "\n"
+            for i, t in enumerate(p.events)
+        )
+        buf = io.StringIO()
+        write_events_ndjson(p, buf)
+        assert buf.getvalue() == expected
 
     def test_hand_path_builder(self):
         p = path_from_interarrivals([0.5, 2.0], horizon=2.0)
