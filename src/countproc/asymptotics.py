@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lifetimes import LifetimeDistribution
+from .lifetimes import LifetimeDistribution, _common_span
 from .processes import (
     _CHUNK_ROWS,
     DEFAULT_EVENT_CAP,
@@ -110,6 +110,7 @@ class DiffusionScalingResult:
     scaled_count_mean: Estimate
     scaled_residual_mean: Estimate
     residual_mean_bound: float
+    scaled_noise_mean: Estimate
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +201,9 @@ def _strongly_connected(kernel: np.ndarray) -> bool:
 
 
 def _arithmetic_flags(spec: ProcessSpec) -> tuple[str, ...]:
-    if any(d.is_arithmetic().arithmetic for d in _lifetime_laws(spec)):
+    """Flag a lattice process: every law arithmetic, with a common span."""
+    spans = [d.is_arithmetic() for d in _lifetime_laws(spec)]
+    if all(s.arithmetic for s in spans) and _common_span([s.span for s in spans]) is not None:
         return ("arithmetic lifetime law: the non-lattice hypothesis is violated",)
     return ()
 
@@ -432,7 +435,9 @@ def diffusion_scaling(
     Also reports the mean of rate*R(nt)/sqrt(n), which matches the scaled
     count's mean exactly (first-moment identity) and is bounded by
     rate^2 E[T^2] / sqrt(n); both vanish as n grows so the scaled count
-    converges to its noise part alone.
+    converges to its noise part alone.  That noise part, M(nt)/sqrt(n) =
+    (N(nt) - rate*nt - rate*R(nt))/sqrt(n), has mean 0 at every n by Wald's
+    identity, so its paired mean checks the simulation at finite n.
     """
     if not isinstance(spec, Plain):
         raise TypeError("diffusion scaling is defined for plain renewal specs")
@@ -459,6 +464,7 @@ def diffusion_scaling(
         scaled_count_mean=_mean_estimate(scaled, seed),
         scaled_residual_mean=_mean_estimate(scaled_resid, seed),
         residual_mean_bound=rate**2 * m2 / math.sqrt(n),
+        scaled_noise_mean=_mean_estimate(scaled - scaled_resid, seed),
     )
 
 

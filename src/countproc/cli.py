@@ -6,6 +6,20 @@ for raw paths) artifacts, prints one PASS/FAIL line per check, and exits 0
 only when every check passes.  ``countproc validate config.json`` reports
 schema problems with field paths and has no side effects.
 
+  experiment     knobs         spec kinds                      checks
+  simulate       horizon       any                             simulate
+  decompose      horizon reps  any                             decompose-identity, -truncated (v)
+  blackwell      t h reps      any                             blackwell
+  modulated      t h reps      modulated                       modulated
+  palm           t h reps      stationary_ma                   palm
+  rate           t reps        any                             rate
+  residual-law   t reps        plain, delayed; non-arithmetic  residual-law
+  variance       t reps        plain; finite E[T^2]            variance-drift, or -order-bound
+  rm-cross       t reps        plain; finite E[T^3]            rm-cross
+  diffusion      n t reps      plain; finite E[T^2]            diffusion-variance, diffusion-mean
+  renewal-solve  horizon step  plain, delayed                  renewal-solve
+  sgibnev        t step        plain, delayed                  sgibnev
+
 Identical config and seed produce byte-identical artifacts; every CSV row
 carries the spec hash, seed, replication count and thread count needed to
 re-run it.
@@ -46,20 +60,7 @@ __all__ = ["ExperimentConfig", "main", "run", "validate_config"]
 
 _TOP_FIELDS = {"experiment", "spec", "t", "h", "v", "n", "reps", "step", "horizon", "seed", "out", "threads"}
 
-_REQUIRED: dict[str, set[str]] = {
-    "simulate": {"horizon"},
-    "decompose": {"horizon", "reps"},
-    "blackwell": {"t", "h", "reps"},
-    "rate": {"t", "reps"},
-    "residual-law": {"t", "reps"},
-    "variance": {"t", "reps"},
-    "rm-cross": {"t", "reps"},
-    "renewal-solve": {"horizon", "step"},
-    "sgibnev": {"t", "step"},
-    "modulated": {"t", "h", "reps"},
-    "palm": {"t", "h", "reps"},
-    "diffusion": {"n", "t", "reps"},
-}
+_SPEC_KINDS = {Plain: "plain", Delayed: "delayed", Modulated: "modulated", StationaryMA: "stationary_ma"}
 
 _POSITIVE_KNOBS = ("t", "h", "v", "n", "reps", "step", "horizon")
 
@@ -100,10 +101,8 @@ def validate_config(obj: Mapping) -> tuple[ExperimentConfig | None, list[str]]:
     for f in sorted(unknown):
         errors.append(f"{f}: unknown field")
     kind = obj.get("experiment")
-    if kind not in _REQUIRED:
-        errors.append(
-            f"experiment: must be one of {sorted(_REQUIRED)}, got {kind!r}"
-        )
+    if kind not in _EXPERIMENTS:
+        errors.append(f"experiment: must be one of {sorted(_EXPERIMENTS)}, got {kind!r}")
         return None, errors
     if "spec" not in obj:
         errors.append("spec: missing")
@@ -125,25 +124,16 @@ def validate_config(obj: Mapping) -> tuple[ExperimentConfig | None, list[str]]:
                 errors.append(f"{name}: must be positive, got {val}")
                 continue
             knobs[name] = float(val)
-    missing = _REQUIRED[kind] - set(knobs)
-    for name in sorted(missing):
+    exp = _EXPERIMENTS[kind]
+    for name in sorted(exp.knobs - set(knobs)):
         errors.append(f"{name}: required for experiment {kind!r}")
-
-    if kind == "modulated" and not isinstance(spec, Modulated):
-        errors.append("spec: experiment 'modulated' needs a modulated spec")
-    if kind == "palm" and not isinstance(spec, StationaryMA):
-        errors.append("spec: experiment 'palm' needs a stationary_ma spec")
-    renewal = isinstance(spec, (Plain, Delayed))
-    if kind in ("renewal-solve", "sgibnev", "residual-law") and not renewal:
-        errors.append(f"spec: experiment {kind!r} needs a plain or delayed spec")
-    if kind == "residual-law" and renewal and spec.lifetime.is_arithmetic().arithmetic:
+    if not isinstance(spec, exp.specs):
+        kinds = " or ".join(_SPEC_KINDS[cls] for cls in exp.specs)
+        errors.append(f"spec: experiment {kind!r} needs a {kinds} spec")
+    elif exp.moment and math.isinf(spec.lifetime.moment(exp.moment)):
+        errors.append(f"spec: experiment {kind!r} needs a finite E[T^{exp.moment}]")
+    elif kind == "residual-law" and spec.lifetime.is_arithmetic().arithmetic:
         errors.append("spec: experiment 'residual-law' needs a non-arithmetic lifetime law")
-    if kind in ("variance", "rm-cross", "diffusion") and not isinstance(spec, Plain):
-        errors.append(f"spec: experiment {kind!r} needs a plain spec")
-    elif kind in ("variance", "diffusion") and math.isinf(spec.lifetime.moment(2)):
-        errors.append(f"spec: experiment {kind!r} needs a finite E[T^2]")
-    elif kind == "rm-cross" and math.isinf(spec.lifetime.moment(3)):
-        errors.append("spec: experiment 'rm-cross' needs a finite E[T^3]")
 
     seed = obj.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0 or seed >= 1 << 64:
@@ -160,18 +150,7 @@ def validate_config(obj: Mapping) -> tuple[ExperimentConfig | None, list[str]]:
 
     if errors:
         return None, errors
-    return (
-        ExperimentConfig(
-            experiment=kind,
-            spec=spec,
-            spec_json=dict(obj["spec"]),
-            seed=seed,
-            out=Path(out),
-            threads=threads,
-            knobs=knobs,
-        ),
-        [],
-    )
+    return ExperimentConfig(kind, spec, dict(obj["spec"]), seed, Path(out), threads, knobs), []
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +216,14 @@ def _est_check(name: str, est: asymptotics.Estimate, target: float, z_max: float
     )
 
 
+def _limit_check(name: str, est: asymptotics.Estimate, target: float) -> Check:
+    """``_est_check``, except that a flagged estimate reports without failing:
+    a lattice process legitimately misses a non-lattice limit."""
+    if est.flags:
+        return Check(name, True, f"estimate={est.value:.6g} [{est.flags[0]}]")
+    return _est_check(name, est, target)
+
+
 def _run_simulate(cfg: ExperimentConfig) -> tuple[list[dict], list[Check]]:
     horizon = cfg.knobs["horizon"]
     path = simulate_path(cfg.spec, horizon, child_rng(cfg.seed, 0))
@@ -275,55 +262,52 @@ def _run_decompose(cfg: ExperimentConfig) -> tuple[list[dict], list[Check]]:
                 reports = decomposition.build_reports(path, rate, mean_gap, sigma2, ts)
     with open(cfg.out / "decomposition.csv", "w") as fp:
         decomposition.reports_to_csv(reports, fp)
-    checks = [
-        Check(
-            "decompose-identity",
-            worst <= 1.0,
-            f"max |residual|/tolerance = {worst:.3g} over {n_paths} paths",
-        )
-    ]
+    checks = [Check("decompose-identity", worst <= 1.0,
+                    f"max |residual|/tolerance = {worst:.3g} over {n_paths} paths")]
     rows = [_row(cfg, estimate=worst, se=0.0, target=0.0, reps=n_paths)]
     if v is not None:
-        checks.append(
-            Check(
-                "decompose-truncated",
-                worst_trunc <= 1.0,
-                f"max |residual|/tolerance = {worst_trunc:.3g} at v={v}",
-            )
-        )
+        checks.append(Check("decompose-truncated", worst_trunc <= 1.0,
+                            f"max |residual|/tolerance = {worst_trunc:.3g} at v={v}"))
         rows.append(_row(cfg, estimate=worst_trunc, se=0.0, target=0.0, v=v, reps=n_paths))
     return rows, checks
 
 
-def _run_blackwell(cfg: ExperimentConfig) -> tuple[list[dict], list[Check]]:
+def _run_window(cfg: ExperimentConfig) -> tuple[list[dict], list[Check]]:
+    """Blackwell's limit E[N(t+h) - N(t)] -> rate*h, for every spec kind."""
     t, h, reps = cfg.knobs["t"], cfg.knobs["h"], int(cfg.knobs["reps"])
     est = asymptotics.estimate_blackwell(cfg.spec, t, h, reps, cfg.seed, cfg.threads)
     target = asymptotics.spec_rate(cfg.spec) * h
     rows = [_row(cfg, est.value, est.se, target, est.flags, t=t, h=h, reps=reps)]
-    if est.flags:
-        # lattice laws legitimately miss the limit; report without failing
-        check = Check("blackwell", True, f"estimate={est.value:.6g} [{est.flags[0]}]")
-    else:
-        check = _est_check("blackwell", est, target)
-    return rows, [check]
+    return rows, [_limit_check(cfg.experiment, est, target)]
 
 
 def _rate_target(spec: ProcessSpec, t: float) -> tuple[float, float | None]:
     """(target, solver error) for the mean of N(t)/t.
 
-    Plain specs: E[N(t)] = rate * (t + E[R(t)]) with the origin event, and
-    E[R(t)] = 2 r(h/2) - r(h) from solves at h = t/5000, error
-    |r(h/2) - r(h)| * rate / t.  Delayed specs keep ``rate``, exact for the
-    equilibrium delay; the other kinds keep rate + 1/t.
+    Renewal specs: E[N(t)] = rate * (t + E[R(t)] - E[D]) by Wald's identity,
+    with D = 0 and the origin event for plain specs.  E[R(t)] is the plain
+    solution r(t), or E[(D - t)+] + sum_j dF_D(j h) r(t - j h) with an
+    explicit delay, taken as 2 E_(h/2) - E_h from solves at h = t/5000;
+    the error is |E_(h/2) - E_h| * rate / t.  The equilibrium delay keeps
+    the exact ``rate``; the other kinds keep rate + 1/t.
     """
     rate = asymptotics.spec_rate(spec)
-    if isinstance(spec, Delayed):
-        return rate, None
-    if not isinstance(spec, Plain):
+    if not isinstance(spec, (Plain, Delayed)):
         return rate + 1.0 / t, None
-    coarse, fine = (float(renewal_solver.solve_residual_mean(spec.lifetime, t, h).values[-1])
-                    for h in (t / 5000, t / 10000))
-    return rate * (1.0 + (2.0 * fine - coarse) / t), abs(fine - coarse) * rate / t
+    delay = spec.delay if isinstance(spec, Delayed) else None
+    if delay == "equilibrium":
+        return rate, None
+
+    def mean_residual(h: float) -> float:
+        r = renewal_solver.solve_residual_mean(spec.lifetime, t, h).values
+        if delay is None:
+            return float(r[-1])
+        inc = renewal_solver._cdf_increments(delay, h, r.size - 1)
+        return float(delay.excess_moment(1, t)) + float(np.dot(inc[1:], r[-2::-1]))
+
+    coarse, fine = mean_residual(t / 5000), mean_residual(t / 10000)
+    mean_delay = 0.0 if delay is None else delay.moment(1)
+    return rate * (1.0 + (2.0 * fine - coarse - mean_delay) / t), abs(fine - coarse) * rate / t
 
 
 def _run_rate(cfg: ExperimentConfig) -> tuple[list[dict], list[Check]]:
@@ -341,13 +325,7 @@ def _run_residual_law(cfg: ExperimentConfig) -> tuple[list[dict], list[Check]]:
     t, reps = cfg.knobs["t"], int(cfg.knobs["reps"])
     ks = asymptotics.residual_limit_ks(cfg.spec, t, reps, cfg.seed, cfg.threads)
     rows = [_row(cfg, ks.statistic, 0.0, None, t=t, reps=reps)]
-    return rows, [
-        Check(
-            "residual-law",
-            ks.passed,
-            f"KS={ks.statistic:.4f} threshold={ks.threshold:.4f}",
-        )
-    ]
+    return rows, [Check("residual-law", ks.passed, f"KS={ks.statistic:.4f} threshold={ks.threshold:.4f}")]
 
 
 def _run_variance(cfg: ExperimentConfig) -> tuple[list[dict], list[Check]]:
@@ -380,9 +358,7 @@ def _run_rm_cross(cfg: ExperimentConfig) -> tuple[list[dict], list[Check]]:
     est = asymptotics.estimate_rm_cross(cfg.spec, t, reps, cfg.seed, cfg.threads)
     target = asymptotics.rm_cross_limit(cfg.spec.lifetime)
     rows = [_row(cfg, est.value, est.se, target, est.flags, t=t, reps=reps)]
-    if est.flags:
-        return rows, [Check("rm-cross", True, f"estimate={est.value:.6g} [{est.flags[0]}]")]
-    return rows, [_est_check("rm-cross", est, target)]
+    return rows, [_limit_check("rm-cross", est, target)]
 
 
 def _run_renewal_solve(cfg: ExperimentConfig) -> tuple[list[dict], list[Check]]:
@@ -421,22 +397,6 @@ def _run_sgibnev(cfg: ExperimentConfig) -> tuple[list[dict], list[Check]]:
     ]
 
 
-def _run_modulated(cfg: ExperimentConfig) -> tuple[list[dict], list[Check]]:
-    t, h, reps = cfg.knobs["t"], cfg.knobs["h"], int(cfg.knobs["reps"])
-    est = asymptotics.estimate_blackwell(cfg.spec, t, h, reps, cfg.seed, cfg.threads)
-    target = asymptotics.modulated_rate(cfg.spec) * h
-    rows = [_row(cfg, est.value, est.se, target, est.flags, t=t, h=h, reps=reps)]
-    return rows, [_est_check("modulated", est, target)]
-
-
-def _run_palm(cfg: ExperimentConfig) -> tuple[list[dict], list[Check]]:
-    t, h, reps = cfg.knobs["t"], cfg.knobs["h"], int(cfg.knobs["reps"])
-    est = asymptotics.estimate_blackwell(cfg.spec, t, h, reps, cfg.seed, cfg.threads)
-    target = asymptotics.spec_rate(cfg.spec) * h
-    rows = [_row(cfg, est.value, est.se, target, est.flags, t=t, h=h, reps=reps)]
-    return rows, [_est_check("palm", est, target)]
-
-
 def _run_diffusion(cfg: ExperimentConfig) -> tuple[list[dict], list[Check]]:
     n, t, reps = int(cfg.knobs["n"]), cfg.knobs["t"], int(cfg.knobs["reps"])
     res = asymptotics.diffusion_scaling(cfg.spec, n, t, reps, cfg.seed, cfg.threads)
@@ -451,31 +411,39 @@ def _run_diffusion(cfg: ExperimentConfig) -> tuple[list[dict], list[Check]]:
             rel <= 0.10,
             f"variance={res.variance.value:.4f} target={res.variance_target:.4f} rel={rel:.3f}",
         ),
-        _est_check("diffusion-mean", res.scaled_count_mean, 0.0),
+        _est_check("diffusion-mean", res.scaled_noise_mean, 0.0),
     ]
     return rows, checks
 
 
-_RUNNERS: dict[str, Callable[[ExperimentConfig], tuple[list[dict], list[Check]]]] = {
-    "simulate": _run_simulate,
-    "decompose": _run_decompose,
-    "blackwell": _run_blackwell,
-    "rate": _run_rate,
-    "residual-law": _run_residual_law,
-    "variance": _run_variance,
-    "rm-cross": _run_rm_cross,
-    "renewal-solve": _run_renewal_solve,
-    "sgibnev": _run_sgibnev,
-    "modulated": _run_modulated,
-    "palm": _run_palm,
-    "diffusion": _run_diffusion,
+@dataclass(frozen=True)
+class _Experiment:
+    knobs: set[str]  # required; ``v`` is optional for decompose
+    runner: Callable[[ExperimentConfig], tuple[list[dict], list[Check]]]
+    specs: tuple[type, ...] = tuple(_SPEC_KINDS)
+    moment: int = 0  # k such that E[T^k] must be finite, 0 for none
+
+
+_EXPERIMENTS: dict[str, _Experiment] = {
+    "simulate": _Experiment({"horizon"}, _run_simulate),
+    "decompose": _Experiment({"horizon", "reps"}, _run_decompose),
+    "blackwell": _Experiment({"t", "h", "reps"}, _run_window),
+    "modulated": _Experiment({"t", "h", "reps"}, _run_window, (Modulated,)),
+    "palm": _Experiment({"t", "h", "reps"}, _run_window, (StationaryMA,)),
+    "rate": _Experiment({"t", "reps"}, _run_rate),
+    "residual-law": _Experiment({"t", "reps"}, _run_residual_law, (Plain, Delayed)),
+    "variance": _Experiment({"t", "reps"}, _run_variance, (Plain,), moment=2),
+    "rm-cross": _Experiment({"t", "reps"}, _run_rm_cross, (Plain,), moment=3),
+    "diffusion": _Experiment({"n", "t", "reps"}, _run_diffusion, (Plain,), moment=2),
+    "renewal-solve": _Experiment({"horizon", "step"}, _run_renewal_solve, (Plain, Delayed)),
+    "sgibnev": _Experiment({"t", "step"}, _run_sgibnev, (Plain, Delayed)),
 }
 
 
 def run(cfg: ExperimentConfig) -> int:
     cfg.out.mkdir(parents=True, exist_ok=True)
     try:
-        rows, checks = _RUNNERS[cfg.experiment](cfg)
+        rows, checks = _EXPERIMENTS[cfg.experiment].runner(cfg)
     except EventCapExceeded as exc:
         print(f"FAIL {cfg.experiment}: {exc}")
         return 3
@@ -489,7 +457,8 @@ def run(cfg: ExperimentConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="countproc", description=__doc__)
+    parser = argparse.ArgumentParser(prog="countproc", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one experiment from a JSON config")

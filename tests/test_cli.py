@@ -16,7 +16,7 @@ import countproc.cli
 from countproc.cli import main, validate_config
 from countproc.decomposition import build_reports, reports_to_csv
 from countproc.lifetimes import Exponential, Gamma, Uniform
-from countproc.processes import Plain, child_rng, simulate_paths
+from countproc.processes import Delayed, Plain, child_rng, simulate_paths
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -42,6 +42,14 @@ MA_SPEC = {"kind": "stationary_ma", "order": 2, "base": {"kind": "exponential", 
 
 def pareto_spec(alpha):
     return {"kind": "plain", "lifetime": {"kind": "pareto_shifted", "alpha": alpha}}
+
+
+def two_state_chain(a, b):
+    return {"kind": "modulated", "states": ["a", "b"], "kernel": [[0.0, 1.0], [1.0, 0.0]],
+            "lifetimes": {"a": a, "b": b}, "initial": None}
+
+
+DETERMINISTIC_1 = {"kind": "deterministic", "value": 1.0}
 
 
 class TestValidate:
@@ -102,14 +110,41 @@ class TestValidate:
             {"experiment": "rm-cross", "spec": pareto_spec(2.5), "t": 50, "reps": 1000},
             {"experiment": "variance", "spec": pareto_spec(1.5), "t": 50, "reps": 1000},
             {"experiment": "diffusion", "spec": pareto_spec(1.5), "n": 10, "t": 1, "reps": 1000},
+            {"experiment": "palm", "spec": MODULATED_SPEC, "t": 50, "h": 1, "reps": 1000},
+            {"experiment": "modulated", "spec": GAMMA_SPEC, "t": 50, "h": 1, "reps": 1000},
         ],
         ids=["sgibnev-modulated", "renewal-solve-ma", "residual-law-ma",
-             "residual-law-arithmetic", "rm-cross-m3", "variance-m2", "diffusion-m2"],
+             "residual-law-arithmetic", "rm-cross-m3", "variance-m2", "diffusion-m2",
+             "palm-modulated", "modulated-plain"],
     )
     def test_unrunnable_spec_rejected(self, tmp_path, capsys, obj):
         cfg = write_config(tmp_path, obj)
         assert main(["validate", str(cfg)]) == 2
         assert "invalid: spec:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("obj,message", [
+        ({"experiment": "sgibnev", "spec": MA_SPEC, "t": 50, "step": 0.1},
+         "spec: experiment 'sgibnev' needs a plain or delayed spec"),
+        ({"experiment": "variance", "spec": MA_SPEC, "t": 50, "reps": 1000},
+         "spec: experiment 'variance' needs a plain spec"),
+        ({"experiment": "modulated", "spec": MA_SPEC, "t": 50, "h": 1, "reps": 1000},
+         "spec: experiment 'modulated' needs a modulated spec"),
+        ({"experiment": "palm", "spec": GAMMA_SPEC, "t": 50, "h": 1, "reps": 1000},
+         "spec: experiment 'palm' needs a stationary_ma spec"),
+        ({"experiment": "rm-cross", "spec": pareto_spec(2.5), "t": 50, "reps": 1000},
+         "spec: experiment 'rm-cross' needs a finite E[T^3]"),
+        ({"experiment": "diffusion", "spec": pareto_spec(1.5), "n": 10, "t": 1, "reps": 1000},
+         "spec: experiment 'diffusion' needs a finite E[T^2]"),
+        ({"experiment": "residual-law", "spec": {"kind": "plain", "lifetime": DETERMINISTIC_1},
+          "t": 50, "reps": 1000},
+         "spec: experiment 'residual-law' needs a non-arithmetic lifetime law"),
+        ({"experiment": "palm", "spec": MA_SPEC, "t": 50},
+         "h: required for experiment 'palm'"),
+    ])
+    def test_rejection_message(self, obj, message):
+        cfg, errors = validate_config(obj)
+        assert cfg is None
+        assert message in errors
 
     def test_variance_order_bound_config_valid(self):
         # finite E[T^2], infinite E[T^3]: the order-bound branch runs it
@@ -163,6 +198,79 @@ class TestRun:
         target, error = countproc.cli._rate_target(Plain(lifetime), 50.0)
         assert target == pytest.approx(exact, abs=1e-6)
         assert error < 1e-4
+
+    @pytest.mark.parametrize("delay,lifetime,exact", [
+        # rate * (1 + (E[R(50)] - E[D])/50); E[R(50)] = E[r(50 - D)] is converged
+        (Uniform(0, 8), Gamma(2, 2), 1.0 + (0.75 - 4.0) / 50),
+        (Exponential(0.5), Gamma(2, 2), 1.0 + (0.75 - 2.0) / 50),
+        (Uniform(0, 8), Uniform(0, 2), 1.0 + (2 / 3 - 4.0) / 50),
+    ])
+    def test_rate_target_delayed(self, delay, lifetime, exact):
+        target, error = countproc.cli._rate_target(Delayed(delay, lifetime), 50.0)
+        assert target == pytest.approx(exact, abs=1e-6)
+        assert error < 1e-4
+
+    def test_rate_target_equilibrium_delay_exact(self):
+        assert countproc.cli._rate_target(Delayed("equilibrium", Gamma(2, 2)), 50.0) == (1.0, None)
+
+    def test_rate_delayed_explicit(self, tmp_path, capsys):
+        # the mean count lags rate * t by rate * (E[D] - E[R(t)]) = 3.25: the
+        # estimate is 86 se below the bare rate 1
+        spec = {"kind": "delayed", "delay": {"kind": "uniform", "low": 0.0, "high": 8.0},
+                "lifetime": GAMMA_SPEC["lifetime"]}
+        cfg = write_config(tmp_path, {
+            "experiment": "rate", "spec": spec,
+            "t": 50, "reps": 20000, "seed": 7, "out": str(tmp_path / "res"),
+        })
+        assert main(["run", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("PASS rate") and "solver error" in out
+
+    @pytest.mark.parametrize("experiment", ["blackwell", "modulated"])
+    @pytest.mark.parametrize("b,lattice", [
+        ({"kind": "exponential", "rate": 0.5}, False),
+        ({"kind": "deterministic", "value": 2.0}, True),
+    ], ids=["mixed", "lattice"])
+    def test_arithmetic_flag_needs_lattice_chain(self, tmp_path, capsys, experiment, b, lattice):
+        # a chain with one point-mass state is not lattice unless every
+        # state's law is, on a common span
+        cfg = write_config(tmp_path, {
+            "experiment": experiment, "spec": two_state_chain(DETERMINISTIC_1, b),
+            "t": 50, "h": 1, "reps": 20000, "seed": 7, "out": str(tmp_path / "res"),
+        })
+        assert main(["run", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"PASS {experiment}")
+        assert ("[arithmetic lifetime law" in out) == lattice
+        assert ("z=" in out) != lattice
+        flags = (tmp_path / "res" / f"{experiment}.csv").read_text().splitlines()[1].split(",")[-1]
+        assert bool(flags) == lattice
+
+    @pytest.mark.parametrize("obj,check", [
+        ({"experiment": "modulated", "spec": MODULATED_SPEC, "t": 20, "h": 1, "reps": 5000},
+         "modulated"),
+        ({"experiment": "palm", "spec": MA_SPEC, "t": 20, "h": 1, "reps": 5000}, "palm"),
+        ({"experiment": "residual-law", "spec": GAMMA_SPEC, "t": 20, "reps": 2000},
+         "residual-law"),
+        ({"experiment": "variance", "spec": GAMMA_SPEC, "t": 20, "reps": 20000},
+         "variance-drift"),
+        ({"experiment": "variance", "spec": pareto_spec(2.5), "t": 40, "reps": 100000},
+         "variance-order-bound"),
+        ({"experiment": "rm-cross", "spec": EXP_SPEC, "t": 20, "reps": 20000}, "rm-cross"),
+        ({"experiment": "sgibnev", "t": 20, "step": 0.01,
+          "spec": {"kind": "plain", "lifetime": {"kind": "uniform", "low": 0.0, "high": 2.0}}},
+         "sgibnev"),
+        # the scaled count's mean is rate * E[R(nt)]/sqrt(n) = 0.075 at n = 100,
+        # 4 se from 0; the paired noise mean is 0 at every n
+        ({"experiment": "diffusion", "spec": GAMMA_SPEC, "n": 100, "t": 1, "reps": 2000},
+         "diffusion-variance"),
+    ], ids=["modulated", "palm", "residual-law", "variance-drift", "variance-order-bound",
+            "rm-cross", "sgibnev-uniform", "diffusion"])
+    def test_experiment_runs(self, tmp_path, capsys, obj, check):
+        cfg = write_config(tmp_path, {**obj, "seed": 7, "out": str(tmp_path / "res")})
+        assert main(["run", str(cfg)]) == 0
+        assert capsys.readouterr().out.startswith(f"PASS {check}:")
+        assert (tmp_path / "res" / f"{obj['experiment']}.csv").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, {
