@@ -1,11 +1,21 @@
-"""Forward-recurrence solver for convolution equations of renewal type.
+"""Divide-and-conquer solver for convolution equations of renewal type.
 
 Solves Z(t) = z(t) + integral of Z(t-u) dF(u) on a uniform grid with a
 left-endpoint Stieltjes rule: the lifetime law enters through its CDF
-increments per grid cell, so purely atomic laws are handled exactly when
-their atoms sit on grid points (off-grid atoms are snapped to the nearest
+increments per grid cell (off-grid atoms are snapped to the nearest
 point with a warning).  The discretization error is O(step) for laws with
 a bounded density.
+
+The grid of K + 1 points is solved in blocks (Hairer, Lubich & Schlichte,
+SIAM J. Sci. Stat. Comput. 6(3), 1985): a block is split in two, the left
+part is solved first, its share of the right part is added by one real FFT
+convolution, then the right part is solved.  A leaf of at most 512 points
+is solved in one step, as the product with its lower-triangular Toeplitz
+matrix of g = 1/(1 - increments), a power series computed once per solve.
+The cost is O(K log^2 K).  A purely atomic law with its atoms on grid
+points is handled exactly within one 512-point leaf, and to FFT rounding
+beyond it (the Deterministic(1) staircase on 40 001 points is off by
+about 1e-14 relative).
 
 The module also evaluates the standard generators fed to the solver: the
 integrated tail (whose solution is the mean residual time), the quadratic
@@ -40,6 +50,7 @@ __all__ = [
 ]
 
 _SNAP_WARN_REL = 1e-9
+_LEAF = 512  # largest block solved directly, by one convolution with 1 / (1 - increments)
 
 
 @dataclass
@@ -143,7 +154,7 @@ def solve_renewal_equation(
     horizon: float | None = None,
     step: float | None = None,
 ) -> GridFunction:
-    """Solve Z = z + Z * dF forward in time on the generator's grid.
+    """Solve Z = z + Z * dF on the generator's grid, block by block in time.
 
     ``horizon`` and ``step``, when given, must match the generator's grid;
     a mismatch is an error rather than a silent resample.
@@ -154,19 +165,40 @@ def solve_renewal_equation(
         raise ValueError(f"horizon {horizon} does not match the generator grid ({generator.horizon})")
     z = generator.values
     h = generator.step
-    k_max = z.size - 1
-    inc = _cdf_increments(dist, h, k_max)
-
-    out = np.empty(k_max + 1)
-    rev = np.empty(k_max + 1)  # rev[k_max - i] = out[i]: contiguous convolution slices
-    out[0] = z[0]
-    rev[k_max] = z[0]
-    for k in range(1, k_max + 1):
-        acc = np.dot(inc[1 : k + 1], rev[k_max - k + 1 : k_max + 1])
-        val = z[k] + acc
-        out[k] = val
-        rev[k_max - k] = val
+    inc = _cdf_increments(dist, h, z.size - 1)
+    out = z.copy()
+    g = np.zeros(min(_LEAF, out.size))  # power series of 1 / (1 - inc), to one leaf
+    g[0] = 1.0
+    for k in range(1, g.size):
+        g[k] = np.dot(inc[1 : k + 1], g[k - 1 :: -1])
+    _solve_block(out, inc, g, {}, 0, out.size)
     return GridFunction(step=h, values=out)
+
+
+def _solve_block(
+    out: np.ndarray, inc: np.ndarray, g: np.ndarray, spectra: dict, lo: int, hi: int
+) -> None:
+    """Turn out[lo:hi] from z plus the convolution of the solution before lo
+    into the solution.
+
+    A leaf is one product with the lower-triangular Toeplitz matrix of g,
+    taken as a truncated convolution.  A larger block solves its left part,
+    adds the left part's share to the right part by a circular convolution
+    with inc[:size] (whose wrap-around misses out[mid:hi]; ``spectra``
+    keeps the transform of inc per size), then solves its right part.
+    """
+    n = hi - lo
+    if n <= g.size:
+        out[lo:hi] = np.convolve(out[lo:hi], g[:n])[:n]
+        return
+    size = 1 << (n - 1).bit_length()
+    mid = lo + size // 2  # a power-of-two left part wastes no padding below
+    _solve_block(out, inc, g, spectra, lo, mid)
+    if size not in spectra:
+        spectra[size] = np.fft.rfft(inc[:size], size)
+    conv = np.fft.irfft(np.fft.rfft(out[lo:mid], size) * spectra[size], size)
+    out[mid:hi] += conv[mid - lo : n]
+    _solve_block(out, inc, g, spectra, mid, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ import countproc.asymptotics
 import countproc.cli
 from countproc.cli import main, validate_config
 from countproc.decomposition import build_reports, reports_to_csv
-from countproc.lifetimes import Exponential, Gamma, Uniform
+from countproc.lifetimes import Exponential, Gamma, ParetoShifted, Uniform
 from countproc.processes import Delayed, Plain, child_rng, simulate_paths
+from countproc.renewal_solver import sgibnev_asymptote
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -272,6 +273,21 @@ class TestRun:
         assert capsys.readouterr().out.startswith(f"PASS {check}:")
         assert (tmp_path / "res" / f"{obj['experiment']}.csv").exists()
 
+    def test_sgibnev_reports_step_halving(self, tmp_path, capsys):
+        # Pareto(1.5) at t = 200: E[R(t)] sits 11% above the asymptote, and
+        # the solver's step-halving change is a small part of that gap
+        cfg = write_config(tmp_path, {
+            "experiment": "sgibnev", "spec": pareto_spec(1.5), "t": 200, "step": 0.02,
+            "out": str(tmp_path / "res"),
+        })
+        main(["run", str(cfg)])
+        out = capsys.readouterr().out
+        assert out.startswith(("PASS sgibnev:", "FAIL sgibnev:"))
+        ratio = float(out.split("asymptote = ")[1].split()[0])
+        change = float(out.split("step-halving change ")[1].split()[0])
+        gap = (ratio - 1.0) * sgibnev_asymptote(ParetoShifted(1.5), 200.0)
+        assert 0.0 < change < 0.05 * gap
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, {
             "experiment": "blackwell", "spec": GAMMA_SPEC,
@@ -386,6 +402,23 @@ class TestRun:
 def test_cli_import_skips_quadrature():
     src = Path(countproc.__file__).resolve().parents[1]
     code = "import sys, countproc.cli; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
+
+
+def test_solver_skips_scipy_linalg():
+    # the solver needs only numpy; importing scipy.linalg would add start-up
+    # time and resident memory to every run
+    src = Path(countproc.__file__).resolve().parents[1]
+    code = (
+        "import sys, numpy as np, countproc.cli\n"
+        "from countproc.lifetimes import Gamma\n"
+        "from countproc.renewal_solver import GridFunction, solve_renewal_equation\n"
+        "solve_renewal_equation(GridFunction.from_callable(np.ones_like, 400.0, 0.01), Gamma(2, 2))\n"
+        "print('scipy.linalg' in sys.modules)"
+    )
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)

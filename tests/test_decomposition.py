@@ -18,6 +18,7 @@ from countproc.processes import (
     count,
     path_from_interarrivals,
     simulate_path,
+    simulate_paths,
 )
 from countproc.decomposition import (
     ConditionalMeanOracle,
@@ -198,8 +199,7 @@ class TestNoiseStatistics:
         oracle = ConditionalMeanOracle(spec)
         t = 10.0
         vals = []
-        for i in range(4000):
-            p = simulate_path(spec, t, child_rng(77, i))
+        for p in simulate_paths(spec, t, 4000, child_rng(77, 0)):
             n = count(p, t)
             means = oracle.interval_means(p, v)
             capped = np.minimum(np.diff(p.interval_bounds()), v)

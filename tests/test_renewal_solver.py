@@ -14,10 +14,12 @@ from countproc.lifetimes import (
     Lattice,
     Mixture,
     ParetoShifted,
+    Uniform,
 )
 from countproc.processes import Plain
 from countproc.renewal_solver import (
     GridFunction,
+    _cdf_increments,
     cumulative_residual_bias,
     integrated_second_generator,
     residual_mean_generator,
@@ -32,6 +34,41 @@ from countproc.asymptotics import path_statistics
 
 def ones_grid(horizon, step):
     return GridFunction.from_callable(lambda u: np.ones_like(u), horizon, step)
+
+
+def reference_solve(generator, dist):
+    """The O(K^2) forward recurrence: one dot product per grid point.
+
+    out[k] = z[k] + sum_{j=1..k} inc[j] * out[k - j], accumulated left to
+    right; the oracle the divide-and-conquer solver is checked against.
+    """
+    z = generator.values
+    k_max = z.size - 1
+    inc = _cdf_increments(dist, generator.step, k_max)
+    out = np.empty(k_max + 1)
+    rev = np.empty(k_max + 1)  # rev[k_max - i] = out[i]: contiguous convolution slices
+    out[0] = z[0]
+    rev[k_max] = z[0]
+    for k in range(1, k_max + 1):
+        val = z[k] + np.dot(inc[1 : k + 1], rev[k_max - k + 1 : k_max + 1])
+        out[k] = val
+        rev[k_max - k] = val
+    return out
+
+
+AGREEMENT_LAWS = {
+    "gamma": Gamma(2, 2),
+    "pareto": ParetoShifted(1.5),
+    "uniform": Uniform(0.0, 2.0),
+    "exp": Exponential(1.0),
+    "det": Deterministic(1.0),
+    "lattice": Lattice(0.25, (0.2, 0.5, 0.3)),
+    "atom-mix": Mixture((0.3, 0.7), (Deterministic(1.0), Gamma(2, 2))),
+}
+AGREEMENT_GENERATORS = {
+    "ones": np.ones_like,
+    "mixed-sign": lambda u: np.cos(2.0 * u) - 0.3,
+}
 
 
 class TestSolver:
@@ -79,6 +116,23 @@ class TestSolver:
             solve_renewal_equation(gen, Exponential(1.0), step=0.02)
         with pytest.raises(ValueError, match="horizon"):
             solve_renewal_equation(gen, Exponential(1.0), horizon=6.0)
+
+    def test_deterministic_staircase_long_grid(self):
+        # 40 001 points: beyond one leaf the FFT adds rounding, nothing more
+        sol = solve_renewal_equation(ones_grid(400.0, 0.01), Deterministic(1.0))
+        expected = np.floor(sol.times + 1e-9) + 1.0
+        assert np.max(np.abs(sol.values - expected) / expected) <= 1e-12
+
+    @pytest.mark.parametrize("gen", AGREEMENT_GENERATORS)
+    @pytest.mark.parametrize("k", [1, 2, 510, 511, 512, 513, 1537, 40_000])
+    @pytest.mark.parametrize("law", AGREEMENT_LAWS)
+    def test_matches_forward_recurrence(self, law, k, gen):
+        # k steps, k + 1 points: covers one leaf, the leaf boundary and uneven splits
+        step = 0.01
+        grid = GridFunction.from_callable(AGREEMENT_GENERATORS[gen], k * step, step)
+        new = solve_renewal_equation(grid, AGREEMENT_LAWS[law]).values
+        ref = reference_solve(grid, AGREEMENT_LAWS[law])
+        assert np.all(np.abs(new - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
     def test_lattice_and_mixture_mass_placement(self):
         # mixture of atoms on the grid: solution jumps exactly at atoms
