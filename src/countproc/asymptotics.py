@@ -59,6 +59,9 @@ __all__ = [
 ]
 
 _Z95 = 1.959963984540054
+_MIN_WINDOW_REPS = 1000  # replications a Blackwell window estimate needs
+_BATCHES = 100  # batches behind a batch-mean error bar
+_MIN_BATCH = 2  # fewest replications per batch
 
 
 @dataclass(frozen=True)
@@ -291,18 +294,19 @@ def _mean_estimate(x: np.ndarray, seed: int, flags: tuple[str, ...] = ()) -> Est
 
 def _batched(x: np.ndarray, batches: int) -> np.ndarray:
     per = x.size // batches
-    if per < 2:
+    if per < _MIN_BATCH:
         raise ValueError("too few replications for batch-mean error bars")
     return x[: per * batches].reshape(batches, per)
 
 
+def _elapsed_at(stats: dict[str, np.ndarray], t: float, col: int) -> np.ndarray:
+    """t + R(t) - D per path: the sum of the gaps observed by t, delay excluded."""
+    return t + stats["residual"][:, col] - stats.get("delay", 0.0)
+
+
 def _noise_at(stats: dict[str, np.ndarray], rate: float, t: float, col: int) -> np.ndarray:
     """Noise value per path from the pathwise identity (no extra sampling)."""
-    n = stats["count"][:, col]
-    r = stats["residual"][:, col]
-    delay = stats.get("delay")
-    elapsed = t + r - (delay if delay is not None else 0.0)
-    return n - rate * elapsed
+    return stats["count"][:, col] - rate * _elapsed_at(stats, t, col)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +320,8 @@ def estimate_blackwell(
     """Mean number of events in (t, t+h]; tends to rate*h off the lattice case."""
     if not (t > 0 and h > 0):
         raise ValueError("t and h must be positive")
-    if reps < 1000:
-        raise ValueError("blackwell estimation needs at least 1000 replications")
+    if reps < _MIN_WINDOW_REPS:
+        raise ValueError(f"blackwell estimation needs at least {_MIN_WINDOW_REPS} replications")
     stats = path_statistics(spec, [t, t + h], reps, seed, threads=threads)
     inc = stats["count"][:, 1] - stats["count"][:, 0]
     return _mean_estimate(inc, seed, _arithmetic_flags(spec))
@@ -354,7 +358,7 @@ def residual_limit_ks(
 
 
 def estimate_variance_drift(
-    spec: Plain, t: float, reps: int, seed: int = 0, threads: int = 1, batches: int = 100
+    spec: Plain, t: float, reps: int, seed: int = 0, threads: int = 1, batches: int = _BATCHES
 ) -> Estimate:
     """Monte Carlo estimate of var N(t) - rate^3 * var T * t for a plain renewal spec.
 
@@ -428,7 +432,7 @@ def diffusion_scaling(
     reps: int,
     seed: int = 0,
     threads: int = 1,
-    batches: int = 100,
+    batches: int = _BATCHES,
 ) -> DiffusionScalingResult:
     """Variance and mean of the diffusion-scaled count (N(nt) - rate*nt)/sqrt(n).
 
@@ -451,11 +455,12 @@ def diffusion_scaling(
     scaled = (stats["count"][:, 0] - rate * horizon) / math.sqrt(n)
     scaled_resid = rate * stats["residual"][:, 0] / math.sqrt(n)
 
-    vb = np.var(_batched(scaled, batches), axis=1, ddof=1)
+    batched = _batched(scaled, batches)
+    vb = np.var(batched, axis=1, ddof=1)
     var_est = Estimate(
         value=float(np.mean(vb)),
         se=float(np.std(vb, ddof=1) / math.sqrt(batches)),
-        reps=_batched(scaled, batches).size,
+        reps=batched.size,
         seed=seed,
     )
     return DiffusionScalingResult(
@@ -499,8 +504,7 @@ def wald_ratio(
     """
     mean_gap = 1.0 / spec_rate(spec)
     stats = path_statistics(spec, [t], reps, seed, threads=threads)
-    delay = stats.get("delay")
-    s = t + stats["residual"][:, 0] - (delay if delay is not None else 0.0)
+    s = _elapsed_at(stats, t, 0)
     w = mean_gap * stats["count"][:, 0]
     ratio = float(np.mean(s) / np.mean(w))
     resid = s - ratio * w

@@ -40,6 +40,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from . import asymptotics, decomposition, renewal_solver
+from .asymptotics import _BATCHES, _MIN_BATCH, _MIN_WINDOW_REPS
 from .lifetimes import Exponential
 from .processes import (
     Delayed,
@@ -123,10 +124,15 @@ def validate_config(obj: Mapping) -> tuple[ExperimentConfig | None, list[str]]:
             if not val > 0:
                 errors.append(f"{name}: must be positive, got {val}")
                 continue
+            if name in ("reps", "n") and not float(val).is_integer():
+                errors.append(f"{name}: must be a whole number, got {val}")
+                continue
             knobs[name] = float(val)
     exp = _EXPERIMENTS[kind]
-    for name in sorted(exp.knobs - set(knobs)):
+    for name in sorted(exp.knobs - set(obj)):
         errors.append(f"{name}: required for experiment {kind!r}")
+    if knobs.get("reps", exp.min_reps) < exp.min_reps:
+        errors.append(f"reps: experiment {kind!r} needs at least {exp.min_reps}, got {obj['reps']}")
     if not isinstance(spec, exp.specs):
         kinds = " or ".join(_SPEC_KINDS[cls] for cls in exp.specs)
         errors.append(f"spec: experiment {kind!r} needs a {kinds} spec")
@@ -421,19 +427,22 @@ class _Experiment:
     runner: Callable[[ExperimentConfig], tuple[list[dict], list[Check]]]
     specs: tuple[type, ...] = tuple(_SPEC_KINDS)
     moment: int = 0  # k such that E[T^k] must be finite, 0 for none
+    min_reps: int = 1
 
 
 _EXPERIMENTS: dict[str, _Experiment] = {
     "simulate": _Experiment({"horizon"}, _run_simulate),
     "decompose": _Experiment({"horizon", "reps"}, _run_decompose),
-    "blackwell": _Experiment({"t", "h", "reps"}, _run_window),
-    "modulated": _Experiment({"t", "h", "reps"}, _run_window, (Modulated,)),
-    "palm": _Experiment({"t", "h", "reps"}, _run_window, (StationaryMA,)),
+    "blackwell": _Experiment({"t", "h", "reps"}, _run_window, min_reps=_MIN_WINDOW_REPS),
+    "modulated": _Experiment({"t", "h", "reps"}, _run_window, (Modulated,), min_reps=_MIN_WINDOW_REPS),
+    "palm": _Experiment({"t", "h", "reps"}, _run_window, (StationaryMA,), min_reps=_MIN_WINDOW_REPS),
     "rate": _Experiment({"t", "reps"}, _run_rate),
     "residual-law": _Experiment({"t", "reps"}, _run_residual_law, (Plain, Delayed)),
-    "variance": _Experiment({"t", "reps"}, _run_variance, (Plain,), moment=2),
+    "variance": _Experiment({"t", "reps"}, _run_variance, (Plain,), moment=2,
+                            min_reps=_MIN_BATCH * _BATCHES),
     "rm-cross": _Experiment({"t", "reps"}, _run_rm_cross, (Plain,), moment=3),
-    "diffusion": _Experiment({"n", "t", "reps"}, _run_diffusion, (Plain,), moment=2),
+    "diffusion": _Experiment({"n", "t", "reps"}, _run_diffusion, (Plain,), moment=2,
+                             min_reps=_MIN_BATCH * _BATCHES),
     "renewal-solve": _Experiment({"horizon", "step"}, _run_renewal_solve, (Plain, Delayed)),
     "sgibnev": _Experiment({"t", "step"}, _run_sgibnev, (Plain, Delayed)),
 }

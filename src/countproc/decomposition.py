@@ -8,6 +8,11 @@ truncated mean of the next inter-arrival.  The residual returned by the
 ``*_residual`` functions is therefore zero up to floating-point rounding;
 ``tolerance_for(n)`` gives the bound 1e-9 * (1 + n) used throughout.
 
+Every term is a function of the first N(t) gaps, found by one lookup of
+N(t) per call: R(t) = S_{N(t)} - t, the noise and the quadratic
+variations are prefix sums over those gaps, and the truncated split reads
+interval N(t) - 1 (N(t) on a delayed path, whose interval 0 is the delay).
+
 All functions accept a scalar query time or a 1-d array of query times
 and are pure; they never mutate the path.
 """
@@ -20,8 +25,8 @@ from typing import IO, Callable, Sequence
 
 import numpy as np
 
-from .lifetimes import LifetimeDistribution
-from .processes import Delayed, Modulated, Plain, SamplePath, StationaryMA, count, residual
+from .lifetimes import LifetimeDistribution, _scalarize
+from .processes import Delayed, Modulated, Plain, SamplePath, StationaryMA, _lookup, count, residual
 
 __all__ = [
     "ConditionalMeanOracle",
@@ -49,14 +54,31 @@ def tolerance_for(n) -> float | np.ndarray:
     return 1e-9 * (1.0 + np.asarray(n, dtype=float))
 
 
-def _query(path: SamplePath, t):
-    t_arr = np.asarray(t, dtype=float)
-    path._check_times(t_arr)
-    return t_arr, t_arr.ndim == 0
+def _prefix(x: np.ndarray, n):
+    """Sum of the first n entries of x, for each n."""
+    return np.concatenate([[0.0], np.cumsum(x)])[n]
 
 
-def _scalarize(x, scalar):
-    return float(x) if scalar else x
+def _noise(path: SamplePath, rate: float, n, power: int = 1):
+    """Sum of (1 - rate * T_k)**power over the first n = N(t) gaps: the
+    noise M(t), or with power 2 its optional quadratic variation."""
+    if not rate > 0:
+        raise ValueError("rate must be positive")
+    return _prefix((1.0 - rate * path.interarrivals) ** power, n)
+
+
+def _elapsed(path: SamplePath, t, n):
+    """t + R(t) - D at n = N(t), in that order so that it rounds as t + residual(t)."""
+    return t + (path.events[n] - t) - path.delay
+
+
+def _identity(path: SamplePath, rate: float, t, n):
+    return n - rate * _elapsed(path, t, n) - _noise(path, rate, n)
+
+
+def _wald(path: SamplePath, mean_lifetime: float, t, n):
+    m = _noise(path, 1.0 / mean_lifetime, n)
+    return _elapsed(path, t, n) - mean_lifetime * n + mean_lifetime * m
 
 
 def martingale(path: SamplePath, rate: float, t):
@@ -66,13 +88,8 @@ def martingale(path: SamplePath, rate: float, t):
     revealed at the preceding event.  Piecewise constant, jumping only at
     events; for a plain renewal path with rate = 1/E[T] it has mean zero.
     """
-    if not rate > 0:
-        raise ValueError("rate must be positive")
-    t_arr, scalar = _query(path, t)
-    gaps = path.interarrivals
-    csum = np.concatenate([[0.0], np.cumsum(1.0 - rate * gaps)])
-    n = np.searchsorted(path.events, t_arr, side="right")  # N(t) summands
-    return _scalarize(csum[n], scalar)
+    _, scalar, n = _lookup(path, t)
+    return _scalarize(_noise(path, rate, n), scalar)
 
 
 def decomposition_residual(path: SamplePath, rate: float, t):
@@ -81,12 +98,8 @@ def decomposition_residual(path: SamplePath, rate: float, t):
     Zero in exact arithmetic for every path and every positive rate; the
     returned value is pure rounding noise, bounded by ``tolerance_for(N(t))``.
     """
-    t_arr, scalar = _query(path, t)
-    n = count(path, t_arr)
-    r = residual(path, t_arr)
-    m = martingale(path, rate, t_arr)
-    elapsed = t_arr + r - (path.delay if path.delayed else 0.0)
-    return _scalarize(n - rate * elapsed - m, scalar)
+    t_arr, scalar, n = _lookup(path, t)
+    return _scalarize(_identity(path, rate, t_arr, n), scalar)
 
 
 def wald_residual(path: SamplePath, mean_lifetime: float, t):
@@ -96,32 +109,21 @@ def wald_residual(path: SamplePath, mean_lifetime: float, t):
     t + R(t) minus the delay on delayed paths; subtracting the delay keeps
     the identity exact in both conventions.
     """
-    rate = 1.0 / mean_lifetime
-    t_arr, scalar = _query(path, t)
-    n = count(path, t_arr)
-    r = residual(path, t_arr)
-    m = martingale(path, rate, t_arr)
-    s = t_arr + r - (path.delay if path.delayed else 0.0)
-    return _scalarize(s - mean_lifetime * n + mean_lifetime * m, scalar)
+    t_arr, scalar, n = _lookup(path, t)
+    return _scalarize(_wald(path, mean_lifetime, t_arr, n), scalar)
 
 
 def optional_quadratic_variation(path: SamplePath, rate: float, t):
     """Sum of squared noise jumps: sum over the first N(t) gaps of (1 - rate*T_n)^2."""
-    if not rate > 0:
-        raise ValueError("rate must be positive")
-    t_arr, scalar = _query(path, t)
-    gaps = path.interarrivals
-    csum = np.concatenate([[0.0], np.cumsum((1.0 - rate * gaps) ** 2)])
-    n = np.searchsorted(path.events, t_arr, side="right")
-    return _scalarize(csum[n], scalar)
+    _, scalar, n = _lookup(path, t)
+    return _scalarize(_noise(path, rate, n, 2), scalar)
 
 
 def predictable_quadratic_variation(path: SamplePath, rate: float, sigma2: float, t):
     """rate^2 * sigma2 * N(t); requires a finite lifetime variance."""
     if math.isinf(sigma2):
         raise ValueError("predictable quadratic variation needs a finite lifetime variance")
-    t_arr, scalar = _query(path, t)
-    n = np.searchsorted(path.events, t_arr, side="right")
+    _, scalar, n = _lookup(path, t)
     return _scalarize(rate**2 * sigma2 * np.asarray(n, dtype=float), scalar)
 
 
@@ -164,13 +166,11 @@ class ConditionalMeanOracle:
         if not v > 0:
             raise ValueError("truncation level v must be positive")
         spec = self.spec
-        bounds = path.interval_bounds()
-        n_intervals = bounds.size - 1
-        if isinstance(spec, Plain):
-            return np.full(n_intervals, _tm(spec.lifetime, v))
-        if isinstance(spec, Delayed):
+        n_intervals = path.events.size - 1 + path.delayed
+        if isinstance(spec, (Plain, Delayed)):
             out = np.full(n_intervals, _tm(spec.lifetime, v))
-            out[0] = _tm(spec.delay_distribution, v)
+            if isinstance(spec, Delayed):
+                out[0] = _tm(spec.delay_distribution, v)
             return out
         if isinstance(spec, Modulated):
             table = {s: _tm(spec.lifetimes[s], v) for s in spec.states}
@@ -183,13 +183,20 @@ class ConditionalMeanOracle:
                 return (s + spec.base.moment(1)) / m
             known = np.minimum(v, s / m)
             rest = spec.base.truncated_mean(np.maximum(m * v - s, 0.0)) / m
-            out = known + np.where(m * v - s > 0, rest, 0.0)
-            return out
+            return known + np.where(m * v - s > 0, rest, 0.0)
         raise TypeError(f"unsupported spec type {type(spec).__name__}")
 
 
 def _tm(dist: LifetimeDistribution, v: float) -> float:
     return dist.moment(1) if math.isinf(v) else float(dist.truncated_mean(v))
+
+
+def _truncated_rates(path: SamplePath, oracle: ConditionalMeanOracle, v: float) -> np.ndarray:
+    """lam per interval: the reciprocal of the oracle's conditional truncated means."""
+    means = oracle.interval_means(path, v)
+    if np.any(means <= 0):
+        raise ValueError("conditional mean oracle returned a nonpositive value")
+    return 1.0 / means
 
 
 def truncated_rate(path: SamplePath, oracle: ConditionalMeanOracle, v: float, t):
@@ -198,13 +205,8 @@ def truncated_rate(path: SamplePath, oracle: ConditionalMeanOracle, v: float, t)
     Piecewise constant between events and bounded below by 1/v.  With
     v = inf on a plain path this is the constant renewal rate.
     """
-    t_arr, scalar = _query(path, t)
-    means = oracle.interval_means(path, v)
-    if np.any(means <= 0):
-        raise ValueError("conditional mean oracle returned a nonpositive value")
-    bounds = path.interval_bounds()
-    j = np.searchsorted(bounds, t_arr, side="right") - 1
-    return _scalarize(1.0 / means[j], scalar)
+    _, scalar, n = _lookup(path, t)
+    return _scalarize(_truncated_rates(path, oracle, v)[n - 1 + path.delayed], scalar)
 
 
 def truncated_decomposition_residual(path: SamplePath, oracle: ConditionalMeanOracle, v: float, t):
@@ -216,33 +218,18 @@ def truncated_decomposition_residual(path: SamplePath, oracle: ConditionalMeanOr
     each interval the residual time decays linearly, so the indicator holds
     exactly on the final min(gap, v) stretch and I is a finite sum.
     """
-    t_arr, scalar = _query(path, t)
-    means = oracle.interval_means(path, v)
-    if np.any(means <= 0):
-        raise ValueError("conditional mean oracle returned a nonpositive value")
-    lam = 1.0 / means
-    bounds = path.interval_bounds()
-    lengths = np.diff(bounds)
-    capped = np.minimum(lengths, v)
+    t_arr, scalar, n = _lookup(path, t)
+    lam = _truncated_rates(path, oracle, v)
+    capped = np.minimum(np.diff(path.interval_bounds()), v)
     drift_per_interval = lam * capped
-    drift_csum = np.concatenate([[0.0], np.cumsum(drift_per_interval)])
 
-    j = np.searchsorted(bounds, t_arr, side="right") - 1
-    r = bounds[j + 1] - t_arr
-    r_capped = np.minimum(r, v)
+    j = n - 1 + path.delayed  # the interval holding t
+    r_capped = np.minimum(path.events[n] - t_arr, v)
     # integral over [0, t]: full intervals 0..j-1 plus the partial piece of j
-    integral = drift_csum[j] + lam[j] * (capped[j] - r_capped)
-
-    n = np.searchsorted(path.events, t_arr, side="right")
-    if path.delayed:
-        # gaps live in intervals 1.. ; interval 0 is the delay
-        noise_csum = np.concatenate([[0.0], np.cumsum(1.0 - drift_per_interval[1:])])
-        noise = noise_csum[n]
-        correction = drift_per_interval[0]
-    else:
-        noise_csum = np.concatenate([[0.0], np.cumsum(1.0 - drift_per_interval)])
-        noise = noise_csum[n]
-        correction = 0.0
+    integral = _prefix(drift_per_interval, j) + lam[j] * (capped[j] - r_capped)
+    # gaps live in intervals 1.. on a delayed path; interval 0 is the delay
+    noise = _prefix(1.0 - drift_per_interval[int(path.delayed):], n)
+    correction = drift_per_interval[0] if path.delayed else 0.0
     return _scalarize(n - integral - lam[j] * r_capped - noise + correction, scalar)
 
 
@@ -269,8 +256,7 @@ def decompose_functional(
     initial value rebuild Y(t) within ``tolerance_for(N(t))``.
     """
     t = float(t)
-    path._check_times(np.asarray(t))
-    n = count(path, t)
+    n = int(_lookup(path, t)[2])
     events = path.events[:n]
 
     def segment(a: float, b: float) -> float:
@@ -420,33 +406,17 @@ def build_reports(
     sigma2: float | None,
     ts: Sequence[float],
 ) -> list[DecompositionReport]:
-    ts = np.asarray(ts, dtype=float)
-    n = count(path, ts)
-    r = residual(path, ts)
-    m = martingale(path, rate, ts)
-    drift = rate * (ts + r - (path.delay if path.delayed else 0.0))
-    ident = decomposition_residual(path, rate, ts)
-    oqv = optional_quadratic_variation(path, rate, ts)
-    pqv = None
+    """One report per query time, every term taken from one lookup of N(t)."""
+    ts, _, n = _lookup(path, ts)
+    pqv = [None] * n.size
     if sigma2 is not None and not math.isinf(sigma2):
-        pqv = predictable_quadratic_variation(path, rate, sigma2, ts)
-    wald = wald_residual(path, mean_lifetime, ts)
-    out = []
-    for i, t in enumerate(ts):
-        out.append(
-            DecompositionReport(
-                t=float(t),
-                count=int(n[i]),
-                residual=float(r[i]),
-                martingale=float(m[i]),
-                drift=float(drift[i]),
-                identity_residual=float(ident[i]),
-                optional_qv=float(oqv[i]),
-                predictable_qv=float(pqv[i]) if pqv is not None else None,
-                wald_residual=float(wald[i]),
-            )
-        )
-    return out
+        pqv = (rate**2 * sigma2 * n.astype(float)).tolist()
+    columns = zip(  # in the field order of DecompositionReport
+        ts.tolist(), n.tolist(), (path.events[n] - ts).tolist(), _noise(path, rate, n).tolist(),
+        (rate * _elapsed(path, ts, n)).tolist(), _identity(path, rate, ts, n).tolist(),
+        _noise(path, rate, n, 2).tolist(), pqv, _wald(path, mean_lifetime, ts, n).tolist(),
+    )
+    return [DecompositionReport(*row) for row in columns]
 
 
 def reports_to_csv(reports: Sequence[DecompositionReport], fp: IO[str]) -> None:

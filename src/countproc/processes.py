@@ -33,6 +33,7 @@ import numpy as np
 from .lifetimes import (
     EquilibriumOf,
     LifetimeDistribution,
+    _scalarize,
     distribution_from_json,
 )
 
@@ -292,26 +293,26 @@ class SamplePath:
             return np.concatenate([[0.0], self.events])
         return self.events
 
-    def _check_times(self, t: np.ndarray) -> None:
-        if np.any(t < 0) or np.any(t > self.horizon):
-            raise ValueError("query times must lie in [0, horizon]")
+
+def _lookup(path: SamplePath, t):
+    """(t as an array, whether t is a scalar, N(t)) after checking that t
+    lies in [0, horizon]: the one search behind every pathwise query."""
+    t_arr = np.asarray(t, dtype=float)
+    if np.any(t_arr < 0) or np.any(t_arr > path.horizon):
+        raise ValueError("query times must lie in [0, horizon]")
+    return t_arr, t_arr.ndim == 0, np.searchsorted(path.events, t_arr, side="right")
 
 
 def count(path: SamplePath, t):
     """N(t): number of events in [0, t]; right-continuous, N(0)=1 when non-delayed."""
-    t_arr = np.asarray(t, dtype=float)
-    path._check_times(t_arr)
-    idx = np.searchsorted(path.events, t_arr, side="right")
-    return int(idx) if t_arr.ndim == 0 else idx
+    _, scalar, n = _lookup(path, t)
+    return int(n) if scalar else n
 
 
 def residual(path: SamplePath, t):
-    """R(t): time from t to the first event strictly after t (next event at events)."""
-    t_arr = np.asarray(t, dtype=float)
-    path._check_times(t_arr)
-    idx = np.searchsorted(path.events, t_arr, side="right")
-    out = path.events[idx] - t_arr
-    return float(out) if t_arr.ndim == 0 else out
+    """R(t) = S_{N(t)} - t: time from t to the first event strictly after t."""
+    t_arr, scalar, n = _lookup(path, t)
+    return _scalarize(path.events[n] - t_arr, scalar)
 
 
 def equilibrium_delay_sample(lifetime: LifetimeDistribution, rng: np.random.Generator) -> float:
@@ -332,17 +333,12 @@ def path_from_interarrivals(
 ) -> SamplePath:
     """Build a path from explicit inter-arrival times (testing helper)."""
     gaps = np.asarray(interarrivals, dtype=float)
-    if delay is None:
-        events = np.concatenate([[0.0], np.cumsum(gaps)])
-        delayed = False
-    else:
-        events = delay + np.concatenate([[0.0], np.cumsum(gaps)])
-        delayed = True
+    events = (0.0 if delay is None else delay) + np.concatenate([[0.0], np.cumsum(gaps)])
     if spec is None:
         from .lifetimes import Exponential
 
         spec = Plain(Exponential(rate=1.0))
-    return SamplePath(horizon=horizon, events=events, spec=spec, delayed=delayed)
+    return SamplePath(horizon=horizon, events=events, spec=spec, delayed=delay is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,43 @@ class TestValidate:
         )
         assert cfg is not None and errors == []
 
+    # each of these passed validation and then crashed the estimator
+    @pytest.mark.parametrize("obj,message", [
+        ({"experiment": "blackwell", "spec": GAMMA_SPEC, "t": 50, "h": 1, "reps": 500},
+         "reps: experiment 'blackwell' needs at least 1000, got 500"),
+        ({"experiment": "modulated", "spec": MODULATED_SPEC, "t": 50, "h": 1, "reps": 999},
+         "reps: experiment 'modulated' needs at least 1000, got 999"),
+        ({"experiment": "palm", "spec": MA_SPEC, "t": 50, "h": 1, "reps": 999},
+         "reps: experiment 'palm' needs at least 1000, got 999"),
+        ({"experiment": "variance", "spec": GAMMA_SPEC, "t": 20, "reps": 150},
+         "reps: experiment 'variance' needs at least 200, got 150"),
+        ({"experiment": "diffusion", "spec": GAMMA_SPEC, "n": 100, "t": 1, "reps": 199},
+         "reps: experiment 'diffusion' needs at least 200, got 199"),
+        ({"experiment": "rate", "spec": EXP_SPEC, "t": 10, "reps": 0.5},
+         "reps: must be a whole number, got 0.5"),
+        ({"experiment": "diffusion", "spec": GAMMA_SPEC, "n": 0.5, "t": 1, "reps": 2000},
+         "n: must be a whole number, got 0.5"),
+        ({"experiment": "diffusion", "spec": GAMMA_SPEC, "n": 1.5, "t": 1, "reps": 2000},
+         "n: must be a whole number, got 1.5"),
+    ], ids=["blackwell-reps", "modulated-reps", "palm-reps", "variance-reps", "diffusion-reps",
+            "rate-fractional-reps", "diffusion-n-half", "diffusion-n-truncated"])
+    def test_unrunnable_size_rejected(self, tmp_path, capsys, obj, message):
+        cfg = write_config(tmp_path, dict(obj, out=str(tmp_path / "res")))
+        for command in ("validate", "run"):
+            assert main([command, str(cfg)]) == 2
+            assert capsys.readouterr().err.splitlines() == [f"invalid: {message}"]
+        assert not (tmp_path / "res").exists()
+
+    def test_minimum_sizes_accepted(self):
+        for obj in (
+            {"experiment": "blackwell", "spec": GAMMA_SPEC, "t": 50, "h": 1, "reps": 1000},
+            {"experiment": "variance", "spec": GAMMA_SPEC, "t": 20, "reps": 200.0},
+            {"experiment": "diffusion", "spec": GAMMA_SPEC, "n": 2.0, "t": 1, "reps": 200},
+            {"experiment": "rate", "spec": EXP_SPEC, "t": 10, "reps": 1},
+        ):
+            cfg, errors = validate_config(obj)
+            assert errors == [] and cfg is not None
+
 
 class TestRun:
     def test_blackwell_pass_and_artifact(self, tmp_path, capsys):

@@ -17,6 +17,7 @@ from countproc.processes import (
     child_rng,
     count,
     path_from_interarrivals,
+    residual,
     simulate_path,
     simulate_paths,
 )
@@ -310,3 +311,77 @@ class TestReports:
         buf = io.StringIO()
         reports_to_csv(reports, buf)
         assert ",," in buf.getvalue().splitlines()[1]
+
+
+def lookup_cases():
+    """One path per spec kind, queried at 0, at every stored event up to the
+    horizon, at the horizon, and (delayed path) halfway to the first event."""
+    specs = ALL_SPECS + [Delayed(Deterministic(3.0), Gamma(2, 2))]
+    for spec in specs:
+        p = simulate_path(spec, 12.0, child_rng(41, 0))
+        ts = np.concatenate([[0.0, min(p.events[0], p.horizon) / 2, p.horizon],
+                             p.events[p.events <= p.horizon]])
+        yield p, np.unique(ts)
+
+
+LOOKUP_IDS = ["plain", "delayed", "modulated", "ma", "delayed-before-delay"]
+
+
+class TestSingleLookup:
+    @pytest.mark.parametrize("case", lookup_cases(), ids=LOOKUP_IDS)
+    def test_truncated_rate_matches_interval_search(self, case):
+        p, ts = case
+        oracle = ConditionalMeanOracle(p.spec)
+        for v in (0.5, math.inf):
+            means = oracle.interval_means(p, v)
+            expect = 1.0 / means[np.searchsorted(p.interval_bounds(), ts, "right") - 1]
+            assert np.array_equal(truncated_rate(p, oracle, v, ts), expect)
+            assert [truncated_rate(p, oracle, v, t) for t in ts] == expect.tolist()
+            tres = truncated_decomposition_residual(p, oracle, v, ts)
+            assert np.all(np.abs(tres) <= tolerance_for(count(p, ts)))
+
+    @pytest.mark.parametrize("case", lookup_cases(), ids=LOOKUP_IDS)
+    def test_report_fields_equal_their_definitions(self, case):
+        p, ts = case
+        rate, mean_lifetime, sigma2 = 1.1, 0.7, 0.3  # not reciprocal: each keeps its own
+        reports = build_reports(p, rate, mean_lifetime, sigma2, ts)
+        assert [rep.t for rep in reports] == ts.tolist()
+        for rep in reports:
+            t = rep.t
+            assert rep.count == count(p, t)
+            assert rep.residual == residual(p, t)
+            assert rep.martingale == martingale(p, rate, t)
+            assert rep.drift == rate * (t + residual(p, t) - p.delay)
+            assert rep.identity_residual == decomposition_residual(p, rate, t)
+            assert rep.optional_qv == optional_quadratic_variation(p, rate, t)
+            assert rep.predictable_qv == predictable_quadratic_variation(p, rate, sigma2, t)
+            assert rep.wald_residual == wald_residual(p, mean_lifetime, t)
+        assert all(rep.predictable_qv is None
+                   for rep in build_reports(p, rate, mean_lifetime, math.inf, ts))
+
+    @pytest.mark.parametrize("case", lookup_cases(), ids=LOOKUP_IDS)
+    def test_one_search_over_events_per_query(self, case, monkeypatch):
+        p, ts = case
+        oracle = ConditionalMeanOracle(p.spec)
+        searched = []
+        search = np.searchsorted
+
+        def recording(a, *args, **kwargs):
+            searched.append(a is p.events)
+            return search(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", recording)
+        queries = [
+            lambda: martingale(p, 1.0, ts),
+            lambda: decomposition_residual(p, 1.0, ts),
+            lambda: wald_residual(p, 1.0, ts),
+            lambda: optional_quadratic_variation(p, 1.0, ts),
+            lambda: predictable_quadratic_variation(p, 1.0, 1.0, ts),
+            lambda: truncated_rate(p, oracle, 1.0, ts),
+            lambda: truncated_decomposition_residual(p, oracle, 1.0, ts),
+            lambda: build_reports(p, 1.0, 1.0, 1.0, ts),
+        ]
+        for query in queries:
+            searched.clear()
+            query()
+            assert searched == [True]
