@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -66,26 +66,28 @@ _MIN_BATCH = 2  # fewest replications per batch
 
 @dataclass(frozen=True)
 class Estimate:
-    """A Monte Carlo point estimate with its normal-approximation interval."""
+    """A Monte Carlo point estimate with its 95% normal-approximation interval;
+    ``flags`` name a hypothesis of its limit that the law violates."""
 
     value: float
     se: float
     reps: int
     seed: int
-    level: float = 0.95
-    lo: float = field(default=math.nan)
-    hi: float = field(default=math.nan)
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if math.isnan(self.lo):
-            object.__setattr__(self, "lo", self.value - _Z95 * self.se)
-        if math.isnan(self.hi):
-            object.__setattr__(self, "hi", self.value + _Z95 * self.se)
-        if self.se < 0:
+        if not self.se >= 0:
             raise ValueError("standard error must be nonnegative")
-        if not (self.lo <= self.value <= self.hi):
-            raise ValueError("interval must contain the point estimate")
+        if math.isnan(self.value):
+            raise ValueError("point estimate must not be NaN")
+
+    @property
+    def lo(self) -> float:
+        return self.value - _Z95 * self.se
+
+    @property
+    def hi(self) -> float:
+        return self.value + _Z95 * self.se
 
     def z_against(self, target: float) -> float:
         if self.se == 0:
@@ -292,11 +294,11 @@ def _mean_estimate(x: np.ndarray, seed: int, flags: tuple[str, ...] = ()) -> Est
     return Estimate(value=float(np.mean(x)), se=se, reps=n, seed=seed, flags=flags)
 
 
-def _batched(x: np.ndarray, batches: int) -> np.ndarray:
-    per = x.size // batches
+def _batched(x: np.ndarray) -> np.ndarray:
+    per = x.size // _BATCHES
     if per < _MIN_BATCH:
         raise ValueError("too few replications for batch-mean error bars")
-    return x[: per * batches].reshape(batches, per)
+    return x[: per * _BATCHES].reshape(_BATCHES, per)
 
 
 def _elapsed_at(stats: dict[str, np.ndarray], t: float, col: int) -> np.ndarray:
@@ -330,11 +332,11 @@ def estimate_blackwell(
 def estimate_rate(
     spec: ProcessSpec, t: float, reps: int, seed: int = 0, threads: int = 1
 ) -> Estimate:
-    """Mean of N(t)/t; tends to the long-run rate."""
+    """Mean of N(t)/t; tends to the long-run rate for every law, lattice or not."""
     if not t > 0:
         raise ValueError("t must be positive")
     stats = path_statistics(spec, [t], reps, seed, threads=threads)
-    return _mean_estimate(stats["count"][:, 0] / t, seed, _arithmetic_flags(spec))
+    return _mean_estimate(stats["count"][:, 0] / t, seed)
 
 
 def residual_limit_ks(
@@ -358,7 +360,7 @@ def residual_limit_ks(
 
 
 def estimate_variance_drift(
-    spec: Plain, t: float, reps: int, seed: int = 0, threads: int = 1, batches: int = _BATCHES
+    spec: Plain, t: float, reps: int, seed: int = 0, threads: int = 1
 ) -> Estimate:
     """Monte Carlo estimate of var N(t) - rate^3 * var T * t for a plain renewal spec.
 
@@ -379,15 +381,15 @@ def estimate_variance_drift(
     stats = path_statistics(spec, [t], reps, seed, threads=threads)
     r = stats["residual"][:, 0]
     m = _noise_at(stats, rate, t, 0)
-    rb = _batched(r, batches)
-    mb = _batched(m, batches)
+    rb = _batched(r)
+    mb = _batched(m)
     drift_b = (
         rate**2 * np.var(rb, axis=1, ddof=1)
         + 2.0 * rate * np.mean(rb * mb, axis=1)
         + rate**3 * sigma2 * np.mean(rb, axis=1)
     )
     used = rb.size
-    se = float(np.std(drift_b, ddof=1) / math.sqrt(batches))
+    se = float(np.std(drift_b, ddof=1) / math.sqrt(_BATCHES))
     return Estimate(
         value=float(np.mean(drift_b)), se=se, reps=used, seed=seed,
         flags=_arithmetic_flags(spec),
@@ -432,7 +434,6 @@ def diffusion_scaling(
     reps: int,
     seed: int = 0,
     threads: int = 1,
-    batches: int = _BATCHES,
 ) -> DiffusionScalingResult:
     """Variance and mean of the diffusion-scaled count (N(nt) - rate*nt)/sqrt(n).
 
@@ -455,11 +456,11 @@ def diffusion_scaling(
     scaled = (stats["count"][:, 0] - rate * horizon) / math.sqrt(n)
     scaled_resid = rate * stats["residual"][:, 0] / math.sqrt(n)
 
-    batched = _batched(scaled, batches)
+    batched = _batched(scaled)
     vb = np.var(batched, axis=1, ddof=1)
     var_est = Estimate(
         value=float(np.mean(vb)),
-        se=float(np.std(vb, ddof=1) / math.sqrt(batches)),
+        se=float(np.std(vb, ddof=1) / math.sqrt(_BATCHES)),
         reps=batched.size,
         seed=seed,
     )
@@ -486,8 +487,7 @@ def truncated_rate_indicator_mean(
         raise TypeError("implemented for plain renewal specs (the truncated rate is constant)")
     if not v > 0:
         raise ValueError("v must be positive")
-    lam_v = 1.0 / float(spec.lifetime.truncated_mean(v)) if not math.isinf(v) \
-        else spec.lifetime.renewal_rate
+    lam_v = 1.0 / float(spec.lifetime.truncated_mean(v))
     stats = path_statistics(spec, [t], reps, seed, threads=threads)
     ind = (stats["residual"][:, 0] <= v).astype(float)
     est = _mean_estimate(ind * lam_v, seed)
@@ -499,8 +499,8 @@ def wald_ratio(
 ) -> Estimate:
     """E[sum of observed gaps] / (E[T] * E[N(t)]) with a paired delta-method error bar.
 
-    Exactly 1 in expectation for renewal specs; asymptotically 1 for the
-    modulated and stationary-sequence kinds.
+    Exactly 1 in expectation for renewal specs, lattice or not; asymptotically
+    1 for the modulated and stationary-sequence kinds.
     """
     mean_gap = 1.0 / spec_rate(spec)
     stats = path_statistics(spec, [t], reps, seed, threads=threads)
@@ -509,4 +509,4 @@ def wald_ratio(
     ratio = float(np.mean(s) / np.mean(w))
     resid = s - ratio * w
     se = float(np.std(resid, ddof=1) / (np.mean(w) * math.sqrt(s.size)))
-    return Estimate(value=ratio, se=se, reps=s.size, seed=seed, flags=_arithmetic_flags(spec))
+    return Estimate(value=ratio, se=se, reps=s.size, seed=seed)

@@ -168,27 +168,21 @@ class ConditionalMeanOracle:
         spec = self.spec
         n_intervals = path.events.size - 1 + path.delayed
         if isinstance(spec, (Plain, Delayed)):
-            out = np.full(n_intervals, _tm(spec.lifetime, v))
+            out = np.full(n_intervals, spec.lifetime.truncated_mean(v))
             if isinstance(spec, Delayed):
-                out[0] = _tm(spec.delay_distribution, v)
+                out[0] = spec.delay.truncated_mean(v)
             return out
         if isinstance(spec, Modulated):
-            table = {s: _tm(spec.lifetimes[s], v) for s in spec.states}
+            table = {s: spec.lifetimes[s].truncated_mean(v) for s in spec.states}
             # interval j opens at event j; states[j] governs it
             return np.array([table[s] for s in path.states[:n_intervals]])
         if isinstance(spec, StationaryMA):
             m = spec.order
             s = np.asarray(path.ma_trace[:n_intervals], dtype=float)
-            if math.isinf(v):
-                return (s + spec.base.moment(1)) / m
             known = np.minimum(v, s / m)
             rest = spec.base.truncated_mean(np.maximum(m * v - s, 0.0)) / m
             return known + np.where(m * v - s > 0, rest, 0.0)
         raise TypeError(f"unsupported spec type {type(spec).__name__}")
-
-
-def _tm(dist: LifetimeDistribution, v: float) -> float:
-    return dist.moment(1) if math.isinf(v) else float(dist.truncated_mean(v))
 
 
 def _truncated_rates(path: SamplePath, oracle: ConditionalMeanOracle, v: float) -> np.ndarray:

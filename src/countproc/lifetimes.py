@@ -82,7 +82,7 @@ class LifetimeDistribution:
         raise NotImplementedError
 
     def truncated_mean(self, v):
-        """E[min(v, T)], the integral of the tail over [0, v]."""
+        """E[min(v, T)], the integral of the tail over [0, v]; E[T] at v = inf."""
         raise NotImplementedError
 
     def draw(self, rng: np.random.Generator, size=None):
@@ -184,21 +184,25 @@ class Gamma(LifetimeDistribution):
 
     def excess_moment(self, k, t):
         # binomial expansion of (T - t)^k on {T > t}, with
-        # E[T^j; T > t] = (a)_j / rate^j * Q(a + j, rate * t)
+        # E[T^j; T > t] = (a)_j / rate^j * Q(a + j, rate * t); at t = inf
+        # each term is 0, not (-inf)^(k-j) * 0, so the power reads t as 0 there
         t = np.asarray(t, dtype=float)
         a, r = self.shape, self.rate
+        w = np.where(np.isinf(t), 0.0, t)
         out = 0.0
         head = 1.0  # (a)_j / rate^j
         for j in range(k + 1):
-            out = out + math.comb(k, j) * (-t) ** (k - j) * head * special.gammaincc(a + j, r * t)
+            out = out + math.comb(k, j) * (-w) ** (k - j) * head * special.gammaincc(a + j, r * t)
             head *= (a + j) / r
         return _scalarize(out, t.ndim == 0)
 
     def truncated_mean(self, v):
-        # E[T; T<=v] + v P(T>v), with x*f(x; a) = (a/rate)*f(x; a+1)
+        # E[T; T<=v] + v P(T>v), with x*f(x; a) = (a/rate)*f(x; a+1); the
+        # second term is 0 at v = inf
         v = np.asarray(v, dtype=float)
         a, r = self.shape, self.rate
-        out = (a / r) * special.gammainc(a + 1, r * v) + v * special.gammaincc(a, r * v)
+        w = np.where(np.isinf(v), 0.0, v)
+        out = (a / r) * special.gammainc(a + 1, r * v) + w * special.gammaincc(a, r * v)
         return _scalarize(out, v.ndim == 0)
 
     def draw(self, rng, size=None):

@@ -96,26 +96,27 @@ class Delayed:
 
     ``delay`` is either an explicit lifetime law or the string
     ``"equilibrium"``, which draws the delay from the stationary-excess law
-    of ``lifetime`` and makes the count increments stationary.
+    of ``lifetime`` and makes the count increments stationary.  The string
+    is stored as ``EquilibriumOf(lifetime)``, so both spellings of that
+    delay give one spec, written back as ``"equilibrium"``.
     """
 
     delay: Union[LifetimeDistribution, Literal["equilibrium"]]
     lifetime: LifetimeDistribution
 
     def __post_init__(self):
-        if isinstance(self.delay, str) and self.delay != "equilibrium":
-            raise ValueError(f"delay must be a distribution or 'equilibrium', got {self.delay!r}")
-        if self.delay == "equilibrium":
-            EquilibriumOf(self.lifetime)  # validates E[T^2] < inf
+        if isinstance(self.delay, str):
+            if self.delay != "equilibrium":
+                raise ValueError(f"delay must be a distribution or 'equilibrium', got {self.delay!r}")
+            object.__setattr__(self, "delay", EquilibriumOf(self.lifetime))  # needs E[T^2] < inf
 
     @property
-    def delay_distribution(self) -> LifetimeDistribution:
-        if self.delay == "equilibrium":
-            return EquilibriumOf(self.lifetime)
-        return self.delay
+    def stationary(self) -> bool:
+        """Whether the delay is the stationary-excess law of the lifetime."""
+        return isinstance(self.delay, EquilibriumOf) and self.delay.base == self.lifetime
 
     def to_json(self):
-        delay = "equilibrium" if self.delay == "equilibrium" else self.delay.to_json()
+        delay = "equilibrium" if self.stationary else self.delay.to_json()
         return {"kind": "delayed", "delay": delay, "lifetime": self.lifetime.to_json()}
 
 
@@ -442,7 +443,7 @@ def _column_blocks(spec, tmax, rows, rng, event_cap, qv_rate=None):
     """
     _, widths = _block_widths(spec, tmax, event_cap)
     if isinstance(spec, Delayed):
-        start = np.asarray(spec.delay_distribution.draw(rng, rows), float)
+        start = np.asarray(spec.delay.draw(rng, rows), float)
     else:
         start = np.zeros(rows)
     yield start

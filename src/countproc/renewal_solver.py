@@ -148,21 +148,8 @@ def _cdf_increments(dist: LifetimeDistribution, step: float, k: int) -> np.ndarr
     return out
 
 
-def solve_renewal_equation(
-    generator: GridFunction,
-    dist: LifetimeDistribution,
-    horizon: float | None = None,
-    step: float | None = None,
-) -> GridFunction:
-    """Solve Z = z + Z * dF on the generator's grid, block by block in time.
-
-    ``horizon`` and ``step``, when given, must match the generator's grid;
-    a mismatch is an error rather than a silent resample.
-    """
-    if step is not None and abs(step - generator.step) > 1e-12 * generator.step:
-        raise ValueError(f"step {step} does not match the generator grid ({generator.step})")
-    if horizon is not None and abs(horizon - generator.horizon) > 1e-9 * max(1.0, horizon):
-        raise ValueError(f"horizon {horizon} does not match the generator grid ({generator.horizon})")
+def solve_renewal_equation(generator: GridFunction, dist: LifetimeDistribution) -> GridFunction:
+    """Solve Z = z + Z * dF on the generator's grid, block by block in time."""
     z = generator.values
     h = generator.step
     inc = _cdf_increments(dist, h, z.size - 1)

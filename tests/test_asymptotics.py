@@ -91,6 +91,11 @@ class TestEstimateType:
         assert e.lo < 1.0 < e.hi
         assert e.z_against(1.2) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("value,se", [(1.0, -0.1), (1.0, math.nan), (math.nan, 0.1)])
+    def test_invalid_rejected(self, value, se):
+        with pytest.raises(ValueError):
+            Estimate(value=value, se=se, reps=100, seed=0)
+
     def test_zero_se_z(self):
         e = Estimate(value=0.0, se=0.0, reps=10, seed=0)
         assert e.z_against(0.0) == 0.0

@@ -15,8 +15,8 @@ import countproc.asymptotics
 import countproc.cli
 from countproc.cli import main, validate_config
 from countproc.decomposition import build_reports, reports_to_csv
-from countproc.lifetimes import Exponential, Gamma, ParetoShifted, Uniform
-from countproc.processes import Delayed, Plain, child_rng, simulate_paths
+from countproc.lifetimes import EquilibriumOf, Exponential, Gamma, ParetoShifted, Uniform
+from countproc.processes import Delayed, Plain, child_rng, simulate_paths, spec_from_json
 from countproc.renewal_solver import sgibnev_asymptote
 
 
@@ -51,6 +51,7 @@ def two_state_chain(a, b):
 
 
 DETERMINISTIC_1 = {"kind": "deterministic", "value": 1.0}
+LATTICE_SPEC = {"kind": "plain", "lifetime": {"kind": "lattice", "span": 1.0, "pmf": [0.5, 0.5]}}
 
 
 class TestValidate:
@@ -249,7 +250,41 @@ class TestRun:
         assert error < 1e-4
 
     def test_rate_target_equilibrium_delay_exact(self):
-        assert countproc.cli._rate_target(Delayed("equilibrium", Gamma(2, 2)), 50.0) == (1.0, None)
+        # both spellings of the stationary delay are one spec with the exact target
+        for delay in ("equilibrium", EquilibriumOf(Gamma(2, 2))):
+            spec = Delayed(delay, Gamma(2, 2))
+            assert countproc.cli._rate_target(spec, 50.0) == (1.0, None)
+            assert spec == Delayed("equilibrium", Gamma(2, 2))
+            assert spec.to_json()["delay"] == "equilibrium"
+            assert spec_from_json(json.loads(json.dumps(spec.to_json()))) == spec
+
+    def test_rate_lattice_is_a_z_check(self, tmp_path, capsys, monkeypatch):
+        # N(t)/t -> 1/E[T] holds for every law: a lattice rate run is not
+        # flagged, and a target 1% off fails
+        obj = {"experiment": "rate", "spec": LATTICE_SPEC,
+               "t": 50, "reps": 20000, "seed": 7, "out": str(tmp_path / "res")}
+        cfg = write_config(tmp_path, obj)
+        assert main(["run", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("PASS rate") and "z=" in out and "[arithmetic" not in out
+        flags = (tmp_path / "res" / "rate.csv").read_text().splitlines()[1].split(",")[-1]
+        assert flags == ""
+        exact = countproc.cli._rate_target
+        monkeypatch.setattr(countproc.cli, "_rate_target",
+                            lambda spec, t: (1.01 * exact(spec, t)[0], None))
+        assert main(["run", str(cfg)]) == 1
+        assert capsys.readouterr().out.startswith("FAIL rate")
+
+    def test_variance_lattice_reported_flagged(self, tmp_path, capsys):
+        # the variance-drift constant is a non-lattice limit: a lattice run
+        # reports its estimate with the flag and passes
+        cfg = write_config(tmp_path, {
+            "experiment": "variance", "spec": LATTICE_SPEC,
+            "t": 50, "reps": 20000, "seed": 7, "out": str(tmp_path / "res"),
+        })
+        assert main(["run", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("PASS variance-drift") and "[arithmetic" in out and "z=" not in out
 
     def test_rate_delayed_explicit(self, tmp_path, capsys):
         # the mean count lags rate * t by rate * (E[D] - E[R(t)]) = 3.25: the

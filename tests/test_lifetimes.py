@@ -152,6 +152,18 @@ class TestExcessMoment:
                 assert vec.shape == ts.shape
                 assert np.allclose(vec, [dist.excess_moment(k, t) for t in ts], rtol=1e-14, atol=0)
 
+    @pytest.mark.parametrize("dist", CATALOG.values(), ids=CATALOG.keys())
+    def test_limits_at_infinity(self, dist):
+        # a closed form with t * tail(t) must not turn inf * 0 into NaN
+        assert dist.truncated_mean(math.inf) == dist.moment(1)
+        assert dist.equilibrium_cdf(math.inf) == 1.0
+        for k in (0, 1, 2, 3):
+            if k == 0 or not math.isinf(dist.moment(k)):
+                assert dist.excess_moment(k, math.inf) == 0.0
+        ts = np.array([2.5, math.inf])
+        assert dist.truncated_mean(ts).tolist() == [dist.truncated_mean(2.5), dist.moment(1)]
+        assert dist.excess_moment(2, ts).tolist() == [dist.excess_moment(2, 2.5), 0.0]
+
     def test_laws_implement_only_the_primitive(self):
         for dist in CATALOG.values():
             own = vars(type(dist))

@@ -110,13 +110,6 @@ class TestSolver:
         with pytest.warns(RuntimeWarning, match="snapped"):
             solve_renewal_equation(ones_grid(2.0, 0.15), Deterministic(1.0))
 
-    def test_grid_mismatch_rejected(self):
-        gen = ones_grid(5.0, 0.01)
-        with pytest.raises(ValueError, match="step"):
-            solve_renewal_equation(gen, Exponential(1.0), step=0.02)
-        with pytest.raises(ValueError, match="horizon"):
-            solve_renewal_equation(gen, Exponential(1.0), horizon=6.0)
-
     def test_deterministic_staircase_long_grid(self):
         # 40 001 points: beyond one leaf the FFT adds rounding, nothing more
         sol = solve_renewal_equation(ones_grid(400.0, 0.01), Deterministic(1.0))
