@@ -22,7 +22,6 @@ from .processes import (
     StationaryMA,
     child_rng,
     count,
-    equilibrium_delay_sample,
     path_from_interarrivals,
     residual,
     simulate_path,

@@ -71,8 +71,6 @@ class Estimate:
 
     value: float
     se: float
-    reps: int
-    seed: int
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -99,9 +97,6 @@ class Estimate:
 class KSResult:
     statistic: float
     threshold: float
-    reps: int
-    seed: int
-    flags: tuple[str, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -175,7 +170,12 @@ def modulated_time_law(spec: Modulated) -> np.ndarray:
 def _embedded_stationary_law(spec: Modulated) -> np.ndarray:
     kernel = spec.kernel_matrix()
     n = kernel.shape[0]
-    if not _strongly_connected(kernel):
+    # irreducible when every state reaches every other: the transitive
+    # closure of the transition graph, by squaring, is all True
+    reach = (kernel > 0) | np.eye(n, dtype=bool)
+    for _ in range((n - 1).bit_length()):
+        reach = reach @ reach
+    if not reach.all():
         raise ValueError("modulated kernel must be irreducible")
     a = kernel.T - np.eye(n)
     a[-1, :] = 1.0
@@ -184,25 +184,6 @@ def _embedded_stationary_law(spec: Modulated) -> np.ndarray:
     pi = np.linalg.solve(a, b)
     pi = np.clip(pi, 0.0, None)
     return pi / pi.sum()
-
-
-def _strongly_connected(kernel: np.ndarray) -> bool:
-    n = kernel.shape[0]
-    if n == 1:
-        return True
-
-    def reach(mat):
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            i = frontier.pop()
-            for j in np.nonzero(mat[i] > 0)[0]:
-                if int(j) not in seen:
-                    seen.add(int(j))
-                    frontier.append(int(j))
-        return len(seen) == n
-
-    return reach(kernel) and reach(kernel.T)
 
 
 def _arithmetic_flags(spec: ProcessSpec) -> tuple[str, ...]:
@@ -288,10 +269,10 @@ def path_statistics(
 # ---------------------------------------------------------------------------
 
 
-def _mean_estimate(x: np.ndarray, seed: int, flags: tuple[str, ...] = ()) -> Estimate:
+def _mean_estimate(x: np.ndarray, flags: tuple[str, ...] = ()) -> Estimate:
     n = x.size
     se = float(np.std(x, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return Estimate(value=float(np.mean(x)), se=se, reps=n, seed=seed, flags=flags)
+    return Estimate(value=float(np.mean(x)), se=se, flags=flags)
 
 
 def _batched(x: np.ndarray) -> np.ndarray:
@@ -326,7 +307,7 @@ def estimate_blackwell(
         raise ValueError(f"blackwell estimation needs at least {_MIN_WINDOW_REPS} replications")
     stats = path_statistics(spec, [t, t + h], reps, seed, threads=threads)
     inc = stats["count"][:, 1] - stats["count"][:, 0]
-    return _mean_estimate(inc, seed, _arithmetic_flags(spec))
+    return _mean_estimate(inc, _arithmetic_flags(spec))
 
 
 def estimate_rate(
@@ -336,7 +317,7 @@ def estimate_rate(
     if not t > 0:
         raise ValueError("t must be positive")
     stats = path_statistics(spec, [t], reps, seed, threads=threads)
-    return _mean_estimate(stats["count"][:, 0] / t, seed)
+    return _mean_estimate(stats["count"][:, 0] / t)
 
 
 def residual_limit_ks(
@@ -356,7 +337,7 @@ def residual_limit_ks(
     upper = np.max(np.arange(1, n + 1) / n - cdf)
     lower = np.max(cdf - np.arange(0, n) / n)
     stat = float(max(upper, lower))
-    return KSResult(statistic=stat, threshold=1.95 / math.sqrt(n) + 0.01, reps=n, seed=seed)
+    return KSResult(statistic=stat, threshold=1.95 / math.sqrt(n) + 0.01)
 
 
 def estimate_variance_drift(
@@ -388,12 +369,8 @@ def estimate_variance_drift(
         + 2.0 * rate * np.mean(rb * mb, axis=1)
         + rate**3 * sigma2 * np.mean(rb, axis=1)
     )
-    used = rb.size
     se = float(np.std(drift_b, ddof=1) / math.sqrt(_BATCHES))
-    return Estimate(
-        value=float(np.mean(drift_b)), se=se, reps=used, seed=seed,
-        flags=_arithmetic_flags(spec),
-    )
+    return Estimate(value=float(np.mean(drift_b)), se=se, flags=_arithmetic_flags(spec))
 
 
 def variance_drift_ratios(
@@ -424,7 +401,7 @@ def estimate_rm_cross(
     stats = path_statistics(spec, [t], reps, seed, threads=threads)
     r = stats["residual"][:, 0]
     m = _noise_at(stats, rate, t, 0)
-    return _mean_estimate(r * m, seed, _arithmetic_flags(spec))
+    return _mean_estimate(r * m, _arithmetic_flags(spec))
 
 
 def diffusion_scaling(
@@ -458,19 +435,14 @@ def diffusion_scaling(
 
     batched = _batched(scaled)
     vb = np.var(batched, axis=1, ddof=1)
-    var_est = Estimate(
-        value=float(np.mean(vb)),
-        se=float(np.std(vb, ddof=1) / math.sqrt(_BATCHES)),
-        reps=batched.size,
-        seed=seed,
-    )
+    var_est = Estimate(value=float(np.mean(vb)), se=float(np.std(vb, ddof=1) / math.sqrt(_BATCHES)))
     return DiffusionScalingResult(
         variance=var_est,
         variance_target=rate**3 * sigma2 * t,
-        scaled_count_mean=_mean_estimate(scaled, seed),
-        scaled_residual_mean=_mean_estimate(scaled_resid, seed),
+        scaled_count_mean=_mean_estimate(scaled),
+        scaled_residual_mean=_mean_estimate(scaled_resid),
         residual_mean_bound=rate**2 * m2 / math.sqrt(n),
-        scaled_noise_mean=_mean_estimate(scaled - scaled_resid, seed),
+        scaled_noise_mean=_mean_estimate(scaled - scaled_resid),
     )
 
 
@@ -490,8 +462,7 @@ def truncated_rate_indicator_mean(
     lam_v = 1.0 / float(spec.lifetime.truncated_mean(v))
     stats = path_statistics(spec, [t], reps, seed, threads=threads)
     ind = (stats["residual"][:, 0] <= v).astype(float)
-    est = _mean_estimate(ind * lam_v, seed)
-    return est
+    return _mean_estimate(ind * lam_v)
 
 
 def wald_ratio(
@@ -509,4 +480,4 @@ def wald_ratio(
     ratio = float(np.mean(s) / np.mean(w))
     resid = s - ratio * w
     se = float(np.std(resid, ddof=1) / (np.mean(w) * math.sqrt(s.size)))
-    return Estimate(value=ratio, se=se, reps=s.size, seed=seed)
+    return Estimate(value=ratio, se=se)

@@ -43,12 +43,13 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Callable, Mapping, get_args
 
 import numpy as np
 
 from . import asymptotics, decomposition, renewal_solver
-from .asymptotics import _BATCHES, _MIN_BATCH, _MIN_WINDOW_REPS
+from .asymptotics import _BATCHES, _MIN_BATCH, _MIN_WINDOW_REPS, Estimate
+from .decomposition import _csv_line
 from .lifetimes import Exponential
 from .processes import (
     Delayed,
@@ -69,13 +70,10 @@ __all__ = ["ExperimentConfig", "main", "run", "validate_config"]
 
 _TOP_FIELDS = {"experiment", "spec", "t", "h", "v", "n", "reps", "step", "horizon", "seed", "out", "threads"}
 
-_SPEC_KINDS = {Plain: "plain", Delayed: "delayed", Modulated: "modulated", StationaryMA: "stationary_ma"}
-
 _POSITIVE_KNOBS = ("t", "h", "v", "n", "reps", "step", "horizon")
 
-_CSV_HEADER = (
-    "experiment,spec_hash,t,h,v,n,reps,threads,estimate,se,target,z,seed,flags\n"
-)
+_COLUMNS = ("experiment", "spec_hash", "t", "h", "v", "n", "reps", "threads",
+            "estimate", "se", "target", "z", "seed", "flags")
 
 
 @dataclass
@@ -142,12 +140,17 @@ def validate_config(obj: Mapping) -> tuple[ExperimentConfig | None, list[str]]:
     if knobs.get("reps", exp.min_reps) < exp.min_reps:
         errors.append(f"reps: experiment {kind!r} needs at least {exp.min_reps}, got {obj['reps']}")
     if not isinstance(spec, exp.specs):
-        kinds = " or ".join(_SPEC_KINDS[cls] for cls in exp.specs)
+        kinds = " or ".join(cls.kind for cls in exp.specs)
         errors.append(f"spec: experiment {kind!r} needs a {kinds} spec")
     elif exp.moment and math.isinf(spec.lifetime.moment(exp.moment)):
         errors.append(f"spec: experiment {kind!r} needs a finite E[T^{exp.moment}]")
     elif kind == "residual-law" and spec.lifetime.is_arithmetic().arithmetic:
         errors.append("spec: experiment 'residual-law' needs a non-arithmetic lifetime law")
+    elif exp.rate:
+        try:
+            asymptotics.spec_rate(spec)
+        except ValueError as exc:  # a reducible modulated chain has no one rate
+            errors.append(f"spec: {exc}")
 
     seed = obj.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0 or seed >= 1 << 64:
@@ -172,56 +175,21 @@ def validate_config(obj: Mapping) -> tuple[ExperimentConfig | None, list[str]]:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float | None) -> str:
-    if x is None:
-        return ""
-    return format(float(x), ".17g")
+def _row(cfg: ExperimentConfig, est: Estimate, target: float | None, **knobs) -> tuple:
+    """One CSV row in ``_COLUMNS`` order; ``knobs`` fill t, h, v, n and reps."""
+    cells = dict(knobs, experiment=cfg.experiment, spec_hash=cfg.spec_hash, threads=cfg.threads,
+                 estimate=est.value, se=est.se, target=target, seed=cfg.seed,
+                 z=None if target is None else est.z_against(target), flags=";".join(est.flags))
+    return tuple(cells.get(name) for name in _COLUMNS)
 
 
-def _row(
-    cfg: ExperimentConfig,
-    estimate: float,
-    se: float,
-    target: float | None,
-    flags: tuple[str, ...] = (),
-    **knobs,
-) -> dict:
-    z = None
-    if target is not None:
-        z = 0.0 if se == 0 and estimate == target else (
-            abs(estimate - target) / se if se > 0 else math.inf
-        )
-    return {
-        "experiment": cfg.experiment,
-        "spec_hash": cfg.spec_hash,
-        "t": knobs.get("t"),
-        "h": knobs.get("h"),
-        "v": knobs.get("v"),
-        "n": knobs.get("n"),
-        "reps": knobs.get("reps"),
-        "threads": cfg.threads,
-        "estimate": estimate,
-        "se": se,
-        "target": target,
-        "z": z,
-        "seed": cfg.seed,
-        "flags": ";".join(flags),
-    }
-
-
-def _write_rows(path: Path, rows: list[dict]) -> None:
+def _write_rows(path: Path, rows: list[tuple]) -> None:
     with open(path, "w") as fp:
-        fp.write(_CSV_HEADER)
-        for r in rows:
-            fp.write(
-                f"{r['experiment']},{r['spec_hash']},{_fmt(r['t'])},{_fmt(r['h'])},"
-                f"{_fmt(r['v'])},{_fmt(r['n'])},{int(r['reps']) if r['reps'] else ''},"
-                f"{r['threads']},{_fmt(r['estimate'])},{_fmt(r['se'])},"
-                f"{_fmt(r['target'])},{_fmt(r['z'])},{r['seed']},{r['flags']}\n"
-            )
+        fp.write(_csv_line(_COLUMNS))
+        fp.writelines(map(_csv_line, rows))
 
 
-def _est_check(name: str, est: asymptotics.Estimate, target: float) -> Check:
+def _est_check(name: str, est: Estimate, target: float) -> Check:
     """z <= 4 against ``target``.  A flagged estimate is reported without
     failing: a lattice process legitimately misses a non-lattice limit."""
     if est.flags:
@@ -231,18 +199,18 @@ def _est_check(name: str, est: asymptotics.Estimate, target: float) -> Check:
                  f"estimate={est.value:.6g} target={target:.6g} z={z:.2f} (se={est.se:.3g})")
 
 
-def _run_simulate(cfg: ExperimentConfig) -> tuple[list[dict], list[Check]]:
+def _run_simulate(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
     horizon = cfg.knobs["horizon"]
     path = simulate_path(cfg.spec, horizon, child_rng(cfg.seed, 0))
     out_file = cfg.out / "path.ndjson"
     with open(out_file, "w") as fp:
         write_events_ndjson(path, fp)
     ok = bool(np.all(np.diff(path.events) > 0) and path.events[-1] > horizon)
-    rows = [_row(cfg, estimate=float(path.events.size), se=0.0, target=None, reps=1)]
+    rows = [_row(cfg, Estimate(float(path.events.size), 0.0), None, reps=1)]
     return rows, [Check("simulate", ok, f"{path.events.size} events -> {out_file}")]
 
 
-def _run_decompose(cfg: ExperimentConfig) -> tuple[list[dict], list[Check]]:
+def _run_decompose(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
     horizon = cfg.knobs["horizon"]
     n_paths = int(cfg.knobs["reps"])
     v = cfg.knobs.get("v")
@@ -271,20 +239,20 @@ def _run_decompose(cfg: ExperimentConfig) -> tuple[list[dict], list[Check]]:
         decomposition.reports_to_csv(reports, fp)
     checks = [Check("decompose-identity", worst <= 1.0,
                     f"max |residual|/tolerance = {worst:.3g} over {n_paths} paths")]
-    rows = [_row(cfg, estimate=worst, se=0.0, target=0.0, reps=n_paths)]
+    rows = [_row(cfg, Estimate(worst, 0.0), 0.0, reps=n_paths)]
     if v is not None:
         checks.append(Check("decompose-truncated", worst_trunc <= 1.0,
                             f"max |residual|/tolerance = {worst_trunc:.3g} at v={v}"))
-        rows.append(_row(cfg, estimate=worst_trunc, se=0.0, target=0.0, v=v, reps=n_paths))
+        rows.append(_row(cfg, Estimate(worst_trunc, 0.0), 0.0, v=v, reps=n_paths))
     return rows, checks
 
 
-def _run_window(cfg: ExperimentConfig) -> tuple[list[dict], list[Check]]:
+def _run_window(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
     """Blackwell's limit E[N(t+h) - N(t)] -> rate*h, for every spec kind."""
     t, h, reps = cfg.knobs["t"], cfg.knobs["h"], int(cfg.knobs["reps"])
     est = asymptotics.estimate_blackwell(cfg.spec, t, h, reps, cfg.seed, cfg.threads)
     target = asymptotics.spec_rate(cfg.spec) * h
-    rows = [_row(cfg, est.value, est.se, target, est.flags, t=t, h=h, reps=reps)]
+    rows = [_row(cfg, est, target, t=t, h=h, reps=reps)]
     return rows, [_est_check(cfg.experiment, est, target)]
 
 
@@ -317,34 +285,31 @@ def _rate_target(spec: ProcessSpec, t: float) -> tuple[float, float | None]:
     return rate * (1.0 + (2.0 * fine - coarse - mean_delay) / t), abs(fine - coarse) * rate / t
 
 
-def _run_rate(cfg: ExperimentConfig) -> tuple[list[dict], list[Check]]:
+def _run_rate(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
     t, reps = cfg.knobs["t"], int(cfg.knobs["reps"])
     est = asymptotics.estimate_rate(cfg.spec, t, reps, cfg.seed, cfg.threads)
     target, error = _rate_target(cfg.spec, t)
-    rows = [_row(cfg, est.value, est.se, target, est.flags, t=t, reps=reps)]
+    rows = [_row(cfg, est, target, t=t, reps=reps)]
     check = _est_check("rate", est, target)
     if error is not None:
         check.detail += f" solver error {error:.2g}"
     return rows, [check]
 
 
-def _run_residual_law(cfg: ExperimentConfig) -> tuple[list[dict], list[Check]]:
+def _run_residual_law(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
     t, reps = cfg.knobs["t"], int(cfg.knobs["reps"])
     ks = asymptotics.residual_limit_ks(cfg.spec, t, reps, cfg.seed, cfg.threads)
-    rows = [_row(cfg, ks.statistic, 0.0, None, t=t, reps=reps)]
+    rows = [_row(cfg, Estimate(ks.statistic, 0.0), None, t=t, reps=reps)]
     return rows, [Check("residual-law", ks.passed, f"KS={ks.statistic:.4f} threshold={ks.threshold:.4f}")]
 
 
-def _run_variance(cfg: ExperimentConfig) -> tuple[list[dict], list[Check]]:
+def _run_variance(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
     t, reps = cfg.knobs["t"], int(cfg.knobs["reps"])
     lifetime = cfg.spec.lifetime
     if math.isinf(lifetime.moment(3)):
         ladder = [t / 4, t / 2, t]
         out = asymptotics.variance_drift_ratios(cfg.spec, ladder, reps, cfg.seed, cfg.threads)
-        rows = [
-            _row(cfg, est.value, est.se, None, est.flags, t=tt, reps=reps)
-            for tt, est, _ in out
-        ]
+        rows = [_row(cfg, est, None, t=tt, reps=reps) for tt, est, _ in out]
         ratios = [ratio for _, _, ratio in out]
         spread = max(ratios) / max(min(ratios), 1e-300)
         return rows, [
@@ -356,19 +321,19 @@ def _run_variance(cfg: ExperimentConfig) -> tuple[list[dict], list[Check]]:
         ]
     est = asymptotics.estimate_variance_drift(cfg.spec, t, reps, cfg.seed, cfg.threads)
     target = asymptotics.smith_constant(lifetime)
-    rows = [_row(cfg, est.value, est.se, target, est.flags, t=t, reps=reps)]
+    rows = [_row(cfg, est, target, t=t, reps=reps)]
     return rows, [_est_check("variance-drift", est, target)]
 
 
-def _run_rm_cross(cfg: ExperimentConfig) -> tuple[list[dict], list[Check]]:
+def _run_rm_cross(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
     t, reps = cfg.knobs["t"], int(cfg.knobs["reps"])
     est = asymptotics.estimate_rm_cross(cfg.spec, t, reps, cfg.seed, cfg.threads)
     target = asymptotics.rm_cross_limit(cfg.spec.lifetime)
-    rows = [_row(cfg, est.value, est.se, target, est.flags, t=t, reps=reps)]
+    rows = [_row(cfg, est, target, t=t, reps=reps)]
     return rows, [_est_check("rm-cross", est, target)]
 
 
-def _run_renewal_solve(cfg: ExperimentConfig) -> tuple[list[dict], list[Check]]:
+def _run_renewal_solve(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
     horizon, step = cfg.knobs["horizon"], cfg.knobs["step"]
     dist = cfg.spec.lifetime
     gen = renewal_solver.GridFunction.from_callable(lambda u: np.ones_like(u), horizon, step)
@@ -380,7 +345,7 @@ def _run_renewal_solve(cfg: ExperimentConfig) -> tuple[list[dict], list[Check]]:
         err = float(np.max(np.abs(sol.values - exact)))
         tol = 5.0 * step
         check = Check("renewal-solve", err <= tol, f"sup error {err:.3g} vs closed form (tol {tol:.3g})")
-        rows = [_row(cfg, err, 0.0, 0.0, reps=1, t=horizon)]
+        rows = [_row(cfg, Estimate(err, 0.0), 0.0, reps=1, t=horizon)]
     else:
         half = renewal_solver.solve_renewal_equation(
             renewal_solver.GridFunction.from_callable(lambda u: np.ones_like(u), horizon, step / 2),
@@ -388,27 +353,27 @@ def _run_renewal_solve(cfg: ExperimentConfig) -> tuple[list[dict], list[Check]]:
         )
         diff = float(np.max(np.abs(half.values[::2] - sol.values)))
         check = Check("renewal-solve", True, f"grid halving changes solution by {diff:.3g}")
-        rows = [_row(cfg, diff, 0.0, None, reps=1, t=horizon)]
+        rows = [_row(cfg, Estimate(diff, 0.0), None, reps=1, t=horizon)]
     return rows, [check]
 
 
-def _run_sgibnev(cfg: ExperimentConfig) -> tuple[list[dict], list[Check]]:
+def _run_sgibnev(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
     t, step = cfg.knobs["t"], cfg.knobs["step"]
     dist = cfg.spec.lifetime
     r = float(renewal_solver.solve_residual_mean(dist, t, step).values[-1])
     r_half = float(renewal_solver.solve_residual_mean(dist, t, step / 2).values[-1])
     ratio = r / renewal_solver.sgibnev_asymptote(dist, t)
-    rows = [_row(cfg, ratio, 0.0, 1.0, t=t, reps=1)]
+    rows = [_row(cfg, Estimate(ratio, 0.0), 1.0, t=t, reps=1)]
     detail = f"E[R({t:g})]/asymptote = {ratio:.4f} step-halving change {abs(r_half - r):.2g}"
     return rows, [Check("sgibnev", 0.9 <= ratio <= 1.1, detail)]
 
 
-def _run_diffusion(cfg: ExperimentConfig) -> tuple[list[dict], list[Check]]:
+def _run_diffusion(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
     n, t, reps = int(cfg.knobs["n"]), cfg.knobs["t"], int(cfg.knobs["reps"])
     res = asymptotics.diffusion_scaling(cfg.spec, n, t, reps, cfg.seed, cfg.threads)
     rows = [
-        _row(cfg, res.variance.value, res.variance.se, res.variance_target, n=n, t=t, reps=reps),
-        _row(cfg, res.scaled_residual_mean.value, res.scaled_residual_mean.se, 0.0, n=n, t=t, reps=reps),
+        _row(cfg, res.variance, res.variance_target, n=n, t=t, reps=reps),
+        _row(cfg, res.scaled_residual_mean, 0.0, n=n, t=t, reps=reps),
     ]
     rel = abs(res.variance.value - res.variance_target) / res.variance_target
     checks = [
@@ -425,14 +390,15 @@ def _run_diffusion(cfg: ExperimentConfig) -> tuple[list[dict], list[Check]]:
 @dataclass(frozen=True)
 class _Experiment:
     knobs: set[str]  # required; ``v`` is optional for decompose
-    runner: Callable[[ExperimentConfig], tuple[list[dict], list[Check]]]
-    specs: tuple[type, ...] = tuple(_SPEC_KINDS)
+    runner: Callable[[ExperimentConfig], tuple[list[tuple], list[Check]]]
+    specs: tuple[type, ...] = get_args(ProcessSpec)
     moment: int = 0  # k such that E[T^k] must be finite, 0 for none
     min_reps: int = 1
+    rate: bool = True  # whether the runner needs the spec's long-run rate
 
 
 _EXPERIMENTS: dict[str, _Experiment] = {
-    "simulate": _Experiment({"horizon"}, _run_simulate),
+    "simulate": _Experiment({"horizon"}, _run_simulate, rate=False),
     "decompose": _Experiment({"horizon", "reps"}, _run_decompose),
     "blackwell": _Experiment({"t", "h", "reps"}, _run_window, min_reps=_MIN_WINDOW_REPS),
     "modulated": _Experiment({"t", "h", "reps"}, _run_window, (Modulated,), min_reps=_MIN_WINDOW_REPS),

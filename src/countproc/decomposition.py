@@ -20,7 +20,7 @@ and are pure; they never mutate the path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import IO, Callable, Sequence
 
 import numpy as np
@@ -413,13 +413,14 @@ def build_reports(
     return [DecompositionReport(*row) for row in columns]
 
 
+def _csv_line(cells) -> str:
+    """One CSV line: None is empty, a float is written as ``.17g`` and an
+    int or str as it is."""
+    return ",".join("" if x is None else format(x, ".17g") if isinstance(x, float) else str(x)
+                    for x in cells) + "\n"
+
+
 def reports_to_csv(reports: Sequence[DecompositionReport], fp: IO[str]) -> None:
-    fp.write("t,count,residual,martingale,drift,identity_residual,"
-             "optional_qv,predictable_qv,wald_residual\n")
-    for rep in reports:
-        pqv = "" if rep.predictable_qv is None else format(rep.predictable_qv, ".17g")
-        fp.write(
-            f"{rep.t:.17g},{rep.count},{rep.residual:.17g},{rep.martingale:.17g},"
-            f"{rep.drift:.17g},{rep.identity_residual:.17g},{rep.optional_qv:.17g},"
-            f"{pqv},{rep.wald_residual:.17g}\n"
-        )
+    names = [f.name for f in fields(DecompositionReport)]
+    fp.write(_csv_line(names))
+    fp.writelines(_csv_line(getattr(rep, name) for name in names) for rep in reports)

@@ -19,10 +19,13 @@ distribution objects are immutable and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
-from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
+from functools import cache, cached_property
+from typing import (
+    Any, ClassVar, Literal, NamedTuple, Sequence, Union, get_args, get_origin, get_type_hints,
+)
 
 import numpy as np
 from scipy import special
@@ -59,18 +62,40 @@ def _scalarize(x: np.ndarray, scalar: bool) -> float | np.ndarray:
     return float(x) if scalar else x
 
 
+class _Wire:
+    """A frozen dataclass written as ``{"kind": kind, <field>: <value>, ...}``.
+
+    Fields are written in declaration order, a nested law as its own object,
+    a tuple as a list and a mapping as an object; :func:`_decode` reads them
+    back against their declared types.
+    """
+
+    kind: ClassVar[str]
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, **{f.name: _encode(getattr(self, f.name)) for f in fields(self)}}
+
+
 @dataclass(frozen=True)
-class LifetimeDistribution:
+class LifetimeDistribution(_Wire):
     """Base class for positive lifetime laws.
 
-    Subclasses implement the excess moment ``excess_moment(k, t)``, the
-    truncated mean (kept per law because ``E[T] - e_1(v)`` cancels at
-    small v), ``draw`` and ``to_json``, plus ``is_arithmetic`` and
-    ``atoms`` for lattice laws.  ``tail``, ``moment``,
+    Subclasses set their wire ``kind`` and implement the excess moment
+    ``excess_moment(k, t)``, the truncated mean (kept per law because
+    ``E[T] - e_1(v)`` cancels at small v) and ``draw``, plus
+    ``is_arithmetic`` and ``atoms`` for lattice laws.  ``tail``, ``moment``,
     ``excess_second_moment`` and ``integrated_excess`` derive from the
     excess moment; laws whose moments can diverge override
     ``integrated_excess``, whose default needs ``E[T^(k+1)] < inf``.
+    A subclass ``__post_init__`` calls this one first.
     """
+
+    def __post_init__(self):
+        # an int parameter is stored as the float of the same value, so that
+        # every law draws and evaluates floats
+        for name, tp, _ in _declared(type(self)):
+            if tp is float:
+                object.__setattr__(self, name, float(getattr(self, name)))
 
     # -- primitive surface -------------------------------------------------
 
@@ -96,9 +121,6 @@ class LifetimeDistribution:
     def atoms(self) -> list[tuple[float, float]] | None:
         """(location, mass) pairs for purely atomic laws, else None."""
         return None
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
 
     # -- derived quantities -------------------------------------------------
 
@@ -150,9 +172,11 @@ class LifetimeDistribution:
 
 @dataclass(frozen=True)
 class Exponential(LifetimeDistribution):
+    kind = "exponential"
     rate: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.rate > 0:
             raise ValueError(f"exponential rate must be positive, got {self.rate}")
 
@@ -169,16 +193,15 @@ class Exponential(LifetimeDistribution):
     def draw(self, rng, size=None):
         return np.maximum(rng.exponential(1.0 / self.rate, size), _POSITIVE_FLOOR)
 
-    def to_json(self):
-        return {"kind": "exponential", "rate": self.rate}
-
 
 @dataclass(frozen=True)
 class Gamma(LifetimeDistribution):
+    kind = "gamma"
     shape: float
     rate: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not (self.shape > 0 and self.rate > 0):
             raise ValueError("gamma shape and rate must be positive")
 
@@ -208,16 +231,15 @@ class Gamma(LifetimeDistribution):
     def draw(self, rng, size=None):
         return np.maximum(rng.gamma(self.shape, 1.0 / self.rate, size), _POSITIVE_FLOOR)
 
-    def to_json(self):
-        return {"kind": "gamma", "shape": self.shape, "rate": self.rate}
-
 
 @dataclass(frozen=True)
 class Uniform(LifetimeDistribution):
+    kind = "uniform"
     low: float
     high: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not (self.low >= 0 and self.high > self.low):
             raise ValueError("uniform support must satisfy 0 <= low < high")
 
@@ -243,15 +265,14 @@ class Uniform(LifetimeDistribution):
     def draw(self, rng, size=None):
         return np.maximum(rng.uniform(self.low, self.high, size), _POSITIVE_FLOOR)
 
-    def to_json(self):
-        return {"kind": "uniform", "low": self.low, "high": self.high}
-
 
 @dataclass(frozen=True)
 class Deterministic(LifetimeDistribution):
+    kind = "deterministic"
     value: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.value > 0:
             raise ValueError("deterministic lifetime must be positive")
 
@@ -275,17 +296,16 @@ class Deterministic(LifetimeDistribution):
     def atoms(self):
         return [(self.value, 1.0)]
 
-    def to_json(self):
-        return {"kind": "deterministic", "value": self.value}
-
 
 @dataclass(frozen=True)
 class ParetoShifted(LifetimeDistribution):
     """Heavy-tailed law with P(T > x) = (1 + x)**(-alpha); needs alpha > 1."""
 
+    kind = "pareto_shifted"
     alpha: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.alpha > 1:
             raise ValueError("alpha must exceed 1 so the mean is finite")
 
@@ -324,18 +344,17 @@ class ParetoShifted(LifetimeDistribution):
         u = rng.random(size)
         return np.maximum((1.0 - u) ** (-1.0 / self.alpha) - 1.0, _POSITIVE_FLOOR)
 
-    def to_json(self):
-        return {"kind": "pareto_shifted", "alpha": self.alpha}
-
 
 @dataclass(frozen=True)
 class Lattice(LifetimeDistribution):
     """Atoms at span, 2*span, ... with probabilities ``pmf`` (sums to 1)."""
 
+    kind = "lattice"
     span: float
     pmf: tuple[float, ...]
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "pmf", tuple(float(p) for p in self.pmf))
         if not self.span > 0:
             raise ValueError("lattice span must be positive")
@@ -384,16 +403,15 @@ class Lattice(LifetimeDistribution):
     def atoms(self):
         return [(float(s), p) for s, p in zip(self._sites, self.pmf) if p > 0]
 
-    def to_json(self):
-        return {"kind": "lattice", "span": self.span, "pmf": list(self.pmf)}
-
 
 @dataclass(frozen=True)
 class Mixture(LifetimeDistribution):
+    kind = "mixture"
     weights: tuple[float, ...]
     components: tuple[LifetimeDistribution, ...]
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         object.__setattr__(self, "components", tuple(self.components))
         if len(self.weights) != len(self.components) or not self.components:
@@ -461,13 +479,6 @@ class Mixture(LifetimeDistribution):
                 merged[loc] = merged.get(loc, 0.0) + w * mass
         return sorted(merged.items())
 
-    def to_json(self):
-        return {
-            "kind": "mixture",
-            "weights": list(self.weights),
-            "components": [c.to_json() for c in self.components],
-        }
-
 
 @dataclass(frozen=True)
 class EquilibriumOf(LifetimeDistribution):
@@ -477,9 +488,11 @@ class EquilibriumOf(LifetimeDistribution):
     finite second moment of the base law so its own mean is finite.
     """
 
+    kind = "equilibrium"
     base: LifetimeDistribution
 
     def __post_init__(self):
+        super().__post_init__()
         if math.isinf(self.base.moment(2)):
             raise ValueError(
                 "equilibrium delay needs a finite second moment of the lifetime law"
@@ -535,9 +548,6 @@ class EquilibriumOf(LifetimeDistribution):
                 break
         return x.reshape(shape)
 
-    def to_json(self):
-        return {"kind": "equilibrium", "base": self.base.to_json()}
-
 
 def _check_k(k: int) -> None:
     if k not in (1, 2, 3):
@@ -576,43 +586,93 @@ def _common_span(spans: Sequence[float]) -> float | None:
     return None
 
 
-_JSON_KINDS = {
-    "exponential": lambda obj: Exponential(rate=float(obj["rate"])),
-    "gamma": lambda obj: Gamma(shape=float(obj["shape"]), rate=float(obj["rate"])),
-    "uniform": lambda obj: Uniform(low=float(obj["low"]), high=float(obj["high"])),
-    "deterministic": lambda obj: Deterministic(value=float(obj["value"])),
-    "pareto_shifted": lambda obj: ParetoShifted(alpha=float(obj["alpha"])),
-    "lattice": lambda obj: Lattice(span=float(obj["span"]), pmf=tuple(obj["pmf"])),
-    "mixture": lambda obj: Mixture(
-        weights=tuple(obj["weights"]),
-        components=tuple(distribution_from_json(c) for c in obj["components"]),
-    ),
-    "equilibrium": lambda obj: EquilibriumOf(base=distribution_from_json(obj["base"])),
-}
+_LAWS = {cls.kind: cls for cls in (
+    Exponential, Gamma, Uniform, Deterministic, ParetoShifted, Lattice, Mixture, EquilibriumOf)}
 
-_JSON_FIELDS = {
-    "exponential": {"kind", "rate"},
-    "gamma": {"kind", "shape", "rate"},
-    "uniform": {"kind", "low", "high"},
-    "deterministic": {"kind", "value"},
-    "pareto_shifted": {"kind", "alpha"},
-    "lattice": {"kind", "span", "pmf"},
-    "mixture": {"kind", "weights", "components"},
-    "equilibrium": {"kind", "base"},
-}
+
+def _encode(value):
+    if isinstance(value, _Wire):
+        return value.to_json()
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    if isinstance(value, Mapping):
+        return {k: _encode(v) for k, v in value.items()}
+    return value
+
+
+@cache
+def _declared(cls) -> tuple[tuple[str, Any, bool], ...]:
+    """(name, type, required) for each field of the dataclass ``cls``."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name], f.default is MISSING) for f in fields(cls))
+
+
+def _decode(registry: Mapping[str, type], noun: str, obj, path: str = ""):
+    """The ``registry`` class named by ``obj["kind"]``, built from the other
+    fields of ``obj`` read against their declared types.  Errors start with
+    the path of the offending value inside the object first decoded."""
+    at = f"{path}: " if path else ""
+    if not isinstance(obj, Mapping) or "kind" not in obj:
+        raise ValueError(f"{at}{noun} JSON must be an object with a 'kind' field")
+    kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in registry:
+        raise ValueError(f"{at}unknown {noun} kind {kind!r}")
+    declared = _declared(registry[kind])
+    extra = set(obj) - {"kind", *(name for name, _, _ in declared)}
+    if extra:
+        raise ValueError(f"{at}unknown fields for {kind!r} {noun}: {sorted(extra)}")
+    missing = [name for name, _, required in declared if required and name not in obj]
+    if missing:
+        raise ValueError(f"{at}missing fields for {kind!r} {noun}: {sorted(missing)}")
+    args = {name: _read(tp, obj[name], f"{path}.{name}" if path else name)
+            for name, tp, _ in declared if name in obj}
+    try:
+        return registry[kind](**args)
+    except ValueError as exc:
+        raise ValueError(f"{at}{exc}") from None
+
+
+def _shape(tp) -> tuple[tuple[type, ...], str]:
+    """The JSON types that can hold a value of declared type ``tp``, and
+    how an error names them."""
+    origin = get_origin(tp) or tp
+    if tp in (int, float):
+        return (int, float), "a whole number" if tp is int else "a number"
+    if origin is Literal:
+        return (str,), " or ".join(map(repr, get_args(tp)))
+    if issubclass(origin, LifetimeDistribution):
+        return (Mapping,), "a distribution object"
+    return {str: ((str,), "a string"), type(None): ((type(None),), "null"),
+            tuple: ((list,), "a list"), Mapping: ((Mapping,), "an object")}[origin]
+
+
+def _fits(tp, value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, _shape(tp)[0]):
+        return False
+    if tp is int:
+        return isinstance(value, int) or value.is_integer()
+    return get_origin(tp) is not Literal or value in get_args(tp)
+
+
+def _read(tp, value, path: str):
+    """``value`` as declared type ``tp``: a float, whole number, string,
+    null, Literal, tuple, mapping or law, or a union of those."""
+    alts = get_args(tp) if get_origin(tp) is Union else (tp,)
+    fit = next((a for a in alts if _fits(a, value)), None)
+    if fit is None:
+        raise ValueError(f"{path}: must be {' or '.join(_shape(a)[1] for a in alts)}, got {value!r}")
+    origin, args = get_origin(fit), get_args(fit)
+    if fit in (int, float):
+        return fit(value)
+    if origin is tuple:
+        return tuple(_read(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if origin is Mapping:
+        return {k: _read(args[1], v, f"{path}.{k}") for k, v in value.items()}
+    if isinstance(fit, type) and issubclass(fit, LifetimeDistribution):
+        return _decode(_LAWS, "distribution", value, path)
+    return value  # a string, null or Literal value
 
 
 def distribution_from_json(obj: Mapping) -> LifetimeDistribution:
-    """Parse the ``{"kind": ..., params...}`` wire format."""
-    if not isinstance(obj, Mapping) or "kind" not in obj:
-        raise ValueError("distribution JSON must be an object with a 'kind' field")
-    kind = obj["kind"]
-    if kind not in _JSON_KINDS:
-        raise ValueError(f"unknown distribution kind {kind!r}")
-    extra = set(obj) - _JSON_FIELDS[kind]
-    if extra:
-        raise ValueError(f"unknown fields for {kind!r} distribution: {sorted(extra)}")
-    missing = _JSON_FIELDS[kind] - set(obj)
-    if missing:
-        raise ValueError(f"missing fields for {kind!r} distribution: {sorted(missing)}")
-    return _JSON_KINDS[kind](obj)
+    """Parse the ``{"kind": ..., params...}`` wire format of a lifetime law."""
+    return _decode(_LAWS, "distribution", obj)

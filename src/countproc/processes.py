@@ -26,16 +26,11 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterator, Literal, Mapping, Sequence, Union
+from typing import IO, Iterator, Literal, Mapping, Sequence, Union, get_args
 
 import numpy as np
 
-from .lifetimes import (
-    EquilibriumOf,
-    LifetimeDistribution,
-    _scalarize,
-    distribution_from_json,
-)
+from .lifetimes import EquilibriumOf, LifetimeDistribution, _decode, _scalarize, _Wire
 
 __all__ = [
     "Delayed",
@@ -47,7 +42,6 @@ __all__ = [
     "StationaryMA",
     "child_rng",
     "count",
-    "equilibrium_delay_sample",
     "path_from_interarrivals",
     "paths_per_chunk",
     "residual",
@@ -81,17 +75,15 @@ def _as_rng(seed) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class Plain:
+class Plain(_Wire):
     """Non-delayed renewal process: event at 0, i.i.d. inter-arrivals."""
 
+    kind = "plain"
     lifetime: LifetimeDistribution
-
-    def to_json(self):
-        return {"kind": "plain", "lifetime": self.lifetime.to_json()}
 
 
 @dataclass(frozen=True)
-class Delayed:
+class Delayed(_Wire):
     """Renewal process whose first event happens at a positive delay.
 
     ``delay`` is either an explicit lifetime law or the string
@@ -101,6 +93,7 @@ class Delayed:
     delay give one spec, written back as ``"equilibrium"``.
     """
 
+    kind = "delayed"
     delay: Union[LifetimeDistribution, Literal["equilibrium"]]
     lifetime: LifetimeDistribution
 
@@ -116,12 +109,14 @@ class Delayed:
         return isinstance(self.delay, EquilibriumOf) and self.delay.base == self.lifetime
 
     def to_json(self):
-        delay = "equilibrium" if self.stationary else self.delay.to_json()
-        return {"kind": "delayed", "delay": delay, "lifetime": self.lifetime.to_json()}
+        out = super().to_json()
+        if self.stationary:
+            out["delay"] = "equilibrium"
+        return out
 
 
 @dataclass(frozen=True)
-class Modulated:
+class Modulated(_Wire):
     """Inter-arrival law selected by a background chain advanced at events.
 
     The chain moves by ``kernel`` at every event; the state entered at an
@@ -129,6 +124,7 @@ class Modulated:
     mapping state -> probability, or None for the uniform law over states.
     """
 
+    kind = "modulated"
     states: tuple[str, ...]
     kernel: tuple[tuple[float, ...], ...]
     lifetimes: Mapping[str, LifetimeDistribution]
@@ -137,7 +133,6 @@ class Modulated:
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "kernel", tuple(tuple(float(p) for p in row) for row in self.kernel))
-        object.__setattr__(self, "lifetimes", dict(self.lifetimes))
         if not self.states:
             raise ValueError("modulated spec needs a nonempty state list")
         if len(set(self.states)) != len(self.states):
@@ -152,6 +147,7 @@ class Modulated:
         missing = set(self.states) - set(self.lifetimes)
         if missing:
             raise ValueError(f"lifetimes missing for states {sorted(missing)}")
+        object.__setattr__(self, "lifetimes", {s: self.lifetimes[s] for s in self.states})
         if isinstance(self.initial, str) and self.initial not in self.states:
             raise ValueError(f"initial state {self.initial!r} not in state list")
         if isinstance(self.initial, Mapping):
@@ -174,21 +170,9 @@ class Modulated:
     def kernel_matrix(self) -> np.ndarray:
         return np.array(self.kernel, dtype=float)
 
-    def to_json(self):
-        initial = self.initial
-        if isinstance(initial, Mapping):
-            initial = dict(initial)
-        return {
-            "kind": "modulated",
-            "states": list(self.states),
-            "kernel": [list(r) for r in self.kernel],
-            "lifetimes": {s: self.lifetimes[s].to_json() for s in self.states},
-            "initial": initial,
-        }
-
 
 @dataclass(frozen=True)
-class StationaryMA:
+class StationaryMA(_Wire):
     """Inter-arrivals T_n = (U_n + ... + U_{n+m-1}) / m with i.i.d. base draws.
 
     A pre-roll of m-1 base draws makes T_1 already follow the stationary
@@ -196,6 +180,7 @@ class StationaryMA:
     from the event at the origin.
     """
 
+    kind = "stationary_ma"
     order: int
     base: LifetimeDistribution
 
@@ -203,42 +188,15 @@ class StationaryMA:
         if not (isinstance(self.order, int) and self.order >= 1):
             raise ValueError("order must be an integer >= 1")
 
-    def to_json(self):
-        return {"kind": "stationary_ma", "order": self.order, "base": self.base.to_json()}
-
 
 ProcessSpec = Union[Plain, Delayed, Modulated, StationaryMA]
 
+_SPECS = {cls.kind: cls for cls in get_args(ProcessSpec)}
+
 
 def spec_from_json(obj: Mapping) -> ProcessSpec:
-    if not isinstance(obj, Mapping) or "kind" not in obj:
-        raise ValueError("process spec JSON must be an object with a 'kind' field")
-    kind = obj["kind"]
-    fields = {
-        "plain": {"kind", "lifetime"},
-        "delayed": {"kind", "delay", "lifetime"},
-        "modulated": {"kind", "states", "kernel", "lifetimes", "initial"},
-        "stationary_ma": {"kind", "order", "base"},
-    }
-    if kind not in fields:
-        raise ValueError(f"unknown process kind {kind!r}")
-    extra = set(obj) - fields[kind]
-    if extra:
-        raise ValueError(f"unknown fields for {kind!r} spec: {sorted(extra)}")
-    if kind == "plain":
-        return Plain(lifetime=distribution_from_json(obj["lifetime"]))
-    if kind == "delayed":
-        delay = obj["delay"]
-        delay = delay if delay == "equilibrium" else distribution_from_json(delay)
-        return Delayed(delay=delay, lifetime=distribution_from_json(obj["lifetime"]))
-    if kind == "modulated":
-        return Modulated(
-            states=tuple(obj["states"]),
-            kernel=tuple(tuple(r) for r in obj["kernel"]),
-            lifetimes={s: distribution_from_json(d) for s, d in obj["lifetimes"].items()},
-            initial=obj.get("initial"),
-        )
-    return StationaryMA(order=int(obj["order"]), base=distribution_from_json(obj["base"]))
+    """Parse the ``{"kind": ..., fields...}`` wire format of a process spec."""
+    return _decode(_SPECS, "process", obj)
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +272,6 @@ def residual(path: SamplePath, t):
     """R(t) = S_{N(t)} - t: time from t to the first event strictly after t."""
     t_arr, scalar, n = _lookup(path, t)
     return _scalarize(path.events[n] - t_arr, scalar)
-
-
-def equilibrium_delay_sample(lifetime: LifetimeDistribution, rng: np.random.Generator) -> float:
-    """One draw from the stationary-excess law of ``lifetime``.
-
-    Inverts the equilibrium CDF by safeguarded Newton steps (tolerance 1e-10).
-    Raises when the lifetime law has an infinite second moment, which would
-    make the excess law's mean infinite.
-    """
-    return float(EquilibriumOf(lifetime).draw(rng))
 
 
 def path_from_interarrivals(

@@ -15,7 +15,7 @@ from countproc.lifetimes import (
     ParetoShifted,
     Uniform,
 )
-from countproc.processes import Delayed, EventCapExceeded, Modulated, Plain, StationaryMA
+from countproc.processes import Delayed, EventCapExceeded, Modulated, Plain, StationaryMA, simulate_path
 from countproc.asymptotics import (
     Estimate,
     estimate_blackwell,
@@ -79,6 +79,26 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="irreducible"):
             modulated_rate(bad)
 
+    @pytest.mark.parametrize("n,edges,irreducible", [
+        (3, [(0, 1), (1, 2), (2, 0)], True),
+        (3, [(0, 1), (1, 2), (2, 2)], False),  # the last state absorbs
+        (3, [(0, 1), (1, 0), (2, 1)], False),  # the last state is never re-entered
+        (5, [(i, (i + 1) % 5) for i in range(5)], True),  # needs a path of n - 1 steps
+        (9, [(i, (i + 1) % 9) for i in range(9)], True),
+        (9, [(i, i + 1) for i in range(8)] + [(8, 7)], False),
+    ], ids=["3-cycle", "absorbing", "transient", "5-cycle", "9-cycle", "9-chain"])
+    def test_irreducibility_rule(self, n, edges, irreducible):
+        kernel = np.zeros((n, n))
+        for i, j in edges:
+            kernel[i, j] = 1.0
+        spec = Modulated(tuple("abcdefghi"[:n]), tuple(map(tuple, kernel)),
+                         {s: Exponential(1.0) for s in "abcdefghi"[:n]})
+        if irreducible:
+            assert modulated_rate(spec) == pytest.approx(1.0)
+        else:
+            with pytest.raises(ValueError, match="irreducible"):
+                modulated_rate(spec)
+
     def test_spec_rate(self):
         assert spec_rate(Plain(Gamma(2, 2))) == pytest.approx(1.0)
         assert spec_rate(StationaryMA(3, Exponential(2.0))) == pytest.approx(2.0)
@@ -87,17 +107,17 @@ class TestClosedForms:
 
 class TestEstimateType:
     def test_interval_contains_point(self):
-        e = Estimate(value=1.0, se=0.1, reps=100, seed=0)
+        e = Estimate(value=1.0, se=0.1)
         assert e.lo < 1.0 < e.hi
         assert e.z_against(1.2) == pytest.approx(2.0)
 
     @pytest.mark.parametrize("value,se", [(1.0, -0.1), (1.0, math.nan), (math.nan, 0.1)])
     def test_invalid_rejected(self, value, se):
         with pytest.raises(ValueError):
-            Estimate(value=value, se=se, reps=100, seed=0)
+            Estimate(value=value, se=se)
 
     def test_zero_se_z(self):
-        e = Estimate(value=0.0, se=0.0, reps=10, seed=0)
+        e = Estimate(value=0.0, se=0.0)
         assert e.z_against(0.0) == 0.0
         assert math.isinf(e.z_against(0.1))
 
@@ -143,6 +163,15 @@ class TestRate:
         t = 100.0
         est = estimate_rate(TWO_STATE, t, 20_000, seed=4)
         assert est.z_against(modulated_rate(TWO_STATE) + 1.125 / t) <= 4.0
+
+    def test_int_parameter_matches_float(self):
+        # Deterministic(1) used to draw ints, which the block sampler could not add to
+        a, b = Plain(Deterministic(1)), Plain(Deterministic(1.0))
+        assert simulate_path(a, 10.5, 3).events.tobytes() == simulate_path(b, 10.5, 3).events.tobytes()
+        assert estimate_rate(a, 10.5, 100, seed=2) == estimate_rate(b, 10.5, 100, seed=2)
+        chain = [Modulated(("a", "b"), ((0.0, 1.0), (1.0, 0.0)), {"a": Gamma(2, 2), "b": d})
+                 for d in (Deterministic(1), Deterministic(1.0))]
+        assert estimate_rate(chain[0], 10.5, 100, seed=2) == estimate_rate(chain[1], 10.5, 100, seed=2)
 
 
 class TestResidualLaw:

@@ -148,6 +148,43 @@ class TestValidate:
         assert cfg is None
         assert message in errors
 
+    @pytest.mark.parametrize("spec,message", [
+        (dict(MA_SPEC, order=2.7), "spec: order: must be a whole number, got 2.7"),
+        ({"kind": "plain"}, "spec: missing fields for 'plain' process: ['lifetime']"),
+        ({"kind": "plain", "lifetime": {"kind": "exponential", "rate": True}},
+         "spec: lifetime.rate: must be a number, got True"),
+        ({"kind": "plain", "lifetime": {"kind": "exponential", "rate": "2"}},
+         "spec: lifetime.rate: must be a number, got '2'"),
+        (two_state_chain({"kind": "exponential", "rate": 1.0},
+                         {"kind": "mixture", "weights": [1.0], "components": [{"kind": "gamma"}]}),
+         "spec: lifetimes.b.components[0]: missing fields for 'gamma' distribution: ['rate', 'shape']"),
+    ], ids=["order-fraction", "missing-lifetime", "rate-bool", "rate-string", "nested-missing"])
+    def test_spec_field_named_with_its_path(self, spec, message):
+        cfg, errors = validate_config({"experiment": "rate", "spec": spec, "t": 10, "reps": 1000})
+        assert cfg is None and errors == [message]
+
+    @pytest.mark.parametrize("experiment,knobs", [
+        ("decompose", {"horizon": 10, "reps": 5}),
+        ("blackwell", {"t": 10, "h": 1, "reps": 1000}),
+        ("modulated", {"t": 10, "h": 1, "reps": 1000}),
+        ("rate", {"t": 10, "reps": 1000}),
+    ])
+    def test_reducible_chain_rejected(self, tmp_path, capsys, experiment, knobs):
+        # validate used to print ok; run then died in spec_rate with a traceback
+        spec = dict(MODULATED_SPEC, kernel=[[1.0, 0.0], [0.0, 1.0]])
+        cfg = write_config(tmp_path, dict(knobs, experiment=experiment, spec=spec))
+        for command in ("validate", "run"):
+            assert main([command, str(cfg)]) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                "invalid: spec: modulated kernel must be irreducible"]
+
+    def test_reducible_chain_simulates(self, tmp_path, capsys):
+        spec = dict(MODULATED_SPEC, kernel=[[1.0, 0.0], [0.0, 1.0]])
+        cfg = write_config(tmp_path, {"experiment": "simulate", "spec": spec, "horizon": 5,
+                                      "out": str(tmp_path)})
+        assert main(["run", str(cfg)]) == 0
+        assert "PASS simulate" in capsys.readouterr().out
+
     def test_variance_order_bound_config_valid(self):
         # finite E[T^2], infinite E[T^3]: the order-bound branch runs it
         cfg, errors = validate_config(

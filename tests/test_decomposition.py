@@ -23,6 +23,7 @@ from countproc.processes import (
 )
 from countproc.decomposition import (
     ConditionalMeanOracle,
+    DecompositionReport,
     build_reports,
     centered_residual_functional,
     counting_functional,
@@ -311,6 +312,15 @@ class TestReports:
         buf = io.StringIO()
         reports_to_csv(reports, buf)
         assert ",," in buf.getvalue().splitlines()[1]
+
+    def test_csv_pinned(self):
+        rep = DecompositionReport(0.1, 3, 2.5, -1.0, 2.0, 0.0, 4.0, None, 1e-17)
+        buf = io.StringIO()
+        reports_to_csv([rep], buf)
+        assert buf.getvalue() == (
+            "t,count,residual,martingale,drift,identity_residual,optional_qv,predictable_qv,wald_residual\n"
+            "0.10000000000000001,3,2.5,-1,2,0,4,,1.0000000000000001e-17\n"
+        )
 
 
 def lookup_cases():

@@ -400,6 +400,62 @@ class TestSerialization:
         with pytest.raises(ValueError, match="missing fields"):
             distribution_from_json({"kind": "gamma", "shape": 2.0})
 
+    @pytest.mark.parametrize("value", [True, "2", None, [2.0]], ids=["bool", "string", "null", "list"])
+    def test_parameter_must_be_a_number(self, value):
+        with pytest.raises(ValueError) as err:
+            distribution_from_json({"kind": "gamma", "shape": 2.0, "rate": value})
+        assert str(err.value) == f"rate: must be a number, got {value!r}"
+
+    def test_whole_number_parameter_is_a_float(self):
+        law = distribution_from_json({"kind": "deterministic", "value": 1})
+        assert isinstance(law.value, float) and law == Deterministic(1.0)
+
+    @pytest.mark.parametrize("obj,message", [
+        ({"kind": "mixture", "weights": [0.5, 0.5],
+          "components": [{"kind": "exponential", "rate": 1.0}, {"kind": "exponential", "rate": True}]},
+         "components[1].rate: must be a number, got True"),
+        ({"kind": "mixture", "weights": [0.5, 0.5],
+          "components": [{"kind": "exponential", "rate": 1.0}, {"kind": "gamma", "shape": 2.0}]},
+         "components[1]: missing fields for 'gamma' distribution: ['rate']"),
+        ({"kind": "mixture", "weights": [0.5, 0.5],
+          "components": [{"kind": "exponential", "rate": 1.0}, {"kind": "exponential", "rate": -1}]},
+         "components[1]: exponential rate must be positive, got -1.0"),
+        ({"kind": "equilibrium", "base": {"kind": "uniform", "low": 0, "high": 2, "mode": 1}},
+         "base: unknown fields for 'uniform' distribution: ['mode']"),
+        ({"kind": "equilibrium", "base": 2.0}, "base: must be a distribution object, got 2.0"),
+        ({"kind": "lattice", "span": 1.0, "pmf": "0.5,0.5"}, "pmf: must be a list, got '0.5,0.5'"),
+        ({"kind": "lattice", "span": 1.0, "pmf": [0.5, "0.5"]}, "pmf[1]: must be a number, got '0.5'"),
+    ], ids=["component-bool", "component-missing", "component-invalid", "base-unknown",
+            "base-number", "pmf-string", "pmf-entry"])
+    def test_nested_error_names_its_path(self, obj, message):
+        with pytest.raises(ValueError) as err:
+            distribution_from_json(obj)
+        assert str(err.value) == message
+
+
+class TestIntParameters:
+    """An int parameter behaves as the float with the same value."""
+
+    PAIRS = {
+        "det": (Deterministic(1), Deterministic(1.0)),
+        "exp": (Exponential(2), Exponential(2.0)),
+        "gamma": (Gamma(2, 2), Gamma(2.0, 2.0)),
+        "uniform": (Uniform(0, 2), Uniform(0.0, 2.0)),
+        "pareto": (ParetoShifted(3), ParetoShifted(3.0)),
+        "lattice": (Lattice(1, (0.5, 0.5)), Lattice(1.0, (0.5, 0.5))),
+    }
+
+    @pytest.mark.parametrize("pair", PAIRS.values(), ids=PAIRS.keys())
+    def test_same_law_draws_and_wire_format(self, pair):
+        a, b = pair
+        assert a == b and json.dumps(a.to_json()) == json.dumps(b.to_json())
+        for size in (None, 5, (2, 3)):
+            x, y = (np.asarray(d.draw(np.random.default_rng(1), size)) for d in pair)
+            assert x.dtype == y.dtype == np.float64 and x.tobytes() == y.tobytes()
+        ts = np.array([0.0, 0.5, 1.0, 2.5])
+        for k in (0, 1, 2):
+            assert np.asarray(a.excess_moment(k, ts)).tobytes() == np.asarray(b.excess_moment(k, ts)).tobytes()
+
 
 class TestValidation:
     def test_mixture_weights_must_normalize(self):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from countproc.decomposition import optional_quadratic_variation
-from countproc.lifetimes import Deterministic, EquilibriumOf, Exponential, Gamma, Uniform
+from countproc.lifetimes import Deterministic, EquilibriumOf, Exponential, Gamma, Mixture, Uniform
 from countproc.processes import (
     _CHUNK_ROWS,
     Delayed,
@@ -20,7 +20,6 @@ from countproc.processes import (
     StationaryMA,
     child_rng,
     count,
-    equilibrium_delay_sample,
     path_from_interarrivals,
     paths_per_chunk,
     residual,
@@ -30,6 +29,8 @@ from countproc.processes import (
     write_events_ndjson,
 )
 from countproc.asymptotics import path_statistics
+
+EXP_JSON = {"kind": "exponential", "rate": 1.0}
 
 TWO_STATE = Modulated(
     states=("a", "b"),
@@ -193,7 +194,7 @@ class TestEquilibriumDelay:
     def test_exponential_fixed_point(self):
         # the excess law of an exponential is the same exponential
         rng = np.random.default_rng(3)
-        draws = np.array([equilibrium_delay_sample(Exponential(1.0), rng) for _ in range(2000)])
+        draws = np.array([EquilibriumOf(Exponential(1.0)).draw(rng) for _ in range(2000)])
         draws.sort()
         cdf = 1 - np.exp(-draws)
         n = draws.size
@@ -205,7 +206,7 @@ class TestEquilibriumDelay:
 
     def test_deterministic_becomes_uniform(self):
         rng = np.random.default_rng(4)
-        draws = np.array([equilibrium_delay_sample(Deterministic(2.0), rng) for _ in range(2000)])
+        draws = np.array([EquilibriumOf(Deterministic(2.0)).draw(rng) for _ in range(2000)])
         draws.sort()
         cdf = np.clip(draws / 2.0, 0, 1)
         n = draws.size
@@ -223,7 +224,7 @@ class TestEquilibriumDelay:
         from countproc.lifetimes import ParetoShifted
 
         with pytest.raises(ValueError):
-            equilibrium_delay_sample(ParetoShifted(1.5), np.random.default_rng(0))
+            EquilibriumOf(ParetoShifted(1.5)).draw(np.random.default_rng(0))
 
     def test_stationary_increments(self):
         # with an equilibrium delay the count increments are stationary
@@ -310,14 +311,71 @@ class TestSerialization:
             Delayed(Deterministic(0.5), Exponential(1.0)),
             TWO_STATE,
             StationaryMA(2, Exponential(1.0)),
+            Modulated(("a", "b"), ((0.5, 0.5), (1.0, 0.0)),
+                      {"a": Gamma(2.0, 2.0), "b": Uniform(0.0, 4.0)}, {"a": 0.25, "b": 0.75}),
+            Delayed(Mixture((0.5, 0.5), (Exponential(1.0), Uniform(0.0, 2.0))), Gamma(2, 2)),
         ]
         for spec in specs:
             back = spec_from_json(json.loads(json.dumps(spec.to_json())))
             assert back == spec
 
+    def test_wire_format_pinned(self):
+        # field order, nesting and the "equilibrium" write-back
+        spec = Modulated(("b", "a"), ((0.0, 1.0), (1.0, 0.0)),
+                         {"a": Exponential(1.0), "b": Mixture((1.0,), (Deterministic(2),))}, "a")
+        assert json.dumps(spec.to_json()) == (
+            '{"kind": "modulated", "states": ["b", "a"], "kernel": [[0.0, 1.0], [1.0, 0.0]], '
+            '"lifetimes": {"b": {"kind": "mixture", "weights": [1.0], "components": '
+            '[{"kind": "deterministic", "value": 2.0}]}, "a": {"kind": "exponential", "rate": 1.0}}, '
+            '"initial": "a"}'
+        )
+        assert json.dumps(Delayed("equilibrium", Exponential(1.0)).to_json()) == (
+            '{"kind": "delayed", "delay": "equilibrium", "lifetime": {"kind": "exponential", "rate": 1.0}}'
+        )
+        assert json.dumps(StationaryMA(3, Uniform(0.0, 2.0)).to_json()) == (
+            '{"kind": "stationary_ma", "order": 3, "base": {"kind": "uniform", "low": 0.0, "high": 2.0}}'
+        )
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown process kind"):
             spec_from_json({"kind": "hawkes"})
+
+    @pytest.mark.parametrize("obj,message", [
+        ({"kind": "stationary_ma", "order": 2.7, "base": EXP_JSON},
+         "order: must be a whole number, got 2.7"),
+        ({"kind": "stationary_ma", "order": True, "base": EXP_JSON},
+         "order: must be a whole number, got True"),
+        ({"kind": "plain"}, "missing fields for 'plain' process: ['lifetime']"),
+        ({"kind": "plain", "lifetime": {"kind": "gamma", "shape": 2.0}},
+         "lifetime: missing fields for 'gamma' distribution: ['rate']"),
+        ({"kind": "plain", "lifetime": EXP_JSON, "delay": "equilibrium"},
+         "unknown fields for 'plain' process: ['delay']"),
+        ({"kind": "delayed", "lifetime": EXP_JSON, "delay": {
+            "kind": "mixture", "weights": [0.5, 0.5], "components": [EXP_JSON, {"kind": "exponential", "rate": "2"}]}},
+         "delay.components[1].rate: must be a number, got '2'"),
+        ({"kind": "delayed", "lifetime": EXP_JSON, "delay": "stationary"},
+         "delay: must be a distribution object or 'equilibrium', got 'stationary'"),
+        ({"kind": "modulated", "states": ["a"], "kernel": [[1.0]],
+          "lifetimes": {"a": {"kind": "exponential", "rate": True}}},
+         "lifetimes.a.rate: must be a number, got True"),
+        ({"kind": "modulated", "states": ["a", "b"], "kernel": [[0.0, 1.0], [1.0, "0"]],
+          "lifetimes": {"a": EXP_JSON, "b": EXP_JSON}},
+         "kernel[1][1]: must be a number, got '0'"),
+        ({"kind": "modulated", "states": ["a"], "kernel": [[1.0]], "lifetimes": {"a": EXP_JSON},
+          "initial": 0}, "initial: must be a string or an object or null, got 0"),
+        ({"kind": "modulated", "states": ["a"], "kernel": [[1.0]], "lifetimes": {"a": EXP_JSON},
+          "initial": {"a": "1"}}, "initial.a: must be a number, got '1'"),
+    ], ids=["order-fraction", "order-bool", "missing-lifetime", "missing-nested", "unknown-field",
+            "mixture-delay-component", "delay-string", "state-law", "kernel-entry",
+            "initial-number", "initial-entry"])
+    def test_field_errors_name_their_path(self, obj, message):
+        with pytest.raises(ValueError) as err:
+            spec_from_json(obj)
+        assert str(err.value) == message
+
+    def test_whole_number_order_accepted(self):
+        assert spec_from_json({"kind": "stationary_ma", "order": 2.0, "base": EXP_JSON}) == \
+            StationaryMA(2, Exponential(1.0))
 
     def test_ndjson_export(self):
         p = simulate_path(TWO_STATE, 5.0, 0)
