@@ -23,10 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .lifetimes import LifetimeDistribution, _common_span
+from .lifetimes import LifetimeDistribution, _lattice_span
 from .processes import (
     _CHUNK_ROWS,
-    DEFAULT_EVENT_CAP,
     Delayed,
     Modulated,
     Plain,
@@ -188,8 +187,7 @@ def _embedded_stationary_law(spec: Modulated) -> np.ndarray:
 
 def _arithmetic_flags(spec: ProcessSpec) -> tuple[str, ...]:
     """Flag a lattice process: every law arithmetic, with a common span."""
-    spans = [d.is_arithmetic() for d in _lifetime_laws(spec)]
-    if all(s.arithmetic for s in spans) and _common_span([s.span for s in spans]) is not None:
+    if _lattice_span(_lifetime_laws(spec)) is not None:
         return ("arithmetic lifetime law: the non-lattice hypothesis is violated",)
     return ()
 
@@ -211,18 +209,22 @@ def _simulate_chunk(
 
     Per query time t a path's count is the number of its gaps that start at
     or before t, its residual is the first event time after t minus t, and
-    its qv sums (1 - qv_rate * gap)^2 over the same gaps.
+    its qv sums (1 - qv_rate * gap)^2 over the same gaps, each gap taken as
+    a difference of event times as a single path takes it.
     """
-    blocks = _column_blocks(spec, float(np.max(ts)), rows, child_rng(seed, chunk_index),
-                            DEFAULT_EVENT_CAP, qv_rate)
+    blocks = _column_blocks(spec, float(np.max(ts)), rows, child_rng(seed, chunk_index))
     start = next(blocks)
     result = {"count": np.zeros((rows, ts.size)), "residual": start[:, None] - ts}
     if isinstance(spec, Delayed):
         result["delay"] = start
     if qv_rate is not None:
         result["qv"] = np.zeros((rows, ts.size))
-    for active, last, times, _, qq in blocks:
+    for active, last, times, _ in blocks:
         width = times.shape[1]
+        if qv_rate is not None:
+            qq = np.zeros((active.size, width + 1))
+            gaps = np.diff(times, axis=1, prepend=last[:, None])
+            np.cumsum((1.0 - qv_rate * gaps) ** 2, axis=1, out=qq[:, 1:])
         for i, t in enumerate(ts):
             before = np.count_nonzero(times <= t, axis=1)
             open_ = last <= t
@@ -369,8 +371,7 @@ def estimate_variance_drift(
         + 2.0 * rate * np.mean(rb * mb, axis=1)
         + rate**3 * sigma2 * np.mean(rb, axis=1)
     )
-    se = float(np.std(drift_b, ddof=1) / math.sqrt(_BATCHES))
-    return Estimate(value=float(np.mean(drift_b)), se=se, flags=_arithmetic_flags(spec))
+    return _mean_estimate(drift_b, _arithmetic_flags(spec))
 
 
 def variance_drift_ratios(
@@ -433,11 +434,8 @@ def diffusion_scaling(
     scaled = (stats["count"][:, 0] - rate * horizon) / math.sqrt(n)
     scaled_resid = rate * stats["residual"][:, 0] / math.sqrt(n)
 
-    batched = _batched(scaled)
-    vb = np.var(batched, axis=1, ddof=1)
-    var_est = Estimate(value=float(np.mean(vb)), se=float(np.std(vb, ddof=1) / math.sqrt(_BATCHES)))
     return DiffusionScalingResult(
-        variance=var_est,
+        variance=_mean_estimate(np.var(_batched(scaled), axis=1, ddof=1)),
         variance_target=rate**3 * sigma2 * t,
         scaled_count_mean=_mean_estimate(scaled),
         scaled_residual_mean=_mean_estimate(scaled_resid),

@@ -17,8 +17,8 @@ schema problems with field paths and has no side effects.
   variance       t reps        plain; finite E[T^2]            variance-drift, or -order-bound
   rm-cross       t reps        plain; finite E[T^3]            rm-cross
   diffusion      n t reps      plain; finite E[T^2]            diffusion-variance, diffusion-mean
-  renewal-solve  horizon step  plain, delayed                  renewal-solve
-  sgibnev        t step        plain, delayed                  sgibnev
+  renewal-solve  horizon step  plain                           renewal-solve
+  sgibnev        t step        plain                           sgibnev
 
 Monte Carlo checks pass at z <= 4 against their target.  The Blackwell
 windows (blackwell, modulated, palm), variance-drift and rm-cross need a
@@ -26,7 +26,8 @@ non-lattice law: on a lattice process (every lifetime law arithmetic, on a
 common span) their estimate is flagged, and the check reports it with the
 flag and passes.  ``rate`` is never flagged, since N(t)/t -> 1/E[T] holds
 for every law.  A delay written as "equilibrium" and the explicit
-{"kind": "equilibrium", "base": <lifetime>} law are one spec.
+{"kind": "equilibrium", "base": <lifetime>} law are one spec, and the spec
+hash is that of the parsed spec, so every spelling of a spec has one hash.
 
 Identical config and seed produce byte-identical artifacts; every CSV row
 carries the spec hash, seed, replication count and thread count needed to
@@ -80,7 +81,6 @@ _COLUMNS = ("experiment", "spec_hash", "t", "h", "v", "n", "reps", "threads",
 class ExperimentConfig:
     experiment: str
     spec: ProcessSpec
-    spec_json: dict
     seed: int
     out: Path
     threads: int
@@ -88,7 +88,7 @@ class ExperimentConfig:
 
     @property
     def spec_hash(self) -> str:
-        canon = json.dumps(self.spec_json, sort_keys=True, separators=(",", ":"))
+        canon = json.dumps(self.spec.to_json(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
@@ -167,7 +167,7 @@ def validate_config(obj: Mapping) -> tuple[ExperimentConfig | None, list[str]]:
 
     if errors:
         return None, errors
-    return ExperimentConfig(kind, spec, dict(obj["spec"]), seed, Path(out), threads, knobs), []
+    return ExperimentConfig(kind, spec, seed, Path(out), threads, knobs), []
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +336,12 @@ def _run_rm_cross(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
 def _run_renewal_solve(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
     horizon, step = cfg.knobs["horizon"], cfg.knobs["step"]
     dist = cfg.spec.lifetime
-    gen = renewal_solver.GridFunction.from_callable(lambda u: np.ones_like(u), horizon, step)
-    sol = renewal_solver.solve_renewal_equation(gen, dist)
+
+    def solve(h: float) -> renewal_solver.GridFunction:
+        ones = renewal_solver.GridFunction.from_callable(np.ones_like, horizon, h)
+        return renewal_solver.solve_renewal_equation(ones, dist)
+
+    sol = solve(step)
     with open(cfg.out / "renewal_solution.csv", "w") as fp:
         sol.to_csv(fp)
     if isinstance(dist, Exponential):
@@ -347,11 +351,7 @@ def _run_renewal_solve(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]
         check = Check("renewal-solve", err <= tol, f"sup error {err:.3g} vs closed form (tol {tol:.3g})")
         rows = [_row(cfg, Estimate(err, 0.0), 0.0, reps=1, t=horizon)]
     else:
-        half = renewal_solver.solve_renewal_equation(
-            renewal_solver.GridFunction.from_callable(lambda u: np.ones_like(u), horizon, step / 2),
-            dist,
-        )
-        diff = float(np.max(np.abs(half.values[::2] - sol.values)))
+        diff = float(np.max(np.abs(solve(step / 2).values[::2] - sol.values)))
         check = Check("renewal-solve", True, f"grid halving changes solution by {diff:.3g}")
         rows = [_row(cfg, Estimate(diff, 0.0), None, reps=1, t=horizon)]
     return rows, [check]
@@ -410,8 +410,8 @@ _EXPERIMENTS: dict[str, _Experiment] = {
     "rm-cross": _Experiment({"t", "reps"}, _run_rm_cross, (Plain,), moment=3),
     "diffusion": _Experiment({"n", "t", "reps"}, _run_diffusion, (Plain,), moment=2,
                              min_reps=_MIN_BATCH * _BATCHES),
-    "renewal-solve": _Experiment({"horizon", "step"}, _run_renewal_solve, (Plain, Delayed)),
-    "sgibnev": _Experiment({"t", "step"}, _run_sgibnev, (Plain, Delayed)),
+    "renewal-solve": _Experiment({"horizon", "step"}, _run_renewal_solve, (Plain,)),
+    "sgibnev": _Experiment({"t", "step"}, _run_sgibnev, (Plain,)),
 }
 
 

@@ -143,10 +143,6 @@ class LifetimeDistribution(_Wire):
         return (self.excess_moment(k + 1, 0.0) - self.excess_moment(k + 1, t)) / (k + 1)
 
     @property
-    def mean(self) -> float:
-        return self.moment(1)
-
-    @property
     def renewal_rate(self) -> float:
         """1 / E[T], the long-run event rate of the induced renewal process."""
         return 1.0 / self.moment(1)
@@ -456,15 +452,7 @@ class Mixture(LifetimeDistribution):
         return out
 
     def is_arithmetic(self):
-        spans = []
-        for w, c in zip(self.weights, self.components):
-            if w == 0:
-                continue
-            sub = c.is_arithmetic()
-            if not sub.arithmetic:
-                return ArithmeticSpan(False, None)
-            spans.append(sub.span)
-        span = _common_span(spans)
+        span = _lattice_span([c for w, c in zip(self.weights, self.components) if w > 0])
         return ArithmeticSpan(span is not None, span)
 
     def atoms(self):
@@ -554,16 +542,21 @@ def _check_k(k: int) -> None:
         raise ValueError(f"moment order must be 1, 2 or 3, got {k}")
 
 
-def _common_span(spans: Sequence[float]) -> float | None:
-    """Largest delta such that every input span is an integer multiple.
+def _lattice_span(laws: Sequence[LifetimeDistribution]) -> float | None:
+    """The common lattice span of ``laws`` when every one is arithmetic, else None.
 
-    Floats are dyadic rationals, so the Fraction-based gcd is exact for
-    cleanly represented parameters; when the exact answer collapses below
-    1e-9 (decimal-looking inputs such as 0.1 and 0.3) fall back to a
-    tolerance-based Euclid pass.  A candidate that leaves some span more
-    than ``_LATTICE_TOL`` multiples off an integer is rounding debris, not
-    a lattice, and gives None.
+    The common span is the largest delta of which every law's span is an
+    integer multiple.  Floats are dyadic rationals, so the Fraction-based
+    gcd is exact for cleanly represented parameters; when the exact answer
+    collapses below 1e-9 (decimal-looking inputs such as 0.1 and 0.3) fall
+    back to a tolerance-based Euclid pass.  A candidate that leaves some
+    span more than ``_LATTICE_TOL`` multiples off an integer is rounding
+    debris, not a lattice, and gives None.
     """
+    lattice = [d.is_arithmetic() for d in laws]
+    if not all(a.arithmetic for a in lattice):
+        return None
+    spans = [a.span for a in lattice]
     fracs = [Fraction(s).limit_denominator(1 << 62) for s in spans]
     # exact gcd of fractions: gcd(a/b, c/d) = gcd(a*d, c*b) / (b*d)
     g = fracs[0]

@@ -51,7 +51,7 @@ __all__ = [
     "write_events_ndjson",
 ]
 
-DEFAULT_EVENT_CAP = 10**8
+DEFAULT_EVENT_CAP = 10**8  # the one event cap, read by the sampler on every call
 
 
 class EventCapExceeded(RuntimeError):
@@ -61,12 +61,6 @@ class EventCapExceeded(RuntimeError):
 def child_rng(root_seed: int, index: int) -> np.random.Generator:
     """Deterministic per-replication generator derived from a root seed."""
     return np.random.default_rng(np.random.SeedSequence(entropy=root_seed, spawn_key=(index,)))
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +300,7 @@ def _lifetime_laws(spec: ProcessSpec) -> list[LifetimeDistribution]:
     return [spec.base]
 
 
-def _block_widths(spec: ProcessSpec, tmax: float, event_cap: int) -> tuple[int, Iterator[int]]:
+def _block_widths(spec: ProcessSpec, tmax: float) -> tuple[int, Iterator[int]]:
     """(cover, widths): the column widths of a chunk's successive blocks,
     which depend only on (spec, tmax), and their sum before the stragglers.
 
@@ -316,15 +310,15 @@ def _block_widths(spec: ProcessSpec, tmax: float, event_cap: int) -> tuple[int, 
     gap is taken as the average over the spec's lifetime laws, exact for a
     modulated chain whose stationary law is uniform.  Raises
     :class:`EventCapExceeded`, before anything is drawn, when the mean
-    count alone is over the event cap.
+    count alone is over ``DEFAULT_EVENT_CAP``.
     """
     laws = _lifetime_laws(spec)
     mean = sum(d.moment(1) for d in laws) / len(laws)
     var = max(d.variance for d in laws)
     events = tmax / mean
-    if events > event_cap:
+    if events > DEFAULT_EVENT_CAP:
         raise EventCapExceeded(
-            f"a path would need about {events:.3g} events, over the event cap of {event_cap}"
+            f"a path would need about {events:.3g} events, over the event cap of {DEFAULT_EVENT_CAP}"
         )
     sd = events**0.75 if math.isinf(var) else math.sqrt(var * events) / mean
     cover = int(events + sd) + 1
@@ -378,18 +372,17 @@ def _draw_block(spec: ProcessSpec, rng: np.random.Generator, carry: np.ndarray, 
     return gaps, carry, states
 
 
-def _column_blocks(spec, tmax, rows, rng, event_cap, qv_rate=None):
+def _column_blocks(spec, tmax, rows, rng):
     """The one sampler behind every simulated path.
 
     Yields first each row's start (its delay, or 0), then per block
-    ``(active, last, times, marks, qq)`` for the rows ``active`` still at or
+    ``(active, last, times, marks)`` for the rows ``active`` still at or
     before ``tmax``: their last event time before the block, the block's
-    event times accumulated from it, the marks of :func:`_draw_block`, and
-    the running sums of (1 - qv_rate * gap)^2 after a zero column (None
-    without ``qv_rate``).  Raises :class:`EventCapExceeded` when a
-    still-active row has drawn more than ``event_cap`` gaps.
+    event times accumulated from it and the marks of :func:`_draw_block`.
+    Raises :class:`EventCapExceeded` when a still-active row has drawn more
+    than ``DEFAULT_EVENT_CAP`` gaps.
     """
-    _, widths = _block_widths(spec, tmax, event_cap)
+    _, widths = _block_widths(spec, tmax)
     if isinstance(spec, Delayed):
         start = np.asarray(spec.delay.draw(rng, rows), float)
     else:
@@ -402,16 +395,12 @@ def _column_blocks(spec, tmax, rows, rng, event_cap, qv_rate=None):
         if not active.size:
             return
         drawn += width
-        if drawn > event_cap:
-            raise EventCapExceeded(f"a path needs over {event_cap} events, the event cap")
+        if drawn > DEFAULT_EVENT_CAP:
+            raise EventCapExceeded(f"a path needs over {DEFAULT_EVENT_CAP} events, the event cap")
         gaps, carry, marks = _draw_block(spec, rng, carry, width)
-        qq = None
-        if qv_rate is not None:
-            qq = np.zeros((active.size, width + 1))
-            np.cumsum((1.0 - qv_rate * gaps) ** 2, axis=1, out=qq[:, 1:])
         gaps[:, 0] += last
         times = np.cumsum(gaps, axis=1, out=gaps)
-        yield active, last, times, marks, qq
+        yield active, last, times, marks
         keep = times[:, -1] <= tmax
         active, last, carry = active[keep], times[keep, -1], carry[keep]
 
@@ -421,7 +410,6 @@ def simulate_paths(
     horizon: float,
     rows: int,
     rng: np.random.Generator,
-    event_cap: int = DEFAULT_EVENT_CAP,
 ) -> list[SamplePath]:
     """``rows`` paths of ``spec`` covering [0, horizon], drawn together in column blocks.
 
@@ -430,14 +418,14 @@ def simulate_paths(
     ``rng = child_rng(seed, i)`` and ``horizon`` the largest query time,
     the rows are the paths that chunk i summarizes.  Raises
     :class:`EventCapExceeded` when a path still at or before the horizon
-    has drawn more than ``event_cap`` gaps.
+    has drawn more than ``DEFAULT_EVENT_CAP`` gaps.
     """
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    blocks = _column_blocks(spec, float(horizon), rows, rng, event_cap)
+    blocks = _column_blocks(spec, float(horizon), rows, rng)
     times = [[s] for s in next(blocks)[:, None]]
     marks = [[] for _ in range(rows)]
-    for active, _, block_times, block_marks, _ in blocks:
+    for active, _, block_times, block_marks in blocks:
         for i, r in enumerate(active.tolist()):
             times[r].append(block_times[i])
             if block_marks is not None:
@@ -461,20 +449,15 @@ def simulate_paths(
 def paths_per_chunk(spec: ProcessSpec, horizon: float) -> int:
     """Rows per :func:`simulate_paths` call whose kept events fit one chunk's
     draw budget of ``_CHUNK_ROWS x _BLOCK_COLS`` values (at least one row)."""
-    cover, _ = _block_widths(spec, horizon, DEFAULT_EVENT_CAP)
+    cover, _ = _block_widths(spec, horizon)
     return max(1, _CHUNK_ROWS * _BLOCK_COLS // cover)
 
 
-def simulate_path(
-    spec: ProcessSpec,
-    horizon: float,
-    seed,
-    event_cap: int = DEFAULT_EVENT_CAP,
-) -> SamplePath:
+def simulate_path(spec: ProcessSpec, horizon: float, seed) -> SamplePath:
     """One path of ``spec`` covering [0, horizon]: the one-row case of
     :func:`simulate_paths`, deterministic in ``seed`` (an int, SeedSequence
     or Generator)."""
-    return simulate_paths(spec, horizon, 1, _as_rng(seed), event_cap)[0]
+    return simulate_paths(spec, horizon, 1, np.random.default_rng(seed))[0]
 
 
 # ---------------------------------------------------------------------------

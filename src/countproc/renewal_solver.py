@@ -70,10 +70,6 @@ class GridFunction:
             raise ValueError("grid values must be finite")
 
     @property
-    def horizon(self) -> float:
-        return self.step * (self.values.size - 1)
-
-    @property
     def times(self) -> np.ndarray:
         return self.step * np.arange(self.values.size)
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from countproc import asymptotics
+from countproc import processes
 from countproc.lifetimes import (
     Deterministic,
     Exponential,
@@ -385,11 +385,11 @@ class TestEventCap:
     def test_cap_counts_drawn_events(self, monkeypatch):
         # the mean count 50 passes the up-front check; the paths that need
         # more than 60 events are caught while they are drawn
-        monkeypatch.setattr(asymptotics, "DEFAULT_EVENT_CAP", 60)
+        monkeypatch.setattr(processes, "DEFAULT_EVENT_CAP", 60)
         with pytest.raises(EventCapExceeded, match="event cap"):
             path_statistics(Plain(Exponential(1.0)), [50.0], 1_000, seed=0)
 
     def test_cap_not_reached(self, monkeypatch):
-        monkeypatch.setattr(asymptotics, "DEFAULT_EVENT_CAP", 200)
+        monkeypatch.setattr(processes, "DEFAULT_EVENT_CAP", 200)
         stats = path_statistics(Plain(Exponential(1.0)), [50.0], 1_000, seed=0)
         assert stats["count"].max() < 200

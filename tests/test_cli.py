@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import countproc
-import countproc.asymptotics
+import countproc.processes
 import countproc.cli
 from countproc.cli import main, validate_config
 from countproc.decomposition import build_reports, reports_to_csv
@@ -52,6 +52,8 @@ def two_state_chain(a, b):
 
 DETERMINISTIC_1 = {"kind": "deterministic", "value": 1.0}
 LATTICE_SPEC = {"kind": "plain", "lifetime": {"kind": "lattice", "span": 1.0, "pmf": [0.5, 0.5]}}
+DELAYED_15 = {"kind": "delayed", "delay": {"kind": "deterministic", "value": 15.0},
+              "lifetime": GAMMA_SPEC["lifetime"]}
 
 
 class TestValidate:
@@ -114,10 +116,13 @@ class TestValidate:
             {"experiment": "diffusion", "spec": pareto_spec(1.5), "n": 10, "t": 1, "reps": 1000},
             {"experiment": "palm", "spec": MODULATED_SPEC, "t": 50, "h": 1, "reps": 1000},
             {"experiment": "modulated", "spec": GAMMA_SPEC, "t": 50, "h": 1, "reps": 1000},
+            # the solver runners read only the lifetime: a delay would be ignored
+            {"experiment": "renewal-solve", "spec": DELAYED_15, "horizon": 20, "step": 0.01},
+            {"experiment": "sgibnev", "spec": DELAYED_15, "t": 20, "step": 0.01},
         ],
         ids=["sgibnev-modulated", "renewal-solve-ma", "residual-law-ma",
              "residual-law-arithmetic", "rm-cross-m3", "variance-m2", "diffusion-m2",
-             "palm-modulated", "modulated-plain"],
+             "palm-modulated", "modulated-plain", "renewal-solve-delayed", "sgibnev-delayed"],
     )
     def test_unrunnable_spec_rejected(self, tmp_path, capsys, obj):
         cfg = write_config(tmp_path, obj)
@@ -126,7 +131,7 @@ class TestValidate:
 
     @pytest.mark.parametrize("obj,message", [
         ({"experiment": "sgibnev", "spec": MA_SPEC, "t": 50, "step": 0.1},
-         "spec: experiment 'sgibnev' needs a plain or delayed spec"),
+         "spec: experiment 'sgibnev' needs a plain spec"),
         ({"experiment": "variance", "spec": MA_SPEC, "t": 50, "reps": 1000},
          "spec: experiment 'variance' needs a plain spec"),
         ({"experiment": "modulated", "spec": MA_SPEC, "t": 50, "h": 1, "reps": 1000},
@@ -228,6 +233,19 @@ class TestValidate:
         ):
             cfg, errors = validate_config(obj)
             assert errors == [] and cfg is not None
+
+    @pytest.mark.parametrize("spellings,pinned", [
+        ([{"kind": "plain", "lifetime": {"kind": "exponential", "rate": r}} for r in (1, 1.0)],
+         "9430b3483eca"),
+        ([{"kind": "delayed", "delay": d, "lifetime": GAMMA_SPEC["lifetime"]}
+          for d in ("equilibrium", {"kind": "equilibrium", "base": GAMMA_SPEC["lifetime"]})],
+         "6bd8ac22cdcf"),
+    ], ids=["rate-int-float", "equilibrium-delay"])
+    def test_spec_hash_ignores_spelling(self, spellings, pinned):
+        # the hash of the canonical spelling, which every spelling now shares
+        hashes = {validate_config({"experiment": "rate", "spec": spec, "t": 10, "reps": 1000})[0]
+                  .spec_hash for spec in spellings}
+        assert hashes == {pinned}
 
 
 class TestRun:
@@ -457,6 +475,17 @@ class TestRun:
         assert "PASS renewal-solve" in capsys.readouterr().out
         assert (tmp_path / "res" / "renewal_solution.csv").exists()
 
+    def test_renewal_solve_grid_halving(self, tmp_path, capsys):
+        # no closed form for Gamma(2, 2): the check reports the step-halving change
+        cfg = write_config(tmp_path, {
+            "experiment": "renewal-solve", "spec": GAMMA_SPEC,
+            "horizon": 5, "step": 0.01, "out": str(tmp_path / "res"),
+        })
+        assert main(["run", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("PASS renewal-solve: grid halving changes solution by")
+        assert 0 < float(out.split()[-1]) <= 5 * 0.01  # the closed-form branch's tolerance
+
     def test_simulate_writes_ndjson(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "experiment": "simulate", "spec": EXP_SPEC,
@@ -497,9 +526,19 @@ class TestRun:
         assert main(["run", str(cfg)]) == 3
         assert "event cap" in capsys.readouterr().out
 
+    def test_event_cap_on_drawn_events_decompose_exit_3(self, tmp_path, capsys, monkeypatch):
+        # the per-path sampler reads the same cap as the batch one
+        monkeypatch.setattr(countproc.processes, "DEFAULT_EVENT_CAP", 60)
+        cfg = write_config(tmp_path, {
+            "experiment": "decompose", "spec": EXP_SPEC,
+            "horizon": 49, "reps": 200, "seed": 3, "out": str(tmp_path / "res"),
+        })
+        assert main(["run", str(cfg)]) == 3
+        assert "event cap" in capsys.readouterr().out
+
     def test_event_cap_on_drawn_events_exit_3(self, tmp_path, capsys, monkeypatch):
         # mean count 50 is under a cap of 60, but some paths need more events
-        monkeypatch.setattr(countproc.asymptotics, "DEFAULT_EVENT_CAP", 60)
+        monkeypatch.setattr(countproc.processes, "DEFAULT_EVENT_CAP", 60)
         cfg = write_config(tmp_path, {
             "experiment": "blackwell", "spec": EXP_SPEC,
             "t": 49, "h": 1, "reps": 1000, "out": str(tmp_path / "res"),

@@ -144,6 +144,15 @@ class TestExcessMoment:
             oracle += integrate.quad(integrand, mid, np.inf, limit=400)[0]
             assert closed == pytest.approx(oracle, rel=1e-7, abs=1e-9)
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_mixture_integrated_excess_is_weighted_sum(self, k):
+        # ParetoShifted keeps its own antiderivative, finite where E[T^(k+1)] is not
+        parts = (Gamma(2, 2), ParetoShifted(1.5))
+        mix = Mixture((0.3, 0.7), parts)
+        for t in (0.0, 2.5, 40.0, np.array([0.5, 3.0, 80.0])):
+            expected = 0.3 * parts[0].integrated_excess(k, t) + 0.7 * parts[1].integrated_excess(k, t)
+            np.testing.assert_allclose(mix.integrated_excess(k, t), expected, rtol=1e-15)
+
     def test_vectorized_matches_scalar(self):
         ts = np.array([0.0, 0.4, 1.0, 2.5, 6.0])
         for dist in CATALOG.values():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from countproc import processes
 from countproc.decomposition import optional_quadratic_variation
 from countproc.lifetimes import Deterministic, EquilibriumOf, Exponential, Gamma, Mixture, Uniform
 from countproc.processes import (
@@ -65,18 +66,20 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate_path(Plain(Exponential(1.0)), 0.0, 0)
 
-    def test_event_cap(self):
+    def test_event_cap(self, monkeypatch):
+        monkeypatch.setattr(processes, "DEFAULT_EVENT_CAP", 100)
         with pytest.raises(EventCapExceeded):
-            simulate_path(Plain(Exponential(1.0)), 1000.0, 0, event_cap=100)
+            simulate_path(Plain(Exponential(1.0)), 1000.0, 0)
 
-    def test_event_cap_counts_drawn_gaps(self):
+    def test_event_cap_counts_drawn_gaps(self, monkeypatch):
         # the mean count 50 passes the up-front check under a cap of 60; a
         # path still before the horizon after its first block of 58 gaps is
         # stopped when the next block takes it past 60 drawn gaps
+        monkeypatch.setattr(processes, "DEFAULT_EVENT_CAP", 60)
         raised = 0
         for seed in range(40):
             try:
-                p = simulate_path(Plain(Exponential(1.0)), 50.0, seed, event_cap=60)
+                p = simulate_path(Plain(Exponential(1.0)), 50.0, seed)
             except EventCapExceeded:
                 raised += 1
             else:
@@ -256,6 +259,18 @@ class TestModulated:
         mean_b = gaps[states == "b"].mean()
         assert abs(mean_a - 1.0) < 0.05
         assert abs(mean_b - 3.0) < 0.1
+
+    def test_initial_state_label(self):
+        spec = Modulated(TWO_STATE.states, TWO_STATE.kernel, TWO_STATE.lifetimes, initial="b")
+        paths = simulate_paths(spec, 1.0, 500, child_rng(5, 0))
+        assert {p.states[0] for p in paths} == {"b"}
+
+    def test_initial_law_mapping(self):
+        spec = Modulated(TWO_STATE.states, TWO_STATE.kernel, TWO_STATE.lifetimes,
+                         initial={"a": 0.3, "b": 0.7})
+        first = np.array([p.states[0] for p in simulate_paths(spec, 1.0, 4000, child_rng(5, 0))])
+        se = math.sqrt(0.3 * 0.7 / first.size)
+        assert abs(np.mean(first == "a") - 0.3) <= 4 * se
 
     def test_kernel_row_sum_validated(self):
         with pytest.raises(ValueError, match="sum to 1"):

@@ -213,6 +213,12 @@ class TestSgibnev:
     def test_at_zero(self):
         assert sgibnev_asymptote(Gamma(2, 2), 0.0) == 0.0
 
+    def test_mixture_is_rate_times_weighted_sum(self):
+        parts = (Gamma(2, 2), ParetoShifted(1.5))
+        mix = Mixture((0.3, 0.7), parts)
+        inner = 0.3 * parts[0].integrated_excess(1, 50.0) + 0.7 * parts[1].integrated_excess(1, 50.0)
+        assert sgibnev_asymptote(mix, 50.0) == pytest.approx(mix.renewal_rate * inner, rel=1e-14)
+
     def test_ratio_approaches_one(self):
         # the heavy-tail mean residual closes in on the asymptote slowly,
         # like 1 + O(1/sqrt(t)); check monotone improvement along a ladder
