@@ -13,7 +13,11 @@ callers can branch on finiteness.
 ``excess_moment``, ``tail``, ``truncated_mean`` and ``equilibrium_cdf``
 accept scalars or numpy arrays and return a matching shape.  Samplers take
 an explicit ``numpy.random.Generator`` and are otherwise stateless;
-distribution objects are immutable and safe to share across threads.
+distribution objects are immutable and safe to share across threads.  A
+Gamma law with a whole-number shape k <= 4 is drawn as an Erlang variate,
+``-log(U_1 ... U_k) / rate`` with ``U_i = 1 - Generator.random()`` on
+(0, 1], which costs less than ``Generator.gamma`` and has the same law;
+every other shape is drawn by ``Generator.gamma``.
 """
 
 from __future__ import annotations
@@ -48,6 +52,11 @@ __all__ = [
 # probability 2**-53 per draw; clamping keeps event times strictly increasing.
 _POSITIVE_FLOOR = 1e-300
 
+# Largest whole-number Gamma shape drawn as an Erlang variate.  Cost per value
+# on a 2-vCPU Xeon VM, numpy 2.4 (rng.gamma vs Erlang, ns): k = 2: 32.3 vs
+# 13.8; k = 4: 30.5 vs 27.0; k = 5: even; k = 6: 29.3 vs 40.7.
+_ERLANG_MAX_SHAPE = 4
+
 _LATTICE_TOL = 1e-9
 
 
@@ -60,6 +69,13 @@ class ArithmeticSpan(NamedTuple):
 
 def _scalarize(x: np.ndarray, scalar: bool) -> float | np.ndarray:
     return float(x) if scalar else x
+
+
+def _floored(x):
+    """``max(x, _POSITIVE_FLOOR)``, in place when ``x`` is a fresh array."""
+    if isinstance(x, np.ndarray):
+        return np.maximum(x, _POSITIVE_FLOOR, out=x)
+    return np.maximum(x, _POSITIVE_FLOOR)
 
 
 class _Wire:
@@ -187,7 +203,7 @@ class Exponential(LifetimeDistribution):
         return _scalarize(out, v.ndim == 0)
 
     def draw(self, rng, size=None):
-        return np.maximum(rng.exponential(1.0 / self.rate, size), _POSITIVE_FLOOR)
+        return _floored(rng.exponential(1.0 / self.rate, size))
 
 
 @dataclass(frozen=True)
@@ -225,7 +241,27 @@ class Gamma(LifetimeDistribution):
         return _scalarize(out, v.ndim == 0)
 
     def draw(self, rng, size=None):
-        return np.maximum(rng.gamma(self.shape, 1.0 / self.rate, size), _POSITIVE_FLOOR)
+        if not (self.shape.is_integer() and self.shape <= _ERLANG_MAX_SHAPE):
+            return _floored(rng.gamma(self.shape, 1.0 / self.rate, size))
+        if size is None:
+            return self._erlang(rng, 1)[0]
+        return self._erlang(rng, size)
+
+    def _erlang(self, rng, size) -> np.ndarray:
+        # -log(U_1 ... U_k) / rate with U_i = 1 - random() on (0, 1], so no
+        # factor is 0; k <= 4 factors of at least 2**-53 cannot underflow.
+        # One scratch buffer: a block holds two block-sized arrays at most.
+        x = rng.random(size)
+        np.subtract(1.0, x, out=x)
+        if self.shape > 1:
+            u = np.empty_like(x)
+            for _ in range(int(self.shape) - 1):
+                rng.random(out=u)
+                np.subtract(1.0, u, out=u)
+                np.multiply(x, u, out=x)
+        np.log(x, out=x)
+        np.multiply(x, -1.0 / self.rate, out=x)
+        return _floored(x)
 
 
 @dataclass(frozen=True)
@@ -259,7 +295,7 @@ class Uniform(LifetimeDistribution):
         return _scalarize(out, v.ndim == 0)
 
     def draw(self, rng, size=None):
-        return np.maximum(rng.uniform(self.low, self.high, size), _POSITIVE_FLOOR)
+        return _floored(rng.uniform(self.low, self.high, size))
 
 
 @dataclass(frozen=True)

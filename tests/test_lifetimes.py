@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from scipy import integrate
+from scipy import integrate, stats
 
 from countproc.lifetimes import (
+    _POSITIVE_FLOOR,
     Deterministic,
     EquilibriumOf,
     Exponential,
@@ -313,6 +314,47 @@ class TestSampling:
     def test_draws_strictly_positive(self, dist):
         x = np.atleast_1d(dist.draw(np.random.default_rng(0), 256))
         assert np.all(x > 0)
+
+    @pytest.mark.parametrize("shape", [1, 2, 3, 4])
+    def test_whole_number_gamma_ks(self, shape):
+        # the Erlang branch against the law's CDF, by residual_limit_ks's rule
+        d = Gamma(shape, 1.5)
+        n = 2 * 10**5
+        x = d.draw(np.random.default_rng(21), n)
+        assert stats.kstest(x, lambda v: 1.0 - d.tail(v)).statistic < 1.95 / math.sqrt(n) + 0.01
+
+    @pytest.mark.parametrize("shape", [2.0, 2.5])
+    @pytest.mark.parametrize("size,expected", [(7, (7,)), ((3, 5), (3, 5)), (0, (0,))])
+    def test_gamma_size_forms(self, shape, size, expected):
+        # an int size is what _draw_block passes for a modulated chain
+        x = Gamma(shape, 2).draw(np.random.default_rng(4), size)
+        assert isinstance(x, np.ndarray) and x.shape == expected
+        assert np.all(x >= _POSITIVE_FLOOR)
+
+    @pytest.mark.parametrize("shape", [2.0, 2.5])
+    def test_gamma_scalar_draw_is_a_float(self, shape):
+        x = Gamma(shape, 2).draw(np.random.default_rng(4))
+        assert isinstance(x, float) and x > 0
+
+    @pytest.mark.parametrize("shape", [2.5, 5])
+    def test_other_gamma_shapes_keep_numpy_stream(self, shape):
+        got = Gamma(shape, 2).draw(np.random.default_rng(8), (50, 40))
+        want = np.maximum(np.random.default_rng(8).gamma(shape, 0.5, (50, 40)), _POSITIVE_FLOOR)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [1, 2, 4])
+    def test_erlang_survives_zero_uniforms(self, shape):
+        # random() returns 0.0 with probability 2**-53 a draw; -log(0) would
+        # be an infinite gap
+        class ZeroUniforms:
+            def random(self, size=None, out=None):
+                if out is not None:
+                    out.fill(0.0)
+                    return out
+                return 0.0 if size is None else np.zeros(size)
+
+        x = Gamma(shape, 2).draw(ZeroUniforms(), 16)
+        assert np.all(np.isfinite(x)) and np.all(x >= _POSITIVE_FLOOR)
 
 
 class TestArithmetic:
