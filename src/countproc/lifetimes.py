@@ -53,8 +53,10 @@ __all__ = [
 _POSITIVE_FLOOR = 1e-300
 
 # Largest whole-number Gamma shape drawn as an Erlang variate.  Cost per value
-# on a 2-vCPU Xeon VM, numpy 2.4 (rng.gamma vs Erlang, ns): k = 2: 32.3 vs
-# 13.8; k = 4: 30.5 vs 27.0; k = 5: even; k = 6: 29.3 vs 40.7.
+# on a 16384 x 256 block, best of 9 interleaved runs on a 2-vCPU Xeon VM,
+# numpy 2.4 (rng.gamma vs Erlang, ns): k = 1: 14.1 vs 9.6; k = 2: 34.0 vs
+# 17.2; k = 3: 36.6 vs 24.7; k = 4: 35.0 vs 27.3; k = 5: 31.0 vs 32.2;
+# k = 6: 33.5 vs 42.8.
 _ERLANG_MAX_SHAPE = 4
 
 _LATTICE_TOL = 1e-9
@@ -69,13 +71,6 @@ class ArithmeticSpan(NamedTuple):
 
 def _scalarize(x: np.ndarray, scalar: bool) -> float | np.ndarray:
     return float(x) if scalar else x
-
-
-def _floored(x):
-    """``max(x, _POSITIVE_FLOOR)``, in place when ``x`` is a fresh array."""
-    if isinstance(x, np.ndarray):
-        return np.maximum(x, _POSITIVE_FLOOR, out=x)
-    return np.maximum(x, _POSITIVE_FLOOR)
 
 
 class _Wire:
@@ -203,7 +198,7 @@ class Exponential(LifetimeDistribution):
         return _scalarize(out, v.ndim == 0)
 
     def draw(self, rng, size=None):
-        return _floored(rng.exponential(1.0 / self.rate, size))
+        return np.maximum(rng.exponential(1.0 / self.rate, size), _POSITIVE_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -242,7 +237,7 @@ class Gamma(LifetimeDistribution):
 
     def draw(self, rng, size=None):
         if not (self.shape.is_integer() and self.shape <= _ERLANG_MAX_SHAPE):
-            return _floored(rng.gamma(self.shape, 1.0 / self.rate, size))
+            return np.maximum(rng.gamma(self.shape, 1.0 / self.rate, size), _POSITIVE_FLOOR)
         if size is None:
             return self._erlang(rng, 1)[0]
         return self._erlang(rng, size)
@@ -261,7 +256,7 @@ class Gamma(LifetimeDistribution):
                 np.multiply(x, u, out=x)
         np.log(x, out=x)
         np.multiply(x, -1.0 / self.rate, out=x)
-        return _floored(x)
+        return np.maximum(x, _POSITIVE_FLOOR, out=x)
 
 
 @dataclass(frozen=True)
@@ -295,7 +290,7 @@ class Uniform(LifetimeDistribution):
         return _scalarize(out, v.ndim == 0)
 
     def draw(self, rng, size=None):
-        return _floored(rng.uniform(self.low, self.high, size))
+        return np.maximum(rng.uniform(self.low, self.high, size), _POSITIVE_FLOOR)
 
 
 @dataclass(frozen=True)

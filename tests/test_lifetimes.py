@@ -316,12 +316,19 @@ class TestSampling:
         assert np.all(x > 0)
 
     @pytest.mark.parametrize("shape", [1, 2, 3, 4])
-    def test_whole_number_gamma_ks(self, shape):
-        # the Erlang branch against the law's CDF, by residual_limit_ks's rule
+    def test_whole_number_gamma_law(self, shape):
+        # the Erlang branch against the law's CDF, at the KS critical value
+        # 1.95/sqrt(n) (exact i.i.d. draws need no discretisation slack), and
+        # its mean and variance within 4 se of shape/rate and shape/rate**2
         d = Gamma(shape, 1.5)
         n = 2 * 10**5
         x = d.draw(np.random.default_rng(21), n)
-        assert stats.kstest(x, lambda v: 1.0 - d.tail(v)).statistic < 1.95 / math.sqrt(n) + 0.01
+        assert stats.kstest(x, lambda v: 1.0 - d.tail(v)).statistic < 1.95 / math.sqrt(n)
+        mean, var = shape / 1.5, shape / 1.5**2
+        assert abs(x.mean() - mean) < 4 * math.sqrt(var / n)
+        # var of the sample variance is (mu4 - var**2)/n; mu4 = 3k(k+2)/rate**4
+        mu4 = 3 * shape * (shape + 2) / 1.5**4
+        assert abs(x.var() - var) < 4 * math.sqrt((mu4 - var**2) / n)
 
     @pytest.mark.parametrize("shape", [2.0, 2.5])
     @pytest.mark.parametrize("size,expected", [(7, (7,)), ((3, 5), (3, 5)), (0, (0,))])
