@@ -2,12 +2,11 @@
 
 Replications are simulated in chunks of rows, one path per row, streamed
 through the column-block sampler of :mod:`countproc.processes`: each block
-is folded into the running counts, residuals and quadratic-variation sums
-at the query times and discarded.  Chunk sizes and block widths depend
-only on the spec and horizon, chunk i draws from ``child_rng(seed, i)``,
-and chunks are reduced in index order, so every estimate is
-bit-reproducible from the root seed and independent of the number of
-worker threads.
+is folded into the running counts and residuals at the query times and
+discarded.  Chunk sizes and block widths depend only on the spec and
+horizon, chunk i draws from ``child_rng(seed, i)``, and chunks are reduced
+in index order, so every estimate is bit-reproducible from the root seed
+and independent of the number of worker threads.
 
 Closed-form constants (the long-run rate of a modulated process, the
 variance-drift constant for laws with three finite moments, the
@@ -198,65 +197,44 @@ def _arithmetic_flags(spec: ProcessSpec) -> tuple[str, ...]:
 
 
 def _simulate_chunk(
-    spec: ProcessSpec,
-    ts: np.ndarray,
-    rows: int,
-    seed: int,
-    chunk_index: int,
-    qv_rate: float | None,
+    spec: ProcessSpec, ts: np.ndarray, rows: int, seed: int, chunk_index: int
 ) -> dict[str, np.ndarray]:
     """Fold one chunk of paths, streamed in column blocks, into per-path summaries.
 
     Per query time t a path's count is the number of its gaps that start at
-    or before t, its residual is the first event time after t minus t, and
-    its qv sums (1 - qv_rate * gap)^2 over the same gaps, each gap taken as
-    a difference of event times as a single path takes it.
+    or before t and its residual is the first event time after t minus t.
     """
     blocks = _column_blocks(spec, float(np.max(ts)), rows, child_rng(seed, chunk_index))
     start = next(blocks)
     result = {"count": np.zeros((rows, ts.size)), "residual": start[:, None] - ts}
     if isinstance(spec, Delayed):
         result["delay"] = start
-    if qv_rate is not None:
-        result["qv"] = np.zeros((rows, ts.size))
     for active, last, times, _ in blocks:
         width = times.shape[1]
-        if qv_rate is not None:
-            qq = np.zeros((active.size, width + 1))
-            gaps = np.diff(times, axis=1, prepend=last[:, None])
-            np.cumsum((1.0 - qv_rate * gaps) ** 2, axis=1, out=qq[:, 1:])
         for i, t in enumerate(ts):
             before = np.count_nonzero(times <= t, axis=1)
             open_ = last <= t
-            n = np.minimum(before + open_, width)
-            result["count"][active, i] += n
-            if qv_rate is not None:
-                result["qv"][active, i] += qq[np.arange(active.size), n]
+            result["count"][active, i] += np.minimum(before + open_, width)
             hit = np.flatnonzero(open_ & (before < width))
             result["residual"][active[hit], i] = times[hit, before[hit]] - t
     return result
 
 
 def path_statistics(
-    spec: ProcessSpec,
-    ts: Sequence[float],
-    reps: int,
-    seed: int,
-    qv_rate: float | None = None,
-    threads: int = 1,
+    spec: ProcessSpec, ts: Sequence[float], reps: int, seed: int, threads: int = 1
 ) -> dict[str, np.ndarray]:
-    """Counts, residuals (and optionally quadratic-variation sums) per path.
+    """Counts and residuals per path.
 
     Returns arrays of shape (reps, len(ts)) keyed ``count``/``residual``,
-    plus ``qv`` when ``qv_rate`` is given and ``delay`` for delayed specs.
-    Bit-reproducible from (spec, ts, reps, seed) for any thread count.
+    plus ``delay`` for delayed specs.  Bit-reproducible from (spec, ts,
+    reps, seed) for any thread count.
     """
     ts = np.asarray(ts, dtype=float)
     if reps < 1:
         raise ValueError("reps must be at least 1")
     if np.any(ts < 0):
         raise ValueError("query times must be nonnegative")
-    jobs = [(spec, ts, min(_CHUNK_ROWS, reps - start), seed, i, qv_rate)
+    jobs = [(spec, ts, min(_CHUNK_ROWS, reps - start), seed, i)
             for i, start in enumerate(range(0, reps, _CHUNK_ROWS))]
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

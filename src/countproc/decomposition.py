@@ -1,6 +1,6 @@
 """Pathwise noise/drift decompositions of counting processes.
 
-Every operation here is an exact algebraic identity on a single sample
+Every operation here is an exact algebraic identity on every sample
 path: the count splits into a drift proportional to elapsed-plus-residual
 time and a piecewise-constant noise term that jumps only at events, and
 the same split holds with the rate replaced by the reciprocal conditional
@@ -9,12 +9,13 @@ truncated mean of the next inter-arrival.  The residual returned by the
 ``tolerance_for(n)`` gives the bound 1e-9 * (1 + n) used throughout.
 
 Every term is a function of the first N(t) gaps, found by one lookup of
-N(t) per call: R(t) = S_{N(t)} - t, the noise and the quadratic
+N(t) per row and call: R(t) = S_{N(t)} - t, the noise and the quadratic
 variations are prefix sums over those gaps, and the truncated split reads
 interval N(t) - 1 (N(t) on a delayed path, whose interval 0 is the delay).
 
 All functions accept a scalar query time or a 1-d array of query times
-and are pure; they never mutate the path.
+and are pure; they never mutate the path.  A block of paths is answered
+row by row, each row with the bits its own 1-d path gives.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from typing import IO, Callable, Sequence
 import numpy as np
 
 from .lifetimes import LifetimeDistribution, _scalarize
-from .processes import Delayed, Modulated, Plain, SamplePath, StationaryMA, _lookup, count, residual
+from .processes import (
+    Delayed, Modulated, Plain, SamplePath, StationaryMA, _answer, _lookup, _take, count, residual
+)
 
 __all__ = [
     "ConditionalMeanOracle",
@@ -54,9 +57,9 @@ def tolerance_for(n) -> float | np.ndarray:
     return 1e-9 * (1.0 + np.asarray(n, dtype=float))
 
 
-def _prefix(x: np.ndarray, n):
-    """Sum of the first n entries of x, for each n."""
-    return np.concatenate([[0.0], np.cumsum(x)])[n]
+def _prefix(x: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Sum of the first n entries of each row of x, for each n of that row."""
+    return _take(np.cumsum(np.pad(np.atleast_2d(x), ((0, 0), (1, 0))), axis=1), n)
 
 
 def _noise(path: SamplePath, rate: float, n, power: int = 1):
@@ -69,7 +72,7 @@ def _noise(path: SamplePath, rate: float, n, power: int = 1):
 
 def _elapsed(path: SamplePath, t, n):
     """t + R(t) - D at n = N(t), in that order so that it rounds as t + residual(t)."""
-    return t + (path.events[n] - t) - path.delay
+    return t + (_take(path.events, n) - t) - (np.atleast_2d(path.events)[:, :1] if path.delayed else 0.0)
 
 
 def _identity(path: SamplePath, rate: float, t, n):
@@ -88,8 +91,8 @@ def martingale(path: SamplePath, rate: float, t):
     revealed at the preceding event.  Piecewise constant, jumping only at
     events; for a plain renewal path with rate = 1/E[T] it has mean zero.
     """
-    _, scalar, n = _lookup(path, t)
-    return _scalarize(_noise(path, rate, n), scalar)
+    _, n, shape = _lookup(path, t)
+    return _answer(_noise(path, rate, n), shape)
 
 
 def decomposition_residual(path: SamplePath, rate: float, t):
@@ -98,8 +101,8 @@ def decomposition_residual(path: SamplePath, rate: float, t):
     Zero in exact arithmetic for every path and every positive rate; the
     returned value is pure rounding noise, bounded by ``tolerance_for(N(t))``.
     """
-    t_arr, scalar, n = _lookup(path, t)
-    return _scalarize(_identity(path, rate, t_arr, n), scalar)
+    ts, n, shape = _lookup(path, t)
+    return _answer(_identity(path, rate, ts, n), shape)
 
 
 def wald_residual(path: SamplePath, mean_lifetime: float, t):
@@ -109,22 +112,22 @@ def wald_residual(path: SamplePath, mean_lifetime: float, t):
     t + R(t) minus the delay on delayed paths; subtracting the delay keeps
     the identity exact in both conventions.
     """
-    t_arr, scalar, n = _lookup(path, t)
-    return _scalarize(_wald(path, mean_lifetime, t_arr, n), scalar)
+    ts, n, shape = _lookup(path, t)
+    return _answer(_wald(path, mean_lifetime, ts, n), shape)
 
 
 def optional_quadratic_variation(path: SamplePath, rate: float, t):
     """Sum of squared noise jumps: sum over the first N(t) gaps of (1 - rate*T_n)^2."""
-    _, scalar, n = _lookup(path, t)
-    return _scalarize(_noise(path, rate, n, 2), scalar)
+    _, n, shape = _lookup(path, t)
+    return _answer(_noise(path, rate, n, 2), shape)
 
 
 def predictable_quadratic_variation(path: SamplePath, rate: float, sigma2: float, t):
     """rate^2 * sigma2 * N(t); requires a finite lifetime variance."""
     if math.isinf(sigma2):
         raise ValueError("predictable quadratic variation needs a finite lifetime variance")
-    _, scalar, n = _lookup(path, t)
-    return _scalarize(rate**2 * sigma2 * np.asarray(n, dtype=float), scalar)
+    _, n, shape = _lookup(path, t)
+    return _answer(rate**2 * sigma2 * n.astype(float), shape)
 
 
 def quadratic_error_bound(dist: LifetimeDistribution, t) -> float:
@@ -166,19 +169,19 @@ class ConditionalMeanOracle:
         if not v > 0:
             raise ValueError("truncation level v must be positive")
         spec = self.spec
-        n_intervals = path.events.size - 1 + path.delayed
+        shape = path.events.shape[:-1] + (path.events.shape[-1] - 1 + path.delayed,)
         if isinstance(spec, (Plain, Delayed)):
-            out = np.full(n_intervals, spec.lifetime.truncated_mean(v))
+            out = np.full(shape, spec.lifetime.truncated_mean(v))
             if isinstance(spec, Delayed):
-                out[0] = spec.delay.truncated_mean(v)
+                out[..., 0] = spec.delay.truncated_mean(v)
             return out
         if isinstance(spec, Modulated):
-            table = {s: spec.lifetimes[s].truncated_mean(v) for s in spec.states}
+            table = np.array([spec.lifetimes[s].truncated_mean(v) for s in spec.states])
             # interval j opens at event j; states[j] governs it
-            return np.array([table[s] for s in path.states[:n_intervals]])
+            return table[path.states[..., : shape[-1]]]
         if isinstance(spec, StationaryMA):
             m = spec.order
-            s = np.asarray(path.ma_trace[:n_intervals], dtype=float)
+            s = np.asarray(path.ma_trace[..., : shape[-1]], dtype=float)
             known = np.minimum(v, s / m)
             rest = spec.base.truncated_mean(np.maximum(m * v - s, 0.0)) / m
             return known + np.where(m * v - s > 0, rest, 0.0)
@@ -199,8 +202,24 @@ def truncated_rate(path: SamplePath, oracle: ConditionalMeanOracle, v: float, t)
     Piecewise constant between events and bounded below by 1/v.  With
     v = inf on a plain path this is the constant renewal rate.
     """
-    _, scalar, n = _lookup(path, t)
-    return _scalarize(_truncated_rates(path, oracle, v)[n - 1 + path.delayed], scalar)
+    _, n, shape = _lookup(path, t)
+    return _answer(_take(_truncated_rates(path, oracle, v), n - 1 + path.delayed), shape)
+
+
+def _truncated(path: SamplePath, lam: np.ndarray, v: float, t, n):
+    """The truncated split's residual at n = N(t), given lam per interval."""
+    gaps = path.interarrivals
+    capped = np.minimum(np.concatenate([path.events[..., :1], gaps], axis=-1) if path.delayed else gaps, v)
+    drift_per_interval = lam * capped
+    j = n - 1 + path.delayed  # the interval holding t
+    lam_j = _take(lam, j)
+    r_capped = np.minimum(_take(path.events, n) - t, v)
+    # integral over [0, t]: full intervals 0..j-1 plus the partial piece of j
+    integral = _prefix(drift_per_interval, j) + lam_j * (_take(capped, j) - r_capped)
+    # gaps live in intervals 1.. on a delayed path; interval 0 is the delay
+    noise = _prefix(1.0 - drift_per_interval[..., int(path.delayed):], n)
+    correction = np.atleast_2d(drift_per_interval)[:, :1] if path.delayed else 0.0
+    return n - integral - lam_j * r_capped - noise + correction
 
 
 def truncated_decomposition_residual(path: SamplePath, oracle: ConditionalMeanOracle, v: float, t):
@@ -212,19 +231,8 @@ def truncated_decomposition_residual(path: SamplePath, oracle: ConditionalMeanOr
     each interval the residual time decays linearly, so the indicator holds
     exactly on the final min(gap, v) stretch and I is a finite sum.
     """
-    t_arr, scalar, n = _lookup(path, t)
-    lam = _truncated_rates(path, oracle, v)
-    capped = np.minimum(np.diff(path.interval_bounds()), v)
-    drift_per_interval = lam * capped
-
-    j = n - 1 + path.delayed  # the interval holding t
-    r_capped = np.minimum(path.events[n] - t_arr, v)
-    # integral over [0, t]: full intervals 0..j-1 plus the partial piece of j
-    integral = _prefix(drift_per_interval, j) + lam[j] * (capped[j] - r_capped)
-    # gaps live in intervals 1.. on a delayed path; interval 0 is the delay
-    noise = _prefix(1.0 - drift_per_interval[int(path.delayed):], n)
-    correction = drift_per_interval[0] if path.delayed else 0.0
-    return _scalarize(n - integral - lam[j] * r_capped - noise + correction, scalar)
+    ts, n, shape = _lookup(path, t)
+    return _answer(_truncated(path, _truncated_rates(path, oracle, v), v, ts, n), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +258,7 @@ def decompose_functional(
     initial value rebuild Y(t) within ``tolerance_for(N(t))``.
     """
     t = float(t)
-    n = int(_lookup(path, t)[2])
-    events = path.events[:n]
+    n = count(path, t)
 
     def segment(a: float, b: float) -> float:
         # right derivative is piecewise constant between events: the
@@ -265,7 +272,7 @@ def decompose_functional(
     running = y0  # reconstructed left limit as the sweep passes each event
     prev = 0.0
     for k in range(n):
-        tk = float(events[k])
+        tk = float(path.events[k])
         seg = segment(prev, tk)
         drift_integral += seg
         running += seg
@@ -400,17 +407,17 @@ def build_reports(
     sigma2: float | None,
     ts: Sequence[float],
 ) -> list[DecompositionReport]:
-    """One report per query time, every term taken from one lookup of N(t)."""
-    ts, _, n = _lookup(path, ts)
-    pqv = [None] * n.size
+    """One report per query time of a single path, every term taken from
+    one lookup of N(t)."""
+    ts, n, _ = _lookup(path, ts)
+    pqv = [None] * ts.size
     if sigma2 is not None and not math.isinf(sigma2):
-        pqv = (rate**2 * sigma2 * n.astype(float)).tolist()
-    columns = zip(  # in the field order of DecompositionReport
-        ts.tolist(), n.tolist(), (path.events[n] - ts).tolist(), _noise(path, rate, n).tolist(),
-        (rate * _elapsed(path, ts, n)).tolist(), _identity(path, rate, ts, n).tolist(),
-        _noise(path, rate, n, 2).tolist(), pqv, _wald(path, mean_lifetime, ts, n).tolist(),
+        pqv = rate**2 * sigma2 * n.astype(float)
+    columns = (  # in the field order of DecompositionReport
+        ts, n, _take(path.events, n) - ts, _noise(path, rate, n), rate * _elapsed(path, ts, n),
+        _identity(path, rate, ts, n), _noise(path, rate, n, 2), pqv, _wald(path, mean_lifetime, ts, n),
     )
-    return [DecompositionReport(*row) for row in columns]
+    return [DecompositionReport(*row) for row in zip(*(np.ravel(c).tolist() for c in columns))]
 
 
 def _csv_line(cells) -> str:

@@ -9,10 +9,12 @@ a stationary moving-average construction whose inter-arrivals form an
 
 A simulated path stores every event up to the horizon plus one overshoot
 event, so counts and residual times are defined everywhere on [0, horizon].
+A block of paths holds one path per row, padded with +inf after its
+overshoot event, and every query answers per row.
 
 Every path comes from one sampler that draws rows of inter-arrivals in
 column blocks; later blocks go only to rows not yet past the horizon.
-:func:`simulate_paths` keeps each row's events, :func:`simulate_path` is
+:func:`simulate_paths` fills a block with them, :func:`simulate_path` is
 its one-row case, and :func:`countproc.asymptotics.path_statistics` folds
 the same blocks into per-path summaries.  The event cap counts the gaps
 drawn for a path still at or before the horizon.  Simulation is a pure
@@ -30,7 +32,7 @@ from typing import IO, Iterator, Literal, Mapping, Sequence, Union, get_args
 
 import numpy as np
 
-from .lifetimes import EquilibriumOf, LifetimeDistribution, _decode, _scalarize, _Wire
+from .lifetimes import EquilibriumOf, Exponential, LifetimeDistribution, _decode, _Wire
 
 __all__ = [
     "Delayed",
@@ -202,86 +204,93 @@ def spec_from_json(obj: Mapping) -> ProcessSpec:
 class SamplePath:
     """Ordered event times on [0, horizon] plus one overshoot event.
 
-    ``events[0] == 0`` for non-delayed processes; for delayed processes the
-    first entry is the delay itself.  ``states`` (modulated) records the
-    state entered at each event; ``ma_trace`` (stationary moving average)
-    records, per event, the sum of the m-1 base draws already revealed that
-    enter the next inter-arrival.
+    ``events`` is 1-d, or rows x events for a block of paths with each row
+    padded by +inf after its overshoot event; a row starts at 0, or at the
+    delay on a delayed path.  ``states`` (modulated) holds the index in
+    ``spec.states`` of the state entered at each event and ``ma_trace``
+    (moving average), per event, the sum of the m-1 revealed base draws that
+    enter the next inter-arrival; both follow the layout of ``events``.
     """
 
     horizon: float
     events: np.ndarray
     spec: ProcessSpec
     delayed: bool = False
-    states: tuple[str, ...] | None = None
+    states: np.ndarray | None = None
     ma_trace: np.ndarray | None = None
 
     def __post_init__(self):
         ev = np.asarray(self.events, dtype=float)
         object.__setattr__(self, "events", ev)
-        if ev.ndim != 1 or ev.size < 1:
-            raise ValueError("events must be a nonempty 1-d array")
-        if np.any(np.diff(ev) <= 0):
+        if ev.ndim not in (1, 2) or ev.shape[-1] < 1:
+            raise ValueError("events must be a nonempty 1-d or 2-d array")
+        if not ((ev[..., 1:] > ev[..., :-1]) | (ev[..., 1:] == np.inf)).all():
             raise ValueError("event times must be strictly increasing")
-        if ev[-1] <= self.horizon:
+        if not ((ev > self.horizon) & (ev < np.inf)).any(axis=-1).all():
             raise ValueError("the last stored event must exceed the horizon")
         if self.delayed:
-            if ev[0] <= 0:
+            if (ev[..., 0] <= 0).any():
                 raise ValueError("a delayed path must start with a positive delay")
-        elif ev[0] != 0.0:
+        elif (ev[..., 0] != 0.0).any():
             raise ValueError("a non-delayed path must have an event at time 0")
+
+    def __getitem__(self, index) -> SamplePath:
+        """Row ``index`` as a 1-d path ending at its overshoot event, or a row slice as a block."""
+        ev = self.events[index]
+        keep = slice(None) if ev.ndim == 2 else slice(np.searchsorted(ev, self.horizon, "right") + 1)
+        marks = {name: getattr(self, name)[index][..., keep] for name in ("states", "ma_trace")
+                 if getattr(self, name) is not None}
+        return SamplePath(self.horizon, ev[..., keep], self.spec, self.delayed, **marks)
 
     @property
     def interarrivals(self) -> np.ndarray:
-        """Genuine inter-arrival times (the delay, if any, is excluded)."""
-        return np.diff(self.events)
+        """Genuine inter-arrival times (the delay excluded); +inf past a row's overshoot."""
+        ev = self.events
+        return np.subtract(ev[..., 1:], ev[..., :-1], where=ev[..., :-1] < np.inf,
+                           out=np.full(ev[..., 1:].shape, np.inf))
 
     @property
-    def delay(self) -> float:
-        return float(self.events[0]) if self.delayed else 0.0
+    def delay(self):
+        return _answer(self.events[..., 0], self.events.shape[:-1]) if self.delayed else 0.0
 
-    def interval_bounds(self) -> np.ndarray:
-        """Left-closed interval boundaries partitioning [0, last event)."""
-        if self.delayed:
-            return np.concatenate([[0.0], self.events])
-        return self.events
+
+def _take(x: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Row i of ``n`` picks entries of row i of ``x``: every per-row gather."""
+    return np.take_along_axis(np.atleast_2d(x), n, axis=1)
 
 
 def _lookup(path: SamplePath, t):
-    """(t as an array, whether t is a scalar, N(t)) after checking that t
-    lies in [0, horizon]: the one search behind every pathwise query."""
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0) or np.any(t_arr > path.horizon):
+    """(t as a 1-d array, N(t) per row as rows x times, the answer's shape:
+    t's, or (rows,) + t's for a block) after checking that t lies in
+    [0, horizon]: one search per row behind every pathwise query."""
+    ts = np.asarray(t, dtype=float).ravel()
+    if np.any(ts < 0) or np.any(ts > path.horizon):
         raise ValueError("query times must lie in [0, horizon]")
-    return t_arr, t_arr.ndim == 0, np.searchsorted(path.events, t_arr, side="right")
+    n = np.array([np.searchsorted(row, ts, side="right") for row in np.atleast_2d(path.events)])
+    return ts, n, path.events.shape[:-1] + np.shape(t)
+
+
+def _answer(x: np.ndarray, shape: tuple):
+    """A rows x times result in the shape :func:`_lookup` gave; a Python scalar for shape ()."""
+    out = x.reshape(shape)
+    return out.item() if shape == () else out
 
 
 def count(path: SamplePath, t):
     """N(t): number of events in [0, t]; right-continuous, N(0)=1 when non-delayed."""
-    _, scalar, n = _lookup(path, t)
-    return int(n) if scalar else n
+    _, n, shape = _lookup(path, t)
+    return _answer(n, shape)
 
 
 def residual(path: SamplePath, t):
     """R(t) = S_{N(t)} - t: time from t to the first event strictly after t."""
-    t_arr, scalar, n = _lookup(path, t)
-    return _scalarize(path.events[n] - t_arr, scalar)
+    ts, n, shape = _lookup(path, t)
+    return _answer(_take(path.events, n) - ts, shape)
 
 
-def path_from_interarrivals(
-    interarrivals: Sequence[float],
-    horizon: float,
-    spec: ProcessSpec | None = None,
-    delay: float | None = None,
-) -> SamplePath:
-    """Build a path from explicit inter-arrival times (testing helper)."""
-    gaps = np.asarray(interarrivals, dtype=float)
-    events = (0.0 if delay is None else delay) + np.concatenate([[0.0], np.cumsum(gaps)])
-    if spec is None:
-        from .lifetimes import Exponential
-
-        spec = Plain(Exponential(rate=1.0))
-    return SamplePath(horizon=horizon, events=events, spec=spec, delayed=delay is not None)
+def path_from_interarrivals(interarrivals: Sequence[float], horizon: float) -> SamplePath:
+    """A plain Exponential(1) path with the given inter-arrival times (testing helper)."""
+    return SamplePath(horizon, np.concatenate([[0.0], np.cumsum(interarrivals)]), Plain(Exponential(1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -405,45 +414,40 @@ def _column_blocks(spec, tmax, rows, rng):
         active, last, carry = active[keep], times[keep, -1], carry[keep]
 
 
-def simulate_paths(
-    spec: ProcessSpec,
-    horizon: float,
-    rows: int,
-    rng: np.random.Generator,
-) -> list[SamplePath]:
-    """``rows`` paths of ``spec`` covering [0, horizon], drawn together in column blocks.
+def _widen(a: np.ndarray, cols: int, fill) -> np.ndarray:
+    """``a`` with columns of ``fill`` appended up to ``cols`` columns."""
+    out = np.full((a.shape[0], cols), fill, a.dtype)
+    out[:, : a.shape[1]] = a
+    return out
 
-    ``rng`` is consumed as one chunk of
-    :func:`countproc.asymptotics.path_statistics` consumes it: with
-    ``rng = child_rng(seed, i)`` and ``horizon`` the largest query time,
-    the rows are the paths that chunk i summarizes.  Raises
+
+def simulate_paths(spec: ProcessSpec, horizon: float, rows: int, rng: np.random.Generator) -> SamplePath:
+    """A block of ``rows`` paths of ``spec`` covering [0, horizon], filled in
+    place from the column blocks: with ``rng = child_rng(seed, i)`` and
+    ``horizon`` the largest query time, the rows are the paths that chunk i
+    of :func:`countproc.asymptotics.path_statistics` summarizes.  Raises
     :class:`EventCapExceeded` when a path still at or before the horizon
     has drawn more than ``DEFAULT_EVENT_CAP`` gaps.
     """
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
+    cover, _ = _block_widths(spec, float(horizon))
     blocks = _column_blocks(spec, float(horizon), rows, rng)
-    times = [[s] for s in next(blocks)[:, None]]
-    marks = [[] for _ in range(rows)]
-    for active, _, block_times, block_marks in blocks:
-        for i, r in enumerate(active.tolist()):
-            times[r].append(block_times[i])
+    events, marks, col = next(blocks)[:, None], None, 1
+    for active, _, times, block_marks in blocks:
+        width = times.shape[1]
+        if events.shape[1] < col + width:  # the mean count plus one sd first, then stragglers
+            cols = max(col + width, 1 + cover)
+            events = _widen(events, cols, np.inf)
             if block_marks is not None:
-                marks[r].append(block_marks[i])
-    paths = []
-    for t, m in zip(times, marks):
-        events = np.concatenate(t)
-        events = events[: np.searchsorted(events, horizon, side="right") + 1]
-        extra = {}
-        if m:  # a block's last mark is the next block's first: keep it once
-            mark = np.concatenate([b[:-1] for b in m] + [m[-1][-1:]])[: events.size]
-            if isinstance(spec, Modulated):
-                extra["states"] = tuple(spec.states[k] for k in mark.tolist())
-            else:
-                extra["ma_trace"] = mark
-        paths.append(SamplePath(horizon=horizon, events=events, spec=spec,
-                                delayed=isinstance(spec, Delayed), **extra))
-    return paths
+                marks = _widen(np.zeros((rows, 0), block_marks.dtype) if marks is None else marks, cols, 0)
+        events[active, col : col + width] = times
+        if block_marks is not None:  # a block's last mark is the next block's first
+            marks[active, col - 1 : col + width] = block_marks
+        col += width
+    events[:, 1:][events[:, :-1] > horizon] = np.inf  # drop the events after each overshoot
+    marks = {} if marks is None else {"states" if isinstance(spec, Modulated) else "ma_trace": marks[:, :col]}
+    return SamplePath(horizon, events[:, :col], spec, isinstance(spec, Delayed), **marks)
 
 
 def paths_per_chunk(spec: ProcessSpec, horizon: float) -> int:
@@ -468,17 +472,17 @@ _NDJSON_BATCH = 2048
 
 
 def write_events_ndjson(path: SamplePath, fp: IO[str]) -> None:
-    """One JSON object per event: index, time, inter-arrival, state.
+    """One JSON object per event of a 1-d path: index, time, inter-arrival, state.
 
     Written in batches of lines; a finite float is written as its ``repr``,
     as ``json.dumps`` writes it, and only state labels go through ``json.dumps``.
     """
     times, gaps, states = path.events, path.interarrivals, path.states
-    labels = None if states is None else {s: json.dumps(s) for s in set(states)}
+    labels = None if states is None else [json.dumps(s) for s in path.spec.states]
     for lo in range(0, times.size, _NDJSON_BATCH):
         hi = min(lo + _NDJSON_BATCH, times.size)
         gap = ["null"] * (lo == 0) + [repr(g) for g in gaps[max(lo - 1, 0) : hi - 1].tolist()]
-        state = ["null"] * (hi - lo) if labels is None else [labels[s] for s in states[lo:hi]]
+        state = ["null"] * (hi - lo) if labels is None else [labels[s] for s in states[lo:hi].tolist()]
         fp.write("".join(
             f'{{"index": {i}, "time": {t!r}, "interarrival": {g}, "state": {s}}}\n'
             for i, t, g, s in zip(range(lo, hi), times[lo:hi].tolist(), gap, state)

@@ -1,5 +1,11 @@
 """Shared strategies and fixtures for the test suite."""
 
+import os
+
+# one BLAS thread, as the benchmark runs: the solver tests' per-point dot
+# products otherwise pay OpenBLAS thread start-up; set before numpy loads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -13,6 +19,7 @@ from countproc.lifetimes import (
     ParetoShifted,
     Uniform,
 )
+from countproc.processes import _CHUNK_ROWS, child_rng, simulate_paths
 
 # parameter ranges kept away from numerical extremes on purpose
 rates = st.floats(0.25, 4.0)
@@ -59,3 +66,15 @@ any_distribution = st.one_of(light_tailed, paretos, mixtures())
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture
+def chunk_paths():
+    """Blocks of the paths that path_statistics(spec, ts, reps, seed) with
+    max(ts) = t summarizes, one block per chunk, drawn as they are used."""
+
+    def blocks(spec, t, reps, seed):
+        for i, first in enumerate(range(0, reps, _CHUNK_ROWS)):
+            yield simulate_paths(spec, t, min(_CHUNK_ROWS, reps - first), child_rng(seed, i))
+
+    return blocks

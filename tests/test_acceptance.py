@@ -41,6 +41,7 @@ from countproc.processes import (
 from countproc.decomposition import (
     ConditionalMeanOracle,
     decomposition_residual,
+    optional_quadratic_variation,
     tolerance_for,
     truncated_decomposition_residual,
 )
@@ -134,11 +135,12 @@ def test_criterion_04_equilibrium_residual_law():
             f"KS exp={ks_exp.statistic:.4f}, KS gamma={ks_gam.statistic:.4f}, bound 0.03", started)
 
 
-def test_criterion_05_quadratic_variation():
+def test_criterion_05_quadratic_variation(chunk_paths):
     started = time.perf_counter()
     t, rate, sigma2 = 20.0, 1.0, 1.0
-    stats = path_statistics(Plain(Exponential(1.0)), [t], 100_000, seed=5001, qv_rate=rate)
-    optional = stats["qv"][:, 0]
+    stats = path_statistics(Plain(Exponential(1.0)), [t], 100_000, seed=5001)
+    optional = np.concatenate([optional_quadratic_variation(paths, rate, t)
+                               for paths in chunk_paths(Plain(Exponential(1.0)), t, 100_000, 5001)])
     predictable = rate**2 * sigma2 * stats["count"][:, 0]
     noise = stats["count"][:, 0] - rate * (t + stats["residual"][:, 0])
     squared = noise**2

@@ -15,7 +15,17 @@ from countproc.lifetimes import (
     ParetoShifted,
     Uniform,
 )
-from countproc.processes import Delayed, EventCapExceeded, Modulated, Plain, StationaryMA, simulate_path
+from countproc.decomposition import optional_quadratic_variation
+from countproc.processes import (
+    Delayed,
+    EventCapExceeded,
+    Modulated,
+    Plain,
+    StationaryMA,
+    child_rng,
+    simulate_path,
+    simulate_paths,
+)
 from countproc.asymptotics import (
     Estimate,
     estimate_blackwell,
@@ -293,8 +303,8 @@ class TestReproducibility:
 
     @staticmethod
     def _assert_thread_invariant(spec):
-        seq = path_statistics(spec, [5.0], 40_000, seed=101, qv_rate=1.0, threads=1)
-        par = path_statistics(spec, [5.0], 40_000, seed=101, qv_rate=1.0, threads=2)
+        seq = path_statistics(spec, [5.0], 40_000, seed=101, threads=1)
+        par = path_statistics(spec, [5.0], 40_000, seed=101, threads=2)
         assert seq.keys() == par.keys()
         for key in seq:
             assert np.array_equal(seq[key], par[key])
@@ -362,8 +372,12 @@ class TestBlockKernel:
     def test_matches_brute_force(self, kind, ts):
         life, delay = Recording(Gamma(2, 2)), Recording(Uniform(0.0, 8.0))
         spec = Plain(life) if kind == "plain" else Delayed(delay, life)
-        stats = path_statistics(spec, ts, 300, seed=41, qv_rate=0.5)
+        stats = path_statistics(spec, ts, 300, seed=41)
         tmax = max(ts)
+        # the quadratic variation from the block of the same chunk, drawn from
+        # the unrecorded laws so that the recorded blocks stay the engine's
+        plain = Plain(Gamma(2, 2)) if kind == "plain" else Delayed(Uniform(0.0, 8.0), Gamma(2, 2))
+        qv = optional_quadratic_variation(simulate_paths(plain, tmax, 300, child_rng(41, 0)), 0.5, ts)
         if kind == "delayed":
             start = delay.blocks[0]
             assert np.array_equal(stats["delay"], start)
@@ -376,7 +390,7 @@ class TestBlockKernel:
                 assert stats["count"][r, i] == n
                 assert stats["residual"][r, i] == events[n] - t
                 q = np.sum((1.0 - 0.5 * np.diff(events)[:n]) ** 2)
-                assert stats["qv"][r, i] == pytest.approx(q, rel=1e-12, abs=1e-12)
+                assert qv[r, i] == pytest.approx(q, rel=1e-12, abs=1e-12)
         if kind == "delayed":
             assert np.any(start > ts[0])  # t below the delay on some rows
 

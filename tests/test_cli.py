@@ -224,6 +224,30 @@ class TestValidate:
             assert capsys.readouterr().err.splitlines() == [f"invalid: {message}"]
         assert not (tmp_path / "res").exists()
 
+    @pytest.mark.parametrize("obj,message", [
+        ({"experiment": "renewal-solve", "spec": GAMMA_SPEC, "horizon": 1, "step": 5},
+         "step: must split horizon = 1 into whole cells, got 5"),
+        ({"experiment": "sgibnev", "spec": GAMMA_SPEC, "t": 1, "step": 0.7},
+         "step: must split t = 1 into whole cells, got 0.7"),
+    ], ids=["renewal-solve-step-over-horizon", "sgibnev-step-fraction"])
+    def test_step_must_split_its_span(self, tmp_path, capsys, obj, message):
+        # the first crashed run with a traceback; the second read E[R(0.7)] as E[R(1)]
+        cfg = write_config(tmp_path, dict(obj, out=str(tmp_path / "res")))
+        for command in ("validate", "run"):
+            assert main([command, str(cfg)]) == 2
+            assert capsys.readouterr().err.splitlines() == [f"invalid: {message}"]
+        assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("experiment,span,step", [
+        ("sgibnev", 200, 0.02), ("sgibnev", 100, 0.01), ("renewal-solve", 100, 0.005),
+        ("renewal-solve", 5, 0.001), ("renewal-solve", 0.3, 0.1),
+    ])
+    def test_whole_step_splits_accepted(self, experiment, span, step):
+        knob = "t" if experiment == "sgibnev" else "horizon"
+        obj = {"experiment": experiment, "spec": GAMMA_SPEC, knob: span, "step": step}
+        cfg, errors = validate_config(obj)
+        assert errors == [] and cfg is not None
+
     def test_minimum_sizes_accepted(self):
         for obj in (
             {"experiment": "blackwell", "spec": GAMMA_SPEC, "t": 50, "h": 1, "reps": 1000},
@@ -465,6 +489,22 @@ class TestRun:
         buf = io.StringIO()
         reports_to_csv(build_reports(first, 1.0, 1.0, 1.0, np.linspace(0.1, 10.0, 100)), buf)
         assert (tmp_path / "res" / "decomposition.csv").read_text() == buf.getvalue()
+
+    @pytest.mark.parametrize("spec", [GAMMA_SPEC, MA_SPEC], ids=["plain", "ma"])
+    def test_decompose_query_slices(self, tmp_path, capsys, monkeypatch, spec):
+        # 150 paths queried 1, 7 or the default number of rows at a time
+        # give the same bytes: the CSVs and the printed maxima
+        outputs = []
+        for rows in (1, 7, countproc.cli._QUERY_ROWS):
+            monkeypatch.setattr(countproc.cli, "_QUERY_ROWS", rows)
+            res = tmp_path / f"res-{rows}"
+            cfg = write_config(tmp_path, {"experiment": "decompose", "spec": spec, "horizon": 10,
+                                          "reps": 150, "v": 1.0, "seed": 3, "out": str(res)})
+            assert main(["run", str(cfg)]) == 0
+            outputs.append([capsys.readouterr().out, (res / "decompose.csv").read_text(),
+                            (res / "decomposition.csv").read_text()])
+        assert "over 150 paths" in outputs[0][0]
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_renewal_solve_run(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

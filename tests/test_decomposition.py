@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from countproc.lifetimes import Deterministic, Exponential, Gamma, ParetoShifted
+from countproc.lifetimes import Deterministic, Exponential, Gamma, ParetoShifted, Uniform
 from countproc.processes import (
     Delayed,
     Modulated,
@@ -122,8 +122,8 @@ class TestTruncatedRate:
         oracle = ConditionalMeanOracle(TWO_STATE)
         ts = np.asarray(p.events[:-1])[1:8] + 1e-6  # just after each event
         lam = truncated_rate(p, oracle, 1e9, ts)
-        states = np.array(p.states[1:8])
-        expect = np.where(states == "a", 1.0, 1.0 / 3.0)
+        states = p.states[1:8]
+        expect = np.where(states == TWO_STATE.states.index("a"), 1.0, 1.0 / 3.0)
         assert np.allclose(lam, expect)
 
     def test_nonpositive_oracle_rejected(self):
@@ -131,7 +131,7 @@ class TestTruncatedRate:
 
         class Bad:
             def interval_means(self, path, v):
-                return np.zeros(path.interval_bounds().size - 1)
+                return np.zeros(path.events.size - 1 + path.delayed)
 
         with pytest.raises(ValueError):
             truncated_rate(p, Bad(), 1.0, 2.0)
@@ -200,16 +200,12 @@ class TestNoiseStatistics:
         # gaps observed by time t and has zero mean at every t, for every kind
         oracle = ConditionalMeanOracle(spec)
         t = 10.0
-        vals = []
-        for p in simulate_paths(spec, t, 4000, child_rng(77, 0)):
-            n = count(p, t)
-            means = oracle.interval_means(p, v)
-            capped = np.minimum(np.diff(p.interval_bounds()), v)
-            terms = 1.0 - capped / means
-            if p.delayed:
-                terms = terms[1:]  # the delay interval is not a noise summand
-            vals.append(float(np.sum(terms[:n])))
-        vals = np.asarray(vals)
+        paths = simulate_paths(spec, t, 4000, child_rng(77, 0))
+        n = count(paths, t)
+        # interval 0 of a delayed path is the delay, which is not a noise summand
+        means = oracle.interval_means(paths, v)[:, int(paths.delayed):]
+        terms = 1.0 - np.minimum(paths.interarrivals, v) / means
+        vals = np.where(np.arange(terms.shape[1]) < n[:, None], terms, 0.0).sum(axis=1)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean()) <= 4 * se
 
@@ -223,12 +219,13 @@ class TestNoiseStatistics:
         se = prod.std(ddof=1) / math.sqrt(prod.size)
         assert abs(prod.mean()) <= 4 * se
 
-    def test_qv_consistency(self):
+    def test_qv_consistency(self, chunk_paths):
         # mean of the jump-sum form matches mean of the count form
         spec = Plain(Exponential(1.0))
-        stats = path_statistics(spec, [20.0], 50_000, seed=19, qv_rate=1.0)
-        optional = stats["qv"][:, 0]
-        predictable = stats["count"][:, 0]  # rate^2 * var = 1
+        blocks = [(optional_quadratic_variation(paths, 1.0, 20.0), count(paths, 20.0))
+                  for paths in chunk_paths(spec, 20.0, 50_000, 19)]
+        optional = np.concatenate([qv for qv, _ in blocks])
+        predictable = np.concatenate([n for _, n in blocks])  # rate^2 * var = 1
         diff = optional - predictable
         se = diff.std(ddof=1) / math.sqrt(diff.size)
         assert abs(diff.mean()) <= 4 * se
@@ -334,6 +331,15 @@ def lookup_cases():
         yield p, np.unique(ts)
 
 
+def block_cases():
+    """A block of 40 paths per spec kind, with query times from 0 to the
+    horizon; the delayed block has rows whose delay passes some of them."""
+    specs = [Plain(Gamma(2, 2)), Delayed(Uniform(0.0, 8.0), Gamma(2, 2)), TWO_STATE,
+             StationaryMA(2, Exponential(1.0))]
+    return [(simulate_paths(spec, 12.0, 40, child_rng(43, 0)), np.linspace(0.0, 12.0, 61))
+            for spec in specs]
+
+
 LOOKUP_IDS = ["plain", "delayed", "modulated", "ma", "delayed-before-delay"]
 
 
@@ -344,7 +350,8 @@ class TestSingleLookup:
         oracle = ConditionalMeanOracle(p.spec)
         for v in (0.5, math.inf):
             means = oracle.interval_means(p, v)
-            expect = 1.0 / means[np.searchsorted(p.interval_bounds(), ts, "right") - 1]
+            bounds = np.concatenate([[0.0], p.events]) if p.delayed else p.events
+            expect = 1.0 / means[np.searchsorted(bounds, ts, "right") - 1]
             assert np.array_equal(truncated_rate(p, oracle, v, ts), expect)
             assert [truncated_rate(p, oracle, v, t) for t in ts] == expect.tolist()
             tres = truncated_decomposition_residual(p, oracle, v, ts)
@@ -369,15 +376,16 @@ class TestSingleLookup:
         assert all(rep.predictable_qv is None
                    for rep in build_reports(p, rate, mean_lifetime, math.inf, ts))
 
-    @pytest.mark.parametrize("case", lookup_cases(), ids=LOOKUP_IDS)
+    @pytest.mark.parametrize("case", [*lookup_cases(), *block_cases()[:1]], ids=[*LOOKUP_IDS, "block"])
     def test_one_search_over_events_per_query(self, case, monkeypatch):
+        # one search per row: a single path is searched once, a block once per row
         p, ts = case
         oracle = ConditionalMeanOracle(p.spec)
         searched = []
         search = np.searchsorted
 
         def recording(a, *args, **kwargs):
-            searched.append(a is p.events)
+            searched.append(np.shares_memory(a, p.events))
             return search(a, *args, **kwargs)
 
         monkeypatch.setattr(np, "searchsorted", recording)
@@ -389,9 +397,55 @@ class TestSingleLookup:
             lambda: predictable_quadratic_variation(p, 1.0, 1.0, ts),
             lambda: truncated_rate(p, oracle, 1.0, ts),
             lambda: truncated_decomposition_residual(p, oracle, 1.0, ts),
-            lambda: build_reports(p, 1.0, 1.0, 1.0, ts),
         ]
+        if p.events.ndim == 1:
+            queries.append(lambda: build_reports(p, 1.0, 1.0, 1.0, ts))
+        rows = p.events.reshape(-1, p.events.shape[-1]).shape[0]
         for query in queries:
             searched.clear()
             query()
-            assert searched == [True]
+            assert searched == [True] * rows
+
+
+class TestBlocks:
+    """Every query on a block answers row by row with the bits the same
+    query gives on that row's own path."""
+
+    @pytest.mark.parametrize("case", block_cases(), ids=["plain", "delayed", "modulated", "ma"])
+    def test_block_queries_equal_row_queries(self, case):
+        block, ts = case
+        oracle = ConditionalMeanOracle(block.spec)
+        if block.delayed:
+            assert np.any(block.events[:, 0] > ts[1])  # t before the delay on some rows
+        queries = [
+            lambda p, t: count(p, t),
+            lambda p, t: residual(p, t),
+            lambda p, t: martingale(p, 1.1, t),
+            lambda p, t: decomposition_residual(p, 1.1, t),
+            lambda p, t: wald_residual(p, 0.7, t),
+            lambda p, t: optional_quadratic_variation(p, 1.1, t),
+            lambda p, t: predictable_quadratic_variation(p, 1.1, 0.3, t),
+        ]
+        for v in (0.5, math.inf):
+            queries += [
+                lambda p, t, v=v: truncated_rate(p, oracle, v, t),
+                lambda p, t, v=v: truncated_decomposition_residual(p, oracle, v, t),
+            ]
+        for query in queries:
+            for t in (ts, 0.0, 7.3, 12.0):
+                answer = query(block, t)
+                assert answer.shape == (40,) + np.shape(t)
+                for r in range(40):
+                    assert np.array_equal(answer[r], query(block[r], t))
+        for v in (0.5, math.inf):
+            means = oracle.interval_means(block, v)
+            for r in range(40):
+                row = oracle.interval_means(block[r], v)
+                assert np.array_equal(means[r, : row.size], row)
+
+    def test_row_slice_is_a_block(self):
+        block, ts = block_cases()[1]
+        part = block[5:12]
+        assert part.events.shape[0] == 7 and part.delayed
+        whole = decomposition_residual(block, 1.1, ts)
+        assert np.array_equal(decomposition_residual(part, 1.1, ts), whole[5:12])

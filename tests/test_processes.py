@@ -119,37 +119,65 @@ class TestEngineAgreement:
     def test_summaries_match(self, kind, ts, reps):
         assert reps <= _CHUNK_ROWS
         spec = ENGINE_SPECS[kind]
-        stats = path_statistics(spec, ts, reps, seed=23, qv_rate=0.5)
+        stats = path_statistics(spec, ts, reps, seed=23)
+        paths = simulate_paths(spec, max(ts), reps, child_rng(23, 0))
+        assert paths.events.shape[0] == reps
         if reps == 1:
-            paths = [simulate_path(spec, max(ts), child_rng(23, 0))]
-        else:
-            paths = simulate_paths(spec, max(ts), reps, child_rng(23, 0))
-        assert len(paths) == reps
-        for r, p in enumerate(paths):
-            assert np.array_equal(count(p, ts), stats["count"][r])
-            assert np.array_equal(residual(p, ts), stats["residual"][r])
-            np.testing.assert_allclose(optional_quadratic_variation(p, 0.5, ts), stats["qv"][r],
-                                       rtol=1e-12, atol=0)
-            if kind == "delayed":
-                assert p.delay == stats["delay"][r]
+            assert np.array_equal(simulate_path(spec, max(ts), child_rng(23, 0)).events, paths[0].events)
+        assert np.array_equal(count(paths, ts), stats["count"])
+        assert np.array_equal(residual(paths, ts), stats["residual"])
+        # the block's quadratic variation against each row's gaps summed one by one
+        qv = optional_quadratic_variation(paths, 0.5, ts)
+        for r in range(reps):
+            gaps = np.diff(paths[r].events)
+            expect = [np.sum((1.0 - 0.5 * gaps[:n]) ** 2) for n in stats["count"][r].astype(int)]
+            np.testing.assert_allclose(qv[r], expect, rtol=1e-12, atol=0)
+        if kind == "delayed":
+            assert np.array_equal(paths.delay, stats["delay"])
 
     def test_rows_outlast_first_block(self):
         # the 600-horizon case above reaches the straggler blocks: some row
         # needs more gaps than the blocks covering mean + 1 sd events
         cover = int(600 + math.sqrt(0.5 * 600)) + 1
         paths = simulate_paths(Plain(Gamma(2, 2)), 600.0, 300, child_rng(23, 0))
-        assert max(p.events.size - 1 for p in paths) > cover
+        assert np.isfinite(paths.events).sum(axis=1).max() - 1 > cover
 
     def test_marks_cover_every_event(self):
         # the overshoot event is marked too: TWO_STATE alternates its states,
         # and for MA(2) trace[i + 1] = U_{i+1} = 2 T_i - trace[i]
-        for p in simulate_paths(TWO_STATE, 30.0, 50, child_rng(2, 0)):
-            assert len(p.states) == p.events.size
-            assert all(a != b for a, b in zip(p.states, p.states[1:]))
-        for p in simulate_paths(StationaryMA(2, Exponential(1.0)), 30.0, 50, child_rng(2, 0)):
+        paths = simulate_paths(TWO_STATE, 30.0, 50, child_rng(2, 0))
+        assert paths.states.shape == paths.events.shape
+        for r in range(50):
+            p = paths[r]
+            assert p.states.size == p.events.size
+            assert np.all(p.states[1:] != p.states[:-1])
+        paths = simulate_paths(StationaryMA(2, Exponential(1.0)), 30.0, 50, child_rng(2, 0))
+        assert paths.ma_trace.shape == paths.events.shape
+        for r in range(50):
+            p = paths[r]
             assert p.ma_trace.size == p.events.size
             np.testing.assert_allclose(p.ma_trace[1:], 2 * p.interarrivals - p.ma_trace[:-1],
                                        rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("kind", ENGINE_SPECS)
+    def test_block_rows_end_at_their_overshoot(self, kind):
+        # each row holds its events up to the horizon and one overshoot
+        # event, then +inf; rows that start past the horizon hold only that
+        paths = simulate_paths(ENGINE_SPECS[kind], 6.0, 200, child_rng(8, 0))
+        kept = np.isfinite(paths.events).sum(axis=1)
+        assert np.array_equal(kept, count(paths, 6.0) + 1)
+        assert np.all(np.isinf(paths.events[np.arange(paths.events.shape[1]) >= kept[:, None]]))
+        for r in range(200):
+            assert np.array_equal(paths[r].events, paths.events[r, : kept[r]])
+
+    @pytest.mark.parametrize("kind", ENGINE_SPECS)
+    def test_simulate_path_is_row_zero(self, kind):
+        spec = ENGINE_SPECS[kind]
+        p = simulate_path(spec, 25.0, 17)
+        row = simulate_paths(spec, 25.0, 1, np.random.default_rng(17))[0]
+        for name in ("events", "states", "ma_trace"):
+            a, b = getattr(p, name), getattr(row, name)
+            assert (a is None and b is None) or np.array_equal(a, b)
 
 
 class TestQueries:
@@ -244,9 +272,9 @@ class TestModulated:
     def test_state_frequencies_match_embedded_chain(self):
         # deterministic alternation: embedded stationary law is uniform
         p = simulate_path(TWO_STATE, 2.0 * 10**5, 0)
-        states = np.array(p.states[: len(p.events) - 1])
+        states = p.states[: len(p.events) - 1]
         assert len(states) > 50_000
-        freq_a = np.mean(states == "a")
+        freq_a = np.mean(states == TWO_STATE.states.index("a"))
         tv = abs(freq_a - 0.5)
         assert tv <= 0.01
 
@@ -254,7 +282,7 @@ class TestModulated:
         # holding means differ 1 vs 3: regression by state on one long path
         p = simulate_path(TWO_STATE, 10**5, 1)
         gaps = p.interarrivals
-        states = np.array(p.states[: gaps.size])
+        states = np.array(TWO_STATE.states)[p.states[: gaps.size]]
         mean_a = gaps[states == "a"].mean()
         mean_b = gaps[states == "b"].mean()
         assert abs(mean_a - 1.0) < 0.05
@@ -263,14 +291,14 @@ class TestModulated:
     def test_initial_state_label(self):
         spec = Modulated(TWO_STATE.states, TWO_STATE.kernel, TWO_STATE.lifetimes, initial="b")
         paths = simulate_paths(spec, 1.0, 500, child_rng(5, 0))
-        assert {p.states[0] for p in paths} == {"b"}
+        assert set(paths.states[:, 0].tolist()) == {spec.states.index("b")}
 
     def test_initial_law_mapping(self):
         spec = Modulated(TWO_STATE.states, TWO_STATE.kernel, TWO_STATE.lifetimes,
                          initial={"a": 0.3, "b": 0.7})
-        first = np.array([p.states[0] for p in simulate_paths(spec, 1.0, 4000, child_rng(5, 0))])
+        first = simulate_paths(spec, 1.0, 4000, child_rng(5, 0)).states[:, 0]
         se = math.sqrt(0.3 * 0.7 / first.size)
-        assert abs(np.mean(first == "a") - 0.3) <= 4 * se
+        assert abs(np.mean(first == spec.states.index("a")) - 0.3) <= 4 * se
 
     def test_kernel_row_sum_validated(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -416,7 +444,7 @@ class TestSerialization:
                 "index": i,
                 "time": float(t),
                 "interarrival": float(gaps[i - 1]) if i > 0 else None,
-                "state": p.states[i] if p.states is not None else None,
+                "state": spec.states[p.states[i]] if p.states is not None else None,
             }) + "\n"
             for i, t in enumerate(p.events)
         )
