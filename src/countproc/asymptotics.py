@@ -11,13 +11,23 @@ and independent of the number of worker threads.
 Closed-form constants (the long-run rate of a modulated process, the
 variance-drift constant for laws with three finite moments, the
 residual/noise cross-term limit) live here next to their estimators.
+
+Error bars.  A mean over paths carries the sample standard deviation over
+sqrt(reps).  On renewal specs the noise M(t) = N(t) - rate (t + R(t) - D)
+has mean 0 at every t (Wald's identity), so ``estimate_rate`` (plain and
+delayed specs), ``estimate_rm_cross`` and ``estimate_variance_drift`` use
+it as a control variate: the slope is fitted once on all paths, joined in
+chunk order, and the bar is the standard deviation of the controlled terms
+with two degrees of freedom spent (``_controlled_mean``).  The variance
+drift applies this to each path's delta-method influence.  The diffusion
+variance keeps 100 batch means.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -58,7 +68,8 @@ __all__ = [
 
 _Z95 = 1.959963984540054
 _MIN_WINDOW_REPS = 1000  # replications a Blackwell window estimate needs
-_BATCHES = 100  # batches behind a batch-mean error bar
+_MIN_DRIFT_REPS = 200  # replications a variance-drift estimate needs
+_BATCHES = 100  # batches behind the diffusion variance's batch-mean error bar
 _MIN_BATCH = 2  # fewest replications per batch
 
 
@@ -255,6 +266,25 @@ def _mean_estimate(x: np.ndarray, flags: tuple[str, ...] = ()) -> Estimate:
     return Estimate(value=float(np.mean(x)), se=se, flags=flags)
 
 
+def _controlled_mean(y: np.ndarray, m: np.ndarray, flags: tuple[str, ...] = ()) -> Estimate:
+    """Mean of ``y`` with ``m``, whose mean is known to be 0, as a control variate.
+
+    The value is mean(y) - beta * mean(m) with the least-squares slope
+    beta = sum (y - mean y)(m - mean m) / sum (m - mean m)^2, 0 when ``m``
+    has no spread; the error bar is std(y - beta m, ddof=2) / sqrt(n).
+    Fewer than three paths leave no degree of freedom for beta: plain mean.
+    """
+    n = y.size
+    if n < 3:
+        return _mean_estimate(y, flags)
+    mc = m - np.mean(m)
+    ss = float(np.dot(mc, mc))
+    beta = float(np.dot(y - np.mean(y), mc)) / ss if ss > 0 else 0.0
+    adjusted = y - beta * m
+    se = float(np.std(adjusted, ddof=2) / math.sqrt(n))
+    return Estimate(value=float(np.mean(adjusted)), se=se, flags=flags)
+
+
 def _batched(x: np.ndarray) -> np.ndarray:
     per = x.size // _BATCHES
     if per < _MIN_BATCH:
@@ -293,11 +323,21 @@ def estimate_blackwell(
 def estimate_rate(
     spec: ProcessSpec, t: float, reps: int, seed: int = 0, threads: int = 1
 ) -> Estimate:
-    """Mean of N(t)/t; tends to the long-run rate for every law, lattice or not."""
+    """Mean of N(t)/t; tends to the long-run rate for every law, lattice or not.
+
+    For plain and delayed specs the noise M(t)/t is the control variate
+    (``_controlled_mean``): E[M(t)] = 0 at every t by Wald's identity, and
+    N(t) - M(t) = rate (t + R(t) - D) leaves only the spread of R(t) - D in
+    the error bar.  Modulated and MA specs have E[M(t)] != 0 at finite t and keep
+    the plain mean with its sample-standard-deviation error bar.
+    """
     if not t > 0:
         raise ValueError("t must be positive")
     stats = path_statistics(spec, [t], reps, seed, threads=threads)
-    return _mean_estimate(stats["count"][:, 0] / t)
+    y = stats["count"][:, 0] / t
+    if not isinstance(spec, (Plain, Delayed)):
+        return _mean_estimate(y)
+    return _controlled_mean(y, _noise_at(stats, spec.lifetime.renewal_rate, t, 0) / t)
 
 
 def residual_limit_ks(
@@ -331,10 +371,16 @@ def estimate_variance_drift(
     which follows from the pathwise decomposition and the second-moment
     identity for the noise term; estimating the right-hand side needs only
     the O(1)-sized path summaries, cutting the error bar several-fold
-    against var-of-counts sampling.  Error bars come from batch means.
+    against var-of-counts sampling.  The plug-in value of the right-hand
+    side is corrected by the control variate M(t) (E[M(t)] = 0), fitted on
+    the delta-method influence of each path,
+        psi = rate^2 (R^2 - 2 mean(R) R) + 2 rate R M + rate^3 var T R,
+    and the error bar is that of ``_controlled_mean`` on psi.
     """
     if not isinstance(spec, Plain):
         raise TypeError("variance drift is defined for plain renewal specs")
+    if reps < _MIN_DRIFT_REPS:
+        raise ValueError(f"variance drift estimation needs at least {_MIN_DRIFT_REPS} replications")
     sigma2 = spec.lifetime.variance
     if math.isinf(sigma2):
         raise ValueError("variance drift needs a finite second moment")
@@ -342,14 +388,11 @@ def estimate_variance_drift(
     stats = path_statistics(spec, [t], reps, seed, threads=threads)
     r = stats["residual"][:, 0]
     m = _noise_at(stats, rate, t, 0)
-    rb = _batched(r)
-    mb = _batched(m)
-    drift_b = (
-        rate**2 * np.var(rb, axis=1, ddof=1)
-        + 2.0 * rate * np.mean(rb * mb, axis=1)
-        + rate**3 * sigma2 * np.mean(rb, axis=1)
-    )
-    return _mean_estimate(drift_b, _arithmetic_flags(spec))
+    r_bar = float(np.mean(r))
+    psi = rate**2 * r * (r - 2.0 * r_bar) + 2.0 * rate * r * m + rate**3 * sigma2 * r
+    # mean(psi) is the plug-in drift, var R taken with ddof 0, less rate^2 mean(R)^2
+    est = _controlled_mean(psi, m, _arithmetic_flags(spec))
+    return replace(est, value=est.value + (rate * r_bar) ** 2)
 
 
 def variance_drift_ratios(
@@ -373,14 +416,15 @@ def variance_drift_ratios(
 def estimate_rm_cross(
     spec: Plain, t: float, reps: int, seed: int = 0, threads: int = 1
 ) -> Estimate:
-    """Mean of R(t) * M(t) for a plain renewal spec."""
+    """Mean of R(t) * M(t) for a plain renewal spec, with M(t) (E[M(t)] = 0)
+    as its control variate and the error bar of ``_controlled_mean``."""
     if not isinstance(spec, Plain):
         raise TypeError("the residual/noise cross moment is defined for plain renewal specs")
     rate = spec.lifetime.renewal_rate
     stats = path_statistics(spec, [t], reps, seed, threads=threads)
     r = stats["residual"][:, 0]
     m = _noise_at(stats, rate, t, 0)
-    return _mean_estimate(r * m, _arithmetic_flags(spec))
+    return _controlled_mean(r * m, m, _arithmetic_flags(spec))
 
 
 def diffusion_scaling(

@@ -49,7 +49,7 @@ from typing import Callable, Mapping, get_args
 import numpy as np
 
 from . import asymptotics, decomposition, renewal_solver
-from .asymptotics import _BATCHES, _MIN_BATCH, _MIN_WINDOW_REPS, Estimate
+from .asymptotics import _BATCHES, _MIN_BATCH, _MIN_DRIFT_REPS, _MIN_WINDOW_REPS, Estimate
 from .decomposition import _csv_line
 from .lifetimes import Exponential
 from .processes import (
@@ -416,7 +416,7 @@ _EXPERIMENTS: dict[str, _Experiment] = {
     "rate": _Experiment({"t", "reps"}, _run_rate),
     "residual-law": _Experiment({"t", "reps"}, _run_residual_law, (Plain, Delayed)),
     "variance": _Experiment({"t", "reps"}, _run_variance, (Plain,), moment=2,
-                            min_reps=_MIN_BATCH * _BATCHES),
+                            min_reps=_MIN_DRIFT_REPS),
     "rm-cross": _Experiment({"t", "reps"}, _run_rm_cross, (Plain,), moment=3),
     "diffusion": _Experiment({"n", "t", "reps"}, _run_diffusion, (Plain,), moment=2,
                              min_reps=_MIN_BATCH * _BATCHES),

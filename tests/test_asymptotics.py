@@ -183,6 +183,64 @@ class TestRate:
                  for d in (Deterministic(1), Deterministic(1.0))]
         assert estimate_rate(chain[0], 10.5, 100, seed=2) == estimate_rate(chain[1], 10.5, 100, seed=2)
 
+    @pytest.mark.parametrize("spec", [TWO_STATE, StationaryMA(2, Exponential(1.0))],
+                             ids=["modulated", "ma"])
+    def test_other_kinds_keep_plain_mean(self, spec):
+        # E[M(t)] != 0 at finite t for these kinds: no control variate
+        est = estimate_rate(spec, 20.0, 5_000, seed=5)
+        y = path_statistics(spec, [20.0], 5_000, seed=5)["count"][:, 0] / 20.0
+        assert est == Estimate(float(np.mean(y)), float(np.std(y, ddof=1) / math.sqrt(y.size)))
+
+
+class TestControlVariate:
+    """The noise M(t), of mean 0 by Wald's identity, as a control variate."""
+
+    def test_rm_cross_unbiased(self):
+        # E[R(t)M(t)] = -1 at every t for Exponential(1): the slope fitted on
+        # the same paths may bias each estimate by O(1/reps), which must stay
+        # inside the error bar of a 100-seed average
+        ests = [estimate_rm_cross(Plain(Exponential(1.0)), 20.0, 2_000, seed=s) for s in range(100)]
+        mean = np.mean([e.value for e in ests])
+        se = np.mean([e.se for e in ests])
+        assert abs(mean + 1.0) <= 3 * se / math.sqrt(100)
+
+    def test_noiseless_control(self):
+        # a Deterministic law has M = 0 on every path: no NaN slope, and no spread
+        spec = Plain(Deterministic(1.0))
+        rate = estimate_rate(spec, 10.5, 100, seed=2)
+        cross = estimate_rm_cross(spec, 20.5, 2_000, seed=12)
+        assert rate == Estimate(11.0 / 10.5, 0.0)
+        assert cross.value == 0.0 and cross.se == 0.0
+
+    @staticmethod
+    def _plain_se(x):
+        return float(np.std(x, ddof=1) / math.sqrt(x.size))
+
+    def test_rm_cross_bar_narrows(self):
+        spec, t = Plain(Exponential(1.0)), 20.0
+        stats = path_statistics(spec, [t], 20_000, seed=21)
+        r = stats["residual"][:, 0]
+        m = stats["count"][:, 0] - (t + r)
+        est = estimate_rm_cross(spec, t, 20_000, seed=21)
+        assert est.se <= 0.8 * self._plain_se(r * m)
+
+    def test_variance_drift_bar_narrows(self):
+        # against the delta-method bar of the same paths without the control
+        spec, t = Plain(Gamma(2, 2)), 50.0
+        stats = path_statistics(spec, [t], 20_000, seed=21)
+        r = stats["residual"][:, 0]
+        m = stats["count"][:, 0] - (t + r)
+        psi = r * (r - 2.0 * np.mean(r)) + 2.0 * r * m + 0.5 * r  # rate 1, var T 1/2
+        est = estimate_variance_drift(spec, t, 20_000, seed=21)
+        assert est.se <= 0.8 * self._plain_se(psi)
+
+    def test_rate_bar_narrows(self):
+        # N(t) - M(t) = t + R(t): only the residual's spread is left
+        spec, t = Plain(Gamma(2, 2)), 50.0
+        y = path_statistics(spec, [t], 20_000, seed=21)["count"][:, 0] / t
+        est = estimate_rate(spec, t, 20_000, seed=21)
+        assert est.se <= 0.3 * self._plain_se(y)
+
 
 class TestResidualLaw:
     def test_exponential_ks(self):
@@ -319,6 +377,18 @@ class TestReproducibility:
     )
     def test_thread_count_invariance_other_kinds(self, spec):
         self._assert_thread_invariant(spec)
+
+    @pytest.mark.parametrize("estimator,spec", [
+        (estimate_rate, Plain(Gamma(2, 2))),
+        (estimate_rate, Delayed("equilibrium", Gamma(2, 2))),
+        (estimate_rm_cross, Plain(Exponential(1.0))),
+        (estimate_variance_drift, Plain(Gamma(2, 2))),
+    ], ids=["rate-plain", "rate-delayed", "rm-cross", "variance-drift"])
+    def test_controlled_estimates_thread_invariant(self, estimator, spec):
+        # 40000 reps are three chunks; the slope is fitted after they are joined
+        one = estimator(spec, 5.0, 40_000, seed=101, threads=1)
+        two = estimator(spec, 5.0, 40_000, seed=101, threads=2)
+        assert one == two
 
     def test_delayed_statistics_reproducible(self):
         spec = Delayed("equilibrium", Gamma(2, 2))

@@ -272,6 +272,14 @@ class TestValidate:
         assert hashes == {pinned}
 
 
+def assert_solver_error_resolved(out):
+    """The printed solver error of a ``rate`` check is below a quarter of its
+    printed se, so the target's own error cannot move z by more than 0.25."""
+    se = float(out.split("(se=")[1].split(")")[0])
+    error = float(out.split("solver error ")[1].split()[0])
+    assert error < se / 4
+
+
 class TestRun:
     def test_blackwell_pass_and_artifact(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
@@ -295,6 +303,7 @@ class TestRun:
         assert main(["run", str(cfg)]) == 0
         out = capsys.readouterr().out
         assert out.startswith("PASS rate") and "solver error" in out
+        assert_solver_error_resolved(out)
 
     def test_rate_target_one_percent_off_fails(self, tmp_path, capsys, monkeypatch):
         exact = countproc.cli._rate_target
@@ -346,6 +355,7 @@ class TestRun:
         assert main(["run", str(cfg)]) == 0
         out = capsys.readouterr().out
         assert out.startswith("PASS rate") and "z=" in out and "[arithmetic" not in out
+        assert_solver_error_resolved(out)
         flags = (tmp_path / "res" / "rate.csv").read_text().splitlines()[1].split(",")[-1]
         assert flags == ""
         exact = countproc.cli._rate_target
@@ -377,6 +387,7 @@ class TestRun:
         assert main(["run", str(cfg)]) == 0
         out = capsys.readouterr().out
         assert out.startswith("PASS rate") and "solver error" in out
+        assert_solver_error_resolved(out)
 
     @pytest.mark.parametrize("experiment", ["blackwell", "modulated"])
     @pytest.mark.parametrize("b,lattice", [
