@@ -20,7 +20,7 @@ it as a control variate: the slope is fitted once on all paths, joined in
 chunk order, and the bar is the standard deviation of the controlled terms
 with two degrees of freedom spent (``_controlled_mean``).  The variance
 drift applies this to each path's delta-method influence.  The diffusion
-variance keeps 100 batch means.
+variance is the mean of the per-path terms (X - mean X)^2 n/(n - 1).
 """
 
 from __future__ import annotations
@@ -68,9 +68,7 @@ __all__ = [
 
 _Z95 = 1.959963984540054
 _MIN_WINDOW_REPS = 1000  # replications a Blackwell window estimate needs
-_MIN_DRIFT_REPS = 200  # replications a variance-drift estimate needs
-_BATCHES = 100  # batches behind the diffusion variance's batch-mean error bar
-_MIN_BATCH = 2  # fewest replications per batch
+_MIN_DRIFT_REPS = 200  # replications a variance-drift or diffusion-variance estimate needs
 
 
 @dataclass(frozen=True)
@@ -285,13 +283,6 @@ def _controlled_mean(y: np.ndarray, m: np.ndarray, flags: tuple[str, ...] = ()) 
     return Estimate(value=float(np.mean(adjusted)), se=se, flags=flags)
 
 
-def _batched(x: np.ndarray) -> np.ndarray:
-    per = x.size // _BATCHES
-    if per < _MIN_BATCH:
-        raise ValueError("too few replications for batch-mean error bars")
-    return x[: per * _BATCHES].reshape(_BATCHES, per)
-
-
 def _elapsed_at(stats: dict[str, np.ndarray], t: float, col: int) -> np.ndarray:
     """t + R(t) - D per path: the sum of the gaps observed by t, delay excluded."""
     return t + stats["residual"][:, col] - stats.get("delay", 0.0)
@@ -450,6 +441,8 @@ def diffusion_scaling(
     m2 = spec.lifetime.moment(2)
     if math.isinf(sigma2):
         raise ValueError("diffusion scaling needs a finite second moment")
+    if reps < _MIN_DRIFT_REPS:
+        raise ValueError(f"diffusion scaling needs at least {_MIN_DRIFT_REPS} replications")
     rate = spec.lifetime.renewal_rate
     horizon = n * t
     stats = path_statistics(spec, [horizon], reps, seed, threads=threads)
@@ -457,7 +450,7 @@ def diffusion_scaling(
     scaled_resid = rate * stats["residual"][:, 0] / math.sqrt(n)
 
     return DiffusionScalingResult(
-        variance=_mean_estimate(np.var(_batched(scaled), axis=1, ddof=1)),
+        variance=_mean_estimate((scaled - np.mean(scaled)) ** 2 * (reps / (reps - 1))),
         variance_target=rate**3 * sigma2 * t,
         scaled_count_mean=_mean_estimate(scaled),
         scaled_residual_mean=_mean_estimate(scaled_resid),
@@ -498,6 +491,4 @@ def wald_ratio(
     s = _elapsed_at(stats, t, 0)
     w = mean_gap * stats["count"][:, 0]
     ratio = float(np.mean(s) / np.mean(w))
-    resid = s - ratio * w
-    se = float(np.std(resid, ddof=1) / (np.mean(w) * math.sqrt(s.size)))
-    return Estimate(value=ratio, se=se)
+    return replace(_mean_estimate((s - ratio * w) / np.mean(w)), value=ratio)

@@ -30,15 +30,17 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import IO, Callable
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
-from .lifetimes import Deterministic, Lattice, LifetimeDistribution, Mixture
+from .lifetimes import Deterministic, Lattice, LifetimeDistribution, Mixture, _lattice_span
 
 __all__ = [
     "GridFunction",
     "cumulative_residual_bias",
+    "extrapolate",
+    "fitted_step",
     "integrated_second_generator",
     "residual_mean_generator",
     "residual_second_generator",
@@ -51,6 +53,7 @@ __all__ = [
 
 _SNAP_WARN_REL = 1e-9
 _LEAF = 512  # largest block solved directly, by one convolution with 1 / (1 - increments)
+_CELLS = 5000  # cells of a grid whose step the caller does not set
 
 
 @dataclass
@@ -182,6 +185,29 @@ def _solve_block(
     conv = np.fft.irfft(np.fft.rfft(out[lo:mid], size) * spectra[size], size)
     out[mid:hi] += conv[mid - lo : n]
     _solve_block(out, inc, g, spectra, mid, hi)
+
+
+def extrapolate(solve: Callable[[float], np.ndarray], step: float) -> tuple[np.ndarray, float]:
+    """(2 Z_(h/2) - Z_h, max |Z_(h/2) - Z_h|) at h = ``step``, with Z_h = ``solve(h)``;
+    the grids line up at their last point, so a tail such as ``values[-1:]`` works too."""
+    coarse = solve(step)
+    fine = solve(step / 2)[::-2][: coarse.size][::-1]
+    return 2.0 * fine - coarse, float(np.max(np.abs(fine - coarse)))
+
+
+def fitted_step(horizon: float, laws: Sequence[LifetimeDistribution]) -> float:
+    """horizon / 5000, shrunk to the largest step that divides both the horizon
+    and the common lattice span of the arithmetic laws among ``laws``.
+
+    The atoms of those laws then sit on grid points and are not snapped.  A
+    common span below a quarter of horizon / 5000, or none, keeps that step.
+    """
+    step = horizon / _CELLS
+    arithmetic = [d for d in laws if d.is_arithmetic().arithmetic]
+    span = _lattice_span(arithmetic + [Deterministic(horizon)]) if arithmetic else None
+    if span is None or span < step / 4:
+        return step
+    return span / math.ceil(span / step)
 
 
 # ---------------------------------------------------------------------------

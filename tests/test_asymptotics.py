@@ -302,6 +302,25 @@ class TestDiffusion:
         assert res.scaled_count_mean.z_against(0.0) <= 4.0
         assert res.scaled_residual_mean.value <= res.residual_mean_bound + 4 * res.scaled_residual_mean.se
 
+    def test_variance_is_the_sample_variance(self):
+        # the mean of the per-path terms (X - mean X)^2 n/(n - 1), with their plain bar
+        spec = Plain(Gamma(2, 2))
+        res = diffusion_scaling(spec, 50, 1.0, 3_000, seed=21)
+        x = (path_statistics(spec, [50.0], 3_000, seed=21)["count"][:, 0] - 50.0) / math.sqrt(50)
+        psi = (x - x.mean()) ** 2 * 3_000 / 2_999
+        assert res.variance.value == pytest.approx(np.var(x, ddof=1), rel=1e-12)
+        assert res.variance.se == pytest.approx(np.std(psi, ddof=1) / math.sqrt(3_000), rel=1e-12)
+
+    def test_too_few_reps_raise_before_simulating(self, monkeypatch):
+        import countproc.asymptotics
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated")
+
+        monkeypatch.setattr(countproc.asymptotics, "path_statistics", no_simulation)
+        with pytest.raises(ValueError, match="at least 200"):
+            diffusion_scaling(Plain(Gamma(2, 2)), 10, 1.0, 199, seed=0)
+
     def test_deterministic_is_noiseless(self):
         res = diffusion_scaling(Plain(Deterministic(1.0)), 500, 1.0, 2_000, seed=14)
         assert res.variance.value == pytest.approx(0.0, abs=1e-12)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +16,9 @@ import countproc.processes
 import countproc.cli
 from countproc.cli import main, validate_config
 from countproc.decomposition import build_reports, reports_to_csv
-from countproc.lifetimes import EquilibriumOf, Exponential, Gamma, ParetoShifted, Uniform
+from countproc.lifetimes import Deterministic, EquilibriumOf, Exponential, Gamma, ParetoShifted, Uniform
 from countproc.processes import Delayed, Plain, child_rng, simulate_paths, spec_from_json
-from countproc.renewal_solver import sgibnev_asymptote
+from countproc.renewal_solver import GridFunction, sgibnev_asymptote
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -317,7 +318,7 @@ class TestRun:
         assert capsys.readouterr().out.startswith("FAIL rate")
 
     @pytest.mark.parametrize("lifetime,exact", [
-        (Gamma(2, 2), 1.0 + 0.75 / 50),  # E[R(t)] = 3/4 - exp(-4t)/4
+        (Gamma(2, 2), 1.0 + 0.75 / 50),  # E[R(t)] = 3/4 + exp(-4t)/4
         (Uniform(0, 2), 1.0 + (2 / 3) / 50),  # E[R(t)] -> E[T^2]/(2 E[T]), converged by t = 50
         (Exponential(1.0), 1.0 + 1.0 / 50),
     ])
@@ -336,6 +337,37 @@ class TestRun:
         target, error = countproc.cli._rate_target(Delayed(delay, lifetime), 50.0)
         assert target == pytest.approx(exact, abs=1e-6)
         assert error < 1e-4
+
+    def test_rate_target_lattice_step_fits_t(self):
+        # t/5000 would snap the atom at 1 (a RuntimeWarning); the fitted step
+        # puts it on the grid, and E[N(10.5)]/10.5 = 11/10.5 exactly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            target, error = countproc.cli._rate_target(Plain(Deterministic(1.0)), 10.5)
+        assert target == pytest.approx(22 / 21, abs=1e-15)
+        assert error < 1e-15
+
+    def test_rate_deterministic_off_default_grid(self, tmp_path, capsys):
+        # the t/5000 grid snapped the atom: the target read 1.04724, z=inf at se=0
+        cfg = write_config(tmp_path, {
+            "experiment": "rate", "spec": {"kind": "plain", "lifetime": DETERMINISTIC_1},
+            "t": 10.5, "reps": 20000, "seed": 7, "out": str(tmp_path / "res"),
+        })
+        assert main(["run", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("PASS rate") and "z=0.00 (se=0)" in out
+
+    def test_rate_lattice_off_default_grid(self, tmp_path, capsys):
+        # the t/5000 grid snapped the atoms: the target read 0.689116 (z=98)
+        # and its claimed error, 6.6e-4, was a tenth of the true 7.2e-3
+        cfg = write_config(tmp_path, {
+            "experiment": "rate", "spec": LATTICE_SPEC,
+            "t": 30, "reps": 20000, "seed": 7, "out": str(tmp_path / "res"),
+        })
+        assert main(["run", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("PASS rate") and "solver error" in out
+        assert_solver_error_resolved(out)
 
     def test_rate_target_equilibrium_delay_exact(self):
         # both spellings of the stationary delay are one spec with the exact target
@@ -471,6 +503,17 @@ class TestRun:
         b = (tmp_path / "b" / "blackwell.csv").read_text().replace(",2,", ",1,")
         assert a == b
 
+    def test_diffusion_thread_override_keeps_output(self, tmp_path):
+        # two chunks of paths, reduced in chunk order at either thread count
+        cfg = write_config(tmp_path, {
+            "experiment": "diffusion", "spec": GAMMA_SPEC, "n": 10, "t": 1, "reps": 20000, "seed": 7,
+        })
+        main(["run", str(cfg), "--out", str(tmp_path / "a"), "--threads", "1"])
+        main(["run", str(cfg), "--out", str(tmp_path / "b"), "--threads", "2"])
+        a = (tmp_path / "a" / "diffusion.csv").read_text().replace(",2,", ",1,")
+        b = (tmp_path / "b" / "diffusion.csv").read_text().replace(",2,", ",1,")
+        assert len(a.splitlines()) == 3 and a == b
+
     def test_decompose_run(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "experiment": "decompose", "spec": EXP_SPEC,
@@ -536,6 +579,22 @@ class TestRun:
         out = capsys.readouterr().out
         assert out.startswith("PASS renewal-solve: grid halving changes solution by")
         assert 0 < float(out.split()[-1]) <= 5 * 0.01  # the closed-form branch's tolerance
+
+    def test_renewal_solve_checks_its_error(self, tmp_path, capsys, monkeypatch):
+        # a half-step solve 1% off moves the solution by far more than 5e-3 max|Z|
+        solve = countproc.renewal_solver.solve_renewal_equation
+
+        def scaled(generator, dist):
+            sol = solve(generator, dist)
+            return GridFunction(sol.step, sol.values * (1.01 if sol.step < 0.01 else 1.0))
+
+        monkeypatch.setattr(countproc.renewal_solver, "solve_renewal_equation", scaled)
+        cfg = write_config(tmp_path, {
+            "experiment": "renewal-solve", "spec": GAMMA_SPEC,
+            "horizon": 5, "step": 0.01, "out": str(tmp_path / "res"),
+        })
+        assert main(["run", str(cfg)]) == 1
+        assert capsys.readouterr().out.startswith("FAIL renewal-solve")
 
     def test_simulate_writes_ndjson(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
