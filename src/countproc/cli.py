@@ -148,8 +148,8 @@ def validate_config(obj: Mapping) -> tuple[ExperimentConfig | None, list[str]]:
     for name in sorted(exp.knobs - set(obj)):
         errors.append(f"{name}: required for experiment {kind!r}")
     span = "horizon" if "horizon" in exp.knobs else "t"  # the interval a step grid covers
-    cells = knobs[span] / knobs["step"] if "step" in exp.knobs and {"step", span} <= knobs.keys() else 1.0
-    if not (round(cells) >= 1 and abs(cells - round(cells)) <= 1e-9 * cells):
+    gridded = "step" in exp.knobs and {"step", span} <= knobs.keys()
+    if gridded and not renewal_solver._whole_cells(knobs[span], knobs["step"]):
         errors.append(f"step: must split {span} = {knobs[span]:g} into whole cells, got {knobs['step']:g}")
     if knobs.get("reps", exp.min_reps) < exp.min_reps:
         errors.append(f"reps: experiment {kind!r} needs at least {exp.min_reps}, got {obj['reps']}")

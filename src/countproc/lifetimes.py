@@ -13,7 +13,9 @@ callers can branch on finiteness.
 ``excess_moment``, ``tail``, ``truncated_mean`` and ``equilibrium_cdf``
 accept scalars or numpy arrays and return a matching shape.  Samplers take
 an explicit ``numpy.random.Generator`` and are otherwise stateless;
-distribution objects are immutable and safe to share across threads.  A
+distribution objects are immutable and safe to share across threads.
+:meth:`LifetimeDistribution.draw`, the one sampler, raises each law's
+``_draw`` to ``_POSITIVE_FLOOR`` and returns a float for ``size=None``.  A
 Gamma law with a whole-number shape k <= 4 is drawn as an Erlang variate,
 ``-log(U_1 ... U_k) / rate`` with ``U_i = 1 - Generator.random()`` on
 (0, 1], which costs less than ``Generator.gamma`` and has the same law;
@@ -48,8 +50,9 @@ __all__ = [
     "distribution_from_json",
 ]
 
-# Smallest admissible draw.  Inverse-CDF sampling can hit exactly 0.0 with
-# probability 2**-53 per draw; clamping keeps event times strictly increasing.
+# Smallest draw, applied by LifetimeDistribution.draw: inverse-CDF sampling hits
+# 0.0 with probability 2**-53 a draw.  The floor keeps every gap positive, though
+# not every event time strictly increasing (1.0 + 1e-300 == 1.0).
 _POSITIVE_FLOOR = 1e-300
 
 # Largest whole-number Gamma shape drawn as an Erlang variate.  Cost per value
@@ -93,7 +96,7 @@ class LifetimeDistribution(_Wire):
 
     Subclasses set their wire ``kind`` and implement the excess moment
     ``excess_moment(k, t)``, the truncated mean (kept per law because
-    ``E[T] - e_1(v)`` cancels at small v) and ``draw``, plus
+    ``E[T] - e_1(v)`` cancels at small v) and ``_draw``, plus
     ``is_arithmetic`` and ``atoms`` for lattice laws.  ``tail``, ``moment``,
     ``excess_second_moment`` and ``integrated_excess`` derive from the
     excess moment; laws whose moments can diverge override
@@ -122,7 +125,14 @@ class LifetimeDistribution(_Wire):
         raise NotImplementedError
 
     def draw(self, rng: np.random.Generator, size=None):
-        """Sample from the law; identical generator state gives identical draws."""
+        """Sample from the law; identical generator state gives identical draws,
+        each at least ``_POSITIVE_FLOOR``, and a float when ``size`` is None."""
+        x = self._draw(rng, 1 if size is None else size)
+        np.maximum(x, _POSITIVE_FLOOR, out=x)
+        return float(x[0]) if size is None else x
+
+    def _draw(self, rng: np.random.Generator, size) -> np.ndarray:
+        """A new float array of ``size`` draws, before the floor."""
         raise NotImplementedError
 
     def is_arithmetic(self) -> ArithmeticSpan:
@@ -197,8 +207,8 @@ class Exponential(LifetimeDistribution):
         out = -np.expm1(-self.rate * v) / self.rate
         return _scalarize(out, v.ndim == 0)
 
-    def draw(self, rng, size=None):
-        return np.maximum(rng.exponential(1.0 / self.rate, size), _POSITIVE_FLOOR)
+    def _draw(self, rng, size):
+        return rng.exponential(1.0 / self.rate, size)
 
 
 @dataclass(frozen=True)
@@ -235,15 +245,10 @@ class Gamma(LifetimeDistribution):
         out = (a / r) * special.gammainc(a + 1, r * v) + w * special.gammaincc(a, r * v)
         return _scalarize(out, v.ndim == 0)
 
-    def draw(self, rng, size=None):
+    def _draw(self, rng, size):
         if not (self.shape.is_integer() and self.shape <= _ERLANG_MAX_SHAPE):
-            return np.maximum(rng.gamma(self.shape, 1.0 / self.rate, size), _POSITIVE_FLOOR)
-        if size is None:
-            return self._erlang(rng, 1)[0]
-        return self._erlang(rng, size)
-
-    def _erlang(self, rng, size) -> np.ndarray:
-        # -log(U_1 ... U_k) / rate with U_i = 1 - random() on (0, 1], so no
+            return rng.gamma(self.shape, 1.0 / self.rate, size)
+        # Erlang: -log(U_1 ... U_k) / rate with U_i = 1 - random() on (0, 1], so no
         # factor is 0; k <= 4 factors of at least 2**-53 cannot underflow.
         # One scratch buffer: a block holds two block-sized arrays at most.
         x = rng.random(size)
@@ -255,8 +260,7 @@ class Gamma(LifetimeDistribution):
                 np.subtract(1.0, u, out=u)
                 np.multiply(x, u, out=x)
         np.log(x, out=x)
-        np.multiply(x, -1.0 / self.rate, out=x)
-        return np.maximum(x, _POSITIVE_FLOOR, out=x)
+        return np.multiply(x, -1.0 / self.rate, out=x)
 
 
 @dataclass(frozen=True)
@@ -289,8 +293,8 @@ class Uniform(LifetimeDistribution):
         out = np.where(v <= a, v, np.where(v >= b, (a + b) / 2.0, mid))
         return _scalarize(out, v.ndim == 0)
 
-    def draw(self, rng, size=None):
-        return np.maximum(rng.uniform(self.low, self.high, size), _POSITIVE_FLOOR)
+    def _draw(self, rng, size):
+        return rng.uniform(self.low, self.high, size)
 
 
 @dataclass(frozen=True)
@@ -312,9 +316,7 @@ class Deterministic(LifetimeDistribution):
         v = np.asarray(v, dtype=float)
         return _scalarize(np.minimum(v, self.value), v.ndim == 0)
 
-    def draw(self, rng, size=None):
-        if size is None:
-            return self.value
+    def _draw(self, rng, size):
         return np.full(size, self.value)
 
     def is_arithmetic(self):
@@ -367,9 +369,9 @@ class ParetoShifted(LifetimeDistribution):
         out = (1.0 - (1.0 + v) ** (1.0 - self.alpha)) / (self.alpha - 1.0)
         return _scalarize(out, v.ndim == 0)
 
-    def draw(self, rng, size=None):
+    def _draw(self, rng, size):
         u = rng.random(size)
-        return np.maximum((1.0 - u) ** (-1.0 / self.alpha) - 1.0, _POSITIVE_FLOOR)
+        return (1.0 - u) ** (-1.0 / self.alpha) - 1.0
 
 
 @dataclass(frozen=True)
@@ -415,10 +417,8 @@ class Lattice(LifetimeDistribution):
         out = np.minimum(v[..., None], self._sites) @ np.asarray(self.pmf)
         return _scalarize(np.asarray(out), v.ndim == 0)
 
-    def draw(self, rng, size=None):
-        u = rng.random(size)
-        idx = np.minimum(np.searchsorted(self._cum, u, side="right"), len(self.pmf) - 1)
-        return self.span * (np.asarray(idx) + 1.0) if size is not None else float(self.span * (idx + 1))
+    def _draw(self, rng, size):
+        return self.span * (_pick(self._cum, rng.random(size)) + 1.0)
 
     def is_arithmetic(self):
         support = [j + 1 for j, p in enumerate(self.pmf) if p > 0]
@@ -463,24 +463,9 @@ class Mixture(LifetimeDistribution):
     def truncated_mean(self, v):
         return self._weighted(lambda c: c.truncated_mean(v), v)
 
-    def draw(self, rng, size=None):
-        if size is None:
-            u = rng.random()
-            idx = int(np.searchsorted(np.cumsum(self.weights), u, side="right"))
-            idx = min(idx, len(self.components) - 1)
-            return self.components[idx].draw(rng)
-        u = rng.random(size)
-        idx = np.minimum(
-            np.searchsorted(np.cumsum(self.weights), u, side="right"),
-            len(self.components) - 1,
-        )
-        out = np.empty(np.shape(u))
-        for i, comp in enumerate(self.components):
-            mask = idx == i
-            n = int(mask.sum())
-            if n:
-                out[mask] = comp.draw(rng, n)
-        return out
+    def _draw(self, rng, size):
+        idx = _pick(np.cumsum(self.weights), rng.random(size))
+        return _draw_each(self.components, idx, rng)
 
     def is_arithmetic(self):
         span = _lattice_span([c for w, c in zip(self.weights, self.components) if w > 0])
@@ -530,9 +515,8 @@ class EquilibriumOf(LifetimeDistribution):
         # (E[T^2] - e_2(v)) / (2 E[T]) of the base law
         return self.integrated_excess(0, v)
 
-    def draw(self, rng, size=None):
-        out = self.inverse_cdf(rng.random(size))
-        return float(out) if size is None else out
+    def _draw(self, rng, size):
+        return self.inverse_cdf(rng.random(size))
 
     def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
         """Vectorized inverse of the base equilibrium CDF (tolerance 1e-10).
@@ -571,6 +555,24 @@ class EquilibriumOf(LifetimeDistribution):
 def _check_k(k: int) -> None:
     if k not in (1, 2, 3):
         raise ValueError(f"moment order must be 1, 2 or 3, got {k}")
+
+
+def _pick(cum: np.ndarray, u):
+    """Per entry of ``u``, the index of the first entry of ``cum`` above it, or
+    the last index when a sum ending a rounding short of 1 has none."""
+    return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+
+
+def _draw_each(laws: Sequence[LifetimeDistribution], idx: np.ndarray, rng) -> np.ndarray:
+    """One draw from ``laws[i]`` per entry i of ``idx``, made law by law in
+    order, each law's draws filling its entries in row-major order."""
+    out = np.empty(np.shape(idx))
+    for i, law in enumerate(laws):
+        mask = idx == i
+        n = int(mask.sum())
+        if n:
+            out[mask] = law.draw(rng, n)
+    return out
 
 
 def _lattice_span(laws: Sequence[LifetimeDistribution]) -> float | None:

@@ -32,7 +32,7 @@ from typing import IO, Iterator, Literal, Mapping, Sequence, Union, get_args
 
 import numpy as np
 
-from .lifetimes import EquilibriumOf, Exponential, LifetimeDistribution, _decode, _Wire
+from .lifetimes import EquilibriumOf, Exponential, LifetimeDistribution, _decode, _draw_each, _pick, _Wire
 
 __all__ = [
     "Delayed",
@@ -215,7 +215,6 @@ class SamplePath:
     horizon: float
     events: np.ndarray
     spec: ProcessSpec
-    delayed: bool = False
     states: np.ndarray | None = None
     ma_trace: np.ndarray | None = None
 
@@ -240,7 +239,12 @@ class SamplePath:
         keep = slice(None) if ev.ndim == 2 else slice(np.searchsorted(ev, self.horizon, "right") + 1)
         marks = {name: getattr(self, name)[index][..., keep] for name in ("states", "ma_trace")
                  if getattr(self, name) is not None}
-        return SamplePath(self.horizon, ev[..., keep], self.spec, self.delayed, **marks)
+        return SamplePath(self.horizon, ev[..., keep], self.spec, **marks)
+
+    @property
+    def delayed(self) -> bool:
+        """Whether the spec is :class:`Delayed`, so that a row starts at its delay."""
+        return isinstance(self.spec, Delayed)
 
     @property
     def interarrivals(self) -> np.ndarray:
@@ -344,9 +348,7 @@ def _initial_carry(spec: ProcessSpec, rng: np.random.Generator, rows: int) -> np
     if isinstance(spec, StationaryMA):
         return spec.base.draw(rng, (rows, spec.order - 1))
     if isinstance(spec, Modulated):
-        init_cum = np.cumsum(spec.initial_law())
-        return np.minimum(np.searchsorted(init_cum, rng.random(rows), side="right"),
-                          len(spec.states) - 1)
+        return _pick(np.cumsum(spec.initial_law()), rng.random(rows))
     return np.empty((rows, 0))
 
 
@@ -374,11 +376,7 @@ def _draw_block(spec: ProcessSpec, rng: np.random.Generator, carry: np.ndarray, 
         states[:, c] = carry
         carry = np.minimum((u[:, c, None] >= kernel_cum[carry]).sum(axis=1), len(spec.states) - 1)
     states[:, width] = carry
-    gaps = np.empty((n, width))
-    for si, label in enumerate(spec.states):
-        mask = states[:, :width] == si
-        gaps[mask] = spec.lifetimes[label].draw(rng, int(mask.sum()))
-    return gaps, carry, states
+    return _draw_each(_lifetime_laws(spec), states[:, :width], rng), carry, states
 
 
 def _column_blocks(spec, tmax, rows, rng):
@@ -447,7 +445,7 @@ def simulate_paths(spec: ProcessSpec, horizon: float, rows: int, rng: np.random.
         col += width
     events[:, 1:][events[:, :-1] > horizon] = np.inf  # drop the events after each overshoot
     marks = {} if marks is None else {"states" if isinstance(spec, Modulated) else "ma_trace": marks[:, :col]}
-    return SamplePath(horizon, events[:, :col], spec, isinstance(spec, Delayed), **marks)
+    return SamplePath(horizon, events[:, :col], spec, **marks)
 
 
 def paths_per_chunk(spec: ProcessSpec, horizon: float) -> int:

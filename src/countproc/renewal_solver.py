@@ -54,6 +54,15 @@ __all__ = [
 _SNAP_WARN_REL = 1e-9
 _LEAF = 512  # largest block solved directly, by one convolution with 1 / (1 - increments)
 _CELLS = 5000  # cells of a grid whose step the caller does not set
+_CELL_REL = 1e-9  # relative slack of a whole number of cells
+
+
+def _whole_cells(horizon: float, step: float) -> int:
+    """The number of cells of ``step`` in ``horizon``, or 0 unless that is a
+    whole number >= 1 to within ``_CELL_REL`` relative."""
+    cells = horizon / step
+    k = round(cells)
+    return k if k >= 1 and abs(cells - k) <= _CELL_REL * cells else 0
 
 
 @dataclass
@@ -81,17 +90,20 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, f: Callable, horizon: float, step: float) -> "GridFunction":
-        k = int(round(horizon / step))
-        if k < 1:
-            raise ValueError("horizon must cover at least one step")
+        """f at 0, step, ..., horizon; ``step`` must split ``horizon`` into whole cells."""
+        k = _whole_cells(horizon, step)
+        if not k:
+            raise ValueError(f"step {step:g} must split horizon {horizon:g} into whole cells")
         t = step * np.arange(k + 1)
         return cls(step=step, values=np.asarray(f(t), dtype=float))
 
     def at(self, t) -> float | np.ndarray:
-        """Nearest-grid-point lookup."""
-        idx = np.rint(np.asarray(t, dtype=float) / self.step).astype(int)
-        idx = np.clip(idx, 0, self.values.size - 1)
-        out = self.values[idx]
+        """Nearest-grid-point lookup for t in [0, last grid time]."""
+        cells = np.asarray(t, dtype=float) / self.step
+        last = self.values.size - 1
+        if not np.all((cells >= 0) & (cells - last <= _CELL_REL * last)):
+            raise ValueError(f"t must lie in [0, {self.times[-1]:g}], the grid's span")
+        out = self.values[np.rint(cells).astype(int)]
         return float(out) if np.ndim(t) == 0 else out
 
     def to_csv(self, fp: IO[str]) -> None:
@@ -195,15 +207,26 @@ def extrapolate(solve: Callable[[float], np.ndarray], step: float) -> tuple[np.n
     return 2.0 * fine - coarse, float(np.max(np.abs(fine - coarse)))
 
 
+def _arithmetic_parts(law: LifetimeDistribution) -> list[LifetimeDistribution]:
+    """``law`` when it is arithmetic, else the arithmetic parts of its mixture
+    components of positive weight, found recursively."""
+    if law.is_arithmetic().arithmetic:
+        return [law]
+    if isinstance(law, Mixture):
+        return [p for w, c in zip(law.weights, law.components) if w > 0 for p in _arithmetic_parts(c)]
+    return []
+
+
 def fitted_step(horizon: float, laws: Sequence[LifetimeDistribution]) -> float:
     """horizon / 5000, shrunk to the largest step that divides both the horizon
-    and the common lattice span of the arithmetic laws among ``laws``.
+    and the common lattice span of the arithmetic laws among ``laws`` and
+    among the components of their mixtures.
 
     The atoms of those laws then sit on grid points and are not snapped.  A
     common span below a quarter of horizon / 5000, or none, keeps that step.
     """
     step = horizon / _CELLS
-    arithmetic = [d for d in laws if d.is_arithmetic().arithmetic]
+    arithmetic = [part for d in laws for part in _arithmetic_parts(d)]
     span = _lattice_span(arithmetic + [Deterministic(horizon)]) if arithmetic else None
     if span is None or span < step / 4:
         return step
@@ -303,13 +326,14 @@ def cumulative_residual_bias(
     is what this diagnostic probes.  The grid solution's own steady state
     sits O(step) away from C, so that exact discrete limit is subtracted
     in its place; otherwise the offset would grow linearly in t and drown
-    the dichotomy.
+    the dichotomy.  The default step is half of ``fitted_step(t, [dist])``:
+    t / 10000, with the atoms of an arithmetic law on grid points.
     """
     m2 = dist.moment(2)
     if math.isinf(m2):
         raise ValueError("cumulative residual bias needs a finite second moment")
     if step is None:
-        step = t / 10_000
+        step = fitted_step(t, [dist]) / 2
     grid = solve_residual_mean(dist, t, step)
     c_grid = _grid_steady_state(dist, step, grid.values.size - 1)
     return float(np.trapezoid(grid.values - c_grid, dx=step))

@@ -369,6 +369,21 @@ class TestRun:
         assert out.startswith("PASS rate") and "solver error" in out
         assert_solver_error_resolved(out)
 
+    def test_rate_mixture_atom_off_default_grid(self, tmp_path, capsys):
+        # t/5000 snapped the mixture's atom at 1 (two warnings): the target read 1.0714576
+        mixture = {"kind": "mixture", "weights": [0.5, 0.5],
+                   "components": [{"kind": "exponential", "rate": 1.0}, DETERMINISTIC_1]}
+        cfg = write_config(tmp_path, {
+            "experiment": "rate", "spec": {"kind": "plain", "lifetime": mixture},
+            "t": 10.5, "reps": 20000, "seed": 7, "out": str(tmp_path / "res"),
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("PASS rate") and "target=1.07144 " in out
+        assert_solver_error_resolved(out)
+
     def test_rate_target_equilibrium_delay_exact(self):
         # both spellings of the stationary delay are one spec with the exact target
         for delay in ("equilibrium", EquilibriumOf(Gamma(2, 2))):

@@ -270,6 +270,17 @@ class TestEquilibriumCdf:
         assert 0.99 < val < 1.0 - 1e-6  # genuinely slower than light tails
 
 
+class ZeroUniforms:
+    """A generator whose ``random()`` returns 0.0, an outcome of probability
+    2**-53 a draw."""
+
+    def random(self, size=None, out=None):
+        if out is not None:
+            out.fill(0.0)
+            return out
+        return 0.0 if size is None else np.zeros(size)
+
+
 class TestSampling:
     def test_deterministic_sample(self, rng):
         assert Deterministic(1.0).draw(rng) == 1.0
@@ -351,17 +362,21 @@ class TestSampling:
 
     @pytest.mark.parametrize("shape", [1, 2, 4])
     def test_erlang_survives_zero_uniforms(self, shape):
-        # random() returns 0.0 with probability 2**-53 a draw; -log(0) would
-        # be an infinite gap
-        class ZeroUniforms:
-            def random(self, size=None, out=None):
-                if out is not None:
-                    out.fill(0.0)
-                    return out
-                return 0.0 if size is None else np.zeros(size)
-
+        # -log(0) would be an infinite gap
         x = Gamma(shape, 2).draw(ZeroUniforms(), 16)
         assert np.all(np.isfinite(x)) and np.all(x >= _POSITIVE_FLOOR)
+
+    def test_equilibrium_draw_is_floored(self):
+        # the inverse CDF maps u = 0 to the gap 0.0
+        eq = EquilibriumOf(Gamma(2, 2))
+        assert eq.draw(ZeroUniforms()) >= _POSITIVE_FLOOR
+        assert np.all(eq.draw(ZeroUniforms(), 16) >= _POSITIVE_FLOOR)
+
+    @settings(max_examples=25, deadline=None)
+    @given(any_distribution)
+    def test_scalar_draw_is_the_first_of_one(self, dist):
+        x = dist.draw(np.random.default_rng(3))
+        assert type(x) is float and x == dist.draw(np.random.default_rng(3), 1)[0]
 
 
 class TestArithmetic:

@@ -18,6 +18,7 @@ from countproc.processes import (
     EventCapExceeded,
     Modulated,
     Plain,
+    SamplePath,
     StationaryMA,
     child_rng,
     count,
@@ -49,6 +50,12 @@ class TestSimulate:
         p = simulate_path(Delayed(Deterministic(0.5), Deterministic(1.0)), 2.0, 0)
         assert np.array_equal(p.events, [0.5, 1.5, 2.5])
         assert p.delayed and p.delay == 0.5
+
+    def test_plain_path_starts_at_zero(self):
+        # a plain spec has no delay, whatever the events say
+        with pytest.raises(ValueError, match="event at time 0"):
+            SamplePath(3.0, [0.5, 2.0, 3.5], Plain(Exponential(1.0)))
+        assert not SamplePath(3.0, [0.0, 2.0, 3.5], Plain(Exponential(1.0))).delayed
 
     def test_overshoot_invariant(self):
         for seed in range(20):

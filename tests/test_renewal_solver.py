@@ -111,7 +111,7 @@ class TestSolver:
 
     def test_off_grid_atom_warns(self):
         with pytest.warns(RuntimeWarning, match="snapped"):
-            solve_renewal_equation(ones_grid(2.0, 0.15), Deterministic(1.0))
+            solve_renewal_equation(ones_grid(3.0, 0.15), Deterministic(1.0))
 
     def test_deterministic_staircase_long_grid(self):
         # 40 001 points: beyond one leaf the FFT adds rounding, nothing more
@@ -187,6 +187,7 @@ class TestFittedStep:
         ([Lattice(1.0, (0.5, 0.5))], 30.0, 1.0),
         ([Gamma(2, 2), Deterministic(15.0)], 50.0, 5.0),  # an atomic delay
         ([Lattice(0.3, (0.5, 0.5))], 10.0, 0.1),
+        ([Mixture((0.5, 0.5), (Deterministic(1.0), Gamma(2, 2)))], 10.5, 0.5),  # an atomic part
     ])
     def test_divides_horizon_and_span(self, laws, horizon, span):
         step = fitted_step(horizon, laws)
@@ -197,7 +198,7 @@ class TestFittedStep:
     @pytest.mark.parametrize("laws", [
         [Deterministic(1.0), Deterministic(math.pi)],  # no common span
         [Lattice(1e-7, (1.0,))],  # a span far below the default step
-        [Mixture((0.5, 0.5), (Deterministic(1.0), Gamma(2, 2)))],  # not arithmetic
+        [Mixture((0.5, 0.5), (Deterministic(math.pi), Gamma(2, 2)))],  # an atom off every span
     ])
     def test_no_fitting_step_keeps_the_default(self, laws):
         assert fitted_step(10.5, laws) == 10.5 / 5000
@@ -355,6 +356,17 @@ class TestCumulativeBias:
         with pytest.raises(ValueError):
             cumulative_residual_bias(ParetoShifted(1.5), 10.0)
 
+    def test_default_step_puts_atoms_on_the_grid(self):
+        # t/10000 snapped the atoms at 1 and 2 (two warnings) and read 0.235801
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bias = cumulative_residual_bias(Lattice(1.0, (0.5, 0.5)), 10.5)
+        assert bias == pytest.approx(0.235735, abs=1e-6)
+
+    def test_default_step_of_a_continuous_law(self):
+        dist = Gamma(2, 2)
+        assert cumulative_residual_bias(dist, 10.0) == cumulative_residual_bias(dist, 10.0, step=1e-3)
+
 
 class TestGridFunction:
     def test_csv_round_trip(self):
@@ -373,6 +385,24 @@ class TestGridFunction:
     def test_rejects_nonuniform_grid(self):
         with pytest.raises(ValueError, match="uniform"):
             GridFunction.from_csv(io.StringIO("t,value\n0,1\n0.5,2\n2.0,3\n"))
+
+    def test_step_must_split_the_horizon(self):
+        # 0.3 would round 3.33 cells to 3, a grid ending at 0.9
+        with pytest.raises(ValueError, match="whole cells"):
+            GridFunction.from_callable(np.ones_like, 1.0, 0.3)
+        with pytest.raises(ValueError, match="whole cells"):
+            solve_residual_mean(Gamma(2, 2), 1.0, 0.3)
+        assert len(GridFunction.from_callable(np.ones_like, 0.3, 0.1)) == 4  # 2.9999999999999996 cells
+
+    def test_lookup_stays_on_the_grid(self):
+        g = GridFunction.from_callable(lambda u: u, 10.0, 0.5)
+        assert g.at(10.0) == 10.0 and g.at(0.0) == 0.0
+        assert g.at(np.array([0.24, 9.76])).tolist() == [0.0, 10.0]
+        for t in (500.0, -3.0, 10.26, math.nan):
+            with pytest.raises(ValueError, match="grid's span"):
+                g.at(t)
+        with pytest.raises(ValueError, match="grid's span"):
+            g.at(np.array([1.0, 10.5]))
 
     def test_validation(self):
         with pytest.raises(ValueError):
