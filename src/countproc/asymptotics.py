@@ -343,7 +343,7 @@ def residual_limit_ks(
     dist = spec.lifetime
     stats = path_statistics(spec, [t], reps, seed, threads=threads)
     r = np.sort(stats["residual"][:, 0])
-    cdf = np.asarray(dist.equilibrium_cdf(r))
+    cdf = dist.equilibrium_cdf(r)
     n = r.size
     upper = np.max(np.arange(1, n + 1) / n - cdf)
     lower = np.max(cdf - np.arange(0, n) / n)
@@ -472,7 +472,7 @@ def truncated_rate_indicator_mean(
         raise TypeError("implemented for plain renewal specs (the truncated rate is constant)")
     if not v > 0:
         raise ValueError("v must be positive")
-    lam_v = 1.0 / float(spec.lifetime.truncated_mean(v))
+    lam_v = 1.0 / spec.lifetime.truncated_mean(v)
     stats = path_statistics(spec, [t], reps, seed, threads=threads)
     ind = (stats["residual"][:, 0] <= v).astype(float)
     return _mean_estimate(ind * lam_v)

@@ -292,7 +292,7 @@ def _rate_target(spec: ProcessSpec, t: float) -> tuple[float, float | None]:
         if delay is None:
             return r[-1:]
         inc = renewal_solver._cdf_increments(delay, h, r.size - 1)
-        return np.array([float(delay.excess_moment(1, t)) + float(np.dot(inc[1:], r[-2::-1]))])
+        return np.array([delay.excess_moment(1, t) + float(np.dot(inc[1:], r[-2::-1]))])
 
     laws = [spec.lifetime] if delay is None else [spec.lifetime, delay]
     (r,), error = renewal_solver.extrapolate(mean_residual, renewal_solver.fitted_step(t, laws))

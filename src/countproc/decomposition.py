@@ -15,7 +15,9 @@ interval N(t) - 1 (N(t) on a delayed path, whose interval 0 is the delay).
 
 All functions accept a scalar query time or a 1-d array of query times
 and are pure; they never mutate the path.  A block of paths is answered
-row by row, each row with the bits its own 1-d path gives.
+row by row, each row with the bits its own 1-d path gives.  The general
+functional split takes evaluators whose methods accept arrays of times
+and event indices, and runs as one array pass over the events.
 """
 
 from __future__ import annotations
@@ -243,53 +245,44 @@ def truncated_decomposition_residual(path: SamplePath, oracle: ConditionalMeanOr
 def decompose_functional(
     path: SamplePath,
     evaluator,
-    conditional_mean: Callable[[SamplePath, int], float],
+    conditional_mean: Callable[[SamplePath, np.ndarray], np.ndarray],
     t: float,
 ):
     """Split Y(t) into drift integral, predictable jump part and noise part.
 
     ``evaluator`` supplies ``initial(path)`` = Y just before time zero,
-    ``value(path, t)``, the right derivative ``derivative(path, t)``
-    (assumed piecewise constant between events), and ``jump(path, k)`` at
-    event index k.  ``conditional_mean(path, k)`` supplies the expected
-    post-event value given the strict pre-event past.  Returns
-    ``(drift_integral, predictable, noise)`` and checks both the declared
-    jumps (within 1e-12 per event) and that the three terms plus the
-    initial value rebuild Y(t) within ``tolerance_for(N(t))``.
+    ``value(path, times)``, the right derivative ``derivative(path, times)``
+    (assumed piecewise constant between events), and ``jump(path, ks)`` at
+    event indices ks.  ``conditional_mean(path, ks)`` supplies the expected
+    post-event value given the strict pre-event past.  Each takes an array
+    of times or indices and answers for all of them at once, so the split
+    is one array pass over the events.  Returns ``(drift_integral,
+    predictable, noise)`` and checks both the declared jumps (within 1e-12
+    per event) and that the three terms plus the initial value rebuild Y(t)
+    within ``tolerance_for(N(t))``.
     """
     t = float(t)
     n = count(path, t)
-
-    def segment(a: float, b: float) -> float:
-        # right derivative is piecewise constant between events: the
-        # midpoint value times the width integrates each piece exactly
-        return float(evaluator.derivative(path, 0.5 * (a + b))) * (b - a) if b > a else 0.0
-
+    ks = np.arange(n)
+    edges = np.concatenate([[0.0], path.events[:n], [t]])
+    # the right derivative is piecewise constant between events: the
+    # midpoint value times the width integrates each piece exactly
+    segments = evaluator.derivative(path, 0.5 * (edges[:-1] + edges[1:])) * np.diff(edges)
     y0 = float(evaluator.initial(path))
-    drift_integral = 0.0
-    predictable = 0.0
-    noise = 0.0
-    running = y0  # reconstructed left limit as the sweep passes each event
-    prev = 0.0
-    for k in range(n):
-        tk = float(path.events[k])
-        seg = segment(prev, tk)
-        drift_integral += seg
-        running += seg
-        value_at = float(evaluator.value(path, tk))
-        declared = float(evaluator.jump(path, k))
-        if abs(value_at - running - declared) > 1e-12 * (1.0 + abs(value_at)):
-            raise ValueError(
-                f"declared jump at event {k} ({declared}) disagrees with "
-                f"Y(t_k) - Y(t_k-) = {value_at - running}"
-            )
-        cm = float(conditional_mean(path, k))
-        predictable += cm - running
-        noise += value_at - cm
-        running = value_at
-        prev = tk
-    tail_seg = segment(prev, t)
-    drift_integral += tail_seg
+    value_at = evaluator.value(path, edges[1:-1])
+    left = np.concatenate([[y0], value_at])[:-1] + segments[:-1]  # Y(t_k-)
+    declared = np.broadcast_to(evaluator.jump(path, ks), ks.shape)
+    bad = np.flatnonzero(np.abs(value_at - left - declared) > 1e-12 * (1.0 + np.abs(value_at)))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(
+            f"declared jump at event {k} ({declared[k]}) disagrees with "
+            f"Y(t_k) - Y(t_k-) = {value_at[k] - left[k]}"
+        )
+    cm = conditional_mean(path, ks)
+    drift_integral = float(np.sum(segments))
+    predictable = float(np.sum(cm - left))
+    noise = float(np.sum(value_at - cm))
 
     rebuilt = y0 + drift_integral + predictable + noise
     target = float(evaluator.value(path, t))
@@ -307,7 +300,7 @@ class counting_functional:
         return 0.0
 
     def value(self, path, t):
-        return float(count(path, t))
+        return count(path, t)
 
     def derivative(self, path, t):
         return 0.0
@@ -318,7 +311,7 @@ class counting_functional:
     def conditional_mean(self, path, k):
         # the count is predictable: the post-event value N(t_k) = k + 1 is
         # known just before the event fires
-        return float(k + 1)
+        return k + 1.0
 
 
 class centered_residual_functional:
@@ -335,19 +328,18 @@ class centered_residual_functional:
         return -self.rate * path.delay if path.delayed else 0.0
 
     def value(self, path, t):
-        return float(count(path, t)) - self.rate * float(residual(path, t))
+        return count(path, t) - self.rate * residual(path, t)
 
     def derivative(self, path, t):
         return self.rate
 
     def jump(self, path, k):
-        nxt = path.events[k + 1] - path.events[k]
-        return 1.0 - self.rate * float(nxt)
+        return 1.0 - self.rate * (path.events[k + 1] - path.events[k])
 
     def conditional_mean(self, path, k):
         # E[Y(t_k) | past] = N(t_k-) + 1 - rate*E[T] = k with rate = 1/E[T],
         # which is exactly the left limit (R(t_k-) = 0)
-        return float(k)
+        return np.asarray(k, dtype=float)
 
 
 class squared_noise_functional:
@@ -361,15 +353,15 @@ class squared_noise_functional:
         return 0.0
 
     def value(self, path, t):
-        return float(martingale(path, self.rate, t)) ** 2
+        return martingale(path, self.rate, t) ** 2
 
     def derivative(self, path, t):
         return 0.0
 
     def _before_after(self, path, k):
         terms = 1.0 - self.rate * path.interarrivals
-        after = float(np.sum(terms[: k + 1]))  # the gap revealed at event k included
-        return after - float(terms[k]), after
+        after = np.cumsum(terms)[k]  # the gap revealed at event k included
+        return after - terms[k], after
 
     def jump(self, path, k):
         before, after = self._before_after(path, k)

@@ -10,8 +10,12 @@ derive from it, so no target needs numerical quadrature.  Divergent
 moments are reported as ``math.inf`` rather than a large float so that
 callers can branch on finiteness.
 
-``excess_moment``, ``tail``, ``truncated_mean`` and ``equilibrium_cdf``
-accept scalars or numpy arrays and return a matching shape.  Samplers take
+``excess_moment``, ``truncated_mean`` and ``integrated_excess`` are defined
+once, on :class:`LifetimeDistribution`: each converts its argument once to a
+float array, calls the law's hook (``_excess_moment``, ``_truncated_mean``,
+``_integrated_excess``) and returns a float for a scalar argument and an
+array of its shape otherwise; ``tail``, ``equilibrium_cdf`` and
+``excess_second_moment`` inherit that contract.  Samplers take
 an explicit ``numpy.random.Generator`` and are otherwise stateless;
 distribution objects are immutable and safe to share across threads.
 :meth:`LifetimeDistribution.draw`, the one sampler, raises each law's
@@ -52,7 +56,8 @@ __all__ = [
 
 # Smallest draw, applied by LifetimeDistribution.draw: inverse-CDF sampling hits
 # 0.0 with probability 2**-53 a draw.  The floor keeps every gap positive, though
-# not every event time strictly increasing (1.0 + 1e-300 == 1.0).
+# not every event time strictly increasing (1.0 + 1e-300 == 1.0): simulate_paths
+# moves such an event one ulp past the one before it.
 _POSITIVE_FLOOR = 1e-300
 
 # Largest whole-number Gamma shape drawn as an Erlang variate.  Cost per value
@@ -94,13 +99,14 @@ class _Wire:
 class LifetimeDistribution(_Wire):
     """Base class for positive lifetime laws.
 
-    Subclasses set their wire ``kind`` and implement the excess moment
-    ``excess_moment(k, t)``, the truncated mean (kept per law because
-    ``E[T] - e_1(v)`` cancels at small v) and ``_draw``, plus
+    Subclasses set their wire ``kind`` and implement the float-array hooks
+    ``_excess_moment(k, t)`` and ``_truncated_mean(v)`` (kept per law
+    because ``E[T] - e_1(v)`` cancels at small v: a lattice law's
+    equilibrium CDF would read about 1e-16 at 0) and ``_draw``, plus
     ``is_arithmetic`` and ``atoms`` for lattice laws.  ``tail``, ``moment``,
-    ``excess_second_moment`` and ``integrated_excess`` derive from the
+    ``excess_second_moment`` and ``_integrated_excess`` derive from the
     excess moment; laws whose moments can diverge override
-    ``integrated_excess``, whose default needs ``E[T^(k+1)] < inf``.
+    ``_integrated_excess``, whose default needs ``E[T^(k+1)] < inf``.
     A subclass ``__post_init__`` calls this one first.
     """
 
@@ -118,11 +124,28 @@ class LifetimeDistribution(_Wire):
 
         ``e_0`` is the tail P(T > t); ``math.inf`` when E[T^k] diverges.
         """
-        raise NotImplementedError
+        t = np.asarray(t, dtype=float)
+        return _scalarize(self._excess_moment(k, t), t.ndim == 0)
 
     def truncated_mean(self, v):
         """E[min(v, T)], the integral of the tail over [0, v]; E[T] at v = inf."""
+        v = np.asarray(v, dtype=float)
+        return _scalarize(self._truncated_mean(v), v.ndim == 0)
+
+    def integrated_excess(self, k: int, t):
+        """Integral of e_k over [0, t], i.e. (E[T^(k+1)] - e_(k+1)(t)) / (k+1)."""
+        t = np.asarray(t, dtype=float)
+        return _scalarize(self._integrated_excess(k, t), t.ndim == 0)
+
+    def _excess_moment(self, k: int, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _truncated_mean(self, v: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _integrated_excess(self, k: int, t: np.ndarray) -> np.ndarray:
+        # needs E[T^(k+1)] < inf; laws whose moments can diverge override it
+        return (self.excess_moment(k + 1, 0.0) - self._excess_moment(k + 1, t)) / (k + 1)
 
     def draw(self, rng: np.random.Generator, size=None):
         """Sample from the law; identical generator state gives identical draws,
@@ -159,10 +182,6 @@ class LifetimeDistribution(_Wire):
         # samplers and per-path code ask for the mean thousands of times
         return tuple(self.excess_moment(k, 0.0) for k in (1, 2, 3))
 
-    def integrated_excess(self, k: int, t):
-        """Integral of e_k over [0, t], i.e. (E[T^(k+1)] - e_(k+1)(t)) / (k+1)."""
-        return (self.excess_moment(k + 1, 0.0) - self.excess_moment(k + 1, t)) / (k + 1)
-
     @property
     def renewal_rate(self) -> float:
         """1 / E[T], the long-run event rate of the induced renewal process."""
@@ -197,15 +216,12 @@ class Exponential(LifetimeDistribution):
         if not self.rate > 0:
             raise ValueError(f"exponential rate must be positive, got {self.rate}")
 
-    def excess_moment(self, k, t):
+    def _excess_moment(self, k, t):
         # memorylessness: tail(t) * E[T^k]
-        t = np.asarray(t, dtype=float)
-        return _scalarize(math.factorial(k) / self.rate**k * np.exp(-self.rate * t), t.ndim == 0)
+        return math.factorial(k) / self.rate**k * np.exp(-self.rate * t)
 
-    def truncated_mean(self, v):
-        v = np.asarray(v, dtype=float)
-        out = -np.expm1(-self.rate * v) / self.rate
-        return _scalarize(out, v.ndim == 0)
+    def _truncated_mean(self, v):
+        return -np.expm1(-self.rate * v) / self.rate
 
     def _draw(self, rng, size):
         return rng.exponential(1.0 / self.rate, size)
@@ -222,11 +238,10 @@ class Gamma(LifetimeDistribution):
         if not (self.shape > 0 and self.rate > 0):
             raise ValueError("gamma shape and rate must be positive")
 
-    def excess_moment(self, k, t):
+    def _excess_moment(self, k, t):
         # binomial expansion of (T - t)^k on {T > t}, with
         # E[T^j; T > t] = (a)_j / rate^j * Q(a + j, rate * t); at t = inf
         # each term is 0, not (-inf)^(k-j) * 0, so the power reads t as 0 there
-        t = np.asarray(t, dtype=float)
         a, r = self.shape, self.rate
         w = np.where(np.isinf(t), 0.0, t)
         out = 0.0
@@ -234,16 +249,14 @@ class Gamma(LifetimeDistribution):
         for j in range(k + 1):
             out = out + math.comb(k, j) * (-w) ** (k - j) * head * special.gammaincc(a + j, r * t)
             head *= (a + j) / r
-        return _scalarize(out, t.ndim == 0)
+        return out
 
-    def truncated_mean(self, v):
+    def _truncated_mean(self, v):
         # E[T; T<=v] + v P(T>v), with x*f(x; a) = (a/rate)*f(x; a+1); the
         # second term is 0 at v = inf
-        v = np.asarray(v, dtype=float)
         a, r = self.shape, self.rate
         w = np.where(np.isinf(v), 0.0, v)
-        out = (a / r) * special.gammainc(a + 1, r * v) + w * special.gammaincc(a, r * v)
-        return _scalarize(out, v.ndim == 0)
+        return (a / r) * special.gammainc(a + 1, r * v) + w * special.gammaincc(a, r * v)
 
     def _draw(self, rng, size):
         if not (self.shape.is_integer() and self.shape <= _ERLANG_MAX_SHAPE):
@@ -274,24 +287,20 @@ class Uniform(LifetimeDistribution):
         if not (self.low >= 0 and self.high > self.low):
             raise ValueError("uniform support must satisfy 0 <= low < high")
 
-    def excess_moment(self, k, t):
-        t = np.asarray(t, dtype=float)
+    def _excess_moment(self, k, t):
         a, b = self.low, self.high
         s = np.minimum(t, b)  # past the support every excess is +0
         lo = np.maximum(s, a)
         # ((b-s)^(k+1) - (lo-s)^(k+1)) / ((k+1)(b-a)), factored so that the
         # difference b - lo is exact: the tail is exactly 1 below the support
         x, y = b - s, lo - s
-        out = (b - lo) * sum(x**i * y ** (k - i) for i in range(k + 1)) / ((k + 1) * (b - a))
-        return _scalarize(out, t.ndim == 0)
+        return (b - lo) * sum(x**i * y ** (k - i) for i in range(k + 1)) / ((k + 1) * (b - a))
 
-    def truncated_mean(self, v):
-        v = np.asarray(v, dtype=float)
+    def _truncated_mean(self, v):
         a, b = self.low, self.high
         vc = np.clip(v, a, b)
         mid = a + (vc - a) * (2 * b - a - vc) / (2 * (b - a))
-        out = np.where(v <= a, v, np.where(v >= b, (a + b) / 2.0, mid))
-        return _scalarize(out, v.ndim == 0)
+        return np.where(v <= a, v, np.where(v >= b, (a + b) / 2.0, mid))
 
     def _draw(self, rng, size):
         return rng.uniform(self.low, self.high, size)
@@ -307,14 +316,11 @@ class Deterministic(LifetimeDistribution):
         if not self.value > 0:
             raise ValueError("deterministic lifetime must be positive")
 
-    def excess_moment(self, k, t):
-        t = np.asarray(t, dtype=float)
-        out = np.where(t < self.value, (self.value - t) ** k, 0.0)
-        return _scalarize(out, t.ndim == 0)
+    def _excess_moment(self, k, t):
+        return np.where(t < self.value, (self.value - t) ** k, 0.0)
 
-    def truncated_mean(self, v):
-        v = np.asarray(v, dtype=float)
-        return _scalarize(np.minimum(v, self.value), v.ndim == 0)
+    def _truncated_mean(self, v):
+        return np.minimum(v, self.value)
 
     def _draw(self, rng, size):
         return np.full(size, self.value)
@@ -344,30 +350,25 @@ class ParetoShifted(LifetimeDistribution):
             return math.inf
         return math.factorial(k) / math.prod(self.alpha - j for j in range(1, k + 1))
 
-    def excess_moment(self, k, t):
+    def _excess_moment(self, k, t):
         # the excess over t is again a shifted power law, with scale 1 + t
         c = self._scale(k)
         if math.isinf(c):
-            return math.inf
-        t = np.asarray(t, dtype=float)
-        return _scalarize(c * (1.0 + t) ** (k - self.alpha), t.ndim == 0)
+            return np.full_like(t, math.inf)
+        return c * (1.0 + t) ** (k - self.alpha)
 
-    def integrated_excess(self, k, t):
+    def _integrated_excess(self, k, t):
         # direct antiderivative of c_k (1 + u)^(k - alpha); finite even when
         # E[T^(k+1)] is not
         c = self._scale(k)
         if math.isinf(c):
-            return math.inf
-        t = np.asarray(t, dtype=float)
+            return np.full_like(t, math.inf)
         p = k + 1 - self.alpha
         log1p = np.log1p(t)
-        out = c * log1p if p == 0 else c * np.expm1(p * log1p) / p
-        return _scalarize(out, t.ndim == 0)
+        return c * log1p if p == 0 else c * np.expm1(p * log1p) / p
 
-    def truncated_mean(self, v):
-        v = np.asarray(v, dtype=float)
-        out = (1.0 - (1.0 + v) ** (1.0 - self.alpha)) / (self.alpha - 1.0)
-        return _scalarize(out, v.ndim == 0)
+    def _truncated_mean(self, v):
+        return (1.0 - (1.0 + v) ** (1.0 - self.alpha)) / (self.alpha - 1.0)
 
     def _draw(self, rng, size):
         u = rng.random(size)
@@ -400,22 +401,17 @@ class Lattice(LifetimeDistribution):
     def _sites(self) -> np.ndarray:
         return self.span * np.arange(1, len(self.pmf) + 1)
 
-    def excess_moment(self, k, t):
-        t = np.asarray(t, dtype=float)
+    def _excess_moment(self, k, t):
         if k == 0:
             # number of atoms at or below t; the +tol keeps P(T > j*span) exclusive
             # clip before the cast: past ~9e18 spans the int cast overflows
             idx = np.clip(np.floor(t / self.span + _LATTICE_TOL), 0, len(self.pmf)).astype(int)
-            out = 1.0 - np.concatenate([[0.0], self._cum])[idx]
-        else:
-            diff = self._sites - t[..., None]
-            out = np.where(diff > 0, diff**k, 0.0) @ np.asarray(self.pmf)
-        return _scalarize(np.asarray(out), t.ndim == 0)
+            return 1.0 - np.concatenate([[0.0], self._cum])[idx]
+        diff = self._sites - t[..., None]
+        return np.where(diff > 0, diff**k, 0.0) @ np.asarray(self.pmf)
 
-    def truncated_mean(self, v):
-        v = np.asarray(v, dtype=float)
-        out = np.minimum(v[..., None], self._sites) @ np.asarray(self.pmf)
-        return _scalarize(np.asarray(out), v.ndim == 0)
+    def _truncated_mean(self, v):
+        return np.minimum(v[..., None], self._sites) @ np.asarray(self.pmf)
 
     def _draw(self, rng, size):
         return self.span * (_pick(self._cum, rng.random(size)) + 1.0)
@@ -448,20 +444,19 @@ class Mixture(LifetimeDistribution):
         if abs(sum(self.weights) - 1.0) > 1e-12:
             raise ValueError("mixture weights must sum to 1 within 1e-12")
 
-    def _weighted(self, f, x):
+    def _weighted(self, f):
         """Weighted sum of f over the components with positive weight, so
         that 0 * inf never appears."""
-        out = sum(w * np.asarray(f(c)) for w, c in zip(self.weights, self.components) if w > 0)
-        return _scalarize(np.asarray(out), np.ndim(x) == 0)
+        return sum(w * f(c) for w, c in zip(self.weights, self.components) if w > 0)
 
-    def excess_moment(self, k, t):
-        return self._weighted(lambda c: c.excess_moment(k, t), t)
+    def _excess_moment(self, k, t):
+        return self._weighted(lambda c: c._excess_moment(k, t))
 
-    def integrated_excess(self, k, t):
-        return self._weighted(lambda c: c.integrated_excess(k, t), t)
+    def _integrated_excess(self, k, t):
+        return self._weighted(lambda c: c._integrated_excess(k, t))
 
-    def truncated_mean(self, v):
-        return self._weighted(lambda c: c.truncated_mean(v), v)
+    def _truncated_mean(self, v):
+        return self._weighted(lambda c: c._truncated_mean(v))
 
     def _draw(self, rng, size):
         idx = _pick(np.cumsum(self.weights), rng.random(size))
@@ -505,15 +500,15 @@ class EquilibriumOf(LifetimeDistribution):
     # The excess law has density tail(x) / E[T] of the base law, so each of
     # its excess moments and their integrals is one order up on the base.
 
-    def excess_moment(self, k, t):
-        return self.base.excess_moment(k + 1, t) / ((k + 1) * self.base.moment(1))
+    def _excess_moment(self, k, t):
+        return self.base._excess_moment(k + 1, t) / ((k + 1) * self.base.moment(1))
 
-    def integrated_excess(self, k, t):
-        return self.base.integrated_excess(k + 1, t) / ((k + 1) * self.base.moment(1))
+    def _integrated_excess(self, k, t):
+        return self.base._integrated_excess(k + 1, t) / ((k + 1) * self.base.moment(1))
 
-    def truncated_mean(self, v):
+    def _truncated_mean(self, v):
         # (E[T^2] - e_2(v)) / (2 E[T]) of the base law
-        return self.integrated_excess(0, v)
+        return self._integrated_excess(0, v)
 
     def _draw(self, rng, size):
         return self.inverse_cdf(rng.random(size))
@@ -531,7 +526,7 @@ class EquilibriumOf(LifetimeDistribution):
         lo = np.zeros_like(u)
         hi = np.full_like(u, max(m1, 1.0))
         for _ in range(200):
-            need = np.asarray(self.base.equilibrium_cdf(hi)) < u
+            need = self.base.equilibrium_cdf(hi) < u
             if not need.any():
                 break
             lo = np.where(need, hi, lo)
@@ -540,10 +535,10 @@ class EquilibriumOf(LifetimeDistribution):
         todo = np.arange(u.size)
         for _ in range(100):
             xt, lt, ht = x[todo], lo[todo], hi[todo]
-            excess = np.asarray(self.base.equilibrium_cdf(xt)) - u[todo]
+            excess = self.base.equilibrium_cdf(xt) - u[todo]
             lt, ht = np.where(excess < 0, xt, lt), np.where(excess > 0, xt, ht)
             with np.errstate(divide="ignore", invalid="ignore"):
-                newton = xt - excess * m1 / np.asarray(self.base.tail(xt))
+                newton = xt - excess * m1 / self.base.tail(xt)
             new = np.where((newton >= lt) & (newton <= ht), newton, 0.5 * (lt + ht))
             x[todo], lo[todo], hi[todo] = new, lt, ht
             todo = todo[(np.abs(new - xt) > 1e-11 + 1e-15 * xt) & (ht - lt > 1e-10)]

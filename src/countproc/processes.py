@@ -444,6 +444,9 @@ def simulate_paths(spec: ProcessSpec, horizon: float, rows: int, rng: np.random.
             marks[active, col - 1 : col + width] = block_marks
         col += width
     events[:, 1:][events[:, :-1] > horizon] = np.inf  # drop the events after each overshoot
+    # a floored gap can vanish in the sum (1.0 + 1e-300 == 1.0): move such an
+    # event one ulp past the one before it, so event times strictly increase
+    np.maximum(events[:, 1:], np.nextafter(events[:, :-1], np.inf), out=events[:, 1:])
     marks = {} if marks is None else {"states" if isinstance(spec, Modulated) else "ma_trace": marks[:, :col]}
     return SamplePath(horizon, events[:, :col], spec, **marks)
 
@@ -475,6 +478,8 @@ def write_events_ndjson(path: SamplePath, fp: IO[str]) -> None:
     Written in batches of lines; a finite float is written as its ``repr``,
     as ``json.dumps`` writes it, and only state labels go through ``json.dumps``.
     """
+    if path.events.ndim != 1:
+        raise ValueError("write_events_ndjson writes one path: pick a row of the block first")
     times, gaps, states = path.events, path.interarrivals, path.states
     labels = None if states is None else [json.dumps(s) for s in path.spec.states]
     for lo in range(0, times.size, _NDJSON_BATCH):

@@ -154,7 +154,7 @@ def _cdf_increments(dist: LifetimeDistribution, step: float, k: int) -> np.ndarr
                 out[idx] += mass
         return out
     grid = step * np.arange(k + 1)
-    tails = np.asarray(dist.tail(grid))
+    tails = dist.tail(grid)
     out[1:] = tails[:-1] - tails[1:]
     return out
 
@@ -307,12 +307,12 @@ def _grid_steady_state(dist: LifetimeDistribution, step: float, k: int) -> float
     """
     inc = _cdf_increments(dist, step, k)
     t_end = k * step
-    tail_mass = float(dist.tail(t_end))
+    tail_mass = dist.tail(t_end)
     mean_grid = step * float(np.dot(np.arange(k + 1), inc))
     mean_grid += float(residual_mean_generator(dist, t_end)) + t_end * tail_mass
     z_grid = residual_mean_generator(dist, step * np.arange(k + 1))
     z_sum = float(np.sum(z_grid))
-    z_sum += float(dist.excess_second_moment(t_end)) / (2.0 * step) + float(z_grid[-1]) / 2.0
+    z_sum += dist.excess_second_moment(t_end) / (2.0 * step) + float(z_grid[-1]) / 2.0
     return step * z_sum / mean_grid
 
 

@@ -240,6 +240,21 @@ class TestNoiseStatistics:
         assert msq.mean() <= quadratic_error_bound(spec.lifetime, t) + 3 * se
 
 
+def per_event_split(path, evaluator, t):
+    """Reference for decompose_functional: the per-event sweep, one scalar
+    evaluator call at a time, summing each term in event order."""
+    drift = predictable = noise = 0.0
+    running, prev = float(evaluator.initial(path)), 0.0
+    for k in range(count(path, t)):
+        tk = float(path.events[k])
+        seg = float(evaluator.derivative(path, 0.5 * (prev + tk))) * (tk - prev)
+        drift, running = drift + seg, running + seg
+        value_at, cm = float(evaluator.value(path, tk)), float(evaluator.conditional_mean(path, k))
+        predictable, noise = predictable + cm - running, noise + value_at - cm
+        running, prev = value_at, tk
+    return drift + float(evaluator.derivative(path, 0.5 * (prev + t))) * (t - prev), predictable, noise
+
+
 class TestFunctionalDecomposition:
     def test_counting_functional_is_pure_drift(self):
         p = simulate_path(Plain(Exponential(1.0)), 12.0, 5)
@@ -285,6 +300,50 @@ class TestFunctionalDecomposition:
         f = Lying()
         with pytest.raises(ValueError, match="jump"):
             decompose_functional(p, f, f.conditional_mean, 5.0)
+
+    def test_first_inconsistent_jump_named(self):
+        p = simulate_path(Plain(Exponential(1.0)), 8.0, 8)
+
+        class LyingLater(counting_functional):
+            def jump(self, path, k):
+                return np.where(k >= 3, 2.0, 1.0)
+
+        f = LyingLater()
+        with pytest.raises(ValueError, match="at event 3 "):
+            decompose_functional(p, f, f.conditional_mean, 5.0)
+
+    # a delayed path, and a long one that a per-event loop would take about a second on
+    @pytest.mark.parametrize("spec,horizon,t", [
+        (Delayed(Exponential(0.5), Gamma(2, 2)), 60.0, 50.0),
+        (Plain(Gamma(2, 2)), 5010.0, 5000.0),
+    ], ids=["delayed", "long"])
+    def test_identities_on_whole_paths(self, spec, horizon, t):
+        p = simulate_path(spec, horizon, 3)
+        n = count(p, t)
+        rate, sigma2 = 1.0, 0.5  # Gamma(2, 2): mean 1, variance 1/2
+        f = counting_functional()
+        _, predictable, noise = decompose_functional(p, f, f.conditional_mean, t)
+        assert predictable == n
+        assert noise == 0.0
+        f = centered_residual_functional(rate)
+        integral, _, noise = decompose_functional(p, f, f.conditional_mean, t)
+        assert integral == pytest.approx(rate * t, rel=1e-12)
+        assert noise == pytest.approx(martingale(p, rate, t), rel=1e-9, abs=1e-9)
+        f = squared_noise_functional(rate, sigma2)
+        _, predictable, _ = decompose_functional(p, f, f.conditional_mean, t)
+        assert predictable == pytest.approx(rate**2 * sigma2 * n, rel=1e-9, abs=1e-6)
+
+    @pytest.mark.parametrize("f", [
+        counting_functional(), centered_residual_functional(1.0), squared_noise_functional(1.0, 0.5),
+    ], ids=["counting", "centered-residual", "squared-noise"])
+    @pytest.mark.parametrize("spec", [Plain(Gamma(2, 2)), Delayed(Exponential(0.5), Gamma(2, 2))],
+                             ids=["plain", "delayed"])
+    def test_matches_per_event_loop(self, spec, f):
+        # the array pass sums in another order: equal to rounding, about
+        # 1e-16 relative per event over some 400 events
+        p = simulate_path(spec, 410.0, 5)
+        got = decompose_functional(p, f, f.conditional_mean, 400.0)
+        assert got == pytest.approx(per_event_split(p, f, 400.0), rel=1e-12, abs=1e-12)
 
 
 class TestReports:

@@ -175,10 +175,34 @@ class TestExcessMoment:
         assert dist.excess_moment(2, ts).tolist() == [dist.excess_moment(2, 2.5), 0.0]
 
     def test_laws_implement_only_the_primitive(self):
+        public = {"excess_moment", "truncated_mean", "integrated_excess", "tail", "moment",
+                  "excess_second_moment", "draw"}
         for dist in CATALOG.values():
             own = vars(type(dist))
-            assert "excess_moment" in own
-            assert not {"tail", "moment", "excess_second_moment"} & set(own)
+            assert {"_excess_moment", "_truncated_mean"} <= set(own)
+            assert not public & set(own)
+
+
+# every public evaluation of a law, by name: f(law, x)
+QUANTITIES = {
+    **{f"excess_moment-{k}": (lambda d, x, k=k: d.excess_moment(k, x)) for k in range(4)},
+    "truncated_mean": lambda d, x: d.truncated_mean(x),
+    **{f"integrated_excess-{k}": (lambda d, x, k=k: d.integrated_excess(k, x)) for k in (0, 1)},
+}
+
+
+class TestEvaluationContract:
+    @pytest.mark.parametrize("name", QUANTITIES)
+    @pytest.mark.parametrize("dist", CATALOG.values(), ids=CATALOG.keys())
+    def test_float_for_scalar_array_of_input_shape(self, dist, name):
+        # a divergent moment too: ParetoShifted(2.5)'s e_3 is an array of inf
+        f = QUANTITIES[name]
+        for x in (1.5, 2, np.float64(0.5), np.array(4.0)):
+            assert type(f(dist, x)) is float
+        for x in (np.array([1.0, 2.0, 0.25]), np.array([[0.5, 1.0], [2.0, 4.0]])):
+            out = f(dist, x)
+            assert isinstance(out, np.ndarray) and out.shape == x.shape
+            np.testing.assert_allclose(out.ravel(), [f(dist, v) for v in x.ravel()], rtol=1e-14)
 
 
 class TestTail:

@@ -11,7 +11,9 @@ import hypothesis.strategies as st
 
 from countproc import processes
 from countproc.decomposition import optional_quadratic_variation
-from countproc.lifetimes import Deterministic, EquilibriumOf, Exponential, Gamma, Mixture, Uniform
+from countproc.lifetimes import (
+    Deterministic, EquilibriumOf, Exponential, Gamma, Mixture, ParetoShifted, Uniform,
+)
 from countproc.processes import (
     _CHUNK_ROWS,
     Delayed,
@@ -41,6 +43,24 @@ TWO_STATE = Modulated(
 )
 
 
+class ZeroOnce:
+    """``default_rng(seed)`` whose first ``random()`` block has entry 5 set to
+    0.0, an outcome of probability 2**-53 a draw."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self._zeroed = False
+
+    def random(self, size=None, out=None):
+        x = self._rng.random(size, out=out)
+        if not self._zeroed:
+            x.flat[5], self._zeroed = 0.0, True
+        return x
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
 class TestSimulate:
     def test_deterministic_grid(self):
         p = simulate_path(Plain(Deterministic(1.0)), 3.5, 0)
@@ -63,6 +83,15 @@ class TestSimulate:
             assert p.events[-1] > 7.0
             assert p.events[0] == 0.0
             assert np.all(np.diff(p.events) > 0)
+
+    def test_vanished_gap_moves_one_ulp(self):
+        # u = 0.0 draws the ParetoShifted gap 0, floored to 1e-300, which
+        # vanishes when added to the event time before it
+        p = simulate_paths(Plain(ParetoShifted(3.0)), 20.0, 4, ZeroOnce(1))
+        assert p.events[0, 5] > 0.0
+        assert p.events[0, 6] == np.nextafter(p.events[0, 5], np.inf)
+        ev = p.events
+        assert np.all((ev[:, 1:] > ev[:, :-1]) | (ev[:, 1:] == np.inf))
 
     def test_deterministic_in_seed(self):
         a = simulate_path(Plain(Gamma(2, 2)), 11.0, 42)
@@ -436,6 +465,12 @@ class TestSerialization:
         assert lines[0]["index"] == 0 and lines[0]["interarrival"] is None
         assert lines[1]["interarrival"] == pytest.approx(float(p.events[1] - p.events[0]))
         assert lines[0]["state"] in ("a", "b")
+
+    def test_ndjson_rejects_a_block(self):
+        # each "line" would be a whole row of the block
+        block = simulate_paths(Plain(Gamma(2, 2)), 3.0, 3, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="one path"):
+            write_events_ndjson(block, io.StringIO())
 
     @pytest.mark.parametrize("spec,horizon", [
         (Plain(Gamma(2, 2)), 5000.0),
