@@ -20,7 +20,10 @@ it as a control variate: the slope is fitted once on all paths, joined in
 chunk order, and the bar is the standard deviation of the controlled terms
 with two degrees of freedom spent (``_controlled_mean``).  The variance
 drift applies this to each path's delta-method influence.  The diffusion
-variance is the mean of the per-path terms (X - mean X)^2 n/(n - 1).
+variance is the mean of the per-path terms (X - mean X)^2 n/(n - 1), with
+the control C = (M^2 - rate^2 var T N)/n from Wald's second identity,
+E[M(t)^2] = rate^2 var T E[N(t)] at every t; var C is finite only when
+E[T^4] is, so without a finite fourth moment it keeps the plain bar.
 """
 
 from __future__ import annotations
@@ -118,6 +121,8 @@ class DiffusionScalingResult:
     scaled_residual_mean: Estimate
     residual_mean_bound: float
     scaled_noise_mean: Estimate
+    wald_second_mean: Estimate
+    wald_second_target: float | None  # None when E[T^4] is infinite
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +219,7 @@ def _simulate_chunk(
     or before t and its residual is the first event time after t minus t.
     """
     blocks = _column_blocks(spec, float(np.max(ts)), rows, child_rng(seed, chunk_index))
-    start = next(blocks)
+    start, _ = next(blocks)
     result = {"count": np.zeros((rows, ts.size)), "residual": start[:, None] - ts}
     if isinstance(spec, Delayed):
         result["delay"] = start
@@ -434,6 +439,16 @@ def diffusion_scaling(
     converges to its noise part alone.  That noise part, M(nt)/sqrt(n) =
     (N(nt) - rate*nt - rate*R(nt))/sqrt(n), has mean 0 at every n by Wald's
     identity, so its paired mean checks the simulation at finite n.
+
+    The variance is the sample variance of the scaled count, the mean of
+    psi = (X - mean X)^2 reps/(reps - 1).  Wald's second identity,
+    E[M(nt)^2] = rate^2 var T E[N(nt)], makes C = (M(nt)^2 - rate^2 var T
+    N(nt))/n a mean-0 control for psi (``_controlled_mean``), which removes
+    the noise's share of the spread.  psi and C move together when the
+    sampler's variance is wrong, so the controlled variance cannot see that
+    fault: ``wald_second_mean``, the plain mean of C against its target 0,
+    checks it.  var C is infinite when E[T^4] is: such a law keeps the plain
+    bar on the variance and has no ``wald_second_target``.
     """
     if not isinstance(spec, Plain):
         raise TypeError("diffusion scaling is defined for plain renewal specs")
@@ -445,17 +460,23 @@ def diffusion_scaling(
         raise ValueError(f"diffusion scaling needs at least {_MIN_DRIFT_REPS} replications")
     rate = spec.lifetime.renewal_rate
     horizon = n * t
+    finite_m4 = not math.isinf(spec.lifetime.excess_moment(4, 0.0))
     stats = path_statistics(spec, [horizon], reps, seed, threads=threads)
     scaled = (stats["count"][:, 0] - rate * horizon) / math.sqrt(n)
     scaled_resid = rate * stats["residual"][:, 0] / math.sqrt(n)
+    m = _noise_at(stats, rate, horizon, 0)
+    wald_second = (m * m - rate**2 * sigma2 * stats["count"][:, 0]) / n
+    psi = (scaled - np.mean(scaled)) ** 2 * (reps / (reps - 1))
 
     return DiffusionScalingResult(
-        variance=_mean_estimate((scaled - np.mean(scaled)) ** 2 * (reps / (reps - 1))),
+        variance=_controlled_mean(psi, wald_second) if finite_m4 else _mean_estimate(psi),
         variance_target=rate**3 * sigma2 * t,
         scaled_count_mean=_mean_estimate(scaled),
         scaled_residual_mean=_mean_estimate(scaled_resid),
         residual_mean_bound=rate**2 * m2 / math.sqrt(n),
         scaled_noise_mean=_mean_estimate(scaled - scaled_resid),
+        wald_second_mean=_mean_estimate(wald_second),
+        wald_second_target=0.0 if finite_m4 else None,
     )
 
 

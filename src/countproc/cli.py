@@ -16,7 +16,7 @@ schema problems with field paths and has no side effects.
   residual-law   t reps        plain, delayed; non-arithmetic  residual-law
   variance       t reps        plain; finite E[T^2]            variance-drift, or -order-bound
   rm-cross       t reps        plain; finite E[T^3]            rm-cross
-  diffusion      n t reps      plain; finite E[T^2]            diffusion-variance, diffusion-mean
+  diffusion      n t reps      plain; finite E[T^2]            diffusion-variance, -mean, wald-second
   renewal-solve  horizon step  plain                           renewal-solve
   sgibnev        t step        plain                           sgibnev
 
@@ -25,7 +25,9 @@ windows (blackwell, modulated, palm), variance-drift and rm-cross need a
 non-lattice law: on a lattice process (every lifetime law arithmetic, on a
 common span) their estimate is flagged, and the check reports it with the
 flag and passes.  ``rate`` is never flagged, since N(t)/t -> 1/E[T] holds
-for every law.  A delay written as "equilibrium" and the explicit
+for every law.  ``wald-second`` z-checks the mean of (M^2 - rate^2 var T N)/n,
+0 by Wald's second identity, and runs only when E[T^4] is finite.  A delay
+written as "equilibrium" and the explicit
 {"kind": "equilibrium", "base": <lifetime>} law are one spec, and the spec
 hash is that of the parsed spec, so every spelling of a spec has one hash.
 
@@ -390,6 +392,7 @@ def _run_diffusion(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
     rows = [
         _row(cfg, res.variance, res.variance_target, n=n, t=t, reps=reps),
         _row(cfg, res.scaled_residual_mean, 0.0, n=n, t=t, reps=reps),
+        _row(cfg, res.wald_second_mean, res.wald_second_target, n=n, t=t, reps=reps),
     ]
     rel = abs(res.variance.value - res.variance_target) / res.variance_target
     checks = [
@@ -400,6 +403,8 @@ def _run_diffusion(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
         ),
         _est_check("diffusion-mean", res.scaled_noise_mean, 0.0),
     ]
+    if res.wald_second_target is not None:  # the sampler's variance, which the controlled row cannot see
+        checks.append(_est_check("wald-second", res.wald_second_mean, res.wald_second_target))
     return rows, checks
 
 

@@ -382,19 +382,20 @@ def _draw_block(spec: ProcessSpec, rng: np.random.Generator, carry: np.ndarray, 
 def _column_blocks(spec, tmax, rows, rng):
     """The one sampler behind every simulated path.
 
-    Yields first each row's start (its delay, or 0), then per block
-    ``(active, last, times, marks)`` for the rows ``active`` still at or
-    before ``tmax``: their last event time before the block, the block's
-    event times accumulated from it and the marks of :func:`_draw_block`.
-    Raises :class:`EventCapExceeded` when a still-active row has drawn more
-    than ``DEFAULT_EVENT_CAP`` gaps.
+    Yields first ``(start, cover)``: each row's start (its delay, or 0) and
+    the columns of the blocks before the stragglers (:func:`_block_widths`).
+    Then per block ``(active, last, times, marks)`` for the rows ``active``
+    still at or before ``tmax``: their last event time before the block, the
+    block's event times accumulated from it and the marks of
+    :func:`_draw_block`.  Raises :class:`EventCapExceeded` when a
+    still-active row has drawn more than ``DEFAULT_EVENT_CAP`` gaps.
     """
-    _, widths = _block_widths(spec, tmax)
+    cover, widths = _block_widths(spec, tmax)
     if isinstance(spec, Delayed):
         start = np.asarray(spec.delay.draw(rng, rows), float)
     else:
         start = np.zeros(rows)
-    yield start
+    yield start, cover
     active = np.flatnonzero(start <= tmax)
     last, carry = start[active], _initial_carry(spec, rng, rows)[active]
     drawn = 0
@@ -419,19 +420,14 @@ def _widen(a: np.ndarray, cols: int, fill) -> np.ndarray:
     return out
 
 
-def simulate_paths(spec: ProcessSpec, horizon: float, rows: int, rng: np.random.Generator) -> SamplePath:
-    """A block of ``rows`` paths of ``spec`` covering [0, horizon], filled in
-    place from the column blocks: with ``rng = child_rng(seed, i)`` and
-    ``horizon`` the largest query time, the rows are the paths that chunk i
-    of :func:`countproc.asymptotics.path_statistics` summarizes.  Raises
-    :class:`EventCapExceeded` when a path still at or before the horizon
-    has drawn more than ``DEFAULT_EVENT_CAP`` gaps.
-    """
+def _fill_block(spec: ProcessSpec, horizon: float, rows: int, rng: np.random.Generator):
+    """(events, marks) of :func:`simulate_paths`, filled in place from the
+    column blocks and not yet validated as a :class:`SamplePath`."""
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    cover, _ = _block_widths(spec, float(horizon))
     blocks = _column_blocks(spec, float(horizon), rows, rng)
-    events, marks, col = next(blocks)[:, None], None, 1
+    start, cover = next(blocks)
+    events, marks, col = start[:, None], None, 1
     for active, _, times, block_marks in blocks:
         width = times.shape[1]
         if events.shape[1] < col + width:  # the mean count plus one sd first, then stragglers
@@ -448,7 +444,19 @@ def simulate_paths(spec: ProcessSpec, horizon: float, rows: int, rng: np.random.
     # event one ulp past the one before it, so event times strictly increase
     np.maximum(events[:, 1:], np.nextafter(events[:, :-1], np.inf), out=events[:, 1:])
     marks = {} if marks is None else {"states" if isinstance(spec, Modulated) else "ma_trace": marks[:, :col]}
-    return SamplePath(horizon, events[:, :col], spec, **marks)
+    return events[:, :col], marks
+
+
+def simulate_paths(spec: ProcessSpec, horizon: float, rows: int, rng: np.random.Generator) -> SamplePath:
+    """A block of ``rows`` paths of ``spec`` covering [0, horizon], filled in
+    place from the column blocks: with ``rng = child_rng(seed, i)`` and
+    ``horizon`` the largest query time, the rows are the paths that chunk i
+    of :func:`countproc.asymptotics.path_statistics` summarizes.  Raises
+    :class:`EventCapExceeded` when a path still at or before the horizon
+    has drawn more than ``DEFAULT_EVENT_CAP`` gaps.
+    """
+    events, marks = _fill_block(spec, horizon, rows, rng)
+    return SamplePath(horizon, events, spec, **marks)
 
 
 def paths_per_chunk(spec: ProcessSpec, horizon: float) -> int:
@@ -461,8 +469,11 @@ def paths_per_chunk(spec: ProcessSpec, horizon: float) -> int:
 def simulate_path(spec: ProcessSpec, horizon: float, seed) -> SamplePath:
     """One path of ``spec`` covering [0, horizon]: the one-row case of
     :func:`simulate_paths`, deterministic in ``seed`` (an int, SeedSequence
-    or Generator)."""
-    return simulate_paths(spec, horizon, 1, np.random.default_rng(seed))[0]
+    or Generator), cut after its overshoot event as ``path[0]`` is and
+    validated once, as a 1-d path."""
+    events, marks = _fill_block(spec, horizon, 1, np.random.default_rng(seed))
+    keep = np.searchsorted(events[0], horizon, "right") + 1
+    return SamplePath(horizon, events[0, :keep], spec, **{name: m[0, :keep] for name, m in marks.items()})
 
 
 # ---------------------------------------------------------------------------

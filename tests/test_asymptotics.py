@@ -11,6 +11,7 @@ from countproc.lifetimes import (
     Deterministic,
     Exponential,
     Gamma,
+    Lattice,
     LifetimeDistribution,
     ParetoShifted,
     Uniform,
@@ -28,6 +29,7 @@ from countproc.processes import (
 )
 from countproc.asymptotics import (
     Estimate,
+    _mean_estimate,
     estimate_blackwell,
     estimate_rate,
     estimate_rm_cross,
@@ -303,13 +305,53 @@ class TestDiffusion:
         assert res.scaled_residual_mean.value <= res.residual_mean_bound + 4 * res.scaled_residual_mean.se
 
     def test_variance_is_the_sample_variance(self):
-        # the mean of the per-path terms (X - mean X)^2 n/(n - 1), with their plain bar
+        # the mean of the per-path terms psi = (X - mean X)^2 n/(n - 1), with
+        # C = (M^2 - rate^2 var T N)/n (Wald's second identity: mean 0) as
+        # their control: Gamma(2, 2) has rate 1 and var T = 1/2
         spec = Plain(Gamma(2, 2))
         res = diffusion_scaling(spec, 50, 1.0, 3_000, seed=21)
-        x = (path_statistics(spec, [50.0], 3_000, seed=21)["count"][:, 0] - 50.0) / math.sqrt(50)
+        stats = path_statistics(spec, [50.0], 3_000, seed=21)
+        count = stats["count"][:, 0]
+        x = (count - 50.0) / math.sqrt(50)
+        c = ((count - 50.0 - stats["residual"][:, 0]) ** 2 - 0.5 * count) / 50
         psi = (x - x.mean()) ** 2 * 3_000 / 2_999
+        assert psi.mean() == pytest.approx(np.var(x, ddof=1), rel=1e-12)
+        beta = np.cov(psi, c)[0, 1] / np.var(c, ddof=1)
+        assert res.variance.value == pytest.approx(np.mean(psi - beta * c), rel=1e-12)
+        assert res.variance.se == pytest.approx(np.std(psi - beta * c, ddof=2) / math.sqrt(3_000), rel=1e-12)
+        assert res.variance.se < 0.2 * np.std(psi, ddof=1) / math.sqrt(3_000)
+
+    def test_infinite_fourth_moment_keeps_the_plain_bar(self):
+        # ParetoShifted(3.5): E[T^2] finite, E[T^4] and so var C infinite
+        spec = Plain(ParetoShifted(3.5))
+        res = diffusion_scaling(spec, 50, 1.0, 3_000, seed=21)
+        rate = spec.lifetime.renewal_rate
+        x = (path_statistics(spec, [50.0], 3_000, seed=21)["count"][:, 0] - rate * 50.0) / math.sqrt(50)
+        psi = (x - np.mean(x)) ** 2 * (3_000 / 2_999)
+        assert res.variance == _mean_estimate(psi)
         assert res.variance.value == pytest.approx(np.var(x, ddof=1), rel=1e-12)
-        assert res.variance.se == pytest.approx(np.std(psi, ddof=1) / math.sqrt(3_000), rel=1e-12)
+        assert res.wald_second_target is None
+
+    @pytest.mark.parametrize("law", [Gamma(2, 2), Uniform(0, 2), Exponential(1.0), Lattice(1.0, (0.5, 0.5))],
+                             ids=["gamma", "uniform", "exponential", "lattice"])
+    def test_wald_second_identity_holds_at_small_n(self, law):
+        # E[M^2] = rate^2 var T E[N] at every n, lattice laws included
+        res = diffusion_scaling(Plain(law), 50, 1.0, 4_000, seed=22)
+        assert res.wald_second_target == 0.0
+        assert not res.wald_second_mean.flags
+        assert res.wald_second_mean.z_against(0.0) <= 4.0
+
+    @pytest.mark.parametrize("seed", [12001, 12002, 12003])
+    def test_wrong_sampler_variance_fails_wald_second(self, monkeypatch, seed):
+        # Gamma(k, k) with k = 2/1.2 (mean 1, variance 1.2 x 1/2) is drawn where
+        # rate and var T are the nominal Gamma(2, 2)'s, at the benchmark's size
+        k = 2 / 1.2
+        draw = Gamma._draw
+        monkeypatch.setattr(Gamma, "_draw", lambda self, rng, size: draw(Gamma(k, k), rng, size))
+        res = diffusion_scaling(Plain(Gamma(2, 2)), 10**4, 1.0, 2_500, seed=seed)
+        assert res.wald_second_mean.z_against(res.wald_second_target) > 4.0
+        # psi and its control move together: the controlled variance cannot see the fault
+        assert res.variance.value == pytest.approx(0.5, rel=0.01)
 
     def test_too_few_reps_raise_before_simulating(self, monkeypatch):
         import countproc.asymptotics

@@ -1,8 +1,10 @@
 """Experiment runner: validation diagnostics, artifacts, determinism."""
 
 import io
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -527,7 +529,23 @@ class TestRun:
         main(["run", str(cfg), "--out", str(tmp_path / "b"), "--threads", "2"])
         a = (tmp_path / "a" / "diffusion.csv").read_text().replace(",2,", ",1,")
         b = (tmp_path / "b" / "diffusion.csv").read_text().replace(",2,", ",1,")
-        assert len(a.splitlines()) == 3 and a == b
+        assert len(a.splitlines()) == 4 and a == b
+
+    @pytest.mark.parametrize("spec, checked", [(GAMMA_SPEC, True), (pareto_spec(3.5), False)],
+                             ids=["gamma", "pareto-infinite-m4"])
+    def test_diffusion_wald_second_row(self, tmp_path, capsys, spec, checked):
+        # the third row is the mean of C = (M^2 - rate^2 var T N)/n, z-checked
+        # against 0 only when E[T^4], and with it var C, is finite
+        cfg = write_config(tmp_path, {
+            "experiment": "diffusion", "spec": spec, "n": 100, "t": 1, "reps": 2000, "seed": 7,
+            "out": str(tmp_path / "res"),
+        })
+        assert main(["run", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert ("PASS wald-second: " in out) == checked == ("wald-second" in out)
+        header, *rows = (tmp_path / "res" / "diffusion.csv").read_text().splitlines()
+        target = dict(zip(header.split(","), rows[2].split(",")))["target"]
+        assert len(rows) == 3 and target == ("0" if checked else "")
 
     def test_decompose_run(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
@@ -696,3 +714,34 @@ def test_solver_skips_scipy_linalg():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def readme_experiments():
+    """(experiment, required knobs) per row of the README's experiment table."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| Experiment | Required knobs | Spec kinds | Check(s) |") + 2
+    rows = []
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+        name, knobs = [cell.strip() for cell in line.strip("|").split("|")][:2]
+        rows.append((name.strip("`"), re.findall(r"`(\w+)`", knobs.split("(optional")[0])))
+    return rows
+
+
+def docstring_experiments():
+    """(experiment, required knobs) per row of the ``countproc.cli`` docstring table."""
+    lines = countproc.cli.__doc__.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.split()[:2] == ["experiment", "knobs"]) + 1
+    rows = []
+    for line in itertools.takewhile(str.strip, lines[start:]):
+        name, knobs = re.split(r"\s{2,}", line.strip())[:2]
+        rows.append((name, knobs.split()))
+    return rows
+
+
+@pytest.mark.parametrize("table", [readme_experiments, docstring_experiments], ids=["readme", "cli-docstring"])
+def test_experiment_table_matches_the_runner(table):
+    # each experiment once, with exactly the knobs validate_config requires
+    rows = table()
+    assert sorted(name for name, _ in rows) == sorted(countproc.cli._EXPERIMENTS)
+    for name, knobs in rows:
+        assert sorted(knobs) == sorted(countproc.cli._EXPERIMENTS[name].knobs), name
