@@ -280,9 +280,10 @@ def _controlled_mean(y: np.ndarray, m: np.ndarray, flags: tuple[str, ...] = ()) 
     n = y.size
     if n < 3:
         return _mean_estimate(y, flags)
-    mc = m - np.mean(m)
-    ss = float(np.dot(mc, mc))
-    beta = float(np.dot(y - np.mean(y), mc)) / ss if ss > 0 else 0.0
+    beta = 0.0
+    if m.max() != m.min():  # centring on a rounded mean leaves a constant m some spread
+        mc = m - np.mean(m)
+        beta = float(np.dot(y - np.mean(y), mc)) / float(np.dot(mc, mc))
     adjusted = y - beta * m
     se = float(np.std(adjusted, ddof=2) / math.sqrt(n))
     return Estimate(value=float(np.mean(adjusted)), se=se, flags=flags)

@@ -16,7 +16,7 @@ schema problems with field paths and has no side effects.
   residual-law   t reps        plain, delayed; non-arithmetic  residual-law
   variance       t reps        plain; finite E[T^2]            variance-drift, or -order-bound
   rm-cross       t reps        plain; finite E[T^3]            rm-cross
-  diffusion      n t reps      plain; finite E[T^2]            diffusion-variance, -mean, wald-second
+  diffusion      n t reps      plain; 0 < var T < inf          diffusion-variance, -mean, wald-second
   renewal-solve  horizon step  plain                           renewal-solve
   sgibnev        t step        plain                           sgibnev
 
@@ -162,6 +162,8 @@ def validate_config(obj: Mapping) -> tuple[ExperimentConfig | None, list[str]]:
         errors.append(f"spec: experiment {kind!r} needs a finite E[T^{exp.moment}]")
     elif kind == "residual-law" and spec.lifetime.is_arithmetic().arithmetic:
         errors.append("spec: experiment 'residual-law' needs a non-arithmetic lifetime law")
+    elif kind == "diffusion" and not spec.lifetime.variance > 0:  # the variance check divides by it
+        errors.append("spec: experiment 'diffusion' needs a positive var T")
     elif exp.rate:
         try:
             asymptotics.spec_rate(spec)
@@ -391,7 +393,7 @@ def _run_diffusion(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
     res = asymptotics.diffusion_scaling(cfg.spec, n, t, reps, cfg.seed, cfg.threads)
     rows = [
         _row(cfg, res.variance, res.variance_target, n=n, t=t, reps=reps),
-        _row(cfg, res.scaled_residual_mean, 0.0, n=n, t=t, reps=reps),
+        _row(cfg, res.scaled_residual_mean, None, n=n, t=t, reps=reps),  # positive, only bounded
         _row(cfg, res.wald_second_mean, res.wald_second_target, n=n, t=t, reps=reps),
     ]
     rel = abs(res.variance.value - res.variance_target) / res.variance_target

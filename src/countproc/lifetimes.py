@@ -23,7 +23,11 @@ distribution objects are immutable and safe to share across threads.
 Gamma law with a whole-number shape k <= 4 is drawn as an Erlang variate,
 ``-log(U_1 ... U_k) / rate`` with ``U_i = 1 - Generator.random()`` on
 (0, 1], which costs less than ``Generator.gamma`` and has the same law;
-every other shape is drawn by ``Generator.gamma``.
+every other shape is drawn by ``Generator.gamma``.  The Erlang fill takes
+one block-sized array, the output, and one scratch of ``_SLAB`` values:
+it walks the output in ``_SLAB`` slices factor by factor, so each factor's
+uniforms leave the generator in the order of one whole-array draw and the
+stream is that of a fill with a second block-sized array.
 """
 
 from __future__ import annotations
@@ -61,11 +65,18 @@ __all__ = [
 _POSITIVE_FLOOR = 1e-300
 
 # Largest whole-number Gamma shape drawn as an Erlang variate.  Cost per value
-# on a 16384 x 256 block, best of 9 interleaved runs on a 2-vCPU Xeon VM,
-# numpy 2.4 (rng.gamma vs Erlang, ns): k = 1: 14.1 vs 9.6; k = 2: 34.0 vs
-# 17.2; k = 3: 36.6 vs 24.7; k = 4: 35.0 vs 27.3; k = 5: 31.0 vs 32.2;
-# k = 6: 33.5 vs 42.8.
+# on a 16384 x 256 block, best of 9 interleaved runs on a 2-vCPU Xeon VM (2 MiB
+# L2 per core), numpy 2.4 (rng.gamma vs the _SLAB Erlang fill, ns): k = 1: 8.3
+# vs 6.3; k = 2: 23.5 vs 9.5; k = 3: 22.5 vs 13.1; k = 4: 22.5 vs 17.6; k = 5:
+# 23.3 vs 19.2; k = 6: 22.0 vs 22.6.  k = 5 would now be about 15% cheaper as
+# Erlang, but raising the cutoff would change the Gamma(5) stream.
 _ERLANG_MAX_SHAPE = 4
+
+# Values per slice of the Erlang fill: a slice of the output and the uniform
+# scratch, 256 KiB each, stay in L2 together.  Gamma(2, 2) and Gamma(4, 2) on a
+# 16384 x 108 block cost the same, within noise, from 2**13 to 2**19 on the
+# host above; Gamma(4, 2) is about 1.4x slower at 2**11 and 2**12.
+_SLAB = 1 << 15
 
 _LATTICE_TOL = 1e-9
 
@@ -262,18 +273,27 @@ class Gamma(LifetimeDistribution):
         if not (self.shape.is_integer() and self.shape <= _ERLANG_MAX_SHAPE):
             return rng.gamma(self.shape, 1.0 / self.rate, size)
         # Erlang: -log(U_1 ... U_k) / rate with U_i = 1 - random() on (0, 1], so no
-        # factor is 0; k <= 4 factors of at least 2**-53 cannot underflow.
-        # One scratch buffer: a block holds two block-sized arrays at most.
-        x = rng.random(size)
-        np.subtract(1.0, x, out=x)
-        if self.shape > 1:
-            u = np.empty_like(x)
-            for _ in range(int(self.shape) - 1):
-                rng.random(out=u)
-                np.subtract(1.0, u, out=u)
-                np.multiply(x, u, out=x)
-        np.log(x, out=x)
-        return np.multiply(x, -1.0 / self.rate, out=x)
+        # factor is 0; k <= 4 factors of at least 2**-53 cannot underflow.  Factor
+        # by factor, the output is walked in _SLAB slices: the first factor's
+        # uniforms fill the slice itself, each later one's a _SLAB scratch that is
+        # folded into it, and the last folds in the log and the scale.  Each
+        # factor takes its uniforms in the order of one whole-array draw.
+        k = int(self.shape)
+        x = np.empty(size)
+        flat = x.reshape(-1)
+        u = np.empty(min(_SLAB, flat.size))
+        for i in range(k):
+            for lo in range(0, flat.size, _SLAB):
+                xs = flat[lo : lo + _SLAB]
+                us = u[: xs.size] if i else xs
+                rng.random(out=us)
+                np.subtract(1.0, us, out=us)
+                if i:
+                    np.multiply(xs, us, out=xs)
+                if i == k - 1:
+                    np.log(xs, out=xs)
+                    np.multiply(xs, -1.0 / self.rate, out=xs)
+        return x
 
 
 @dataclass(frozen=True)

@@ -214,6 +214,13 @@ class TestControlVariate:
         assert rate == Estimate(11.0 / 10.5, 0.0)
         assert cross.value == 0.0 and cross.se == 0.0
 
+    def test_constant_control_fits_no_slope(self):
+        # Deterministic(0.3): every path has N(20)/20 = 3.35 and the same M, which
+        # centred on its rounded mean is rounding noise; a slope fitted on that
+        # noise moved the estimate to 5.75
+        est = estimate_rate(Plain(Deterministic(0.3)), 20, 1000, seed=1)
+        assert est.value == pytest.approx(3.35, abs=1e-12)
+
     @staticmethod
     def _plain_se(x):
         return float(np.std(x, ddof=1) / math.sqrt(x.size))

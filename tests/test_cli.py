@@ -544,8 +544,21 @@ class TestRun:
         out = capsys.readouterr().out
         assert ("PASS wald-second: " in out) == checked == ("wald-second" in out)
         header, *rows = (tmp_path / "res" / "diffusion.csv").read_text().splitlines()
-        target = dict(zip(header.split(","), rows[2].split(",")))["target"]
-        assert len(rows) == 3 and target == ("0" if checked else "")
+        cells = [dict(zip(header.split(","), row.split(","))) for row in rows]
+        assert len(rows) == 3 and cells[2]["target"] == ("0" if checked else "")
+        # the scaled residual mean is positive and only bounded: no target, no z
+        assert cells[1]["target"] == cells[1]["z"] == ""
+
+    def test_diffusion_needs_positive_variance(self, tmp_path, capsys):
+        # the diffusion-variance window divides by its target rate^3 var T t
+        cfg = write_config(tmp_path, {
+            "experiment": "diffusion", "n": 100, "t": 1, "reps": 2000, "seed": 7,
+            "spec": {"kind": "plain", "lifetime": {"kind": "deterministic", "value": 0.3}},
+            "out": str(tmp_path / "res"),
+        })
+        assert main(["run", str(cfg)]) == 2
+        assert "invalid: spec: experiment 'diffusion' needs a positive var T" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
 
     def test_decompose_run(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

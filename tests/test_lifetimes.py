@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy import integrate, stats
 
 from countproc.lifetimes import (
     _POSITIVE_FLOOR,
+    _SLAB,
     Deterministic,
     EquilibriumOf,
     Exponential,
@@ -305,6 +307,14 @@ class ZeroUniforms:
         return 0.0 if size is None else np.zeros(size)
 
 
+def erlang_reference(shape: int, rate: float, rng, size):
+    """The Erlang fill on whole arrays: each factor's uniforms in one draw."""
+    x = 1.0 - rng.random(size)
+    for _ in range(shape - 1):
+        x = x * (1.0 - rng.random(size))
+    return np.maximum(np.log(x) * (-1.0 / rate), _POSITIVE_FLOOR)
+
+
 class TestSampling:
     def test_deterministic_sample(self, rng):
         assert Deterministic(1.0).draw(rng) == 1.0
@@ -383,6 +393,28 @@ class TestSampling:
         got = Gamma(shape, 2).draw(np.random.default_rng(8), (50, 40))
         want = np.maximum(np.random.default_rng(8).gamma(shape, 0.5, (50, 40)), _POSITIVE_FLOOR)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [1, 2, 3, 4])
+    @pytest.mark.parametrize("size", [None, 1, _SLAB - 1, _SLAB, 3 * _SLAB + 5, (16384, 108)],
+                             ids=["none", "one", "slab-less-1", "slab", "three-slabs-and-5", "block"])
+    def test_erlang_slabs_keep_the_whole_array_stream(self, shape, size):
+        a, b = np.random.default_rng(17), np.random.default_rng(17)
+        got = Gamma(shape, 1.5).draw(a, size)
+        want = erlang_reference(shape, 1.5, b, size)
+        assert np.array_equal(got, want) and np.shape(got) == np.shape(want)
+        assert a.random() == b.random()  # and leave the generator where it would
+
+    @pytest.mark.parametrize("shape", [2, 4])
+    def test_erlang_fill_allocates_one_block(self, shape):
+        # the output plus one _SLAB scratch; a second block-sized array reads 2x
+        rng = np.random.default_rng(5)
+        tracemalloc.start()
+        try:
+            x = Gamma(shape, 2).draw(rng, (16384, 108))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * x.nbytes
 
     @pytest.mark.parametrize("shape", [1, 2, 4])
     def test_erlang_survives_zero_uniforms(self, shape):
