@@ -58,7 +58,6 @@ __all__ = [
     "estimate_rm_cross",
     "estimate_variance_drift",
     "modulated_rate",
-    "modulated_time_law",
     "path_statistics",
     "residual_limit_ks",
     "rm_cross_limit",
@@ -169,14 +168,6 @@ def modulated_rate(spec: Modulated) -> float:
     pi = _embedded_stationary_law(spec)
     means = np.array([spec.lifetimes[s].moment(1) for s in spec.states])
     return float(1.0 / np.dot(pi, means))
-
-
-def modulated_time_law(spec: Modulated) -> np.ndarray:
-    """Time-stationary state law: embedded law length-biased by mean holding times."""
-    pi = _embedded_stationary_law(spec)
-    means = np.array([spec.lifetimes[s].moment(1) for s in spec.states])
-    weighted = pi * means
-    return weighted / weighted.sum()
 
 
 def _embedded_stationary_law(spec: Modulated) -> np.ndarray:

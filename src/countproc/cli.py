@@ -139,8 +139,8 @@ def validate_config(obj: Mapping) -> tuple[ExperimentConfig | None, list[str]]:
             if not isinstance(val, (int, float)) or isinstance(val, bool):
                 errors.append(f"{name}: must be a number, got {val!r}")
                 continue
-            if not val > 0:
-                errors.append(f"{name}: must be positive, got {val}")
+            if not (val > 0 and math.isfinite(val)):
+                errors.append(f"{name}: must be a positive finite number, got {val}")
                 continue
             if name in ("reps", "n") and not float(val).is_integer():
                 errors.append(f"{name}: must be a whole number, got {val}")

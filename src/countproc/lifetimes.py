@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields
-from fractions import Fraction
 from functools import cache, cached_property
 from typing import (
     Any, ClassVar, Literal, NamedTuple, Sequence, Union, get_args, get_origin, get_type_hints,
@@ -79,6 +78,11 @@ _ERLANG_MAX_SHAPE = 4
 _SLAB = 1 << 15
 
 _LATTICE_TOL = 1e-9
+# Most multiples of a lattice span a span may be: floats near 2**22 are 2**-30
+# apart, finer than _LATTICE_TOL.  Two unrelated spans near 1e5 leave a Euclid
+# remainder of 1e-9 to 4e-8, and their ratios to it, near 1e13, can round to
+# whole numbers (for 4% of random pairs).
+_LATTICE_MULTIPLES = 2**22
 
 
 class ArithmeticSpan(NamedTuple):
@@ -123,10 +127,13 @@ class LifetimeDistribution(_Wire):
 
     def __post_init__(self):
         # an int parameter is stored as the float of the same value, so that
-        # every law draws and evaluates floats
+        # every law draws and evaluates floats, and no parameter is inf or NaN
         for name, tp, _ in _declared(type(self)):
             if tp is float:
-                object.__setattr__(self, name, float(getattr(self, name)))
+                value = float(getattr(self, name))
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be a finite number, got {value}")
+                object.__setattr__(self, name, value)
 
     # -- primitive surface -------------------------------------------------
 
@@ -405,13 +412,9 @@ class Lattice(LifetimeDistribution):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "pmf", tuple(float(p) for p in self.pmf))
+        object.__setattr__(self, "pmf", _probabilities(self.pmf, "pmf"))
         if not self.span > 0:
             raise ValueError("lattice span must be positive")
-        if not self.pmf or any(p < 0 for p in self.pmf):
-            raise ValueError("pmf must be a nonempty sequence of nonnegative weights")
-        if abs(sum(self.pmf) - 1.0) > 1e-12:
-            raise ValueError("pmf must sum to 1 within 1e-12")
 
     @cached_property
     def _cum(self) -> np.ndarray:
@@ -455,14 +458,10 @@ class Mixture(LifetimeDistribution):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        object.__setattr__(self, "weights", _probabilities(self.weights, "mixture weights"))
         object.__setattr__(self, "components", tuple(self.components))
-        if len(self.weights) != len(self.components) or not self.components:
-            raise ValueError("weights and components must be nonempty and match in length")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("mixture weights must be nonnegative")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
-            raise ValueError("mixture weights must sum to 1 within 1e-12")
+        if len(self.weights) != len(self.components):
+            raise ValueError("weights and components must match in length")
 
     def _weighted(self, f):
         """Weighted sum of f over the components with positive weight, so
@@ -590,30 +589,33 @@ def _draw_each(laws: Sequence[LifetimeDistribution], idx: np.ndarray, rng) -> np
     return out
 
 
+def _probabilities(values, what: str) -> tuple[float, ...]:
+    """``values`` as a tuple of floats after checking that they form a
+    probability vector: every entry ``>= 0`` (so no NaN) and the sum 1
+    within 1e-12 (so at least one entry, and no inf)."""
+    out = tuple(float(p) for p in values)
+    if not all(p >= 0 for p in out):
+        raise ValueError(f"{what} must be nonnegative, got {list(out)}")
+    if abs(sum(out) - 1.0) > 1e-12:
+        raise ValueError(f"{what} must sum to 1 within 1e-12")
+    return out
+
+
 def _lattice_span(laws: Sequence[LifetimeDistribution]) -> float | None:
     """The common lattice span of ``laws`` when every one is arithmetic, else None.
 
     The common span is the largest delta of which every law's span is an
-    integer multiple.  Floats are dyadic rationals, so the Fraction-based
-    gcd is exact for cleanly represented parameters; when the exact answer
-    collapses below 1e-9 (decimal-looking inputs such as 0.1 and 0.3) fall
-    back to a tolerance-based Euclid pass.  A candidate that leaves some
-    span more than ``_LATTICE_TOL`` multiples off an integer is rounding
-    debris, not a lattice, and gives None.
+    integer multiple.  A Euclid pass over the spans finds it, reading a
+    remainder within ``_LATTICE_TOL`` of 0 or of its divisor as 0.  The
+    result is rounding debris, not a lattice, and gives None when it leaves
+    some span more than ``_LATTICE_TOL`` multiples off an integer, or when
+    some span is over ``_LATTICE_MULTIPLES`` multiples of it, where the
+    float ratio is spaced too widely to show such an offset.
     """
     lattice = [d.is_arithmetic() for d in laws]
     if not all(a.arithmetic for a in lattice):
         return None
     spans = [a.span for a in lattice]
-    fracs = [Fraction(s).limit_denominator(1 << 62) for s in spans]
-    # exact gcd of fractions: gcd(a/b, c/d) = gcd(a*d, c*b) / (b*d)
-    g = fracs[0]
-    for f in fracs[1:]:
-        g = Fraction(math.gcd(g.numerator * f.denominator, f.numerator * g.denominator),
-                     g.denominator * f.denominator)
-    exact = float(g)
-    if exact >= _LATTICE_TOL:
-        return exact
     out = spans[0]
     for s in spans[1:]:
         a, b = max(out, s), min(out, s)
@@ -622,7 +624,7 @@ def _lattice_span(laws: Sequence[LifetimeDistribution]) -> float | None:
             if abs(b - a) < _LATTICE_TOL:  # residue indistinguishable from divisor
                 b = 0.0
         out = a
-    if all(abs(s / out - round(s / out)) <= _LATTICE_TOL for s in spans):
+    if all(s / out <= _LATTICE_MULTIPLES and abs(s / out - round(s / out)) <= _LATTICE_TOL for s in spans):
         return out
     return None
 

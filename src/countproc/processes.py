@@ -32,7 +32,9 @@ from typing import IO, Iterator, Literal, Mapping, Sequence, Union, get_args
 
 import numpy as np
 
-from .lifetimes import EquilibriumOf, Exponential, LifetimeDistribution, _decode, _draw_each, _pick, _Wire
+from .lifetimes import (
+    EquilibriumOf, Exponential, LifetimeDistribution, _decode, _draw_each, _pick, _probabilities, _Wire,
+)
 
 __all__ = [
     "Delayed",
@@ -128,18 +130,14 @@ class Modulated(_Wire):
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "kernel", tuple(tuple(float(p) for p in row) for row in self.kernel))
+        object.__setattr__(self, "kernel", tuple(
+            _probabilities(row, f"kernel row {i}") for i, row in enumerate(self.kernel)))
         if not self.states:
             raise ValueError("modulated spec needs a nonempty state list")
         if len(set(self.states)) != len(self.states):
             raise ValueError("state labels must be distinct")
         if len(self.kernel) != len(self.states) or any(len(r) != len(self.states) for r in self.kernel):
             raise ValueError("kernel must be square over the state list")
-        for i, row in enumerate(self.kernel):
-            if any(p < 0 for p in row):
-                raise ValueError(f"kernel row {i} has a negative entry")
-            if abs(sum(row) - 1.0) > 1e-12:
-                raise ValueError(f"kernel row {i} must sum to 1 within 1e-12")
         missing = set(self.states) - set(self.lifetimes)
         if missing:
             raise ValueError(f"lifetimes missing for states {sorted(missing)}")
@@ -150,8 +148,7 @@ class Modulated(_Wire):
             bad = set(self.initial) - set(self.states)
             if bad:
                 raise ValueError(f"initial law mentions unknown states {sorted(bad)}")
-            if abs(sum(self.initial.values()) - 1.0) > 1e-12:
-                raise ValueError("initial law must sum to 1 within 1e-12")
+            _probabilities(self.initial.values(), "initial law")
 
     def initial_law(self) -> np.ndarray:
         n = len(self.states)
@@ -420,9 +417,14 @@ def _widen(a: np.ndarray, cols: int, fill) -> np.ndarray:
     return out
 
 
-def _fill_block(spec: ProcessSpec, horizon: float, rows: int, rng: np.random.Generator):
-    """(events, marks) of :func:`simulate_paths`, filled in place from the
-    column blocks and not yet validated as a :class:`SamplePath`."""
+def simulate_paths(spec: ProcessSpec, horizon: float, rows: int, rng: np.random.Generator) -> SamplePath:
+    """A block of ``rows`` paths of ``spec`` covering [0, horizon], filled in
+    place from the column blocks: with ``rng = child_rng(seed, i)`` and
+    ``horizon`` the largest query time, the rows are the paths that chunk i
+    of :func:`countproc.asymptotics.path_statistics` summarizes.  Raises
+    :class:`EventCapExceeded` when a path still at or before the horizon
+    has drawn more than ``DEFAULT_EVENT_CAP`` gaps.
+    """
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     blocks = _column_blocks(spec, float(horizon), rows, rng)
@@ -444,19 +446,7 @@ def _fill_block(spec: ProcessSpec, horizon: float, rows: int, rng: np.random.Gen
     # event one ulp past the one before it, so event times strictly increase
     np.maximum(events[:, 1:], np.nextafter(events[:, :-1], np.inf), out=events[:, 1:])
     marks = {} if marks is None else {"states" if isinstance(spec, Modulated) else "ma_trace": marks[:, :col]}
-    return events[:, :col], marks
-
-
-def simulate_paths(spec: ProcessSpec, horizon: float, rows: int, rng: np.random.Generator) -> SamplePath:
-    """A block of ``rows`` paths of ``spec`` covering [0, horizon], filled in
-    place from the column blocks: with ``rng = child_rng(seed, i)`` and
-    ``horizon`` the largest query time, the rows are the paths that chunk i
-    of :func:`countproc.asymptotics.path_statistics` summarizes.  Raises
-    :class:`EventCapExceeded` when a path still at or before the horizon
-    has drawn more than ``DEFAULT_EVENT_CAP`` gaps.
-    """
-    events, marks = _fill_block(spec, horizon, rows, rng)
-    return SamplePath(horizon, events, spec, **marks)
+    return SamplePath(horizon, events[:, :col], spec, **marks)
 
 
 def paths_per_chunk(spec: ProcessSpec, horizon: float) -> int:
@@ -467,13 +457,10 @@ def paths_per_chunk(spec: ProcessSpec, horizon: float) -> int:
 
 
 def simulate_path(spec: ProcessSpec, horizon: float, seed) -> SamplePath:
-    """One path of ``spec`` covering [0, horizon]: the one-row case of
-    :func:`simulate_paths`, deterministic in ``seed`` (an int, SeedSequence
-    or Generator), cut after its overshoot event as ``path[0]`` is and
-    validated once, as a 1-d path."""
-    events, marks = _fill_block(spec, horizon, 1, np.random.default_rng(seed))
-    keep = np.searchsorted(events[0], horizon, "right") + 1
-    return SamplePath(horizon, events[0, :keep], spec, **{name: m[0, :keep] for name, m in marks.items()})
+    """One path of ``spec`` covering [0, horizon], deterministic in ``seed``
+    (an int, SeedSequence or Generator): row 0 of the one-row
+    :func:`simulate_paths` block, cut after its overshoot event."""
+    return simulate_paths(spec, horizon, 1, np.random.default_rng(seed))[0]
 
 
 # ---------------------------------------------------------------------------

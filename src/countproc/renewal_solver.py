@@ -44,7 +44,6 @@ __all__ = [
     "integrated_second_generator",
     "residual_mean_generator",
     "residual_second_generator",
-    "residual_variance_grid",
     "sgibnev_asymptote",
     "solve_renewal_equation",
     "solve_residual_mean",
@@ -110,21 +109,6 @@ class GridFunction:
         fp.write("t,value\n")
         for t, v in zip(self.times, self.values):
             fp.write(f"{t:.17g},{v:.17g}\n")
-
-    @classmethod
-    def from_csv(cls, fp: IO[str]) -> "GridFunction":
-        header = fp.readline().strip()
-        if header != "t,value":
-            raise ValueError(f"expected header 't,value', got {header!r}")
-        rows = [line.strip().split(",") for line in fp if line.strip()]
-        t = np.array([float(r[0]) for r in rows])
-        v = np.array([float(r[1]) for r in rows])
-        if t.size < 2:
-            raise ValueError("grid needs at least two points")
-        steps = np.diff(t)
-        if np.ptp(steps) > 1e-9 * steps[0]:
-            raise ValueError("grid times must be uniformly spaced")
-        return cls(step=float(steps[0]), values=v)
 
 
 def _cdf_increments(dist: LifetimeDistribution, step: float, k: int) -> np.ndarray:
@@ -286,13 +270,6 @@ def solve_residual_second(dist: LifetimeDistribution, horizon: float, step: floa
     """Grid solution for the mean squared residual E[R(t)^2] on [0, horizon]."""
     gen = GridFunction.from_callable(lambda t: residual_second_generator(dist, t), horizon, step)
     return solve_renewal_equation(gen, dist)
-
-
-def residual_variance_grid(dist: LifetimeDistribution, horizon: float, step: float) -> GridFunction:
-    """Pointwise var R(t) = E[R^2](t) - (E[R](t))^2 from the two grid solutions."""
-    first = solve_residual_mean(dist, horizon, step)
-    second = solve_residual_second(dist, horizon, step)
-    return GridFunction(step=step, values=second.values - first.values**2)
 
 
 def _grid_steady_state(dist: LifetimeDistribution, step: float, k: int) -> float:

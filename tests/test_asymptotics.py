@@ -36,7 +36,6 @@ from countproc.asymptotics import (
     estimate_variance_drift,
     diffusion_scaling,
     modulated_rate,
-    modulated_time_law,
     path_statistics,
     residual_limit_ks,
     rm_cross_limit,
@@ -70,7 +69,6 @@ class TestClosedForms:
 
     def test_modulated_rate_hand_value(self):
         assert modulated_rate(TWO_STATE) == pytest.approx(0.5)
-        assert np.allclose(modulated_time_law(TWO_STATE), [0.25, 0.75])
 
     def test_modulated_rate_degenerate_cases(self):
         one = Modulated(states=("a",), kernel=((1.0,),), lifetimes={"a": Gamma(2, 2)})

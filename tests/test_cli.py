@@ -156,6 +156,43 @@ class TestValidate:
         assert cfg is None
         assert message in errors
 
+    @pytest.mark.parametrize("obj,message", [
+        ({"experiment": "simulate", "horizon": 10,
+          "spec": {"kind": "plain", "lifetime": {"kind": "exponential", "rate": float("inf")}}},
+         "spec: lifetime: rate must be a finite number, got inf"),
+        ({"experiment": "simulate", "horizon": 10,
+          "spec": {"kind": "plain", "lifetime": {"kind": "uniform", "low": 0, "high": float("inf")}}},
+         "spec: lifetime: high must be a finite number, got inf"),
+        ({"experiment": "rate", "spec": pareto_spec(float("inf")), "t": 10, "reps": 1000},
+         "spec: lifetime: alpha must be a finite number, got inf"),
+        ({"experiment": "rate", "spec": EXP_SPEC, "t": float("inf"), "reps": 1000},
+         "t: must be a positive finite number, got inf"),
+        ({"experiment": "simulate", "horizon": 10,
+          "spec": {"kind": "plain", "lifetime": {"kind": "lattice", "span": 1.0, "pmf": [float("nan"), 1.0]}}},
+         "spec: lifetime: pmf must be nonnegative, got [nan, 1.0]"),
+        ({"experiment": "simulate", "horizon": 10,
+          "spec": {"kind": "plain", "lifetime": {"kind": "lattice", "span": 1.0, "pmf": [1.5, -0.5]}}},
+         "spec: lifetime: pmf must be nonnegative, got [1.5, -0.5]"),
+        ({"experiment": "simulate", "horizon": 10,
+          "spec": {"kind": "plain", "lifetime": {"kind": "mixture", "weights": [float("nan"), 1.0],
+                                                 "components": [EXP_SPEC["lifetime"], DETERMINISTIC_1]}}},
+         "spec: lifetime: mixture weights must be nonnegative, got [nan, 1.0]"),
+        ({"experiment": "rate", "spec": dict(MODULATED_SPEC, initial={"a": 1.5, "b": -0.5}), "t": 10,
+          "reps": 1000},
+         "spec: initial law must be nonnegative, got [1.5, -0.5]"),
+        ({"experiment": "blackwell", "spec": dict(MODULATED_SPEC, kernel=[[float("nan"), 1.0], [1.0, 0.0]]),
+          "t": 10, "h": 1, "reps": 1000},
+         "spec: kernel row 0 must be nonnegative, got [nan, 1.0]"),
+    ], ids=["rate-inf", "high-inf", "alpha-inf", "t-inf", "pmf-nan", "pmf-negative", "weight-nan",
+            "initial-negative", "kernel-nan"])
+    def test_improper_number_exits_2(self, tmp_path, capsys, obj, message):
+        # json.load reads NaN and Infinity, so the spec and knob rules must reject them
+        cfg = write_config(tmp_path, dict(obj, out=str(tmp_path / "res")))
+        for command in ("validate", "run"):
+            assert main([command, str(cfg)]) == 2
+            assert capsys.readouterr().err.splitlines() == [f"invalid: {message}"]
+        assert not (tmp_path / "res").exists()
+
     @pytest.mark.parametrize("spec,message", [
         (dict(MA_SPEC, order=2.7), "spec: order: must be a whole number, got 2.7"),
         ({"kind": "plain"}, "spec: missing fields for 'plain' process: ['lifetime']"),
@@ -613,7 +650,10 @@ class TestRun:
         })
         assert main(["run", str(cfg)]) == 0
         assert "PASS renewal-solve" in capsys.readouterr().out
-        assert (tmp_path / "res" / "renewal_solution.csv").exists()
+        # the solution file holds Z(t) = 1 + t, U(t) of Exponential(1), on the step's grid
+        grid = np.loadtxt(tmp_path / "res" / "renewal_solution.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(grid[:, 0], 0.001 * np.arange(5001))
+        assert np.max(np.abs(grid[:, 1] - (1.0 + grid[:, 0]))) <= 5 * 0.001
 
     def test_renewal_solve_grid_halving(self, tmp_path, capsys):
         # no closed form for Gamma(2, 2): the check reports the step-halving change

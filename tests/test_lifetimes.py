@@ -20,6 +20,7 @@ from countproc.lifetimes import (
     Mixture,
     ParetoShifted,
     Uniform,
+    _lattice_span,
     distribution_from_json,
 )
 
@@ -451,6 +452,17 @@ class TestArithmetic:
         mix = Mixture((0.5, 0.5), (Deterministic(1.0), Exponential(1.0)))
         assert mix.is_arithmetic() == (False, None)
 
+    @pytest.mark.parametrize("values", [
+        (409523.64915303834, 67859.17899673306),  # exact gcd of the floats: 7.8e-9
+        (584096.2522396672, 461643.2779883989),  # last Euclid remainder: 1.7e-9
+    ])
+    def test_float_debris_is_no_lattice(self, values):
+        # two unrelated floats have a tiny common "span" that only rounding
+        # makes look exact; it must not turn the law into a lattice law
+        laws = tuple(Deterministic(v) for v in values)
+        assert _lattice_span(laws) is None
+        assert Mixture((0.5, 0.5), laws).is_arithmetic() == (False, None)
+
     @settings(max_examples=30, deadline=None)
     @given(any_distribution)
     @example(Mixture((0.5, 0.5), (Deterministic(1.0), Deterministic(0.689861864921478))))
@@ -606,3 +618,21 @@ class TestValidation:
     def test_lattice_pmf_guard(self):
         with pytest.raises(ValueError):
             Lattice(0.5, (0.5, 0.4))
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: Exponential(math.inf), "rate must be a finite number, got inf"),
+        (lambda: Uniform(0.0, math.inf), "high must be a finite number, got inf"),
+        (lambda: ParetoShifted(math.inf), "alpha must be a finite number, got inf"),
+        (lambda: Gamma(math.nan, 1.0), "shape must be a finite number, got nan"),
+        (lambda: Lattice(math.inf, (1.0,)), "span must be a finite number, got inf"),
+        (lambda: Lattice(1.0, (math.nan, 1.0)), "pmf must be nonnegative, got [nan, 1.0]"),
+        (lambda: Lattice(1.0, (math.inf,)), "pmf must sum to 1 within 1e-12"),
+        (lambda: Lattice(1.0, ()), "pmf must sum to 1 within 1e-12"),
+        (lambda: Mixture((math.nan, 1.0), (Exponential(1.0), Exponential(2.0))),
+         "mixture weights must be nonnegative, got [nan, 1.0]"),
+    ], ids=["exp-inf", "uniform-inf", "pareto-inf", "gamma-nan", "span-inf", "pmf-nan", "pmf-inf",
+            "pmf-empty", "weight-nan"])
+    def test_nonfinite_parameter_rejected(self, make, message):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message

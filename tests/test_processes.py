@@ -344,6 +344,18 @@ class TestModulated:
                 lifetimes={"a": Exponential(1.0), "b": Exponential(1.0)},
             )
 
+    @pytest.mark.parametrize("kernel,initial,message", [
+        (((math.nan, 1.0), (1.0, 0.0)), None, "kernel row 0 must be nonnegative, got [nan, 1.0]"),
+        (((0.0, 1.0), (1.5, -0.5)), None, "kernel row 1 must be nonnegative, got [1.5, -0.5]"),
+        (((0.0, 1.0), (1.0, 0.0)), {"a": 1.5, "b": -0.5}, "initial law must be nonnegative, got [1.5, -0.5]"),
+        (((0.0, 1.0), (1.0, 0.0)), {"a": math.nan, "b": 1.0}, "initial law must be nonnegative, got [nan, 1.0]"),
+        (((0.0, 1.0), (1.0, 0.0)), {"a": 0.5}, "initial law must sum to 1 within 1e-12"),
+    ], ids=["kernel-nan", "kernel-negative", "initial-negative", "initial-nan", "initial-short"])
+    def test_probability_vectors_validated(self, kernel, initial, message):
+        with pytest.raises(ValueError) as err:
+            Modulated(("a", "b"), kernel, TWO_STATE.lifetimes, initial)
+        assert str(err.value) == message
+
     def test_missing_lifetime_validated(self):
         with pytest.raises(ValueError, match="missing"):
             Modulated(
