@@ -15,22 +15,35 @@ residual/noise cross-term limit) live here next to their estimators.
 Error bars.  A mean over paths carries the sample standard deviation over
 sqrt(reps).  On renewal specs the noise M(t) = N(t) - rate (t + R(t) - D)
 has mean 0 at every t (Wald's identity), so ``estimate_rate`` (plain and
-delayed specs), ``estimate_rm_cross`` and ``estimate_variance_drift`` use
-it as a control variate: the slope is fitted once on all paths, joined in
-chunk order, and the bar is the standard deviation of the controlled terms
-with two degrees of freedom spent (``_controlled_mean``).  The variance
-drift applies this to each path's delta-method influence.  The diffusion
-variance is the mean of the per-path terms (X - mean X)^2 n/(n - 1), with
-the control C = (M^2 - rate^2 var T N)/n from Wald's second identity,
-E[M(t)^2] = rate^2 var T E[N(t)] at every t; var C is finite only when
-E[T^4] is, so without a finite fourth moment it keeps the plain bar.
+delayed specs) uses it as a control variate: the slope is fitted once on
+all paths, joined in chunk order, and the bar is the standard deviation of
+the controlled terms with two degrees of freedom spent (``_controlled_mean``).
+``estimate_rm_cross`` and ``estimate_variance_drift`` first condition on the
+past F_t (conditional Monte Carlo): given F_t the residual R(t) depends only
+on the age a = t - S_{N(t)-1}, with E[R^k | F_t] = e_k(a) / tail(a)
+(``residual_moments``), so each path contributes E[R M | F_t] and the
+delta-method influence of the drift with R, R^2 and R M replaced by their
+conditional means, and E[M | F_t] = N - rate (t + E[R | a]), of mean 0, is
+the control.  That keeps every mean and removes the residual's own spread.
+A conditioned estimate sees the sampler only through N and a (on an
+Exponential law it is exact for any sampler), so it carries the plain mean
+of R - E[R | a], 0 by the tower property, as ``residual_given_age``, the
+check that still sees the sampler.  The diffusion variance is the mean of
+the per-path terms (X - mean X)^2 n/(n - 1), with the control C = (M^2 -
+rate^2 var T N)/n from Wald's second identity, E[M(t)^2] = rate^2 var T
+E[N(t)] at every t; var C is finite only when E[T^4] is, so without a
+finite fourth moment it keeps the plain bar.  A z-check divides by the
+larger of the bar and ``rounding``, the floating-point error of the
+computed mean, which scales with the size of the terms and not with their
+spread: a near-exact estimate is then read against its rounding, not
+against a bar of 1e-17 or 0.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -49,6 +62,7 @@ from .processes import (
 )
 
 __all__ = [
+    "ConditionedEstimate",
     "DiffusionScalingResult",
     "Estimate",
     "KSResult",
@@ -71,20 +85,34 @@ __all__ = [
 _Z95 = 1.959963984540054
 _MIN_WINDOW_REPS = 1000  # replications a Blackwell window estimate needs
 _MIN_DRIFT_REPS = 200  # replications a variance-drift or diffusion-variance estimate needs
+# Rounding bound of a computed mean, in units of roundoff of the size of its
+# terms: the pairwise sum contributes about log2(reps) roundings and each term
+# a few more from intermediates larger than itself (N and rate t before
+# N - rate t).  The near-exact estimates of the tests sit 1-8 units off.
+_ROUNDING_ULPS = 1024
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
 class Estimate:
     """A Monte Carlo point estimate with its 95% normal-approximation interval;
-    ``flags`` name a hypothesis of its limit that the law violates."""
+    ``flags`` name a hypothesis of its limit that the law violates.
+
+    ``rounding`` bounds the floating-point error of ``value``; ``z_against``
+    divides by the larger of it and ``se``.  It is derived from the terms
+    and left out of equality, which compares the estimate itself.
+    """
 
     value: float
     se: float
     flags: tuple[str, ...] = ()
+    rounding: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         if not self.se >= 0:
             raise ValueError("standard error must be nonnegative")
+        if not self.rounding >= 0:
+            raise ValueError("rounding bound must be nonnegative")
         if math.isnan(self.value):
             raise ValueError("point estimate must not be NaN")
 
@@ -97,9 +125,19 @@ class Estimate:
         return self.value + _Z95 * self.se
 
     def z_against(self, target: float) -> float:
-        if self.se == 0:
+        bar = max(self.se, self.rounding)
+        if bar == 0:
             return 0.0 if self.value == target else math.inf
-        return abs(self.value - target) / self.se
+        return abs(self.value - target) / bar
+
+
+@dataclass(frozen=True)
+class ConditionedEstimate(Estimate):
+    """An estimate averaged from conditional means given F_t, with
+    ``residual_given_age``, the plain mean of R(t) - E[R(t) | age] on the same
+    paths: 0 by the tower property, and the check that sees the sampler."""
+
+    residual_given_age: Estimate = field(kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -207,11 +245,15 @@ def _simulate_chunk(
     """Fold one chunk of paths, streamed in column blocks, into per-path summaries.
 
     Per query time t a path's count is the number of its gaps that start at
-    or before t and its residual is the first event time after t minus t.
+    or before t, its residual is the first event time after t minus t, and
+    its age is t minus the last event at or before t (NaN on a delayed row
+    whose delay exceeds t); both events are read from the block that holds
+    the gap across t.
     """
     blocks = _column_blocks(spec, float(np.max(ts)), rows, child_rng(seed, chunk_index))
     start, _ = next(blocks)
-    result = {"count": np.zeros((rows, ts.size)), "residual": start[:, None] - ts}
+    result = {"count": np.zeros((rows, ts.size)), "residual": start[:, None] - ts,
+              "age": np.full((rows, ts.size), np.nan)}
     if isinstance(spec, Delayed):
         result["delay"] = start
     for active, last, times, _ in blocks:
@@ -221,16 +263,18 @@ def _simulate_chunk(
             open_ = last <= t
             result["count"][active, i] += np.minimum(before + open_, width)
             hit = np.flatnonzero(open_ & (before < width))
-            result["residual"][active[hit], i] = times[hit, before[hit]] - t
+            at = before[hit]
+            result["residual"][active[hit], i] = times[hit, at] - t
+            result["age"][active[hit], i] = t - np.where(at > 0, times[hit, at - 1], last[hit])
     return result
 
 
 def path_statistics(
     spec: ProcessSpec, ts: Sequence[float], reps: int, seed: int, threads: int = 1
 ) -> dict[str, np.ndarray]:
-    """Counts and residuals per path.
+    """Counts, residuals and ages per path.
 
-    Returns arrays of shape (reps, len(ts)) keyed ``count``/``residual``,
+    Returns arrays of shape (reps, len(ts)) keyed ``count``/``residual``/``age``,
     plus ``delay`` for delayed specs.  Bit-reproducible from (spec, ts,
     reps, seed) for any thread count.
     """
@@ -254,10 +298,14 @@ def path_statistics(
 # ---------------------------------------------------------------------------
 
 
-def _mean_estimate(x: np.ndarray, flags: tuple[str, ...] = ()) -> Estimate:
+def _mean_estimate(x: np.ndarray, flags: tuple[str, ...] = (), size: float | None = None) -> Estimate:
+    """Mean of ``x`` with the sample-standard-deviation bar; ``size``, the mean
+    magnitude of the values each term is formed from (mean |x| by default),
+    sets the rounding bound."""
     n = x.size
     se = float(np.std(x, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return Estimate(value=float(np.mean(x)), se=se, flags=flags)
+    size = float(np.mean(np.abs(x))) if size is None else size
+    return Estimate(value=float(np.mean(x)), se=se, flags=flags, rounding=_ROUNDING_ULPS * _EPS * size)
 
 
 def _controlled_mean(y: np.ndarray, m: np.ndarray, flags: tuple[str, ...] = ()) -> Estimate:
@@ -265,8 +313,9 @@ def _controlled_mean(y: np.ndarray, m: np.ndarray, flags: tuple[str, ...] = ()) 
 
     The value is mean(y) - beta * mean(m) with the least-squares slope
     beta = sum (y - mean y)(m - mean m) / sum (m - mean m)^2, 0 when ``m``
-    has no spread; the error bar is std(y - beta m, ddof=2) / sqrt(n).
-    Fewer than three paths leave no degree of freedom for beta: plain mean.
+    has no spread; the error bar is std(y - beta m, ddof=2) / sqrt(n), and
+    the rounding bound is set by mean |y| + |beta| mean |m|.  Fewer than
+    three paths leave no degree of freedom for beta: plain mean.
     """
     n = y.size
     if n < 3:
@@ -277,7 +326,9 @@ def _controlled_mean(y: np.ndarray, m: np.ndarray, flags: tuple[str, ...] = ()) 
         beta = float(np.dot(y - np.mean(y), mc)) / float(np.dot(mc, mc))
     adjusted = y - beta * m
     se = float(np.std(adjusted, ddof=2) / math.sqrt(n))
-    return Estimate(value=float(np.mean(adjusted)), se=se, flags=flags)
+    size = float(np.mean(np.abs(y))) + abs(beta) * float(np.mean(np.abs(m)))
+    return Estimate(value=float(np.mean(adjusted)), se=se, flags=flags,
+                    rounding=_ROUNDING_ULPS * _EPS * size)
 
 
 def _elapsed_at(stats: dict[str, np.ndarray], t: float, col: int) -> np.ndarray:
@@ -348,9 +399,37 @@ def residual_limit_ks(
     return KSResult(statistic=stat, threshold=1.95 / math.sqrt(n) + 0.01)
 
 
+def _given_age(spec: Plain, t: float, reps: int, seed: int, threads: int):
+    """Per-path conditional means given F_t, from one simulation to t.
+
+    Returns (r1, r2, m, y, check): r_k = E[R(t)^k | age], evaluated in
+    ``_CHUNK_ROWS`` slices so that the law's temporaries stay small;
+    m = E[M(t) | F_t] = N - rate (t + r1), of mean 0; y = E[R(t) M(t) | F_t]
+    = r1 (N - rate t) - rate r2; and check, the plain mean of R(t) - r1.
+    """
+    law = spec.lifetime
+    if math.isinf(law.moment(2)):
+        raise ValueError("conditioning on the age needs a finite second moment")
+    rate = law.renewal_rate
+    stats = path_statistics(spec, [t], reps, seed, threads=threads)
+    age, r = stats["age"][:, 0], stats["residual"][:, 0]
+    r1, r2 = np.empty_like(age), np.empty_like(age)
+    for lo in range(0, age.size, _CHUNK_ROWS):
+        part = slice(lo, lo + _CHUNK_ROWS)
+        r1[part], r2[part] = law.residual_moments(age[part])
+    # R = S_N - t and the age t - S_{N-1} are differences of event times near
+    # t: the rounding of R - r1 scales with t, not with R - r1
+    check = _mean_estimate(r - r1, size=t + float(np.mean(r)) + float(np.mean(r1)))
+    n = stats["count"][:, 0] - rate * t
+    m = n - rate * r1
+    y = np.multiply(n, r1, out=n)  # in place: n is not needed again
+    y -= rate * r2
+    return r1, r2, m, y, check
+
+
 def estimate_variance_drift(
     spec: Plain, t: float, reps: int, seed: int = 0, threads: int = 1
-) -> Estimate:
+) -> ConditionedEstimate:
     """Monte Carlo estimate of var N(t) - rate^3 * var T * t for a plain renewal spec.
 
     Uses the exact finite-t split
@@ -358,12 +437,14 @@ def estimate_variance_drift(
             = rate^2 var R(t) + 2 rate E[R M](t) + rate^3 var T E[R(t)],
     which follows from the pathwise decomposition and the second-moment
     identity for the noise term; estimating the right-hand side needs only
-    the O(1)-sized path summaries, cutting the error bar several-fold
-    against var-of-counts sampling.  The plug-in value of the right-hand
-    side is corrected by the control variate M(t) (E[M(t)] = 0), fitted on
-    the delta-method influence of each path,
-        psi = rate^2 (R^2 - 2 mean(R) R) + 2 rate R M + rate^3 var T R,
-    and the error bar is that of ``_controlled_mean`` on psi.
+    the O(1)-sized path summaries.  Each residual term is replaced by its
+    conditional mean given F_t (r1, r2 = E[R, R^2 | age] and y = E[R M | F_t],
+    see ``estimate_rm_cross``), which keeps the right-hand side and removes
+    the residual's own noise: the delta-method influence of each path is
+        psi = rate^2 (r2 - 2 mean(r1) r1) + 2 rate y + rate^3 var T r1,
+    and the value is the mean of psi with m = E[M | F_t] as its control
+    (``_controlled_mean``) plus (rate mean(r1))^2.  ``residual_given_age``
+    checks the sampler.
     """
     if not isinstance(spec, Plain):
         raise TypeError("variance drift is defined for plain renewal specs")
@@ -373,20 +454,23 @@ def estimate_variance_drift(
     if math.isinf(sigma2):
         raise ValueError("variance drift needs a finite second moment")
     rate = spec.lifetime.renewal_rate
-    stats = path_statistics(spec, [t], reps, seed, threads=threads)
-    r = stats["residual"][:, 0]
-    m = _noise_at(stats, rate, t, 0)
-    r_bar = float(np.mean(r))
-    psi = rate**2 * r * (r - 2.0 * r_bar) + 2.0 * rate * r * m + rate**3 * sigma2 * r
-    # mean(psi) is the plug-in drift, var R taken with ddof 0, less rate^2 mean(R)^2
+    r1, psi, m, y, check = _given_age(spec, t, reps, seed, threads)
+    r1_bar = float(np.mean(r1))
+    # psi = rate^2 r2 + rate (rate^2 var T - 2 rate mean(r1)) r1 + 2 rate y, built in
+    # place in r2's array; its mean is the plug-in drift less (rate mean(r1))^2
+    psi *= rate**2
+    psi += (rate**3 * sigma2 - 2.0 * rate**2 * r1_bar) * r1
+    psi += 2.0 * rate * y
     est = _controlled_mean(psi, m, _arithmetic_flags(spec))
-    return replace(est, value=est.value + (rate * r_bar) ** 2)
+    return ConditionedEstimate(**vars(replace(est, value=est.value + (rate * r1_bar) ** 2)),
+                               residual_given_age=check)
 
 
 def variance_drift_ratios(
     spec: Plain, ts: Sequence[float], reps: int, seed: int = 0, threads: int = 1
-) -> list[tuple[float, Estimate, float]]:
-    """(t, drift estimate, |drift| / (t * sqrt(quadratic excess at t))) per t.
+) -> list[tuple[float, ConditionedEstimate, float]]:
+    """(t, drift estimate, |drift| / (t * sqrt(quadratic excess at t))) per t,
+    the estimate at the i-th t drawn with seed + i.
 
     The normalized ratio should stay bounded across a t-ladder when the
     lifetime law has a finite second but infinite third moment.
@@ -403,16 +487,21 @@ def variance_drift_ratios(
 
 def estimate_rm_cross(
     spec: Plain, t: float, reps: int, seed: int = 0, threads: int = 1
-) -> Estimate:
-    """Mean of R(t) * M(t) for a plain renewal spec, with M(t) (E[M(t)] = 0)
-    as its control variate and the error bar of ``_controlled_mean``."""
+) -> ConditionedEstimate:
+    """Mean of R(t) * M(t) for a plain renewal spec, conditioned on the age.
+
+    Given F_t only R(t) is unknown, so E[R M | F_t] = r1 (N - rate t) -
+    rate r2 with r_k = E[R^k | age]: its mean is E[R M], with m = E[M | F_t]
+    = N - rate (t + r1), of mean 0, as the control and the error bar of
+    ``_controlled_mean``.  On an Exponential law y - m/rate is constant and
+    the estimate exact; ``residual_given_age`` checks the sampler.  Needs a
+    finite E[T^2], without which E[R^2 | age] is infinite.
+    """
     if not isinstance(spec, Plain):
         raise TypeError("the residual/noise cross moment is defined for plain renewal specs")
-    rate = spec.lifetime.renewal_rate
-    stats = path_statistics(spec, [t], reps, seed, threads=threads)
-    r = stats["residual"][:, 0]
-    m = _noise_at(stats, rate, t, 0)
-    return _controlled_mean(r * m, m, _arithmetic_flags(spec))
+    _, _, m, y, check = _given_age(spec, t, reps, seed, threads)
+    return ConditionedEstimate(**vars(_controlled_mean(y, m, _arithmetic_flags(spec))),
+                               residual_given_age=check)
 
 
 def diffusion_scaling(

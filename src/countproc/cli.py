@@ -14,8 +14,8 @@ schema problems with field paths and has no side effects.
   palm           t h reps      stationary_ma                   palm
   rate           t reps        any                             rate
   residual-law   t reps        plain, delayed; non-arithmetic  residual-law
-  variance       t reps        plain; finite E[T^2]            variance-drift, or -order-bound
-  rm-cross       t reps        plain; finite E[T^3]            rm-cross
+  variance       t reps        plain; finite E[T^2]            variance-drift, or -order-bound; residual-given-age
+  rm-cross       t reps        plain; finite E[T^3]            rm-cross, residual-given-age
   diffusion      n t reps      plain; 0 < var T < inf          diffusion-variance, -mean, wald-second
   renewal-solve  horizon step  plain                           renewal-solve
   sgibnev        t step        plain                           sgibnev
@@ -26,7 +26,13 @@ non-lattice law: on a lattice process (every lifetime law arithmetic, on a
 common span) their estimate is flagged, and the check reports it with the
 flag and passes.  ``rate`` is never flagged, since N(t)/t -> 1/E[T] holds
 for every law.  ``wald-second`` z-checks the mean of (M^2 - rate^2 var T N)/n,
-0 by Wald's second identity, and runs only when E[T^4] is finite.  A delay
+0 by Wald's second identity, and runs only when E[T^4] is finite.
+``variance`` and ``rm-cross`` average conditional means given the age, which
+see the sampler only through the count and the age, so each simulated t also
+writes a ``residual-given-age`` row after the estimates: the plain mean of
+R(t) - E[R(t) | age], 0 by the tower property, z-checked for every law.  A
+z-check never divides by less than the rounding error of the computed mean,
+so a near-exact estimate passes on its rounding.  A delay
 written as "equilibrium" and the explicit
 {"kind": "equilibrium", "base": <lifetime>} law are one spec, and the spec
 hash is that of the parsed spec, so every spelling of a spec has one hash.
@@ -322,6 +328,14 @@ def _run_residual_law(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
     return rows, [Check("residual-law", ks.passed, f"KS={ks.statistic:.4f} threshold={ks.threshold:.4f}")]
 
 
+def _residual_given_age(cfg: ExperimentConfig, ests: list[tuple[float, asymptotics.ConditionedEstimate]],
+                        reps: int) -> tuple[list[tuple], list[Check]]:
+    """One row and one z-check per simulated t: the plain mean of R(t) - E[R(t) | age],
+    0 by the tower property, which sees the sampler where the conditioned estimate cannot."""
+    rows = [_row(cfg, est.residual_given_age, 0.0, t=t, reps=reps) for t, est in ests]
+    return rows, [_est_check("residual-given-age", est.residual_given_age, 0.0) for _, est in ests]
+
+
 def _run_variance(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
     t, reps = cfg.knobs["t"], int(cfg.knobs["reps"])
     lifetime = cfg.spec.lifetime
@@ -331,25 +345,30 @@ def _run_variance(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
         rows = [_row(cfg, est, None, t=tt, reps=reps) for tt, est, _ in out]
         ratios = [ratio for _, _, ratio in out]
         spread = max(ratios) / max(min(ratios), 1e-300)
-        return rows, [
+        checks = [
             Check(
                 "variance-order-bound",
                 spread <= 3.0,
                 f"normalized drift ratios {['%.3g' % r for r in ratios]} spread={spread:.2f}",
             )
         ]
-    est = asymptotics.estimate_variance_drift(cfg.spec, t, reps, cfg.seed, cfg.threads)
-    target = asymptotics.smith_constant(lifetime)
-    rows = [_row(cfg, est, target, t=t, reps=reps)]
-    return rows, [_est_check("variance-drift", est, target)]
+        ests = [(tt, est) for tt, est, _ in out]
+    else:
+        est = asymptotics.estimate_variance_drift(cfg.spec, t, reps, cfg.seed, cfg.threads)
+        target = asymptotics.smith_constant(lifetime)
+        rows = [_row(cfg, est, target, t=t, reps=reps)]
+        checks = [_est_check("variance-drift", est, target)]
+        ests = [(t, est)]
+    more_rows, more_checks = _residual_given_age(cfg, ests, reps)
+    return rows + more_rows, checks + more_checks
 
 
 def _run_rm_cross(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
     t, reps = cfg.knobs["t"], int(cfg.knobs["reps"])
     est = asymptotics.estimate_rm_cross(cfg.spec, t, reps, cfg.seed, cfg.threads)
     target = asymptotics.rm_cross_limit(cfg.spec.lifetime)
-    rows = [_row(cfg, est, target, t=t, reps=reps)]
-    return rows, [_est_check("rm-cross", est, target)]
+    rows, checks = _residual_given_age(cfg, [(t, est)], reps)
+    return [_row(cfg, est, target, t=t, reps=reps)] + rows, [_est_check("rm-cross", est, target)] + checks
 
 
 def _run_renewal_solve(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]:

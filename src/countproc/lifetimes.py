@@ -15,9 +15,11 @@ once, on :class:`LifetimeDistribution`: each converts its argument once to a
 float array, calls the law's hook (``_excess_moment``, ``_truncated_mean``,
 ``_integrated_excess``) and returns a float for a scalar argument and an
 array of its shape otherwise; ``tail``, ``equilibrium_cdf`` and
-``excess_second_moment`` inherit that contract.  Samplers take
-an explicit ``numpy.random.Generator`` and are otherwise stateless;
-distribution objects are immutable and safe to share across threads.
+``excess_second_moment`` inherit that contract, and ``residual_moments``
+(hook ``_residual_moments``) keeps it for each of the two moments it
+returns.  Samplers take an explicit ``numpy.random.Generator`` and are
+otherwise stateless; distribution objects are immutable and safe to share
+across threads.
 :meth:`LifetimeDistribution.draw`, the one sampler, raises each law's
 ``_draw`` to ``_POSITIVE_FLOOR`` and returns a float for ``size=None``.  A
 Gamma law with a whole-number shape k <= 4 is drawn as an Erlang variate,
@@ -76,6 +78,14 @@ _ERLANG_MAX_SHAPE = 4
 # 16384 x 108 block cost the same, within noise, from 2**13 to 2**19 on the
 # host above; Gamma(4, 2) is about 1.4x slower at 2**11 and 2**12.
 _SLAB = 1 << 15
+
+# Gamma._residual_moments reads x = rate * age past s + _GAMMA_FAR * (1 + sqrt(s))
+# from Legendre's continued fraction, cut after _GAMMA_FAR_TERMS terms: there
+# it matches 50-digit values to 3e-16 for shapes 0.1 to 1e6, where the
+# gammaincc route loses digits (1e-10 to 2e-9 relative in v near x = 500) and,
+# past x ~ 745, its tail underflows to 0.
+_GAMMA_FAR = 10.0
+_GAMMA_FAR_TERMS = 32
 
 _LATTICE_TOL = 1e-9
 # Most multiples of a lattice span a span may be: floats near 2**22 are 2**-30
@@ -161,9 +171,24 @@ class LifetimeDistribution(_Wire):
     def _truncated_mean(self, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def residual_moments(self, a):
+        """(E[T - a | T > a], E[(T - a)^2 | T > a]): the first two moments of
+        what is left of a gap that has lasted ``a``, e_k(a) / tail(a) for
+        k = 1, 2; the residual R(t) given the past of a renewal path at t
+        depends only on its age a."""
+        a = np.asarray(a, dtype=float)
+        return tuple(_scalarize(r, a.ndim == 0) for r in self._residual_moments(a))
+
     def _integrated_excess(self, k: int, t: np.ndarray) -> np.ndarray:
         # needs E[T^(k+1)] < inf; laws whose moments can diverge override it
         return (self.excess_moment(k + 1, 0.0) - self._excess_moment(k + 1, t)) / (k + 1)
+
+    def _residual_moments(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # 0 where the tail is 0: an age at the end of a bounded support, which
+        # only rounding in t - S produces, leaves nothing of the gap
+        tail = self._excess_moment(0, a)
+        return tuple(np.divide(self._excess_moment(k, a), tail, out=np.zeros(np.shape(tail)),
+                               where=tail > 0) for k in (1, 2))
 
     def draw(self, rng: np.random.Generator, size=None):
         """Sample from the law; identical generator state gives identical draws,
@@ -241,6 +266,10 @@ class Exponential(LifetimeDistribution):
     def _truncated_mean(self, v):
         return -np.expm1(-self.rate * v) / self.rate
 
+    def _residual_moments(self, a):
+        # memorylessness: what is left of a gap has the gap's law at every age
+        return np.full_like(a, 1.0 / self.rate), np.full_like(a, 2.0 / self.rate**2)
+
     def _draw(self, rng, size):
         return rng.exponential(1.0 / self.rate, size)
 
@@ -275,6 +304,23 @@ class Gamma(LifetimeDistribution):
         a, r = self.shape, self.rate
         w = np.where(np.isinf(v), 0.0, v)
         return (a / r) * special.gammainc(a + 1, r * v) + w * special.gammaincc(a, r * v)
+
+    def _residual_moments(self, a):
+        # With x = rate * a, u = x^s e^-x / Gamma(s, x) and Q(s, x) = Gamma(s, x)
+        # / Gamma(s), the upward recurrence Q(s + 1, x) = Q(s, x) + x^s e^-x /
+        # Gamma(s + 1) turns E[T^j; T > a] = (s)_j Q(s + j, x) / rate^j into
+        # rate E[R | a] = 1 + v and rate^2 E[R^2 | a] = s + 1 - (x - s - 1) v,
+        # with v = u - (x + 1 - s).  u is a ratio taken in log space from one
+        # gammaincc; far in the tail v comes from the continued fraction.
+        s, r = self.shape, self.rate
+        x = np.asarray(r * a)
+        with np.errstate(divide="ignore"):  # log 0 at age 0, and where Q underflows
+            log_u = s * np.log(x) - x - special.gammaln(s) - np.log(special.gammaincc(s, x))
+        v = np.asarray(np.exp(log_u) - (x + (1.0 - s)))
+        far = x > s + _GAMMA_FAR * (1.0 + math.sqrt(s))
+        if far.any():
+            v[far] = _legendre_tail(s, x[far])
+        return (1.0 + v) / r, (s + 1.0 - (x - (s + 1.0)) * v) / r**2
 
     def _draw(self, rng, size):
         if not (self.shape.is_integer() and self.shape <= _ERLANG_MAX_SHAPE):
@@ -564,6 +610,18 @@ class EquilibriumOf(LifetimeDistribution):
             if not todo.size:
                 break
         return x.reshape(shape)
+
+
+def _legendre_tail(s: float, x: np.ndarray) -> np.ndarray:
+    """x^s e^-x / Gamma(s, x) - (x + 1 - s) from Legendre's continued fraction
+    Gamma(s, x) = x^s e^-x / (x + 1 - s - 1 (1 - s) / (x + 3 - s - 2 (2 - s) / ...)),
+    its first ``_GAMMA_FAR_TERMS`` terms evaluated from the last one back; no
+    term underflows and nothing cancels, so it is accurate to rounding for
+    large x.  The fraction ends by itself at a whole-number shape."""
+    d = x + (2 * _GAMMA_FAR_TERMS + 1 - s)
+    for j in range(_GAMMA_FAR_TERMS - 1, 0, -1):
+        d = x + (2 * j + 1 - s) - (j + 1) * (j + 1 - s) / d
+    return (s - 1.0) / d
 
 
 def _check_k(k: int) -> None:

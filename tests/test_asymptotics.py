@@ -131,6 +131,23 @@ class TestEstimateType:
         assert e.z_against(0.0) == 0.0
         assert math.isinf(e.z_against(0.1))
 
+    def test_z_reads_the_rounding_bound(self):
+        # a bar below the rounding of the computed mean is not a bar: z divides
+        # by the larger of the two, and equality ignores the derived bound
+        e = Estimate(value=1.0 + 2**-51, se=1e-17, rounding=1e-13)
+        assert e.z_against(1.0) == pytest.approx(2**-51 / 1e-13)
+        assert Estimate(2.0, 0.5, rounding=1e-13).z_against(1.0) == 2.0
+        assert e == Estimate(value=1.0 + 2**-51, se=1e-17)
+        with pytest.raises(ValueError):
+            Estimate(1.0, 0.1, rounding=-1.0)
+
+    def test_rounding_scales_with_the_terms(self):
+        # the same spread at a 1e6 times larger level has a 1e6 times larger bound
+        x = np.array([1.0, 2.0, 3.0])
+        small, large = _mean_estimate(x), _mean_estimate(x + 1e6)
+        assert small.se == pytest.approx(large.se)
+        assert large.rounding == pytest.approx(small.rounding * (1e6 + 2) / 2)
+
 
 class TestBlackwell:
     def test_gamma_limit(self):
@@ -247,6 +264,40 @@ class TestControlVariate:
         y = path_statistics(spec, [t], 20_000, seed=21)["count"][:, 0] / t
         est = estimate_rate(spec, t, 20_000, seed=21)
         assert est.se <= 0.3 * self._plain_se(y)
+
+
+class TestConditionedOnAge:
+    """rm-cross and variance drift average conditional means given F_t."""
+
+    @pytest.mark.parametrize("law", [Gamma(2, 2), Uniform(0, 2)], ids=["gamma", "uniform"])
+    @pytest.mark.parametrize("estimator", [estimate_variance_drift, estimate_rm_cross],
+                             ids=["drift", "rm-cross"])
+    def test_bar_is_calibrated(self, law, estimator):
+        # the spread of the estimates over 200 seeds against their mean bar
+        ests = [estimator(Plain(law), 20.0, 2_000, seed=s) for s in range(200)]
+        spread = np.std([e.value for e in ests], ddof=1)
+        assert 0.8 <= spread / np.mean([e.se for e in ests]) <= 1.25
+
+    def test_exponential_is_exact(self):
+        # memoryless: E[R M | F_t] = (N - t) - 2 = m - 1, so the controlled
+        # mean is -1 on every sample, and its bar is its rounding
+        est = estimate_rm_cross(Plain(Exponential(1.0)), 50.0, 20_000, seed=3)
+        assert est.value == pytest.approx(-1.0, abs=1e-14) and est.se < 1e-15
+        assert est.z_against(-1.0) <= 1e-3 and est.z_against(-1.0 - 1e-6) > 4.0
+        assert est.residual_given_age.z_against(0.0) <= 4.0
+        assert est.residual_given_age.se > 1e-3
+
+    def test_residual_given_age_is_the_plain_mean(self):
+        spec, t = Plain(Gamma(2, 2)), 30.0
+        stats = path_statistics(spec, [t], 5_000, seed=4)
+        r1, _ = spec.lifetime.residual_moments(stats["age"][:, 0])
+        check = estimate_rm_cross(spec, t, 5_000, seed=4).residual_given_age
+        assert check == _mean_estimate(stats["residual"][:, 0] - r1)
+
+    def test_needs_a_finite_second_moment(self):
+        # E[R^2 | age] is infinite
+        with pytest.raises(ValueError, match="second moment"):
+            estimate_rm_cross(Plain(ParetoShifted(1.5)), 10.0, 1_000, seed=0)
 
 
 class TestResidualLaw:
@@ -430,8 +481,8 @@ class TestReproducibility:
         seq = path_statistics(spec, [5.0], 40_000, seed=101, threads=1)
         par = path_statistics(spec, [5.0], 40_000, seed=101, threads=2)
         assert seq.keys() == par.keys()
-        for key in seq:
-            assert np.array_equal(seq[key], par[key])
+        for key in seq:  # a delayed row's age is NaN while its delay exceeds t
+            assert np.array_equal(seq[key], par[key], equal_nan=True)
 
     def test_thread_count_invariance(self):
         self._assert_thread_invariant(Plain(Gamma(2, 2)))
@@ -529,6 +580,23 @@ class TestBlockKernel:
                 assert qv[r, i] == pytest.approx(q, rel=1e-12, abs=1e-12)
         if kind == "delayed":
             assert np.any(start > ts[0])  # t below the delay on some rows
+
+
+    @pytest.mark.parametrize("spec", [
+        Plain(Gamma(2, 2)), Delayed(Uniform(0.0, 8.0), Gamma(2, 2)), TWO_STATE, StationaryMA(2, Exponential(1.0)),
+    ], ids=["plain", "delayed", "modulated", "ma"])
+    def test_age_is_time_since_last_event(self, spec):
+        # t - events[N(t) - 1] on the rows simulate_paths builds from the same
+        # chunk; NaN on a delayed row whose delay is past t
+        ts = [0.0, 3.0, 6.5, 20.0]
+        stats = path_statistics(spec, ts, 300, seed=43)
+        paths = simulate_paths(spec, max(ts), 300, child_rng(43, 0))
+        n = processes.count(paths, ts)
+        assert np.array_equal(stats["count"], n)
+        last = np.take_along_axis(paths.events, np.maximum(n - 1, 0), axis=1)
+        want = np.where(n > 0, np.asarray(ts) - last, np.nan)
+        assert np.array_equal(stats["age"], want, equal_nan=True)
+        assert np.isnan(stats["age"]).any() == isinstance(spec, Delayed)
 
 
 class TestEventCap:

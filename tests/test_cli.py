@@ -16,6 +16,7 @@ import pytest
 import countproc
 import countproc.processes
 import countproc.cli
+import countproc.renewal_solver
 from countproc.cli import main, validate_config
 from countproc.decomposition import build_reports, reports_to_csv
 from countproc.lifetimes import Deterministic, EquilibriumOf, Exponential, Gamma, ParetoShifted, Uniform
@@ -458,8 +459,10 @@ class TestRun:
             "t": 50, "reps": 20000, "seed": 7, "out": str(tmp_path / "res"),
         })
         assert main(["run", str(cfg)]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("PASS variance-drift") and "[arithmetic" in out and "z=" not in out
+        drift, given_age = capsys.readouterr().out.splitlines()
+        assert drift.startswith("PASS variance-drift") and "[arithmetic" in drift and "z=" not in drift
+        # E[R - E[R | age]] = 0 holds for every law: that row stays a z-check
+        assert given_age.startswith("PASS residual-given-age") and "z=" in given_age
 
     def test_rate_delayed_explicit(self, tmp_path, capsys):
         # the mean count lags rate * t by rate * (E[D] - E[R(t)]) = 3.25: the
@@ -596,6 +599,102 @@ class TestRun:
         assert main(["run", str(cfg)]) == 2
         assert "invalid: spec: experiment 'diffusion' needs a positive var T" in capsys.readouterr().err
         assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("value,t", [(0.3, 20), (0.7, 33.3), (1.0, 20.5), (0.1, 7.77)])
+    def test_rate_near_exact_is_read_against_its_rounding(self, tmp_path, capsys, monkeypatch, value, t):
+        # every path has the same N(t)/t: the bar was 2e-17 or 0, and a few ulps
+        # between estimate and target read z = 32 to inf
+        cfg = write_config(tmp_path, {
+            "experiment": "rate", "spec": {"kind": "plain", "lifetime": {"kind": "deterministic", "value": value}},
+            "t": t, "reps": 1000, "seed": 1, "out": str(tmp_path / "res"),
+        })
+        assert main(["run", str(cfg)]) == 0
+        assert capsys.readouterr().out.startswith("PASS rate")
+        exact = countproc.cli._rate_target
+        monkeypatch.setattr(countproc.cli, "_rate_target",
+                            lambda spec, t: ((1 + 1e-6) * exact(spec, t)[0], None))
+        assert main(["run", str(cfg)]) == 1
+        assert capsys.readouterr().out.startswith("FAIL rate")
+
+    def test_rm_cross_exponential_is_exact(self, tmp_path, capsys, monkeypatch):
+        # conditioned on the age, E[R M] is exact on a memoryless law: its se, about
+        # 1e-16, is below the rounding of its terms, against which it is read
+        cfg = write_config(tmp_path, {
+            "experiment": "rm-cross", "spec": {"kind": "plain", "lifetime": {"kind": "exponential", "rate": 0.7}},
+            "t": 33.3, "reps": 20000, "seed": 1, "out": str(tmp_path / "res"),
+        })
+        assert main(["run", str(cfg)]) == 0
+        assert capsys.readouterr().out.startswith("PASS rm-cross")
+        exact = countproc.asymptotics.rm_cross_limit
+        monkeypatch.setattr(countproc.asymptotics, "rm_cross_limit", lambda law: (1 + 1e-6) * exact(law))
+        assert main(["run", str(cfg)]) == 1
+        assert capsys.readouterr().out.startswith("FAIL rm-cross")
+
+    @pytest.mark.parametrize("experiment,spec,rows", [
+        ("variance", GAMMA_SPEC, 2), ("variance", pareto_spec(2.5), 6), ("rm-cross", EXP_SPEC, 2),
+    ], ids=["variance-drift", "variance-order-bound", "rm-cross"])
+    def test_residual_given_age_rows(self, tmp_path, capsys, experiment, spec, rows):
+        # the estimates first (rows[0] is the estimate), then the plain mean of
+        # R - E[R | age] per simulated t, z-checked against 0
+        cfg = write_config(tmp_path, {"experiment": experiment, "spec": spec, "t": 20, "reps": 20000,
+                                      "seed": 7, "out": str(tmp_path / "res")})
+        assert main(["run", str(cfg)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        header, *lines = (tmp_path / "res" / f"{experiment}.csv").read_text().splitlines()
+        cells = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        given_age = cells[rows // 2:]
+        assert len(cells) == rows and [c["target"] for c in given_age] == ["0"] * (rows // 2)
+        assert [c["t"] for c in given_age] == [c["t"] for c in cells[:rows // 2]]
+        assert sum(line.startswith("PASS residual-given-age:") for line in out) == rows // 2
+
+    @pytest.mark.parametrize("experiment", ["variance", "rm-cross"])
+    @pytest.mark.parametrize("law", ["exponential", "gamma"])
+    def test_wrong_sampler_fails_residual_given_age(self, tmp_path, capsys, monkeypatch, experiment, law):
+        # an Exponential drawn at 1.1x its rate, or Gamma(k, k), k = 2/1.2 (1.2x the
+        # variance), where the nominal law's moments are used: the conditioned
+        # estimate sees the sampler only through N and the age (and not at all on
+        # an Exponential law), the plain mean of R - E[R | age] does
+        if law == "exponential":
+            draw = Exponential._draw
+            monkeypatch.setattr(Exponential, "_draw", lambda self, rng, size: draw(Exponential(1.1 * self.rate), rng, size))
+            spec = EXP_SPEC
+        else:
+            draw = Gamma._draw
+            monkeypatch.setattr(Gamma, "_draw", lambda self, rng, size: draw(Gamma(2 / 1.2, 2 / 1.2), rng, size))
+            spec = GAMMA_SPEC
+        cfg = write_config(tmp_path, {"experiment": experiment, "spec": spec, "t": 20, "reps": 25000,
+                                      "seed": 7, "out": str(tmp_path / "res")})
+        assert main(["run", str(cfg)]) == 1
+        assert "FAIL residual-given-age:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    def test_variance_order_bound_seeds(self, tmp_path, capsys, monkeypatch, seed):
+        # these seeds read spreads 6.7, 10.5 and 21.5 before the estimator was
+        # conditioned on the age; the exact spread is 1.03.  A normaliser with
+        # the wrong power of t (t^2 in place of t) moves the spread by 4x and fails
+        cfg = write_config(tmp_path, {"experiment": "variance", "spec": pareto_spec(2.5), "t": 40,
+                                      "reps": 100000, "seed": seed, "out": str(tmp_path / "res")})
+        assert main(["run", str(cfg)]) == 0
+        assert capsys.readouterr().out.startswith("PASS variance-order-bound:")
+        exact = countproc.renewal_solver.residual_second_generator
+        monkeypatch.setattr(countproc.renewal_solver, "residual_second_generator",
+                            lambda law, t: exact(law, t) * t**2)
+        assert main(["run", str(cfg)]) == 1
+        assert capsys.readouterr().out.startswith("FAIL variance-order-bound:")
+
+    @pytest.mark.parametrize("experiment,spec", [("variance", GAMMA_SPEC), ("rm-cross", GAMMA_SPEC),
+                                                 ("variance", pareto_spec(2.5))],
+                             ids=["variance-drift", "rm-cross", "variance-order-bound"])
+    def test_conditioned_thread_override_keeps_output(self, tmp_path, experiment, spec):
+        # three chunks of paths, joined in chunk order at either thread count
+        cfg = write_config(tmp_path, {"experiment": experiment, "spec": spec, "t": 8, "reps": 40000, "seed": 7})
+        csvs = []
+        for threads in ("1", "2"):
+            main(["run", str(cfg), "--out", str(tmp_path / threads), "--threads", threads])
+            header, *lines = (tmp_path / threads / f"{experiment}.csv").read_text().splitlines()
+            col = header.split(",").index("threads")
+            csvs.append([[c for i, c in enumerate(line.split(",")) if i != col] for line in lines])
+        assert csvs[0] == csvs[1]
 
     def test_decompose_run(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
@@ -770,31 +869,50 @@ def test_solver_skips_scipy_linalg():
 
 
 def readme_experiments():
-    """(experiment, required knobs) per row of the README's experiment table."""
+    """(experiment, required knobs, check names) per row of the README's experiment table."""
     lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
     start = lines.index("| Experiment | Required knobs | Spec kinds | Check(s) |") + 2
     rows = []
     for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
-        name, knobs = [cell.strip() for cell in line.strip("|").split("|")][:2]
-        rows.append((name.strip("`"), re.findall(r"`(\w+)`", knobs.split("(optional")[0])))
+        name, knobs, _, checks = [cell.strip() for cell in line.strip("|").split("|")]
+        rows.append((name.strip("`"), re.findall(r"`(\w+)`", knobs.split("(optional")[0]),
+                     [c for c in re.findall(r"`([\w-]+)`", checks) if c not in countproc.cli._POSITIVE_KNOBS]))
     return rows
 
 
 def docstring_experiments():
-    """(experiment, required knobs) per row of the ``countproc.cli`` docstring table."""
+    """(experiment, required knobs, check names) per row of the ``countproc.cli`` docstring table."""
     lines = countproc.cli.__doc__.splitlines()
     start = next(i for i, line in enumerate(lines) if line.split()[:2] == ["experiment", "knobs"]) + 1
     rows = []
     for line in itertools.takewhile(str.strip, lines[start:]):
-        name, knobs = re.split(r"\s{2,}", line.strip())[:2]
-        rows.append((name, knobs.split()))
+        name, knobs, _, checks = re.split(r"\s{2,}", line.strip())
+        rows.append((name, knobs.split(), checks))
     return rows
+
+
+def check_names(name: str, cell) -> list[str]:
+    """The check names of a docstring cell (``variance-drift, or -order-bound``),
+    spelled out, or those of a README cell, already a list."""
+    if isinstance(cell, list):
+        return cell
+    names = []
+    for part in re.split(r"[,;]\s*(?:or\s+)?", re.sub(r"\s*\(\w+\)", "", cell)):
+        names.append(names[0].rsplit("-", 1)[0] + part if part.startswith("-") else part)
+    return names
 
 
 @pytest.mark.parametrize("table", [readme_experiments, docstring_experiments], ids=["readme", "cli-docstring"])
 def test_experiment_table_matches_the_runner(table):
     # each experiment once, with exactly the knobs validate_config requires
     rows = table()
-    assert sorted(name for name, _ in rows) == sorted(countproc.cli._EXPERIMENTS)
-    for name, knobs in rows:
+    assert sorted(name for name, _, _ in rows) == sorted(countproc.cli._EXPERIMENTS)
+    for name, knobs, _ in rows:
         assert sorted(knobs) == sorted(countproc.cli._EXPERIMENTS[name].knobs), name
+
+
+def test_experiment_tables_name_the_same_checks():
+    readme = {name: sorted(check_names(name, checks)) for name, _, checks in readme_experiments()}
+    docstring = {name: sorted(check_names(name, checks)) for name, _, checks in docstring_experiments()}
+    assert readme == docstring
+    assert "residual-given-age" in readme["variance"] and "residual-given-age" in readme["rm-cross"]

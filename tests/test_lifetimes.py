@@ -191,6 +191,7 @@ QUANTITIES = {
     **{f"excess_moment-{k}": (lambda d, x, k=k: d.excess_moment(k, x)) for k in range(4)},
     "truncated_mean": lambda d, x: d.truncated_mean(x),
     **{f"integrated_excess-{k}": (lambda d, x, k=k: d.integrated_excess(k, x)) for k in (0, 1)},
+    **{f"residual_moments-{k}": (lambda d, x, k=k: d.residual_moments(x)[k - 1]) for k in (1, 2)},
 }
 
 
@@ -206,6 +207,60 @@ class TestEvaluationContract:
             out = f(dist, x)
             assert isinstance(out, np.ndarray) and out.shape == x.shape
             np.testing.assert_allclose(out.ravel(), [f(dist, v) for v in x.ravel()], rtol=1e-14)
+
+
+def erlang_residual_moments(k: int, rate: float, a: float) -> tuple[float, float]:
+    """E[R^j | age a], j = 1, 2, of an Erlang(k) gap: j phases are done with
+    weight x^j / j! (x = rate a, j < k), and the k - j left are exponential;
+    every term is positive, so this is exact to rounding at any age."""
+    x = rate * a
+    logs = [j * math.log(x) - math.lgamma(j + 1) if x > 0 else (0.0 if j == 0 else -math.inf)
+            for j in range(k)]
+    w = [math.exp(v - max(logs)) for v in logs]
+    left = [k - j for j in range(k)]
+    return (sum(wj * n for wj, n in zip(w, left)) / (rate * sum(w)),
+            sum(wj * n * (n + 1) for wj, n in zip(w, left)) / (rate**2 * sum(w)))
+
+
+class TestResidualMoments:
+    """E[R^k | age a] = e_k(a) / tail(a): what is left of a gap that has lasted a."""
+
+    @pytest.mark.parametrize("dist", [
+        Exponential(1.0), Exponential(0.7), Gamma(2, 2), Gamma(0.5, 0.5), Gamma(0.7, 1.5),
+        Uniform(0, 2), ParetoShifted(2.5), Mixture((0.5, 0.5), (Gamma(2, 2), Uniform(0, 2))),
+        EquilibriumOf(Gamma(2, 2)),
+    ], ids=repr)
+    def test_matches_excess_over_tail(self, dist):
+        # the binomial Gamma e_2 cancels at large ages: past a tail of 1e-60 it
+        # is off by up to 7e-9 relative at shapes 0.5 and 0.7 (against 40-digit
+        # values, which the hook matches to 2e-16), so e_2 is compared above it
+        ages = np.concatenate([np.linspace(0.0, 10.0, 41), np.geomspace(10.0, 1000.0, 61)])
+        tail = dist.tail(ages)
+        for k, floor in ((1, 1e-200), (2, 1e-60)):
+            a = ages[tail > floor]
+            got = dist.residual_moments(a)[k - 1]
+            np.testing.assert_allclose(got, dist.excess_moment(k, a) / dist.tail(a), rtol=1e-9)
+
+    @pytest.mark.parametrize("shape", [1, 2, 3, 5])
+    def test_erlang_phases(self, shape):
+        # far past the continued-fraction switch, and where the tail underflows
+        law = Gamma(shape, 2.0)
+        for a in (0.0, 0.1, 1.0, 7.0, 20.0, 60.0, 400.0, 1e4):
+            got = law.residual_moments(a)
+            assert got == pytest.approx(erlang_residual_moments(shape, 2.0, a), rel=1e-12)
+
+    @pytest.mark.parametrize("dist,age", [(Exponential(1.0), 800.0), (Gamma(2, 2), 400.0)])
+    def test_finite_where_the_tail_underflows(self, dist, age):
+        # e_k / tail is 0/0 there; the residual tends to the exponential tail's
+        assert dist.tail(age) == 0.0
+        r1, r2 = dist.residual_moments(age)
+        rate = dist.rate
+        assert r1 == pytest.approx(1.0 / rate, rel=1e-2) and r2 == pytest.approx(2.0 / rate**2, rel=1e-2)
+
+    def test_past_a_bounded_support_nothing_is_left(self):
+        # only rounding in t - S gives such an age; the default hook returns 0, not 0/0
+        assert Deterministic(0.3).residual_moments(0.30000000000000004) == (0.0, 0.0)
+        assert Uniform(0, 2).residual_moments(np.array([2.0, 3.0]))[0].tolist() == [0.0, 0.0]
 
 
 class TestTail:
