@@ -18,7 +18,7 @@ schema problems with field paths and has no side effects.
   rm-cross       t reps        plain; finite E[T^3]            rm-cross, residual-given-age
   diffusion      n t reps      plain; 0 < var T < inf          diffusion-variance, -mean, wald-second
   renewal-solve  horizon step  plain                           renewal-solve
-  sgibnev        t step        plain                           sgibnev
+  sgibnev        t step        plain; non-arithmetic           sgibnev
 
 Monte Carlo checks pass at z <= 4 against their target.  The Blackwell
 windows (blackwell, modulated, palm), variance-drift and rm-cross need a
@@ -166,8 +166,8 @@ def validate_config(obj: Mapping) -> tuple[ExperimentConfig | None, list[str]]:
         errors.append(f"spec: experiment {kind!r} needs a {kinds} spec")
     elif exp.moment and math.isinf(spec.lifetime.moment(exp.moment)):
         errors.append(f"spec: experiment {kind!r} needs a finite E[T^{exp.moment}]")
-    elif kind == "residual-law" and spec.lifetime.is_arithmetic().arithmetic:
-        errors.append("spec: experiment 'residual-law' needs a non-arithmetic lifetime law")
+    elif kind in ("residual-law", "sgibnev") and spec.lifetime.is_arithmetic().arithmetic:
+        errors.append(f"spec: experiment {kind!r} needs a non-arithmetic lifetime law")
     elif kind == "diffusion" and not spec.lifetime.variance > 0:  # the variance check divides by it
         errors.append("spec: experiment 'diffusion' needs a positive var T")
     elif exp.rate:
@@ -284,10 +284,9 @@ def _rate_target(spec: ProcessSpec, t: float) -> tuple[float, float | None]:
     """(target, solver error) for the mean of N(t)/t.
 
     Renewal specs: E[N(t)] = rate * (t + E[R(t)] - E[D]) by Wald's identity,
-    with D = 0 and the origin event for plain specs.  E[R(t)] is the plain
-    solution r(t), or E[(D - t)+] + sum_j dF_D(j h) r(t - j h) with an
-    explicit delay, extrapolated from h = fitted_step(t, the spec's laws);
-    the error is the extrapolation error * rate / t.  The equilibrium delay, however
+    with D = 0 and the origin event for plain specs.  E[R(t)] comes from
+    ``renewal_solver.residual_mean_at`` at h = fitted_step(t, the spec's laws);
+    the error is its extrapolation error * rate / t.  The equilibrium delay, however
     it is written, keeps the exact ``rate``; the other kinds keep rate + 1/t.
     """
     rate = asymptotics.spec_rate(spec)
@@ -296,16 +295,8 @@ def _rate_target(spec: ProcessSpec, t: float) -> tuple[float, float | None]:
     if isinstance(spec, Delayed) and spec.stationary:
         return rate, None
     delay = spec.delay if isinstance(spec, Delayed) else None
-
-    def mean_residual(h: float) -> np.ndarray:
-        r = renewal_solver.solve_residual_mean(spec.lifetime, t, h).values
-        if delay is None:
-            return r[-1:]
-        inc = renewal_solver._cdf_increments(delay, h, r.size - 1)
-        return np.array([delay.excess_moment(1, t) + float(np.dot(inc[1:], r[-2::-1]))])
-
-    laws = [spec.lifetime] if delay is None else [spec.lifetime, delay]
-    (r,), error = renewal_solver.extrapolate(mean_residual, renewal_solver.fitted_step(t, laws))
+    step = renewal_solver.fitted_step(t, [spec.lifetime] if delay is None else [spec.lifetime, delay])
+    r, error = renewal_solver.residual_mean_at(spec.lifetime, t, step, delay)
     mean_delay = 0.0 if delay is None else delay.moment(1)
     return rate * (1.0 + (r - mean_delay) / t), error * rate / t
 
@@ -399,8 +390,7 @@ def _run_renewal_solve(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]
 def _run_sgibnev(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
     t, step = cfg.knobs["t"], cfg.knobs["step"]
     dist = cfg.spec.lifetime
-    (r,), error = renewal_solver.extrapolate(
-        lambda h: renewal_solver.solve_residual_mean(dist, t, h).values[-1:], step)
+    r, error = renewal_solver.residual_mean_at(dist, t, step)
     ratio = r / renewal_solver.sgibnev_asymptote(dist, t)
     rows = [_row(cfg, Estimate(ratio, 0.0), 1.0, t=t, reps=1)]
     detail = f"E[R({t:g})]/asymptote = {ratio:.4f} step-halving change {error:.2g}"

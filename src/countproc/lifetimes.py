@@ -668,7 +668,9 @@ def _lattice_span(laws: Sequence[LifetimeDistribution]) -> float | None:
     result is rounding debris, not a lattice, and gives None when it leaves
     some span more than ``_LATTICE_TOL`` multiples off an integer, or when
     some span is over ``_LATTICE_MULTIPLES`` multiples of it, where the
-    float ratio is spaced too widely to show such an offset.
+    float ratio is spaced too widely to show such an offset.  A lattice is
+    returned as the smallest span over its whole multiple, one rounding in
+    place of the pass's accumulated ones (42.7, 9.0 and 13.6 give 9.0 / 90).
     """
     lattice = [d.is_arithmetic() for d in laws]
     if not all(a.arithmetic for a in lattice):
@@ -683,7 +685,7 @@ def _lattice_span(laws: Sequence[LifetimeDistribution]) -> float | None:
                 b = 0.0
         out = a
     if all(s / out <= _LATTICE_MULTIPLES and abs(s / out - round(s / out)) <= _LATTICE_TOL for s in spans):
-        return out
+        return min(spans) / round(min(spans) / out)
     return None
 
 

@@ -23,6 +23,9 @@ excess (whose solution is the mean squared residual), their integrals,
 and the integrated-tail asymptote for the mean residual at large times.
 Each is an excess moment ``e_k(t) = E[((T - t)+)^k]`` of the lifetime law
 or an integral of one, evaluated in closed form by the law itself.
+Numbers read off the solver are point values at t from ``extrapolate``:
+the mean residual, also after a delay, and by Wald's identity the integral
+of its offset from C = rate*E[T^2]/2, which is C*E[R(t)] - E[R(t)^2]/2.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ __all__ = [
     "extrapolate",
     "fitted_step",
     "integrated_second_generator",
+    "residual_mean_at",
     "residual_mean_generator",
     "residual_second_generator",
     "sgibnev_asymptote",
@@ -185,9 +189,12 @@ def _solve_block(
 
 def extrapolate(solve: Callable[[float], np.ndarray], step: float) -> tuple[np.ndarray, float]:
     """(2 Z_(h/2) - Z_h, max |Z_(h/2) - Z_h|) at h = ``step``, with Z_h = ``solve(h)``;
-    the grids line up at their last point, so a tail such as ``values[-1:]`` works too."""
+    the grids line up at their last point, so a tail such as ``values[-1:]`` works too,
+    and values that are no grid tail (say, [E R, E R^2]) raise ValueError."""
     coarse = solve(step)
     fine = solve(step / 2)[::-2][: coarse.size][::-1]
+    if fine.size != coarse.size:
+        raise ValueError(f"solve(step / 2) lines up {fine.size} of {coarse.size} points: no grid tail")
     return 2.0 * fine - coarse, float(np.max(np.abs(fine - coarse)))
 
 
@@ -272,25 +279,21 @@ def solve_residual_second(dist: LifetimeDistribution, horizon: float, step: floa
     return solve_renewal_equation(gen, dist)
 
 
-def _grid_steady_state(dist: LifetimeDistribution, step: float, k: int) -> float:
-    """Exact large-time limit of the grid solution for the mean residual.
+def residual_mean_at(
+    dist: LifetimeDistribution, t: float, step: float, delay: LifetimeDistribution | None = None
+) -> tuple[float, float]:
+    """(E[R(t)], its ``extrapolate`` error) from grids of ``step`` and ``step`` / 2; after
+    a ``delay`` D it is E[(D - t)+] + sum_j dF_D(j h) r(t - j h), r the plain solution."""
 
-    By the discrete key renewal theorem the left-endpoint solution tends to
-    (step / E[T_grid]) * sum_j z(j*step), where T_grid is the lifetime with
-    each cell's mass moved to its right edge.  Sums beyond the grid use the
-    closed-form integrated tails.  Subtracting this instead of the continuum
-    constant C = rate*E[T^2]/2 (which it approaches at O(step)) keeps the
-    steady-state offset from growing linearly under a time integral.
-    """
-    inc = _cdf_increments(dist, step, k)
-    t_end = k * step
-    tail_mass = dist.tail(t_end)
-    mean_grid = step * float(np.dot(np.arange(k + 1), inc))
-    mean_grid += float(residual_mean_generator(dist, t_end)) + t_end * tail_mass
-    z_grid = residual_mean_generator(dist, step * np.arange(k + 1))
-    z_sum = float(np.sum(z_grid))
-    z_sum += dist.excess_second_moment(t_end) / (2.0 * step) + float(z_grid[-1]) / 2.0
-    return step * z_sum / mean_grid
+    def solve(h: float) -> np.ndarray:
+        r = solve_residual_mean(dist, t, h).values
+        if delay is None:
+            return r[-1:]
+        inc = _cdf_increments(delay, h, r.size - 1)
+        return np.array([delay.excess_moment(1, t) + float(np.dot(inc[1:], r[-2::-1]))])
+
+    (r,), error = extrapolate(solve, step)
+    return float(r), error
 
 
 def cumulative_residual_bias(
@@ -300,17 +303,20 @@ def cumulative_residual_bias(
 
     C = rate * E[T^2] / 2 is the large-time mean residual; the integral
     converges exactly when E[T^3] is finite and diverges otherwise, which
-    is what this diagnostic probes.  The grid solution's own steady state
-    sits O(step) away from C, so that exact discrete limit is subtracted
-    in its place; otherwise the offset would grow linearly in t and drown
-    the dichotomy.  The default step is half of ``fitted_step(t, [dist])``:
-    t / 10000, with the atoms of an arithmetic law on grid points.
+    is what this diagnostic probes.  On each path the integral of R over
+    [0, t] is sum_{k <= N(t)} T_k^2 / 2 - R(t)^2 / 2, and by Wald's identity
+    with E[N(t)] = rate * (t + E[R(t)]) the offset's integral is
+    C * E[R(t)] - E[R(t)^2] / 2: two point values, each extrapolated from
+    grids of ``step`` and ``step`` / 2.  The default step is
+    ``fitted_step(t, [dist])``: t / 5000, with the atoms of an arithmetic
+    law on grid points, where both values are exact.
     """
     m2 = dist.moment(2)
     if math.isinf(m2):
         raise ValueError("cumulative residual bias needs a finite second moment")
     if step is None:
-        step = fitted_step(t, [dist]) / 2
-    grid = solve_residual_mean(dist, t, step)
-    c_grid = _grid_steady_state(dist, step, grid.values.size - 1)
-    return float(np.trapezoid(grid.values - c_grid, dx=step))
+        step = fitted_step(t, [dist])
+    first, _ = residual_mean_at(dist, t, step)
+    (second,), _ = extrapolate(lambda h: solve_residual_second(dist, t, h).values[-1:], step)
+    c = dist.renewal_rate * m2 / 2.0
+    return c * first - float(second) / 2.0

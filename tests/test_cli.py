@@ -157,6 +157,19 @@ class TestValidate:
         assert cfg is None
         assert message in errors
 
+    @pytest.mark.parametrize("lifetime", [DETERMINISTIC_1, LATTICE_SPEC["lifetime"]],
+                             ids=["deterministic", "lattice"])
+    def test_sgibnev_arithmetic_law_exits_2(self, tmp_path, capsys, lifetime):
+        # E[R(t)]/A(t) -> 1 is the key renewal theorem, which needs a non-arithmetic
+        # law: Deterministic(1) read the exact 1.5 at t = 10.25 and 0.5 at t = 20.75 as FAIL
+        cfg = write_config(tmp_path, {"experiment": "sgibnev", "spec": {"kind": "plain", "lifetime": lifetime},
+                                      "t": 10.25, "step": 0.01, "out": str(tmp_path / "res")})
+        for command in ("validate", "run"):
+            assert main([command, str(cfg)]) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                "invalid: spec: experiment 'sgibnev' needs a non-arithmetic lifetime law"]
+        assert not (tmp_path / "res").exists()
+
     @pytest.mark.parametrize("obj,message", [
         ({"experiment": "simulate", "horizon": 10,
           "spec": {"kind": "plain", "lifetime": {"kind": "exponential", "rate": float("inf")}}},

@@ -518,6 +518,11 @@ class TestArithmetic:
         assert _lattice_span(laws) is None
         assert Mixture((0.5, 0.5), laws).is_arithmetic() == (False, None)
 
+    def test_decimal_spans_give_one_rounding(self):
+        # the Euclid pass alone returned its accumulated rounding, 0.10000000000012221
+        laws = tuple(Deterministic(v) for v in (42.7, 9.0, 13.6))
+        assert _lattice_span(laws) == 9.0 / 90 == 0.1
+
     @settings(max_examples=30, deadline=None)
     @given(any_distribution)
     @example(Mixture((0.5, 0.5), (Deterministic(1.0), Deterministic(0.689861864921478))))

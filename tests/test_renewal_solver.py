@@ -3,6 +3,7 @@
 import io
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from countproc.lifetimes import (
     ParetoShifted,
     Uniform,
 )
-from countproc.processes import Plain
+from countproc.processes import Plain, child_rng, count, residual, simulate_paths
 from countproc.renewal_solver import (
     GridFunction,
     _cdf_increments,
@@ -25,6 +26,7 @@ from countproc.renewal_solver import (
     extrapolate,
     fitted_step,
     integrated_second_generator,
+    residual_mean_at,
     residual_mean_generator,
     residual_second_generator,
     sgibnev_asymptote,
@@ -175,6 +177,36 @@ class TestExtrapolate:
         tail, tail_error = extrapolate(lambda h: solve_ones(Gamma(2, 2), 3.0)(h)[-1:], 0.01)
         assert tail.tolist() == full[-1:].tolist()
         assert tail_error <= full_error
+
+    def test_point_values_that_are_no_grid_tail_rejected(self):
+        # [E R(t), E R(t)^2] at both steps: the fine pick kept one entry and broadcast
+        # it against both, which read a bias of 2 for Exponential(1), whose bias is 0
+        dist = Exponential(1.0)
+
+        def moments(h):
+            return np.array([solve_residual_mean(dist, 5.0, h).values[-1],
+                             solve_residual_second(dist, 5.0, h).values[-1]])
+
+        with pytest.raises(ValueError, match="no grid tail"):
+            extrapolate(moments, 0.01)
+
+
+class TestResidualMeanAt:
+    def test_delay_with_the_lifetime_law_is_the_plain_process(self):
+        # a first event at D ~ F after 0 is the plain process without its origin event,
+        # and the delayed sum is the renewal equation's right-hand side at t
+        dist = Gamma(2, 2)
+        plain, _ = residual_mean_at(dist, 10.0, 0.01)
+        delayed, error = residual_mean_at(dist, 10.0, 0.01, delay=dist)
+        assert delayed == pytest.approx(plain, abs=1e-12)
+        assert error < 1e-3
+
+    def test_deterministic_delay_shifts_the_solution(self):
+        # a delay of 5 gives E[R(t)] = r(t - 5), exactly on a grid through 5
+        dist = Uniform(0.0, 2.0)
+        shifted, _ = residual_mean_at(dist, 15.0, 0.01, delay=Deterministic(5.0))
+        plain, _ = residual_mean_at(dist, 10.0, 0.01)
+        assert shifted == pytest.approx(plain, abs=1e-12)
 
 
 class TestFittedStep:
@@ -358,15 +390,73 @@ class TestCumulativeBias:
             cumulative_residual_bias(ParetoShifted(1.5), 10.0)
 
     def test_default_step_puts_atoms_on_the_grid(self):
-        # t/10000 snapped the atoms at 1 and 2 (two warnings) and read 0.235801
+        # both point values are exact on a grid through the atoms; the trapezoid over
+        # the whole grid that this replaced read 0.235735
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             bias = cumulative_residual_bias(Lattice(1.0, (0.5, 0.5)), 10.5)
-        assert bias == pytest.approx(0.235735, abs=1e-6)
+        assert bias == pytest.approx(float(lattice_bias(Fraction(21, 2))), abs=1e-12)
+        assert lattice_bias(Fraction(21, 2)) == Fraction(967, 4096)
 
     def test_default_step_of_a_continuous_law(self):
         dist = Gamma(2, 2)
-        assert cumulative_residual_bias(dist, 10.0) == cumulative_residual_bias(dist, 10.0, step=1e-3)
+        step = fitted_step(10.0, [dist])
+        assert cumulative_residual_bias(dist, 10.0) == cumulative_residual_bias(dist, 10.0, step=step)
+
+    @pytest.mark.parametrize("dist,t,limit", [
+        (Gamma(2, 2), 20.0, 1 / 16), (Gamma(2, 2), 80.0, 1 / 16), (Uniform(0.0, 2.0), 50.0, 1 / 9),
+    ], ids=["gamma-20", "gamma-80", "uniform-50"])
+    def test_limit_within_the_extrapolation_error(self, dist, t, limit):
+        # rate^2 E[T^2]^2 / 4 - rate E[T^3] / 6, the limit of C E[R(t)] - E[R(t)^2] / 2
+        step = fitted_step(t, [dist])
+        _, first_error = residual_mean_at(dist, t, step)
+        _, second_error = extrapolate(lambda h: solve_residual_second(dist, t, h).values[-1:], step)
+        error = dist.renewal_rate * dist.moment(2) / 2 * first_error + second_error / 2
+        assert abs(cumulative_residual_bias(dist, t) - limit) <= error
+
+    def test_pathwise_identity(self):
+        # the integral of R over [0, t] is sum_{k <= N(t)} T_k^2 / 2 - R(t)^2 / 2 on every row
+        t = 20.0
+        paths = simulate_paths(Plain(Gamma(2, 2)), t, 500, child_rng(3, 0))
+        n, r = count(paths, t), residual(paths, t)
+        gaps = np.where(np.arange(paths.interarrivals.shape[1]) < n[:, None], paths.interarrivals, 0.0)
+        rhs = np.sum(gaps**2, axis=1) / 2 - r**2 / 2
+        assert np.max(np.abs(integrated_residual(paths, t) - rhs)) <= 1e-12 * t**2
+
+    def test_monte_carlo_mean(self):
+        # the mean over paths of the integral of R - C over [0, t], within 4 se
+        dist, t, reps = Gamma(2, 2), 20.0, 50000
+        paths = simulate_paths(Plain(dist), t, reps, child_rng(5, 0))
+        x = integrated_residual(paths, t) - dist.renewal_rate * dist.moment(2) / 2 * t
+        se = float(np.std(x, ddof=1)) / math.sqrt(reps)
+        assert abs(float(np.mean(x)) - cumulative_residual_bias(dist, t)) <= 4 * se
+
+
+def lattice_bias(t: Fraction) -> Fraction:
+    """Exact integral of E[R(u)] - C over [0, t] for T = 1 or 2 with probability 1/2 each.
+
+    E[R(u)] = sum_{n <= u} P(event at n) e_1(u - n), so the integral is
+    sum_n P(event at n) int_0^(t - n) e_1, with P(event at n) from the integer
+    renewal recursion and the inner integral in closed form.
+    """
+    half = Fraction(1, 2)
+    events = [Fraction(1), half]  # P(an event at 0), P(an event at 1)
+    while len(events) <= t:
+        events.append(half * events[-1] + half * events[-2])
+
+    def integrated_excess(y):  # int_0^y E[(T - x)+] dx
+        return sum(half * (c * min(y, c) - Fraction(min(y, c)) ** 2 / 2) for c in (1, 2))
+
+    c = Fraction(2, 3) * Fraction(5, 2) / 2  # rate E[T^2] / 2
+    return sum(p * integrated_excess(t - n) for n, p in enumerate(events) if n <= t) - c * t
+
+
+def integrated_residual(paths, t: float) -> np.ndarray:
+    """Per row, the integral of R over [0, t]: on the cell before each event s,
+    R(u) = s - u, clipped to [0, t] (cells past the overshoot have width 0)."""
+    before, after = paths.events[:, :-1], paths.events[:, 1:]
+    lo, hi = np.minimum(before, t), np.minimum(after, t)
+    return np.sum((hi - lo) * (np.where(np.isfinite(after), after, 0.0) - (lo + hi) / 2), axis=1)
 
 
 class TestGridFunction:
