@@ -159,6 +159,16 @@ def validate_config(obj: Mapping) -> tuple[ExperimentConfig | None, list[str]]:
     gridded = "step" in exp.knobs and {"step", span} <= knobs.keys()
     if gridded and not renewal_solver._whole_cells(knobs[span], knobs["step"]):
         errors.append(f"step: must split {span} = {knobs[span]:g} into whole cells, got {knobs['step']:g}")
+    if gridded and isinstance(spec, Plain):
+        try:
+            renewal_solver._check_atoms(spec.lifetime, knobs["step"])
+        except ValueError as exc:
+            errors.append(f"step: {exc}")
+    if kind == "rate" and "t" in knobs and isinstance(spec, (Plain, Delayed)):
+        try:
+            renewal_solver.fitted_step(knobs["t"], _renewal_laws(spec))
+        except ValueError as exc:
+            errors.append(f"spec: {exc}")
     if knobs.get("reps", exp.min_reps) < exp.min_reps:
         errors.append(f"reps: experiment {kind!r} needs at least {exp.min_reps}, got {obj['reps']}")
     if not isinstance(spec, exp.specs):
@@ -166,7 +176,7 @@ def validate_config(obj: Mapping) -> tuple[ExperimentConfig | None, list[str]]:
         errors.append(f"spec: experiment {kind!r} needs a {kinds} spec")
     elif exp.moment and math.isinf(spec.lifetime.moment(exp.moment)):
         errors.append(f"spec: experiment {kind!r} needs a finite E[T^{exp.moment}]")
-    elif kind in ("residual-law", "sgibnev") and spec.lifetime.is_arithmetic().arithmetic:
+    elif kind in ("residual-law", "sgibnev") and spec.lifetime.is_arithmetic()[0]:
         errors.append(f"spec: experiment {kind!r} needs a non-arithmetic lifetime law")
     elif kind == "diffusion" and not spec.lifetime.variance > 0:  # the variance check divides by it
         errors.append("spec: experiment 'diffusion' needs a positive var T")
@@ -280,6 +290,11 @@ def _run_window(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
     return rows, [_est_check(cfg.experiment, est, target)]
 
 
+def _renewal_laws(spec: Plain | Delayed) -> list:
+    """The lifetime law, and after it the delay law of a delayed spec."""
+    return [spec.lifetime, spec.delay] if isinstance(spec, Delayed) else [spec.lifetime]
+
+
 def _rate_target(spec: ProcessSpec, t: float) -> tuple[float, float | None]:
     """(target, solver error) for the mean of N(t)/t.
 
@@ -295,7 +310,7 @@ def _rate_target(spec: ProcessSpec, t: float) -> tuple[float, float | None]:
     if isinstance(spec, Delayed) and spec.stationary:
         return rate, None
     delay = spec.delay if isinstance(spec, Delayed) else None
-    step = renewal_solver.fitted_step(t, [spec.lifetime] if delay is None else [spec.lifetime, delay])
+    step = renewal_solver.fitted_step(t, _renewal_laws(spec))
     r, error = renewal_solver.residual_mean_at(spec.lifetime, t, step, delay)
     mean_delay = 0.0 if delay is None else delay.moment(1)
     return rate * (1.0 + (r - mean_delay) / t), error * rate / t

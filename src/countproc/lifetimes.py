@@ -38,15 +38,12 @@ import math
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields
 from functools import cache, cached_property
-from typing import (
-    Any, ClassVar, Literal, NamedTuple, Sequence, Union, get_args, get_origin, get_type_hints,
-)
+from typing import Any, ClassVar, Literal, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 from scipy import special
 
 __all__ = [
-    "ArithmeticSpan",
     "Deterministic",
     "EquilibriumOf",
     "Exponential",
@@ -95,13 +92,6 @@ _LATTICE_TOL = 1e-9
 _LATTICE_MULTIPLES = 2**22
 
 
-class ArithmeticSpan(NamedTuple):
-    """Whether all mass sits on a lattice, and the lattice span if so."""
-
-    arithmetic: bool
-    span: float | None
-
-
 def _scalarize(x: np.ndarray, scalar: bool) -> float | np.ndarray:
     return float(x) if scalar else x
 
@@ -128,7 +118,7 @@ class LifetimeDistribution(_Wire):
     ``_excess_moment(k, t)`` and ``_truncated_mean(v)`` (kept per law
     because ``E[T] - e_1(v)`` cancels at small v: a lattice law's
     equilibrium CDF would read about 1e-16 at 0) and ``_draw``, plus
-    ``is_arithmetic`` and ``atoms`` for lattice laws.  ``tail``, ``moment``,
+    ``is_arithmetic`` and ``atoms`` for laws with atoms.  ``tail``, ``moment``,
     ``excess_second_moment`` and ``_integrated_excess`` derive from the
     excess moment; laws whose moments can diverge override
     ``_integrated_excess``, whose default needs ``E[T^(k+1)] < inf``.
@@ -201,13 +191,13 @@ class LifetimeDistribution(_Wire):
         """A new float array of ``size`` draws, before the floor."""
         raise NotImplementedError
 
-    def is_arithmetic(self) -> ArithmeticSpan:
-        """Structural lattice test with the lattice span when it applies."""
-        return ArithmeticSpan(False, None)
+    def is_arithmetic(self) -> tuple[bool, float | None]:
+        """(whether all mass sits on a lattice, the lattice span or None)."""
+        return False, None
 
-    def atoms(self) -> list[tuple[float, float]] | None:
-        """(location, mass) pairs for purely atomic laws, else None."""
-        return None
+    def atoms(self) -> list[tuple[float, float]]:
+        """The law's discrete part: a (location, mass) pair per atom, [] for none."""
+        return []
 
     # -- derived quantities -------------------------------------------------
 
@@ -399,7 +389,7 @@ class Deterministic(LifetimeDistribution):
         return np.full(size, self.value)
 
     def is_arithmetic(self):
-        return ArithmeticSpan(True, self.value)
+        return True, self.value
 
     def atoms(self):
         return [(self.value, 1.0)]
@@ -486,11 +476,7 @@ class Lattice(LifetimeDistribution):
         return self.span * (_pick(self._cum, rng.random(size)) + 1.0)
 
     def is_arithmetic(self):
-        support = [j + 1 for j, p in enumerate(self.pmf) if p > 0]
-        g = 0
-        for j in support:
-            g = math.gcd(g, j)
-        return ArithmeticSpan(True, self.span * g)
+        return True, self.span * math.gcd(*(j + 1 for j, p in enumerate(self.pmf) if p > 0))
 
     def atoms(self):
         return [(float(s), p) for s, p in zip(self._sites, self.pmf) if p > 0]
@@ -529,19 +515,11 @@ class Mixture(LifetimeDistribution):
 
     def is_arithmetic(self):
         span = _lattice_span([c for w, c in zip(self.weights, self.components) if w > 0])
-        return ArithmeticSpan(span is not None, span)
+        return span is not None, span
 
     def atoms(self):
-        merged: dict[float, float] = {}
-        for w, c in zip(self.weights, self.components):
-            if w == 0:
-                continue
-            sub = c.atoms()
-            if sub is None:
-                return None
-            for loc, mass in sub:
-                merged[loc] = merged.get(loc, 0.0) + w * mass
-        return sorted(merged.items())
+        return [(loc, w * mass) for w, c in zip(self.weights, self.components) if w > 0
+                for loc, mass in c.atoms()]
 
 
 @dataclass(frozen=True)
@@ -673,9 +651,9 @@ def _lattice_span(laws: Sequence[LifetimeDistribution]) -> float | None:
     place of the pass's accumulated ones (42.7, 9.0 and 13.6 give 9.0 / 90).
     """
     lattice = [d.is_arithmetic() for d in laws]
-    if not all(a.arithmetic for a in lattice):
+    if not all(arithmetic for arithmetic, _ in lattice):
         return None
-    spans = [a.span for a in lattice]
+    spans = [span for _, span in lattice]
     out = spans[0]
     for s in spans[1:]:
         a, b = max(out, s), min(out, s)

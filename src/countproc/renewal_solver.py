@@ -2,9 +2,11 @@
 
 Solves Z(t) = z(t) + integral of Z(t-u) dF(u) on a uniform grid with a
 left-endpoint Stieltjes rule: the lifetime law enters through its CDF
-increments per grid cell (off-grid atoms are snapped to the nearest
-point with a warning).  The discretization error is O(step) for laws with
-a bounded density.
+increments per grid cell, read off its tail and its ``atoms()``.  An
+off-grid atom is snapped to the nearest grid point with a warning; an atom
+within half a cell of 0 would be snapped to 0, where its mass is lost, and
+is a ValueError.  The discretization error is O(step) for laws with a
+bounded density.
 
 The grid of K + 1 points is solved in blocks (Hairer, Lubich & Schlichte,
 SIAM J. Sci. Stat. Comput. 6(3), 1985): a block is split in two, the left
@@ -37,7 +39,7 @@ from typing import IO, Callable, Sequence
 
 import numpy as np
 
-from .lifetimes import Deterministic, Lattice, LifetimeDistribution, Mixture, _lattice_span
+from .lifetimes import Deterministic, LifetimeDistribution, Mixture, _lattice_span
 
 __all__ = [
     "GridFunction",
@@ -58,6 +60,10 @@ _SNAP_WARN_REL = 1e-9
 _LEAF = 512  # largest block solved directly, by one convolution with 1 / (1 - increments)
 _CELLS = 5000  # cells of a grid whose step the caller does not set
 _CELL_REL = 1e-9  # relative slack of a whole number of cells
+# most cells of a fitted grid: on a 2-vCPU Xeon VM, residual_mean_at (grids of 2^19 and 2^20
+# cells) takes 1.4 s and peaks at 180 MB RSS on Mixture(1/2 Det(0.001), 1/2 Gamma(2, 2)), and
+# twice the cells take 2.9 s and 304 MB
+_MAX_CELLS = 1 << 19
 
 
 def _whole_cells(horizon: float, step: float) -> int:
@@ -118,7 +124,8 @@ class GridFunction:
 def _cdf_increments(dist: LifetimeDistribution, step: float, k: int) -> np.ndarray:
     """Per-cell lifetime CDF mass: out[j] = F(j*step) - F((j-1)*step), j >= 1.
 
-    Atomic laws place each atom's full mass at the nearest grid index so
+    A mixture sums its components'.  Any other law with atoms is purely
+    atomic and places each atom's full mass at the nearest grid index so
     the convolution sees it exactly; a snapped atom further than 1e-9
     (relatively) from its grid point triggers a warning.  Continuous laws
     use tail differences, which stay accurate deep into the tail.
@@ -129,8 +136,10 @@ def _cdf_increments(dist: LifetimeDistribution, step: float, k: int) -> np.ndarr
             if w > 0:
                 out += w * _cdf_increments(comp, step, k)
         return out
-    if isinstance(dist, (Deterministic, Lattice)):
-        for loc, mass in dist.atoms():
+    atoms = dist.atoms()
+    if atoms:
+        _check_atoms(dist, step)
+        for loc, mass in atoms:
             idx = int(round(loc / step))
             if abs(loc - idx * step) > _SNAP_WARN_REL * max(1.0, loc):
                 warnings.warn(
@@ -138,13 +147,21 @@ def _cdf_increments(dist: LifetimeDistribution, step: float, k: int) -> np.ndarr
                     RuntimeWarning,
                     stacklevel=3,
                 )
-            if 1 <= idx <= k:
+            if idx <= k:
                 out[idx] += mass
         return out
     grid = step * np.arange(k + 1)
     tails = dist.tail(grid)
     out[1:] = tails[:-1] - tails[1:]
     return out
+
+
+def _check_atoms(dist: LifetimeDistribution, step: float) -> None:
+    """ValueError when an atom of ``dist`` rounds to grid point 0 at ``step``, where
+    ``_cdf_increments`` would lose its mass: every lifetime is positive."""
+    low = [loc for loc, _ in dist.atoms() if round(loc / step) < 1]
+    if low:
+        raise ValueError(f"atom at {min(low):g} of {dist} is at most half a cell of {step:g} from 0")
 
 
 def solve_renewal_equation(generator: GridFunction, dist: LifetimeDistribution) -> GridFunction:
@@ -201,7 +218,7 @@ def extrapolate(solve: Callable[[float], np.ndarray], step: float) -> tuple[np.n
 def _arithmetic_parts(law: LifetimeDistribution) -> list[LifetimeDistribution]:
     """``law`` when it is arithmetic, else the arithmetic parts of its mixture
     components of positive weight, found recursively."""
-    if law.is_arithmetic().arithmetic:
+    if law.is_arithmetic()[0]:
         return [law]
     if isinstance(law, Mixture):
         return [p for w, c in zip(law.weights, law.components) if w > 0 for p in _arithmetic_parts(c)]
@@ -209,19 +226,33 @@ def _arithmetic_parts(law: LifetimeDistribution) -> list[LifetimeDistribution]:
 
 
 def fitted_step(horizon: float, laws: Sequence[LifetimeDistribution]) -> float:
-    """horizon / 5000, shrunk to the largest step that divides both the horizon
-    and the common lattice span of the arithmetic laws among ``laws`` and
-    among the components of their mixtures.
+    """The smaller of horizon / 5000 and the smallest atom of ``laws``, shrunk
+    to the largest step that divides both the horizon and the common lattice
+    span of the arithmetic laws among ``laws`` and among the components of
+    their mixtures.
 
-    The atoms of those laws then sit on grid points and are not snapped.  A
-    common span below a quarter of horizon / 5000, or none, keeps that step.
+    The atoms of those laws then sit on grid points and are not snapped.
+    Without a common span of at least a quarter of the smaller value, the
+    step is the largest one at most that value that splits the horizon into
+    whole cells, and atoms off its grid are snapped, none to grid point 0.
+    A grid of more than ``_MAX_CELLS`` cells raises ValueError naming the
+    law whose atom asks for it.
     """
-    step = horizon / _CELLS
+    loc, law = min(((loc, d) for d in laws for loc, _ in d.atoms()), key=lambda a: a[0],
+                   default=(math.inf, None))
+    step = min(horizon / _CELLS, loc)
     arithmetic = [part for d in laws for part in _arithmetic_parts(d)]
     span = _lattice_span(arithmetic + [Deterministic(horizon)]) if arithmetic else None
-    if span is None or span < step / 4:
-        return step
-    return span / math.ceil(span / step)
+    if span is not None and span >= step / 4:
+        step = span / math.ceil(span / step)
+    elif loc < horizon / _CELLS and horizon / loc <= _MAX_CELLS:
+        cells = math.ceil(horizon / loc)
+        # one more cell when horizon / loc was rounded down to a whole number
+        step = horizon / (cells if horizon / cells <= loc else cells + 1)
+    if horizon / step > _MAX_CELLS:
+        raise ValueError(f"{law} has an atom at {loc:g}: a step below it splits [0, {horizon:g}] "
+                         f"into more than {_MAX_CELLS} cells")
+    return step
 
 
 # ---------------------------------------------------------------------------

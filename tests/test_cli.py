@@ -56,6 +56,13 @@ def two_state_chain(a, b):
 
 DETERMINISTIC_1 = {"kind": "deterministic", "value": 1.0}
 LATTICE_SPEC = {"kind": "plain", "lifetime": {"kind": "lattice", "span": 1.0, "pmf": [0.5, 0.5]}}
+DETERMINISTIC_0001 = {"kind": "deterministic", "value": 0.001}
+
+
+def mixed_with_0001(law):
+    return {"kind": "mixture", "weights": [0.5, 0.5], "components": [DETERMINISTIC_0001, law]}
+
+
 DELAYED_15 = {"kind": "delayed", "delay": {"kind": "deterministic", "value": 15.0},
               "lifetime": GAMMA_SPEC["lifetime"]}
 
@@ -292,6 +299,37 @@ class TestValidate:
             assert capsys.readouterr().err.splitlines() == [f"invalid: {message}"]
         assert not (tmp_path / "res").exists()
 
+    @pytest.mark.parametrize("obj,message", [
+        ({"experiment": "renewal-solve", "spec": {"kind": "plain", "lifetime": DETERMINISTIC_0001},
+          "horizon": 1, "step": 0.01},
+         "step: atom at 0.001 of Deterministic(value=0.001) is at most half a cell of 0.01 from 0"),
+        ({"experiment": "renewal-solve", "spec": {"kind": "plain", "lifetime": mixed_with_0001(GAMMA_SPEC["lifetime"])},
+          "horizon": 20, "step": 0.01},
+         "step: atom at 0.001 of Mixture(weights=(0.5, 0.5), components=(Deterministic(value=0.001), "
+         "Gamma(shape=2.0, rate=2.0))) is at most half a cell of 0.01 from 0"),
+        ({"experiment": "sgibnev", "spec": {"kind": "plain", "lifetime": mixed_with_0001(
+            {"kind": "uniform", "low": 0.0, "high": 2.0})}, "t": 100, "step": 0.01},
+         "step: atom at 0.001 of Mixture(weights=(0.5, 0.5), components=(Deterministic(value=0.001), "
+         "Uniform(low=0.0, high=2.0))) is at most half a cell of 0.01 from 0"),
+        ({"experiment": "rate", "spec": {"kind": "plain", "lifetime": {"kind": "deterministic", "value": 1e-7}},
+          "t": 50, "reps": 10},
+         "spec: Deterministic(value=1e-07) has an atom at 1e-07: a step below it splits [0, 50] "
+         "into more than 524288 cells"),
+        ({"experiment": "rate", "spec": {"kind": "delayed", "delay": {"kind": "deterministic", "value": 1e-7},
+                                         "lifetime": GAMMA_SPEC["lifetime"]}, "t": 50, "reps": 10},
+         "spec: Deterministic(value=1e-07) has an atom at 1e-07: a step below it splits [0, 50] "
+         "into more than 524288 cells"),
+    ], ids=["renewal-solve-deterministic", "renewal-solve-mixture", "sgibnev-mixture", "rate-plain",
+            "rate-delayed"])
+    def test_atom_the_solver_would_drop_exits_2(self, tmp_path, capsys, obj, message):
+        # the first three PASSed on wrong numbers: U = 1 on Deterministic(0.001), where U(1) = 1001,
+        # U(20) = 2.0 on the mixture, where it is about 41, and an sgibnev ratio of -0.0000
+        cfg = write_config(tmp_path, dict(obj, out=str(tmp_path / "res")))
+        for command in ("validate", "run"):
+            assert main([command, str(cfg)]) == 2
+            assert capsys.readouterr().err.splitlines() == [f"invalid: {message}"]
+        assert not (tmp_path / "res").exists()
+
     @pytest.mark.parametrize("experiment,span,step", [
         ("sgibnev", 200, 0.02), ("sgibnev", 100, 0.01), ("renewal-solve", 100, 0.005),
         ("renewal-solve", 5, 0.001), ("renewal-solve", 0.3, 0.1),
@@ -436,6 +474,19 @@ class TestRun:
         out = capsys.readouterr().out
         assert out.startswith("PASS rate") and "target=1.07144 " in out
         assert_solver_error_resolved(out)
+
+    @pytest.mark.parametrize("spec,reps", [
+        ({"kind": "plain", "lifetime": DETERMINISTIC_0001}, 2000),
+        ({"kind": "plain", "lifetime": mixed_with_0001(GAMMA_SPEC["lifetime"])}, 5000),
+        ({"kind": "delayed", "delay": DETERMINISTIC_0001, "lifetime": GAMMA_SPEC["lifetime"]}, 5000),
+    ], ids=["deterministic", "mixture", "delay"])
+    def test_rate_atom_below_the_default_step(self, tmp_path, capsys, spec, reps):
+        # t/5000 = 0.01 put the atom at grid point 0 and the solver dropped it: at 2000 reps
+        # (Deterministic) and 20 000 reps (the others) the checks read z = 8.8e7, 161 and 161
+        cfg = write_config(tmp_path, {"experiment": "rate", "spec": spec, "t": 50, "reps": reps,
+                                      "seed": 3, "out": str(tmp_path / "res")})
+        assert main(["run", str(cfg)]) == 0
+        assert capsys.readouterr().out.startswith("PASS rate")
 
     def test_rate_target_equilibrium_delay_exact(self):
         # both spellings of the stationary delay are one spec with the exact target

@@ -518,6 +518,22 @@ class TestArithmetic:
         assert _lattice_span(laws) is None
         assert Mixture((0.5, 0.5), laws).is_arithmetic() == (False, None)
 
+    def test_mixture_atoms_are_its_discrete_part(self):
+        # a density part made atoms() None; two mixed atoms were merged into one
+        assert Mixture((0.5, 0.5), (Deterministic(1.0), Gamma(2, 2))).atoms() == [(1.0, 0.5)]
+        inner = Mixture((0.5, 0.5), (Deterministic(1.0), Exponential(1.0)))
+        mix = Mixture((0.5, 0.25, 0.25), (inner, Lattice(0.5, (0.0, 1.0)), Deterministic(3.0)))
+        assert mix.atoms() == [(1.0, 0.25), (1.0, 0.25), (3.0, 0.25)]
+        assert Mixture((1.0, 0.0), (Gamma(2, 2), Deterministic(1.0))).atoms() == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(any_distribution)
+    def test_atom_masses_sum_to_one_on_a_lattice(self, dist):
+        masses = [mass for _, mass in dist.atoms()]
+        assert all(m > 0 for m in masses) and sum(masses) <= 1.0 + 1e-12
+        if dist.is_arithmetic()[0]:
+            assert sum(masses) == pytest.approx(1.0, abs=1e-12)
+
     def test_decimal_spans_give_one_rounding(self):
         # the Euclid pass alone returned its accumulated rounding, 0.10000000000012221
         laws = tuple(Deterministic(v) for v in (42.7, 9.0, 13.6))

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from countproc.lifetimes import (
@@ -35,6 +37,7 @@ from countproc.renewal_solver import (
     solve_residual_second,
 )
 from countproc.asymptotics import path_statistics
+from conftest import any_distribution
 
 
 def ones_grid(horizon, step):
@@ -229,11 +232,27 @@ class TestFittedStep:
 
     @pytest.mark.parametrize("laws", [
         [Deterministic(1.0), Deterministic(math.pi)],  # no common span
-        [Lattice(1e-7, (1.0,))],  # a span far below the default step
         [Mixture((0.5, 0.5), (Deterministic(math.pi), Gamma(2, 2)))],  # an atom off every span
     ])
     def test_no_fitting_step_keeps_the_default(self, laws):
         assert fitted_step(10.5, laws) == 10.5 / 5000
+
+    def test_an_atom_past_the_cell_bound_raises(self):
+        # the default step kept Lattice(1e-7), and the solver dropped its atom at grid point 0
+        with pytest.raises(ValueError, match=r"Lattice\(span=1e-07.* has an atom at 1e-07"):
+            fitted_step(10.5, [Lattice(1e-7, (1.0,))])
+
+    @pytest.mark.parametrize("laws,atom,cells", [
+        ([Deterministic(0.001)], 0.001, 50_000),
+        ([Mixture((0.5, 0.5), (Deterministic(0.001), Gamma(2, 2)))], 0.001, 50_000),
+        ([Gamma(2, 2), Deterministic(0.001)], 0.001, 50_000),  # an atomic delay
+        ([Mixture((0.5, 0.5), (Deterministic(0.0013), Gamma(2, 2)))], 0.0013, 38_462),  # off the span
+    ])
+    def test_step_stays_below_the_smallest_atom(self, laws, atom, cells):
+        # t/5000 = 0.01 put these atoms at grid point 0, and the solver dropped their mass
+        step = fitted_step(50.0, laws)
+        assert step <= atom and round(50.0 / step) == cells
+        assert abs(50.0 / step - cells) < 1e-9 * cells
 
     def test_atoms_land_on_the_grid(self):
         # at h = t/5000 the atom at 1 is snapped; the fitted step leaves it on a grid point
@@ -244,6 +263,31 @@ class TestFittedStep:
             warnings.simplefilter("error")
             r = solve_residual_mean(Deterministic(1.0), 10.5, step).values[-1]
         assert r == pytest.approx(0.5, abs=1e-12)
+
+
+class TestCdfIncrements:
+    @settings(max_examples=40, deadline=None)
+    @given(any_distribution, st.sampled_from([8.0, 10.5, 50.0, 200.0]))
+    @example(Deterministic(0.001), 50.0)
+    @example(Mixture((0.5, 0.5), (Deterministic(0.001), Gamma(2, 2))), 20.0)
+    def test_no_mass_is_lost_at_the_fitted_step(self, dist, horizon):
+        # atoms off the grid are snapped, with a warning, but keep their mass
+        step = fitted_step(horizon, [dist])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            inc = _cdf_increments(dist, step, round(horizon / step))
+        assert abs(inc.sum() - (1.0 - dist.tail(horizon))) <= 1e-12
+
+    @pytest.mark.parametrize("dist", [
+        Deterministic(0.001),
+        Deterministic(0.005),  # half a cell rounds to grid point 0
+        Lattice(0.001, (0.5, 0.5)),
+        Mixture((0.5, 0.5), (Deterministic(0.001), Gamma(2, 2))),
+    ])
+    def test_an_atom_at_grid_point_0_raises(self, dist):
+        # its mass used to be dropped: U = 1 on Deterministic(0.001), where U(1) = 1001
+        with pytest.raises(ValueError, match="at most half a cell of 0.01 from 0"):
+            _cdf_increments(dist, 0.01, 100)
 
 
 class TestGenerators:
