@@ -251,7 +251,7 @@ def _simulate_chunk(
     the gap across t.
     """
     blocks = _column_blocks(spec, float(np.max(ts)), rows, child_rng(seed, chunk_index))
-    start, _ = next(blocks)
+    start = next(blocks)
     result = {"count": np.zeros((rows, ts.size)), "residual": start[:, None] - ts,
               "age": np.full((rows, ts.size), np.nan)}
     if isinstance(spec, Delayed):

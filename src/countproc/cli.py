@@ -157,8 +157,12 @@ def validate_config(obj: Mapping) -> tuple[ExperimentConfig | None, list[str]]:
         errors.append(f"{name}: required for experiment {kind!r}")
     span = "horizon" if "horizon" in exp.knobs else "t"  # the interval a step grid covers
     gridded = "step" in exp.knobs and {"step", span} <= knobs.keys()
-    if gridded and not renewal_solver._whole_cells(knobs[span], knobs["step"]):
+    cells = gridded and renewal_solver._whole_cells(knobs[span], knobs["step"])
+    if gridded and not cells:
         errors.append(f"step: must split {span} = {knobs[span]:g} into whole cells, got {knobs['step']:g}")
+    elif cells > renewal_solver._MAX_CELLS:  # the grid bound fitted_step also keeps
+        errors.append(f"step: splits {span} = {knobs[span]:g} into {cells} cells, "
+                      f"more than {renewal_solver._MAX_CELLS}")
     if gridded and isinstance(spec, Plain):
         try:
             renewal_solver._check_atoms(spec.lifetime, knobs["step"])

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import IO, Callable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -179,11 +179,11 @@ class ConditionalMeanOracle:
             return out
         if isinstance(spec, Modulated):
             table = np.array([spec.lifetimes[s].truncated_mean(v) for s in spec.states])
-            # interval j opens at event j; states[j] governs it
-            return table[path.states[..., : shape[-1]]]
+            # interval j opens at event j; marks[j], the state entered there, governs it
+            return table[path.marks[..., : shape[-1]]]
         if isinstance(spec, StationaryMA):
             m = spec.order
-            s = np.asarray(path.ma_trace[..., : shape[-1]], dtype=float)
+            s = np.asarray(path.marks[..., : shape[-1]], dtype=float)
             known = np.minimum(v, s / m)
             rest = spec.base.truncated_mean(np.maximum(m * v - s, 0.0)) / m
             return known + np.where(m * v - s > 0, rest, 0.0)
@@ -242,18 +242,13 @@ def truncated_decomposition_residual(path: SamplePath, oracle: ConditionalMeanOr
 # ---------------------------------------------------------------------------
 
 
-def decompose_functional(
-    path: SamplePath,
-    evaluator,
-    conditional_mean: Callable[[SamplePath, np.ndarray], np.ndarray],
-    t: float,
-):
+def decompose_functional(path: SamplePath, evaluator, t: float):
     """Split Y(t) into drift integral, predictable jump part and noise part.
 
     ``evaluator`` supplies ``initial(path)`` = Y just before time zero,
     ``value(path, times)``, the right derivative ``derivative(path, times)``
-    (assumed piecewise constant between events), and ``jump(path, ks)`` at
-    event indices ks.  ``conditional_mean(path, ks)`` supplies the expected
+    (assumed piecewise constant between events), ``jump(path, ks)`` at
+    event indices ks, and ``conditional_mean(path, ks)``, the expected
     post-event value given the strict pre-event past.  Each takes an array
     of times or indices and answers for all of them at once, so the split
     is one array pass over the events.  Returns ``(drift_integral,
@@ -279,7 +274,7 @@ def decompose_functional(
             f"declared jump at event {k} ({declared[k]}) disagrees with "
             f"Y(t_k) - Y(t_k-) = {value_at[k] - left[k]}"
         )
-    cm = conditional_mean(path, ks)
+    cm = evaluator.conditional_mean(path, ks)
     drift_integral = float(np.sum(segments))
     predictable = float(np.sum(cm - left))
     noise = float(np.sum(value_at - cm))

@@ -10,15 +10,17 @@ a stationary moving-average construction whose inter-arrivals form an
 A simulated path stores every event up to the horizon plus one overshoot
 event, so counts and residual times are defined everywhere on [0, horizon].
 A block of paths holds one path per row, padded with +inf after its
-overshoot event, and every query answers per row.
+overshoot event, and every query answers per row.  A modulated or
+moving-average path is a marked point process: a mark per event holds
+what is known at that event of the gap after it.
 
 Every path comes from one sampler that draws rows of inter-arrivals in
 column blocks; later blocks go only to rows not yet past the horizon.
-:func:`simulate_paths` fills a block with them, :func:`simulate_path` is
-its one-row case, and :func:`countproc.asymptotics.path_statistics` folds
-the same blocks into per-path summaries.  The event cap counts the gaps
-drawn for a path still at or before the horizon.  Simulation is a pure
-function of (spec, horizon, rows, seed); seeds should be derived with
+:func:`simulate_paths` assembles a block from them, :func:`simulate_path`
+is its one-row case, and :func:`countproc.asymptotics.path_statistics`
+folds the same blocks into per-path summaries.  The event cap counts the
+gaps drawn for a path still at or before the horizon.  Simulation is a
+pure function of (spec, horizon, rows, seed); seeds should be derived with
 :func:`child_rng`.
 """
 
@@ -203,17 +205,16 @@ class SamplePath:
 
     ``events`` is 1-d, or rows x events for a block of paths with each row
     padded by +inf after its overshoot event; a row starts at 0, or at the
-    delay on a delayed path.  ``states`` (modulated) holds the index in
-    ``spec.states`` of the state entered at each event and ``ma_trace``
-    (moving average), per event, the sum of the m-1 revealed base draws that
-    enter the next inter-arrival; both follow the layout of ``events``.
+    delay on a delayed path.  ``marks``, in the layout of ``events``, holds
+    per event the index in ``spec.states`` of the state entered (modulated)
+    or the sum of the m-1 revealed base draws that enter the next
+    inter-arrival (moving average); it is None for other specs.
     """
 
     horizon: float
     events: np.ndarray
     spec: ProcessSpec
-    states: np.ndarray | None = None
-    ma_trace: np.ndarray | None = None
+    marks: np.ndarray | None = None
 
     def __post_init__(self):
         ev = np.asarray(self.events, dtype=float)
@@ -234,9 +235,8 @@ class SamplePath:
         """Row ``index`` as a 1-d path ending at its overshoot event, or a row slice as a block."""
         ev = self.events[index]
         keep = slice(None) if ev.ndim == 2 else slice(np.searchsorted(ev, self.horizon, "right") + 1)
-        marks = {name: getattr(self, name)[index][..., keep] for name in ("states", "ma_trace")
-                 if getattr(self, name) is not None}
-        return SamplePath(self.horizon, ev[..., keep], self.spec, **marks)
+        marks = None if self.marks is None else self.marks[index][..., keep]
+        return SamplePath(self.horizon, ev[..., keep], self.spec, marks)
 
     @property
     def delayed(self) -> bool:
@@ -379,20 +379,19 @@ def _draw_block(spec: ProcessSpec, rng: np.random.Generator, carry: np.ndarray, 
 def _column_blocks(spec, tmax, rows, rng):
     """The one sampler behind every simulated path.
 
-    Yields first ``(start, cover)``: each row's start (its delay, or 0) and
-    the columns of the blocks before the stragglers (:func:`_block_widths`).
-    Then per block ``(active, last, times, marks)`` for the rows ``active``
-    still at or before ``tmax``: their last event time before the block, the
-    block's event times accumulated from it and the marks of
-    :func:`_draw_block`.  Raises :class:`EventCapExceeded` when a
-    still-active row has drawn more than ``DEFAULT_EVENT_CAP`` gaps.
+    Yields first ``start``: each row's start (its delay, or 0).  Then per
+    block ``(active, last, times, marks)`` for the rows ``active`` still at
+    or before ``tmax``: their last event time before the block, the block's
+    event times accumulated from it and the marks of :func:`_draw_block`.
+    Raises :class:`EventCapExceeded` when a still-active row has drawn more
+    than ``DEFAULT_EVENT_CAP`` gaps.
     """
-    cover, widths = _block_widths(spec, tmax)
+    _, widths = _block_widths(spec, tmax)
     if isinstance(spec, Delayed):
         start = np.asarray(spec.delay.draw(rng, rows), float)
     else:
         start = np.zeros(rows)
-    yield start, cover
+    yield start
     active = np.flatnonzero(start <= tmax)
     last, carry = start[active], _initial_carry(spec, rng, rows)[active]
     drawn = 0
@@ -410,43 +409,34 @@ def _column_blocks(spec, tmax, rows, rng):
         active, last, carry = active[keep], times[keep, -1], carry[keep]
 
 
-def _widen(a: np.ndarray, cols: int, fill) -> np.ndarray:
-    """``a`` with columns of ``fill`` appended up to ``cols`` columns."""
-    out = np.full((a.shape[0], cols), fill, a.dtype)
-    out[:, : a.shape[1]] = a
-    return out
-
-
 def simulate_paths(spec: ProcessSpec, horizon: float, rows: int, rng: np.random.Generator) -> SamplePath:
-    """A block of ``rows`` paths of ``spec`` covering [0, horizon], filled in
-    place from the column blocks: with ``rng = child_rng(seed, i)`` and
-    ``horizon`` the largest query time, the rows are the paths that chunk i
-    of :func:`countproc.asymptotics.path_statistics` summarizes.  Raises
+    """A block of ``rows`` paths of ``spec`` covering [0, horizon], allocated
+    once and filled from the column blocks: with ``rng = child_rng(seed, i)``
+    and ``horizon`` the largest query time, the rows are the paths that chunk
+    i of :func:`countproc.asymptotics.path_statistics` summarizes.  Raises
     :class:`EventCapExceeded` when a path still at or before the horizon
     has drawn more than ``DEFAULT_EVENT_CAP`` gaps.
     """
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    blocks = _column_blocks(spec, float(horizon), rows, rng)
-    start, cover = next(blocks)
-    events, marks, col = start[:, None], None, 1
+    start, *blocks = _column_blocks(spec, float(horizon), rows, rng)
+    cols = 1 + sum(times.shape[1] for _, _, times, _ in blocks)
+    events = np.full((rows, cols), np.inf)
+    events[:, 0] = start
+    marks = None if not blocks or blocks[0][3] is None else np.zeros((rows, cols), blocks[0][3].dtype)
+    col = 1
     for active, _, times, block_marks in blocks:
         width = times.shape[1]
-        if events.shape[1] < col + width:  # the mean count plus one sd first, then stragglers
-            cols = max(col + width, 1 + cover)
-            events = _widen(events, cols, np.inf)
-            if block_marks is not None:
-                marks = _widen(np.zeros((rows, 0), block_marks.dtype) if marks is None else marks, cols, 0)
         events[active, col : col + width] = times
-        if block_marks is not None:  # a block's last mark is the next block's first
+        if marks is not None:  # a block's last mark is the next block's first
             marks[active, col - 1 : col + width] = block_marks
         col += width
+    del blocks  # free the drawn blocks before the passes below
     events[:, 1:][events[:, :-1] > horizon] = np.inf  # drop the events after each overshoot
     # a floored gap can vanish in the sum (1.0 + 1e-300 == 1.0): move such an
     # event one ulp past the one before it, so event times strictly increase
     np.maximum(events[:, 1:], np.nextafter(events[:, :-1], np.inf), out=events[:, 1:])
-    marks = {} if marks is None else {"states" if isinstance(spec, Modulated) else "ma_trace": marks[:, :col]}
-    return SamplePath(horizon, events[:, :col], spec, **marks)
+    return SamplePath(horizon, events, spec, marks)
 
 
 def paths_per_chunk(spec: ProcessSpec, horizon: float) -> int:
@@ -478,8 +468,8 @@ def write_events_ndjson(path: SamplePath, fp: IO[str]) -> None:
     """
     if path.events.ndim != 1:
         raise ValueError("write_events_ndjson writes one path: pick a row of the block first")
-    times, gaps, states = path.events, path.interarrivals, path.states
-    labels = None if states is None else [json.dumps(s) for s in path.spec.states]
+    times, gaps, states = path.events, path.interarrivals, path.marks
+    labels = [json.dumps(s) for s in path.spec.states] if isinstance(path.spec, Modulated) else None
     for lo in range(0, times.size, _NDJSON_BATCH):
         hi = min(lo + _NDJSON_BATCH, times.size)
         gap = ["null"] * (lo == 0) + [repr(g) for g in gaps[max(lo - 1, 0) : hi - 1].tolist()]

@@ -290,9 +290,17 @@ class TestValidate:
          "step: must split horizon = 1 into whole cells, got 5"),
         ({"experiment": "sgibnev", "spec": GAMMA_SPEC, "t": 1, "step": 0.7},
          "step: must split t = 1 into whole cells, got 0.7"),
-    ], ids=["renewal-solve-step-over-horizon", "sgibnev-step-fraction"])
+        ({"experiment": "renewal-solve", "spec": GAMMA_SPEC, "horizon": 1, "step": 1 / (2**19 + 1)},
+         "step: splits horizon = 1 into 524289 cells, more than 524288"),
+        ({"experiment": "sgibnev", "spec": GAMMA_SPEC, "t": 2**19 + 1, "step": 1},
+         "step: splits t = 524289 into 524289 cells, more than 524288"),
+        ({"experiment": "renewal-solve", "spec": GAMMA_SPEC, "horizon": 100, "step": 1e-7},
+         "step: splits horizon = 100 into 1000000000 cells, more than 524288"),
+    ], ids=["renewal-solve-step-over-horizon", "sgibnev-step-fraction", "renewal-solve-one-cell-too-many",
+            "sgibnev-one-cell-too-many", "renewal-solve-1e9-cells"])
     def test_step_must_split_its_span(self, tmp_path, capsys, obj, message):
-        # the first crashed run with a traceback; the second read E[R(0.7)] as E[R(1)]
+        # the first crashed run with a traceback; the second read E[R(0.7)] as E[R(1)];
+        # the others passed validate, and run would build grids at step and step / 2
         cfg = write_config(tmp_path, dict(obj, out=str(tmp_path / "res")))
         for command in ("validate", "run"):
             assert main([command, str(cfg)]) == 2
@@ -333,6 +341,7 @@ class TestValidate:
     @pytest.mark.parametrize("experiment,span,step", [
         ("sgibnev", 200, 0.02), ("sgibnev", 100, 0.01), ("renewal-solve", 100, 0.005),
         ("renewal-solve", 5, 0.001), ("renewal-solve", 0.3, 0.1),
+        ("renewal-solve", 1, 2**-19), ("sgibnev", 2**19, 1),  # the most cells the solver takes
     ])
     def test_whole_step_splits_accepted(self, experiment, span, step):
         knob = "t" if experiment == "sgibnev" else "horizon"

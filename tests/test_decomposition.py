@@ -122,7 +122,7 @@ class TestTruncatedRate:
         oracle = ConditionalMeanOracle(TWO_STATE)
         ts = np.asarray(p.events[:-1])[1:8] + 1e-6  # just after each event
         lam = truncated_rate(p, oracle, 1e9, ts)
-        states = p.states[1:8]
+        states = p.marks[1:8]
         expect = np.where(states == TWO_STATE.states.index("a"), 1.0, 1.0 / 3.0)
         assert np.allclose(lam, expect)
 
@@ -259,7 +259,7 @@ class TestFunctionalDecomposition:
     def test_counting_functional_is_pure_drift(self):
         p = simulate_path(Plain(Exponential(1.0)), 12.0, 5)
         f = counting_functional()
-        integral, predictable, noise = decompose_functional(p, f, f.conditional_mean, 9.0)
+        integral, predictable, noise = decompose_functional(p, f, 9.0)
         assert integral == 0.0
         assert predictable == pytest.approx(float(count(p, 9.0)))
         assert noise == pytest.approx(0.0, abs=1e-12)
@@ -267,7 +267,7 @@ class TestFunctionalDecomposition:
     def test_centered_residual_recovers_martingale(self):
         p = simulate_path(Plain(Gamma(2, 2)), 12.0, 6)
         f = centered_residual_functional(rate=1.0)
-        integral, predictable, noise = decompose_functional(p, f, f.conditional_mean, 9.0)
+        integral, predictable, noise = decompose_functional(p, f, 9.0)
         assert integral == pytest.approx(9.0)
         assert predictable == pytest.approx(0.0, abs=1e-9)
         assert noise == pytest.approx(martingale(p, 1.0, 9.0), abs=1e-9)
@@ -275,7 +275,7 @@ class TestFunctionalDecomposition:
     def test_centered_residual_delayed(self):
         p = simulate_path(Delayed(Deterministic(0.5), Deterministic(1.0)), 2.0, 0)
         f = centered_residual_functional(rate=1.0)
-        integral, predictable, noise = decompose_functional(p, f, f.conditional_mean, 1.75)
+        integral, predictable, noise = decompose_functional(p, f, 1.75)
         assert predictable == pytest.approx(0.0, abs=1e-12)
         # initial value -rate*delay balances: count = drift + noise + initial
         assert -0.5 + integral + predictable + noise == pytest.approx(
@@ -286,7 +286,7 @@ class TestFunctionalDecomposition:
         spec = Plain(Exponential(1.0))
         p = simulate_path(spec, 12.0, 7)
         f = squared_noise_functional(rate=1.0, sigma2=1.0)
-        integral, predictable, noise = decompose_functional(p, f, f.conditional_mean, 9.0)
+        integral, predictable, noise = decompose_functional(p, f, 9.0)
         assert integral == 0.0
         assert predictable == pytest.approx(float(count(p, 9.0)), abs=1e-9)
 
@@ -299,7 +299,7 @@ class TestFunctionalDecomposition:
 
         f = Lying()
         with pytest.raises(ValueError, match="jump"):
-            decompose_functional(p, f, f.conditional_mean, 5.0)
+            decompose_functional(p, f, 5.0)
 
     def test_first_inconsistent_jump_named(self):
         p = simulate_path(Plain(Exponential(1.0)), 8.0, 8)
@@ -310,7 +310,7 @@ class TestFunctionalDecomposition:
 
         f = LyingLater()
         with pytest.raises(ValueError, match="at event 3 "):
-            decompose_functional(p, f, f.conditional_mean, 5.0)
+            decompose_functional(p, f, 5.0)
 
     # a delayed path, and a long one that a per-event loop would take about a second on
     @pytest.mark.parametrize("spec,horizon,t", [
@@ -322,15 +322,15 @@ class TestFunctionalDecomposition:
         n = count(p, t)
         rate, sigma2 = 1.0, 0.5  # Gamma(2, 2): mean 1, variance 1/2
         f = counting_functional()
-        _, predictable, noise = decompose_functional(p, f, f.conditional_mean, t)
+        _, predictable, noise = decompose_functional(p, f, t)
         assert predictable == n
         assert noise == 0.0
         f = centered_residual_functional(rate)
-        integral, _, noise = decompose_functional(p, f, f.conditional_mean, t)
+        integral, _, noise = decompose_functional(p, f, t)
         assert integral == pytest.approx(rate * t, rel=1e-12)
         assert noise == pytest.approx(martingale(p, rate, t), rel=1e-9, abs=1e-9)
         f = squared_noise_functional(rate, sigma2)
-        _, predictable, _ = decompose_functional(p, f, f.conditional_mean, t)
+        _, predictable, _ = decompose_functional(p, f, t)
         assert predictable == pytest.approx(rate**2 * sigma2 * n, rel=1e-9, abs=1e-6)
 
     @pytest.mark.parametrize("f", [
@@ -342,7 +342,7 @@ class TestFunctionalDecomposition:
         # the array pass sums in another order: equal to rounding, about
         # 1e-16 relative per event over some 400 events
         p = simulate_path(spec, 410.0, 5)
-        got = decompose_functional(p, f, f.conditional_mean, 400.0)
+        got = decompose_functional(p, f, 400.0)
         assert got == pytest.approx(per_event_split(p, f, 400.0), rel=1e-12, abs=1e-12)
 
 

@@ -180,20 +180,57 @@ class TestEngineAgreement:
 
     def test_marks_cover_every_event(self):
         # the overshoot event is marked too: TWO_STATE alternates its states,
-        # and for MA(2) trace[i + 1] = U_{i+1} = 2 T_i - trace[i]
+        # and for MA(2) marks[i + 1] = U_{i+1} = 2 T_i - marks[i]
         paths = simulate_paths(TWO_STATE, 30.0, 50, child_rng(2, 0))
-        assert paths.states.shape == paths.events.shape
+        assert paths.marks.shape == paths.events.shape
         for r in range(50):
             p = paths[r]
-            assert p.states.size == p.events.size
-            assert np.all(p.states[1:] != p.states[:-1])
+            assert p.marks.size == p.events.size
+            assert np.all(p.marks[1:] != p.marks[:-1])
         paths = simulate_paths(StationaryMA(2, Exponential(1.0)), 30.0, 50, child_rng(2, 0))
-        assert paths.ma_trace.shape == paths.events.shape
+        assert paths.marks.shape == paths.events.shape
         for r in range(50):
             p = paths[r]
-            assert p.ma_trace.size == p.events.size
-            np.testing.assert_allclose(p.ma_trace[1:], 2 * p.interarrivals - p.ma_trace[:-1],
+            assert p.marks.size == p.events.size
+            np.testing.assert_allclose(p.marks[1:], 2 * p.interarrivals - p.marks[:-1],
                                        rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("spec,horizon", [
+        *((spec, 600.0) for spec in ENGINE_SPECS.values()),
+        (Delayed(Deterministic(5.0), Gamma(2, 2)), 1.0),
+    ], ids=[*ENGINE_SPECS, "every-delay-past-horizon"])
+    def test_rows_concatenate_the_column_blocks(self, spec, horizon):
+        # on the same stream each row of the block is its row's blocks from
+        # the sampler, concatenated and cut after the overshoot event, with
+        # +inf after it and marks padded by 0
+        rows = 300
+        start, *blocks = processes._column_blocks(spec, horizon, rows, child_rng(29, 0))
+        times, marks, last_drawn, drawn = [[s] for s in start], [[] for _ in start], [0] * rows, 0
+        for active, _, block_times, block_marks in blocks:
+            for j, r in enumerate(active):
+                if block_marks is not None:  # a block's first mark is the previous block's last
+                    marks[r][len(times[r]) - 1 :] = block_marks[j].tolist()
+                times[r] += block_times[j].tolist()
+                last_drawn[r] = drawn
+            drawn += block_times.shape[1]
+        events = np.full((rows, max(map(len, times))), np.inf)
+        for r, row in enumerate(times):
+            kept = np.searchsorted(row, horizon, side="right") + 1
+            events[r, :kept] = row[:kept]
+        paths = simulate_paths(spec, horizon, rows, child_rng(29, 0))
+        assert np.array_equal(paths.events, events)
+        if blocks and blocks[0][3] is not None:
+            expect = np.zeros(events.shape, blocks[0][3].dtype)
+            for r, row in enumerate(marks):
+                expect[r, : len(row)] = row
+            assert paths.marks.dtype == expect.dtype and np.array_equal(paths.marks, expect)
+        else:
+            assert paths.marks is None
+        cover, _ = processes._block_widths(spec, horizon)
+        if blocks:  # rows end in at least two different straggler blocks
+            assert len({d for d in last_drawn if d >= cover}) >= 2
+        else:  # every row starts past the horizon: no block is drawn
+            assert paths.events.shape == (rows, 1) and np.all(paths.events == 5.0)
 
     @pytest.mark.parametrize("kind", ENGINE_SPECS)
     def test_block_rows_end_at_their_overshoot(self, kind):
@@ -211,7 +248,7 @@ class TestEngineAgreement:
         spec = ENGINE_SPECS[kind]
         p = simulate_path(spec, 25.0, 17)
         row = simulate_paths(spec, 25.0, 1, np.random.default_rng(17))[0]
-        for name in ("events", "states", "ma_trace"):
+        for name in ("events", "marks"):
             a, b = getattr(p, name), getattr(row, name)
             assert (a is None and b is None) or np.array_equal(a, b)
 
@@ -308,7 +345,7 @@ class TestModulated:
     def test_state_frequencies_match_embedded_chain(self):
         # deterministic alternation: embedded stationary law is uniform
         p = simulate_path(TWO_STATE, 2.0 * 10**5, 0)
-        states = p.states[: len(p.events) - 1]
+        states = p.marks[: len(p.events) - 1]
         assert len(states) > 50_000
         freq_a = np.mean(states == TWO_STATE.states.index("a"))
         tv = abs(freq_a - 0.5)
@@ -318,7 +355,7 @@ class TestModulated:
         # holding means differ 1 vs 3: regression by state on one long path
         p = simulate_path(TWO_STATE, 10**5, 1)
         gaps = p.interarrivals
-        states = np.array(TWO_STATE.states)[p.states[: gaps.size]]
+        states = np.array(TWO_STATE.states)[p.marks[: gaps.size]]
         mean_a = gaps[states == "a"].mean()
         mean_b = gaps[states == "b"].mean()
         assert abs(mean_a - 1.0) < 0.05
@@ -327,12 +364,12 @@ class TestModulated:
     def test_initial_state_label(self):
         spec = Modulated(TWO_STATE.states, TWO_STATE.kernel, TWO_STATE.lifetimes, initial="b")
         paths = simulate_paths(spec, 1.0, 500, child_rng(5, 0))
-        assert set(paths.states[:, 0].tolist()) == {spec.states.index("b")}
+        assert set(paths.marks[:, 0].tolist()) == {spec.states.index("b")}
 
     def test_initial_law_mapping(self):
         spec = Modulated(TWO_STATE.states, TWO_STATE.kernel, TWO_STATE.lifetimes,
                          initial={"a": 0.3, "b": 0.7})
-        first = simulate_paths(spec, 1.0, 4000, child_rng(5, 0)).states[:, 0]
+        first = simulate_paths(spec, 1.0, 4000, child_rng(5, 0)).marks[:, 0]
         se = math.sqrt(0.3 * 0.7 / first.size)
         assert abs(np.mean(first == spec.states.index("a")) - 0.3) <= 4 * se
 
@@ -384,14 +421,14 @@ class TestStationaryMA:
     def test_trace_matches_window_sums(self):
         p = simulate_path(StationaryMA(3, Exponential(1.0)), 20.0, 2)
         gaps = p.interarrivals
-        # consecutive gaps share trace: 3*T_{k+1} = trace_k + (new draw);
+        # consecutive gaps share marks: 3*T_{k+1} = marks_k + (new draw);
         # reconstruct new draws and check positivity
-        new_draws = 3 * gaps - p.ma_trace[: gaps.size]
+        new_draws = 3 * gaps - p.marks[: gaps.size]
         assert np.all(new_draws > 0)
 
     def test_order_one_is_plain_renewal(self):
         p = simulate_path(StationaryMA(1, Exponential(1.0)), 10.0, 3)
-        assert np.all(p.ma_trace == 0)
+        assert np.all(p.marks == 0)
 
 
 class TestSerialization:
@@ -486,10 +523,13 @@ class TestSerialization:
 
     @pytest.mark.parametrize("spec,horizon", [
         (Plain(Gamma(2, 2)), 5000.0),
+        (Delayed("equilibrium", Gamma(2, 2)), 5000.0),
         (Modulated(states=('a"b', "é"), kernel=((0.0, 1.0), (1.0, 0.0)),
                    lifetimes={'a"b': Exponential(1.0), "é": Exponential(1.0 / 3.0)}), 10000.0),
-    ], ids=["plain", "modulated-escaped-labels"])
+        (StationaryMA(2, Gamma(2, 2)), 5000.0),
+    ], ids=["plain", "delayed", "modulated-escaped-labels", "ma2"])
     def test_ndjson_matches_json_dumps(self, spec, horizon):
+        # only a modulated path writes states: an MA path's marks are not labels
         p = simulate_path(spec, horizon, 4)
         assert p.events.size > 4096  # several write batches
         gaps = p.interarrivals
@@ -498,7 +538,7 @@ class TestSerialization:
                 "index": i,
                 "time": float(t),
                 "interarrival": float(gaps[i - 1]) if i > 0 else None,
-                "state": spec.states[p.states[i]] if p.states is not None else None,
+                "state": spec.states[p.marks[i]] if isinstance(spec, Modulated) else None,
             }) + "\n"
             for i, t in enumerate(p.events)
         )
