@@ -2,8 +2,14 @@
 """Sweep the expected event count in (t, t+h] across horizons and laws.
 
 Writes one CSV row per (law, t) with the Monte Carlo increment mean, its
-standard error and the long-run target, showing the approach to rate*h
-for non-lattice laws and its failure for the lattice one.
+standard error and the long-run target rate*h, showing the approach to
+rate*h for non-lattice laws and its failure for the lattice one.  On the
+non-lattice laws, which have no atom, ``estimate_blackwell`` averages the
+window's conditional mean given the age, so the standard error is that of
+the conditioned estimate; the lattice law keeps the plain mean.  The gap
+to rate*h at small t is the window's finite-t refinement (for the Pareto
+law about rate^2 h e_1(t), e_1 its integrated tail), which ``countproc run``
+checks against the finite-t value.
 
 Usage:
     python scripts/blackwell_sweep.py --reps 20000 --out blackwell_sweep.csv

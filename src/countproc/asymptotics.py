@@ -25,18 +25,23 @@ on the age a = t - S_{N(t)-1}, with E[R^k | F_t] = e_k(a) / tail(a)
 delta-method influence of the drift with R, R^2 and R M replaced by their
 conditional means, and E[M | F_t] = N - rate (t + E[R | a]), of mean 0, is
 the control.  That keeps every mean and removes the residual's own spread.
-A conditioned estimate sees the sampler only through N and a (on an
-Exponential law it is exact for any sampler), so it carries the plain mean
-of R - E[R | a], 0 by the tower property, as ``residual_given_age``, the
+``estimate_blackwell`` (plain and delayed specs, lifetime law without
+atoms, not lattice) conditions the window the same way: given F_t it
+counts E[U(h - R); R <= h | a], U the renewal function on [0, h], which
+is read from one table of the age and carries the table's numerical
+error as ``quadrature``.  A conditioned estimate sees the sampler only
+through N and a (on an Exponential law it is exact for any sampler), so
+it carries the plain mean of R - E[R | a], or of the window minus its
+conditional mean, 0 by the tower property, as ``sampler_check``, the
 check that still sees the sampler.  The diffusion variance is the mean of
 the per-path terms (X - mean X)^2 n/(n - 1), with the control C = (M^2 -
 rate^2 var T N)/n from Wald's second identity, E[M(t)^2] = rate^2 var T
 E[N(t)] at every t; var C is finite only when E[T^4] is, so without a
 finite fourth moment it keeps the plain bar.  A z-check divides by the
-larger of the bar and ``rounding``, the floating-point error of the
+largest of the bar, ``rounding``, the floating-point error of the
 computed mean, which scales with the size of the terms and not with their
-spread: a near-exact estimate is then read against its rounding, not
-against a bar of 1e-17 or 0.
+spread, and ``quadrature``: a near-exact estimate is then read against its
+rounding or its numerical error, not against a bar of 1e-17 or 0.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import renewal_solver
 from .lifetimes import LifetimeDistribution, _lattice_span
 from .processes import (
     _CHUNK_ROWS,
@@ -84,6 +90,11 @@ __all__ = [
 
 _Z95 = 1.959963984540054
 _MIN_WINDOW_REPS = 1000  # replications a Blackwell window estimate needs
+# cells of [0, h] and ages in the table of a window's conditional mean g(age): on Gamma(2,2)
+# at t = 50, h = 1, 25 000 reps the table takes 6 ms (11 ms at 1000 ages) and its error
+# bound is 4.7e-5 (3.9e-5), 1.5e-4 at 50 cells, against an se of 6.8e-4 (2-vCPU Xeon VM)
+_WINDOW_CELLS = 100
+_WINDOW_AGES = 500
 _MIN_DRIFT_REPS = 200  # replications a variance-drift or diffusion-variance estimate needs
 # Rounding bound of a computed mean, in units of roundoff of the size of its
 # terms: the pairwise sum contributes about log2(reps) roundings and each term
@@ -98,21 +109,24 @@ class Estimate:
     """A Monte Carlo point estimate with its 95% normal-approximation interval;
     ``flags`` name a hypothesis of its limit that the law violates.
 
-    ``rounding`` bounds the floating-point error of ``value``; ``z_against``
-    divides by the larger of it and ``se``.  It is derived from the terms
-    and left out of equality, which compares the estimate itself.
+    ``rounding`` bounds the floating-point error of ``value`` and
+    ``quadrature`` the error of the numerical integrals behind it (0 for a
+    plain mean); ``z_against`` divides by the largest of them and ``se``.
+    Both are derived and left out of equality, which compares the estimate
+    itself.
     """
 
     value: float
     se: float
     flags: tuple[str, ...] = ()
     rounding: float = field(default=0.0, compare=False)
+    quadrature: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         if not self.se >= 0:
             raise ValueError("standard error must be nonnegative")
-        if not self.rounding >= 0:
-            raise ValueError("rounding bound must be nonnegative")
+        if not (self.rounding >= 0 and self.quadrature >= 0):
+            raise ValueError("rounding and quadrature bounds must be nonnegative")
         if math.isnan(self.value):
             raise ValueError("point estimate must not be NaN")
 
@@ -125,7 +139,7 @@ class Estimate:
         return self.value + _Z95 * self.se
 
     def z_against(self, target: float) -> float:
-        bar = max(self.se, self.rounding)
+        bar = max(self.se, self.rounding, self.quadrature)
         if bar == 0:
             return 0.0 if self.value == target else math.inf
         return abs(self.value - target) / bar
@@ -134,10 +148,12 @@ class Estimate:
 @dataclass(frozen=True)
 class ConditionedEstimate(Estimate):
     """An estimate averaged from conditional means given F_t, with
-    ``residual_given_age``, the plain mean of R(t) - E[R(t) | age] on the same
-    paths: 0 by the tower property, and the check that sees the sampler."""
+    ``sampler_check``, the plain mean of X - E[X | age] on the same paths for
+    the X whose conditional mean was averaged (the residual R(t), or the
+    window count): 0 by the tower property, and the check that sees the
+    sampler."""
 
-    residual_given_age: Estimate = field(kw_only=True)
+    sampler_check: Estimate = field(kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -346,17 +362,85 @@ def _noise_at(stats: dict[str, np.ndarray], rate: float, t: float, col: int) -> 
 # ---------------------------------------------------------------------------
 
 
+def _window_given_age(law: LifetimeDistribution, h: float, age: np.ndarray, u_times: np.ndarray,
+                      u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(g, error) at each age: g(a) = E[U(h - R); R <= h | age a], read from one table.
+
+    U, the renewal function on [0, h] with the event at 0 counted, is read
+    at the midpoints of ``_WINDOW_CELLS`` cells of [0, h], each weighted by
+    the cell's probability given the age, [tail(a + r_(j-1)) - tail(a + r_j)]
+    / tail(a).  The table's ages, ``_WINDOW_AGES`` + 1 of them, are even in
+    log(1 + a / E[T]) from 0 to the oldest age, so the table does not grow
+    with it, and stop where the tail is 0; g is linear between them.  The
+    table's error is twice the change from half as many cells (the midpoint
+    rule's error is a third of that change where the integrand is smooth,
+    and up to all of it where the gap ends inside a cell) plus the distance
+    of each value from the line through its neighbours, the error of a
+    table of half as many ages.
+    """
+    scale = law.moment(1)
+    span = math.log1p(max(float(np.max(age, initial=0.0)), scale) / scale)
+    ages = scale * np.expm1(np.linspace(0.0, span, _WINDOW_AGES + 1))
+    r = np.linspace(0.0, h, _WINDOW_CELLS + 1)
+    tails = law.tail(ages[:, None] + r)
+    n = int(np.count_nonzero(tails[:, 0] > 0))  # a prefix: the tail does not increase
+    ages, tails = ages[:n], tails[:n]
+    cells = (tails[:, :-1] - tails[:, 1:]) / tails[:, :1]
+    g = cells @ np.interp(h - (r[:-1] + r[1:]) / 2, u_times, u)
+    coarse = (cells[:, ::2] + cells[:, 1::2]) @ np.interp(h - (r[:-2:2] + r[2::2]) / 2, u_times, u)
+    lam = (ages[1:-1] - ages[:-2]) / (ages[2:] - ages[:-2])
+    bend = np.abs(g[1:-1] - g[:-2] - lam * (g[2:] - g[:-2]))
+    error = 2.0 * np.abs(g - coarse) + np.pad(bend, 1, mode="edge")
+    # an age's place in the table is arithmetic; np.interp would search the table for
+    # each unsorted age, about 2 ms per 25 000 ages
+    place = np.clip(np.log1p(age / scale) * (_WINDOW_AGES / span), 0.0, n - 1)
+    i = np.minimum(place.astype(int), n - 2)
+    w = place - i
+    return g[i] + w * (g[i + 1] - g[i]), error[i] + w * (error[i + 1] - error[i])
+
+
 def estimate_blackwell(
     spec: ProcessSpec, t: float, h: float, reps: int, seed: int = 0, threads: int = 1
 ) -> Estimate:
-    """Mean number of events in (t, t+h]; tends to rate*h off the lattice case."""
+    """Mean number of events in (t, t+h]; tends to rate*h off the lattice case.
+
+    On a plain or delayed spec whose lifetime law has no atom the window is
+    conditioned on F_t (a ``ConditionedEstimate``): given the age a, the
+    next event comes after R, distributed as T - a given T > a, and the
+    count from it on has mean U(h - R), so E[N(t+h) - N(t) | F_t] = g(a) =
+    E[U(h - R); R <= h | age a].  The estimate is the mean of g(age), read
+    from one table (``_window_given_age``) with U from ``renewal_function`` on
+    [0, h].  A delayed row whose delay D exceeds t has no age; its window
+    is 1{D <= t + h} U(t + h - D), known given D.  ``quadrature`` is U's
+    ``extrapolate`` error plus the mean over paths of the table's error,
+    and ``sampler_check`` is the plain mean of the window minus g.  Other
+    kinds, lattice processes and laws with atoms, whose atoms the cells
+    and the age table would misplace, keep the plain mean.
+    """
     if not (t > 0 and h > 0):
         raise ValueError("t and h must be positive")
     if reps < _MIN_WINDOW_REPS:
         raise ValueError(f"blackwell estimation needs at least {_MIN_WINDOW_REPS} replications")
     stats = path_statistics(spec, [t, t + h], reps, seed, threads=threads)
-    inc = stats["count"][:, 1] - stats["count"][:, 0]
-    return _mean_estimate(inc, _arithmetic_flags(spec))
+    window = stats["count"][:, 1] - stats["count"][:, 0]
+    flags = _arithmetic_flags(spec)
+    if flags or not isinstance(spec, (Plain, Delayed)) or spec.lifetime.atoms():
+        return _mean_estimate(window, flags)
+    law = spec.lifetime
+    u_step = renewal_solver.fitted_step(h, [law])
+    u, u_error = renewal_solver.renewal_function(law, h, u_step)
+    u_times = u_step * np.arange(u.size)
+    age = stats["age"][:, 0]
+    aged = ~np.isnan(age)
+    g, error = np.zeros(reps), np.zeros(reps)
+    g[aged], error[aged] = _window_given_age(law, h, age[aged], u_times, u)
+    if not aged.all():
+        rest = t + h - stats["delay"][~aged]
+        g[~aged] = np.where(rest >= 0, np.interp(rest, u_times, u), 0.0)
+    quadrature = u_error + float(np.mean(error))
+    est = replace(_mean_estimate(g), quadrature=quadrature)
+    check = _mean_estimate(window - g, size=float(np.mean(window)) + float(np.mean(g)))
+    return ConditionedEstimate(**vars(est), sampler_check=replace(check, quadrature=quadrature))
 
 
 def estimate_rate(
@@ -443,8 +527,8 @@ def estimate_variance_drift(
     the residual's own noise: the delta-method influence of each path is
         psi = rate^2 (r2 - 2 mean(r1) r1) + 2 rate y + rate^3 var T r1,
     and the value is the mean of psi with m = E[M | F_t] as its control
-    (``_controlled_mean``) plus (rate mean(r1))^2.  ``residual_given_age``
-    checks the sampler.
+    (``_controlled_mean``) plus (rate mean(r1))^2.  ``sampler_check``, the
+    plain mean of R - r1, checks the sampler.
     """
     if not isinstance(spec, Plain):
         raise TypeError("variance drift is defined for plain renewal specs")
@@ -463,7 +547,7 @@ def estimate_variance_drift(
     psi += 2.0 * rate * y
     est = _controlled_mean(psi, m, _arithmetic_flags(spec))
     return ConditionedEstimate(**vars(replace(est, value=est.value + (rate * r1_bar) ** 2)),
-                               residual_given_age=check)
+                               sampler_check=check)
 
 
 def variance_drift_ratios(
@@ -494,14 +578,15 @@ def estimate_rm_cross(
     rate r2 with r_k = E[R^k | age]: its mean is E[R M], with m = E[M | F_t]
     = N - rate (t + r1), of mean 0, as the control and the error bar of
     ``_controlled_mean``.  On an Exponential law y - m/rate is constant and
-    the estimate exact; ``residual_given_age`` checks the sampler.  Needs a
+    the estimate exact; ``sampler_check``, the plain mean of R - E[R | age],
+    checks the sampler.  Needs a
     finite E[T^2], without which E[R^2 | age] is infinite.
     """
     if not isinstance(spec, Plain):
         raise TypeError("the residual/noise cross moment is defined for plain renewal specs")
     _, _, m, y, check = _given_age(spec, t, reps, seed, threads)
     return ConditionedEstimate(**vars(_controlled_mean(y, m, _arithmetic_flags(spec))),
-                               residual_given_age=check)
+                               sampler_check=check)
 
 
 def diffusion_scaling(

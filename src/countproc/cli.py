@@ -9,7 +9,7 @@ schema problems with field paths and has no side effects.
   experiment     knobs         spec kinds                      checks
   simulate       horizon       any                             simulate
   decompose      horizon reps  any                             decompose-identity, -truncated (v)
-  blackwell      t h reps      any                             blackwell
+  blackwell      t h reps      any                             blackwell, window-given-age
   modulated      t h reps      modulated                       modulated
   palm           t h reps      stationary_ma                   palm
   rate           t reps        any                             rate
@@ -20,7 +20,17 @@ schema problems with field paths and has no side effects.
   renewal-solve  horizon step  plain                           renewal-solve
   sgibnev        t step        plain; non-arithmetic           sgibnev
 
-Monte Carlo checks pass at z <= 4 against their target.  The Blackwell
+Monte Carlo checks pass at z <= 4 against their target.  ``blackwell`` on a
+plain or delayed spec checks the window against its finite-t value,
+rate (h + E[R(t+h)] - E[R(t)]) by Wald's identity from one renewal solve,
+and prints the solver's error and the limit rate*h; the other kinds, and
+``modulated`` and ``palm``, keep the limit rate*h.  When the lifetime law
+has no atom and the process is not lattice, the window is the mean of its
+conditional mean given the age, g(age), and a second row and check,
+``window-given-age``, is the plain mean of the window minus g(age), 0 by
+the tower property, which sees the sampler where the conditioned window
+cannot; the window's check also prints g's numerical error, below which
+its z-check never divides.  The Blackwell
 windows (blackwell, modulated, palm), variance-drift and rm-cross need a
 non-lattice law: on a lattice process (every lifetime law arithmetic, on a
 common span) their estimate is flagged, and the check reports it with the
@@ -59,7 +69,7 @@ import numpy as np
 from . import asymptotics, decomposition, renewal_solver
 from .asymptotics import _MIN_DRIFT_REPS, _MIN_WINDOW_REPS, Estimate
 from .decomposition import _csv_line
-from .lifetimes import Exponential
+from .lifetimes import Deterministic, Exponential
 from .processes import (
     Delayed,
     EventCapExceeded,
@@ -168,9 +178,13 @@ def validate_config(obj: Mapping) -> tuple[ExperimentConfig | None, list[str]]:
             renewal_solver._check_atoms(spec.lifetime, knobs["step"])
         except ValueError as exc:
             errors.append(f"step: {exc}")
-    if kind == "rate" and "t" in knobs and isinstance(spec, (Plain, Delayed)):
+    if kind in ("rate", "blackwell") and exp.knobs & {"t", "h"} <= knobs.keys() \
+            and isinstance(spec, (Plain, Delayed)):
         try:
-            renewal_solver.fitted_step(knobs["t"], _renewal_laws(spec))
+            if kind == "rate":
+                renewal_solver.fitted_step(knobs["t"], _renewal_laws(spec))
+            else:
+                _window_step(spec, knobs["t"], knobs["h"])
         except ValueError as exc:
             errors.append(f"spec: {exc}")
     if knobs.get("reps", exp.min_reps) < exp.min_reps:
@@ -286,17 +300,52 @@ def _run_decompose(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
 
 
 def _run_window(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
-    """Blackwell's limit E[N(t+h) - N(t)] -> rate*h, for every spec kind."""
+    """Blackwell's window E[N(t+h) - N(t)], for every spec kind, against ``_window_target``.
+
+    A window conditioned on the age writes a second row, ``window-given-age``:
+    the plain mean of the window minus its conditional mean, z-checked against 0."""
     t, h, reps = cfg.knobs["t"], cfg.knobs["h"], int(cfg.knobs["reps"])
     est = asymptotics.estimate_blackwell(cfg.spec, t, h, reps, cfg.seed, cfg.threads)
-    target = asymptotics.spec_rate(cfg.spec) * h
+    target, error = _window_target(cfg.spec, t, h)
     rows = [_row(cfg, est, target, t=t, h=h, reps=reps)]
-    return rows, [_est_check(cfg.experiment, est, target)]
+    checks = [_est_check(cfg.experiment, est, target)]
+    if error is not None:  # a finite-t target: print the limit beside it
+        checks[0].detail += f" solver error {error:.2g} limit {asymptotics.spec_rate(cfg.spec) * h:.6g}"
+    if isinstance(est, asymptotics.ConditionedEstimate):
+        checks[0].detail += f" g error {est.quadrature:.2g}"
+        rows.append(_row(cfg, est.sampler_check, 0.0, t=t, h=h, reps=reps))
+        checks.append(_est_check("window-given-age", est.sampler_check, 0.0))
+    return rows, checks
 
 
 def _renewal_laws(spec: Plain | Delayed) -> list:
     """The lifetime law, and after it the delay law of a delayed spec."""
     return [spec.lifetime, spec.delay] if isinstance(spec, Delayed) else [spec.lifetime]
+
+
+def _window_step(spec: Plain | Delayed, t: float, h: float) -> float:
+    """``fitted_step`` on [0, t + h]; when a law has atoms, the grid also fits h, so that
+    t is a grid point whenever t and h have a common span."""
+    laws = _renewal_laws(spec)
+    return renewal_solver.fitted_step(t + h, laws + [Deterministic(h)] if any(d.atoms() for d in laws)
+                                      else laws)
+
+
+def _window_target(spec: ProcessSpec, t: float, h: float) -> tuple[float, float | None]:
+    """(target, solver error) for the mean window count E[N(t + h) - N(t)].
+
+    Renewal specs: rate * (h + E[R(t + h)] - E[R(t)]) by Wald's identity (a
+    delay's E[D] cancels), the change read from one solve on [0, t + h] at
+    ``_window_step`` (``renewal_solver.residual_mean_change``); the error is
+    its extrapolation error * rate.  The equilibrium delay keeps the exact
+    rate * h, and the other kinds their limit rate * h.
+    """
+    rate = asymptotics.spec_rate(spec)
+    if not isinstance(spec, (Plain, Delayed)) or isinstance(spec, Delayed) and spec.stationary:
+        return rate * h, None
+    delay = spec.delay if isinstance(spec, Delayed) else None
+    change, error = renewal_solver.residual_mean_change(spec.lifetime, t, h, _window_step(spec, t, h), delay)
+    return rate * (h + change), error * rate
 
 
 def _rate_target(spec: ProcessSpec, t: float) -> tuple[float, float | None]:
@@ -342,8 +391,8 @@ def _residual_given_age(cfg: ExperimentConfig, ests: list[tuple[float, asymptoti
                         reps: int) -> tuple[list[tuple], list[Check]]:
     """One row and one z-check per simulated t: the plain mean of R(t) - E[R(t) | age],
     0 by the tower property, which sees the sampler where the conditioned estimate cannot."""
-    rows = [_row(cfg, est.residual_given_age, 0.0, t=t, reps=reps) for t, est in ests]
-    return rows, [_est_check("residual-given-age", est.residual_given_age, 0.0) for _, est in ests]
+    rows = [_row(cfg, est.sampler_check, 0.0, t=t, reps=reps) for t, est in ests]
+    return rows, [_est_check("residual-given-age", est.sampler_check, 0.0) for _, est in ests]
 
 
 def _run_variance(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
@@ -385,11 +434,7 @@ def _run_renewal_solve(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]
     horizon, step = cfg.knobs["horizon"], cfg.knobs["step"]
     dist = cfg.spec.lifetime
 
-    def solve(h: float) -> np.ndarray:
-        ones = renewal_solver.GridFunction.from_callable(np.ones_like, horizon, h)
-        return renewal_solver.solve_renewal_equation(ones, dist).values
-
-    values, error = renewal_solver.extrapolate(solve, step)
+    values, error = renewal_solver.renewal_function(dist, horizon, step)
     with open(cfg.out / "renewal_solution.csv", "w") as fp:
         renewal_solver.GridFunction(step, values).to_csv(fp)
     if isinstance(dist, Exponential):

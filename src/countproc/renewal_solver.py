@@ -26,8 +26,10 @@ and the integrated-tail asymptote for the mean residual at large times.
 Each is an excess moment ``e_k(t) = E[((T - t)+)^k]`` of the lifetime law
 or an integral of one, evaluated in closed form by the law itself.
 Numbers read off the solver are point values at t from ``extrapolate``:
-the mean residual, also after a delay, and by Wald's identity the integral
-of its offset from C = rate*E[T^2]/2, which is C*E[R(t)] - E[R(t)^2]/2.
+the mean residual, also after a delay, its change over a window (t, t + h]
+from one solve, and by Wald's identity the integral of its offset from
+C = rate*E[T^2]/2, which is C*E[R(t)] - E[R(t)^2]/2; and the renewal
+function U on a grid.
 """
 
 from __future__ import annotations
@@ -47,7 +49,9 @@ __all__ = [
     "extrapolate",
     "fitted_step",
     "integrated_second_generator",
+    "renewal_function",
     "residual_mean_at",
+    "residual_mean_change",
     "residual_mean_generator",
     "residual_second_generator",
     "sgibnev_asymptote",
@@ -310,6 +314,26 @@ def solve_residual_second(dist: LifetimeDistribution, horizon: float, step: floa
     return solve_renewal_equation(gen, dist)
 
 
+def renewal_function(dist: LifetimeDistribution, horizon: float, step: float) -> tuple[np.ndarray, float]:
+    """(U, its ``extrapolate`` error) on the ``step`` grid of [0, horizon]: U = 1 + U * dF,
+    the mean number of renewals in [0, t], the one at 0 counted."""
+
+    def solve(h: float) -> np.ndarray:
+        ones = GridFunction.from_callable(np.ones_like, horizon, h)
+        return solve_renewal_equation(ones, dist).values
+
+    return extrapolate(solve, step)
+
+
+def _delayed_mean(r: np.ndarray, i: int, x: float, delay: LifetimeDistribution | None,
+                  inc: np.ndarray | None) -> float:
+    """E[R(x)] at grid point i, x = i h, from the plain solution r: r[i], and after a
+    ``delay`` D with grid increments ``inc`` E[(D - x)+] + sum_j dF_D(j h) r(x - j h)."""
+    if delay is None:
+        return float(r[i])
+    return delay.excess_moment(1, x) + float(np.dot(inc[1 : i + 1], r[:i][::-1]))
+
+
 def residual_mean_at(
     dist: LifetimeDistribution, t: float, step: float, delay: LifetimeDistribution | None = None
 ) -> tuple[float, float]:
@@ -318,13 +342,37 @@ def residual_mean_at(
 
     def solve(h: float) -> np.ndarray:
         r = solve_residual_mean(dist, t, h).values
-        if delay is None:
-            return r[-1:]
-        inc = _cdf_increments(delay, h, r.size - 1)
-        return np.array([delay.excess_moment(1, t) + float(np.dot(inc[1:], r[-2::-1]))])
+        inc = None if delay is None else _cdf_increments(delay, h, r.size - 1)
+        return np.array([_delayed_mean(r, r.size - 1, t, delay, inc)])
 
     (r,), error = extrapolate(solve, step)
     return float(r), error
+
+
+def residual_mean_change(
+    dist: LifetimeDistribution, t: float, h: float, step: float,
+    delay: LifetimeDistribution | None = None,
+) -> tuple[float, float]:
+    """(E[R(t + h)] - E[R(t)], its ``extrapolate`` error), both read from one solve on
+    [0, t + h] per grid, so that the error is that of the difference.  ``step`` must
+    split t + h into whole cells; E[R(t)] is linear between the grid points around t
+    when t is not one of them (after a ``delay``, as in ``residual_mean_at``)."""
+
+    def solve(s: float) -> np.ndarray:
+        r = solve_residual_mean(dist, t + h, s).values
+        inc = None if delay is None else _cdf_increments(delay, s, r.size - 1)
+        cells = t / s
+        i = round(cells)
+        if abs(cells - i) <= _CELL_REL * cells:
+            at_t = _delayed_mean(r, i, t, delay, inc)
+        else:
+            i, w = int(cells), cells - int(cells)
+            at_t = (1.0 - w) * _delayed_mean(r, i, i * s, delay, inc) \
+                + w * _delayed_mean(r, i + 1, (i + 1) * s, delay, inc)
+        return np.array([_delayed_mean(r, r.size - 1, t + h, delay, inc) - at_t])
+
+    (change,), error = extrapolate(solve, step)
+    return float(change), error
 
 
 def cumulative_residual_bias(

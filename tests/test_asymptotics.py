@@ -13,6 +13,7 @@ from countproc.lifetimes import (
     Gamma,
     Lattice,
     LifetimeDistribution,
+    Mixture,
     ParetoShifted,
     Uniform,
 )
@@ -27,9 +28,12 @@ from countproc.processes import (
     simulate_path,
     simulate_paths,
 )
+from countproc import asymptotics
 from countproc.asymptotics import (
+    ConditionedEstimate,
     Estimate,
     _mean_estimate,
+    _window_given_age,
     estimate_blackwell,
     estimate_rate,
     estimate_rm_cross,
@@ -44,6 +48,7 @@ from countproc.asymptotics import (
     truncated_rate_indicator_mean,
     wald_ratio,
 )
+from countproc.renewal_solver import fitted_step, renewal_function, residual_mean_change
 
 TWO_STATE = Modulated(
     states=("a", "b"),
@@ -171,6 +176,121 @@ class TestBlackwell:
             estimate_blackwell(Plain(Exponential(1.0)), 10.0, 1.0, 10, seed=0)
 
 
+def uniform_window(a, h):
+    """E[N(t + h) - N(t) | age a] for Uniform(0, 2), where U(x) = exp(x / 2) on [0, 2]."""
+    m = np.minimum(h, 2.0 - a)
+    return (np.exp(h / 2.0) - np.exp((h - m) / 2.0)) / (1.0 - a / 2.0)
+
+
+class TestBlackwellGivenAge:
+    """The window conditioned on the age: the mean of g(age) = E[U(h - R); R <= h | age]."""
+
+    @staticmethod
+    def _given_age(law, h, age):
+        step = fitted_step(h, [law])
+        u, u_error = renewal_function(law, h, step)
+        g, error = _window_given_age(law, h, age, step * np.arange(u.size), u)
+        return g, error + u_error
+
+    @pytest.mark.parametrize("h", [1.0, 0.5])
+    def test_uniform_closed_form(self, h):
+        # g has a kink at a = 2 - h, past which the gap ends inside the window; every
+        # read, on the table's ages or between them, stays within its error
+        probe = np.linspace(0.0, 1.999, 4001)
+        assert np.count_nonzero(probe > 2.0 - h) > 900
+        g, error = self._given_age(Uniform(0.0, 2.0), h, probe)
+        assert np.all(np.abs(g - uniform_window(probe, h)) <= error)
+        assert float(np.mean(error)) < 1e-3
+
+    def test_table_stops_where_the_tail_is_0(self):
+        # an age at the end of the support, which only rounding in t - S produces, read NaN;
+        # g(a) tends to U(h) = exp(h / 2) as a -> 2
+        g, error = self._given_age(Uniform(0.0, 2.0), 1.0, np.array([0.5, 2.0, 2.0 + 1e-9]))
+        assert np.all(np.isfinite(g)) and np.all(np.abs(g[1:] - math.exp(0.5)) <= error[1:])
+
+    def test_table_does_not_grow_with_t(self, monkeypatch):
+        # heavy-tailed ages run up to t: at t = 1e4 the table still evaluates the tail on
+        # one grid of _WINDOW_AGES + 1 ages by _WINDOW_CELLS + 1 points of [0, h]
+        shapes = []
+        monkeypatch.setattr(ParetoShifted, "tail",
+                            lambda self, x: shapes.append(np.shape(x)) or LifetimeDistribution.tail(self, x),
+                            raising=False)
+        law, t = ParetoShifted(1.5), 1e4
+        est = estimate_blackwell(Plain(law), t, 1.0, 1_000, seed=5)
+        assert [shape for shape in shapes if len(shape) == 2] == \
+            [(asymptotics._WINDOW_AGES + 1, asymptotics._WINDOW_CELLS + 1)]
+        change, _ = residual_mean_change(law, t, 1.0, fitted_step(t + 1.0, [law]))
+        assert est.z_against(law.renewal_rate * (1.0 + change)) <= 4.0
+
+    @pytest.mark.parametrize("law", [Gamma(2, 2), Uniform(0, 2)], ids=["gamma", "uniform"])
+    def test_bar_is_calibrated(self, law):
+        # the spread of the estimates over 200 seeds against their mean bar, and their
+        # mean against the finite-t window (1 to within 1e-15 at t = 20 for both laws)
+        ests = [estimate_blackwell(Plain(law), 20.0, 1.0, 2_000, seed=s) for s in range(200)]
+        values = [e.value for e in ests]
+        se = np.mean([e.se for e in ests])
+        assert 0.8 <= np.std(values, ddof=1) / se <= 1.25
+        assert abs(np.mean(values) - 1.0) <= 3 * se / math.sqrt(200)
+
+    def test_variance_falls(self):
+        spec, t = Plain(Gamma(2, 2)), 50.0
+        stats = path_statistics(spec, [t, t + 1.0], 25_000, seed=3001)
+        window = stats["count"][:, 1] - stats["count"][:, 0]
+        est = estimate_blackwell(spec, t, 1.0, 25_000, seed=3001)
+        assert isinstance(est, ConditionedEstimate)
+        assert est.se <= _mean_estimate(window).se / 5
+        assert est.quadrature < est.se / 5
+
+    def test_sampler_check_is_the_plain_mean(self):
+        spec, t = Plain(Gamma(2, 2)), 30.0
+        stats = path_statistics(spec, [t, t + 1.0], 5_000, seed=4)
+        window = stats["count"][:, 1] - stats["count"][:, 0]
+        est = estimate_blackwell(spec, t, 1.0, 5_000, seed=4)
+        assert est.sampler_check.value == pytest.approx(float(np.mean(window)) - est.value, abs=1e-12)
+        assert est.sampler_check.z_against(0.0) <= 4.0
+
+    @pytest.mark.parametrize("t", [0.5, 5.0, 50.0])
+    def test_exponential_is_read_against_the_quadrature(self, t):
+        # g is the constant 1 up to the midpoint rule's 2e-5, with an se of about 1e-18:
+        # the z-check divides by the quadrature bound, and a target 1% off still fails
+        est = estimate_blackwell(Plain(Exponential(1.0)), t, 1.0, 5_000, seed=3)
+        assert est.se < 1e-12 < est.quadrature < 1e-3
+        assert est.z_against(1.0) <= 1.0 and est.z_against(1.01) > 4.0
+
+    def test_delayed_rows_without_an_age(self):
+        # at t = 0.5 about 61% of the equilibrium delays exceed t; their windows are known
+        # given D, and the window of the equilibrium delay is rate * h at every t
+        spec = Delayed("equilibrium", Exponential(1.0))
+        stats = path_statistics(spec, [0.5, 1.5], 20_000, seed=2)
+        assert np.mean(np.isnan(stats["age"][:, 0])) > 0.5
+        est = estimate_blackwell(spec, 0.5, 1.0, 20_000, seed=2)
+        assert isinstance(est, ConditionedEstimate) and est.z_against(1.0) <= 4.0
+        assert est.sampler_check.z_against(0.0) <= 4.0
+
+    @pytest.mark.parametrize("law,t,h", [
+        (Deterministic(1.0), 50.5, 0.25),
+        (Lattice(1.0, (0.5, 0.5)), 20.0, 1.0),
+        (Mixture((0.5, 0.5), (Deterministic(1.0), Gamma(2, 2))), 20.0, 1.0),
+    ], ids=["deterministic", "lattice", "mixture-with-an-atom"])
+    def test_atoms_keep_the_plain_mean(self, law, t, h):
+        # the cells of [0, h] and the age table would misplace the atoms: a lattice
+        # window stays the flagged plain mean, and an atom off the lattice the plain mean
+        spec = Plain(law)
+        stats = path_statistics(spec, [t, t + h], 2_000, seed=1)
+        window = stats["count"][:, 1] - stats["count"][:, 0]
+        est = estimate_blackwell(spec, t, h, 2_000, seed=1)
+        assert type(est) is Estimate
+        assert est == _mean_estimate(window, asymptotics._arithmetic_flags(spec))
+        assert bool(est.flags) == law.is_arithmetic()[0]
+
+    @pytest.mark.parametrize("spec", [TWO_STATE, StationaryMA(2, Exponential(1.0))], ids=["modulated", "ma"])
+    def test_other_kinds_keep_the_plain_mean(self, spec):
+        stats = path_statistics(spec, [20.0, 21.0], 2_000, seed=1)
+        est = estimate_blackwell(spec, 20.0, 1.0, 2_000, seed=1)
+        assert type(est) is Estimate
+        assert est == _mean_estimate(stats["count"][:, 1] - stats["count"][:, 0])
+
+
 class TestRate:
     def test_poisson_exact_mean(self):
         # with an event at the origin, E[N(t)]/t = (1 + t)/t exactly
@@ -284,14 +404,14 @@ class TestConditionedOnAge:
         est = estimate_rm_cross(Plain(Exponential(1.0)), 50.0, 20_000, seed=3)
         assert est.value == pytest.approx(-1.0, abs=1e-14) and est.se < 1e-15
         assert est.z_against(-1.0) <= 1e-3 and est.z_against(-1.0 - 1e-6) > 4.0
-        assert est.residual_given_age.z_against(0.0) <= 4.0
-        assert est.residual_given_age.se > 1e-3
+        assert est.sampler_check.z_against(0.0) <= 4.0
+        assert est.sampler_check.se > 1e-3
 
     def test_residual_given_age_is_the_plain_mean(self):
         spec, t = Plain(Gamma(2, 2)), 30.0
         stats = path_statistics(spec, [t], 5_000, seed=4)
         r1, _ = spec.lifetime.residual_moments(stats["age"][:, 0])
-        check = estimate_rm_cross(spec, t, 5_000, seed=4).residual_given_age
+        check = estimate_rm_cross(spec, t, 5_000, seed=4).sampler_check
         assert check == _mean_estimate(stats["residual"][:, 0] - r1)
 
     def test_needs_a_finite_second_moment(self):

@@ -3,6 +3,7 @@
 import io
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -19,7 +20,7 @@ import countproc.cli
 import countproc.renewal_solver
 from countproc.cli import main, validate_config
 from countproc.decomposition import build_reports, reports_to_csv
-from countproc.lifetimes import Deterministic, EquilibriumOf, Exponential, Gamma, ParetoShifted, Uniform
+from countproc.lifetimes import Deterministic, EquilibriumOf, Exponential, Gamma, Lattice, ParetoShifted, Uniform
 from countproc.processes import Delayed, Plain, child_rng, simulate_paths, spec_from_json
 from countproc.renewal_solver import GridFunction, sgibnev_asymptote
 
@@ -447,6 +448,36 @@ class TestRun:
         assert target == pytest.approx(22 / 21, abs=1e-15)
         assert error < 1e-15
 
+    @pytest.mark.parametrize("t,h", [(0.3, 0.5), (0.3, 0.55), (20.0, 1.0)])
+    def test_window_target_gamma_closed_form(self, t, h):
+        # U(x) = 0.75 + x + exp(-4x)/4 for Gamma(2, 2), the event at 0 counted
+        target, error = countproc.cli._window_target(Plain(Gamma(2, 2)), t, h)
+        exact = h + (math.exp(-4.0 * (t + h)) - math.exp(-4.0 * t)) / 4.0
+        assert abs(target - exact) <= error < 1e-4
+
+    @pytest.mark.parametrize("law,t,h,exact", [
+        (Deterministic(1.0), 50.5, 0.25, 0.0),
+        (Lattice(1.0, (0.5, 0.5)), 10.0, 1.0, 2 / 3 - 1 / 3 / 2**11),
+        (Lattice(1.0, (0.5, 0.5)), 9.5, 1.0, 2 / 3 + 1 / 3 / 2**10),
+    ], ids=["deterministic", "lattice-at-an-atom", "lattice-between-atoms"])
+    def test_window_target_lattice_exact(self, law, t, h, exact):
+        # a lattice window (t, t + h] holds one lattice point n, a renewal with
+        # probability u_n = 2/3 + (-1/2)^n / 3 for steps 1 and 2 of mass 1/2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            target, error = countproc.cli._window_target(Plain(law), t, h)
+        assert target == pytest.approx(exact, abs=1e-12) and error < 1e-12
+
+    @pytest.mark.parametrize("spec", [
+        Delayed("equilibrium", Gamma(2, 2)),
+        spec_from_json(MODULATED_SPEC),
+        spec_from_json(MA_SPEC),
+    ], ids=["equilibrium-delay", "modulated", "ma"])
+    def test_window_target_limit(self, spec):
+        # the equilibrium delay's window is rate * h at every t; the other kinds keep the limit
+        target, error = countproc.cli._window_target(spec, 5.0, 0.5)
+        assert target == countproc.asymptotics.spec_rate(spec) * 0.5 and error is None
+
     def test_rate_deterministic_off_default_grid(self, tmp_path, capsys):
         # the t/5000 grid snapped the atom: the target read 1.04724, z=inf at se=0
         cfg = write_config(tmp_path, {
@@ -740,6 +771,74 @@ class TestRun:
         assert main(["run", str(cfg)]) == 1
         assert "FAIL residual-given-age:" in capsys.readouterr().out
 
+    def test_window_rows(self, tmp_path, capsys):
+        # the conditioned window first (perfbench reads rows[0]), then window-given-age against 0
+        cfg = write_config(tmp_path, {"experiment": "blackwell", "spec": GAMMA_SPEC, "t": 20, "h": 1,
+                                      "reps": 5000, "seed": 7, "out": str(tmp_path / "res")})
+        assert main(["run", str(cfg)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in out] == ["PASS blackwell", "PASS window-given-age"]
+        assert "solver error" in out[0] and "limit 1" in out[0] and "g error" in out[0]
+        header, *lines = (tmp_path / "res" / "blackwell.csv").read_text().splitlines()
+        cells = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        assert len(cells) == 2 and cells[1]["target"] == "0"
+        assert float(cells[0]["se"]) < float(cells[1]["se"]) / 4
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.5])
+    def test_heavy_tail_window_against_its_finite_t_value(self, tmp_path, capsys, alpha):
+        # read against the limit rate * h these read z = 33 and 3.4; the finite-t values
+        # are 0.570262 and 1.503673
+        cfg = write_config(tmp_path, {"experiment": "blackwell", "spec": pareto_spec(alpha), "t": 50, "h": 1,
+                                      "reps": 25000, "seed": 3001, "out": str(tmp_path / "res")})
+        assert main(["run", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("PASS blackwell") and "PASS window-given-age" in out
+        target = float(out.split("target=")[1].split()[0])
+        assert target == pytest.approx({1.5: 0.570262, 2.5: 1.503673}[alpha], abs=1e-5)
+
+    @pytest.mark.parametrize("spec,t", [
+        (EXP_SPEC, 0.5), (EXP_SPEC, 5), (EXP_SPEC, 50), (GAMMA_SPEC, 50),
+        ({"kind": "delayed", "delay": "equilibrium", "lifetime": EXP_SPEC["lifetime"]}, 0.5),
+        ({"kind": "delayed", "delay": "equilibrium", "lifetime": EXP_SPEC["lifetime"]}, 5),
+        ({"kind": "delayed", "delay": "equilibrium", "lifetime": EXP_SPEC["lifetime"]}, 50),
+    ], ids=["exp-0.5", "exp-5", "exp-50", "gamma-50", "exp-equilibrium-0.5", "exp-equilibrium-5",
+            "exp-equilibrium-50"])
+    def test_window_passes_and_a_target_1_percent_off_fails(self, tmp_path, capsys, monkeypatch, spec, t):
+        # g is constant on an Exponential law, with an se of about 1e-18 on plain rows:
+        # the check reads the estimate against its quadrature bound.  The equilibrium
+        # delay's rows with no age at t = 0.5 leave an se near 1%
+        cfg = write_config(tmp_path, {"experiment": "blackwell", "spec": spec, "t": t, "h": 1,
+                                      "reps": 25000, "seed": 3001, "out": str(tmp_path / "res")})
+        assert main(["run", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("PASS blackwell") and "PASS window-given-age" in out
+        if t == 0.5 and spec["kind"] == "delayed":
+            return
+        exact = countproc.cli._window_target
+        monkeypatch.setattr(countproc.cli, "_window_target",
+                            lambda spec, t, h: (1.01 * exact(spec, t, h)[0], exact(spec, t, h)[1]))
+        assert main(["run", str(cfg)]) == 1
+        assert capsys.readouterr().out.startswith("FAIL blackwell")
+
+    @pytest.mark.parametrize("law,failing", [("gamma", "blackwell"), ("exponential", "window-given-age")])
+    def test_wrong_sampler_fails_the_window(self, tmp_path, capsys, monkeypatch, law, failing):
+        # Gamma(k, k), k = 2/1.2 (1.2x the variance), drawn for Gamma(2, 2) moves the age
+        # law and the conditioned window reads z = 6.2, while window-given-age reads -0.86;
+        # an Exponential drawn at 1.1x its rate leaves g constant, so only the plain
+        # window-given-age row sees it (z = 14.6)
+        if law == "exponential":
+            draw = Exponential._draw
+            monkeypatch.setattr(Exponential, "_draw", lambda self, rng, size: draw(Exponential(1.1 * self.rate), rng, size))
+            spec = EXP_SPEC
+        else:
+            draw = Gamma._draw
+            monkeypatch.setattr(Gamma, "_draw", lambda self, rng, size: draw(Gamma(2 / 1.2, 2 / 1.2), rng, size))
+            spec = GAMMA_SPEC
+        cfg = write_config(tmp_path, {"experiment": "blackwell", "spec": spec, "t": 20, "h": 1, "reps": 25000,
+                                      "seed": 7, "out": str(tmp_path / "res")})
+        assert main(["run", str(cfg)]) == 1
+        assert f"FAIL {failing}:" in capsys.readouterr().out
+
     @pytest.mark.parametrize("seed", [2, 3, 4])
     def test_variance_order_bound_seeds(self, tmp_path, capsys, monkeypatch, seed):
         # these seeds read spreads 6.7, 10.5 and 21.5 before the estimator was
@@ -755,12 +854,16 @@ class TestRun:
         assert main(["run", str(cfg)]) == 1
         assert capsys.readouterr().out.startswith("FAIL variance-order-bound:")
 
-    @pytest.mark.parametrize("experiment,spec", [("variance", GAMMA_SPEC), ("rm-cross", GAMMA_SPEC),
-                                                 ("variance", pareto_spec(2.5))],
-                             ids=["variance-drift", "rm-cross", "variance-order-bound"])
+    @pytest.mark.parametrize("experiment,spec", [
+        ("variance", GAMMA_SPEC), ("rm-cross", GAMMA_SPEC), ("variance", pareto_spec(2.5)),
+        ("blackwell", GAMMA_SPEC),
+        ("blackwell", {"kind": "delayed", "delay": "equilibrium", "lifetime": GAMMA_SPEC["lifetime"]}),
+    ], ids=["variance-drift", "rm-cross", "variance-order-bound", "blackwell", "blackwell-delayed-equilibrium"])
     def test_conditioned_thread_override_keeps_output(self, tmp_path, experiment, spec):
         # three chunks of paths, joined in chunk order at either thread count
-        cfg = write_config(tmp_path, {"experiment": experiment, "spec": spec, "t": 8, "reps": 40000, "seed": 7})
+        window = {"h": 1} if experiment == "blackwell" else {}
+        cfg = write_config(tmp_path, {"experiment": experiment, "spec": spec, "t": 8, "reps": 40000, "seed": 7,
+                                      **window})
         csvs = []
         for threads in ("1", "2"):
             main(["run", str(cfg), "--out", str(tmp_path / threads), "--threads", threads])

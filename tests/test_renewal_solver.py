@@ -28,7 +28,9 @@ from countproc.renewal_solver import (
     extrapolate,
     fitted_step,
     integrated_second_generator,
+    renewal_function,
     residual_mean_at,
+    residual_mean_change,
     residual_mean_generator,
     residual_second_generator,
     sgibnev_asymptote,
@@ -210,6 +212,44 @@ class TestResidualMeanAt:
         shifted, _ = residual_mean_at(dist, 15.0, 0.01, delay=Deterministic(5.0))
         plain, _ = residual_mean_at(dist, 10.0, 0.01)
         assert shifted == pytest.approx(plain, abs=1e-12)
+
+
+class TestResidualMeanChange:
+    """E[R(t + h)] - E[R(t)] from one solve on [0, t + h], the window target's change."""
+
+    @pytest.mark.parametrize("t,h", [(0.3, 0.5), (0.3, 0.55)], ids=["t-on-grid", "t-off-grid"])
+    def test_gamma_closed_form(self, t, h):
+        # E[R(x)] = 3/4 + exp(-4x)/4; at (t + h)/5000, t = 0.3 is grid point 1875 of the
+        # first grid and lies 0.7 of a cell past grid point 1764 of the second.  The
+        # Richardson value sits about 1e-9 from the closed form (1.5e-5 when E[R(t)] is
+        # read at the grid point before t), inside its reported error of about 5e-6
+        change, error = residual_mean_change(Gamma(2, 2), t, h, (t + h) / 5000)
+        exact = (math.exp(-4.0 * (t + h)) - math.exp(-4.0 * t)) / 4.0
+        assert abs(change - exact) < 1e-8
+        assert error < 1e-5
+
+    def test_delayed_matches_two_point_values(self):
+        # the same two mean residuals read from two solves, each at its own last point
+        dist, delay = Gamma(2, 2), Uniform(0.0, 3.0)
+        change, error = residual_mean_change(dist, 5.0, 1.0, 0.001, delay)
+        late, late_error = residual_mean_at(dist, 6.0, 0.001, delay)
+        early, early_error = residual_mean_at(dist, 5.0, 0.001, delay)
+        assert abs(change - (late - early)) <= error + late_error + early_error
+        assert error < 1e-3
+
+    def test_lattice_on_the_grid_is_exact(self):
+        # Deterministic(1): E[R(x)] = ceil(x) - x off the integers and 1 on them
+        change, error = residual_mean_change(Deterministic(1.0), 50.5, 0.25, 0.01)
+        assert change == pytest.approx(-0.25, abs=1e-12) and error < 1e-12
+
+
+class TestRenewalFunction:
+    def test_gamma_closed_form(self):
+        # U(x) = 0.75 + x + exp(-4x)/4, the event at 0 counted
+        values, error = renewal_function(Gamma(2, 2), 2.0, 0.002)
+        x = 0.002 * np.arange(values.size)
+        assert values.size == 1001
+        assert float(np.max(np.abs(values - (0.75 + x + np.exp(-4.0 * x) / 4.0)))) <= error < 1e-3
 
 
 class TestFittedStep:
