@@ -1,8 +1,9 @@
 """Monte Carlo estimators and closed-form targets for counting-process limits.
 
-Replications are simulated in chunks of rows, one path per row, streamed
-through the column-block sampler of :mod:`countproc.processes`: each block
-is folded into the running counts and residuals at the query times and
+Replications are simulated in chunks of paths, streamed through the
+column-block sampler of :mod:`countproc.processes`: each block, time-major
+with one row per event index and one column per path, is folded along its
+event axis into the running counts and residuals at the query times and
 discarded.  Chunk sizes and block widths depend only on the spec and
 horizon, chunk i draws from ``child_rng(seed, i)``, and chunks are reduced
 in index order, so every estimate is bit-reproducible from the root seed
@@ -258,7 +259,8 @@ def _arithmetic_flags(spec: ProcessSpec) -> tuple[str, ...]:
 def _simulate_chunk(
     spec: ProcessSpec, ts: np.ndarray, rows: int, seed: int, chunk_index: int
 ) -> dict[str, np.ndarray]:
-    """Fold one chunk of paths, streamed in column blocks, into per-path summaries.
+    """Fold one chunk of paths, streamed in time-major column blocks, into
+    per-path summaries.
 
     Per query time t a path's count is the number of its gaps that start at
     or before t, its residual is the first event time after t minus t, and
@@ -273,15 +275,15 @@ def _simulate_chunk(
     if isinstance(spec, Delayed):
         result["delay"] = start
     for active, last, times, _ in blocks:
-        width = times.shape[1]
+        width = times.shape[0]
         for i, t in enumerate(ts):
-            before = np.count_nonzero(times <= t, axis=1)
+            before = np.count_nonzero(times <= t, axis=0)
             open_ = last <= t
             result["count"][active, i] += np.minimum(before + open_, width)
             hit = np.flatnonzero(open_ & (before < width))
             at = before[hit]
-            result["residual"][active[hit], i] = times[hit, at] - t
-            result["age"][active[hit], i] = t - np.where(at > 0, times[hit, at - 1], last[hit])
+            result["residual"][active[hit], i] = times[at, hit] - t
+            result["age"][active[hit], i] = t - np.where(at > 0, times[at - 1, hit], last[hit])
     return result
 
 
@@ -297,8 +299,8 @@ def path_statistics(
     ts = np.asarray(ts, dtype=float)
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    if np.any(ts < 0):
-        raise ValueError("query times must be nonnegative")
+    if not np.all(ts >= 0):  # NaN fails this too
+        raise ValueError(f"query times must be nonnegative numbers, got {ts.tolist()}")
     jobs = [(spec, ts, min(_CHUNK_ROWS, reps - start), seed, i)
             for i, start in enumerate(range(0, reps, _CHUNK_ROWS))]
     if threads > 1 and len(jobs) > 1:

@@ -568,12 +568,13 @@ class EquilibriumOf(LifetimeDistribution):
         m1 = self.base.moment(1)
         lo = np.zeros_like(u)
         hi = np.full_like(u, max(m1, 1.0))
-        for _ in range(200):
-            need = self.base.equilibrium_cdf(hi) < u
-            if not need.any():
+        todo = np.arange(u.size)
+        for _ in range(200):  # double hi on the entries still below their target
+            todo = todo[self.base.equilibrium_cdf(hi[todo]) < u[todo]]
+            if not todo.size:
                 break
-            lo = np.where(need, hi, lo)
-            hi = np.where(need, 2.0 * hi, hi)
+            lo[todo] = hi[todo]
+            hi[todo] *= 2.0
         x = np.maximum(lo, u * m1)
         todo = np.arange(u.size)
         for _ in range(100):
@@ -615,7 +616,8 @@ def _pick(cum: np.ndarray, u):
 
 def _draw_each(laws: Sequence[LifetimeDistribution], idx: np.ndarray, rng) -> np.ndarray:
     """One draw from ``laws[i]`` per entry i of ``idx``, made law by law in
-    order, each law's draws filling its entries in row-major order."""
+    order, each law's draws filling its entries in row-major order: on a
+    time-major sampler block, event index by event index across paths."""
     out = np.empty(np.shape(idx))
     for i, law in enumerate(laws):
         mask = idx == i

@@ -14,11 +14,14 @@ overshoot event, and every query answers per row.  A modulated or
 moving-average path is a marked point process: a mark per event holds
 what is known at that event of the gap after it.
 
-Every path comes from one sampler that draws rows of inter-arrivals in
-column blocks; later blocks go only to rows not yet past the horizon.
-:func:`simulate_paths` assembles a block from them, :func:`simulate_path`
-is its one-row case, and :func:`countproc.asymptotics.path_statistics`
-folds the same blocks into per-path summaries.  The event cap counts the
+Every path comes from one sampler that draws inter-arrivals in column
+blocks; later blocks go only to rows not yet past the horizon.  A column
+block is time-major, one row per event index and one column per path, so
+its draws fill it event index by event index across paths and its event
+times accumulate as contiguous row adds.  :func:`simulate_paths`
+transposes the blocks into its path-major rows, :func:`simulate_path` is
+its one-row case, and :func:`countproc.asymptotics.path_statistics` folds
+the same blocks into per-path summaries.  The event cap counts the
 gaps drawn for a path still at or before the horizon.  Simulation is a
 pure function of (spec, horizon, rows, seed); seeds should be derived with
 :func:`child_rng`.
@@ -265,7 +268,7 @@ def _lookup(path: SamplePath, t):
     t's, or (rows,) + t's for a block) after checking that t lies in
     [0, horizon]: one search per row behind every pathwise query."""
     ts = np.asarray(t, dtype=float).ravel()
-    if np.any(ts < 0) or np.any(ts > path.horizon):
+    if not np.all((ts >= 0) & (ts <= path.horizon)):  # NaN fails this too
         raise ValueError("query times must lie in [0, horizon]")
     n = np.array([np.searchsorted(row, ts, side="right") for row in np.atleast_2d(path.events)])
     return ts, n, path.events.shape[:-1] + np.shape(t)
@@ -300,6 +303,7 @@ def path_from_interarrivals(interarrivals: Sequence[float], horizon: float) -> S
 
 _CHUNK_ROWS = 1 << 14
 _BLOCK_COLS = 256  # widest block: a chunk holds at most _CHUNK_ROWS x _BLOCK_COLS draws
+_ROW_ADD_PATHS = 384  # blocks of this many paths or more accumulate by row adds
 
 
 def _lifetime_laws(spec: ProcessSpec) -> list[LifetimeDistribution]:
@@ -340,51 +344,68 @@ def _block_widths(spec: ProcessSpec, tmax: float) -> tuple[int, Iterator[int]]:
 
 
 def _initial_carry(spec: ProcessSpec, rng: np.random.Generator, rows: int) -> np.ndarray:
-    """Per-row sampler state before the first block: the moving-average
-    pre-roll, the modulated chain's initial state, or nothing."""
+    """Per-path sampler state before the first block, one column per path:
+    the moving-average pre-roll, the modulated chain's initial state, or
+    nothing."""
     if isinstance(spec, StationaryMA):
-        return spec.base.draw(rng, (rows, spec.order - 1))
+        return spec.base.draw(rng, (spec.order - 1, rows))
     if isinstance(spec, Modulated):
         return _pick(np.cumsum(spec.initial_law()), rng.random(rows))
-    return np.empty((rows, 0))
+    return np.empty((0, rows))
 
 
 def _draw_block(spec: ProcessSpec, rng: np.random.Generator, carry: np.ndarray, width: int):
-    """(gaps, carry, marks): ``width`` inter-arrivals for each row of ``carry``.
+    """(gaps, carry, marks): ``width`` inter-arrivals for each path of ``carry``,
+    time-major: row c holds every path's gap c, and the draws fill the
+    block event index by event index across paths.
 
-    ``marks`` has one column per gap plus one for the gap after the block:
+    ``marks`` has one row per gap plus one for the gap after the block:
     the state that governs it (modulated), the sum of the m-1 base draws
     it shares with the gap before (moving average), or None.
     """
-    n = carry.shape[0]
+    n = carry.shape[-1]
     if isinstance(spec, (Plain, Delayed)):
-        return spec.lifetime.draw(rng, (n, width)), carry, None
+        return spec.lifetime.draw(rng, (width, n)), carry, None
     if isinstance(spec, StationaryMA):
-        u = np.concatenate([carry, spec.base.draw(rng, (n, width))], axis=1)
-        gaps = np.lib.stride_tricks.sliding_window_view(u, spec.order, axis=1).mean(axis=2)
-        marks = np.lib.stride_tricks.sliding_window_view(u, spec.order - 1, axis=1).sum(axis=2)
-        return gaps, u[:, width:], marks
+        u = np.concatenate([carry, spec.base.draw(rng, (width, n))])
+        gaps = np.lib.stride_tricks.sliding_window_view(u, spec.order, axis=0).mean(axis=2)
+        marks = np.lib.stride_tricks.sliding_window_view(u, spec.order - 1, axis=0).sum(axis=2)
+        return gaps, u[width:], marks
     # a semi-Markov chain needs only its state path sequentially: walk it
-    # column by column, then draw each state's gaps for the whole block
+    # one event row at a time, then draw each state's gaps for the whole block
     kernel_cum = np.cumsum(spec.kernel_matrix(), axis=1)
-    u = rng.random((n, width))
-    states = np.empty((n, width + 1), dtype=np.intp)
+    u = rng.random((width, n))
+    states = np.empty((width + 1, n), dtype=np.intp)
     for c in range(width):
-        states[:, c] = carry
-        carry = np.minimum((u[:, c, None] >= kernel_cum[carry]).sum(axis=1), len(spec.states) - 1)
-    states[:, width] = carry
-    return _draw_each(_lifetime_laws(spec), states[:, :width], rng), carry, states
+        states[c] = carry
+        carry = np.minimum((u[c, :, None] >= kernel_cum[carry]).sum(axis=1), len(spec.states) - 1)
+    states[width] = carry
+    return _draw_each(_lifetime_laws(spec), states[:width], rng), carry, states
+
+
+def _accumulate(times: np.ndarray) -> None:
+    """Running sums down the rows of a time-major block, in place: one
+    contiguous row add per event index when the block has at least
+    ``_ROW_ADD_PATHS`` paths, else one ``cumsum``, which pays no per-call
+    cost on a block of few paths.  Both add each path's gaps left to right,
+    so they give the bits of a row-wise ``cumsum``."""
+    if times.shape[1] >= _ROW_ADD_PATHS:
+        for c in range(1, times.shape[0]):
+            np.add(times[c - 1], times[c], out=times[c])
+    else:
+        np.cumsum(times, axis=0, out=times)
 
 
 def _column_blocks(spec, tmax, rows, rng):
     """The one sampler behind every simulated path.
 
-    Yields first ``start``: each row's start (its delay, or 0).  Then per
-    block ``(active, last, times, marks)`` for the rows ``active`` still at
-    or before ``tmax``: their last event time before the block, the block's
-    event times accumulated from it and the marks of :func:`_draw_block`.
-    Raises :class:`EventCapExceeded` when a still-active row has drawn more
-    than ``DEFAULT_EVENT_CAP`` gaps.
+    Yields first ``start``: each path's start (its delay, or 0).  Then per
+    block ``(active, last, times, marks)`` for the paths ``active`` still
+    at or before ``tmax``: their last event time before the block, the
+    block's event times accumulated from it, time-major (one row per event
+    index, one column per active path), and the marks of
+    :func:`_draw_block`.  Raises :class:`EventCapExceeded` when a
+    still-active path has drawn more than ``DEFAULT_EVENT_CAP`` gaps.
     """
     _, widths = _block_widths(spec, tmax)
     if isinstance(spec, Delayed):
@@ -393,7 +414,7 @@ def _column_blocks(spec, tmax, rows, rng):
         start = np.zeros(rows)
     yield start
     active = np.flatnonzero(start <= tmax)
-    last, carry = start[active], _initial_carry(spec, rng, rows)[active]
+    last, carry = start[active], _initial_carry(spec, rng, rows)[..., active]
     drawn = 0
     for width in widths:
         if not active.size:
@@ -401,12 +422,12 @@ def _column_blocks(spec, tmax, rows, rng):
         drawn += width
         if drawn > DEFAULT_EVENT_CAP:
             raise EventCapExceeded(f"a path needs over {DEFAULT_EVENT_CAP} events, the event cap")
-        gaps, carry, marks = _draw_block(spec, rng, carry, width)
-        gaps[:, 0] += last
-        times = np.cumsum(gaps, axis=1, out=gaps)
+        times, carry, marks = _draw_block(spec, rng, carry, width)
+        times[0] += last
+        _accumulate(times)
         yield active, last, times, marks
-        keep = times[:, -1] <= tmax
-        active, last, carry = active[keep], times[keep, -1], carry[keep]
+        keep = times[-1] <= tmax
+        active, last, carry = active[keep], times[-1, keep], carry[..., keep]
 
 
 def simulate_paths(spec: ProcessSpec, horizon: float, rows: int, rng: np.random.Generator) -> SamplePath:
@@ -420,16 +441,16 @@ def simulate_paths(spec: ProcessSpec, horizon: float, rows: int, rng: np.random.
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     start, *blocks = _column_blocks(spec, float(horizon), rows, rng)
-    cols = 1 + sum(times.shape[1] for _, _, times, _ in blocks)
+    cols = 1 + sum(times.shape[0] for _, _, times, _ in blocks)
     events = np.full((rows, cols), np.inf)
     events[:, 0] = start
     marks = None if not blocks or blocks[0][3] is None else np.zeros((rows, cols), blocks[0][3].dtype)
     col = 1
     for active, _, times, block_marks in blocks:
-        width = times.shape[1]
-        events[active, col : col + width] = times
+        width = times.shape[0]
+        events[active, col : col + width] = times.T
         if marks is not None:  # a block's last mark is the next block's first
-            marks[active, col - 1 : col + width] = block_marks
+            marks[active, col - 1 : col + width] = block_marks.T
         col += width
     del blocks  # free the drawn blocks before the passes below
     events[:, 1:][events[:, :-1] > horizon] = np.inf  # drop the events after each overshoot

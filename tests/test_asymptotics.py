@@ -656,14 +656,15 @@ class Recording(LifetimeDistribution):
 def replay(blocks, start, tmax):
     """Per-row event times rebuilt from the recorded blocks.
 
-    Each block holds one row per path still at or before tmax, in row
-    order; event times accumulate from the start point like a running sum.
+    Each block is time-major, one column per path still at or before
+    tmax, in row order; event times accumulate from the start point like
+    a running sum.
     """
     gaps = [[] for _ in start]
     active = [r for r, s in enumerate(start) if s <= tmax]
     for block in blocks:
-        assert block.shape[0] == len(active)
-        for r, row in zip(active, block):
+        assert block.shape[1] == len(active)
+        for r, row in zip(active, block.T):
             gaps[r].extend(row)
         active = [r for r in active if np.cumsum([start[r], *gaps[r]])[-1] <= tmax]
     assert not active
@@ -731,3 +732,12 @@ class TestEventCap:
         monkeypatch.setattr(processes, "DEFAULT_EVENT_CAP", 200)
         stats = path_statistics(Plain(Exponential(1.0)), [50.0], 1_000, seed=0)
         assert stats["count"].max() < 200
+
+    def test_query_times_must_be_numbers(self):
+        # NaN passes a `< 0` test; it is named, not left to fail in the sampler
+        with pytest.raises(ValueError, match="query times must be nonnegative"):
+            path_statistics(Plain(Exponential(1.0)), [1.0, float("nan")], 10, seed=0)
+        with pytest.raises(ValueError, match="query times"):
+            path_statistics(Plain(Exponential(1.0)), [-1.0], 10, seed=0)
+        with pytest.raises(EventCapExceeded):
+            path_statistics(Plain(Exponential(1.0)), [math.inf], 10, seed=0)

@@ -88,8 +88,11 @@ class TestSimulate:
         # u = 0.0 draws the ParetoShifted gap 0, floored to 1e-300, which
         # vanishes when added to the event time before it
         p = simulate_paths(Plain(ParetoShifted(3.0)), 20.0, 4, ZeroOnce(1))
-        assert p.events[0, 5] > 0.0
-        assert p.events[0, 6] == np.nextafter(p.events[0, 5], np.inf)
+        # a block fills event index by event index across its 4 paths, so
+        # entry 5 of the first draw is gap `gap` of path `row`
+        gap, row = divmod(5, 4)
+        assert p.events[row, gap] > 0.0
+        assert p.events[row, gap + 1] == np.nextafter(p.events[row, gap], np.inf)
         ev = p.events
         assert np.all((ev[:, 1:] > ev[:, :-1]) | (ev[:, 1:] == np.inf))
 
@@ -195,6 +198,52 @@ class TestEngineAgreement:
             np.testing.assert_allclose(p.marks[1:], 2 * p.interarrivals - p.marks[:-1],
                                        rtol=1e-9, atol=1e-9)
 
+    @pytest.mark.parametrize("shape", [(256, 1000), (256, 40), (256, 1)], ids=["wide", "narrow", "one-row"])
+    @pytest.mark.parametrize("row_adds_from", [1, 10**9], ids=["row-adds", "cumsum"])
+    def test_accumulation_branches_agree(self, monkeypatch, shape, row_adds_from):
+        # either way of summing a time-major block down its rows gives the
+        # bits of a row-wise cumsum of each path's gaps
+        monkeypatch.setattr(processes, "_ROW_ADD_PATHS", row_adds_from)
+        gaps = Gamma(2, 2).draw(np.random.default_rng(3), shape)
+        gaps[0] += 1e3 * np.random.default_rng(4).random(shape[1])  # a start to round against
+        times = gaps.copy()
+        processes._accumulate(times)
+        assert np.array_equal(times, np.cumsum(gaps.T, axis=1).T)
+
+    @pytest.mark.parametrize("spec", [Plain(Gamma(2, 2)), Plain(ParetoShifted(2.5))], ids=["gamma", "pareto"])
+    def test_one_row_path_keeps_its_stream(self, spec):
+        # a one-row block, (w, 1) time-major, is the (1, w) draw of a
+        # path-major block: the path sums one such draw per block, in order
+        horizon, seed = 2_000.0, 5
+        p = simulate_path(spec, horizon, seed)
+        rng = np.random.default_rng(seed)
+        _, widths = processes._block_widths(spec, horizon)
+        events = np.zeros(1)
+        while events[-1] <= horizon:
+            gaps = spec.lifetime.draw(rng, (1, next(widths)))[0]
+            events = np.concatenate([events, np.cumsum([events[-1], *gaps])[1:]])
+        kept = np.searchsorted(events, horizon, side="right") + 1
+        assert p.events.size > processes._BLOCK_COLS  # the path spans several blocks
+        assert np.array_equal(p.events, events[:kept])
+
+    def test_marks_line_up_with_their_events(self):
+        # across 300 paths and several blocks: a modulated gap is the
+        # Deterministic lifetime of the state marked at the event before it;
+        # gap i of an MA(3) reveals the base draw U_i = 3 T_i - mark_i, and
+        # the mark at event i is the two revealed before it, U_{i-2} + U_{i-1}
+        chain = Modulated(states=("a", "b"), kernel=((0.3, 0.7), (0.6, 0.4)),
+                          lifetimes={"a": Deterministic(1.0), "b": Deterministic(2.0)})
+        paths = simulate_paths(chain, 600.0, 300, child_rng(6, 0))
+        for r in range(300):
+            p = paths[r]
+            assert np.array_equal(p.interarrivals, np.array([1.0, 2.0])[p.marks[:-1]])
+        paths = simulate_paths(StationaryMA(3, Exponential(1.0)), 600.0, 300, child_rng(6, 0))
+        assert np.isfinite(paths.events).sum(axis=1).max() > 2 * processes._BLOCK_COLS
+        for r in range(300):
+            p = paths[r]
+            u = 3 * p.interarrivals - p.marks[:-1]
+            np.testing.assert_allclose(p.marks[2:], u[:-1] + u[1:], rtol=0, atol=1e-9)
+
     @pytest.mark.parametrize("spec,horizon", [
         *((spec, 600.0) for spec in ENGINE_SPECS.values()),
         (Delayed(Deterministic(5.0), Gamma(2, 2)), 1.0),
@@ -207,12 +256,12 @@ class TestEngineAgreement:
         start, *blocks = processes._column_blocks(spec, horizon, rows, child_rng(29, 0))
         times, marks, last_drawn, drawn = [[s] for s in start], [[] for _ in start], [0] * rows, 0
         for active, _, block_times, block_marks in blocks:
-            for j, r in enumerate(active):
+            for j, r in enumerate(active):  # a block is time-major: column j is path active[j]
                 if block_marks is not None:  # a block's first mark is the previous block's last
-                    marks[r][len(times[r]) - 1 :] = block_marks[j].tolist()
-                times[r] += block_times[j].tolist()
+                    marks[r][len(times[r]) - 1 :] = block_marks[:, j].tolist()
+                times[r] += block_times[:, j].tolist()
                 last_drawn[r] = drawn
-            drawn += block_times.shape[1]
+            drawn += block_times.shape[0]
         events = np.full((rows, max(map(len, times))), np.inf)
         for r, row in enumerate(times):
             kept = np.searchsorted(row, horizon, side="right") + 1
@@ -274,6 +323,8 @@ class TestQueries:
             count(p, 5.5)
         with pytest.raises(ValueError):
             residual(p, -0.1)
+        with pytest.raises(ValueError, match="query times"):  # NaN passes `< 0` and `> horizon`
+            count(p, [1.0, float("nan")])
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6))
