@@ -4,10 +4,16 @@ Replications are simulated in chunks of paths, streamed through the
 column-block sampler of :mod:`countproc.processes`: each block, time-major
 with one row per event index and one column per path, is folded along its
 event axis into the running counts and residuals at the query times and
-discarded.  Chunk sizes and block widths depend only on the spec and
-horizon, chunk i draws from ``child_rng(seed, i)``, and chunks are reduced
-in index order, so every estimate is bit-reproducible from the root seed
-and independent of the number of worker threads.
+discarded.  A Gamma-family path's jump over its first k events (see
+:mod:`countproc.processes`) is folded as k gaps that all start at or
+before every query time, unless some path's jump ends after the first
+query time; only then are its events filled in and folded as blocks.
+Either way each path's summaries are those of the path
+:func:`countproc.processes.simulate_paths` keeps from the same stream.
+Chunk sizes, block widths and jumps depend only on the spec and horizon,
+chunk i draws from ``child_rng(seed, i)``, and chunks are reduced in index
+order, so every estimate is bit-reproducible from the root seed and
+independent of the number of worker threads.
 
 Closed-form constants (the long-run rate of a modulated process, the
 variance-drift constant for laws with three finite moments, the
@@ -47,6 +53,7 @@ rounding or its numerical error, not against a bar of 1e-17 or 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -266,14 +273,21 @@ def _simulate_chunk(
     or before t, its residual is the first event time after t minus t, and
     its age is t minus the last event at or before t (NaN on a delayed row
     whose delay exceeds t); both events are read from the block that holds
-    the gap across t.
+    the gap across t.  A jump (``processes._Jump``) is filled in only when
+    some path's jump ends after the first query time; otherwise its k gaps
+    all start at or before every t, and it adds k to each count.
     """
     blocks = _column_blocks(spec, float(np.max(ts)), rows, child_rng(seed, chunk_index))
-    start = next(blocks)
+    start, jumped = next(blocks), next(blocks)
     result = {"count": np.zeros((rows, ts.size)), "residual": start[:, None] - ts,
               "age": np.full((rows, ts.size), np.nan)}
     if isinstance(spec, Delayed):
         result["delay"] = start
+    if jumped is not None:
+        if np.any(jumped.end > np.min(ts)):
+            blocks = itertools.chain(jumped.blocks(), blocks)
+        else:
+            result["count"][jumped.active] += jumped.k
     for active, last, times, _ in blocks:
         width = times.shape[0]
         for i, t in enumerate(ts):
@@ -284,6 +298,7 @@ def _simulate_chunk(
             at = before[hit]
             result["residual"][active[hit], i] = times[at, hit] - t
             result["age"][active[hit], i] = t - np.where(at > 0, times[at - 1, hit], last[hit])
+        del times  # free the block before the next is drawn: two at once can cost fresh pages
     return result
 
 

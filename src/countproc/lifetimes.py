@@ -121,8 +121,9 @@ class LifetimeDistribution(_Wire):
     ``is_arithmetic`` and ``atoms`` for laws with atoms.  ``tail``, ``moment``,
     ``excess_second_moment`` and ``_integrated_excess`` derive from the
     excess moment; laws whose moments can diverge override
-    ``_integrated_excess``, whose default needs ``E[T^(k+1)] < inf``.
-    A subclass ``__post_init__`` calls this one first.
+    ``_integrated_excess``, whose default needs ``E[T^(k+1)] < inf``;
+    only the Gamma family overrides ``sum_law``.  A subclass
+    ``__post_init__`` calls this one first.
     """
 
     def __post_init__(self):
@@ -199,6 +200,15 @@ class LifetimeDistribution(_Wire):
         """The law's discrete part: a (location, mass) pair per atom, [] for none."""
         return []
 
+    def sum_law(self, k: int) -> LifetimeDistribution | None:
+        """The law of T_1 + ... + T_k for k >= 1 i.i.d. draws, or None.
+
+        Only the Gamma family answers: there the shares T_i / (T_1 + ...
+        + T_k) are independent of the sum (Lukacs 1955), which the sampler
+        needs to jump a path k events with one draw of it.
+        """
+        return None
+
     # -- derived quantities -------------------------------------------------
 
     def tail(self, x):
@@ -262,6 +272,9 @@ class Exponential(LifetimeDistribution):
 
     def _draw(self, rng, size):
         return rng.exponential(1.0 / self.rate, size)
+
+    def sum_law(self, k):
+        return Gamma(k, self.rate)
 
 
 @dataclass(frozen=True)
@@ -337,6 +350,9 @@ class Gamma(LifetimeDistribution):
                     np.log(xs, out=xs)
                     np.multiply(xs, -1.0 / self.rate, out=xs)
         return x
+
+    def sum_law(self, k):
+        return Gamma(k * self.shape, self.rate)
 
 
 @dataclass(frozen=True)

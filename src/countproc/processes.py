@@ -25,6 +25,17 @@ the same blocks into per-path summaries.  The event cap counts the
 gaps drawn for a path still at or before the horizon.  Simulation is a
 pure function of (spec, horizon, rows, seed); seeds should be derived with
 :func:`child_rng`.
+
+A plain or delayed path whose lifetime law is of the Gamma family
+(Exponential included) first jumps k events with one draw of their sum,
+whose law ``sum_law(k)`` is Gamma in closed form; k depends only on (spec,
+horizon) and leaves a chance of at most 1e-9 that the jump ends past the
+horizon.  The shares of the k gaps in their sum are independent of it
+(Lukacs 1955), so the events inside the jump are a Dirichlet bridge drawn
+from a generator of their own, only when a consumer needs them:
+:func:`simulate_paths` always, the Monte Carlo fold only when a query time
+falls inside some path's jump.  Either way the sampler's stream, and every
+event after the jump, is the same, and the path is exact in law.
 """
 
 from __future__ import annotations
@@ -304,6 +315,9 @@ def path_from_interarrivals(interarrivals: Sequence[float], horizon: float) -> S
 _CHUNK_ROWS = 1 << 14
 _BLOCK_COLS = 256  # widest block: a chunk holds at most _CHUNK_ROWS x _BLOCK_COLS draws
 _ROW_ADD_PATHS = 384  # blocks of this many paths or more accumulate by row adds
+# Largest chance that a path's jump (see _Jump) ends past the horizon.  It
+# sets only how often a chunk fills its jumps in: a jump is exact either way.
+_JUMP_TAIL = 1e-9
 
 
 def _lifetime_laws(spec: ProcessSpec) -> list[LifetimeDistribution]:
@@ -314,17 +328,21 @@ def _lifetime_laws(spec: ProcessSpec) -> list[LifetimeDistribution]:
     return [spec.base]
 
 
-def _block_widths(spec: ProcessSpec, tmax: float) -> tuple[int, Iterator[int]]:
-    """(cover, widths): the column widths of a chunk's successive blocks,
-    which depend only on (spec, tmax), and their sum before the stragglers.
+def _block_widths(spec: ProcessSpec, tmax: float) -> tuple[int, int, Iterator[int]]:
+    """(cover, jump, widths), which depend only on (spec, tmax): ``jump``,
+    the events a path jumps with one draw (see :class:`_Jump`); ``widths``,
+    the column widths of a chunk's successive blocks after them; and
+    ``cover``, the jump plus the widths before the stragglers.
 
     Blocks of at most ``_BLOCK_COLS`` columns cover the mean event count up
     to ``tmax`` plus one standard deviation; blocks of about one standard
     deviation follow for the rows still at or before ``tmax``.  The mean
     gap is taken as the average over the spec's lifetime laws, exact for a
-    modulated chain whose stationary law is uniform.  Raises
-    :class:`EventCapExceeded`, before anything is drawn, when the mean
-    count alone is over ``DEFAULT_EVENT_CAP``.
+    modulated chain whose stationary law is uniform.  The jump is
+    :func:`_jump_length` on a plain or delayed spec whose lifetime law has
+    a ``sum_law``, else 0.  Raises :class:`EventCapExceeded`, before
+    anything is drawn, when the mean count alone is over
+    ``DEFAULT_EVENT_CAP``.
     """
     laws = _lifetime_laws(spec)
     mean = sum(d.moment(1) for d in laws) / len(laws)
@@ -336,11 +354,26 @@ def _block_widths(spec: ProcessSpec, tmax: float) -> tuple[int, Iterator[int]]:
         )
     sd = events**0.75 if math.isinf(var) else math.sqrt(var * events) / mean
     cover = int(events + sd) + 1
-    full, rest = divmod(cover, _BLOCK_COLS)
-    return cover, itertools.chain(
+    jumps = isinstance(spec, (Plain, Delayed)) and spec.lifetime.sum_law(1) is not None
+    jump = _jump_length(spec.lifetime, tmax, cover) if jumps else 0
+    full, rest = divmod(cover - jump, _BLOCK_COLS)
+    return cover, jump, itertools.chain(
         itertools.repeat(_BLOCK_COLS, full), [rest] if rest else [],
         itertools.repeat(min(_BLOCK_COLS, max(16, int(sd)))),
     )
+
+
+def _jump_length(law: LifetimeDistribution, tmax: float, most: int) -> int:
+    """The largest k <= ``most`` whose sum law puts at most ``_JUMP_TAIL`` of
+    its mass past ``tmax``, by bisection: P(S_k > tmax) increases with k."""
+    lo, hi = 0, most + 1  # P(S_lo > tmax) <= _JUMP_TAIL, and hi is past the answer
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if law.sum_law(mid).tail(tmax) <= _JUMP_TAIL:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _initial_carry(spec: ProcessSpec, rng: np.random.Generator, rows: int) -> np.ndarray:
@@ -396,18 +429,73 @@ def _accumulate(times: np.ndarray) -> None:
         np.cumsum(times, axis=0, out=times)
 
 
+@dataclass(frozen=True)
+class _Jump:
+    """The first ``k`` events of the paths ``active`` after their start
+    ``last``, jumped with one draw: ``end`` = ``last`` + ``total``, with
+    ``total`` drawn from ``law.sum_law(k)``.
+
+    The shares of the k gaps in their sum are Dirichlet and independent of
+    it (Lukacs 1955), so :meth:`blocks` can fill the events in afterwards
+    from a generator of their own, seeded by ``seed``, exactly in law; the
+    sampler's stream is the same whether they are filled in or not.
+    """
+
+    law: LifetimeDistribution
+    k: int
+    seed: int
+    active: np.ndarray
+    last: np.ndarray
+    total: np.ndarray
+    end: np.ndarray
+
+    def blocks(self):
+        """The k events as the ``(active, last, times, None)`` blocks of
+        :func:`_column_blocks`, ``_BLOCK_COLS`` events or fewer each: a
+        Dirichlet bridge in two levels.  The segments of ``_BLOCK_COLS``
+        events share ``total`` in the running sums of one ``sum_law`` draw
+        each; a segment's events share its length in the running sums of
+        its gaps, one ``law`` draw each.  A segment ends at its share's
+        boundary exactly, the last one at ``end``."""
+        rng, n = np.random.default_rng(self.seed), self.active.size
+        full, rest = divmod(self.k, _BLOCK_COLS)
+        sizes = [_BLOCK_COLS] * full + [rest] * (rest > 0)
+        ends = self.end[None]
+        if len(sizes) > 1:
+            sums = self.law.sum_law(_BLOCK_COLS).draw(rng, (full, n))
+            if rest:
+                sums = np.concatenate([sums, self.law.sum_law(rest).draw(rng, (1, n))])
+            _accumulate(sums)
+            ends = sums * (self.total / sums[-1]) + self.last
+            ends[-1] = self.end
+        last = self.last
+        for size, end in zip(sizes, ends):
+            times = self.law.draw(rng, (size, n))
+            _accumulate(times)
+            times *= (end - last) / times[-1]
+            times += last
+            times[-1] = end
+            yield self.active, last, times, None
+            last = end
+
+
 def _column_blocks(spec, tmax, rows, rng):
     """The one sampler behind every simulated path.
 
-    Yields first ``start``: each path's start (its delay, or 0).  Then per
-    block ``(active, last, times, marks)`` for the paths ``active`` still
-    at or before ``tmax``: their last event time before the block, the
-    block's event times accumulated from it, time-major (one row per event
-    index, one column per active path), and the marks of
-    :func:`_draw_block`.  Raises :class:`EventCapExceeded` when a
-    still-active path has drawn more than ``DEFAULT_EVENT_CAP`` gaps.
+    Yields first ``start``: each path's start (its delay, or 0).  Then the
+    :class:`_Jump` of the paths at or before ``tmax``, or None when
+    :func:`_block_widths` gives no jump or no path is.  Then per block
+    ``(active, last, times, marks)`` for the paths ``active`` still at or
+    before ``tmax``: their last event time before the block, the block's
+    event times accumulated from it, time-major (one row per event index,
+    one column per active path), and the marks of :func:`_draw_block`.
+    A jumped path is active after its jump when its ``end`` is at or
+    before ``tmax``, with ``last`` its ``end``.  The stream draws the
+    starts, then, for a jump, one seed for its bridge and the totals, then
+    the blocks.  Raises :class:`EventCapExceeded` when a still-active path
+    has drawn (or jumped) more than ``DEFAULT_EVENT_CAP`` gaps.
     """
-    _, widths = _block_widths(spec, tmax)
+    _, jump, widths = _block_widths(spec, tmax)
     if isinstance(spec, Delayed):
         start = np.asarray(spec.delay.draw(rng, rows), float)
     else:
@@ -415,7 +503,16 @@ def _column_blocks(spec, tmax, rows, rng):
     yield start
     active = np.flatnonzero(start <= tmax)
     last, carry = start[active], _initial_carry(spec, rng, rows)[..., active]
-    drawn = 0
+    if jump and active.size:
+        seed = int(rng.integers(2**63))
+        total = spec.lifetime.sum_law(jump).draw(rng, active.size)
+        jumped = _Jump(spec.lifetime, jump, seed, active, last, total, last + total)
+        yield jumped
+        keep = jumped.end <= tmax
+        active, last, carry = active[keep], jumped.end[keep], carry[..., keep]
+    else:
+        yield None
+    drawn = jump
     for width in widths:
         if not active.size:
             return
@@ -434,13 +531,16 @@ def simulate_paths(spec: ProcessSpec, horizon: float, rows: int, rng: np.random.
     """A block of ``rows`` paths of ``spec`` covering [0, horizon], allocated
     once and filled from the column blocks: with ``rng = child_rng(seed, i)``
     and ``horizon`` the largest query time, the rows are the paths that chunk
-    i of :func:`countproc.asymptotics.path_statistics` summarizes.  Raises
-    :class:`EventCapExceeded` when a path still at or before the horizon
-    has drawn more than ``DEFAULT_EVENT_CAP`` gaps.
+    i of :func:`countproc.asymptotics.path_statistics` summarizes, each with
+    its jump (:class:`_Jump`) filled in.  Raises :class:`EventCapExceeded`
+    when a path still at or before the horizon has drawn more than
+    ``DEFAULT_EVENT_CAP`` gaps.
     """
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    start, *blocks = _column_blocks(spec, float(horizon), rows, rng)
+    start, jumped, *blocks = _column_blocks(spec, float(horizon), rows, rng)
+    if jumped is not None:  # a kept path holds every event: fill its jump in
+        blocks[:0] = jumped.blocks()
     cols = 1 + sum(times.shape[0] for _, _, times, _ in blocks)
     events = np.full((rows, cols), np.inf)
     events[:, 0] = start
@@ -463,7 +563,7 @@ def simulate_paths(spec: ProcessSpec, horizon: float, rows: int, rng: np.random.
 def paths_per_chunk(spec: ProcessSpec, horizon: float) -> int:
     """Rows per :func:`simulate_paths` call whose kept events fit one chunk's
     draw budget of ``_CHUNK_ROWS x _BLOCK_COLS`` values (at least one row)."""
-    cover, _ = _block_widths(spec, horizon)
+    cover, _, _ = _block_widths(spec, horizon)
     return max(1, _CHUNK_ROWS * _BLOCK_COLS // cover)
 
 

@@ -139,8 +139,14 @@ def test_criterion_05_quadratic_variation(chunk_paths):
     started = time.perf_counter()
     t, rate, sigma2 = 20.0, 1.0, 1.0
     stats = path_statistics(Plain(Exponential(1.0)), [t], 100_000, seed=5001)
-    optional = np.concatenate([optional_quadratic_variation(paths, rate, t)
-                               for paths in chunk_paths(Plain(Exponential(1.0)), t, 100_000, 5001)])
+    optional, counts = [], []
+    for paths in chunk_paths(Plain(Exponential(1.0)), t, 100_000, 5001):
+        optional.append(optional_quadratic_variation(paths, rate, t))
+        counts.append(count(paths, t))
+    optional = np.concatenate(optional)
+    # [M] comes from the kept paths, whose jumps are filled in, and <M> from
+    # the fold's counts: the rows must be the same paths for the differences
+    assert np.array_equal(np.concatenate(counts), stats["count"][:, 0])
     predictable = rate**2 * sigma2 * stats["count"][:, 0]
     noise = stats["count"][:, 0] - rate * (t + stats["residual"][:, 0])
     squared = noise**2

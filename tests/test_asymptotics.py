@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from countproc import processes
 from countproc.lifetimes import (
@@ -520,10 +521,12 @@ class TestDiffusion:
     @pytest.mark.parametrize("seed", [12001, 12002, 12003])
     def test_wrong_sampler_variance_fails_wald_second(self, monkeypatch, seed):
         # Gamma(k, k) with k = 2/1.2 (mean 1, variance 1.2 x 1/2) is drawn where
-        # rate and var T are the nominal Gamma(2, 2)'s, at the benchmark's size
-        k = 2 / 1.2
+        # rate and var T are the nominal Gamma(2, 2)'s, at the benchmark's size.
+        # The fault is a function of the law, so a jump's sum law Gamma(2j, 2)
+        # draws Gamma(2j/1.2, 2/1.2), the sum of j wrong gaps
         draw = Gamma._draw
-        monkeypatch.setattr(Gamma, "_draw", lambda self, rng, size: draw(Gamma(k, k), rng, size))
+        monkeypatch.setattr(Gamma, "_draw",
+                            lambda self, rng, size: draw(Gamma(self.shape / 1.2, self.rate / 1.2), rng, size))
         res = diffusion_scaling(Plain(Gamma(2, 2)), 10**4, 1.0, 2_500, seed=seed)
         assert res.wald_second_mean.z_against(res.wald_second_target) > 4.0
         # psi and its control move together: the controlled variance cannot see the fault
@@ -597,9 +600,9 @@ class TestReproducibility:
         assert a.value != b.value
 
     @staticmethod
-    def _assert_thread_invariant(spec):
-        seq = path_statistics(spec, [5.0], 40_000, seed=101, threads=1)
-        par = path_statistics(spec, [5.0], 40_000, seed=101, threads=2)
+    def _assert_thread_invariant(spec, ts=(5.0,), reps=40_000):
+        seq = path_statistics(spec, ts, reps, seed=101, threads=1)
+        par = path_statistics(spec, ts, reps, seed=101, threads=2)
         assert seq.keys() == par.keys()
         for key in seq:  # a delayed row's age is NaN while its delay exceeds t
             assert np.array_equal(seq[key], par[key], equal_nan=True)
@@ -614,6 +617,13 @@ class TestReproducibility:
     )
     def test_thread_count_invariance_other_kinds(self, spec):
         self._assert_thread_invariant(spec)
+
+    @pytest.mark.parametrize("ts,reps", [([100.0], 40_000), ([1e4], 20_000), ([0.5, 100.0], 40_000)],
+                             ids=["variance", "diffusion", "bridged"])
+    def test_thread_count_invariance_of_jumps(self, ts, reps):
+        # the variance and diffusion configs' horizons, two or more chunks: each
+        # chunk's jumps, filled in or not, come from that chunk's stream
+        self._assert_thread_invariant(Plain(Gamma(2, 2)), ts, reps)
 
     @pytest.mark.parametrize("estimator,spec", [
         (estimate_rate, Plain(Gamma(2, 2))),
@@ -683,8 +693,10 @@ class TestBlockKernel:
         stats = path_statistics(spec, ts, 300, seed=41)
         tmax = max(ts)
         # the quadratic variation from the block of the same chunk, drawn from
-        # the unrecorded laws so that the recorded blocks stay the engine's
-        plain = Plain(Gamma(2, 2)) if kind == "plain" else Delayed(Uniform(0.0, 8.0), Gamma(2, 2))
+        # second recorders so that the recorded blocks stay the engine's; a
+        # Recording law has no sum_law, so neither stream jumps
+        plain = (Plain(Recording(Gamma(2, 2))) if kind == "plain"
+                 else Delayed(Recording(Uniform(0.0, 8.0)), Recording(Gamma(2, 2))))
         qv = optional_quadratic_variation(simulate_paths(plain, tmax, 300, child_rng(41, 0)), 0.5, ts)
         if kind == "delayed":
             start = delay.blocks[0]
@@ -718,6 +730,76 @@ class TestBlockKernel:
         want = np.where(n > 0, np.asarray(ts) - last, np.nan)
         assert np.array_equal(stats["age"], want, equal_nan=True)
         assert np.isnan(stats["age"]).any() == isinstance(spec, Delayed)
+
+
+@dataclass(frozen=True)
+class NoSumLaw(LifetimeDistribution):
+    """Test double: ``base``'s law without a sum law, so its paths never jump."""
+
+    base: LifetimeDistribution
+
+    def _excess_moment(self, k, t):
+        return self.base._excess_moment(k, t)
+
+    def _truncated_mean(self, v):
+        return self.base._truncated_mean(v)
+
+    def _draw(self, rng, size):
+        return self.base._draw(rng, size)
+
+
+class TestJump:
+    """Jumping a Gamma-family path's first k events with one draw of their
+    sum, and filling them in from a Dirichlet bridge, is exact in law."""
+
+    def test_unfilled_and_filled_jumps_give_the_same_rows(self):
+        # at ts = [100] no jump is filled in; at [0.5, 100] every chunk's is,
+        # from a generator of its own: the t = 100 rows are the same bits
+        spec = Plain(Gamma(2, 2))
+        alone = path_statistics(spec, [100.0], 20_000, seed=61)
+        bridged = path_statistics(spec, [0.5, 100.0], 20_000, seed=61)
+        for key in ("count", "residual", "age"):
+            assert np.array_equal(alone[key][:, 0], bridged[key][:, 1])
+        assert processes._block_widths(spec, 100.0)[1] == 60
+
+    @pytest.mark.parametrize("spec,wrapped", [
+        (Plain(Gamma(2, 2)), Plain(NoSumLaw(Gamma(2, 2)))),
+        (Delayed(Uniform(0.0, 3.0), Gamma(0.5, 0.5)), Delayed(Uniform(0.0, 3.0), NoSumLaw(Gamma(0.5, 0.5)))),
+        (Plain(Exponential(2.0)), Plain(NoSumLaw(Exponential(2.0)))),
+    ], ids=["gamma", "delayed-gamma", "exponential"])
+    @pytest.mark.parametrize("ts", [[60.0], [3.0, 60.0]], ids=["unfilled", "filled"])
+    def test_same_law_as_gap_by_gap(self, spec, wrapped, ts):
+        # two-sample KS of N, R and the age at each t against the same law
+        # drawn gap by gap, on independent seeds
+        assert processes._block_widths(spec, 60.0)[1] > 0
+        assert processes._block_widths(wrapped, 60.0)[1] == 0
+        a = path_statistics(spec, ts, 20_000, seed=1)
+        b = path_statistics(wrapped, ts, 20_000, seed=2)
+        for key in ("count", "residual", "age"):
+            for i in range(len(ts)):
+                x, y = a[key][:, i], b[key][:, i]
+                assert scipy_stats.ks_2samp(x[~np.isnan(x)], y[~np.isnan(y)]).pvalue > 1e-3
+
+    def test_long_jump_has_the_gap_by_gap_law(self):
+        # at t = 10^3 a Gamma(2, 2) path jumps 869 events, filled in as four
+        # segments whose ends split the jump by their Gamma(512, 2) sums: N, R
+        # and the age at t = 300, inside the second, against the gap-by-gap law
+        spec, wrapped = Plain(Gamma(2, 2)), Plain(NoSumLaw(Gamma(2, 2)))
+        assert processes._block_widths(spec, 1e3)[1] == 869
+        a = path_statistics(spec, [300.0, 1e3], 20_000, seed=3)
+        b = path_statistics(wrapped, [300.0, 1e3], 20_000, seed=4)
+        for key in ("count", "residual", "age"):
+            assert scipy_stats.ks_2samp(a[key][:, 0], b[key][:, 0]).pvalue > 1e-3
+
+    def test_mean_count_matches_the_renewal_function(self):
+        # Gamma(2, 2): E[N(t)] = U(t) = 0.75 + t + exp(-4 t)/4, the event at 0
+        # counted; t = 0.5 and 7 fall inside the jumps to 100, which are filled in
+        cases = [([0.5, 7.0, 100.0], 50_000, 71), ([1e3], 50_000, 72), ([1e4], 20_000, 73)]
+        for ts, reps, seed in cases:
+            counts = path_statistics(Plain(Gamma(2, 2)), ts, reps, seed=seed)["count"]
+            for t, n in zip(ts, counts.T):
+                se = n.std(ddof=1) / math.sqrt(reps)
+                assert abs(n.mean() - (0.75 + t + math.exp(-4 * t) / 4)) <= 4 * se
 
 
 class TestEventCap:

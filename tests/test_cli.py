@@ -757,14 +757,18 @@ class TestRun:
         # an Exponential drawn at 1.1x its rate, or Gamma(k, k), k = 2/1.2 (1.2x the
         # variance), where the nominal law's moments are used: the conditioned
         # estimate sees the sampler only through N and the age (and not at all on
-        # an Exponential law), the plain mean of R - E[R | age] does
+        # an Exponential law), the plain mean of R - E[R | age] does.  Each fault is
+        # a function of the law and reaches its sum law, so a jump of k gaps draws
+        # the sum of k wrong gaps
         if law == "exponential":
             draw = Exponential._draw
             monkeypatch.setattr(Exponential, "_draw", lambda self, rng, size: draw(Exponential(1.1 * self.rate), rng, size))
+            monkeypatch.setattr(Exponential, "sum_law", lambda self, k: Gamma(k, 1.1 * self.rate))
             spec = EXP_SPEC
         else:
             draw = Gamma._draw
-            monkeypatch.setattr(Gamma, "_draw", lambda self, rng, size: draw(Gamma(2 / 1.2, 2 / 1.2), rng, size))
+            monkeypatch.setattr(Gamma, "_draw",
+                                lambda self, rng, size: draw(Gamma(self.shape / 1.2, self.rate / 1.2), rng, size))
             spec = GAMMA_SPEC
         cfg = write_config(tmp_path, {"experiment": experiment, "spec": spec, "t": 20, "reps": 25000,
                                       "seed": 7, "out": str(tmp_path / "res")})
@@ -823,16 +827,18 @@ class TestRun:
     @pytest.mark.parametrize("law,failing", [("gamma", "blackwell"), ("exponential", "window-given-age")])
     def test_wrong_sampler_fails_the_window(self, tmp_path, capsys, monkeypatch, law, failing):
         # Gamma(k, k), k = 2/1.2 (1.2x the variance), drawn for Gamma(2, 2) moves the age
-        # law and the conditioned window reads z = 6.2, while window-given-age reads -0.86;
+        # law and the conditioned window reads z = 6.7, while window-given-age reads -1.09;
         # an Exponential drawn at 1.1x its rate leaves g constant, so only the plain
-        # window-given-age row sees it (z = 14.6)
+        # window-given-age row sees it (z = 14.6).  Each fault reaches its law's sum law
         if law == "exponential":
             draw = Exponential._draw
             monkeypatch.setattr(Exponential, "_draw", lambda self, rng, size: draw(Exponential(1.1 * self.rate), rng, size))
+            monkeypatch.setattr(Exponential, "sum_law", lambda self, k: Gamma(k, 1.1 * self.rate))
             spec = EXP_SPEC
         else:
             draw = Gamma._draw
-            monkeypatch.setattr(Gamma, "_draw", lambda self, rng, size: draw(Gamma(2 / 1.2, 2 / 1.2), rng, size))
+            monkeypatch.setattr(Gamma, "_draw",
+                                lambda self, rng, size: draw(Gamma(self.shape / 1.2, self.rate / 1.2), rng, size))
             spec = GAMMA_SPEC
         cfg = write_config(tmp_path, {"experiment": "blackwell", "spec": spec, "t": 20, "h": 1, "reps": 25000,
                                       "seed": 7, "out": str(tmp_path / "res")})

@@ -213,18 +213,25 @@ class TestEngineAgreement:
     @pytest.mark.parametrize("spec", [Plain(Gamma(2, 2)), Plain(ParetoShifted(2.5))], ids=["gamma", "pareto"])
     def test_one_row_path_keeps_its_stream(self, spec):
         # a one-row block, (w, 1) time-major, is the (1, w) draw of a
-        # path-major block: the path sums one such draw per block, in order
+        # path-major block: the path sums one such draw per block, in order.
+        # A Gamma path first jumps: the stream draws its bridge's seed and the
+        # jump's end S_k, and the bridge fills events 1 to k - 1 from its own
         horizon, seed = 2_000.0, 5
         p = simulate_path(spec, horizon, seed)
         rng = np.random.default_rng(seed)
-        _, widths = processes._block_widths(spec, horizon)
-        events = np.zeros(1)
+        _, jump, widths = processes._block_widths(spec, horizon)
+        events, blocks = np.zeros(1), 0
+        if jump:
+            rng.integers(2**63)
+            events = np.append(events, spec.lifetime.sum_law(jump).draw(rng, 1))
         while events[-1] <= horizon:
             gaps = spec.lifetime.draw(rng, (1, next(widths)))[0]
             events = np.concatenate([events, np.cumsum([events[-1], *gaps])[1:]])
+            blocks += 1
         kept = np.searchsorted(events, horizon, side="right") + 1
-        assert p.events.size > processes._BLOCK_COLS  # the path spans several blocks
-        assert np.array_equal(p.events, events[:kept])
+        assert (jump > processes._BLOCK_COLS) == isinstance(spec.lifetime, Gamma)
+        assert blocks >= 2  # the path spans several blocks
+        assert np.array_equal(np.delete(p.events, np.s_[1:jump]), events[:kept])
 
     def test_marks_line_up_with_their_events(self):
         # across 300 paths and several blocks: a modulated gap is the
@@ -253,7 +260,9 @@ class TestEngineAgreement:
         # the sampler, concatenated and cut after the overshoot event, with
         # +inf after it and marks padded by 0
         rows = 300
-        start, *blocks = processes._column_blocks(spec, horizon, rows, child_rng(29, 0))
+        start, jumped, *blocks = processes._column_blocks(spec, horizon, rows, child_rng(29, 0))
+        if jumped is not None:  # a Gamma path's jump, filled in, comes first
+            blocks[:0] = jumped.blocks()
         times, marks, last_drawn, drawn = [[s] for s in start], [[] for _ in start], [0] * rows, 0
         for active, _, block_times, block_marks in blocks:
             for j, r in enumerate(active):  # a block is time-major: column j is path active[j]
@@ -275,7 +284,7 @@ class TestEngineAgreement:
             assert paths.marks.dtype == expect.dtype and np.array_equal(paths.marks, expect)
         else:
             assert paths.marks is None
-        cover, _ = processes._block_widths(spec, horizon)
+        cover, _, _ = processes._block_widths(spec, horizon)
         if blocks:  # rows end in at least two different straggler blocks
             assert len({d for d in last_drawn if d >= cover}) >= 2
         else:  # every row starts past the horizon: no block is drawn
@@ -300,6 +309,62 @@ class TestEngineAgreement:
         for name in ("events", "marks"):
             a, b = getattr(p, name), getattr(row, name)
             assert (a is None and b is None) or np.array_equal(a, b)
+
+
+class TestJump:
+    """A plain or delayed Gamma-family path jumps its first k events with one
+    draw of their sum; k depends only on (spec, horizon)."""
+
+    @pytest.mark.parametrize("law,tmax", [
+        (Gamma(2, 2), 100.0), (Gamma(2, 2), 1e4), (Exponential(1.0), 50.0), (Gamma(0.5, 3.0), 40.0),
+        (Gamma(7.5, 0.2), 2e3), (Exponential(2.0), 0.3),
+    ])
+    def test_jump_is_the_last_k_within_the_tail_bound(self, law, tmax):
+        # P(S_k > tmax) <= 1e-9 at k, and > 1e-9 at k + 1; a delay does not move k
+        _, jump, _ = processes._block_widths(Plain(law), tmax)
+        assert processes._block_widths(Delayed(Uniform(0.0, 1.0), law), tmax)[1] == jump
+        if jump:
+            assert law.sum_law(jump).tail(tmax) <= processes._JUMP_TAIL
+        assert law.sum_law(jump + 1).tail(tmax) > processes._JUMP_TAIL
+        assert (jump == 0) == (tmax < 1.0)
+
+    @pytest.mark.parametrize("spec", [
+        Plain(Uniform(0.0, 2.0)), Plain(Mixture((1.0,), (Gamma(2, 2),))), TWO_STATE,
+        StationaryMA(2, Exponential(1.0)), Delayed(Gamma(2, 2), ParetoShifted(2.5)),
+    ], ids=["uniform", "mixture", "modulated", "ma", "gamma-delay"])
+    def test_no_jump_without_a_sum_law(self, spec):
+        # the delay's law is drawn once: only the lifetime law's sum counts
+        assert processes._block_widths(spec, 100.0)[1] == 0
+
+    def test_widths_cover_the_rest(self):
+        # the blocks after the jump cover the same mean + 1 sd events as before it
+        cover, jump, widths = processes._block_widths(Plain(Gamma(2, 2)), 100.0)
+        assert (cover, jump, next(widths)) == (108, 60, 48)
+
+    @pytest.mark.parametrize("spec", [Plain(Gamma(2, 2)), Delayed(Uniform(0.0, 8.0), Gamma(2, 2))],
+                             ids=["plain", "delayed"])
+    def test_kept_rows_match_the_unfilled_fold(self, spec):
+        # at ts = [600] no jump ends past t, so the fold adds k to each count
+        # and never fills the jump in; the kept rows fill it in (two bridge
+        # segments) and must give the same counts and residuals
+        stats = path_statistics(spec, [600.0], 300, seed=31)
+        paths = simulate_paths(spec, 600.0, 300, child_rng(31, 0))
+        _, jump, _ = processes._block_widths(spec, 600.0)
+        assert jump > processes._BLOCK_COLS
+        assert np.array_equal(count(paths, [600.0]), stats["count"])
+        assert np.array_equal(residual(paths, [600.0]), stats["residual"])
+
+    def test_bridge_segments_end_at_their_boundaries(self):
+        # each filled-in segment ends exactly where the bridge's first level put
+        # it, the last one at the jump's end, and event times increase
+        start, jumped, *_ = processes._column_blocks(Plain(Gamma(2, 2)), 2_000.0, 40, child_rng(3, 0))
+        segments = list(jumped.blocks())
+        assert [times.shape[0] for _, _, times, _ in segments] == [256] * 7 + [jumped.k - 7 * 256]
+        for (_, _, times, _), (_, last, _, _) in zip(segments, segments[1:]):
+            assert np.array_equal(times[-1], last)
+        assert np.array_equal(segments[-1][2][-1], jumped.end)
+        events = np.concatenate([start[None, :], *(times for _, _, times, _ in segments)])
+        assert np.all(np.diff(events, axis=0) > 0)
 
 
 class TestQueries:
