@@ -8,7 +8,12 @@ discarded.  A Gamma-family path's jump over its first k events (see
 :mod:`countproc.processes`) is folded as k gaps that all start at or
 before every query time, unless some path's jump ends after the first
 query time; only then are its events filled in and folded as blocks.
-Either way each path's summaries are those of the path
+An Erlang path's events after the jump are read off its Poisson clock
+top-down, drawing the clock's rows of points only down to the path's
+first event at or before its stop, the lowest query time at or after its
+jump's end (a lower one falls inside the jump): when that is the
+horizon, only its top event, the first m rows.  Either way each path's
+summaries are those of the path
 :func:`countproc.processes.simulate_paths` keeps from the same stream.
 Chunk sizes, block widths and jumps depend only on the spec and horizon,
 chunk i draws from ``child_rng(seed, i)``, and chunks are reduced in index
@@ -64,12 +69,14 @@ import numpy as np
 from . import renewal_solver
 from .lifetimes import LifetimeDistribution, _lattice_span
 from .processes import (
+    _BLOCK_COLS,
     _CHUNK_ROWS,
     Delayed,
     Modulated,
     Plain,
     ProcessSpec,
     StationaryMA,
+    _ClockRows,
     _column_blocks,
     _lifetime_laws,
     child_rng,
@@ -275,10 +282,11 @@ def _simulate_chunk(
     whose delay exceeds t); both events are read from the block that holds
     the gap across t.  A jump (``processes._Jump``) is filled in only when
     some path's jump ends after the first query time; otherwise its k gaps
-    all start at or before every t, and it adds k to each count.
+    all start at or before every t, and it adds k to each count.  A clock
+    (``processes._Clock``) is folded by :func:`_fold_clock`.
     """
     blocks = _column_blocks(spec, float(np.max(ts)), rows, child_rng(seed, chunk_index))
-    start, jumped = next(blocks), next(blocks)
+    start, jumped, clock = next(blocks), next(blocks), next(blocks)
     result = {"count": np.zeros((rows, ts.size)), "residual": start[:, None] - ts,
               "age": np.full((rows, ts.size), np.nan)}
     if isinstance(spec, Delayed):
@@ -299,7 +307,88 @@ def _simulate_chunk(
             result["residual"][active[hit], i] = times[at, hit] - t
             result["age"][active[hit], i] = t - np.where(at > 0, times[at - 1, hit], last[hit])
         del times  # free the block before the next is drawn: two at once can cost fresh pages
+    if clock is not None:
+        _fold_clock(clock, ts, result)
     return result
+
+
+def _fold_clock(clock, ts: np.ndarray, result: dict[str, np.ndarray]) -> None:
+    """Fold the events of a clock (``processes._Clock``) into ``result`` at
+    each t at or after a path's ``last``: its count at t is the q events
+    less those after t, plus the gap from ``last``; its residual is the
+    first event after t (``over`` if none) minus t, and its age t minus the
+    last event at or before t (``last`` if none).
+    """
+    after, first, last = _events_around(clock, ts)
+    t, paths = ts[:, None], clock.active  # time-major: one row per query time
+    count = 1 + clock.events - after
+    residual, age = first - t, t - np.where(last > -np.inf, last, clock.last)
+    on = clock.last <= t
+    if not on.all():  # a t before a path's last event: its jump's blocks answered
+        count = np.where(on, count, 0)
+        residual = np.where(on, residual, result["residual"][paths].T)
+        age = np.where(on, age, result["age"][paths].T)
+    result["count"][paths] += count.T
+    result["residual"][paths] = residual.T
+    result["age"][paths] = age.T
+
+
+def _events_around(clock, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(after, first, last), one row per t: each path's number of events
+    after t, the lowest of them (``over`` if none) and its highest event at
+    or before t (-inf if none; +inf at a t before the path's ``last``, which
+    falls inside its jump, whose blocks answer it).
+
+    A path takes rows of points only until it has an event at or before
+    each t at or after its ``last``, or none left; the state of the paths
+    still taking is kept compact, one column each.  A take's events, every
+    m-th of its points, come top-down, so the ``up`` of them above t are
+    its first, and the next one is the highest at or before t.
+    """
+    m, n = clock.m, clock.active.size
+    inside = ts[:, None] < clock.last
+    after = np.zeros((ts.size, n), dtype=np.intp)
+    first = np.repeat(clock.over[None], ts.size, axis=0)
+    last = np.where(inside, np.inf, -np.inf)
+    # the first take holds the top event and the points a path has on average above
+    # its lowest t at or after its last, and one standard deviation more; every take
+    # draws its rows' uniforms for all the paths, so the few left after it take 2m
+    # rows, then 4m, 8m, ...
+    stop = np.where(inside, np.inf, ts[:, None]).min(axis=0)  # at most the horizon
+    above = clock.rate * float(np.mean(clock.horizon - stop))
+    rows, size, later, cols = _ClockRows(clock), m + math.ceil(above + math.sqrt(above)), 2 * m, None
+    # cols None: every path, and the state is the full arrays
+    state, depth, phases = (after, first, last), clock.depth, clock.phases
+    while True:
+        top = rows.drawn
+        logs = rows.take(min(size, _BLOCK_COLS, max(int(depth.max()) - top, 1)), cols)
+        (drawn, k), lead = logs.shape, (phases - top) % m  # the take's events: rows lead, lead + m, ...
+        col = np.arange(k)
+        if m > 1:  # the rows past them repeat the last row, no higher than the events
+            logs = logs.take(np.minimum(lead + m * np.arange(-(-drawn // m))[:, None], drawn - 1) * k + col)
+        events = rows.points(logs, cols)
+        # up to depth: past it a row holds no event, or is padding below the lowest one
+        held = np.maximum(np.minimum(depth - top, drawn) - lead + m - 1, 0) // m
+        for (a, f, b), t in zip(zip(*state), ts):
+            if t == clock.horizon:  # no point is above it: the highest at or before it is the top event
+                np.maximum(b, np.where(held > 0, events[0], -np.inf), out=b)
+                continue
+            up = np.minimum(np.count_nonzero(events > t, axis=0), held)
+            a += up
+            at = np.maximum(up - 1, 0) * k + col
+            np.minimum(f, np.where(up > 0, events.take(at), np.inf), out=f)
+            at = np.minimum(up, events.shape[0] - 1) * k + col
+            np.maximum(b, np.where(up < held, events.take(at), -np.inf), out=b)
+        keep = (state[2] == -np.inf).any(axis=0) & (depth > rows.drawn)
+        if cols is not None:  # the resolved paths' state goes back to the full arrays
+            done = cols[~keep]
+            for full, part in zip((after, first, last), state):
+                full[:, done] = part[:, ~keep]
+        if not keep.any():
+            return after, first, last
+        cols = np.flatnonzero(keep) if cols is None else cols[keep]
+        state, depth, phases = tuple(v[:, keep] for v in state), depth[keep], phases[keep]
+        size, later = later, 2 * later
 
 
 def path_statistics(

@@ -30,6 +30,9 @@ one block-sized array, the output, and one scratch of ``_SLAB`` values:
 it walks the output in ``_SLAB`` slices factor by factor, so each factor's
 uniforms leave the generator in the order of one whole-array draw and the
 stream is that of a fill with a second block-sized array.
+:class:`EquilibriumOf` draws U times a draw of the base law's length-biased
+law where that law is in closed form (Gamma and Exponential bases), and
+inverts its CDF by Newton steps elsewhere.
 """
 
 from __future__ import annotations
@@ -122,7 +125,8 @@ class LifetimeDistribution(_Wire):
     ``excess_second_moment`` and ``_integrated_excess`` derive from the
     excess moment; laws whose moments can diverge override
     ``_integrated_excess``, whose default needs ``E[T^(k+1)] < inf``;
-    only the Gamma family overrides ``sum_law``.  A subclass
+    only the Gamma family overrides ``sum_law``, ``poisson_phases`` and
+    ``length_biased_law``.  A subclass
     ``__post_init__`` calls this one first.
     """
 
@@ -209,6 +213,24 @@ class LifetimeDistribution(_Wire):
         """
         return None
 
+    def poisson_phases(self) -> tuple[int, float] | None:
+        """(m, r) when the law is Erlang(m, r), the time to the m-th point of
+        a Poisson clock of rate r, or None.
+
+        Exponential(r) answers (1, r) and a whole-number shape Gamma(m, r)
+        answers (m, r): the sampler then reads a path's events up to its
+        horizon off one Poisson count of the clock's points.
+        """
+        return None
+
+    def length_biased_law(self) -> LifetimeDistribution | None:
+        """The length-biased law x dF(x) / E[T] when it is in closed form, or None.
+
+        A uniform share of a length-biased gap has density tail(x) / E[T], so
+        :class:`EquilibriumOf` draws its delays from this law when there is one.
+        """
+        return None
+
     # -- derived quantities -------------------------------------------------
 
     def tail(self, x):
@@ -275,6 +297,12 @@ class Exponential(LifetimeDistribution):
 
     def sum_law(self, k):
         return Gamma(k, self.rate)
+
+    def poisson_phases(self):
+        return 1, self.rate
+
+    def length_biased_law(self):
+        return Gamma(2, self.rate)
 
 
 @dataclass(frozen=True)
@@ -353,6 +381,13 @@ class Gamma(LifetimeDistribution):
 
     def sum_law(self, k):
         return Gamma(k * self.shape, self.rate)
+
+    def poisson_phases(self):
+        return (int(self.shape), self.rate) if self.shape.is_integer() else None
+
+    def length_biased_law(self):
+        # x f(x; a) = (a / rate) f(x; a + 1)
+        return Gamma(self.shape + 1, self.rate)
 
 
 @dataclass(frozen=True)
@@ -570,7 +605,12 @@ class EquilibriumOf(LifetimeDistribution):
         return self._integrated_excess(0, v)
 
     def _draw(self, rng, size):
-        return self.inverse_cdf(rng.random(size))
+        # U times a length-biased gap has density integral_x^inf f(y) dy / E[T]
+        # = tail(x) / E[T]; without that law in closed form, invert the CDF
+        biased = self.base.length_biased_law()
+        if biased is None:
+            return self.inverse_cdf(rng.random(size))
+        return biased._draw(rng, size) * rng.random(size)
 
     def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
         """Vectorized inverse of the base equilibrium CDF (tolerance 1e-10).

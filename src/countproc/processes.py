@@ -22,7 +22,8 @@ times accumulate as contiguous row adds.  :func:`simulate_paths`
 transposes the blocks into its path-major rows, :func:`simulate_path` is
 its one-row case, and :func:`countproc.asymptotics.path_statistics` folds
 the same blocks into per-path summaries.  The event cap counts the
-gaps drawn for a path still at or before the horizon.  Simulation is a
+gaps drawn (or jumped, or counted on a clock) for a path still at or
+before the horizon.  Simulation is a
 pure function of (spec, horizon, rows, seed); seeds should be derived with
 :func:`child_rng`.
 
@@ -36,6 +37,20 @@ from a generator of their own, only when a consumer needs them:
 :func:`simulate_paths` always, the Monte Carlo fold only when a query time
 falls inside some path's jump.  Either way the sampler's stream, and every
 event after the jump, is the same, and the path is exact in law.
+
+When the law is Erlang(m, r) (``poisson_phases``: Exponential, or Gamma of
+a whole-number shape) and m is no more than the gaps the walk would draw
+after the jump before its stragglers, the path does not walk after its
+jump.  Its gaps
+are m phases of one Poisson clock of rate r, so the stream draws, per
+path, the Poisson count P of the clock's points between the jump's end
+and the horizon and the overshoot event past the horizon, and every m-th
+point counted from the bottom is an event (see :class:`_Clock`).  Given P
+the points are uniform order statistics, drawn top-down from a generator
+of their own; a consumer draws only the top rows it needs, and every
+prefix has the same bits: :func:`simulate_paths` draws them all, the Monte
+Carlo fold only down to the first event at or before its lowest query
+time.
 """
 
 from __future__ import annotations
@@ -44,12 +59,14 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterator, Literal, Mapping, Sequence, Union, get_args
 
 import numpy as np
 
 from .lifetimes import (
-    EquilibriumOf, Exponential, LifetimeDistribution, _decode, _draw_each, _pick, _probabilities, _Wire,
+    _SLAB, EquilibriumOf, Exponential, Gamma, LifetimeDistribution, _decode, _draw_each, _pick, _probabilities,
+    _Wire,
 )
 
 __all__ = [
@@ -331,8 +348,9 @@ def _lifetime_laws(spec: ProcessSpec) -> list[LifetimeDistribution]:
 def _block_widths(spec: ProcessSpec, tmax: float) -> tuple[int, int, Iterator[int]]:
     """(cover, jump, widths), which depend only on (spec, tmax): ``jump``,
     the events a path jumps with one draw (see :class:`_Jump`); ``widths``,
-    the column widths of a chunk's successive blocks after them; and
-    ``cover``, the jump plus the widths before the stragglers.
+    the column widths of a chunk's successive blocks after them, unless a
+    clock (:class:`_Clock`) holds those events; and ``cover``, the jump
+    plus the widths before the stragglers.
 
     Blocks of at most ``_BLOCK_COLS`` columns cover the mean event count up
     to ``tmax`` plus one standard deviation; blocks of about one standard
@@ -479,23 +497,141 @@ class _Jump:
             last = end
 
 
+@dataclass(frozen=True)
+class _Clock:
+    """The events after ``last`` up to ``horizon`` of the paths ``active``,
+    whose lifetime law is Erlang(m, ``rate``): m phases of one Poisson clock
+    of rate ``rate``, so every m-th point of the clock after ``last`` is an
+    event.
+
+    ``phases``, P ~ Poisson(rate (horizon - last)), counts the points in
+    (last, horizon]; with q, j = divmod(P, m) the path has q events there,
+    the last of them the (j + 1)-th largest point (``last`` itself when q =
+    0), and by memorylessness its next event, ``over``, is horizon +
+    Gamma(m - j, rate).  Given P the points are uniform order statistics
+    (Cinlar 1975, ch. 4), which :class:`_ClockRows` draws top-down from a
+    generator of its own, seeded by ``seed``; the sampler's stream is the
+    same however many of them a consumer draws.
+    """
+
+    m: int
+    rate: float
+    horizon: float
+    seed: int
+    active: np.ndarray
+    last: np.ndarray
+    phases: np.ndarray
+    over: np.ndarray
+
+    @classmethod
+    def draw(cls, phases: tuple[int, float], horizon: float, jump: int, active: np.ndarray, last: np.ndarray,
+             rng: np.random.Generator) -> _Clock:
+        """The clock of Erlang ``phases`` (m, rate) from ``last`` to
+        ``horizon`` of the paths ``active``, after their ``jump`` events:
+        one seed, then the Poisson counts and the overshoots, from the
+        sampler's stream."""
+        m, rate = phases
+        seed = int(rng.integers(2**63))
+        count = rng.poisson(rate * (horizon - last))
+        if count.max() // m + jump > DEFAULT_EVENT_CAP:
+            raise EventCapExceeded(f"a path needs over {DEFAULT_EVENT_CAP} events, the event cap")
+        over = horizon + _draw_each([Gamma(s, rate) for s in range(1, m + 1)], m - 1 - count % m, rng)
+        np.maximum(over, np.nextafter(horizon, np.inf), out=over)  # past the horizon, though a gap rounds off
+        return cls(m, rate, horizon, seed, active, last, count, over)
+
+    @cached_property
+    def events(self) -> np.ndarray:
+        """q, each path's event count in (last, horizon]."""
+        return self.phases // self.m
+
+    @cached_property
+    def depth(self) -> np.ndarray:
+        """The row of :class:`_ClockRows` that holds each path's lowest
+        event, P - m + 1 (0 without one)."""
+        return np.maximum(self.phases - self.m + 1, 0)
+
+    def blocks(self):
+        """The events as one ``(active, last, times, None)`` block of
+        :func:`_column_blocks`: each path's q events ascending, then its
+        ``over`` in every row after them."""
+        rows, n = _ClockRows(self), self.active.size
+        s = np.arange(int(self.events.max()) + 1)[:, None]  # the s-th event from the bottom
+        logs = rows.take(max(int(self.depth.max()), 1))  # holds it at row depth - 1 - s m, from 0
+        at = (self.depth - 1) * n + np.arange(n) - s * (self.m * n)
+        times = rows.points(logs.take(at, mode="clip"))  # past the q events: any row, replaced
+        yield self.active, self.last, np.where(s < self.events, times, self.over), None
+
+
+class _ClockRows:
+    """A clock's points, drawn top-down on demand.
+
+    Row i (from 1) holds each path's i-th largest point: row i - 1 times
+    U^(1/(P - i + 1)) in the scale of (last, horizon], taken as a running
+    sum of logs; past P a row is padding below the lowest point.  Its
+    events are the rows depth, depth - m, ..., j + 1.  Every row draws its
+    uniforms across all the clock's paths, so the bits of a point do not
+    depend on how the rows are split into takes, nor on which paths a take
+    computes.
+    """
+
+    def __init__(self, clock: _Clock):
+        self.clock = clock
+        self.rng = np.random.default_rng(clock.seed)
+        self.log_top = np.zeros(clock.active.size)
+        self.drawn = 0
+
+    def take(self, size: int, cols: np.ndarray | None = None) -> np.ndarray:
+        """The logs of the next ``size`` rows at the paths ``cols`` (all for
+        None), time-major, as shares of (last, horizon]; a path left out of
+        a take is left out of every later one."""
+        c, cols = self.clock, slice(None) if cols is None else cols
+        x = self.rng.random((size, c.active.size))[:, cols]
+        np.subtract(1.0, x, out=x)  # on (0, 1]: no log of 0
+        np.log(x, out=x)
+        left = c.phases[cols] - float(self.drawn)  # P - i + 1 at the take's first row i
+        step = max(1, _SLAB // x.shape[1])  # rows of divisors at a time, a _SLAB of values
+        for lo in range(0, size, step):
+            d = left - np.arange(lo, min(lo + step, size), dtype=float)[:, None]
+            x[lo : lo + step] /= np.maximum(d, 1.0, out=d)  # past P a row is padding
+        x[0] += self.log_top[cols]
+        _accumulate(x)
+        self.log_top[cols] = x[-1]
+        self.drawn += size
+        return x
+
+    def points(self, logs: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+        """The points of the paths ``cols`` (all for None) whose logs
+        :meth:`take` gave, in place."""
+        c, cols = self.clock, slice(None) if cols is None else cols
+        np.exp(logs, out=logs)
+        logs *= c.horizon - c.last[cols]
+        logs += c.last[cols]
+        return np.minimum(logs, c.horizon, out=logs)  # rounding must not lift a point past the horizon
+
+
 def _column_blocks(spec, tmax, rows, rng):
     """The one sampler behind every simulated path.
 
     Yields first ``start``: each path's start (its delay, or 0).  Then the
     :class:`_Jump` of the paths at or before ``tmax``, or None when
-    :func:`_block_widths` gives no jump or no path is.  Then per block
-    ``(active, last, times, marks)`` for the paths ``active`` still at or
-    before ``tmax``: their last event time before the block, the block's
-    event times accumulated from it, time-major (one row per event index,
-    one column per active path), and the marks of :func:`_draw_block`.
-    A jumped path is active after its jump when its ``end`` is at or
-    before ``tmax``, with ``last`` its ``end``.  The stream draws the
-    starts, then, for a jump, one seed for its bridge and the totals, then
-    the blocks.  Raises :class:`EventCapExceeded` when a still-active path
-    has drawn (or jumped) more than ``DEFAULT_EVENT_CAP`` gaps.
+    :func:`_block_widths` gives no jump or no path is.  Then the
+    :class:`_Clock` of the paths still at or before ``tmax`` when the
+    lifetime law of a plain or delayed spec has ``poisson_phases`` (m, r)
+    and m is at most the ``cover`` of :func:`_block_widths` less the jump,
+    which holds all their events after the jump, or None.  Then, without a clock,
+    per block ``(active, last, times, marks)`` for the paths ``active``
+    still at or before ``tmax``: their last event time before the block,
+    the block's event times accumulated from it, time-major (one row per
+    event index, one column per active path), and the marks of
+    :func:`_draw_block`.  A jumped path is active after its jump when its
+    ``end`` is at or before ``tmax``, with ``last`` its ``end``.  The
+    stream draws the starts, then, for a jump, one seed for its bridge and
+    the totals, then, for a clock, one seed for its points, the Poisson
+    counts and the overshoots, else the blocks.  Raises
+    :class:`EventCapExceeded` when a still-active path has drawn (or
+    jumped, or counted on its clock) more than ``DEFAULT_EVENT_CAP`` gaps.
     """
-    _, jump, widths = _block_widths(spec, tmax)
+    cover, jump, widths = _block_widths(spec, tmax)
     if isinstance(spec, Delayed):
         start = np.asarray(spec.delay.draw(rng, rows), float)
     else:
@@ -512,6 +648,12 @@ def _column_blocks(spec, tmax, rows, rng):
         active, last, carry = active[keep], jumped.end[keep], carry[..., keep]
     else:
         yield None
+    # a clock's top event takes m rows of points, no more than the walk's blocks before the stragglers
+    phases = spec.lifetime.poisson_phases() if isinstance(spec, (Plain, Delayed)) else None
+    if phases is not None and phases[0] <= cover - jump:
+        yield _Clock.draw(phases, tmax, jump, active, last, rng) if active.size else None
+        return
+    yield None
     drawn = jump
     for width in widths:
         if not active.size:
@@ -532,14 +674,17 @@ def simulate_paths(spec: ProcessSpec, horizon: float, rows: int, rng: np.random.
     once and filled from the column blocks: with ``rng = child_rng(seed, i)``
     and ``horizon`` the largest query time, the rows are the paths that chunk
     i of :func:`countproc.asymptotics.path_statistics` summarizes, each with
-    its jump (:class:`_Jump`) filled in.  Raises :class:`EventCapExceeded`
+    its jump (:class:`_Jump`) filled in and every event of its clock
+    (:class:`_Clock`) drawn.  Raises :class:`EventCapExceeded`
     when a path still at or before the horizon has drawn more than
     ``DEFAULT_EVENT_CAP`` gaps.
     """
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    start, jumped, *blocks = _column_blocks(spec, float(horizon), rows, rng)
-    if jumped is not None:  # a kept path holds every event: fill its jump in
+    start, jumped, clock, *blocks = _column_blocks(spec, float(horizon), rows, rng)
+    if clock is not None:  # a kept path holds every event: draw all of its clock's
+        blocks[:0] = clock.blocks()
+    if jumped is not None:  # and fill its jump in
         blocks[:0] = jumped.blocks()
     cols = 1 + sum(times.shape[0] for _, _, times, _ in blocks)
     events = np.full((rows, cols), np.inf)
@@ -556,7 +701,10 @@ def simulate_paths(spec: ProcessSpec, horizon: float, rows: int, rng: np.random.
     events[:, 1:][events[:, :-1] > horizon] = np.inf  # drop the events after each overshoot
     # a floored gap can vanish in the sum (1.0 + 1e-300 == 1.0): move such an
     # event one ulp past the one before it, so event times strictly increase
-    np.maximum(events[:, 1:], np.nextafter(events[:, :-1], np.inf), out=events[:, 1:])
+    stuck = (events[:, 1:] <= events[:, :-1]) & (events[:, :-1] < np.inf)
+    if stuck.any():  # rare, and nonzero costs more than the comparisons
+        row, col = np.nonzero(stuck)
+        events[row, col + 1] = np.nextafter(events[row, col], np.inf)
     return SamplePath(horizon, events, spec, marks)
 
 

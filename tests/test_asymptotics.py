@@ -523,10 +523,12 @@ class TestDiffusion:
         # Gamma(k, k) with k = 2/1.2 (mean 1, variance 1.2 x 1/2) is drawn where
         # rate and var T are the nominal Gamma(2, 2)'s, at the benchmark's size.
         # The fault is a function of the law, so a jump's sum law Gamma(2j, 2)
-        # draws Gamma(2j/1.2, 2/1.2), the sum of j wrong gaps
+        # draws Gamma(2j/1.2, 2/1.2), the sum of j wrong gaps; with its Poisson
+        # clock hidden the path walks after the jump, each gap a wrong draw
         draw = Gamma._draw
         monkeypatch.setattr(Gamma, "_draw",
                             lambda self, rng, size: draw(Gamma(self.shape / 1.2, self.rate / 1.2), rng, size))
+        monkeypatch.setattr(Gamma, "poisson_phases", lambda self: None)
         res = diffusion_scaling(Plain(Gamma(2, 2)), 10**4, 1.0, 2_500, seed=seed)
         assert res.wald_second_mean.z_against(res.wald_second_target) > 4.0
         # psi and its control move together: the controlled variance cannot see the fault
@@ -624,6 +626,14 @@ class TestReproducibility:
         # the variance and diffusion configs' horizons, two or more chunks: each
         # chunk's jumps, filled in or not, come from that chunk's stream
         self._assert_thread_invariant(Plain(Gamma(2, 2)), ts, reps)
+
+    @pytest.mark.parametrize("spec,ts", [(Plain(Exponential(1.0)), [50.0]), (Plain(Gamma(2, 2)), [50.0, 51.0]),
+                                         (Delayed("equilibrium", Exponential(1.0)), [0.5, 5.0, 50.0])],
+                             ids=["rm-cross", "window", "equilibrium-delay"])
+    def test_thread_count_invariance_of_clocks(self, spec, ts):
+        # each chunk's clock, its points drawn as far down as ts need,
+        # comes from that chunk's stream
+        self._assert_thread_invariant(spec, ts, 40_000)
 
     @pytest.mark.parametrize("estimator,spec", [
         (estimate_rate, Plain(Gamma(2, 2))),
@@ -764,15 +774,19 @@ class TestJump:
 
     @pytest.mark.parametrize("spec,wrapped", [
         (Plain(Gamma(2, 2)), Plain(NoSumLaw(Gamma(2, 2)))),
+        (Plain(Gamma(3, 3)), Plain(NoSumLaw(Gamma(3, 3)))),
         (Delayed(Uniform(0.0, 3.0), Gamma(0.5, 0.5)), Delayed(Uniform(0.0, 3.0), NoSumLaw(Gamma(0.5, 0.5)))),
+        (Delayed(Uniform(0.0, 80.0), Gamma(2, 2)), Delayed(Uniform(0.0, 80.0), NoSumLaw(Gamma(2, 2)))),
         (Plain(Exponential(2.0)), Plain(NoSumLaw(Exponential(2.0)))),
-    ], ids=["gamma", "delayed-gamma", "exponential"])
+    ], ids=["gamma", "gamma-3", "delayed-gamma", "delay-past-t", "exponential"])
     @pytest.mark.parametrize("ts", [[60.0], [3.0, 60.0]], ids=["unfilled", "filled"])
     def test_same_law_as_gap_by_gap(self, spec, wrapped, ts):
         # two-sample KS of N, R and the age at each t against the same law
-        # drawn gap by gap, on independent seeds
+        # drawn gap by gap, on independent seeds: the jump, and after it the
+        # Poisson clock of an Erlang law, are exact in law
         assert processes._block_widths(spec, 60.0)[1] > 0
         assert processes._block_widths(wrapped, 60.0)[1] == 0
+        assert wrapped.lifetime.poisson_phases() is None
         a = path_statistics(spec, ts, 20_000, seed=1)
         b = path_statistics(wrapped, ts, 20_000, seed=2)
         for key in ("count", "residual", "age"):
@@ -800,6 +814,14 @@ class TestJump:
             for t, n in zip(ts, counts.T):
                 se = n.std(ddof=1) / math.sqrt(reps)
                 assert abs(n.mean() - (0.75 + t + math.exp(-4 * t) / 4)) <= 4 * se
+
+    def test_exponential_mean_count_is_one_plus_t(self):
+        # a Poisson process with its event at 0 counted: E[N(t)] = 1 + t; t = 0.3
+        # and 5 fall inside the jumps to 50, and 50 is read off the clock alone
+        ts, reps = [0.3, 5.0, 50.0], 50_000
+        counts = path_statistics(Plain(Exponential(1.0)), ts, reps, seed=74)["count"]
+        for t, n in zip(ts, counts.T):
+            assert abs(n.mean() - (1.0 + t)) <= 4 * n.std(ddof=1) / math.sqrt(reps)
 
 
 class TestEventCap:

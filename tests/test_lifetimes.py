@@ -512,6 +512,44 @@ class TestSumLaw:
         assert dist.sum_law(3) is None
 
 
+class TestPoissonPhases:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(any_distribution, st.builds(Gamma, shape=st.integers(1, 6), rate=st.floats(0.25, 4.0))))
+    def test_only_erlang_laws_answer(self, dist):
+        # an Erlang(m, r) gap is m phases of a rate-r clock: mean m / r, variance m / r^2
+        phases = dist.poisson_phases()
+        if not (isinstance(dist, Exponential) or isinstance(dist, Gamma) and dist.shape.is_integer()):
+            assert phases is None
+            return
+        m, r = phases
+        assert type(m) is int and m >= 1
+        assert dist.moment(1) == pytest.approx(m / r, rel=1e-12)
+        assert dist.variance == pytest.approx(m / r**2, rel=1e-9)
+
+    @pytest.mark.parametrize("dist,phases", [
+        (Exponential(2.0), (1, 2.0)), (Gamma(3, 1.5), (3, 1.5)), (Gamma(2.5, 2.5), None),
+        (EquilibriumOf(Gamma(2, 2)), None), (Mixture((1.0,), (Gamma(2, 2),)), None),
+    ], ids=["exponential", "erlang", "non-whole-shape", "equilibrium", "one-component-mixture"])
+    def test_catalog(self, dist, phases):
+        assert dist.poisson_phases() == phases
+
+
+class TestLengthBiasedLaw:
+    @pytest.mark.parametrize("dist", [Exponential(0.7), Gamma(2, 2), Gamma(0.5, 3.0)],
+                             ids=["exponential", "gamma", "gamma-small-shape"])
+    def test_density_is_x_f_over_the_mean(self, dist):
+        # E[g(T^)] = E[T g(T)] / E[T] for g = x and x^2
+        law = dist.length_biased_law()
+        assert law.moment(1) == pytest.approx(dist.moment(2) / dist.moment(1), rel=1e-12)
+        assert law.moment(2) == pytest.approx(dist.moment(3) / dist.moment(1), rel=1e-12)
+
+    @pytest.mark.parametrize("dist", [Uniform(0.0, 2.0), ParetoShifted(3.5), Deterministic(1.0),
+                                      EquilibriumOf(Gamma(2, 2)), Mixture((1.0,), (Exponential(1.0),))],
+                             ids=["uniform", "pareto", "deterministic", "equilibrium", "mixture"])
+    def test_other_laws_have_none(self, dist):
+        assert dist.length_biased_law() is None
+
+
 class TestArithmetic:
     def test_catalog(self):
         assert Deterministic(1.0).is_arithmetic() == (True, 1.0)
@@ -611,6 +649,20 @@ class TestEquilibriumInverse:
     def test_newton_matches_bisection(self, base):
         x = EquilibriumOf(base).inverse_cdf(self.U)
         assert np.max(np.abs(x - bisection_inverse(base, self.U))) <= 1e-10
+
+    @pytest.mark.parametrize("base", [Gamma(2, 2), Exponential(1.0)], ids=["gamma", "exponential"])
+    def test_length_biased_draws_have_the_equilibrium_law(self, base):
+        # U times a length-biased gap, against the equilibrium CDF: KS on 4e5 draws
+        eq = EquilibriumOf(base)
+        draws = eq.draw(np.random.default_rng(11), 400_000)
+        assert stats.kstest(draws, base.equilibrium_cdf).pvalue > 1e-3
+
+    def test_without_a_length_biased_law_the_cdf_is_inverted(self):
+        # a Uniform base has none: its delays are the Newton inverse of the
+        # same uniforms, as before the length-biased draw existed
+        eq = EquilibriumOf(Uniform(0.3, 2.0))
+        assert np.array_equal(eq.draw(np.random.default_rng(12), 5_000),
+                              eq.inverse_cdf(np.random.default_rng(12).random(5_000)))
 
     def test_keeps_the_shape_of_u(self):
         eq = EquilibriumOf(Uniform(0.3, 2.0))

@@ -1,5 +1,6 @@
 """Path simulation: event grids, counting queries, stationarity checks."""
 
+import hashlib
 import io
 import json
 import math
@@ -142,6 +143,7 @@ class TestSimulate:
 
 ENGINE_SPECS = {
     "plain": Plain(Gamma(2, 2)),
+    "exponential": Plain(Exponential(1.0)),
     "delayed": Delayed(Uniform(0.0, 8.0), Gamma(2, 2)),
     "modulated": TWO_STATE,
     "ma": StationaryMA(2, Exponential(1.0)),
@@ -210,12 +212,13 @@ class TestEngineAgreement:
         processes._accumulate(times)
         assert np.array_equal(times, np.cumsum(gaps.T, axis=1).T)
 
-    @pytest.mark.parametrize("spec", [Plain(Gamma(2, 2)), Plain(ParetoShifted(2.5))], ids=["gamma", "pareto"])
+    @pytest.mark.parametrize("spec", [Plain(Gamma(2.5, 2.5)), Plain(ParetoShifted(2.5))], ids=["gamma", "pareto"])
     def test_one_row_path_keeps_its_stream(self, spec):
         # a one-row block, (w, 1) time-major, is the (1, w) draw of a
         # path-major block: the path sums one such draw per block, in order.
         # A Gamma path first jumps: the stream draws its bridge's seed and the
-        # jump's end S_k, and the bridge fills events 1 to k - 1 from its own
+        # jump's end S_k, and the bridge fills events 1 to k - 1 from its own;
+        # a shape of 2.5 has no Poisson clock, so the path then walks
         horizon, seed = 2_000.0, 5
         p = simulate_path(spec, horizon, seed)
         rng = np.random.default_rng(seed)
@@ -232,6 +235,29 @@ class TestEngineAgreement:
         assert (jump > processes._BLOCK_COLS) == isinstance(spec.lifetime, Gamma)
         assert blocks >= 2  # the path spans several blocks
         assert np.array_equal(np.delete(p.events, np.s_[1:jump]), events[:kept])
+
+    @pytest.mark.parametrize("law", [Gamma(2, 2), Exponential(1.0), Gamma(3, 3)], ids=["gamma", "exponential", "gamma-3"])
+    def test_one_row_clock_keeps_its_stream(self, law):
+        # after the jump the stream draws the clock's seed, the Poisson count P
+        # of its points in (e, horizon] and the overshoot horizon + Gamma(m - j, r);
+        # the clock's own generator gives the points top-down, U^(1/(P - i + 1))
+        # at a time, and every m-th from the bottom is an event
+        horizon, seed = 300.0, 9
+        p = simulate_path(Plain(law), horizon, seed)
+        rng = np.random.default_rng(seed)
+        _, jump, _ = processes._block_widths(Plain(law), horizon)
+        rng.integers(2**63)
+        end = law.sum_law(jump).draw(rng, 1)[0]
+        clock_seed = int(rng.integers(2**63))
+        m, r = law.poisson_phases()
+        phases = int(rng.poisson(r * (horizon - end)))
+        q, j = divmod(phases, m)
+        over = horizon + Gamma(m - j, r).draw(rng, 1)[0]
+        u = np.random.default_rng(clock_seed).random(phases)
+        points = end + (horizon - end) * np.exp(np.cumsum(np.log(1.0 - u) / (phases - np.arange(phases))))
+        events = np.sort(points[j::m])
+        assert q == events.size > 0
+        assert np.array_equal(p.events[jump:], np.concatenate([[end], events, [over]]))
 
     def test_marks_line_up_with_their_events(self):
         # across 300 paths and several blocks: a modulated gap is the
@@ -260,7 +286,10 @@ class TestEngineAgreement:
         # the sampler, concatenated and cut after the overshoot event, with
         # +inf after it and marks padded by 0
         rows = 300
-        start, jumped, *blocks = processes._column_blocks(spec, horizon, rows, child_rng(29, 0))
+        start, jumped, clock, *walked = processes._column_blocks(spec, horizon, rows, child_rng(29, 0))
+        # an Erlang path's clock holds all of its events after the jump, in one block
+        assert clock is None or not walked
+        blocks = walked if clock is None else list(clock.blocks())
         if jumped is not None:  # a Gamma path's jump, filled in, comes first
             blocks[:0] = jumped.blocks()
         times, marks, last_drawn, drawn = [[s] for s in start], [[] for _ in start], [0] * rows, 0
@@ -285,8 +314,10 @@ class TestEngineAgreement:
         else:
             assert paths.marks is None
         cover, _, _ = processes._block_widths(spec, horizon)
-        if blocks:  # rows end in at least two different straggler blocks
+        if walked:  # rows end in at least two different straggler blocks
             assert len({d for d in last_drawn if d >= cover}) >= 2
+        elif clock is not None:  # rows end at different events of the clock's block
+            assert len(set(np.isfinite(paths.events).sum(axis=1))) >= 2
         else:  # every row starts past the horizon: no block is drawn
             assert paths.events.shape == (rows, 1) and np.all(paths.events == 5.0)
 
@@ -365,6 +396,73 @@ class TestJump:
         assert np.array_equal(segments[-1][2][-1], jumped.end)
         events = np.concatenate([start[None, :], *(times for _, _, times, _ in segments)])
         assert np.all(np.diff(events, axis=0) > 0)
+
+
+class TestClock:
+    """After its jump an Erlang(m, r) path reads its events up to the horizon
+    off one Poisson count of a rate-r clock's points (see processes._Clock)."""
+
+    def test_non_whole_shapes_keep_their_rows(self):
+        # Gamma(2.5, 2.5) has no clock: the jump and the walk after it give the
+        # rows and the fold the bits of the engine before the clock existed
+        paths = simulate_paths(Plain(Gamma(2.5, 2.5)), 100.0, 50, child_rng(5, 0))
+        assert hashlib.sha256(paths.events.tobytes()).hexdigest() == (
+            "d64eecd63cfc40afd48e7375a89dc7b6d976bb7a0fe51e0e43785c7d4d9e7309")
+        stats = path_statistics(Delayed(Uniform(0.0, 8.0), Gamma(2.5, 2.5)), [3.0, 100.0], 2_000, seed=5)
+        digest = hashlib.sha256()
+        for key in ("count", "residual", "age", "delay"):
+            digest.update(stats[key].tobytes())
+        assert digest.hexdigest() == "e8dba7e6bdf0643220d2edc7a6fef1eb0ddff2baa7888071acc0467c1f5d62c9"
+
+    @pytest.mark.parametrize("law,horizon,clocked", [
+        (Gamma(2, 2), 0.5, True), (Gamma(2, 2), 0.3, False), (Gamma(100, 100), 100.0, False), (Gamma(7, 7), 40.0, True),
+    ])
+    def test_clock_only_where_its_top_event_costs_no_more_than_the_walk(self, law, horizon, clocked):
+        # the top event takes m rows of points; the walk draws cover - jump gaps
+        # after the jump before its stragglers
+        cover, jump, _ = processes._block_widths(Plain(law), horizon)
+        assert (law.poisson_phases()[0] <= cover - jump) == clocked
+        _, _, clock, *walked = processes._column_blocks(Plain(law), horizon, 200, child_rng(3, 0))
+        assert (clock is not None) == clocked and bool(walked) != clocked
+
+    @pytest.mark.parametrize("spec", [Plain(Gamma(2, 2)), Delayed(Uniform(0.0, 80.0), Exponential(1.0))],
+                             ids=["gamma", "delayed-exponential"])
+    def test_cap_counts_the_clock_events(self, monkeypatch, spec):
+        # the jump's k events plus the clock's q pass a cap one below their
+        # largest sum, and not the cap at it; the mean count is below both
+        start, jumped, clock = processes._column_blocks(spec, 60.0, 2_000, child_rng(7, 0))
+        k = jumped.k if jumped is not None else 0
+        most = int((k + clock.events).max())
+        monkeypatch.setattr(processes, "DEFAULT_EVENT_CAP", most - 1)
+        with pytest.raises(EventCapExceeded, match="event cap"):
+            path_statistics(spec, [60.0], 2_000, seed=7)
+        monkeypatch.setattr(processes, "DEFAULT_EVENT_CAP", most)
+        assert path_statistics(spec, [60.0], 2_000, seed=7)["count"].max() == most + 1
+
+    @pytest.mark.parametrize("ts", [[50.0, 51.0], [0.5, 100.0], [100.0, 100.0], [7.0, 99.0, 100.0]],
+                             ids=["window", "filled-jump", "twice-at-horizon", "three"])
+    @pytest.mark.parametrize("law", [Gamma(2, 2), Gamma(3, 3), Exponential(2.0)], ids=["gamma", "gamma-3", "exponential"])
+    def test_fold_reads_the_kept_rows(self, ts, law):
+        # the fold draws the clock's rows only as far down as ts need;
+        # simulate_paths draws them all: counts, residuals and ages agree
+        stats = path_statistics(Plain(law), ts, 500, seed=37)
+        paths = simulate_paths(Plain(law), max(ts), 500, child_rng(37, 0))
+        n = count(paths, ts)
+        assert np.array_equal(n, stats["count"])
+        assert np.array_equal(residual(paths, ts), stats["residual"])
+        assert np.array_equal(np.asarray(ts) - np.take_along_axis(paths.events, n - 1, axis=1), stats["age"])
+
+    @pytest.mark.parametrize("ts", [[100.0], [0.5, 100.0]], ids=["horizon", "inside-the-jumps"])
+    def test_fold_takes_only_the_top_event_when_each_path_stops_at_the_horizon(self, monkeypatch, ts):
+        # 0.5 falls inside every path's jump, whose blocks answer it, so each
+        # path stops at the horizon: one take of the top event's m = 2 rows
+        sizes, take = [], processes._ClockRows.take
+        def record(rows, size, cols=None):
+            sizes.append(size)
+            return take(rows, size, cols)
+        monkeypatch.setattr(processes._ClockRows, "take", record)
+        path_statistics(Plain(Gamma(2, 2)), ts, 2_000, seed=3)
+        assert sizes == [2]
 
 
 class TestQueries:
