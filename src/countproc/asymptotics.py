@@ -4,18 +4,14 @@ Replications are simulated in chunks of paths, streamed through the
 column-block sampler of :mod:`countproc.processes`: each block, time-major
 with one row per event index and one column per path, is folded along its
 event axis into the running counts and residuals at the query times and
-discarded.  A Gamma-family path's jump over its first k events (see
-:mod:`countproc.processes`) is folded as k gaps that all start at or
-before every query time, unless some path's jump ends after the first
-query time; only then are its events filled in and folded as blocks.
-An Erlang path's events after the jump are read off its Poisson clock
-top-down, drawing the clock's rows of points only down to the path's
-first event at or before its stop, the lowest query time at or after its
-jump's end (a lower one falls inside the jump): when that is the
-horizon, only its top event, the first m rows.  Either way each path's
-summaries are those of the path
+discarded.  An Erlang path's events (see :mod:`countproc.processes`) are
+read off its Poisson clock top-down, drawing the clock's rows of points
+only down to the path's first event at or before its stop, the lowest
+query time at or after its start (a lower one precedes its delay): when
+that is the horizon, only its top event, the first m rows.  Either way
+each path's summaries are those of the path
 :func:`countproc.processes.simulate_paths` keeps from the same stream.
-Chunk sizes, block widths and jumps depend only on the spec and horizon,
+Chunk sizes and block widths depend only on the spec and horizon,
 chunk i draws from ``child_rng(seed, i)``, and chunks are reduced in index
 order, so every estimate is bit-reproducible from the root seed and
 independent of the number of worker threads.
@@ -58,7 +54,6 @@ rounding or its numerical error, not against a bar of 1e-17 or 0.
 
 from __future__ import annotations
 
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -280,22 +275,15 @@ def _simulate_chunk(
     or before t, its residual is the first event time after t minus t, and
     its age is t minus the last event at or before t (NaN on a delayed row
     whose delay exceeds t); both events are read from the block that holds
-    the gap across t.  A jump (``processes._Jump``) is filled in only when
-    some path's jump ends after the first query time; otherwise its k gaps
-    all start at or before every t, and it adds k to each count.  A clock
-    (``processes._Clock``) is folded by :func:`_fold_clock`.
+    the gap across t.  A clock (``processes._Clock``) is folded by
+    :func:`_fold_clock`.
     """
     blocks = _column_blocks(spec, float(np.max(ts)), rows, child_rng(seed, chunk_index))
-    start, jumped, clock = next(blocks), next(blocks), next(blocks)
+    start, clock = next(blocks), next(blocks)
     result = {"count": np.zeros((rows, ts.size)), "residual": start[:, None] - ts,
               "age": np.full((rows, ts.size), np.nan)}
     if isinstance(spec, Delayed):
         result["delay"] = start
-    if jumped is not None:
-        if np.any(jumped.end > np.min(ts)):
-            blocks = itertools.chain(jumped.blocks(), blocks)
-        else:
-            result["count"][jumped.active] += jumped.k
     for active, last, times, _ in blocks:
         width = times.shape[0]
         for i, t in enumerate(ts):
@@ -314,17 +302,17 @@ def _simulate_chunk(
 
 def _fold_clock(clock, ts: np.ndarray, result: dict[str, np.ndarray]) -> None:
     """Fold the events of a clock (``processes._Clock``) into ``result`` at
-    each t at or after a path's ``last``: its count at t is the q events
-    less those after t, plus the gap from ``last``; its residual is the
+    each t at or after a path's ``start``: its count at t is the q events
+    less those after t, plus the event at ``start``; its residual is the
     first event after t (``over`` if none) minus t, and its age t minus the
-    last event at or before t (``last`` if none).
+    last event at or before t (``start`` if none).
     """
     after, first, last = _events_around(clock, ts)
     t, paths = ts[:, None], clock.active  # time-major: one row per query time
     count = 1 + clock.events - after
-    residual, age = first - t, t - np.where(last > -np.inf, last, clock.last)
-    on = clock.last <= t
-    if not on.all():  # a t before a path's last event: its jump's blocks answered
+    residual, age = first - t, t - np.where(last > -np.inf, last, clock.start)
+    on = clock.start <= t
+    if not on.all():  # a t before a path's delay: it keeps count 0, its residual to the delay, age NaN
         count = np.where(on, count, 0)
         residual = np.where(on, residual, result["residual"][paths].T)
         age = np.where(on, age, result["age"][paths].T)
@@ -336,22 +324,22 @@ def _fold_clock(clock, ts: np.ndarray, result: dict[str, np.ndarray]) -> None:
 def _events_around(clock, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(after, first, last), one row per t: each path's number of events
     after t, the lowest of them (``over`` if none) and its highest event at
-    or before t (-inf if none; +inf at a t before the path's ``last``, which
-    falls inside its jump, whose blocks answer it).
+    or before t (-inf if none; +inf at a t before the path's ``start``, its
+    delay, which the clock does not answer).
 
     A path takes rows of points only until it has an event at or before
-    each t at or after its ``last``, or none left; the state of the paths
+    each t at or after its ``start``, or none left; the state of the paths
     still taking is kept compact, one column each.  A take's events, every
     m-th of its points, come top-down, so the ``up`` of them above t are
     its first, and the next one is the highest at or before t.
     """
     m, n = clock.m, clock.active.size
-    inside = ts[:, None] < clock.last
+    inside = ts[:, None] < clock.start
     after = np.zeros((ts.size, n), dtype=np.intp)
     first = np.repeat(clock.over[None], ts.size, axis=0)
     last = np.where(inside, np.inf, -np.inf)
     # the first take holds the top event and the points a path has on average above
-    # its lowest t at or after its last, and one standard deviation more; every take
+    # its lowest t at or after its start, and one standard deviation more; every take
     # draws its rows' uniforms for all the paths, so the few left after it take 2m
     # rows, then 4m, 8m, ...
     stop = np.where(inside, np.inf, ts[:, None]).min(axis=0)  # at most the horizon

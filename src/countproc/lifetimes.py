@@ -125,9 +125,9 @@ class LifetimeDistribution(_Wire):
     ``excess_second_moment`` and ``_integrated_excess`` derive from the
     excess moment; laws whose moments can diverge override
     ``_integrated_excess``, whose default needs ``E[T^(k+1)] < inf``;
-    only the Gamma family overrides ``sum_law``, ``poisson_phases`` and
-    ``length_biased_law``.  A subclass
-    ``__post_init__`` calls this one first.
+    only the Gamma family overrides ``poisson_phases``, which puts an
+    Erlang path on the sampler's Poisson clock, and ``length_biased_law``.
+    A subclass ``__post_init__`` calls this one first.
     """
 
     def __post_init__(self):
@@ -203,15 +203,6 @@ class LifetimeDistribution(_Wire):
     def atoms(self) -> list[tuple[float, float]]:
         """The law's discrete part: a (location, mass) pair per atom, [] for none."""
         return []
-
-    def sum_law(self, k: int) -> LifetimeDistribution | None:
-        """The law of T_1 + ... + T_k for k >= 1 i.i.d. draws, or None.
-
-        Only the Gamma family answers: there the shares T_i / (T_1 + ...
-        + T_k) are independent of the sum (Lukacs 1955), which the sampler
-        needs to jump a path k events with one draw of it.
-        """
-        return None
 
     def poisson_phases(self) -> tuple[int, float] | None:
         """(m, r) when the law is Erlang(m, r), the time to the m-th point of
@@ -295,9 +286,6 @@ class Exponential(LifetimeDistribution):
     def _draw(self, rng, size):
         return rng.exponential(1.0 / self.rate, size)
 
-    def sum_law(self, k):
-        return Gamma(k, self.rate)
-
     def poisson_phases(self):
         return 1, self.rate
 
@@ -378,9 +366,6 @@ class Gamma(LifetimeDistribution):
                     np.log(xs, out=xs)
                     np.multiply(xs, -1.0 / self.rate, out=xs)
         return x
-
-    def sum_law(self, k):
-        return Gamma(k * self.shape, self.rate)
 
     def poisson_phases(self):
         return (int(self.shape), self.rate) if self.shape.is_integer() else None

@@ -22,35 +22,23 @@ times accumulate as contiguous row adds.  :func:`simulate_paths`
 transposes the blocks into its path-major rows, :func:`simulate_path` is
 its one-row case, and :func:`countproc.asymptotics.path_statistics` folds
 the same blocks into per-path summaries.  The event cap counts the
-gaps drawn (or jumped, or counted on a clock) for a path still at or
-before the horizon.  Simulation is a
-pure function of (spec, horizon, rows, seed); seeds should be derived with
-:func:`child_rng`.
+gaps drawn (or counted on a clock, the overshoot's included) for a path
+still at or before the horizon.  Simulation is a pure function of (spec,
+horizon, rows, seed); seeds should be derived with :func:`child_rng`.
 
-A plain or delayed path whose lifetime law is of the Gamma family
-(Exponential included) first jumps k events with one draw of their sum,
-whose law ``sum_law(k)`` is Gamma in closed form; k depends only on (spec,
-horizon) and leaves a chance of at most 1e-9 that the jump ends past the
-horizon.  The shares of the k gaps in their sum are independent of it
-(Lukacs 1955), so the events inside the jump are a Dirichlet bridge drawn
-from a generator of their own, only when a consumer needs them:
-:func:`simulate_paths` always, the Monte Carlo fold only when a query time
-falls inside some path's jump.  Either way the sampler's stream, and every
-event after the jump, is the same, and the path is exact in law.
-
-When the law is Erlang(m, r) (``poisson_phases``: Exponential, or Gamma of
-a whole-number shape) and m is no more than the gaps the walk would draw
-after the jump before its stragglers, the path does not walk after its
-jump.  Its gaps
-are m phases of one Poisson clock of rate r, so the stream draws, per
-path, the Poisson count P of the clock's points between the jump's end
-and the horizon and the overshoot event past the horizon, and every m-th
-point counted from the bottom is an event (see :class:`_Clock`).  Given P
-the points are uniform order statistics, drawn top-down from a generator
-of their own; a consumer draws only the top rows it needs, and every
-prefix has the same bits: :func:`simulate_paths` draws them all, the Monte
-Carlo fold only down to the first event at or before its lowest query
-time.
+A plain or delayed path whose lifetime law is Erlang(m, r)
+(``poisson_phases``: Exponential, or Gamma of a whole-number shape) does
+not walk when m is no more than the gaps the walk would draw before its
+stragglers, nor than ``_ERLANG_MAX_SHAPE``.  Its gaps are m phases of one
+Poisson clock of rate r, so the stream draws, per path, the Poisson count
+P of the clock's points between the path's start and the horizon and the
+overshoot event past the horizon, and every m-th point counted from the
+bottom is an event (see :class:`_Clock`).  Given P the points are uniform
+order statistics, drawn top-down from a generator of their own; a
+consumer draws only the top rows it needs, and every prefix has the same
+bits: :func:`simulate_paths` draws them all, the Monte Carlo fold only
+down to the first event at or before its lowest query time.  Every other
+law walks.
 """
 
 from __future__ import annotations
@@ -65,8 +53,8 @@ from typing import IO, Iterator, Literal, Mapping, Sequence, Union, get_args
 import numpy as np
 
 from .lifetimes import (
-    _SLAB, EquilibriumOf, Exponential, Gamma, LifetimeDistribution, _decode, _draw_each, _pick, _probabilities,
-    _Wire,
+    _ERLANG_MAX_SHAPE, _SLAB, EquilibriumOf, Exponential, Gamma, LifetimeDistribution, _decode, _draw_each, _pick,
+    _probabilities, _Wire,
 )
 
 __all__ = [
@@ -332,9 +320,6 @@ def path_from_interarrivals(interarrivals: Sequence[float], horizon: float) -> S
 _CHUNK_ROWS = 1 << 14
 _BLOCK_COLS = 256  # widest block: a chunk holds at most _CHUNK_ROWS x _BLOCK_COLS draws
 _ROW_ADD_PATHS = 384  # blocks of this many paths or more accumulate by row adds
-# Largest chance that a path's jump (see _Jump) ends past the horizon.  It
-# sets only how often a chunk fills its jumps in: a jump is exact either way.
-_JUMP_TAIL = 1e-9
 
 
 def _lifetime_laws(spec: ProcessSpec) -> list[LifetimeDistribution]:
@@ -345,22 +330,18 @@ def _lifetime_laws(spec: ProcessSpec) -> list[LifetimeDistribution]:
     return [spec.base]
 
 
-def _block_widths(spec: ProcessSpec, tmax: float) -> tuple[int, int, Iterator[int]]:
-    """(cover, jump, widths), which depend only on (spec, tmax): ``jump``,
-    the events a path jumps with one draw (see :class:`_Jump`); ``widths``,
-    the column widths of a chunk's successive blocks after them, unless a
-    clock (:class:`_Clock`) holds those events; and ``cover``, the jump
-    plus the widths before the stragglers.
+def _block_widths(spec: ProcessSpec, tmax: float) -> tuple[int, Iterator[int]]:
+    """(cover, widths): the column widths of a chunk's successive blocks,
+    unless a clock (:class:`_Clock`) holds the events, which depend only on
+    (spec, tmax), and their sum before the stragglers.
 
     Blocks of at most ``_BLOCK_COLS`` columns cover the mean event count up
     to ``tmax`` plus one standard deviation; blocks of about one standard
     deviation follow for the rows still at or before ``tmax``.  The mean
     gap is taken as the average over the spec's lifetime laws, exact for a
-    modulated chain whose stationary law is uniform.  The jump is
-    :func:`_jump_length` on a plain or delayed spec whose lifetime law has
-    a ``sum_law``, else 0.  Raises :class:`EventCapExceeded`, before
-    anything is drawn, when the mean count alone is over
-    ``DEFAULT_EVENT_CAP``.
+    modulated chain whose stationary law is uniform.  Raises
+    :class:`EventCapExceeded`, before anything is drawn, when the mean
+    count alone is over ``DEFAULT_EVENT_CAP``.
     """
     laws = _lifetime_laws(spec)
     mean = sum(d.moment(1) for d in laws) / len(laws)
@@ -372,26 +353,11 @@ def _block_widths(spec: ProcessSpec, tmax: float) -> tuple[int, int, Iterator[in
         )
     sd = events**0.75 if math.isinf(var) else math.sqrt(var * events) / mean
     cover = int(events + sd) + 1
-    jumps = isinstance(spec, (Plain, Delayed)) and spec.lifetime.sum_law(1) is not None
-    jump = _jump_length(spec.lifetime, tmax, cover) if jumps else 0
-    full, rest = divmod(cover - jump, _BLOCK_COLS)
-    return cover, jump, itertools.chain(
+    full, rest = divmod(cover, _BLOCK_COLS)
+    return cover, itertools.chain(
         itertools.repeat(_BLOCK_COLS, full), [rest] if rest else [],
         itertools.repeat(min(_BLOCK_COLS, max(16, int(sd)))),
     )
-
-
-def _jump_length(law: LifetimeDistribution, tmax: float, most: int) -> int:
-    """The largest k <= ``most`` whose sum law puts at most ``_JUMP_TAIL`` of
-    its mass past ``tmax``, by bisection: P(S_k > tmax) increases with k."""
-    lo, hi = 0, most + 1  # P(S_lo > tmax) <= _JUMP_TAIL, and hi is past the answer
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if law.sum_law(mid).tail(tmax) <= _JUMP_TAIL:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def _initial_carry(spec: ProcessSpec, rng: np.random.Generator, rows: int) -> np.ndarray:
@@ -448,65 +414,15 @@ def _accumulate(times: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class _Jump:
-    """The first ``k`` events of the paths ``active`` after their start
-    ``last``, jumped with one draw: ``end`` = ``last`` + ``total``, with
-    ``total`` drawn from ``law.sum_law(k)``.
-
-    The shares of the k gaps in their sum are Dirichlet and independent of
-    it (Lukacs 1955), so :meth:`blocks` can fill the events in afterwards
-    from a generator of their own, seeded by ``seed``, exactly in law; the
-    sampler's stream is the same whether they are filled in or not.
-    """
-
-    law: LifetimeDistribution
-    k: int
-    seed: int
-    active: np.ndarray
-    last: np.ndarray
-    total: np.ndarray
-    end: np.ndarray
-
-    def blocks(self):
-        """The k events as the ``(active, last, times, None)`` blocks of
-        :func:`_column_blocks`, ``_BLOCK_COLS`` events or fewer each: a
-        Dirichlet bridge in two levels.  The segments of ``_BLOCK_COLS``
-        events share ``total`` in the running sums of one ``sum_law`` draw
-        each; a segment's events share its length in the running sums of
-        its gaps, one ``law`` draw each.  A segment ends at its share's
-        boundary exactly, the last one at ``end``."""
-        rng, n = np.random.default_rng(self.seed), self.active.size
-        full, rest = divmod(self.k, _BLOCK_COLS)
-        sizes = [_BLOCK_COLS] * full + [rest] * (rest > 0)
-        ends = self.end[None]
-        if len(sizes) > 1:
-            sums = self.law.sum_law(_BLOCK_COLS).draw(rng, (full, n))
-            if rest:
-                sums = np.concatenate([sums, self.law.sum_law(rest).draw(rng, (1, n))])
-            _accumulate(sums)
-            ends = sums * (self.total / sums[-1]) + self.last
-            ends[-1] = self.end
-        last = self.last
-        for size, end in zip(sizes, ends):
-            times = self.law.draw(rng, (size, n))
-            _accumulate(times)
-            times *= (end - last) / times[-1]
-            times += last
-            times[-1] = end
-            yield self.active, last, times, None
-            last = end
-
-
-@dataclass(frozen=True)
 class _Clock:
-    """The events after ``last`` up to ``horizon`` of the paths ``active``,
+    """The events after ``start`` up to ``horizon`` of the paths ``active``,
     whose lifetime law is Erlang(m, ``rate``): m phases of one Poisson clock
-    of rate ``rate``, so every m-th point of the clock after ``last`` is an
+    of rate ``rate``, so every m-th point of the clock after ``start`` is an
     event.
 
-    ``phases``, P ~ Poisson(rate (horizon - last)), counts the points in
-    (last, horizon]; with q, j = divmod(P, m) the path has q events there,
-    the last of them the (j + 1)-th largest point (``last`` itself when q =
+    ``phases``, P ~ Poisson(rate (horizon - start)), counts the points in
+    (start, horizon]; with q, j = divmod(P, m) the path has q events there,
+    the last of them the (j + 1)-th largest point (``start`` itself when q =
     0), and by memorylessness its next event, ``over``, is horizon +
     Gamma(m - j, rate).  Given P the points are uniform order statistics
     (Cinlar 1975, ch. 4), which :class:`_ClockRows` draws top-down from a
@@ -519,29 +435,30 @@ class _Clock:
     horizon: float
     seed: int
     active: np.ndarray
-    last: np.ndarray
+    start: np.ndarray
     phases: np.ndarray
     over: np.ndarray
 
     @classmethod
-    def draw(cls, phases: tuple[int, float], horizon: float, jump: int, active: np.ndarray, last: np.ndarray,
+    def draw(cls, phases: tuple[int, float], horizon: float, active: np.ndarray, start: np.ndarray,
              rng: np.random.Generator) -> _Clock:
-        """The clock of Erlang ``phases`` (m, rate) from ``last`` to
-        ``horizon`` of the paths ``active``, after their ``jump`` events:
-        one seed, then the Poisson counts and the overshoots, from the
-        sampler's stream."""
+        """The clock of Erlang ``phases`` (m, rate) from ``start`` to
+        ``horizon`` of the paths ``active``: one seed, then the Poisson
+        counts and the overshoots, from the sampler's stream.  Raises
+        :class:`EventCapExceeded` when a path's q events and its overshoot
+        are more than ``DEFAULT_EVENT_CAP`` gaps, the walk's count."""
         m, rate = phases
         seed = int(rng.integers(2**63))
-        count = rng.poisson(rate * (horizon - last))
-        if count.max() // m + jump > DEFAULT_EVENT_CAP:
+        count = rng.poisson(rate * (horizon - start))
+        if count.max() // m + 1 > DEFAULT_EVENT_CAP:
             raise EventCapExceeded(f"a path needs over {DEFAULT_EVENT_CAP} events, the event cap")
         over = horizon + _draw_each([Gamma(s, rate) for s in range(1, m + 1)], m - 1 - count % m, rng)
         np.maximum(over, np.nextafter(horizon, np.inf), out=over)  # past the horizon, though a gap rounds off
-        return cls(m, rate, horizon, seed, active, last, count, over)
+        return cls(m, rate, horizon, seed, active, start, count, over)
 
     @cached_property
     def events(self) -> np.ndarray:
-        """q, each path's event count in (last, horizon]."""
+        """q, each path's event count in (start, horizon]."""
         return self.phases // self.m
 
     @cached_property
@@ -559,14 +476,14 @@ class _Clock:
         logs = rows.take(max(int(self.depth.max()), 1))  # holds it at row depth - 1 - s m, from 0
         at = (self.depth - 1) * n + np.arange(n) - s * (self.m * n)
         times = rows.points(logs.take(at, mode="clip"))  # past the q events: any row, replaced
-        yield self.active, self.last, np.where(s < self.events, times, self.over), None
+        yield self.active, self.start, np.where(s < self.events, times, self.over), None
 
 
 class _ClockRows:
     """A clock's points, drawn top-down on demand.
 
     Row i (from 1) holds each path's i-th largest point: row i - 1 times
-    U^(1/(P - i + 1)) in the scale of (last, horizon], taken as a running
+    U^(1/(P - i + 1)) in the scale of (start, horizon], taken as a running
     sum of logs; past P a row is padding below the lowest point.  Its
     events are the rows depth, depth - m, ..., j + 1.  Every row draws its
     uniforms across all the clock's paths, so the bits of a point do not
@@ -582,7 +499,7 @@ class _ClockRows:
 
     def take(self, size: int, cols: np.ndarray | None = None) -> np.ndarray:
         """The logs of the next ``size`` rows at the paths ``cols`` (all for
-        None), time-major, as shares of (last, horizon]; a path left out of
+        None), time-major, as shares of (start, horizon]; a path left out of
         a take is left out of every later one."""
         c, cols = self.clock, slice(None) if cols is None else cols
         x = self.rng.random((size, c.active.size))[:, cols]
@@ -604,8 +521,8 @@ class _ClockRows:
         :meth:`take` gave, in place."""
         c, cols = self.clock, slice(None) if cols is None else cols
         np.exp(logs, out=logs)
-        logs *= c.horizon - c.last[cols]
-        logs += c.last[cols]
+        logs *= c.horizon - c.start[cols]
+        logs += c.start[cols]
         return np.minimum(logs, c.horizon, out=logs)  # rounding must not lift a point past the horizon
 
 
@@ -613,25 +530,21 @@ def _column_blocks(spec, tmax, rows, rng):
     """The one sampler behind every simulated path.
 
     Yields first ``start``: each path's start (its delay, or 0).  Then the
-    :class:`_Jump` of the paths at or before ``tmax``, or None when
-    :func:`_block_widths` gives no jump or no path is.  Then the
-    :class:`_Clock` of the paths still at or before ``tmax`` when the
-    lifetime law of a plain or delayed spec has ``poisson_phases`` (m, r)
-    and m is at most the ``cover`` of :func:`_block_widths` less the jump,
-    which holds all their events after the jump, or None.  Then, without a clock,
-    per block ``(active, last, times, marks)`` for the paths ``active``
-    still at or before ``tmax``: their last event time before the block,
-    the block's event times accumulated from it, time-major (one row per
-    event index, one column per active path), and the marks of
-    :func:`_draw_block`.  A jumped path is active after its jump when its
-    ``end`` is at or before ``tmax``, with ``last`` its ``end``.  The
-    stream draws the starts, then, for a jump, one seed for its bridge and
-    the totals, then, for a clock, one seed for its points, the Poisson
-    counts and the overshoots, else the blocks.  Raises
+    :class:`_Clock` of the paths at or before ``tmax``, which holds all
+    their events, when the lifetime law of a plain or delayed spec has
+    ``poisson_phases`` (m, r) and m is at most both the ``cover`` of
+    :func:`_block_widths` and ``_ERLANG_MAX_SHAPE``, or None.  Then,
+    without a clock, per block ``(active, last, times, marks)`` for the
+    paths ``active`` still at or before ``tmax``: their last event time
+    before the block, the block's event times accumulated from it,
+    time-major (one row per event index, one column per active path), and
+    the marks of :func:`_draw_block`.  The stream draws the starts, then,
+    for a clock, one seed for its points, the Poisson counts and the
+    overshoots, else the blocks.  Raises
     :class:`EventCapExceeded` when a still-active path has drawn (or
-    jumped, or counted on its clock) more than ``DEFAULT_EVENT_CAP`` gaps.
+    counted on its clock) more than ``DEFAULT_EVENT_CAP`` gaps.
     """
-    cover, jump, widths = _block_widths(spec, tmax)
+    cover, widths = _block_widths(spec, tmax)
     if isinstance(spec, Delayed):
         start = np.asarray(spec.delay.draw(rng, rows), float)
     else:
@@ -639,22 +552,15 @@ def _column_blocks(spec, tmax, rows, rng):
     yield start
     active = np.flatnonzero(start <= tmax)
     last, carry = start[active], _initial_carry(spec, rng, rows)[..., active]
-    if jump and active.size:
-        seed = int(rng.integers(2**63))
-        total = spec.lifetime.sum_law(jump).draw(rng, active.size)
-        jumped = _Jump(spec.lifetime, jump, seed, active, last, total, last + total)
-        yield jumped
-        keep = jumped.end <= tmax
-        active, last, carry = active[keep], jumped.end[keep], carry[..., keep]
-    else:
-        yield None
-    # a clock's top event takes m rows of points, no more than the walk's blocks before the stragglers
+    # a clock's top event takes m rows of points, no more than the walk's blocks before the
+    # stragglers; drawn in full, it takes m points an event, about the m uniforms a gap of the
+    # walk's Erlang fill, where a larger shape draws one gamma variate a gap
     phases = spec.lifetime.poisson_phases() if isinstance(spec, (Plain, Delayed)) else None
-    if phases is not None and phases[0] <= cover - jump:
-        yield _Clock.draw(phases, tmax, jump, active, last, rng) if active.size else None
+    if phases is not None and phases[0] <= min(cover, _ERLANG_MAX_SHAPE):
+        yield _Clock.draw(phases, tmax, active, last, rng) if active.size else None
         return
     yield None
-    drawn = jump
+    drawn = 0
     for width in widths:
         if not active.size:
             return
@@ -674,18 +580,15 @@ def simulate_paths(spec: ProcessSpec, horizon: float, rows: int, rng: np.random.
     once and filled from the column blocks: with ``rng = child_rng(seed, i)``
     and ``horizon`` the largest query time, the rows are the paths that chunk
     i of :func:`countproc.asymptotics.path_statistics` summarizes, each with
-    its jump (:class:`_Jump`) filled in and every event of its clock
-    (:class:`_Clock`) drawn.  Raises :class:`EventCapExceeded`
-    when a path still at or before the horizon has drawn more than
-    ``DEFAULT_EVENT_CAP`` gaps.
+    every event of its clock (:class:`_Clock`) drawn.  Raises
+    :class:`EventCapExceeded` when a path still at or before the horizon
+    has drawn more than ``DEFAULT_EVENT_CAP`` gaps.
     """
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    start, jumped, clock, *blocks = _column_blocks(spec, float(horizon), rows, rng)
+    start, clock, *blocks = _column_blocks(spec, float(horizon), rows, rng)
     if clock is not None:  # a kept path holds every event: draw all of its clock's
-        blocks[:0] = clock.blocks()
-    if jumped is not None:  # and fill its jump in
-        blocks[:0] = jumped.blocks()
+        blocks = list(clock.blocks())
     cols = 1 + sum(times.shape[0] for _, _, times, _ in blocks)
     events = np.full((rows, cols), np.inf)
     events[:, 0] = start
@@ -711,7 +614,7 @@ def simulate_paths(spec: ProcessSpec, horizon: float, rows: int, rng: np.random.
 def paths_per_chunk(spec: ProcessSpec, horizon: float) -> int:
     """Rows per :func:`simulate_paths` call whose kept events fit one chunk's
     draw budget of ``_CHUNK_ROWS x _BLOCK_COLS`` values (at least one row)."""
-    cover, _, _ = _block_widths(spec, horizon)
+    cover, _ = _block_widths(spec, horizon)
     return max(1, _CHUNK_ROWS * _BLOCK_COLS // cover)
 
 

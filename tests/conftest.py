@@ -72,7 +72,7 @@ def rng():
 def chunk_paths():
     """Blocks of the paths that path_statistics(spec, ts, reps, seed) with
     max(ts) = t summarizes, one block per chunk, drawn as they are used;
-    every event of a Gamma-family path's jump is filled in."""
+    every event of an Erlang path's Poisson clock is drawn."""
 
     def blocks(spec, t, reps, seed):
         for i, first in enumerate(range(0, reps, _CHUNK_ROWS)):

@@ -144,8 +144,8 @@ def test_criterion_05_quadratic_variation(chunk_paths):
         optional.append(optional_quadratic_variation(paths, rate, t))
         counts.append(count(paths, t))
     optional = np.concatenate(optional)
-    # [M] comes from the kept paths, whose jumps are filled in, and <M> from
-    # the fold's counts: the rows must be the same paths for the differences
+    # [M] comes from the kept paths, whose clocks are drawn in full, and <M>
+    # from the fold's counts: the rows must be the same paths for the differences
     assert np.array_equal(np.concatenate(counts), stats["count"][:, 0])
     predictable = rate**2 * sigma2 * stats["count"][:, 0]
     noise = stats["count"][:, 0] - rate * (t + stats["residual"][:, 0])

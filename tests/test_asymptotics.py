@@ -522,9 +522,8 @@ class TestDiffusion:
     def test_wrong_sampler_variance_fails_wald_second(self, monkeypatch, seed):
         # Gamma(k, k) with k = 2/1.2 (mean 1, variance 1.2 x 1/2) is drawn where
         # rate and var T are the nominal Gamma(2, 2)'s, at the benchmark's size.
-        # The fault is a function of the law, so a jump's sum law Gamma(2j, 2)
-        # draws Gamma(2j/1.2, 2/1.2), the sum of j wrong gaps; with its Poisson
-        # clock hidden the path walks after the jump, each gap a wrong draw
+        # The fault is a function of the law; with its Poisson clock hidden
+        # the path walks, each gap a wrong draw
         draw = Gamma._draw
         monkeypatch.setattr(Gamma, "_draw",
                             lambda self, rng, size: draw(Gamma(self.shape / 1.2, self.rate / 1.2), rng, size))
@@ -620,20 +619,16 @@ class TestReproducibility:
     def test_thread_count_invariance_other_kinds(self, spec):
         self._assert_thread_invariant(spec)
 
-    @pytest.mark.parametrize("ts,reps", [([100.0], 40_000), ([1e4], 20_000), ([0.5, 100.0], 40_000)],
-                             ids=["variance", "diffusion", "bridged"])
-    def test_thread_count_invariance_of_jumps(self, ts, reps):
-        # the variance and diffusion configs' horizons, two or more chunks: each
-        # chunk's jumps, filled in or not, come from that chunk's stream
-        self._assert_thread_invariant(Plain(Gamma(2, 2)), ts, reps)
-
-    @pytest.mark.parametrize("spec,ts", [(Plain(Exponential(1.0)), [50.0]), (Plain(Gamma(2, 2)), [50.0, 51.0]),
-                                         (Delayed("equilibrium", Exponential(1.0)), [0.5, 5.0, 50.0])],
-                             ids=["rm-cross", "window", "equilibrium-delay"])
-    def test_thread_count_invariance_of_clocks(self, spec, ts):
-        # each chunk's clock, its points drawn as far down as ts need,
-        # comes from that chunk's stream
-        self._assert_thread_invariant(spec, ts, 40_000)
+    @pytest.mark.parametrize("spec,ts,reps", [
+        (Plain(Gamma(2, 2)), [100.0], 40_000), (Plain(Gamma(2, 2)), [1e4], 20_000),
+        (Plain(Gamma(2, 2)), [0.5, 100.0], 40_000), (Plain(Exponential(1.0)), [50.0], 40_000),
+        (Plain(Gamma(2, 2)), [50.0, 51.0], 40_000), (Delayed("equilibrium", Exponential(1.0)), [0.5, 5.0, 50.0], 40_000),
+    ], ids=["variance", "diffusion", "deep", "rm-cross", "window", "equilibrium-delay"])
+    def test_thread_count_invariance_of_clocks(self, spec, ts, reps):
+        # the benchmark configs' horizons and a low query time, two or more
+        # chunks: each chunk's clock, its points drawn as far down as ts
+        # need, comes from that chunk's stream
+        self._assert_thread_invariant(spec, ts, reps)
 
     @pytest.mark.parametrize("estimator,spec", [
         (estimate_rate, Plain(Gamma(2, 2))),
@@ -704,7 +699,7 @@ class TestBlockKernel:
         tmax = max(ts)
         # the quadratic variation from the block of the same chunk, drawn from
         # second recorders so that the recorded blocks stay the engine's; a
-        # Recording law has no sum_law, so neither stream jumps
+        # Recording law has no poisson_phases, so both streams walk
         plain = (Plain(Recording(Gamma(2, 2))) if kind == "plain"
                  else Delayed(Recording(Uniform(0.0, 8.0)), Recording(Gamma(2, 2))))
         qv = optional_quadratic_variation(simulate_paths(plain, tmax, 300, child_rng(41, 0)), 0.5, ts)
@@ -743,8 +738,8 @@ class TestBlockKernel:
 
 
 @dataclass(frozen=True)
-class NoSumLaw(LifetimeDistribution):
-    """Test double: ``base``'s law without a sum law, so its paths never jump."""
+class NoClock(LifetimeDistribution):
+    """Test double: ``base``'s law without ``poisson_phases``, so its paths walk."""
 
     base: LifetimeDistribution
 
@@ -758,34 +753,33 @@ class NoSumLaw(LifetimeDistribution):
         return self.base._draw(rng, size)
 
 
-class TestJump:
-    """Jumping a Gamma-family path's first k events with one draw of their
-    sum, and filling them in from a Dirichlet bridge, is exact in law."""
+class TestClockInLaw:
+    """Reading an Erlang path's events off its Poisson clock, top-down and
+    only as far as the query times need, is exact in law."""
 
-    def test_unfilled_and_filled_jumps_give_the_same_rows(self):
-        # at ts = [100] no jump is filled in; at [0.5, 100] every chunk's is,
-        # from a generator of its own: the t = 100 rows are the same bits
+    def test_a_lower_query_time_keeps_the_rows_at_the_horizon(self):
+        # at ts = [100] the fold draws each path's top event only; at [0.5,
+        # 100] it draws the clock's rows far down, and every prefix has the
+        # same bits: the t = 100 rows are the same
         spec = Plain(Gamma(2, 2))
         alone = path_statistics(spec, [100.0], 20_000, seed=61)
-        bridged = path_statistics(spec, [0.5, 100.0], 20_000, seed=61)
+        deep = path_statistics(spec, [0.5, 100.0], 20_000, seed=61)
         for key in ("count", "residual", "age"):
-            assert np.array_equal(alone[key][:, 0], bridged[key][:, 1])
-        assert processes._block_widths(spec, 100.0)[1] == 60
+            assert np.array_equal(alone[key][:, 0], deep[key][:, 1])
 
     @pytest.mark.parametrize("spec,wrapped", [
-        (Plain(Gamma(2, 2)), Plain(NoSumLaw(Gamma(2, 2)))),
-        (Plain(Gamma(3, 3)), Plain(NoSumLaw(Gamma(3, 3)))),
-        (Delayed(Uniform(0.0, 3.0), Gamma(0.5, 0.5)), Delayed(Uniform(0.0, 3.0), NoSumLaw(Gamma(0.5, 0.5)))),
-        (Delayed(Uniform(0.0, 80.0), Gamma(2, 2)), Delayed(Uniform(0.0, 80.0), NoSumLaw(Gamma(2, 2)))),
-        (Plain(Exponential(2.0)), Plain(NoSumLaw(Exponential(2.0)))),
+        (Plain(Gamma(2, 2)), Plain(NoClock(Gamma(2, 2)))),
+        (Plain(Gamma(3, 3)), Plain(NoClock(Gamma(3, 3)))),
+        (Delayed(Uniform(0.0, 3.0), Gamma(1, 0.5)), Delayed(Uniform(0.0, 3.0), NoClock(Gamma(1, 0.5)))),
+        (Delayed(Uniform(0.0, 80.0), Gamma(2, 2)), Delayed(Uniform(0.0, 80.0), NoClock(Gamma(2, 2)))),
+        (Plain(Exponential(2.0)), Plain(NoClock(Exponential(2.0)))),
     ], ids=["gamma", "gamma-3", "delayed-gamma", "delay-past-t", "exponential"])
-    @pytest.mark.parametrize("ts", [[60.0], [3.0, 60.0]], ids=["unfilled", "filled"])
+    @pytest.mark.parametrize("ts", [[60.0], [3.0, 60.0]], ids=["horizon", "deep"])
     def test_same_law_as_gap_by_gap(self, spec, wrapped, ts):
         # two-sample KS of N, R and the age at each t against the same law
-        # drawn gap by gap, on independent seeds: the jump, and after it the
-        # Poisson clock of an Erlang law, are exact in law
-        assert processes._block_widths(spec, 60.0)[1] > 0
-        assert processes._block_widths(wrapped, 60.0)[1] == 0
+        # drawn gap by gap, on independent seeds: the Poisson clock of an
+        # Erlang law is exact in law
+        assert spec.lifetime.poisson_phases()[0] <= processes._block_widths(spec, 60.0)[0]  # clocked
         assert wrapped.lifetime.poisson_phases() is None
         a = path_statistics(spec, ts, 20_000, seed=1)
         b = path_statistics(wrapped, ts, 20_000, seed=2)
@@ -794,12 +788,11 @@ class TestJump:
                 x, y = a[key][:, i], b[key][:, i]
                 assert scipy_stats.ks_2samp(x[~np.isnan(x)], y[~np.isnan(y)]).pvalue > 1e-3
 
-    def test_long_jump_has_the_gap_by_gap_law(self):
-        # at t = 10^3 a Gamma(2, 2) path jumps 869 events, filled in as four
-        # segments whose ends split the jump by their Gamma(512, 2) sums: N, R
-        # and the age at t = 300, inside the second, against the gap-by-gap law
-        spec, wrapped = Plain(Gamma(2, 2)), Plain(NoSumLaw(Gamma(2, 2)))
-        assert processes._block_widths(spec, 1e3)[1] == 869
+    def test_deep_query_has_the_gap_by_gap_law(self):
+        # at a horizon of 10^3 a Gamma(2, 2) path has about 2000 points on its
+        # clock; t = 300 sits about 1400 of them down, read over several
+        # takes: N, R and the age at t = 300 against the gap-by-gap law
+        spec, wrapped = Plain(Gamma(2, 2)), Plain(NoClock(Gamma(2, 2)))
         a = path_statistics(spec, [300.0, 1e3], 20_000, seed=3)
         b = path_statistics(wrapped, [300.0, 1e3], 20_000, seed=4)
         for key in ("count", "residual", "age"):
@@ -807,7 +800,7 @@ class TestJump:
 
     def test_mean_count_matches_the_renewal_function(self):
         # Gamma(2, 2): E[N(t)] = U(t) = 0.75 + t + exp(-4 t)/4, the event at 0
-        # counted; t = 0.5 and 7 fall inside the jumps to 100, which are filled in
+        # counted; t = 0.5 and 7 are read deep down the clocks to 100
         cases = [([0.5, 7.0, 100.0], 50_000, 71), ([1e3], 50_000, 72), ([1e4], 20_000, 73)]
         for ts, reps, seed in cases:
             counts = path_statistics(Plain(Gamma(2, 2)), ts, reps, seed=seed)["count"]
@@ -817,7 +810,7 @@ class TestJump:
 
     def test_exponential_mean_count_is_one_plus_t(self):
         # a Poisson process with its event at 0 counted: E[N(t)] = 1 + t; t = 0.3
-        # and 5 fall inside the jumps to 50, and 50 is read off the clock alone
+        # and 5 are read deep down the clocks to 50, and 50 off their top event
         ts, reps = [0.3, 5.0, 50.0], 50_000
         counts = path_statistics(Plain(Exponential(1.0)), ts, reps, seed=74)["count"]
         for t, n in zip(ts, counts.T):

@@ -758,13 +758,11 @@ class TestRun:
         # variance), where the nominal law's moments are used: the conditioned
         # estimate sees the sampler only through N and the age (and not at all on
         # an Exponential law), the plain mean of R - E[R | age] does.  Each fault is
-        # a function of the law and reaches its sum law, so a jump of k gaps draws
-        # the sum of k wrong gaps; the Poisson clock is hidden, so that every gap
-        # after the jump is a wrong draw too
+        # a function of the law, and the Poisson clock is hidden, so that the path
+        # walks and every gap is a wrong draw
         if law == "exponential":
             draw = Exponential._draw
             monkeypatch.setattr(Exponential, "_draw", lambda self, rng, size: draw(Exponential(1.1 * self.rate), rng, size))
-            monkeypatch.setattr(Exponential, "sum_law", lambda self, k: Gamma(k, 1.1 * self.rate))
             monkeypatch.setattr(Exponential, "poisson_phases", lambda self: None)
             spec = EXP_SPEC
         else:
@@ -779,8 +777,8 @@ class TestRun:
         assert "FAIL residual-given-age:" in capsys.readouterr().out
 
     def test_fast_clock_fails_residual_given_age(self, tmp_path, capsys, monkeypatch):
-        # the Poisson clock of Exponential(1) run at 1.1x its rate, behind a correct
-        # jump: each path's residual at t is its clock's overshoot, Exponential(1.1)
+        # the Poisson clock of Exponential(1) run at 1.1x its rate: each path's
+        # residual at t is its clock's overshoot, Exponential(1.1)
         monkeypatch.setattr(Exponential, "poisson_phases", lambda self: (1, 1.1 * self.rate))
         cfg = write_config(tmp_path, {"experiment": "rm-cross", "spec": EXP_SPEC, "t": 20, "reps": 25000,
                                       "seed": 7, "out": str(tmp_path / "res")})
@@ -841,12 +839,11 @@ class TestRun:
         # Gamma(k, k), k = 2/1.2 (1.2x the variance), drawn for Gamma(2, 2) moves the age
         # law and the conditioned window reads z = 6.7, while window-given-age reads -1.09;
         # an Exponential drawn at 1.1x its rate leaves g constant, so only the plain
-        # window-given-age row sees it (z = 14.6).  Each fault reaches its law's sum
-        # law, and the Poisson clock is hidden, so that the path walks after its jump
+        # window-given-age row sees it (z = 14.6).  The Poisson clock is hidden, so
+        # that the path walks and every gap is a wrong draw
         if law == "exponential":
             draw = Exponential._draw
             monkeypatch.setattr(Exponential, "_draw", lambda self, rng, size: draw(Exponential(1.1 * self.rate), rng, size))
-            monkeypatch.setattr(Exponential, "sum_law", lambda self, k: Gamma(k, 1.1 * self.rate))
             monkeypatch.setattr(Exponential, "poisson_phases", lambda self: None)
             spec = EXP_SPEC
         else:

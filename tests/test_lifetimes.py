@@ -492,26 +492,6 @@ class TestSampling:
         assert type(x) is float and x == dist.draw(np.random.default_rng(3), 1)[0]
 
 
-class TestSumLaw:
-    @settings(max_examples=60, deadline=None)
-    @given(any_distribution, st.integers(1, 500))
-    def test_only_the_gamma_family_answers(self, dist, k):
-        # the law of k gaps' sum has k E[T] and k var T; every other law,
-        # whose gap shares are not independent of their sum, has none
-        law = dist.sum_law(k)
-        if not isinstance(dist, (Gamma, Exponential)):
-            assert law is None
-            return
-        assert isinstance(law, Gamma)
-        assert law.moment(1) == pytest.approx(k * dist.moment(1), rel=1e-12)
-        assert law.variance == pytest.approx(k * dist.variance, rel=1e-9)
-
-    @pytest.mark.parametrize("dist", [EquilibriumOf(Gamma(2, 2)), Mixture((1.0,), (Gamma(2, 2),))],
-                             ids=["equilibrium", "one-component-mixture"])
-    def test_wrappers_of_a_gamma_have_none(self, dist):
-        assert dist.sum_law(3) is None
-
-
 class TestPoissonPhases:
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(any_distribution, st.builds(Gamma, shape=st.integers(1, 6), rate=st.floats(0.25, 4.0))))

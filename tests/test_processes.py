@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import itertools
 import json
 import math
 
@@ -113,8 +114,9 @@ class TestSimulate:
 
     def test_event_cap_counts_drawn_gaps(self, monkeypatch):
         # the mean count 50 passes the up-front check under a cap of 60; a
-        # path still before the horizon after its first block of 58 gaps is
-        # stopped when the next block takes it past 60 drawn gaps
+        # path whose clock counts more than 59 events before the horizon, 60
+        # gaps with its overshoot, is stopped, and a kept path has at most
+        # 61 events, the start's included
         monkeypatch.setattr(processes, "DEFAULT_EVENT_CAP", 60)
         raised = 0
         for seed in range(40):
@@ -216,48 +218,39 @@ class TestEngineAgreement:
     def test_one_row_path_keeps_its_stream(self, spec):
         # a one-row block, (w, 1) time-major, is the (1, w) draw of a
         # path-major block: the path sums one such draw per block, in order.
-        # A Gamma path first jumps: the stream draws its bridge's seed and the
-        # jump's end S_k, and the bridge fills events 1 to k - 1 from its own;
-        # a shape of 2.5 has no Poisson clock, so the path then walks
+        # A shape of 2.5 has no Poisson clock, so the path walks
         horizon, seed = 2_000.0, 5
         p = simulate_path(spec, horizon, seed)
         rng = np.random.default_rng(seed)
-        _, jump, widths = processes._block_widths(spec, horizon)
+        _, widths = processes._block_widths(spec, horizon)
         events, blocks = np.zeros(1), 0
-        if jump:
-            rng.integers(2**63)
-            events = np.append(events, spec.lifetime.sum_law(jump).draw(rng, 1))
         while events[-1] <= horizon:
             gaps = spec.lifetime.draw(rng, (1, next(widths)))[0]
             events = np.concatenate([events, np.cumsum([events[-1], *gaps])[1:]])
             blocks += 1
         kept = np.searchsorted(events, horizon, side="right") + 1
-        assert (jump > processes._BLOCK_COLS) == isinstance(spec.lifetime, Gamma)
         assert blocks >= 2  # the path spans several blocks
-        assert np.array_equal(np.delete(p.events, np.s_[1:jump]), events[:kept])
+        assert np.array_equal(p.events, events[:kept])
 
     @pytest.mark.parametrize("law", [Gamma(2, 2), Exponential(1.0), Gamma(3, 3)], ids=["gamma", "exponential", "gamma-3"])
     def test_one_row_clock_keeps_its_stream(self, law):
-        # after the jump the stream draws the clock's seed, the Poisson count P
-        # of its points in (e, horizon] and the overshoot horizon + Gamma(m - j, r);
-        # the clock's own generator gives the points top-down, U^(1/(P - i + 1))
-        # at a time, and every m-th from the bottom is an event
+        # from the path's start the stream draws the clock's seed, the Poisson
+        # count P of its points in (start, horizon] and the overshoot horizon +
+        # Gamma(m - j, r); the clock's own generator gives the points top-down,
+        # U^(1/(P - i + 1)) at a time, and every m-th from the bottom is an event
         horizon, seed = 300.0, 9
         p = simulate_path(Plain(law), horizon, seed)
         rng = np.random.default_rng(seed)
-        _, jump, _ = processes._block_widths(Plain(law), horizon)
-        rng.integers(2**63)
-        end = law.sum_law(jump).draw(rng, 1)[0]
         clock_seed = int(rng.integers(2**63))
         m, r = law.poisson_phases()
-        phases = int(rng.poisson(r * (horizon - end)))
+        phases = int(rng.poisson(r * horizon))
         q, j = divmod(phases, m)
         over = horizon + Gamma(m - j, r).draw(rng, 1)[0]
         u = np.random.default_rng(clock_seed).random(phases)
-        points = end + (horizon - end) * np.exp(np.cumsum(np.log(1.0 - u) / (phases - np.arange(phases))))
+        points = horizon * np.exp(np.cumsum(np.log(1.0 - u) / (phases - np.arange(phases))))
         events = np.sort(points[j::m])
         assert q == events.size > 0
-        assert np.array_equal(p.events[jump:], np.concatenate([[end], events, [over]]))
+        assert np.array_equal(p.events, np.concatenate([[0.0], events, [over]]))
 
     def test_marks_line_up_with_their_events(self):
         # across 300 paths and several blocks: a modulated gap is the
@@ -286,12 +279,10 @@ class TestEngineAgreement:
         # the sampler, concatenated and cut after the overshoot event, with
         # +inf after it and marks padded by 0
         rows = 300
-        start, jumped, clock, *walked = processes._column_blocks(spec, horizon, rows, child_rng(29, 0))
-        # an Erlang path's clock holds all of its events after the jump, in one block
+        start, clock, *walked = processes._column_blocks(spec, horizon, rows, child_rng(29, 0))
+        # an Erlang path's clock holds all of its events, in one block
         assert clock is None or not walked
         blocks = walked if clock is None else list(clock.blocks())
-        if jumped is not None:  # a Gamma path's jump, filled in, comes first
-            blocks[:0] = jumped.blocks()
         times, marks, last_drawn, drawn = [[s] for s in start], [[] for _ in start], [0] * rows, 0
         for active, _, block_times, block_marks in blocks:
             for j, r in enumerate(active):  # a block is time-major: column j is path active[j]
@@ -313,7 +304,7 @@ class TestEngineAgreement:
             assert paths.marks.dtype == expect.dtype and np.array_equal(paths.marks, expect)
         else:
             assert paths.marks is None
-        cover, _, _ = processes._block_widths(spec, horizon)
+        cover, _ = processes._block_widths(spec, horizon)
         if walked:  # rows end in at least two different straggler blocks
             assert len({d for d in last_drawn if d >= cover}) >= 2
         elif clock is not None:  # rows end at different events of the clock's block
@@ -342,105 +333,53 @@ class TestEngineAgreement:
             assert (a is None and b is None) or np.array_equal(a, b)
 
 
-class TestJump:
-    """A plain or delayed Gamma-family path jumps its first k events with one
-    draw of their sum; k depends only on (spec, horizon)."""
-
-    @pytest.mark.parametrize("law,tmax", [
-        (Gamma(2, 2), 100.0), (Gamma(2, 2), 1e4), (Exponential(1.0), 50.0), (Gamma(0.5, 3.0), 40.0),
-        (Gamma(7.5, 0.2), 2e3), (Exponential(2.0), 0.3),
-    ])
-    def test_jump_is_the_last_k_within_the_tail_bound(self, law, tmax):
-        # P(S_k > tmax) <= 1e-9 at k, and > 1e-9 at k + 1; a delay does not move k
-        _, jump, _ = processes._block_widths(Plain(law), tmax)
-        assert processes._block_widths(Delayed(Uniform(0.0, 1.0), law), tmax)[1] == jump
-        if jump:
-            assert law.sum_law(jump).tail(tmax) <= processes._JUMP_TAIL
-        assert law.sum_law(jump + 1).tail(tmax) > processes._JUMP_TAIL
-        assert (jump == 0) == (tmax < 1.0)
-
-    @pytest.mark.parametrize("spec", [
-        Plain(Uniform(0.0, 2.0)), Plain(Mixture((1.0,), (Gamma(2, 2),))), TWO_STATE,
-        StationaryMA(2, Exponential(1.0)), Delayed(Gamma(2, 2), ParetoShifted(2.5)),
-    ], ids=["uniform", "mixture", "modulated", "ma", "gamma-delay"])
-    def test_no_jump_without_a_sum_law(self, spec):
-        # the delay's law is drawn once: only the lifetime law's sum counts
-        assert processes._block_widths(spec, 100.0)[1] == 0
-
-    def test_widths_cover_the_rest(self):
-        # the blocks after the jump cover the same mean + 1 sd events as before it
-        cover, jump, widths = processes._block_widths(Plain(Gamma(2, 2)), 100.0)
-        assert (cover, jump, next(widths)) == (108, 60, 48)
-
-    @pytest.mark.parametrize("spec", [Plain(Gamma(2, 2)), Delayed(Uniform(0.0, 8.0), Gamma(2, 2))],
-                             ids=["plain", "delayed"])
-    def test_kept_rows_match_the_unfilled_fold(self, spec):
-        # at ts = [600] no jump ends past t, so the fold adds k to each count
-        # and never fills the jump in; the kept rows fill it in (two bridge
-        # segments) and must give the same counts and residuals
-        stats = path_statistics(spec, [600.0], 300, seed=31)
-        paths = simulate_paths(spec, 600.0, 300, child_rng(31, 0))
-        _, jump, _ = processes._block_widths(spec, 600.0)
-        assert jump > processes._BLOCK_COLS
-        assert np.array_equal(count(paths, [600.0]), stats["count"])
-        assert np.array_equal(residual(paths, [600.0]), stats["residual"])
-
-    def test_bridge_segments_end_at_their_boundaries(self):
-        # each filled-in segment ends exactly where the bridge's first level put
-        # it, the last one at the jump's end, and event times increase
-        start, jumped, *_ = processes._column_blocks(Plain(Gamma(2, 2)), 2_000.0, 40, child_rng(3, 0))
-        segments = list(jumped.blocks())
-        assert [times.shape[0] for _, _, times, _ in segments] == [256] * 7 + [jumped.k - 7 * 256]
-        for (_, _, times, _), (_, last, _, _) in zip(segments, segments[1:]):
-            assert np.array_equal(times[-1], last)
-        assert np.array_equal(segments[-1][2][-1], jumped.end)
-        events = np.concatenate([start[None, :], *(times for _, _, times, _ in segments)])
-        assert np.all(np.diff(events, axis=0) > 0)
-
-
 class TestClock:
-    """After its jump an Erlang(m, r) path reads its events up to the horizon
-    off one Poisson count of a rate-r clock's points (see processes._Clock)."""
+    """An Erlang(m, r) path reads its events up to the horizon off one
+    Poisson count of a rate-r clock's points (see processes._Clock)."""
 
-    def test_non_whole_shapes_keep_their_rows(self):
-        # Gamma(2.5, 2.5) has no clock: the jump and the walk after it give the
-        # rows and the fold the bits of the engine before the clock existed
+    def test_non_whole_shapes_walk_with_the_pre_clock_bits(self):
+        # Gamma(2.5, 2.5) has no clock: it walks gap by gap, and the rows and
+        # the fold keep the bits of the walk-only engine, before the Poisson
+        # clock and the count jump existed
         paths = simulate_paths(Plain(Gamma(2.5, 2.5)), 100.0, 50, child_rng(5, 0))
         assert hashlib.sha256(paths.events.tobytes()).hexdigest() == (
-            "d64eecd63cfc40afd48e7375a89dc7b6d976bb7a0fe51e0e43785c7d4d9e7309")
+            "c1e05d0914e7e121ab9d6432a794db4c24ec189e25a9055dc106718bdc5bfa39")
         stats = path_statistics(Delayed(Uniform(0.0, 8.0), Gamma(2.5, 2.5)), [3.0, 100.0], 2_000, seed=5)
         digest = hashlib.sha256()
         for key in ("count", "residual", "age", "delay"):
             digest.update(stats[key].tobytes())
-        assert digest.hexdigest() == "e8dba7e6bdf0643220d2edc7a6fef1eb0ddff2baa7888071acc0467c1f5d62c9"
+        assert digest.hexdigest() == "3ac7cf408999ab9c630b13a9cc923bf85a3eaac1c53ba2ffc22e6a4e8dfe7141"
 
     @pytest.mark.parametrize("law,horizon,clocked", [
-        (Gamma(2, 2), 0.5, True), (Gamma(2, 2), 0.3, False), (Gamma(100, 100), 100.0, False), (Gamma(7, 7), 40.0, True),
+        (Gamma(2, 2), 0.5, True), (Gamma(2, 2), 0.3, False), (Gamma(4, 4), 3.0, True), (Gamma(4, 4), 2.0, False),
+        (Gamma(5, 5), 40.0, False), (Gamma(100, 100), 100.0, False),
     ])
-    def test_clock_only_where_its_top_event_costs_no_more_than_the_walk(self, law, horizon, clocked):
-        # the top event takes m rows of points; the walk draws cover - jump gaps
-        # after the jump before its stragglers
-        cover, jump, _ = processes._block_widths(Plain(law), horizon)
-        assert (law.poisson_phases()[0] <= cover - jump) == clocked
-        _, _, clock, *walked = processes._column_blocks(Plain(law), horizon, 200, child_rng(3, 0))
+    def test_clock_only_where_it_costs_about_the_walk(self, law, horizon, clocked):
+        # the top event takes m rows of points, and the walk draws cover gaps
+        # before its stragglers; drawn in full a clock takes m points an
+        # event, and above the Erlang fill's largest shape the walk draws one
+        # gamma variate a gap
+        cover, _ = processes._block_widths(Plain(law), horizon)
+        assert (law.poisson_phases()[0] <= min(cover, 4)) == clocked
+        _, clock, *walked = processes._column_blocks(Plain(law), horizon, 200, child_rng(3, 0))
         assert (clock is not None) == clocked and bool(walked) != clocked
 
     @pytest.mark.parametrize("spec", [Plain(Gamma(2, 2)), Delayed(Uniform(0.0, 80.0), Exponential(1.0))],
                              ids=["gamma", "delayed-exponential"])
     def test_cap_counts_the_clock_events(self, monkeypatch, spec):
-        # the jump's k events plus the clock's q pass a cap one below their
-        # largest sum, and not the cap at it; the mean count is below both
-        start, jumped, clock = processes._column_blocks(spec, 60.0, 2_000, child_rng(7, 0))
-        k = jumped.k if jumped is not None else 0
-        most = int((k + clock.events).max())
+        # like the walk, the cap counts a path's gaps: its q clock events and
+        # its overshoot.  A cap one below the largest q + 1 raises, the cap at
+        # it does not; the mean count is below both
+        _, clock = processes._column_blocks(spec, 60.0, 2_000, child_rng(7, 0))
+        most = int(clock.events.max()) + 1
         monkeypatch.setattr(processes, "DEFAULT_EVENT_CAP", most - 1)
         with pytest.raises(EventCapExceeded, match="event cap"):
             path_statistics(spec, [60.0], 2_000, seed=7)
         monkeypatch.setattr(processes, "DEFAULT_EVENT_CAP", most)
-        assert path_statistics(spec, [60.0], 2_000, seed=7)["count"].max() == most + 1
+        assert path_statistics(spec, [60.0], 2_000, seed=7)["count"].max() == most
 
     @pytest.mark.parametrize("ts", [[50.0, 51.0], [0.5, 100.0], [100.0, 100.0], [7.0, 99.0, 100.0]],
-                             ids=["window", "filled-jump", "twice-at-horizon", "three"])
+                             ids=["window", "deep", "twice-at-horizon", "three"])
     @pytest.mark.parametrize("law", [Gamma(2, 2), Gamma(3, 3), Exponential(2.0)], ids=["gamma", "gamma-3", "exponential"])
     def test_fold_reads_the_kept_rows(self, ts, law):
         # the fold draws the clock's rows only as far down as ts need;
@@ -452,17 +391,80 @@ class TestClock:
         assert np.array_equal(residual(paths, ts), stats["residual"])
         assert np.array_equal(np.asarray(ts) - np.take_along_axis(paths.events, n - 1, axis=1), stats["age"])
 
-    @pytest.mark.parametrize("ts", [[100.0], [0.5, 100.0]], ids=["horizon", "inside-the-jumps"])
-    def test_fold_takes_only_the_top_event_when_each_path_stops_at_the_horizon(self, monkeypatch, ts):
-        # 0.5 falls inside every path's jump, whose blocks answer it, so each
-        # path stops at the horizon: one take of the top event's m = 2 rows
+    @pytest.mark.parametrize("spec,ts", [
+        (Plain(Gamma(2, 2)), [100.0]),
+        (Delayed(Uniform(1.0, 8.0), Gamma(2, 2)), [0.5, 100.0]),
+    ], ids=["horizon", "before-every-delay"])
+    def test_fold_takes_only_the_top_event_when_each_path_stops_at_the_horizon(self, monkeypatch, spec, ts):
+        # 0.5 precedes every path's delay, so the clock does not answer it and
+        # each path stops at the horizon: one take of the top event's m = 2 rows
         sizes, take = [], processes._ClockRows.take
         def record(rows, size, cols=None):
             sizes.append(size)
             return take(rows, size, cols)
         monkeypatch.setattr(processes._ClockRows, "take", record)
-        path_statistics(Plain(Gamma(2, 2)), ts, 2_000, seed=3)
+        stats = path_statistics(spec, ts, 2_000, seed=3)
         assert sizes == [2]
+        if len(ts) > 1:  # before its delay a path has no event and no age
+            assert np.all(stats["count"][:, 0] == 0) and np.all(np.isnan(stats["age"][:, 0]))
+            assert np.array_equal(stats["residual"][:, 0], stats["delay"] - 0.5)
+
+    @pytest.mark.parametrize("ts", [[600.0], [3.0, 600.0]], ids=["horizon", "before-some-delays"])
+    @pytest.mark.parametrize("law", [Gamma(2, 2), Exponential(1.0)], ids=["gamma", "exponential"])
+    def test_delayed_fold_reads_the_kept_rows(self, law, ts):
+        # a query time before a path's delay is masked out of its clock's rows;
+        # the fold and simulate_paths agree on counts, residuals and ages
+        spec = Delayed(Uniform(0.0, 8.0), law)
+        stats = path_statistics(spec, ts, 300, seed=31)
+        paths = simulate_paths(spec, max(ts), 300, child_rng(31, 0))
+        n = count(paths, ts)
+        if len(ts) > 1:  # 3.0 precedes some delays and follows others
+            assert np.any(n[:, 0] == 0) and np.any(n[:, 0] > 0)
+        last = np.take_along_axis(paths.events, np.maximum(n - 1, 0), axis=1)
+        assert np.array_equal(n, stats["count"])
+        assert np.array_equal(residual(paths, ts), stats["residual"])
+        assert np.array_equal(np.where(n > 0, np.asarray(ts) - last, np.nan), stats["age"], equal_nan=True)
+
+    @pytest.mark.parametrize("spec", [Plain(Gamma(3, 3)), Delayed(Uniform(0.0, 8.0), Exponential(1.0))],
+                             ids=["plain", "delayed"])
+    def test_clock_block_holds_rising_events_then_the_overshoot(self, spec):
+        # each column's q events rise strictly from its path's start and stay at
+        # or before the horizon; every row after them holds its overshoot
+        start, clock = processes._column_blocks(spec, 200.0, 40, child_rng(3, 0))
+        (active, last, times, marks), = clock.blocks()
+        assert np.array_equal(active, np.arange(40)) and np.array_equal(last, start) and marks is None
+        assert np.all(clock.over > 200.0)
+        for j, q in enumerate(clock.events):
+            events = np.concatenate([[last[j]], times[:q, j]])
+            assert np.all(np.diff(events) > 0) and events[-1] <= 200.0
+            assert np.all(times[q:, j] == clock.over[j])
+
+
+class TestWalk:
+    """Without a clock a path walks: blocks of gaps drawn for every path still
+    at or before the horizon (see processes._block_widths)."""
+
+    @pytest.mark.parametrize("spec,tmax,cover,first", [
+        (Plain(Gamma(2, 2)), 100.0, 108, [108, 16, 16]),  # 100 events, sd 7.07: stragglers take 16
+        (Plain(Gamma(2, 2)), 1_000.0, 1_023, [256, 256, 256, 255, 22, 22]),  # sd 22.4
+        (Plain(Uniform(0.0, 2.0)), 512.0, 526, [256, 256, 14, 16]),  # sd sqrt(512 / 3) = 13.1
+        (TWO_STATE, 100.0, 61, [61, 16]),  # mean gap 2 over the states, largest variance 9: sd 10.6
+        (Plain(ParetoShifted(1.5)), 200.0, 132, [132, 31, 31]),  # infinite variance: sd 100^0.75
+    ], ids=["gamma", "gamma-several-blocks", "uniform", "modulated", "pareto"])
+    def test_widths_cover_the_mean_count_and_one_sd(self, spec, tmax, cover, first):
+        got, widths = processes._block_widths(spec, tmax)
+        assert (got, list(itertools.islice(widths, len(first)))) == (cover, first)
+
+    @pytest.mark.parametrize("spec,clocked", [
+        (Plain(Uniform(0.0, 2.0)), False), (Plain(Mixture((1.0,), (Gamma(2, 2),))), False), (TWO_STATE, False),
+        (StationaryMA(2, Exponential(1.0)), False), (Delayed(Gamma(2, 2), ParetoShifted(2.5)), False),
+        (Delayed(ParetoShifted(2.5), Gamma(2, 2)), True), (Plain(Exponential(1.0)), True),
+    ], ids=["uniform", "mixture", "modulated", "ma", "gamma-delay", "pareto-delay", "exponential"])
+    def test_only_an_erlang_lifetime_gets_a_clock(self, spec, clocked):
+        # a delay is drawn once a path, so only the lifetime law decides; a
+        # modulated chain or a moving average walks though its laws are Erlang
+        _, clock, *walked = processes._column_blocks(spec, 100.0, 50, child_rng(3, 0))
+        assert (clock is not None) == clocked and bool(walked) != clocked
 
 
 class TestQueries:
