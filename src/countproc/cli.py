@@ -22,7 +22,8 @@ schema problems with field paths and has no side effects.
 
 Monte Carlo checks pass at z <= 4 against their target.  ``blackwell`` on a
 plain or delayed spec checks the window against its finite-t value,
-rate (h + E[R(t+h)] - E[R(t)]) by Wald's identity from one renewal solve,
+rate (h + E[R(t+h)] - E[R(t)]) by Wald's identity from one renewal solve
+read at t and t + h (``renewal_solver.solution_at``), also after a delay,
 and prints the solver's error and the limit rate*h; the other kinds, and
 ``modulated`` and ``palm``, keep the limit rate*h.  When the lifetime law
 has no atom and the process is not lattice, the window is the mean of its
@@ -180,11 +181,8 @@ def validate_config(obj: Mapping) -> tuple[ExperimentConfig | None, list[str]]:
             errors.append(f"step: {exc}")
     if kind in ("rate", "blackwell") and exp.knobs & {"t", "h"} <= knobs.keys() \
             and isinstance(spec, (Plain, Delayed)):
-        try:
-            if kind == "rate":
-                renewal_solver.fitted_step(knobs["t"], _renewal_laws(spec))
-            else:
-                _window_step(spec, knobs["t"], knobs["h"])
+        try:  # the step of the target read at t and, for a window, at t + h
+            _solver_step(spec, *(knobs[k] for k in ("t", "h") if k in exp.knobs))
         except ValueError as exc:
             errors.append(f"spec: {exc}")
     if knobs.get("reps", exp.min_reps) < exp.min_reps:
@@ -318,17 +316,14 @@ def _run_window(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
     return rows, checks
 
 
-def _renewal_laws(spec: Plain | Delayed) -> list:
-    """The lifetime law, and after it the delay law of a delayed spec."""
-    return [spec.lifetime, spec.delay] if isinstance(spec, Delayed) else [spec.lifetime]
-
-
-def _window_step(spec: Plain | Delayed, t: float, h: float) -> float:
-    """``fitted_step`` on [0, t + h]; when a law has atoms, the grid also fits h, so that
-    t is a grid point whenever t and h have a common span."""
-    laws = _renewal_laws(spec)
-    return renewal_solver.fitted_step(t + h, laws + [Deterministic(h)] if any(d.atoms() for d in laws)
-                                      else laws)
+def _solver_step(spec: Plain | Delayed, t: float, *widths: float) -> float:
+    """``fitted_step`` for a target read at t and at the ends of the windows of ``widths``
+    after it, over the lifetime law and a delay law: on [0, t + sum(widths)], and when a
+    law has atoms the grid also fits each width, so that t is a grid point whenever t
+    and the widths have a common span."""
+    laws = [spec.lifetime, spec.delay] if isinstance(spec, Delayed) else [spec.lifetime]
+    fits = [Deterministic(w) for w in widths] if any(d.atoms() for d in laws) else []
+    return renewal_solver.fitted_step(t + sum(widths), laws + fits)
 
 
 def _window_target(spec: ProcessSpec, t: float, h: float) -> tuple[float, float | None]:
@@ -336,15 +331,15 @@ def _window_target(spec: ProcessSpec, t: float, h: float) -> tuple[float, float 
 
     Renewal specs: rate * (h + E[R(t + h)] - E[R(t)]) by Wald's identity (a
     delay's E[D] cancels), the change read from one solve on [0, t + h] at
-    ``_window_step`` (``renewal_solver.residual_mean_change``); the error is
-    its extrapolation error * rate.  The equilibrium delay keeps the exact
+    ``_solver_step(spec, t, h)`` (``renewal_solver.residual_mean_change``); the
+    error is its extrapolation error * rate.  The equilibrium delay keeps the exact
     rate * h, and the other kinds their limit rate * h.
     """
     rate = asymptotics.spec_rate(spec)
     if not isinstance(spec, (Plain, Delayed)) or isinstance(spec, Delayed) and spec.stationary:
         return rate * h, None
     delay = spec.delay if isinstance(spec, Delayed) else None
-    change, error = renewal_solver.residual_mean_change(spec.lifetime, t, h, _window_step(spec, t, h), delay)
+    change, error = renewal_solver.residual_mean_change(spec.lifetime, t, h, _solver_step(spec, t, h), delay)
     return rate * (h + change), error * rate
 
 
@@ -353,7 +348,7 @@ def _rate_target(spec: ProcessSpec, t: float) -> tuple[float, float | None]:
 
     Renewal specs: E[N(t)] = rate * (t + E[R(t)] - E[D]) by Wald's identity,
     with D = 0 and the origin event for plain specs.  E[R(t)] comes from
-    ``renewal_solver.residual_mean_at`` at h = fitted_step(t, the spec's laws);
+    ``renewal_solver.residual_mean_at`` at h = ``_solver_step(spec, t)``;
     the error is its extrapolation error * rate / t.  The equilibrium delay, however
     it is written, keeps the exact ``rate``; the other kinds keep rate + 1/t.
     """
@@ -363,8 +358,7 @@ def _rate_target(spec: ProcessSpec, t: float) -> tuple[float, float | None]:
     if isinstance(spec, Delayed) and spec.stationary:
         return rate, None
     delay = spec.delay if isinstance(spec, Delayed) else None
-    step = renewal_solver.fitted_step(t, _renewal_laws(spec))
-    r, error = renewal_solver.residual_mean_at(spec.lifetime, t, step, delay)
+    r, error = renewal_solver.residual_mean_at(spec.lifetime, t, _solver_step(spec, t), delay)
     mean_delay = 0.0 if delay is None else delay.moment(1)
     return rate * (1.0 + (r - mean_delay) / t), error * rate / t
 

@@ -69,14 +69,22 @@ _POSITIVE_FLOOR = 1e-300
 # on a 16384 x 256 block, best of 9 interleaved runs on a 2-vCPU Xeon VM (2 MiB
 # L2 per core), numpy 2.4 (rng.gamma vs the _SLAB Erlang fill, ns): k = 1: 8.3
 # vs 6.3; k = 2: 23.5 vs 9.5; k = 3: 22.5 vs 13.1; k = 4: 22.5 vs 17.6; k = 5:
-# 23.3 vs 19.2; k = 6: 22.0 vs 22.6.  k = 5 would now be about 15% cheaper as
-# Erlang, but raising the cutoff would change the Gamma(5) stream.
+# 23.3 vs 19.2; k = 6: 22.0 vs 22.6.  Those blocks were walked paths; a path of
+# such a law now reads its events off a Poisson clock (processes), and on the
+# mc-renewal benchmark the fill draws only one overshoot per clocked path and
+# one delay per delayed path: per run, 250 000 values for variance-gamma's
+# 250 000 paths, 25 000 for blackwell-gamma and 50 000 for
+# rate-delayed-equilibrium-gamma.  Raising the cutoff would change the Gamma(5)
+# stream.  processes also gates its Poisson clock on this shape, for another
+# reason: a clock takes m points per event of an Erlang(m) law.
 _ERLANG_MAX_SHAPE = 4
 
 # Values per slice of the Erlang fill: a slice of the output and the uniform
-# scratch, 256 KiB each, stay in L2 together.  Gamma(2, 2) and Gamma(4, 2) on a
-# 16384 x 108 block cost the same, within noise, from 2**13 to 2**19 on the
-# host above; Gamma(4, 2) is about 1.4x slower at 2**11 and 2**12.
+# scratch, 256 KiB each, stay in L2 together.  Measured when the fill drew the
+# gaps of walked paths: Gamma(2, 2) and Gamma(4, 2) on a 16384 x 108 block cost
+# the same, within noise, from 2**13 to 2**19 on the host above; Gamma(4, 2) is
+# about 1.4x slower at 2**11 and 2**12.  On the benchmark the fill now draws one
+# overshoot or delay per path (see _ERLANG_MAX_SHAPE).
 _SLAB = 1 << 15
 
 # Gamma._residual_moments reads x = rate * age past s + _GAMMA_FAR * (1 + sqrt(s))

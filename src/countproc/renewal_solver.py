@@ -25,11 +25,13 @@ excess (whose solution is the mean squared residual), their integrals,
 and the integrated-tail asymptote for the mean residual at large times.
 Each is an excess moment ``e_k(t) = E[((T - t)+)^k]`` of the lifetime law
 or an integral of one, evaluated in closed form by the law itself.
-Numbers read off the solver are point values at t from ``extrapolate``:
-the mean residual, also after a delay, its change over a window (t, t + h]
-from one solve, and by Wald's identity the integral of its offset from
-C = rate*E[T^2]/2, which is C*E[R(t)] - E[R(t)^2]/2; and the renewal
-function U on a grid.
+``solution_at`` solves one grid and reads the solution at named points,
+also after a delay law, and ``extrapolate`` takes 2 Z_(h/2) - Z_h of two
+such reads.  The targets are compositions of the two: the mean residual
+E[R(t)], also after a delay, its change over a window (t, t + h] from one
+solve, the renewal function U on a grid, and by Wald's identity the
+integral of the mean residual's offset from C = rate*E[T^2]/2, which is
+C*E[R(t)] - E[R(t)^2]/2.
 """
 
 from __future__ import annotations
@@ -55,9 +57,8 @@ __all__ = [
     "residual_mean_generator",
     "residual_second_generator",
     "sgibnev_asymptote",
+    "solution_at",
     "solve_renewal_equation",
-    "solve_residual_mean",
-    "solve_residual_second",
 ]
 
 _SNAP_WARN_REL = 1e-9
@@ -109,15 +110,6 @@ class GridFunction:
             raise ValueError(f"step {step:g} must split horizon {horizon:g} into whole cells")
         t = step * np.arange(k + 1)
         return cls(step=step, values=np.asarray(f(t), dtype=float))
-
-    def at(self, t) -> float | np.ndarray:
-        """Nearest-grid-point lookup for t in [0, last grid time]."""
-        cells = np.asarray(t, dtype=float) / self.step
-        last = self.values.size - 1
-        if not np.all((cells >= 0) & (cells - last <= _CELL_REL * last)):
-            raise ValueError(f"t must lie in [0, {self.times[-1]:g}], the grid's span")
-        out = self.values[np.rint(cells).astype(int)]
-        return float(out) if np.ndim(t) == 0 else out
 
     def to_csv(self, fp: IO[str]) -> None:
         fp.write("t,value\n")
@@ -208,14 +200,44 @@ def _solve_block(
     _solve_block(out, inc, g, spectra, mid, hi)
 
 
+def solution_at(dist: LifetimeDistribution, generator: Callable, points, step: float,
+                delay: LifetimeDistribution | None = None) -> np.ndarray:
+    """Z = z + Z * dF, z = ``generator(dist, .)``, solved on [0, max(points)] at ``step``
+    and read at ``points``: the grid value at a grid point, linear between the two
+    grid points around any other.  After a ``delay`` law D, Z(x) = generator(D, x) +
+    sum_j dF_D(j step) Z(x - j step), the same moment of the process whose first
+    lifetime is D, is read the same way.  ``step`` must split max(points) into whole
+    cells; a negative or NaN point raises ValueError."""
+    points = np.asarray(points, dtype=float)
+    if not np.all(points >= 0):
+        raise ValueError(f"points must be nonnegative, got {points}")
+    grid = GridFunction.from_callable(lambda u: generator(dist, u), float(np.max(points)), step)
+    z = solve_renewal_equation(grid, dist).values
+    inc = None if delay is None else _cdf_increments(delay, step, z.size - 1)
+
+    def at(i: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Z at grid points ``i``, whose times are ``x``."""
+        if delay is None:
+            return z[i]
+        return np.array([generator(delay, float(xk)) + float(np.dot(inc[1 : k + 1], z[:k][::-1]))
+                         for k, xk in zip(i, x)])
+
+    cells = points / step
+    near = np.rint(cells)
+    on = np.abs(cells - near) <= _CELL_REL * cells
+    i = np.where(on, near, np.floor(cells)).astype(int)
+    out = at(i, np.where(on, points, i * step))
+    w, off = cells - i, ~on
+    if off.any():
+        out[off] = (1.0 - w[off]) * out[off] + w[off] * at(i[off] + 1, (i[off] + 1) * step)
+    return out
+
+
 def extrapolate(solve: Callable[[float], np.ndarray], step: float) -> tuple[np.ndarray, float]:
-    """(2 Z_(h/2) - Z_h, max |Z_(h/2) - Z_h|) at h = ``step``, with Z_h = ``solve(h)``;
-    the grids line up at their last point, so a tail such as ``values[-1:]`` works too,
-    and values that are no grid tail (say, [E R, E R^2]) raise ValueError."""
+    """(2 Z_(h/2) - Z_h, max |Z_(h/2) - Z_h|) at h = ``step``, with Z_h = ``solve(h)``: values
+    at the same points on both grids, such as ``solution_at`` reads."""
     coarse = solve(step)
-    fine = solve(step / 2)[::-2][: coarse.size][::-1]
-    if fine.size != coarse.size:
-        raise ValueError(f"solve(step / 2) lines up {fine.size} of {coarse.size} points: no grid tail")
+    fine = solve(step / 2)
     return 2.0 * fine - coarse, float(np.max(np.abs(fine - coarse)))
 
 
@@ -302,36 +324,11 @@ def sgibnev_asymptote(dist: LifetimeDistribution, t: float) -> float:
     return dist.renewal_rate * dist.integrated_excess(1, t)
 
 
-def solve_residual_mean(dist: LifetimeDistribution, horizon: float, step: float) -> GridFunction:
-    """Grid solution for the mean residual time E[R(t)] on [0, horizon]."""
-    gen = GridFunction.from_callable(lambda t: residual_mean_generator(dist, t), horizon, step)
-    return solve_renewal_equation(gen, dist)
-
-
-def solve_residual_second(dist: LifetimeDistribution, horizon: float, step: float) -> GridFunction:
-    """Grid solution for the mean squared residual E[R(t)^2] on [0, horizon]."""
-    gen = GridFunction.from_callable(lambda t: residual_second_generator(dist, t), horizon, step)
-    return solve_renewal_equation(gen, dist)
-
-
 def renewal_function(dist: LifetimeDistribution, horizon: float, step: float) -> tuple[np.ndarray, float]:
     """(U, its ``extrapolate`` error) on the ``step`` grid of [0, horizon]: U = 1 + U * dF,
     the mean number of renewals in [0, t], the one at 0 counted."""
-
-    def solve(h: float) -> np.ndarray:
-        ones = GridFunction.from_callable(np.ones_like, horizon, h)
-        return solve_renewal_equation(ones, dist).values
-
-    return extrapolate(solve, step)
-
-
-def _delayed_mean(r: np.ndarray, i: int, x: float, delay: LifetimeDistribution | None,
-                  inc: np.ndarray | None) -> float:
-    """E[R(x)] at grid point i, x = i h, from the plain solution r: r[i], and after a
-    ``delay`` D with grid increments ``inc`` E[(D - x)+] + sum_j dF_D(j h) r(x - j h)."""
-    if delay is None:
-        return float(r[i])
-    return delay.excess_moment(1, x) + float(np.dot(inc[1 : i + 1], r[:i][::-1]))
+    times = GridFunction.from_callable(np.zeros_like, horizon, step).times
+    return extrapolate(lambda h: solution_at(dist, lambda law, u: np.ones_like(u), times, h), step)
 
 
 def residual_mean_at(
@@ -339,13 +336,7 @@ def residual_mean_at(
 ) -> tuple[float, float]:
     """(E[R(t)], its ``extrapolate`` error) from grids of ``step`` and ``step`` / 2; after
     a ``delay`` D it is E[(D - t)+] + sum_j dF_D(j h) r(t - j h), r the plain solution."""
-
-    def solve(h: float) -> np.ndarray:
-        r = solve_residual_mean(dist, t, h).values
-        inc = None if delay is None else _cdf_increments(delay, h, r.size - 1)
-        return np.array([_delayed_mean(r, r.size - 1, t, delay, inc)])
-
-    (r,), error = extrapolate(solve, step)
+    (r,), error = extrapolate(lambda h: solution_at(dist, residual_mean_generator, [t], h, delay), step)
     return float(r), error
 
 
@@ -359,17 +350,7 @@ def residual_mean_change(
     when t is not one of them (after a ``delay``, as in ``residual_mean_at``)."""
 
     def solve(s: float) -> np.ndarray:
-        r = solve_residual_mean(dist, t + h, s).values
-        inc = None if delay is None else _cdf_increments(delay, s, r.size - 1)
-        cells = t / s
-        i = round(cells)
-        if abs(cells - i) <= _CELL_REL * cells:
-            at_t = _delayed_mean(r, i, t, delay, inc)
-        else:
-            i, w = int(cells), cells - int(cells)
-            at_t = (1.0 - w) * _delayed_mean(r, i, i * s, delay, inc) \
-                + w * _delayed_mean(r, i + 1, (i + 1) * s, delay, inc)
-        return np.array([_delayed_mean(r, r.size - 1, t + h, delay, inc) - at_t])
+        return np.diff(solution_at(dist, residual_mean_generator, [t, t + h], s, delay))
 
     (change,), error = extrapolate(solve, step)
     return float(change), error
@@ -385,7 +366,7 @@ def cumulative_residual_bias(
     is what this diagnostic probes.  On each path the integral of R over
     [0, t] is sum_{k <= N(t)} T_k^2 / 2 - R(t)^2 / 2, and by Wald's identity
     with E[N(t)] = rate * (t + E[R(t)]) the offset's integral is
-    C * E[R(t)] - E[R(t)^2] / 2: two point values, each extrapolated from
+    C * E[R(t)] - E[R(t)^2] / 2: two point values, extrapolated from
     grids of ``step`` and ``step`` / 2.  The default step is
     ``fitted_step(t, [dist])``: t / 5000, with the atoms of an arithmetic
     law on grid points, where both values are exact.
@@ -395,7 +376,11 @@ def cumulative_residual_bias(
         raise ValueError("cumulative residual bias needs a finite second moment")
     if step is None:
         step = fitted_step(t, [dist])
-    first, _ = residual_mean_at(dist, t, step)
-    (second,), _ = extrapolate(lambda h: solve_residual_second(dist, t, h).values[-1:], step)
+
+    def solve(h: float) -> np.ndarray:
+        return np.concatenate([solution_at(dist, residual_mean_generator, [t], h),
+                               solution_at(dist, residual_second_generator, [t], h)])
+
+    (first, second), _ = extrapolate(solve, step)
     c = dist.renewal_rate * m2 / 2.0
-    return c * first - float(second) / 2.0
+    return c * float(first) - float(second) / 2.0

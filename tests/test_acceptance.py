@@ -47,9 +47,10 @@ from countproc.decomposition import (
 )
 from countproc.renewal_solver import (
     GridFunction,
+    residual_mean_generator,
     sgibnev_asymptote,
+    solution_at,
     solve_renewal_equation,
-    solve_residual_mean,
 )
 from countproc.asymptotics import (
     diffusion_scaling,
@@ -185,8 +186,8 @@ def test_criterion_07_sgibnev_asymptote():
     started = time.perf_counter()
     dist = ParetoShifted(1.5)
     ladder = (50.0, 200.0, 800.0)
-    grid = solve_residual_mean(dist, ladder[-1], 2e-2)
-    r = [grid.at(t) / sgibnev_asymptote(dist, t) for t in ladder]
+    solved = solution_at(dist, residual_mean_generator, ladder, 2e-2)
+    r = [float(e) / sgibnev_asymptote(dist, t) for e, t in zip(solved, ladder)]
     factors = [(r[i + 1] - 1.0) / (r[i] - 1.0) for i in range(2)]
     ok = 1.0 < r[2] < r[1] < r[0] and all(0.4 <= f <= 0.6 for f in factors)
     verdict(7, "sgibnev-asymptote", ok,

@@ -815,12 +815,15 @@ class TestRun:
         ({"kind": "delayed", "delay": "equilibrium", "lifetime": EXP_SPEC["lifetime"]}, 0.5),
         ({"kind": "delayed", "delay": "equilibrium", "lifetime": EXP_SPEC["lifetime"]}, 5),
         ({"kind": "delayed", "delay": "equilibrium", "lifetime": EXP_SPEC["lifetime"]}, 50),
+        ({"kind": "delayed", "delay": {"kind": "uniform", "low": 0.0, "high": 3.0},
+          "lifetime": GAMMA_SPEC["lifetime"]}, 2),
     ], ids=["exp-0.5", "exp-5", "exp-50", "gamma-50", "exp-equilibrium-0.5", "exp-equilibrium-5",
-            "exp-equilibrium-50"])
+            "exp-equilibrium-50", "gamma-uniform-delay-2"])
     def test_window_passes_and_a_target_1_percent_off_fails(self, tmp_path, capsys, monkeypatch, spec, t):
         # g is constant on an Exponential law, with an se of about 1e-18 on plain rows:
         # the check reads the estimate against its quadrature bound.  The equilibrium
-        # delay's rows with no age at t = 0.5 leave an se near 1%
+        # delay's rows with no age at t = 0.5 leave an se near 1%.  The Uniform(0, 3) delay's
+        # target, 1.08334, is read off the solver after the delay (z = 0.07; 7.50 at 1.01x)
         cfg = write_config(tmp_path, {"experiment": "blackwell", "spec": spec, "t": t, "h": 1,
                                       "reps": 25000, "seed": 3001, "out": str(tmp_path / "res")})
         assert main(["run", str(cfg)]) == 0

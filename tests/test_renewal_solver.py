@@ -34,9 +34,8 @@ from countproc.renewal_solver import (
     residual_mean_generator,
     residual_second_generator,
     sgibnev_asymptote,
+    solution_at,
     solve_renewal_equation,
-    solve_residual_mean,
-    solve_residual_second,
 )
 from countproc.asymptotics import path_statistics
 from conftest import any_distribution
@@ -141,13 +140,34 @@ class TestSolver:
         # mixture of atoms on the grid: solution jumps exactly at atoms
         mix = Mixture((0.5, 0.5), (Deterministic(1.0), Deterministic(2.0)))
         sol = solve_renewal_equation(ones_grid(3.0, 0.01), mix)
-        before = sol.at(0.99)
-        after = sol.at(1.0)
+        before, after = sol.values[[99, 100]]
         assert after - before == pytest.approx(0.5)
 
 
-def solve_ones(dist, horizon):
-    return lambda h: solve_renewal_equation(ones_grid(horizon, h), dist).values
+def ones(law, u):
+    return np.ones_like(u)
+
+
+class TestSolutionAt:
+    """One solve on [0, max point], read at named points."""
+
+    def test_grid_points_read_the_grid_and_others_the_line_between(self):
+        sol = solve_renewal_equation(ones_grid(3.0, 0.01), Gamma(2, 2)).values
+        at_grid, between, last = solution_at(Gamma(2, 2), ones, [1.5, 0.2525, 3.0], 0.01)
+        assert at_grid == sol[150] and last == sol[300]
+        assert between == pytest.approx(0.75 * sol[25] + 0.25 * sol[26], rel=1e-14)
+
+    def test_a_deterministic_delay_shifts_the_reads(self):
+        # after a delay of 0.5, Z(x) = Z(x - 0.5), at grid points and between them
+        dist = Gamma(2, 2)
+        plain = solution_at(dist, residual_mean_generator, [1.5, 2.005, 3.5], 0.01)
+        delayed = solution_at(dist, residual_mean_generator, [2.0, 2.505, 4.0], 0.01, delay=Deterministic(0.5))
+        assert delayed == pytest.approx(plain, abs=1e-12)
+
+    @pytest.mark.parametrize("points", [[-3.0], [math.nan], [1.0, -0.5], [math.nan, 1.0]])
+    def test_negative_and_nan_points_rejected(self, points):
+        with pytest.raises(ValueError, match="nonnegative"):
+            solution_at(Gamma(2, 2), ones, points, 0.01)
 
 
 class TestExtrapolate:
@@ -155,7 +175,7 @@ class TestExtrapolate:
 
     def test_poisson_count_function(self):
         # U(t) = 1 + t: true error about 4e-7 against a halving change of 1.2e-3
-        values, error = extrapolate(solve_ones(Exponential(1.0), 5.0), 1e-3)
+        values, error = renewal_function(Exponential(1.0), 5.0, 1e-3)
         true = float(np.max(np.abs(values - (1.0 + 1e-3 * np.arange(5001)))))
         assert values.size == 5001
         assert true <= error / 100
@@ -164,36 +184,41 @@ class TestExtrapolate:
     def test_gamma_mean_residual(self):
         # E[R(t)] = 3/4 + exp(-4t)/4: true error about 1.1e-6 against 6.3e-4
         dist = Gamma(2, 2)
-        values, error = extrapolate(lambda h: solve_residual_mean(dist, 10.0, h).values, 0.01)
-        t = 0.01 * np.arange(values.size)
+        t = 0.01 * np.arange(1001)
+        values, error = extrapolate(lambda h: solution_at(dist, residual_mean_generator, t, h), 0.01)
         true = float(np.max(np.abs(values - (0.75 + np.exp(-4.0 * t) / 4.0))))
         assert true <= error / 100
         assert error == pytest.approx(6.3e-4, rel=0.1)
 
     def test_deterministic_staircase(self):
         # exact on both grids up to FFT rounding (about 1e-14), beyond one leaf
-        values, error = extrapolate(solve_ones(Deterministic(1.0), 20.0), 0.01)
+        values, error = renewal_function(Deterministic(1.0), 20.0, 0.01)
         true = float(np.max(np.abs(values - (1.0 + np.floor(0.01 * np.arange(2001) + 1e-9)))))
         assert true <= error + 1e-12
         assert error < 1e-12
 
-    def test_tail_lines_up_at_last_point(self):
-        full, full_error = extrapolate(solve_ones(Gamma(2, 2), 3.0), 0.01)
-        tail, tail_error = extrapolate(lambda h: solve_ones(Gamma(2, 2), 3.0)(h)[-1:], 0.01)
-        assert tail.tolist() == full[-1:].tolist()
-        assert tail_error <= full_error
+    def test_a_point_reads_the_whole_grid_value(self):
+        full, full_error = renewal_function(Gamma(2, 2), 3.0, 0.01)
+        last, last_error = extrapolate(lambda h: solution_at(Gamma(2, 2), ones, [3.0], h), 0.01)
+        assert last.tolist() == full[-1:].tolist()
+        assert last_error <= full_error
 
-    def test_point_values_that_are_no_grid_tail_rejected(self):
-        # [E R(t), E R(t)^2] at both steps: the fine pick kept one entry and broadcast
-        # it against both, which read a bias of 2 for Exponential(1), whose bias is 0
+    def test_point_values_extrapolated_together_equal_each_alone(self):
+        # [E R(t), E R(t)^2] in one call: a fine pick aligned at the grid's tail once kept
+        # one entry and broadcast it against both, which read a bias of 2 for
+        # Exponential(1), whose bias is 0
         dist = Exponential(1.0)
+        def mean(h):
+            return solution_at(dist, residual_mean_generator, [5.0], h)
 
-        def moments(h):
-            return np.array([solve_residual_mean(dist, 5.0, h).values[-1],
-                             solve_residual_second(dist, 5.0, h).values[-1]])
+        def second(h):
+            return solution_at(dist, residual_second_generator, [5.0], h)
 
-        with pytest.raises(ValueError, match="no grid tail"):
-            extrapolate(moments, 0.01)
+        both, both_error = extrapolate(lambda h: np.concatenate([mean(h), second(h)]), 0.01)
+        alone = [extrapolate(f, 0.01) for f in (mean, second)]
+        assert both.tolist() == [float(v[0]) for v, _ in alone] and both[0] != both[1]
+        assert both_error == max(e for _, e in alone)
+        assert abs(cumulative_residual_bias(dist, 5.0)) <= 1e-8
 
 
 class TestResidualMeanAt:
@@ -297,11 +322,11 @@ class TestFittedStep:
     def test_atoms_land_on_the_grid(self):
         # at h = t/5000 the atom at 1 is snapped; the fitted step leaves it on a grid point
         with pytest.warns(RuntimeWarning):
-            solve_residual_mean(Deterministic(1.0), 10.5, 10.5 / 5000)
+            solution_at(Deterministic(1.0), residual_mean_generator, [10.5], 10.5 / 5000)
         step = fitted_step(10.5, [Deterministic(1.0)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            r = solve_residual_mean(Deterministic(1.0), 10.5, step).values[-1]
+            (r,) = solution_at(Deterministic(1.0), residual_mean_generator, [10.5], step)
         assert r == pytest.approx(0.5, abs=1e-12)
 
 
@@ -419,33 +444,33 @@ class TestSgibnev:
         d = ParetoShifted(1.5)
         ratios = []
         for t in (200.0, 800.0):
-            grid = solve_residual_mean(d, t, 0.05)
-            ratios.append(float(grid.values[-1]) / sgibnev_asymptote(d, t))
+            (r,) = solution_at(d, residual_mean_generator, [t], 0.05)
+            ratios.append(float(r) / sgibnev_asymptote(d, t))
         assert abs(ratios[1] - 1.0) < abs(ratios[0] - 1.0)
         assert ratios[1] < 1.09
 
 
 class TestResidualMoments:
     def test_exponential_residual_mean_is_flat(self):
-        grid = solve_residual_mean(Exponential(1.0), 20.0, 0.01)
-        assert np.max(np.abs(grid.values - 1.0)) <= 1e-12
+        values = solution_at(Exponential(1.0), residual_mean_generator, 0.01 * np.arange(2001), 0.01)
+        assert np.max(np.abs(values - 1.0)) <= 1e-12
 
     def test_monte_carlo_cross_validation(self):
         dist = Gamma(2, 2)
         step = 2e-3
-        grid = solve_residual_mean(dist, 20.0, step)
+        solved = solution_at(dist, residual_mean_generator, [1.0, 5.0, 20.0], step)
         stats = path_statistics(Plain(dist), [1.0, 5.0, 20.0], 100_000, seed=29)
         for j, t in enumerate((1.0, 5.0, 20.0)):
             mc = stats["residual"][:, j]
             se = mc.std(ddof=1) / math.sqrt(mc.size)
             tol = max(3 * se, 5 * step)
-            assert abs(grid.at(t) - mc.mean()) <= tol, f"t={t}"
+            assert abs(solved[j] - mc.mean()) <= tol, f"t={t}"
 
     def test_variance_grid_limit(self):
         # var R tends to E[T^3]/(3 E[T]) - (E[T^2]/(2 E[T]))^2
         dist = Gamma(2, 2)
-        second = solve_residual_second(dist, 30.0, 5e-3).values[-1]
-        first = solve_residual_mean(dist, 30.0, 5e-3).values[-1]
+        (second,) = solution_at(dist, residual_second_generator, [30.0], 5e-3)
+        (first,) = solution_at(dist, residual_mean_generator, [30.0], 5e-3)
         target = dist.moment(3) / (3 * dist.moment(1)) - (
             dist.moment(2) / (2 * dist.moment(1))
         ) ** 2
@@ -494,7 +519,7 @@ class TestCumulativeBias:
         # rate^2 E[T^2]^2 / 4 - rate E[T^3] / 6, the limit of C E[R(t)] - E[R(t)^2] / 2
         step = fitted_step(t, [dist])
         _, first_error = residual_mean_at(dist, t, step)
-        _, second_error = extrapolate(lambda h: solve_residual_second(dist, t, h).values[-1:], step)
+        _, second_error = extrapolate(lambda h: solution_at(dist, residual_second_generator, [t], h), step)
         error = dist.renewal_rate * dist.moment(2) / 2 * first_error + second_error / 2
         assert abs(cumulative_residual_bias(dist, t) - limit) <= error
 
@@ -558,18 +583,8 @@ class TestGridFunction:
         with pytest.raises(ValueError, match="whole cells"):
             GridFunction.from_callable(np.ones_like, 1.0, 0.3)
         with pytest.raises(ValueError, match="whole cells"):
-            solve_residual_mean(Gamma(2, 2), 1.0, 0.3)
+            solution_at(Gamma(2, 2), residual_mean_generator, [1.0], 0.3)
         assert len(GridFunction.from_callable(np.ones_like, 0.3, 0.1)) == 4  # 2.9999999999999996 cells
-
-    def test_lookup_stays_on_the_grid(self):
-        g = GridFunction.from_callable(lambda u: u, 10.0, 0.5)
-        assert g.at(10.0) == 10.0 and g.at(0.0) == 0.0
-        assert g.at(np.array([0.24, 9.76])).tolist() == [0.0, 10.0]
-        for t in (500.0, -3.0, 10.26, math.nan):
-            with pytest.raises(ValueError, match="grid's span"):
-                g.at(t)
-        with pytest.raises(ValueError, match="grid's span"):
-            g.at(np.array([1.0, 10.5]))
 
     def test_validation(self):
         with pytest.raises(ValueError):
