@@ -40,7 +40,6 @@ from .decomposition import (
     wald_residual,
 )
 from .renewal_solver import (
-    GridFunction,
     cumulative_residual_bias,
     integrated_second_generator,
     residual_mean_generator,

@@ -226,10 +226,12 @@ def validate_config(obj: Mapping) -> tuple[ExperimentConfig | None, list[str]]:
 
 
 def _row(cfg: ExperimentConfig, est: Estimate, target: float | None, **knobs) -> tuple:
-    """One CSV row in ``_COLUMNS`` order; ``knobs`` fill t, h, v, n and reps."""
-    cells = dict(knobs, experiment=cfg.experiment, spec_hash=cfg.spec_hash, threads=cfg.threads,
+    """One CSV row in ``_COLUMNS`` order; ``knobs`` fill t, h, v, n and reps.  A row whose
+    check is a bound on the estimate, not a z-check, passes z=None: its z cell is empty."""
+    cells = dict(experiment=cfg.experiment, spec_hash=cfg.spec_hash, threads=cfg.threads,
                  estimate=est.value, se=est.se, target=target, seed=cfg.seed,
                  z=None if target is None else est.z_against(target), flags=";".join(est.flags))
+    cells.update(knobs)
     return tuple(cells.get(name) for name in _COLUMNS)
 
 
@@ -289,11 +291,11 @@ def _run_decompose(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
         decomposition.reports_to_csv(reports, fp)
     checks = [Check("decompose-identity", worst <= 1.0,
                     f"max |residual|/tolerance = {worst:.3g} over {n_paths} paths")]
-    rows = [_row(cfg, Estimate(worst, 0.0), 0.0, reps=n_paths)]
+    rows = [_row(cfg, Estimate(worst, 0.0), 0.0, reps=n_paths, z=None)]
     if v is not None:
         checks.append(Check("decompose-truncated", worst_trunc <= 1.0,
                             f"max |residual|/tolerance = {worst_trunc:.3g} at v={v}"))
-        rows.append(_row(cfg, Estimate(worst_trunc, 0.0), 0.0, v=v, reps=n_paths))
+        rows.append(_row(cfg, Estimate(worst_trunc, 0.0), 0.0, v=v, reps=n_paths, z=None))
     return rows, checks
 
 
@@ -430,17 +432,19 @@ def _run_renewal_solve(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]
 
     values, error = renewal_solver.renewal_function(dist, horizon, step)
     with open(cfg.out / "renewal_solution.csv", "w") as fp:
-        renewal_solver.GridFunction(step, values).to_csv(fp)
+        fp.write("t,value\n")
+        times = step * np.arange(values.size)
+        fp.writelines(f"{t:.17g},{v:.17g}\n" for t, v in zip(times.tolist(), values.tolist()))
     if isinstance(dist, Exponential):
         exact = 1.0 + dist.rate * step * np.arange(values.size)
         err = float(np.max(np.abs(values - exact)))
         tol = 5.0 * step
         check = Check("renewal-solve", err <= tol, f"sup error {err:.3g} vs closed form (tol {tol:.3g})")
-        rows = [_row(cfg, Estimate(err, 0.0), 0.0, reps=1, t=horizon)]
+        rows = [_row(cfg, Estimate(err, 0.0), 0.0, reps=1, t=horizon, z=None)]
     else:
         bound = _SOLVE_REL_ERROR * float(np.max(np.abs(values)))
-        check = Check("renewal-solve", error <= bound, "grid halving changes solution by "
-                      f"(bound {_SOLVE_REL_ERROR:g} max|Z| = {bound:.3g}) {error:.3g}")
+        check = Check("renewal-solve", error <= bound, f"grid halving changes solution by {error:.3g} "
+                      f"(bound {_SOLVE_REL_ERROR:g} max|Z| = {bound:.3g})")
         rows = [_row(cfg, Estimate(error, 0.0), None, reps=1, t=horizon)]
     return rows, [check]
 
@@ -450,7 +454,7 @@ def _run_sgibnev(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
     dist = cfg.spec.lifetime
     r, error = renewal_solver.residual_mean_at(dist, t, step)
     ratio = r / renewal_solver.sgibnev_asymptote(dist, t)
-    rows = [_row(cfg, Estimate(ratio, 0.0), 1.0, t=t, reps=1)]
+    rows = [_row(cfg, Estimate(ratio, 0.0), 1.0, t=t, reps=1, z=None)]
     detail = f"E[R({t:g})]/asymptote = {ratio:.4f} step-halving change {error:.2g}"
     return rows, [Check("sgibnev", 0.9 <= ratio <= 1.1, detail)]
 

@@ -1,12 +1,13 @@
 """Divide-and-conquer solver for convolution equations of renewal type.
 
-Solves Z(t) = z(t) + integral of Z(t-u) dF(u) on a uniform grid with a
-left-endpoint Stieltjes rule: the lifetime law enters through its CDF
-increments per grid cell, read off its tail and its ``atoms()``.  An
-off-grid atom is snapped to the nearest grid point with a warning; an atom
-within half a cell of 0 would be snapped to 0, where its mass is lost, and
-is a ValueError.  The discretization error is O(step) for laws with a
-bounded density.
+Solves Z(t) = z(t) + integral of Z(t-u) dF(u) on the grid 0, step,
+2*step, ... with a left-endpoint Stieltjes rule, from a 1-d array of the
+generator's values there to a 1-d array of the solution's.  The lifetime
+law enters through its CDF increments per grid cell, read off its tail
+and its ``atoms()``.  An off-grid atom is snapped to the nearest grid
+point with a warning; an atom within half a cell of 0 would be snapped to
+0, where its mass is lost, and is a ValueError.  The discretization error
+is O(step) for laws with a bounded density.
 
 The grid of K + 1 points is solved in blocks (Hairer, Lubich & Schlichte,
 SIAM J. Sci. Stat. Comput. 6(3), 1985): a block is split in two, the left
@@ -38,15 +39,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import IO, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .lifetimes import Deterministic, LifetimeDistribution, Mixture, _lattice_span
 
 __all__ = [
-    "GridFunction",
     "cumulative_residual_bias",
     "extrapolate",
     "fitted_step",
@@ -79,42 +78,12 @@ def _whole_cells(horizon: float, step: float) -> int:
     return k if k >= 1 and abs(cells - k) <= _CELL_REL * cells else 0
 
 
-@dataclass
-class GridFunction:
-    """Values of a function at 0, step, 2*step, ..., horizon."""
-
-    step: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if not self.step > 0:
-            raise ValueError("grid step must be positive")
-        if self.values.ndim != 1 or self.values.size < 2:
-            raise ValueError("grid needs at least two points")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("grid values must be finite")
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.step * np.arange(self.values.size)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    @classmethod
-    def from_callable(cls, f: Callable, horizon: float, step: float) -> "GridFunction":
-        """f at 0, step, ..., horizon; ``step`` must split ``horizon`` into whole cells."""
-        k = _whole_cells(horizon, step)
-        if not k:
-            raise ValueError(f"step {step:g} must split horizon {horizon:g} into whole cells")
-        t = step * np.arange(k + 1)
-        return cls(step=step, values=np.asarray(f(t), dtype=float))
-
-    def to_csv(self, fp: IO[str]) -> None:
-        fp.write("t,value\n")
-        for t, v in zip(self.times, self.values):
-            fp.write(f"{t:.17g},{v:.17g}\n")
+def _grid(horizon: float, step: float) -> np.ndarray:
+    """The times 0, step, ..., horizon; ``step`` must split ``horizon`` into whole cells."""
+    k = _whole_cells(horizon, step)
+    if not k:
+        raise ValueError(f"step {step:g} must split horizon {horizon:g} into whole cells")
+    return step * np.arange(k + 1)
 
 
 def _cdf_increments(dist: LifetimeDistribution, step: float, k: int) -> np.ndarray:
@@ -160,18 +129,24 @@ def _check_atoms(dist: LifetimeDistribution, step: float) -> None:
         raise ValueError(f"atom at {min(low):g} of {dist} is at most half a cell of {step:g} from 0")
 
 
-def solve_renewal_equation(generator: GridFunction, dist: LifetimeDistribution) -> GridFunction:
-    """Solve Z = z + Z * dF on the generator's grid, block by block in time."""
-    z = generator.values
-    h = generator.step
-    inc = _cdf_increments(dist, h, z.size - 1)
+def solve_renewal_equation(z, step: float, dist: LifetimeDistribution) -> np.ndarray:
+    """Z = z + Z * dF at 0, ``step``, 2 ``step``, ..., solved block by block in time from ``z``,
+    the generator's values there: a 1-d array of at least two finite values, or ValueError."""
+    z = np.asarray(z, dtype=float)
+    if not step > 0:
+        raise ValueError("grid step must be positive")
+    if z.ndim != 1 or z.size < 2:
+        raise ValueError("grid needs at least two points")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("grid values must be finite")
+    inc = _cdf_increments(dist, step, z.size - 1)
     out = z.copy()
     g = np.zeros(min(_LEAF, out.size))  # power series of 1 / (1 - inc), to one leaf
     g[0] = 1.0
     for k in range(1, g.size):
         g[k] = np.dot(inc[1 : k + 1], g[k - 1 :: -1])
     _solve_block(out, inc, g, {}, 0, out.size)
-    return GridFunction(step=h, values=out)
+    return out
 
 
 def _solve_block(
@@ -211,8 +186,7 @@ def solution_at(dist: LifetimeDistribution, generator: Callable, points, step: f
     points = np.asarray(points, dtype=float)
     if not np.all(points >= 0):
         raise ValueError(f"points must be nonnegative, got {points}")
-    grid = GridFunction.from_callable(lambda u: generator(dist, u), float(np.max(points)), step)
-    z = solve_renewal_equation(grid, dist).values
+    z = solve_renewal_equation(generator(dist, _grid(float(np.max(points)), step)), step, dist)
     inc = None if delay is None else _cdf_increments(delay, step, z.size - 1)
 
     def at(i: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -327,7 +301,7 @@ def sgibnev_asymptote(dist: LifetimeDistribution, t: float) -> float:
 def renewal_function(dist: LifetimeDistribution, horizon: float, step: float) -> tuple[np.ndarray, float]:
     """(U, its ``extrapolate`` error) on the ``step`` grid of [0, horizon]: U = 1 + U * dF,
     the mean number of renewals in [0, t], the one at 0 counted."""
-    times = GridFunction.from_callable(np.zeros_like, horizon, step).times
+    times = _grid(horizon, step)
     return extrapolate(lambda h: solution_at(dist, lambda law, u: np.ones_like(u), times, h), step)
 
 

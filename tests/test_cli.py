@@ -22,7 +22,7 @@ from countproc.cli import main, validate_config
 from countproc.decomposition import build_reports, reports_to_csv
 from countproc.lifetimes import Deterministic, EquilibriumOf, Exponential, Gamma, Lattice, ParetoShifted, Uniform
 from countproc.processes import Delayed, Plain, child_rng, simulate_paths, spec_from_json
-from countproc.renewal_solver import GridFunction, sgibnev_asymptote
+from countproc.renewal_solver import renewal_function, sgibnev_asymptote
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -947,9 +947,13 @@ class TestRun:
         assert main(["run", str(cfg)]) == 0
         assert "PASS renewal-solve" in capsys.readouterr().out
         # the solution file holds Z(t) = 1 + t, U(t) of Exponential(1), on the step's grid
-        grid = np.loadtxt(tmp_path / "res" / "renewal_solution.csv", delimiter=",", skiprows=1)
+        path = tmp_path / "res" / "renewal_solution.csv"
+        assert path.read_text().startswith("t,value\n")
+        grid = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(grid[:, 0], 0.001 * np.arange(5001))
         assert np.max(np.abs(grid[:, 1] - (1.0 + grid[:, 0]))) <= 5 * 0.001
+        # every value reads back to the bit
+        assert grid[:, 1].tolist() == renewal_function(Exponential(1.0), 5.0, 0.001)[0].tolist()
 
     def test_renewal_solve_grid_halving(self, tmp_path, capsys):
         # no closed form for Gamma(2, 2): the check reports the step-halving change
@@ -960,15 +964,19 @@ class TestRun:
         assert main(["run", str(cfg)]) == 0
         out = capsys.readouterr().out
         assert out.startswith("PASS renewal-solve: grid halving changes solution by")
-        assert 0 < float(out.split()[-1]) <= 5 * 0.01  # the closed-form branch's tolerance
+        # the number after "by " is the change the row records, ahead of its bound
+        change, bound = out.split("by ")[1].split(maxsplit=1)
+        assert 0 < float(change) <= 5 * 0.01  # the closed-form branch's tolerance
+        assert bound.startswith("(bound ")
+        header, row = (tmp_path / "res" / "renewal-solve.csv").read_text().splitlines()
+        assert change == f"{float(dict(zip(header.split(','), row.split(',')))['estimate']):.3g}"
 
     def test_renewal_solve_checks_its_error(self, tmp_path, capsys, monkeypatch):
         # a half-step solve 1% off moves the solution by far more than 5e-3 max|Z|
         solve = countproc.renewal_solver.solve_renewal_equation
 
-        def scaled(generator, dist):
-            sol = solve(generator, dist)
-            return GridFunction(sol.step, sol.values * (1.01 if sol.step < 0.01 else 1.0))
+        def scaled(z, step, dist):
+            return solve(z, step, dist) * (1.01 if step < 0.01 else 1.0)
 
         monkeypatch.setattr(countproc.renewal_solver, "solve_renewal_equation", scaled)
         cfg = write_config(tmp_path, {
@@ -977,6 +985,23 @@ class TestRun:
         })
         assert main(["run", str(cfg)]) == 1
         assert capsys.readouterr().out.startswith("FAIL renewal-solve")
+
+    @pytest.mark.parametrize("config, target", [
+        ({"experiment": "decompose", "spec": GAMMA_SPEC, "horizon": 20, "reps": 50, "v": 1}, "0"),
+        ({"experiment": "renewal-solve", "spec": EXP_SPEC, "horizon": 10, "step": 0.01}, "0"),
+        ({"experiment": "sgibnev", "spec": {"kind": "plain", "lifetime": {"kind": "uniform", "low": 0.0,
+                                                                          "high": 2.0}},
+          "t": 100, "step": 0.01}, "1"),
+    ], ids=["decompose", "renewal-solve-exponential", "sgibnev"])
+    def test_bound_rows_write_no_z(self, tmp_path, capsys, config, target):
+        # these checks bound their estimate and are no z-checks: the row keeps its
+        # target and leaves z empty, where a zero se once wrote z = inf next to a PASS
+        cfg = write_config(tmp_path, dict(config, out=str(tmp_path / "res")))
+        assert main(["run", str(cfg)]) == 0
+        header, *rows = (tmp_path / "res" / f"{config['experiment']}.csv").read_text().splitlines()
+        cells = [dict(zip(header.split(","), row.split(","))) for row in rows]
+        assert len(cells) == (2 if config["experiment"] == "decompose" else 1)
+        assert [(c["target"], c["z"]) for c in cells] == [(target, "")] * len(cells)
 
     def test_simulate_writes_ndjson(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
@@ -1055,8 +1080,8 @@ def test_solver_skips_scipy_linalg():
     code = (
         "import sys, numpy as np, countproc.cli\n"
         "from countproc.lifetimes import Gamma\n"
-        "from countproc.renewal_solver import GridFunction, solve_renewal_equation\n"
-        "solve_renewal_equation(GridFunction.from_callable(np.ones_like, 400.0, 0.01), Gamma(2, 2))\n"
+        "from countproc.renewal_solver import solve_renewal_equation\n"
+        "solve_renewal_equation(np.ones(40_001), 0.01, Gamma(2, 2))\n"
         "print('scipy.linalg' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=str(src))

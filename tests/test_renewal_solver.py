@@ -1,6 +1,5 @@
 """Grid solver: closed-form targets, convergence order, generator identities."""
 
-import io
 import math
 import warnings
 from fractions import Fraction
@@ -22,8 +21,8 @@ from countproc.lifetimes import (
 )
 from countproc.processes import Plain, child_rng, count, residual, simulate_paths
 from countproc.renewal_solver import (
-    GridFunction,
     _cdf_increments,
+    _grid,
     cumulative_residual_bias,
     extrapolate,
     fitted_step,
@@ -42,18 +41,19 @@ from conftest import any_distribution
 
 
 def ones_grid(horizon, step):
-    return GridFunction.from_callable(lambda u: np.ones_like(u), horizon, step)
+    """(ones at 0, step, ..., horizon, those times): the generator of U and its grid."""
+    times = _grid(horizon, step)
+    return np.ones_like(times), times
 
 
-def reference_solve(generator, dist):
+def reference_solve(z, step, dist):
     """The O(K^2) forward recurrence: one dot product per grid point.
 
     out[k] = z[k] + sum_{j=1..k} inc[j] * out[k - j], accumulated left to
     right; the oracle the divide-and-conquer solver is checked against.
     """
-    z = generator.values
     k_max = z.size - 1
-    inc = _cdf_increments(dist, generator.step, k_max)
+    inc = _cdf_increments(dist, step, k_max)
     out = np.empty(k_max + 1)
     rev = np.empty(k_max + 1)  # rev[k_max - i] = out[i]: contiguous convolution slices
     out[0] = z[0]
@@ -82,48 +82,50 @@ AGREEMENT_GENERATORS = {
 
 class TestSolver:
     def test_poisson_count_function(self):
-        sol = solve_renewal_equation(ones_grid(10.0, 1e-3), Exponential(1.0))
-        err = np.max(np.abs(sol.values - (1.0 + sol.times)))
+        z, times = ones_grid(10.0, 1e-3)
+        sol = solve_renewal_equation(z, 1e-3, Exponential(1.0))
+        err = np.max(np.abs(sol - (1.0 + times)))
         assert err < 5e-3
 
     def test_error_halves_with_step(self):
         e = []
         for step in (1e-3, 5e-4):
-            sol = solve_renewal_equation(ones_grid(10.0, step), Exponential(1.0))
-            e.append(np.max(np.abs(sol.values - (1.0 + sol.times))))
+            z, times = ones_grid(10.0, step)
+            sol = solve_renewal_equation(z, step, Exponential(1.0))
+            e.append(np.max(np.abs(sol - (1.0 + times))))
         assert 1.7 <= e[0] / e[1] <= 2.3
 
     def test_deterministic_staircase_exact(self):
-        sol = solve_renewal_equation(ones_grid(5.0, 0.01), Deterministic(1.0))
-        expected = np.floor(sol.times + 1e-9) + 1.0
-        assert np.max(np.abs(sol.values - expected)) == 0.0
+        z, times = ones_grid(5.0, 0.01)
+        sol = solve_renewal_equation(z, 0.01, Deterministic(1.0))
+        expected = np.floor(times + 1e-9) + 1.0
+        assert np.max(np.abs(sol - expected)) == 0.0
 
     def test_zero_generator_zero_solution(self):
-        gen = GridFunction.from_callable(lambda u: np.zeros_like(u), 5.0, 0.01)
-        sol = solve_renewal_equation(gen, Gamma(2, 2))
-        assert np.all(sol.values == 0.0)
+        sol = solve_renewal_equation(np.zeros_like(_grid(5.0, 0.01)), 0.01, Gamma(2, 2))
+        assert np.all(sol == 0.0)
 
     def test_linearity(self):
         dist = Gamma(2, 2)
-        g1 = GridFunction.from_callable(lambda u: np.exp(-u), 5.0, 0.01)
-        g2 = GridFunction.from_callable(lambda u: 1.0 / (1.0 + u), 5.0, 0.01)
-        combo = GridFunction(0.01, 2.0 * g1.values - 0.5 * g2.values)
-        lhs = solve_renewal_equation(combo, dist).values
+        times = _grid(5.0, 0.01)
+        g1, g2 = np.exp(-times), 1.0 / (1.0 + times)
+        lhs = solve_renewal_equation(2.0 * g1 - 0.5 * g2, 0.01, dist)
         rhs = (
-            2.0 * solve_renewal_equation(g1, dist).values
-            - 0.5 * solve_renewal_equation(g2, dist).values
+            2.0 * solve_renewal_equation(g1, 0.01, dist)
+            - 0.5 * solve_renewal_equation(g2, 0.01, dist)
         )
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
     def test_off_grid_atom_warns(self):
         with pytest.warns(RuntimeWarning, match="snapped"):
-            solve_renewal_equation(ones_grid(3.0, 0.15), Deterministic(1.0))
+            solve_renewal_equation(ones_grid(3.0, 0.15)[0], 0.15, Deterministic(1.0))
 
     def test_deterministic_staircase_long_grid(self):
         # 40 001 points: beyond one leaf the FFT adds rounding, nothing more
-        sol = solve_renewal_equation(ones_grid(400.0, 0.01), Deterministic(1.0))
-        expected = np.floor(sol.times + 1e-9) + 1.0
-        assert np.max(np.abs(sol.values - expected) / expected) <= 1e-12
+        z, times = ones_grid(400.0, 0.01)
+        sol = solve_renewal_equation(z, 0.01, Deterministic(1.0))
+        expected = np.floor(times + 1e-9) + 1.0
+        assert np.max(np.abs(sol - expected) / expected) <= 1e-12
 
     @pytest.mark.parametrize("gen", AGREEMENT_GENERATORS)
     @pytest.mark.parametrize("k", [1, 2, 510, 511, 512, 513, 1537, 40_000])
@@ -131,16 +133,16 @@ class TestSolver:
     def test_matches_forward_recurrence(self, law, k, gen):
         # k steps, k + 1 points: covers one leaf, the leaf boundary and uneven splits
         step = 0.01
-        grid = GridFunction.from_callable(AGREEMENT_GENERATORS[gen], k * step, step)
-        new = solve_renewal_equation(grid, AGREEMENT_LAWS[law]).values
-        ref = reference_solve(grid, AGREEMENT_LAWS[law])
+        z = AGREEMENT_GENERATORS[gen](_grid(k * step, step))
+        new = solve_renewal_equation(z, step, AGREEMENT_LAWS[law])
+        ref = reference_solve(z, step, AGREEMENT_LAWS[law])
         assert np.all(np.abs(new - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
     def test_lattice_and_mixture_mass_placement(self):
         # mixture of atoms on the grid: solution jumps exactly at atoms
         mix = Mixture((0.5, 0.5), (Deterministic(1.0), Deterministic(2.0)))
-        sol = solve_renewal_equation(ones_grid(3.0, 0.01), mix)
-        before, after = sol.values[[99, 100]]
+        sol = solve_renewal_equation(ones_grid(3.0, 0.01)[0], 0.01, mix)
+        before, after = sol[[99, 100]]
         assert after - before == pytest.approx(0.5)
 
 
@@ -152,7 +154,7 @@ class TestSolutionAt:
     """One solve on [0, max point], read at named points."""
 
     def test_grid_points_read_the_grid_and_others_the_line_between(self):
-        sol = solve_renewal_equation(ones_grid(3.0, 0.01), Gamma(2, 2)).values
+        sol = solve_renewal_equation(ones_grid(3.0, 0.01)[0], 0.01, Gamma(2, 2))
         at_grid, between, last = solution_at(Gamma(2, 2), ones, [1.5, 0.2525, 3.0], 0.01)
         assert at_grid == sol[150] and last == sol[300]
         assert between == pytest.approx(0.75 * sol[25] + 0.25 * sol[26], rel=1e-14)
@@ -568,28 +570,23 @@ def integrated_residual(paths, t: float) -> np.ndarray:
     return np.sum((hi - lo) * (np.where(np.isfinite(after), after, 0.0) - (lo + hi) / 2), axis=1)
 
 
-class TestGridFunction:
-    def test_csv_round_trip(self):
-        g = GridFunction.from_callable(lambda u: np.sin(u), 2.0, 0.25)
-        buf = io.StringIO()
-        g.to_csv(buf)
-        buf.seek(0)
-        assert buf.readline() == "t,value\n"
-        back = np.loadtxt(buf, delimiter=",")
-        assert back[:, 0].tolist() == g.times.tolist() and back[:, 1].tolist() == g.values.tolist()
-
+class TestGridChecks:
     def test_step_must_split_the_horizon(self):
         # 0.3 would round 3.33 cells to 3, a grid ending at 0.9
         with pytest.raises(ValueError, match="whole cells"):
-            GridFunction.from_callable(np.ones_like, 1.0, 0.3)
+            renewal_function(Gamma(2, 2), 1.0, 0.3)
         with pytest.raises(ValueError, match="whole cells"):
             solution_at(Gamma(2, 2), residual_mean_generator, [1.0], 0.3)
-        assert len(GridFunction.from_callable(np.ones_like, 0.3, 0.1)) == 4  # 2.9999999999999996 cells
+        u, _ = renewal_function(Gamma(2, 2), 0.3, 0.1)  # 2.9999999999999996 cells
+        assert u.shape == (4,)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GridFunction(0.0, np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            GridFunction(0.1, np.array([1.0]))
-        with pytest.raises(ValueError):
-            GridFunction(0.1, np.array([1.0, np.nan]))
+    @pytest.mark.parametrize("z,step,message", [
+        ([1.0, 2.0], 0.0, "step must be positive"),
+        ([1.0, 2.0], -0.1, "step must be positive"),
+        ([1.0], 0.1, "at least two points"),
+        ([[1.0, 2.0], [3.0, 4.0]], 0.1, "at least two points"),
+        ([1.0, np.nan], 0.1, "must be finite"),
+    ])
+    def test_validation(self, z, step, message):
+        with pytest.raises(ValueError, match=message):
+            solve_renewal_equation(np.array(z), step, Gamma(2, 2))
