@@ -334,7 +334,8 @@ def _window_target(spec: ProcessSpec, t: float, h: float) -> tuple[float, float 
     Renewal specs: rate * (h + E[R(t + h)] - E[R(t)]) by Wald's identity (a
     delay's E[D] cancels), the change read from one solve on [0, t + h] at
     ``_solver_step(spec, t, h)`` (``renewal_solver.residual_mean_change``); the
-    error is its extrapolation error * rate.  The equilibrium delay keeps the exact
+    error is rate times its extrapolation error plus the rounding floor of h, the
+    unit in which the sum h + change rounds.  The equilibrium delay keeps the exact
     rate * h, and the other kinds their limit rate * h.
     """
     rate = asymptotics.spec_rate(spec)
@@ -342,7 +343,7 @@ def _window_target(spec: ProcessSpec, t: float, h: float) -> tuple[float, float 
         return rate * h, None
     delay = spec.delay if isinstance(spec, Delayed) else None
     change, error = renewal_solver.residual_mean_change(spec.lifetime, t, h, _solver_step(spec, t, h), delay)
-    return rate * (h + change), error * rate
+    return rate * (h + change), rate * (error + renewal_solver._ROUNDING * h)
 
 
 def _rate_target(spec: ProcessSpec, t: float) -> tuple[float, float | None]:

@@ -3,8 +3,11 @@
 Every distribution here puts all of its mass on (0, infinity) and has a
 finite mean, so each can serve as the inter-arrival law of an orderly
 counting process.  Each law evaluates one closed-form primitive, the
-excess moment ``e_k(t) = E[((T - t)+)^k]`` (``e_0`` is the tail); SciPy's
-regularized incomplete gamma functions cover the Gamma family.  Tails,
+excess moment ``e_k(t) = E[((T - t)+)^k]`` (``e_0`` is the tail).  A Gamma
+law with a whole-number shape evaluates it as an Erlang sum of positive
+terms; other shapes take the regularized incomplete gamma functions from
+``_gamma_pq``, a series below x = shape + 1 and Legendre's continued
+fraction above it, so the package needs no SciPy.  Tails,
 moments, the quadratic excess and the integrals of excess moments all
 derive from it, so no target needs numerical quadrature.  Divergent
 moments are reported as ``math.inf`` rather than a large float so that
@@ -44,7 +47,6 @@ from functools import cache, cached_property
 from typing import Any, ClassVar, Literal, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "Deterministic",
@@ -87,13 +89,15 @@ _ERLANG_MAX_SHAPE = 4
 # overshoot or delay per path (see _ERLANG_MAX_SHAPE).
 _SLAB = 1 << 15
 
-# Gamma._residual_moments reads x = rate * age past s + _GAMMA_FAR * (1 + sqrt(s))
-# from Legendre's continued fraction, cut after _GAMMA_FAR_TERMS terms: there
-# it matches 50-digit values to 3e-16 for shapes 0.1 to 1e6, where the
-# gammaincc route loses digits (1e-10 to 2e-9 relative in v near x = 500) and,
-# past x ~ 745, its tail underflows to 0.
-_GAMMA_FAR = 10.0
-_GAMMA_FAR_TERMS = 32
+# Largest whole-number Gamma shape m whose primitives are Erlang sums of m
+# terms x^l / l! (x = rate * t).  Each sum reads x as at most _ERLANG_FAR: there
+# e^-x is 0 and each ratio of sums is its limit to rounding (their relative
+# offset is about k (m - 1) / x), while x^(m-1) / (m-1)! stays finite for m <= 16.
+_ERLANG_SUM_MAX_SHAPE = 16
+_ERLANG_FAR = 1e20
+# Lentz steps of Legendre's fraction after which _legendre_fraction gives up
+_LENTZ_STEPS = 10_000
+_EPS = float(np.finfo(float).eps)
 
 _LATTICE_TOL = 1e-9
 # Most multiples of a lattice span a span may be: floats near 2**22 are 2**-30
@@ -312,41 +316,56 @@ class Gamma(LifetimeDistribution):
         if not (self.shape > 0 and self.rate > 0):
             raise ValueError("gamma shape and rate must be positive")
 
+    @property
+    def _erlang_terms(self) -> int | None:
+        """The whole-number shape m when every primitive is an Erlang sum, else None."""
+        return int(self.shape) if self.shape.is_integer() and self.shape <= _ERLANG_SUM_MAX_SHAPE else None
+
     def _excess_moment(self, k, t):
-        # binomial expansion of (T - t)^k on {T > t}, with
-        # E[T^j; T > t] = (a)_j / rate^j * Q(a + j, rate * t); at t = inf
-        # each term is 0, not (-inf)^(k-j) * 0, so the power reads t as 0 there
-        a, r = self.shape, self.rate
-        w = np.where(np.isinf(t), 0.0, t)
+        s, r, m = self.shape, self.rate, self._erlang_terms
+        x = r * t
+        if m:
+            (total,) = _erlang_sums(m, x, (k,))
+            return math.factorial(k) / r**k * np.exp(-x) * total
+        # binomial expansion of (T - t)^k on {T > t}, with E[T^j; T > t] =
+        # M_j / rate^j, M_0 = Q(s, x) and M_(j+1) = (s + j) M_j + x^j w, w =
+        # x^s e^-x / Gamma(s) (as x f(x; s) = s f(x; s + 1)); at t = inf each term
+        # is 0, not (-inf)^(k-j) * 0, so the powers read x as 0 there
+        w = _gamma_weight(s, x)
+        moment = _gamma_pq(s, x)[1]
+        x = np.where(np.isinf(x), 0.0, x)
         out = 0.0
-        head = 1.0  # (a)_j / rate^j
         for j in range(k + 1):
-            out = out + math.comb(k, j) * (-w) ** (k - j) * head * special.gammaincc(a + j, r * t)
-            head *= (a + j) / r
-        return out
+            out = out + math.comb(k, j) * (-x) ** (k - j) * moment
+            moment = (s + j) * moment + x**j * w
+        return out / r**k
 
     def _truncated_mean(self, v):
-        # E[T; T<=v] + v P(T>v), with x*f(x; a) = (a/rate)*f(x; a+1); the
-        # second term is 0 at v = inf
+        # E[T; T<=v] + v P(T>v), with x*f(x; a) = (a/rate)*f(x; a+1); P is the
+        # series below x = a + 2, so nothing cancels at small v, and the second
+        # term is 0 at v = inf
         a, r = self.shape, self.rate
         w = np.where(np.isinf(v), 0.0, v)
-        return (a / r) * special.gammainc(a + 1, r * v) + w * special.gammaincc(a, r * v)
+        return (a / r) * _gamma_pq(a + 1, r * v)[0] + w * self._excess_moment(0, v)
 
     def _residual_moments(self, a):
-        # With x = rate * a, u = x^s e^-x / Gamma(s, x) and Q(s, x) = Gamma(s, x)
-        # / Gamma(s), the upward recurrence Q(s + 1, x) = Q(s, x) + x^s e^-x /
-        # Gamma(s + 1) turns E[T^j; T > a] = (s)_j Q(s + j, x) / rate^j into
-        # rate E[R | a] = 1 + v and rate^2 E[R^2 | a] = s + 1 - (x - s - 1) v,
-        # with v = u - (x + 1 - s).  u is a ratio taken in log space from one
-        # gammaincc; far in the tail v comes from the continued fraction.
-        s, r = self.shape, self.rate
+        s, r, m = self.shape, self.rate, self._erlang_terms
         x = np.asarray(r * a)
-        with np.errstate(divide="ignore"):  # log 0 at age 0, and where Q underflows
-            log_u = s * np.log(x) - x - special.gammaln(s) - np.log(special.gammaincc(s, x))
-        v = np.asarray(np.exp(log_u) - (x + (1.0 - s)))
-        far = x > s + _GAMMA_FAR * (1.0 + math.sqrt(s))
-        if far.any():
-            v[far] = _legendre_tail(s, x[far])
+        if m:
+            # e^-x cancels from e_k(a) / tail(a): what is left are ratios of
+            # Erlang sums of positive terms
+            tail, first, second = _erlang_sums(m, x, (0, 1, 2))
+            return first / tail / r, 2.0 * second / tail / r**2
+        # With u = x^s e^-x / Gamma(s, x), the upward recurrence Q(s + 1, x) =
+        # Q(s, x) + x^s e^-x / Gamma(s + 1) turns E[T^j; T > a] = (s)_j Q(s + j, x)
+        # / rate^j into rate E[R | a] = 1 + v and rate^2 E[R^2 | a] = s + 1 -
+        # (x - s - 1) v, with v = u - (x + 1 - s): the tail of Legendre's fraction
+        # from x = s + 1 on, and u from the series below it
+        v = np.empty_like(x)
+        near = x < s + 1.0
+        v[~near] = _legendre_fraction(s, x[~near])
+        xn = x[near]
+        v[near] = _gamma_weight(s, xn) / (1.0 - _gamma_series(s, xn)) - (xn + (1.0 - s))
         return (1.0 + v) / r, (s + 1.0 - (x - (s + 1.0)) * v) / r**2
 
     def _draw(self, rng, size):
@@ -640,16 +659,130 @@ class EquilibriumOf(LifetimeDistribution):
         return x.reshape(shape)
 
 
-def _legendre_tail(s: float, x: np.ndarray) -> np.ndarray:
-    """x^s e^-x / Gamma(s, x) - (x + 1 - s) from Legendre's continued fraction
-    Gamma(s, x) = x^s e^-x / (x + 1 - s - 1 (1 - s) / (x + 3 - s - 2 (2 - s) / ...)),
-    its first ``_GAMMA_FAR_TERMS`` terms evaluated from the last one back; no
-    term underflows and nothing cancels, so it is accurate to rounding for
-    large x.  The fraction ends by itself at a whole-number shape."""
-    d = x + (2 * _GAMMA_FAR_TERMS + 1 - s)
-    for j in range(_GAMMA_FAR_TERMS - 1, 0, -1):
-        d = x + (2 * j + 1 - s) - (j + 1) * (j + 1 - s) / d
-    return (s - 1.0) / d
+def _erlang_sums(m: int, x: np.ndarray, ks: Sequence[int]) -> list[np.ndarray]:
+    """Per k in ``ks``, sum over l < m of C(m - 1 - l + k, k) x^l / l!.
+
+    Given T > t, an Erlang(m) gap has seen l of its Poisson points in [0, t]
+    with weight x^l / l!, and the m - l phases left have k-th moment k!
+    C(m - 1 - l + k, k) / rate^k: so e_k(t) = k! / rate^k e^-x times the sum
+    for k, and E[R^k | t] the same over the sum for k = 0.  Every term is
+    positive, so nothing cancels; x is read as at most ``_ERLANG_FAR``.
+    """
+    x = np.minimum(x, _ERLANG_FAR)
+    term = np.ones_like(x)
+    sums = [np.full_like(x, math.comb(m - 1 + k, k)) for k in ks]
+    for l in range(1, m):
+        term = term * x / l
+        for total, k in zip(sums, ks):
+            total += math.comb(m - 1 - l + k, k) * term
+    return sums
+
+
+def _gamma_weight(s: float, x: np.ndarray) -> np.ndarray:
+    """x^s e^-x / Gamma(s), 0 at x = 0 and at x = inf.
+
+    Where no factor leaves the normal range (x <= 700, x^s < e^700 and shape
+    <= 170) it is the product of the three, each good to about an ulp.  Elsewhere it is
+    sqrt(s / 2 pi) exp(-c(s) - s phi((x - s) / s)), with phi(t) = t - log(1 + t)
+    and c(s) the remainder of Stirling's series for log Gamma(s), summed from
+    shape 10 on, where the difference lgamma(s) - (s - 1/2) log s + s - log(2 pi)/2
+    would cancel: the exponent then rounds by about eps |x - s|, not by an ulp
+    of lgamma(s), so a large shape keeps its digits near the bulk of the law.
+    """
+    out = np.zeros_like(x)
+    with np.errstate(divide="ignore"):  # log 0 at x = 0
+        log_x = np.log(x)
+        direct = (x <= 700.0) & (s * log_x <= 700.0) & (s <= 170.0)  # Gamma(170) < 1e305
+        if direct.any():
+            out[direct] = np.exp(-x[direct]) * x[direct] ** s / math.gamma(s)
+        far = ~direct & (x < np.inf)
+        if far.any():
+            t = (x[far] - s) / s
+            out[far] = math.sqrt(s / (2 * math.pi)) * np.exp(-_stirling_remainder(s) - s * (t - np.log1p(t)))
+    return out
+
+
+def _stirling_remainder(s: float) -> float:
+    """lgamma(s) - ((s - 1/2) log s - s + log(2 pi) / 2), from its asymptotic
+    series from shape 10 on (the first omitted term is below 1e-12 there)."""
+    if s < 10.0:
+        return math.lgamma(s) - ((s - 0.5) * math.log(s) - s + 0.5 * math.log(2 * math.pi))
+    u = 1.0 / (s * s)
+    return (1 / 12 - u * (1 / 360 - u * (1 / 1260 - u / 1680))) / s
+
+
+def _series_terms(s: float) -> int:
+    """Terms after the first that the series of P(s, x) needs at x = s + 1, the
+    slowest point of its range: past term n the rest is below term n (s + 1) / n,
+    which is then under a quarter ulp of the sum."""
+    term = total = 1.0
+    n = 0
+    while n == 0 or term * (s + 1.0) > _EPS / 4 * total * n:
+        n += 1
+        term *= (s + 1.0) / (s + n)
+        total += term
+    return n
+
+
+def _gamma_series(s: float, x: np.ndarray) -> np.ndarray:
+    """P(s, x) by the series x^s e^-x / Gamma(s + 1) sum_n x^n / ((s + 1) ... (s + n))
+    (Abramowitz & Stegun 6.5.29) for x < s + 1, where its terms fall from the first:
+    ``_series_terms(s)`` of them by Horner's rule, the same count for every x."""
+    total = np.ones_like(x)
+    for n in range(_series_terms(s), 0, -1):
+        total *= x
+        total /= s + n
+        total += 1.0
+    return total * _gamma_weight(s, x) / s
+
+
+def _legendre_fraction(s: float, x: np.ndarray) -> np.ndarray:
+    """The tail of Legendre's continued fraction (Abramowitz & Stegun 6.5.31)
+
+        x^s e^-x / Gamma(s, x) = x + 1 - s - 1 (1 - s) / (x + 3 - s - 2 (2 - s) / (x + 5 - s - ...)),
+
+    that is everything after x + 1 - s, for x >= s + 1 (0 at x = inf).  It is
+    evaluated forward by the modified Lentz method (Press et al., *Numerical
+    Recipes*, 5.2 and 6.2), each entry leaving the active set once a step
+    changes it by less than an ulp: far in the tail after a few steps, near
+    x = s + 1 after up to about 80 for shapes 0.3 to 100.  No term underflows and
+    nothing cancels, so it is accurate to rounding far into the tail; the
+    fraction ends by itself at a whole-number shape.
+    """
+    out = np.zeros_like(x)
+    idx = np.flatnonzero(x < np.inf)
+    xs = x[idx]
+    d = 1.0 / (xs + (3.0 - s))
+    f = (s - 1.0) * d
+    c = np.full_like(xs, np.inf)  # the first step reads c = b_2
+    for j in range(2, _LENTZ_STEPS):
+        if not idx.size:
+            return out
+        b, a = xs + (2 * j + 1 - s), -j * (j - s)
+        d = 1.0 / (b + a * d)
+        c = b + a / c
+        step = c * d
+        f *= step
+        done = np.abs(step - 1.0) <= _EPS
+        if done.any():
+            out[idx[done]] = f[done]
+            keep = ~done
+            xs, d, c, f, idx = xs[keep], d[keep], c[keep], f[keep], idx[keep]
+    raise ArithmeticError(f"Legendre's fraction for shape {s} did not settle in {_LENTZ_STEPS} steps")
+
+
+def _gamma_pq(s: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P(s, x), Q(s, x)), the regularized lower and upper incomplete gamma
+    functions, for x in [0, inf]: P from the series below x = s + 1, Q from
+    Legendre's fraction at and above it, and the other as one minus it."""
+    x = np.asarray(x, dtype=float)
+    p, q = np.empty_like(x), np.empty_like(x)
+    near = x < s + 1.0
+    xn, xf = x[near], x[~near]
+    p[near] = _gamma_series(s, xn)
+    q[~near] = _gamma_weight(s, xf) / (xf + (1.0 - s) + _legendre_fraction(s, xf))
+    q[near], p[~near] = 1.0 - p[near], 1.0 - q[~near]
+    return p, q
 
 
 def _check_k(k: int) -> None:

@@ -32,6 +32,7 @@ def write_config(tmp_path, obj, name="config.json"):
 
 
 GAMMA_SPEC = {"kind": "plain", "lifetime": {"kind": "gamma", "shape": 2.0, "rate": 2.0}}
+GAMMA_25_SPEC = {"kind": "plain", "lifetime": {"kind": "gamma", "shape": 2.5, "rate": 2.5}}
 EXP_SPEC = {"kind": "plain", "lifetime": {"kind": "exponential", "rate": 1.0}}
 MODULATED_SPEC = {
     "kind": "modulated",
@@ -448,7 +449,7 @@ class TestRun:
         assert target == pytest.approx(22 / 21, abs=1e-15)
         assert error < 1e-15
 
-    @pytest.mark.parametrize("t,h", [(0.3, 0.5), (0.3, 0.55), (20.0, 1.0)])
+    @pytest.mark.parametrize("t,h", [(0.3, 0.5), (0.3, 0.55), (10.0, 1.0), (20.0, 1.0), (50.0, 1.0)])
     def test_window_target_gamma_closed_form(self, t, h):
         # U(x) = 0.75 + x + exp(-4x)/4 for Gamma(2, 2), the event at 0 counted
         target, error = countproc.cli._window_target(Plain(Gamma(2, 2)), t, h)
@@ -1064,30 +1065,45 @@ class TestRun:
         assert "event cap" in capsys.readouterr().out
 
 
-def test_cli_import_skips_quadrature():
-    src = Path(countproc.__file__).resolve().parents[1]
-    code = "import sys, countproc.cli; print('scipy.integrate' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+# one small config of each experiment, on both a whole and a non-whole Gamma shape
+NO_SCIPY_CONFIGS = [
+    {"experiment": "simulate", "spec": GAMMA_SPEC, "horizon": 20},
+    {"experiment": "decompose", "spec": GAMMA_SPEC, "horizon": 20, "reps": 50, "v": 1},
+    {"experiment": "blackwell", "spec": GAMMA_SPEC, "t": 10, "h": 1, "reps": 2000},
+    {"experiment": "modulated", "spec": MODULATED_SPEC, "t": 10, "h": 1, "reps": 2000},
+    {"experiment": "palm", "spec": MA_SPEC, "t": 10, "h": 1, "reps": 2000},
+    {"experiment": "rate", "spec": GAMMA_25_SPEC, "t": 20, "reps": 2000},
+    {"experiment": "residual-law", "spec": GAMMA_25_SPEC, "t": 20, "reps": 2000},
+    {"experiment": "variance", "spec": GAMMA_25_SPEC, "t": 20, "reps": 2000},
+    {"experiment": "rm-cross", "spec": GAMMA_SPEC, "t": 20, "reps": 2000},
+    {"experiment": "diffusion", "spec": GAMMA_SPEC, "n": 100, "t": 1, "reps": 500},
+    {"experiment": "renewal-solve", "spec": GAMMA_25_SPEC, "horizon": 10, "step": 0.01},
+    {"experiment": "sgibnev", "spec": GAMMA_25_SPEC, "t": 20, "step": 0.01},
+]
 
 
-def test_solver_skips_scipy_linalg():
-    # the solver needs only numpy; importing scipy.linalg would add start-up
-    # time and resident memory to every run
-    src = Path(countproc.__file__).resolve().parents[1]
+def test_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: with its import blocked, every experiment
+    # runs, and no scipy module is loaded, which would add start-up time and
+    # resident memory to every run
+    assert {cfg["experiment"] for cfg in NO_SCIPY_CONFIGS} == set(countproc.cli._EXPERIMENTS)
+    paths = [write_config(tmp_path, dict(cfg, seed=7, out=str(tmp_path / f"out-{i}")), f"{i}.json")
+             for i, cfg in enumerate(NO_SCIPY_CONFIGS)]
     code = (
-        "import sys, numpy as np, countproc.cli\n"
-        "from countproc.lifetimes import Gamma\n"
-        "from countproc.renewal_solver import solve_renewal_equation\n"
-        "solve_renewal_equation(np.ones(40_001), 0.01, Gamma(2, 2))\n"
-        "print('scipy.linalg' in sys.modules)"
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import countproc.cli\n"
+        "codes = [countproc.cli.main(['run', path]) for path in sys.argv[1:]]\n"
+        "del sys.modules['scipy']\n"
+        "loaded = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
+        "print(codes, loaded, file=sys.stderr)\n"
+        "sys.exit(0 if codes == [0] * len(codes) and not loaded else 1)\n"
     )
+    src = Path(countproc.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code, *map(str, paths)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
 
 
 def readme_experiments():

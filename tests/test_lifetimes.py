@@ -3,12 +3,13 @@
 import json
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from countproc.lifetimes import (
     _POSITIVE_FLOOR,
@@ -21,6 +22,7 @@ from countproc.lifetimes import (
     Mixture,
     ParetoShifted,
     Uniform,
+    _gamma_pq,
     _lattice_span,
     distribution_from_json,
 )
@@ -262,6 +264,99 @@ class TestResidualMoments:
         # only rounding in t - S gives such an age; the default hook returns 0, not 0/0
         assert Deterministic(0.3).residual_moments(0.30000000000000004) == (0.0, 0.0)
         assert Uniform(0, 2).residual_moments(np.array([2.0, 3.0]))[0].tolist() == [0.0, 0.0]
+
+
+def erlang_excess_exact(m: int, rate: float, k: int, x: float) -> Decimal:
+    """e_k at t = x / rate of an Erlang(m, rate) gap, k! / rate^k e^-x sum over l < m
+    of C(m - 1 - l + k, k) x^l / l!, evaluated in 40 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        big_x, term, total = Decimal(x), Decimal(1), Decimal(0)
+        for l in range(m):
+            total += math.comb(m - 1 - l + k, k) * term
+            term = term * big_x / (l + 1)
+        return math.factorial(k) / Decimal(rate) ** k * (-big_x).exp() * total
+
+
+class TestGammaPrimitives:
+    """Erlang sums for whole-number shapes, _gamma_pq for the others."""
+
+    # x = rate * t is exact at these rates, so each value is that of the closed form at x
+    @pytest.mark.parametrize("rate", [2.0, 0.5])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_erlang_primitives_to_rounding(self, m, rate):
+        # the sums have positive terms only: the binomial expansion they replace
+        # cancelled in the tail (e_3 off by 2e-5 relative, e_1 by 1e-10)
+        xs = np.concatenate([[0.0, 1e-6, 0.1], np.linspace(0.5, 700.0, 140)])
+        law = Gamma(m, rate)
+        exact = {k: [erlang_excess_exact(m, rate, k, x) for x in xs] for k in range(4)}
+
+        def worst(got, want):
+            return max(abs(Decimal(g) - w) / w for g, w in zip(got.tolist(), want))
+
+        for k in range(4):
+            assert worst(law.excess_moment(k, xs / rate), exact[k]) <= 1e-15
+        for k, got in zip((1, 2), law.residual_moments(xs / rate)):
+            assert worst(got, [e / q for e, q in zip(exact[k], exact[0])]) <= 1e-15
+
+    @pytest.mark.parametrize("rate", [0.7, 2.0, 3.0])
+    def test_one_phase_residual_is_exactly_exponential(self, rate):
+        ages = np.array([0.0, 1e-9, 0.5, 7.0, 400.0, 1e4, 1e300, math.inf])
+        r1, r2 = Gamma(1, rate).residual_moments(ages)
+        assert r1.tolist() == [1.0 / rate] * ages.size
+        assert r2.tolist() == [2.0 / rate**2] * ages.size
+
+    @pytest.mark.parametrize("shape", [0.3, 0.5, 0.7, 1.0, 1.5, 2.5, 4.0, 9.5, 30.3, 100.0])
+    def test_gamma_pq_matches_scipy(self, shape):
+        # both sides of x = shape + 1, the series' last point and the fraction's
+        # first, and out to x = 700
+        xs = np.concatenate([
+            [0.0, shape + 1.0, np.nextafter(shape + 1.0, 0.0)],
+            shape + 1.0 + np.array([-0.5, -1e-9, 1e-9, 0.5]) * min(shape, 1.0),
+            np.geomspace(1e-8, 1.0, 50), np.linspace(0.0, 700.0, 1401)[1:],
+        ])
+        p, q = _gamma_pq(shape, xs)
+        assert np.all((p >= 0) & (q >= 0) & (p <= 1) & (q <= 1))
+        # scipy's own values carry the rounding of its exponent shape log x - x,
+        # about an ulp of the larger term; past |exponent| ~ 450 that alone is
+        # over 1e-13 relative (against 40-digit values: up to 1.8e-13, where
+        # these are within 6e-16)
+        with np.errstate(divide="ignore"):  # log 0
+            exponent = np.maximum(xs, shape * np.abs(np.log(xs)))
+        rtol = np.maximum(1e-13, 4 * np.finfo(float).eps * exponent)
+        for ours, theirs in ((q, special.gammaincc(shape, xs)), (p, special.gammainc(shape, xs))):
+            seen = theirs > 1e-290
+            assert np.all(np.abs(ours - theirs)[seen] <= rtol[seen] * theirs[seen])
+
+    @pytest.mark.parametrize("shape", [0.3, 2.5, 100.0])
+    def test_gamma_pq_ends(self, shape):
+        # 0 and 1 at x = 0 and x = inf, and where e^-x underflows
+        p, q = _gamma_pq(shape, np.array([0.0, 1e4, 1e300, math.inf]))
+        assert p.tolist() == [0.0, 1.0, 1.0, 1.0] and q.tolist() == [1.0, 0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("shape", [0.3, 0.5, 2.5])
+    def test_gamma_pq_where_gammaincc_underflows(self, shape):
+        xs = np.linspace(700.0, 800.0, 101)
+        assert np.any(special.gammaincc(shape, xs) == 0.0)
+        p, q = _gamma_pq(shape, xs)
+        assert np.all(p == 1.0) and np.all((q >= 0.0) & (q < 1e-290))
+
+    @pytest.mark.parametrize("shape,x,p,q", [
+        # 40-digit values (mpmath), to 17 digits
+        (0.3, 0.001, 1.4024245892486737e-1, 8.5975754107513263e-1),
+        (0.3, 5.0, 9.9934868124928155e-1, 6.5131875071845155e-4),
+        (2.5, 3.0, 6.937810815867216e-1, 3.062189184132784e-1),
+        (2.5, 3.5, 7.7935969206328921e-1, 2.2064030793671079e-1),
+        (2.5, 600.0, 1.0, 2.9375604806858985e-257),
+        (9.5, 10.5, 6.6319909807246642e-1, 3.3680090192753358e-1),
+        (30.3, 20.0, 1.8937430939429538e-2, 9.8106256906057046e-1),
+        (100.0, 101.0, 5.5289629343451125e-1, 4.4710370656548875e-1),
+        (100.0, 250.0, 1.0, 1.1737017704487874e-27),
+        (0.7, 690.0, 1.0, 2.3532661282714267e-301),
+    ])
+    def test_gamma_pq_to_rounding(self, shape, x, p, q):
+        got_p, got_q = _gamma_pq(shape, np.array([x]))
+        assert got_p[0] == pytest.approx(p, rel=2e-15) and got_q[0] == pytest.approx(q, rel=2e-15)
 
 
 class TestTail:
