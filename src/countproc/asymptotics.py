@@ -309,6 +309,8 @@ def _fold_clock(clock, ts: np.ndarray, result: dict[str, np.ndarray]) -> None:
     """
     after, first, last = _events_around(clock, ts)
     t, paths = ts[:, None], clock.active  # time-major: one row per query time
+    if paths.size == result["count"].shape[0]:  # every row: write through a view, not a gather and scatter
+        paths = slice(None)
     count = 1 + clock.events - after
     residual, age = first - t, t - np.where(last > -np.inf, last, clock.start)
     on = clock.start <= t

@@ -30,15 +30,18 @@ A plain or delayed path whose lifetime law is Erlang(m, r)
 (``poisson_phases``: Exponential, or Gamma of a whole-number shape) does
 not walk when m is no more than the gaps the walk would draw before its
 stragglers, nor than ``_ERLANG_MAX_SHAPE``.  Its gaps are m phases of one
-Poisson clock of rate r, so the stream draws, per path, the Poisson count
-P of the clock's points between the path's start and the horizon and the
-overshoot event past the horizon, and every m-th point counted from the
-bottom is an event (see :class:`_Clock`).  Given P the points are uniform
-order statistics, drawn top-down from a generator of their own; a
-consumer draws only the top rows it needs, and every prefix has the same
-bits: :func:`simulate_paths` draws them all, the Monte Carlo fold only
-down to the first event at or before its lowest query time.  Every other
-law walks.
+Poisson clock of rate r, and every m-th point counted from the bottom is
+an event (see :class:`_Clock`).  After the starts the stream draws a seed
+for the points, then the Poisson count P of each path's points between
+its start and the horizon: one uniform per path, inverted through a
+cached Poisson table, when every path has one start (a plain spec or a
+constant delay), else ``rng.poisson``; then m uniforms per path, whose
+product makes the overshoot event past the horizon.  Given P the points
+are uniform order statistics, drawn top-down from the generator of the
+seed; a consumer draws only the top rows it needs, and every prefix has
+the same bits: :func:`simulate_paths` draws them all, the Monte Carlo fold
+only down to the first event at or before its lowest query time.  Every
+other law walks.
 """
 
 from __future__ import annotations
@@ -47,13 +50,13 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import IO, Iterator, Literal, Mapping, Sequence, Union, get_args
 
 import numpy as np
 
 from .lifetimes import (
-    _ERLANG_MAX_SHAPE, _SLAB, EquilibriumOf, Exponential, Gamma, LifetimeDistribution, _decode, _draw_each, _pick,
+    _ERLANG_MAX_SHAPE, _SLAB, Deterministic, EquilibriumOf, Exponential, LifetimeDistribution, _decode, _draw_each, _pick,
     _probabilities, _Wire,
 )
 
@@ -413,6 +416,56 @@ def _accumulate(times: np.ndarray) -> None:
         np.cumsum(times, axis=0, out=times)
 
 
+@lru_cache(maxsize=4)
+def _poisson_table(mean: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """(lo, cdf, guide) of Poisson(``mean``) on lo, ..., lo + cdf.size - 1,
+    the counts within 12 sqrt(mean) + 40 of the mean, whose mass outside
+    is below 1e-30: O(sqrt(mean)) entries, built on first use.
+
+    The log pmf is summed from the mode by the ratios p(k) / p(k - 1) =
+    mean / k, then exponentiated and normalised, so ``cdf[-1]`` is 1.
+    ``guide`` (Devroye 1986, sec. III.2.4) has a power-of-two count of
+    slots, at least 4 per entry, so that u times it is exact.  Slot s
+    holds the first index whose cdf exceeds s / slots, which is the
+    inverse of every u in the slot unless a cdf value lies in it too;
+    such a slot holds the index complemented (``~``), negative.
+    """
+    span = 12.0 * math.sqrt(mean) + 40.0 if mean > 0 else 0.0
+    lo, hi = max(0, math.floor(mean - span)), math.ceil(mean + span)
+    # in place, so that a table of 10^4 entries adds little beyond itself to the peak memory
+    step = np.arange(lo + 1, hi + 1, dtype=float)  # k, then log p(k) - log p(k - 1)
+    np.log1p(np.divide(mean - step, step, out=step), out=step)
+    mode = int(mean) - lo
+    cdf = np.zeros(hi - lo + 1)  # log p(k) - log p(mode), then p(k), then the cdf
+    np.cumsum(step[mode:], out=cdf[mode + 1 :])
+    cdf[:mode] = -np.cumsum(step[:mode][::-1])[::-1]
+    del step
+    np.cumsum(np.exp(cdf, out=cdf), out=cdf)
+    cdf /= cdf[-1]
+    slots = 1 << (4 * cdf.size - 1).bit_length()
+    ends = np.ceil(cdf * slots).astype(np.intp)  # cdf[i] <= s / slots exactly when ends[i] <= s
+    # slot s holds the count of ends at or below s, built run by run with no slot-sized scratch
+    guide = np.repeat(np.arange(cdf.size + 1, dtype=np.int32), np.diff(ends, prepend=0, append=slots + 1))[:-1]
+    guide[ends - 1] = ~guide[ends - 1]  # slot ends[i] - 1 holds cdf[i]
+    cdf.setflags(write=False)  # the cache hands these arrays to every caller
+    guide.setflags(write=False)
+    return lo, cdf, guide
+
+
+def _poisson_counts(mean: float, u: np.ndarray) -> np.ndarray:
+    """Poisson(``mean``) counts, one per uniform of ``u``: lo plus
+    ``np.searchsorted(cdf, u, "right")`` on the table of
+    :func:`_poisson_table`, read off the guide slot of each u, and searched
+    for only where the slot holds a cdf value: at most a quarter of the
+    slots, and about 5% of the u at means from 50 to 2e5."""
+    lo, cdf, guide = _poisson_table(mean)
+    i = guide[(u * guide.size).astype(np.intp)].astype(np.intp)
+    mixed = np.flatnonzero(i < 0)
+    i[mixed] = np.searchsorted(cdf, u[mixed], "right")
+    i += lo
+    return i
+
+
 @dataclass(frozen=True)
 class _Clock:
     """The events after ``start`` up to ``horizon`` of the paths ``active``,
@@ -427,7 +480,9 @@ class _Clock:
     Gamma(m - j, rate).  Given P the points are uniform order statistics
     (Cinlar 1975, ch. 4), which :class:`_ClockRows` draws top-down from a
     generator of its own, seeded by ``seed``; the sampler's stream is the
-    same however many of them a consumer draws.
+    same however many of them a consumer draws.  That stream holds, in
+    order: ``seed``; one uniform per path for P (or ``rng.poisson``, see
+    :meth:`draw`); m uniforms per path for ``over``.
     """
 
     m: int
@@ -441,18 +496,37 @@ class _Clock:
 
     @classmethod
     def draw(cls, phases: tuple[int, float], horizon: float, active: np.ndarray, start: np.ndarray,
-             rng: np.random.Generator) -> _Clock:
+             rng: np.random.Generator, shared: bool) -> _Clock:
         """The clock of Erlang ``phases`` (m, rate) from ``start`` to
         ``horizon`` of the paths ``active``: one seed, then the Poisson
-        counts and the overshoots, from the sampler's stream.  Raises
-        :class:`EventCapExceeded` when a path's q events and its overshoot
-        are more than ``DEFAULT_EVENT_CAP`` gaps, the walk's count."""
+        counts and the overshoots, from the sampler's stream.  When the
+        paths are ``shared``, all of one start and so of one mean, each
+        takes its count from one uniform (:func:`_poisson_counts`); else
+        from ``rng.poisson``.  Each overshoot Gamma(m - j, rate) is -log of
+        the product of the first m - j rows of one (m, paths) block of
+        uniforms, over ``rate``.  Raises :class:`EventCapExceeded` when a
+        path's q events and its overshoot are more than
+        ``DEFAULT_EVENT_CAP`` gaps, the walk's count."""
         m, rate = phases
         seed = int(rng.integers(2**63))
-        count = rng.poisson(rate * (horizon - start))
+        if shared:
+            count = _poisson_counts(rate * (horizon - float(start[0])), rng.random(start.size))
+        else:
+            count = rng.poisson(rate * (horizon - start))
         if count.max() // m + 1 > DEFAULT_EVENT_CAP:
             raise EventCapExceeded(f"a path needs over {DEFAULT_EVENT_CAP} events, the event cap")
-        over = horizon + _draw_each([Gamma(s, rate) for s in range(1, m + 1)], m - 1 - count % m, rng)
+        # the block's rows, drawn one at a time: row i is a factor 1 - U, on (0, 1] so
+        # that none is 0 (4 cannot underflow), of the paths with m - j > i, and 1 of the others
+        over = 1.0 - rng.random(start.size)
+        if m > 1:
+            j = count % m
+            for i in range(1, m):
+                u = rng.random(start.size)
+                u *= j < m - i
+                over *= np.subtract(1.0, u, out=u)
+        np.log(over, out=over)
+        over /= -rate
+        over += horizon
         np.maximum(over, np.nextafter(horizon, np.inf), out=over)  # past the horizon, though a gap rounds off
         return cls(m, rate, horizon, seed, active, start, count, over)
 
@@ -557,7 +631,8 @@ def _column_blocks(spec, tmax, rows, rng):
     # walk's Erlang fill, where a larger shape draws one gamma variate a gap
     phases = spec.lifetime.poisson_phases() if isinstance(spec, (Plain, Delayed)) else None
     if phases is not None and phases[0] <= min(cover, _ERLANG_MAX_SHAPE):
-        yield _Clock.draw(phases, tmax, active, last, rng) if active.size else None
+        shared = not isinstance(spec, Delayed) or isinstance(spec.delay, Deterministic)  # one start for all
+        yield _Clock.draw(phases, tmax, active, last, rng, shared) if active.size else None
         return
     yield None
     drawn = 0

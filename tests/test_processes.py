@@ -232,25 +232,38 @@ class TestEngineAgreement:
         assert blocks >= 2  # the path spans several blocks
         assert np.array_equal(p.events, events[:kept])
 
-    @pytest.mark.parametrize("law", [Gamma(2, 2), Exponential(1.0), Gamma(3, 3)], ids=["gamma", "exponential", "gamma-3"])
-    def test_one_row_clock_keeps_its_stream(self, law):
-        # from the path's start the stream draws the clock's seed, the Poisson
-        # count P of its points in (start, horizon] and the overshoot horizon +
-        # Gamma(m - j, r); the clock's own generator gives the points top-down,
+    @pytest.mark.parametrize("spec", [
+        Plain(Gamma(2, 2)), Plain(Exponential(1.0)), Plain(Gamma(3, 3)), Delayed(Deterministic(5.0), Gamma(2, 2)),
+        Delayed(Uniform(0.0, 10.0), Gamma(2, 2)),
+    ], ids=["gamma", "exponential", "gamma-3", "constant-delay", "random-delay"])
+    def test_one_row_clock_keeps_its_stream(self, spec):
+        # from the path's start (a delay is drawn first) the stream draws the
+        # clock's seed; the Poisson count P of its points in (start, horizon],
+        # from one uniform inverted through the Poisson cdf when every path has
+        # one start (no delay, or a constant one), and from rng.poisson after a
+        # random delay; then m uniforms,
+        # the first m - j of which make the overshoot horizon - log(U_1 ...
+        # U_(m-j)) / r.  The clock's own generator gives the points top-down,
         # U^(1/(P - i + 1)) at a time, and every m-th from the bottom is an event
         horizon, seed = 300.0, 9
-        p = simulate_path(Plain(law), horizon, seed)
+        p = simulate_path(spec, horizon, seed)
         rng = np.random.default_rng(seed)
+        start = spec.delay.draw(rng, 1)[0] if isinstance(spec, Delayed) else 0.0
         clock_seed = int(rng.integers(2**63))
-        m, r = law.poisson_phases()
-        phases = int(rng.poisson(r * horizon))
+        m, r = spec.lifetime.poisson_phases()
+        mean = r * (horizon - start)
+        if isinstance(spec, Delayed) and not isinstance(spec.delay, Deterministic):
+            phases = int(rng.poisson(mean))
+        else:
+            lo, cdf, _ = processes._poisson_table(mean)
+            phases = lo + int(np.searchsorted(cdf, rng.random(), "right"))
         q, j = divmod(phases, m)
-        over = horizon + Gamma(m - j, r).draw(rng, 1)[0]
+        over = horizon - np.log(math.prod((1.0 - rng.random(m))[: m - j])) / r
         u = np.random.default_rng(clock_seed).random(phases)
-        points = horizon * np.exp(np.cumsum(np.log(1.0 - u) / (phases - np.arange(phases))))
+        points = start + (horizon - start) * np.exp(np.cumsum(np.log(1.0 - u) / (phases - np.arange(phases))))
         events = np.sort(points[j::m])
         assert q == events.size > 0
-        assert np.array_equal(p.events, np.concatenate([[0.0], events, [over]]))
+        assert np.array_equal(p.events, np.concatenate([[start], events, [over]]))
 
     def test_marks_line_up_with_their_events(self):
         # across 300 paths and several blocks: a modulated gap is the
@@ -438,6 +451,61 @@ class TestClock:
             events = np.concatenate([[last[j]], times[:q, j]])
             assert np.all(np.diff(events) > 0) and events[-1] <= 200.0
             assert np.all(times[q:, j] == clock.over[j])
+
+
+class TestPoissonTable:
+    """The counts of clock paths of one start come from one uniform each,
+    inverted through a cached Poisson table (see processes._poisson_table)."""
+
+    MEANS = [1e-3, 0.5, 3.0, 50.0, 200.0, 2e5, 1e6]
+
+    @pytest.mark.parametrize("mean", MEANS)
+    def test_cdf_matches_scipy(self, mean):
+        # summing log ratios from the mode loses a little with the table's
+        # width: 6.1e-15 read through 2e5, 3.9e-11 at 1e6; outside the
+        # window is less than 1e-30 of the mass
+        from scipy import stats
+        lo, cdf, _ = processes._poisson_table.__wrapped__(mean)
+        k = np.arange(lo, lo + cdf.size)
+        assert np.max(np.abs(cdf - stats.poisson.cdf(k, mean))) <= (1e-13 if mean <= 2e5 else 1e-10)
+        assert stats.poisson.cdf(lo - 1, mean) + stats.poisson.sf(k[-1], mean) < 1e-30
+
+    @pytest.mark.parametrize("mean", MEANS)
+    def test_guide_gives_the_search(self, mean):
+        # the guide slot, or a search where the slot holds a cdf value, lands
+        # where a search of the whole cdf does, at either end of [0, 1) too
+        u = np.concatenate([np.random.default_rng(35).random(10**6), [0.0, 1.0 - 2.0**-53]])
+        lo, cdf, _ = processes._poisson_table(mean)
+        assert np.array_equal(processes._poisson_counts(mean, u), lo + np.searchsorted(cdf, u, "right"))
+
+    @pytest.mark.parametrize("mean", [1e2, 1e4, 2e5, 1e6, 1e7])
+    def test_table_holds_order_sqrt_mean_entries(self, mean):
+        # 12 sqrt(mean) + 40 counts each side of the mean, and at most 8 guide
+        # slots an entry
+        lo, cdf, guide = processes._poisson_table.__wrapped__(mean)
+        assert cdf.size <= 24 * math.sqrt(mean) + 83
+        assert 4 * cdf.size <= guide.size <= 8 * cdf.size
+        if mean == 2e5:
+            assert cdf.size == 10_815
+
+    def test_zero_mean_counts_zero(self):
+        # a constant delay at the horizon leaves its clock no time: every
+        # path has P = 0 and holds its delay and its overshoot
+        spec = Delayed(Deterministic(5.0), Gamma(2, 2))
+        _, clock = processes._column_blocks(spec, 5.0, 100, child_rng(4, 0))
+        assert np.all(clock.phases == 0)
+        paths = simulate_paths(spec, 5.0, 100, child_rng(4, 0))
+        assert np.all(count(paths, 5.0) == 1) and np.all(paths.events[:, 0] == 5.0)
+        assert np.all(paths.events[:, 1] > 5.0) and np.all(np.isinf(paths.events[:, 2:]))
+
+    @pytest.mark.parametrize("mean", [50.0, 200.0])
+    def test_counts_have_the_poisson_moments(self, mean):
+        # 10^6 counts: the mean within 4 se of sqrt(mean / n), the sample
+        # variance within 4 se of sqrt((mean + 2 mean^2) / n)
+        n = 10**6
+        x = processes._poisson_counts(mean, np.random.default_rng(36).random(n))
+        assert abs(x.mean() - mean) <= 4 * math.sqrt(mean / n)
+        assert abs(x.var(ddof=1) - mean) <= 4 * math.sqrt((mean + 2 * mean**2) / n)
 
 
 class TestWalk:
