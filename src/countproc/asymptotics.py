@@ -11,6 +11,8 @@ query time at or after its start (a lower one precedes its delay): when
 that is the horizon, only its top event, the first m rows.  Either way
 each path's summaries are those of the path
 :func:`countproc.processes.simulate_paths` keeps from the same stream.
+When the horizon is the only query time the fold reads each path's count
+and top event straight off one take (``_fold_clock``).
 Chunk sizes and block widths depend only on the spec and horizon,
 chunk i draws from ``child_rng(seed, i)``, and chunks are reduced in index
 order, so every estimate is bit-reproducible from the root seed and
@@ -35,9 +37,11 @@ conditional means, and E[M | F_t] = N - rate (t + E[R | a]), of mean 0, is
 the control.  That keeps every mean and removes the residual's own spread.
 ``estimate_blackwell`` (plain and delayed specs, lifetime law without
 atoms, not lattice) conditions the window the same way: given F_t it
-counts E[U(h - R); R <= h | a], U the renewal function on [0, h], which
-is read from one table of the age and carries the table's numerical
-error as ``quadrature``.  A conditioned estimate sees the sampler only
+counts E[U(h - R); R <= h | a], U the renewal function on [0, h].  On an
+Erlang law that is a closed form over the Poisson clock's points
+(``renewal_solver.erlang_window_given_age``), with no solve and no table;
+on other laws it is read from one table of the age and carries the
+table's numerical error as ``quadrature``.  A conditioned estimate sees the sampler only
 through N and a (on an Exponential law it is exact for any sampler), so
 it carries the plain mean of R - E[R | a], or of the window minus its
 conditional mean, 0 by the tower property, as ``sampler_check``, the
@@ -49,7 +53,9 @@ finite fourth moment it keeps the plain bar.  A z-check divides by the
 largest of the bar, ``rounding``, the floating-point error of the
 computed mean, which scales with the size of the terms and not with their
 spread, and ``quadrature``: a near-exact estimate is then read against its
-rounding or its numerical error, not against a bar of 1e-17 or 0.
+rounding or its numerical error, not against a bar of 1e-17 or 0.  A mean of
+counts (``rate``, the windows) also never divides by less than its count
+floor, d sqrt(3) / n (``Estimate.floor``).
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -121,9 +128,12 @@ class Estimate:
 
     ``rounding`` bounds the floating-point error of ``value`` and
     ``quadrature`` the error of the numerical integrals behind it (0 for a
-    plain mean); ``z_against`` divides by the largest of them and ``se``.
-    Both are derived and left out of equality, which compares the estimate
-    itself.
+    plain mean).  ``floor`` is the least bar of a mean of counts on a
+    lattice of step d over n paths, d sqrt(3) / n (``_count_floor``): the se
+    that one value off the others at the rule-of-three bound 3/n would give,
+    below which n equal counts have no power.  ``z_against`` divides by the
+    largest of them and ``se``.  All three are derived and left out of
+    equality, which compares the estimate itself.
     """
 
     value: float
@@ -131,12 +141,13 @@ class Estimate:
     flags: tuple[str, ...] = ()
     rounding: float = field(default=0.0, compare=False)
     quadrature: float = field(default=0.0, compare=False)
+    floor: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         if not self.se >= 0:
             raise ValueError("standard error must be nonnegative")
-        if not (self.rounding >= 0 and self.quadrature >= 0):
-            raise ValueError("rounding and quadrature bounds must be nonnegative")
+        if not (self.rounding >= 0 and self.quadrature >= 0 and self.floor >= 0):
+            raise ValueError("rounding, quadrature and floor bounds must be nonnegative")
         if math.isnan(self.value):
             raise ValueError("point estimate must not be NaN")
 
@@ -149,7 +160,7 @@ class Estimate:
         return self.value + _Z95 * self.se
 
     def z_against(self, target: float) -> float:
-        bar = max(self.se, self.rounding, self.quadrature)
+        bar = max(self.se, self.rounding, self.quadrature, self.floor)
         if bar == 0:
             return 0.0 if self.value == target else math.inf
         return abs(self.value - target) / bar
@@ -306,11 +317,23 @@ def _fold_clock(clock, ts: np.ndarray, result: dict[str, np.ndarray]) -> None:
     less those after t, plus the event at ``start``; its residual is the
     first event after t (``over`` if none) minus t, and its age t minus the
     last event at or before t (``start`` if none).
+
+    When the horizon is the only query time no event is after it: each path
+    reads 1 + q, ``over`` - t and its top event, the (j + 1)-th largest
+    point, from one take of m rows, with the bits of :func:`_events_around`.
     """
-    after, first, last = _events_around(clock, ts)
-    t, paths = ts[:, None], clock.active  # time-major: one row per query time
+    paths = clock.active
     if paths.size == result["count"].shape[0]:  # every row: write through a view, not a gather and scatter
         paths = slice(None)
+    if ts.size == 1 and ts[0] == clock.horizon:
+        rows, n, t = _ClockRows(clock), clock.active.size, clock.horizon
+        top = rows.points(rows.take(clock.m).take(clock.phase * n + np.arange(n)))
+        result["count"][paths, 0] += 1 + clock.events
+        result["residual"][paths, 0] = clock.over - t
+        result["age"][paths, 0] = t - np.where(clock.events > 0, top, clock.start)
+        return
+    after, first, last = _events_around(clock, ts)
+    t = ts[:, None]  # time-major: one row per query time
     count = 1 + clock.events - after
     residual, age = first - t, t - np.where(last > -np.inf, last, clock.start)
     on = clock.start <= t
@@ -348,11 +371,12 @@ def _events_around(clock, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     above = clock.rate * float(np.mean(clock.horizon - stop))
     rows, size, later, cols = _ClockRows(clock), m + math.ceil(above + math.sqrt(above)), 2 * m, None
     # cols None: every path, and the state is the full arrays
-    state, depth, phases = (after, first, last), clock.depth, clock.phases
+    state, depth, phase = (after, first, last), clock.depth, clock.phase
     while True:
         top = rows.drawn
         logs = rows.take(min(size, _BLOCK_COLS, max(int(depth.max()) - top, 1)), cols)
-        (drawn, k), lead = logs.shape, (phases - top) % m  # the take's events: rows lead, lead + m, ...
+        (drawn, k), lead = logs.shape, phase - top % m  # the take's events: rows lead, lead + m, ...
+        np.add(lead, m, out=lead, where=lead < 0)  # (P - top) mod m, with no integer division
         col = np.arange(k)
         if m > 1:  # the rows past them repeat the last row, no higher than the events
             logs = logs.take(np.minimum(lead + m * np.arange(-(-drawn // m))[:, None], drawn - 1) * k + col)
@@ -377,7 +401,7 @@ def _events_around(clock, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
         if not keep.any():
             return after, first, last
         cols = np.flatnonzero(keep) if cols is None else cols[keep]
-        state, depth, phases = tuple(v[:, keep] for v in state), depth[keep], phases[keep]
+        state, depth, phase = tuple(v[:, keep] for v in state), depth[keep], phase[keep]
         size, later = later, 2 * later
 
 
@@ -418,6 +442,18 @@ def _mean_estimate(x: np.ndarray, flags: tuple[str, ...] = (), size: float | Non
     se = float(np.std(x, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     size = float(np.mean(np.abs(x))) if size is None else size
     return Estimate(value=float(np.mean(x)), se=se, flags=flags, rounding=_ROUNDING_ULPS * _EPS * size)
+
+
+def _count_floor(spec: ProcessSpec, step: float, n: int) -> float:
+    """The least bar of a mean of n counts on a lattice of ``step`` (Hanley &
+    Lippman-Hand 1983, the rule of three): ``Estimate.floor``.  0 on a renewal
+    spec whose every law is one point mass: its counts are not random, and
+    their bar stays their rounding."""
+    if isinstance(spec, (Plain, Delayed)):
+        laws = [spec.lifetime] + ([spec.delay] if isinstance(spec, Delayed) else [])
+        if all([mass for _, mass in law.atoms()] == [1.0] for law in laws):
+            return 0.0
+    return step * math.sqrt(3.0) / n
 
 
 def _controlled_mean(y: np.ndarray, m: np.ndarray, flags: tuple[str, ...] = ()) -> Estimate:
@@ -504,14 +540,19 @@ def estimate_blackwell(
     conditioned on F_t (a ``ConditionedEstimate``): given the age a, the
     next event comes after R, distributed as T - a given T > a, and the
     count from it on has mean U(h - R), so E[N(t+h) - N(t) | F_t] = g(a) =
-    E[U(h - R); R <= h | age a].  The estimate is the mean of g(age), read
-    from one table (``_window_given_age``) with U from ``renewal_function`` on
-    [0, h].  A delayed row whose delay D exceeds t has no age; its window
-    is 1{D <= t + h} U(t + h - D), known given D.  ``quadrature`` is U's
-    ``extrapolate`` error plus the mean over paths of the table's error,
-    and ``sampler_check`` is the plain mean of the window minus g.  Other
-    kinds, lattice processes and laws with atoms, whose atoms the cells
-    and the age table would misplace, keep the plain mean.
+    E[U(h - R); R <= h | age a].  The estimate is the mean of g(age).  A
+    delayed row whose delay D exceeds t has no age; its window is
+    1{D <= t + h} U(t + h - D), known given D.  On an Erlang law
+    (``renewal_solver.erlang_phases``) g and U are closed forms over the
+    clock's points (``erlang_window_given_age``, ``erlang_mean_count``) and
+    ``quadrature`` is their rounding, ``_ROUNDING`` times the mean of g: no
+    solve and no table.  On other laws g is read from one table
+    (``_window_given_age``) with U from ``renewal_function`` on [0, h], and
+    ``quadrature`` is U's ``extrapolate`` error plus the mean over paths of
+    the table's error.  ``sampler_check`` is the plain mean of the window
+    minus g.  Other kinds, lattice processes and laws with atoms, whose
+    atoms the cells and the age table would misplace, keep the plain mean.
+    Every window estimate and its check carry the count floor of step 1.
     """
     if not (t > 0 and h > 0):
         raise ValueError("t and h must be positive")
@@ -519,24 +560,33 @@ def estimate_blackwell(
         raise ValueError(f"blackwell estimation needs at least {_MIN_WINDOW_REPS} replications")
     stats = path_statistics(spec, [t, t + h], reps, seed, threads=threads)
     window = stats["count"][:, 1] - stats["count"][:, 0]
-    flags = _arithmetic_flags(spec)
+    flags, floor = _arithmetic_flags(spec), _count_floor(spec, 1.0, reps)
     if flags or not isinstance(spec, (Plain, Delayed)) or spec.lifetime.atoms():
-        return _mean_estimate(window, flags)
+        return replace(_mean_estimate(window, flags), floor=floor)
     law = spec.lifetime
-    u_step = renewal_solver.fitted_step(h, [law])
-    u, u_error = renewal_solver.renewal_function(law, h, u_step)
-    u_times = u_step * np.arange(u.size)
+    phases = renewal_solver.erlang_phases(law)
     age = stats["age"][:, 0]
     aged = ~np.isnan(age)
     g, error = np.zeros(reps), np.zeros(reps)
-    g[aged], error[aged] = _window_given_age(law, h, age[aged], u_times, u)
-    if not aged.all():
+    if phases is None:
+        u_step = renewal_solver.fitted_step(h, [law])
+        u, u_error = renewal_solver.renewal_function(law, h, u_step)
+        u_times = u_step * np.arange(u.size)
+        g[aged], error[aged] = _window_given_age(law, h, age[aged], u_times, u)
+        renewal = partial(np.interp, xp=u_times, fp=u)
+    else:
+        g[aged] = renewal_solver.erlang_window_given_age(phases, h, age[aged])
+        renewal = partial(renewal_solver.erlang_mean_count, phases)
+    if not aged.all():  # U(t + h - D) where D <= t + h, else 0
         rest = t + h - stats["delay"][~aged]
-        g[~aged] = np.where(rest >= 0, np.interp(rest, u_times, u), 0.0)
-    quadrature = u_error + float(np.mean(error))
-    est = replace(_mean_estimate(g), quadrature=quadrature)
+        g[np.flatnonzero(~aged)[rest >= 0]] = renewal(rest[rest >= 0])
+    if phases is None:
+        quadrature = u_error + float(np.mean(error))
+    else:
+        quadrature = renewal_solver._ROUNDING * float(np.mean(g))
+    est = replace(_mean_estimate(g), quadrature=quadrature, floor=floor)
     check = _mean_estimate(window - g, size=float(np.mean(window)) + float(np.mean(g)))
-    return ConditionedEstimate(**vars(est), sampler_check=replace(check, quadrature=quadrature))
+    return ConditionedEstimate(**vars(est), sampler_check=replace(check, quadrature=quadrature, floor=floor))
 
 
 def estimate_rate(
@@ -548,15 +598,18 @@ def estimate_rate(
     (``_controlled_mean``): E[M(t)] = 0 at every t by Wald's identity, and
     N(t) - M(t) = rate (t + R(t) - D) leaves only the spread of R(t) - D in
     the error bar.  Modulated and MA specs have E[M(t)] != 0 at finite t and keep
-    the plain mean with its sample-standard-deviation error bar.
+    the plain mean with its sample-standard-deviation error bar.  Either carries
+    the count floor of step 1/t.
     """
     if not t > 0:
         raise ValueError("t must be positive")
     stats = path_statistics(spec, [t], reps, seed, threads=threads)
     y = stats["count"][:, 0] / t
     if not isinstance(spec, (Plain, Delayed)):
-        return _mean_estimate(y)
-    return _controlled_mean(y, _noise_at(stats, spec.lifetime.renewal_rate, t, 0) / t)
+        est = _mean_estimate(y)
+    else:
+        est = _controlled_mean(y, _noise_at(stats, spec.lifetime.renewal_rate, t, 0) / t)
+    return replace(est, floor=_count_floor(spec, 1.0 / t, reps))
 
 
 def residual_limit_ks(

@@ -24,8 +24,10 @@ Monte Carlo checks pass at z <= 4 against their target.  ``blackwell`` on a
 plain or delayed spec checks the window against its finite-t value,
 rate (h + E[R(t+h)] - E[R(t)]) by Wald's identity from one renewal solve
 read at t and t + h (``renewal_solver.solution_at``), also after a delay,
-and prints the solver's error and the limit rate*h; the other kinds, and
-``modulated`` and ``palm``, keep the limit rate*h.  When the lifetime law
+or in closed form for an Erlang law on a plain or constant-delay spec (as
+``rate`` takes E[R(t)]), and prints the target's error and the limit
+rate*h; the other kinds, and ``modulated`` and ``palm``, keep the limit
+rate*h.  When the lifetime law
 has no atom and the process is not lattice, the window is the mean of its
 conditional mean given the age, g(age), and a second row and check,
 ``window-given-age``, is the plain mean of the window minus g(age), 0 by
@@ -43,7 +45,8 @@ see the sampler only through the count and the age, so each simulated t also
 writes a ``residual-given-age`` row after the estimates: the plain mean of
 R(t) - E[R(t) | age], 0 by the tower property, z-checked for every law.  A
 z-check never divides by less than the rounding error of the computed mean,
-so a near-exact estimate passes on its rounding.  A delay
+so a near-exact estimate passes on its rounding, and a mean of counts never
+by less than its count floor d sqrt(3)/n (``asymptotics.Estimate``).  A delay
 written as "equilibrium" and the explicit
 {"kind": "equilibrium", "base": <lifetime>} law are one spec, and the spec
 hash is that of the parsed spec, so every spelling of a spec has one hash.
@@ -310,7 +313,8 @@ def _run_window(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
     rows = [_row(cfg, est, target, t=t, h=h, reps=reps)]
     checks = [_est_check(cfg.experiment, est, target)]
     if error is not None:  # a finite-t target: print the limit beside it
-        checks[0].detail += f" solver error {error:.2g} limit {asymptotics.spec_rate(cfg.spec) * h:.6g}"
+        limit = asymptotics.spec_rate(cfg.spec) * h
+        checks[0].detail += f" {_target_kind(cfg.spec)} error {error:.2g} limit {limit:.6g}"
     if isinstance(est, asymptotics.ConditionedEstimate):
         checks[0].detail += f" g error {est.quadrature:.2g}"
         rows.append(_row(cfg, est.sampler_check, 0.0, t=t, h=h, reps=reps))
@@ -328,32 +332,63 @@ def _solver_step(spec: Plain | Delayed, t: float, *widths: float) -> float:
     return renewal_solver.fitted_step(t + sum(widths), laws + fits)
 
 
+def _erlang(spec: ProcessSpec) -> tuple[int, float] | None:
+    """The (m, r) of a plain or constant-delay spec whose targets are closed forms
+    (``renewal_solver.erlang_phases``), else None: the solver's."""
+    if isinstance(spec, Plain) or isinstance(spec, Delayed) and isinstance(spec.delay, Deterministic):
+        return renewal_solver.erlang_phases(spec.lifetime)
+    return None
+
+
+def _target_kind(spec: ProcessSpec) -> str:
+    """How a finite-t target was computed, as its check prints it."""
+    return "solver" if _erlang(spec) is None else "closed-form"
+
+
+def _erlang_residual_means(spec: Plain | Delayed, phases: tuple[int, float], ts: list[float]) -> np.ndarray:
+    """E[R(t)] at each t of ``ts`` after the constant delay D of ``spec`` (0 if plain):
+    D - t before it, the plain closed form at t - D after it."""
+    s = np.asarray(ts) - (spec.delay.value if isinstance(spec, Delayed) else 0.0)
+    return np.where(s < 0, -s, renewal_solver.erlang_residual_mean(phases, np.maximum(s, 0.0)))
+
+
 def _window_target(spec: ProcessSpec, t: float, h: float) -> tuple[float, float | None]:
-    """(target, solver error) for the mean window count E[N(t + h) - N(t)].
+    """(target, its numerical error) for the mean window count E[N(t + h) - N(t)].
 
     Renewal specs: rate * (h + E[R(t + h)] - E[R(t)]) by Wald's identity (a
-    delay's E[D] cancels), the change read from one solve on [0, t + h] at
-    ``_solver_step(spec, t, h)`` (``renewal_solver.residual_mean_change``); the
-    error is rate times its extrapolation error plus the rounding floor of h, the
-    unit in which the sum h + change rounds.  The equilibrium delay keeps the exact
-    rate * h, and the other kinds their limit rate * h.
+    delay's E[D] cancels).  On a plain or constant-delay spec of an Erlang law
+    (``_erlang``) both means are closed forms and the change carries their
+    rounding, ``_ROUNDING`` times the larger; else the change is read from one
+    solve on [0, t + h] at ``_solver_step(spec, t, h)``
+    (``renewal_solver.residual_mean_change``) with its extrapolation error.  The
+    error is rate times that plus the rounding floor of h, the unit in which the
+    sum h + change rounds.  The equilibrium delay keeps the exact rate * h, and the
+    other kinds their limit rate * h.
     """
     rate = asymptotics.spec_rate(spec)
     if not isinstance(spec, (Plain, Delayed)) or isinstance(spec, Delayed) and spec.stationary:
         return rate * h, None
-    delay = spec.delay if isinstance(spec, Delayed) else None
-    change, error = renewal_solver.residual_mean_change(spec.lifetime, t, h, _solver_step(spec, t, h), delay)
+    phases = _erlang(spec)
+    if phases is not None:
+        r = _erlang_residual_means(spec, phases, [t, t + h])
+        change, error = float(r[1] - r[0]), renewal_solver._ROUNDING * float(np.max(r))
+    else:
+        delay = spec.delay if isinstance(spec, Delayed) else None
+        change, error = renewal_solver.residual_mean_change(spec.lifetime, t, h, _solver_step(spec, t, h), delay)
     return rate * (h + change), rate * (error + renewal_solver._ROUNDING * h)
 
 
 def _rate_target(spec: ProcessSpec, t: float) -> tuple[float, float | None]:
-    """(target, solver error) for the mean of N(t)/t.
+    """(target, its numerical error) for the mean of N(t)/t.
 
     Renewal specs: E[N(t)] = rate * (t + E[R(t)] - E[D]) by Wald's identity,
-    with D = 0 and the origin event for plain specs.  E[R(t)] comes from
-    ``renewal_solver.residual_mean_at`` at h = ``_solver_step(spec, t)``;
-    the error is its extrapolation error * rate / t.  The equilibrium delay, however
-    it is written, keeps the exact ``rate``; the other kinds keep rate + 1/t.
+    with D = 0 and the origin event for plain specs.  On a plain or
+    constant-delay spec of an Erlang law (``_erlang``) E[R(t)] is its closed
+    form, with an error of ``_ROUNDING`` times itself; else it comes from
+    ``renewal_solver.residual_mean_at`` at h = ``_solver_step(spec, t)`` with
+    its extrapolation error.  The target's error is that error * rate / t.
+    The equilibrium delay, however it is written, keeps the exact ``rate``;
+    the other kinds keep rate + 1/t.
     """
     rate = asymptotics.spec_rate(spec)
     if not isinstance(spec, (Plain, Delayed)):
@@ -361,7 +396,12 @@ def _rate_target(spec: ProcessSpec, t: float) -> tuple[float, float | None]:
     if isinstance(spec, Delayed) and spec.stationary:
         return rate, None
     delay = spec.delay if isinstance(spec, Delayed) else None
-    r, error = renewal_solver.residual_mean_at(spec.lifetime, t, _solver_step(spec, t), delay)
+    phases = _erlang(spec)
+    if phases is not None:
+        r = float(_erlang_residual_means(spec, phases, [t])[0])
+        error = renewal_solver._ROUNDING * r
+    else:
+        r, error = renewal_solver.residual_mean_at(spec.lifetime, t, _solver_step(spec, t), delay)
     mean_delay = 0.0 if delay is None else delay.moment(1)
     return rate * (1.0 + (r - mean_delay) / t), error * rate / t
 
@@ -373,7 +413,7 @@ def _run_rate(cfg: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
     rows = [_row(cfg, est, target, t=t, reps=reps)]
     check = _est_check("rate", est, target)
     if error is not None:
-        check.detail += f" solver error {error:.2g}"
+        check.detail += f" {_target_kind(cfg.spec)} error {error:.2g}"
     return rows, [check]
 
 

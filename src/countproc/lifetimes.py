@@ -668,13 +668,20 @@ def _erlang_sums(m: int, x: np.ndarray, ks: Sequence[int]) -> list[np.ndarray]:
     for k, and E[R^k | t] the same over the sum for k = 0.  Every term is
     positive, so nothing cancels; x is read as at most ``_ERLANG_FAR``.
     """
+    return _phase_sums(x, [[math.comb(m - 1 - l + k, k) for l in range(m)] for k in ks])
+
+
+def _phase_sums(x: np.ndarray, coefficients: Sequence[Sequence[float]]) -> list[np.ndarray]:
+    """Per row c of ``coefficients``, sum over l < len(c) of c[l] x^l / l!, term by
+    term from l = 0; x is read as at most ``_ERLANG_FAR``.  With x = rate a, the
+    terms are the weights of the l points an Erlang gap of age a has seen."""
     x = np.minimum(x, _ERLANG_FAR)
     term = np.ones_like(x)
-    sums = [np.full_like(x, math.comb(m - 1 + k, k)) for k in ks]
-    for l in range(1, m):
+    sums = [np.full_like(x, c[0]) for c in coefficients]
+    for l in range(1, len(coefficients[0])):
         term = term * x / l
-        for total, k in zip(sums, ks):
-            total += math.comb(m - 1 - l + k, k) * term
+        for total, c in zip(sums, coefficients):
+            total += c[l] * term
     return sums
 
 

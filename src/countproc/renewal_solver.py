@@ -43,10 +43,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lifetimes import Deterministic, LifetimeDistribution, Mixture, _lattice_span
+from .lifetimes import (
+    _ERLANG_SUM_MAX_SHAPE, Deterministic, LifetimeDistribution, Mixture, _lattice_span, _phase_sums,
+)
 
 __all__ = [
     "cumulative_residual_bias",
+    "erlang_mean_count",
+    "erlang_phases",
+    "erlang_residual_mean",
+    "erlang_window_given_age",
     "extrapolate",
     "fitted_step",
     "integrated_second_generator",
@@ -368,3 +374,66 @@ def cumulative_residual_bias(
     (first, second), _ = extrapolate(solve, step)
     c = dist.renewal_rate * m2 / 2.0
     return c * float(first) - float(second) / 2.0
+
+
+# ---------------------------------------------------------------------------
+# Closed forms for Erlang laws
+# ---------------------------------------------------------------------------
+
+
+def erlang_phases(law: LifetimeDistribution) -> tuple[int, float] | None:
+    """The law's ``poisson_phases`` (m, r) when the closed forms below serve it, else None.
+
+    An Erlang(m, r) renewal path is every m-th point of a Poisson clock of rate r, so
+    its moments at t are finite sums over the clock's P ~ Poisson(r t) points by t.
+    They serve m up to ``_ERLANG_SUM_MAX_SHAPE``, whose phase weights stay finite, and
+    only a law whose mean is m / r: a hook that disagrees with its law then leaves the
+    targets to the solver and cannot make them agree with a wrong clock.
+    """
+    phases = law.poisson_phases()
+    if phases is None or phases[0] > _ERLANG_SUM_MAX_SHAPE:
+        return None
+    m, r = phases
+    return phases if math.isclose(m / r, law.moment(1), rel_tol=1e-12) else None
+
+
+def _residue_law(m: int, x) -> np.ndarray:
+    """P(P mod m = j) for P ~ Poisson(x): one column per j < m, one row per x.
+
+    The law of the residue has the discrete Fourier coefficients E[w^(kP)] =
+    exp(x (w^k - 1)), w = exp(2 pi i / m), so P(P mod m = j) = (1/m) sum_k
+    w^(-jk) exp(x (w^k - 1)): m terms of modulus at most 1, with no pmf summed.
+    """
+    k = np.arange(m)
+    spectrum = np.exp(np.asarray(x, dtype=float)[..., None] * (np.exp(2j * np.pi * k / m) - 1.0))
+    return (spectrum @ np.exp(-2j * np.pi * (np.outer(k, k) % m) / m)).real / m
+
+
+def erlang_residual_mean(phases: tuple[int, float], t) -> np.ndarray:
+    """E[R(t)] of the plain Erlang(m, r) renewal process at each t >= 0: the open gap
+    has m - J_t phases left, J_t = P mod m, so E[R(t)] = (m - E[J_t]) / r."""
+    m, r = phases
+    return (m - _residue_law(m, r * np.asarray(t, dtype=float)) @ np.arange(m)) / r
+
+
+def erlang_mean_count(phases: tuple[int, float], t) -> np.ndarray:
+    """E[N(t)] of the plain Erlang(m, r) renewal process at each t >= 0, the event at
+    0 counted: N(t) = 1 + floor(P / m), so E[N(t)] = 1 + (r t - E[J_t]) / m."""
+    m, r = phases
+    x = r * np.asarray(t, dtype=float)
+    return 1.0 + (x - _residue_law(m, x) @ np.arange(m)) / m
+
+
+def erlang_window_given_age(phases: tuple[int, float], h: float, age) -> np.ndarray:
+    """g(a) = E[N(t + h) - N(t) | age a] of an Erlang(m, r) renewal path, at each age.
+
+    Given the age a the open gap has seen Q < m points of its clock, with weights
+    (r a)^q / q! (``lifetimes._phase_sums``), and the window holds floor((Q + P_h)
+    / m) events, P_h ~ Poisson(r h) its own points; so g(a) is the weighted mean over
+    q < m of E floor((q + P_h) / m) = (q + r h - E[(q + P_h) mod m]) / m.
+    """
+    m, r = phases
+    q = np.arange(m)
+    given = (q + r * h - ((q[:, None] + q) % m) @ _residue_law(m, r * h)) / m
+    total, weight = _phase_sums(r * np.asarray(age, dtype=float), [given, [1.0] * m])
+    return total / weight

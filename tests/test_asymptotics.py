@@ -251,12 +251,37 @@ class TestBlackwellGivenAge:
         assert est.sampler_check.z_against(0.0) <= 4.0
 
     @pytest.mark.parametrize("t", [0.5, 5.0, 50.0])
-    def test_exponential_is_read_against_the_quadrature(self, t):
-        # g is the constant 1 up to the midpoint rule's 2e-5, with an se of about 1e-18:
-        # the z-check divides by the quadrature bound, and a target 1% off still fails
+    def test_exponential_is_read_against_the_count_floor(self, t):
+        # g is rate * h = 1 in closed form, the same on every path: the se is 0 and g's
+        # error a rounding figure, so the z-check divides by the count floor sqrt(3)/n,
+        # and a target 1% off still fails
         est = estimate_blackwell(Plain(Exponential(1.0)), t, 1.0, 5_000, seed=3)
-        assert est.se < 1e-12 < est.quadrature < 1e-3
-        assert est.z_against(1.0) <= 1.0 and est.z_against(1.01) > 4.0
+        assert est.value == 1.0 and est.se == 0.0 and est.quadrature < 1e-14
+        assert est.floor == est.sampler_check.floor == math.sqrt(3.0) / 5_000
+        assert est.z_against(1.0) == 0.0 and est.z_against(1.01) > 4.0
+
+    @pytest.mark.parametrize("spec", [
+        Plain(Gamma(2, 2)), Plain(Gamma(3, 3)), Plain(Exponential(0.7)), Delayed("equilibrium", Gamma(2, 2)),
+        Delayed(Uniform(0.0, 8.0), Gamma(4, 2)),
+    ], ids=["gamma", "gamma-3", "exponential", "equilibrium-delay", "uniform-delay"])
+    def test_erlang_window_is_a_closed_form(self, monkeypatch, spec):
+        # an Erlang law's g, and U on the rows with no age, come from its clock's points:
+        # no solve and no tail read.  On the same paths the age table and U's solve agree
+        # with them within their own error
+        t, h, reps = 3.0, 1.0, 5_000
+        with monkeypatch.context() as patch:
+            patch.setattr(asymptotics.renewal_solver, "erlang_phases", lambda law: None)
+            table = estimate_blackwell(spec, t, h, reps, seed=9)
+
+        def forbidden(*args):
+            raise AssertionError("an Erlang window solved or read a tail")
+
+        monkeypatch.setattr(asymptotics.renewal_solver, "solve_renewal_equation", forbidden)
+        monkeypatch.setattr(type(spec.lifetime), "tail", forbidden)
+        est = estimate_blackwell(spec, t, h, reps, seed=9)
+        assert isinstance(est, ConditionedEstimate) and est.quadrature < 1e-13 < table.quadrature
+        assert abs(est.value - table.value) <= table.quadrature
+        assert abs(est.sampler_check.value - table.sampler_check.value) <= table.quadrature
 
     def test_delayed_rows_without_an_age(self):
         # at t = 0.5 about 61% of the equilibrium delays exceed t; their windows are known
@@ -757,15 +782,21 @@ class TestClockInLaw:
     """Reading an Erlang path's events off its Poisson clock, top-down and
     only as far as the query times need, is exact in law."""
 
-    def test_a_lower_query_time_keeps_the_rows_at_the_horizon(self):
-        # at ts = [100] the fold draws each path's top event only; at [0.5,
-        # 100] it draws the clock's rows far down, and every prefix has the
-        # same bits: the t = 100 rows are the same
-        spec = Plain(Gamma(2, 2))
-        alone = path_statistics(spec, [100.0], 20_000, seed=61)
-        deep = path_statistics(spec, [0.5, 100.0], 20_000, seed=61)
+    @pytest.mark.parametrize("spec", [
+        Plain(Gamma(2, 2)), Plain(Exponential(1.0)), Plain(Gamma(3, 3)), Plain(Gamma(4, 2)),
+        Delayed(Deterministic(5.0), Gamma(2, 2)), Delayed("equilibrium", Gamma(2, 2)),
+        Delayed(Uniform(0.0, 80.0), Gamma(2, 2)),
+    ], ids=["gamma", "exponential", "gamma-3", "gamma-4", "constant-delay", "equilibrium-delay",
+            "delay-past-t"])
+    def test_a_lower_query_time_keeps_the_rows_at_the_horizon(self, spec):
+        # at ts = [60] the fold reads each path's top event off one take of m rows,
+        # with no loop; at [0.5, 60] it draws the clock's rows far down, and every
+        # prefix has the same bits: the t = 60 rows are the same, NaN ages included
+        # (a Uniform(0, 80) delay past 60 leaves its path off the clock)
+        alone = path_statistics(spec, [60.0], 20_000, seed=61)
+        deep = path_statistics(spec, [0.5, 60.0], 20_000, seed=61)
         for key in ("count", "residual", "age"):
-            assert np.array_equal(alone[key][:, 0], deep[key][:, 1])
+            assert np.array_equal(alone[key][:, 0], deep[key][:, 1], equal_nan=True)
 
     @pytest.mark.parametrize("spec,wrapped", [
         (Plain(Gamma(2, 2)), Plain(NoClock(Gamma(2, 2)))),

@@ -376,10 +376,11 @@ class TestValidate:
 
 
 def assert_solver_error_resolved(out):
-    """The printed solver error of a ``rate`` check is below a quarter of its
-    printed se, so the target's own error cannot move z by more than 0.25."""
+    """The printed error of a ``rate`` check's target, from the solver or a closed
+    form, is below a quarter of its printed se, so the target's own error cannot
+    move z by more than 0.25."""
     se = float(out.split("(se=")[1].split(")")[0])
-    error = float(out.split("solver error ")[1].split()[0])
+    error = float(re.search(r"(?:solver|closed-form) error (\S+)", out).group(1))
     assert error < se / 4
 
 
@@ -398,14 +399,15 @@ class TestRun:
 
     def test_rate_plain_gamma(self, tmp_path, capsys):
         # E[N(50)]/50 = rate * (1 + E[R(50)]/50) = 1.015 for Gamma(2,2); the
-        # estimate is about 10 se away from rate + 1/t = 1.02
+        # estimate is about 10 se away from rate + 1/t = 1.02.  E[R(50)] of an
+        # Erlang law is a closed form
         cfg = write_config(tmp_path, {
             "experiment": "rate", "spec": GAMMA_SPEC,
             "t": 50, "reps": 50000, "seed": 7, "out": str(tmp_path / "res"),
         })
         assert main(["run", str(cfg)]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("PASS rate") and "solver error" in out
+        assert out.startswith("PASS rate") and "closed-form error" in out
         assert_solver_error_resolved(out)
 
     def test_rate_target_one_percent_off_fails(self, tmp_path, capsys, monkeypatch):
@@ -793,7 +795,7 @@ class TestRun:
         assert main(["run", str(cfg)]) == 0
         out = capsys.readouterr().out.splitlines()
         assert [line.split(":")[0] for line in out] == ["PASS blackwell", "PASS window-given-age"]
-        assert "solver error" in out[0] and "limit 1" in out[0] and "g error" in out[0]
+        assert "closed-form error" in out[0] and "limit 1" in out[0] and "g error" in out[0]
         header, *lines = (tmp_path / "res" / "blackwell.csv").read_text().splitlines()
         cells = [dict(zip(header.split(","), line.split(","))) for line in lines]
         assert len(cells) == 2 and cells[1]["target"] == "0"
@@ -837,6 +839,74 @@ class TestRun:
                             lambda spec, t, h: (1.01 * exact(spec, t, h)[0], exact(spec, t, h)[1]))
         assert main(["run", str(cfg)]) == 1
         assert capsys.readouterr().out.startswith("FAIL blackwell")
+
+    @pytest.mark.parametrize("experiment", ["blackwell", "rate"])
+    @pytest.mark.parametrize("spec", [
+        {"kind": "plain", "lifetime": {"kind": "gamma", "shape": 3.0, "rate": 3.0}},
+        {"kind": "plain", "lifetime": {"kind": "gamma", "shape": 4.0, "rate": 2.0}},
+        {"kind": "delayed", "delay": {"kind": "deterministic", "value": 2.5}, "lifetime": GAMMA_SPEC["lifetime"]},
+    ], ids=["gamma-3", "gamma-4", "constant-delay"])
+    def test_erlang_target_one_percent_off_fails(self, tmp_path, capsys, monkeypatch, experiment, spec):
+        # the closed-form targets of an Erlang law pass, and fail 1% off
+        knobs = {"t": 5, "h": 1} if experiment == "blackwell" else {"t": 5}
+        cfg = write_config(tmp_path, {"experiment": experiment, "spec": spec, **knobs, "reps": 100000,
+                                      "seed": 5, "out": str(tmp_path / "res")})
+        assert main(["run", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"PASS {experiment}") and "closed-form error" in out
+        name = "_window_target" if experiment == "blackwell" else "_rate_target"
+        exact = getattr(countproc.cli, name)
+        monkeypatch.setattr(countproc.cli, name, lambda spec, *knobs: (1.01 * exact(spec, *knobs)[0], None))
+        assert main(["run", str(cfg)]) == 1
+        assert capsys.readouterr().out.startswith(f"FAIL {experiment}")
+
+    @pytest.mark.parametrize("fault", ["hook", "engine"])
+    @pytest.mark.parametrize("law", ["gamma", "exponential"])
+    def test_fast_clock_fails_the_window(self, tmp_path, capsys, monkeypatch, fault, law):
+        # the Poisson clock run at 1.1x its rate, by the law's hook or inside the
+        # engine.  The targets and g of an Erlang law are closed forms keyed on the
+        # hook, but only for a hook that agrees with the law's mean, so either way
+        # they stay those of the true law: on Gamma(2, 2) both rows fail (z = 16.7
+        # and 22.7), on Exponential(1), whose g is constant, window-given-age (z = 15.0)
+        spec, cls = (GAMMA_SPEC, Gamma) if law == "gamma" else (EXP_SPEC, Exponential)
+        if fault == "hook":
+            phases = cls.poisson_phases
+            monkeypatch.setattr(cls, "poisson_phases", lambda self: (phases(self)[0], 1.1 * phases(self)[1]))
+        else:
+            draw = countproc.processes._Clock.draw.__func__
+            monkeypatch.setattr(countproc.processes._Clock, "draw", classmethod(
+                lambda c, phases, *args: draw(c, (phases[0], 1.1 * phases[1]), *args)))
+        cfg = write_config(tmp_path, {"experiment": "blackwell", "spec": spec, "t": 20, "h": 1, "reps": 25000,
+                                      "seed": 7, "out": str(tmp_path / "res")})
+        assert main(["run", str(cfg)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL window-given-age:" in out and (law == "exponential" or out.startswith("FAIL blackwell"))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("experiment", ["rate", "blackwell"])
+    def test_rare_events_pass_on_the_count_floor(self, tmp_path, capsys, experiment, seed):
+        # Gamma(2, 2) at t = 0.001, 2000 reps: no path sees a second event (nor one in the
+        # window (0.001, 0.002]), so every term is alike and the se is 0.  Against the
+        # rounding bar the correct rate read z = 8.8e6 and window-given-age z = 392; the
+        # bar is now at least the count floor sqrt(3)/n, times 1/t for the rate
+        knobs = {"t": 0.001, "h": 0.001} if experiment == "blackwell" else {"t": 0.001}
+        cfg = write_config(tmp_path, {"experiment": experiment, "spec": GAMMA_SPEC, **knobs, "reps": 2000,
+                                      "seed": seed, "out": str(tmp_path / "res")})
+        assert main(["run", str(cfg)]) == 0
+        assert "(se=0)" in capsys.readouterr().out
+
+    def test_fast_clock_fails_the_rate_above_the_floor(self, tmp_path, capsys, monkeypatch):
+        # the count floor of a rate at t = 1 and 1e5 reps is sqrt(3)/1e5, a hundredth of
+        # its se: a Gamma(2, 2) clock at 1.1x its rate still fails (z = 5.16)
+        draw = countproc.processes._Clock.draw.__func__
+        monkeypatch.setattr(countproc.processes._Clock, "draw", classmethod(
+            lambda c, phases, *args: draw(c, (phases[0], 1.1 * phases[1]), *args)))
+        cfg = write_config(tmp_path, {"experiment": "rate", "spec": GAMMA_SPEC, "t": 1, "reps": 100000,
+                                      "seed": 7, "out": str(tmp_path / "res")})
+        assert main(["run", str(cfg)]) == 1
+        out = capsys.readouterr().out
+        se = float(out.split("(se=")[1].split(")")[0])
+        assert out.startswith("FAIL rate") and math.sqrt(3) / 1e5 < se / 50
 
     @pytest.mark.parametrize("law,failing", [("gamma", "blackwell"), ("exponential", "window-given-age")])
     def test_wrong_sampler_fails_the_window(self, tmp_path, capsys, monkeypatch, law, failing):

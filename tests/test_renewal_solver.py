@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,10 @@ from countproc.renewal_solver import (
     _cdf_increments,
     _grid,
     cumulative_residual_bias,
+    erlang_mean_count,
+    erlang_phases,
+    erlang_residual_mean,
+    erlang_window_given_age,
     extrapolate,
     fitted_step,
     integrated_second_generator,
@@ -590,3 +595,99 @@ class TestGridChecks:
     def test_validation(self, z, step, message):
         with pytest.raises(ValueError, match=message):
             solve_renewal_equation(np.array(z), step, Gamma(2, 2))
+
+
+def poisson_reference(x: Decimal, m: int, values) -> Decimal:
+    """E[values(P, j)] summed over j = P mod m for P ~ Poisson(x), in 50-digit decimal
+    arithmetic: every term of the pmf until it falls below 1e-60 past the mean."""
+    total, term, n = Decimal(0), (-x).exp(), 0
+    while True:
+        total += term * values(n)
+        n += 1
+        term = term * x / n
+        if n > x and term < Decimal("1e-60"):
+            return total
+
+
+class TestErlangClosedForms:
+    """E[N(t)], E[R(t)], the window and g(age) of an Erlang(m, r) renewal process from
+    the law of the clock's residue P mod m, against 50-digit sums over the Poisson pmf
+    (40 digits kept).  Each was off by less than 1 eps relative (or relative to 1 + the
+    value where it can be near 0); the bar is 1e-15, about 4.5 eps."""
+
+    XS = [0.0, 1e-3, 0.5, 3.0, 17.3, 100.0, 700.0]  # r t
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("r", [1.0, 2.5])
+    def test_mean_count_and_residual(self, m, r):
+        ts = [x / r for x in self.XS]
+        got_n, got_r = erlang_mean_count((m, r), ts), erlang_residual_mean((m, r), ts)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for t, n, res in zip(ts, got_n, got_r):
+                x = Decimal(r) * Decimal(t)  # the product of the float inputs, exactly
+                phase = poisson_reference(x, m, lambda k: k % m)  # E[J_t]
+                exact_n, exact_r = 1 + (x - phase) / m, (m - phase) / Decimal(r)
+                assert abs(Decimal(float(n)) - exact_n) <= Decimal(1e-15) * exact_n
+                assert abs(Decimal(float(res)) - exact_r) <= Decimal(1e-15) * exact_r
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("t,h", [(0.001, 0.001), (0.3, 1.0), (5.0, 0.5), (50.0, 1.0), (280.0, 3.0)])
+    def test_window(self, m, t, h):
+        # E[N(t + h) - N(t)] = rate (h + E[R(t + h)] - E[R(t)]) by Wald's identity
+        r = 2.5
+        res = erlang_residual_mean((m, r), [t, t + h])
+        got = r / m * (h + float(res[1] - res[0]))
+        with localcontext() as ctx:
+            ctx.prec = 50
+            counts = [poisson_reference(Decimal(r) * Decimal(s), m, lambda k: k // m) for s in (t, t + h)]
+            exact = counts[1] - counts[0]
+        assert abs(Decimal(got) - exact) <= Decimal(1e-15) * (1 + exact)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("rh", [1e-3, 1.0, 4.0, 30.0])
+    def test_window_given_age(self, m, rh):
+        # given the age a the open gap has seen q < m points, with weights (r a)^q / q!,
+        # and the window floor((q + P_h) / m) events; ages from 0 to 50 / r
+        r = 2.0
+        h, ages = rh / r, np.array([0.0, 1e-4, 0.3, 2.0, 11.0, 50.0]) / r
+        got = erlang_window_given_age((m, r), h, ages)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            xh = Decimal(r) * Decimal(h)
+            inside = [poisson_reference(xh, m, lambda k: (q + k) // m) for q in range(m)]
+            for a, g in zip(ages, got):
+                xa = Decimal(r) * Decimal(float(a))
+                weights = [Decimal(1)]
+                for q in range(1, m):
+                    weights.append(weights[-1] * xa / q)
+                exact = sum(w * f for w, f in zip(weights, inside)) / sum(weights)
+                assert abs(Decimal(float(g)) - exact) <= Decimal(1e-15) * (1 + exact)
+
+    @pytest.mark.parametrize("law", [Gamma(2, 2), Gamma(4, 2)], ids=["gamma-2", "gamma-4"])
+    def test_solver_at_an_eighth_of_the_step_within_its_error(self, law):
+        # U on [0, 1] and the mean residual's change over (50, 51], each solved at an
+        # eighth of its fitted step, lie within the error they report of the closed forms
+        phases = law.poisson_phases()
+        step = fitted_step(1.0, [law]) / 8
+        u, error = renewal_function(law, 1.0, step)
+        assert np.max(np.abs(u - erlang_mean_count(phases, step * np.arange(u.size)))) <= error
+        t, h = 50.0, 1.0
+        change, error = residual_mean_change(law, t, h, fitted_step(t + h, [law]) / 8)
+        exact = erlang_residual_mean(phases, [t, t + h])
+        assert abs(change - float(exact[1] - exact[0])) <= error
+
+    def test_closed_forms_serve_erlang_laws_only(self):
+        # a whole shape up to 16, where the phase weights stay finite; a hook that
+        # disagrees with its law's mean leaves the targets to the solver
+        assert erlang_phases(Exponential(0.5)) == (1, 0.5)
+        assert erlang_phases(Gamma(16, 3)) == (16, 3.0)
+        assert erlang_phases(Gamma(17, 3)) is None
+        assert erlang_phases(Gamma(2.5, 2)) is None
+        assert erlang_phases(Uniform(0, 2)) is None
+
+        class FastClock(Gamma):
+            def poisson_phases(self):
+                return int(self.shape), 1.1 * self.rate
+
+        assert erlang_phases(FastClock(2, 2)) is None

@@ -40,6 +40,7 @@ def test_traced_sampler_is_defined_by_a_law(method):
 
 
 GAMMA = {"kind": "gamma", "shape": 2.0, "rate": 2.0}
+UNIFORM = {"kind": "uniform", "low": 0.0, "high": 2.0}
 
 
 @pytest.mark.parametrize("config, calls, points", [
@@ -47,16 +48,20 @@ GAMMA = {"kind": "gamma", "shape": 2.0, "rate": 2.0}
       "horizon": 10, "step": 0.01}, 2, 3002),
     ({"experiment": "sgibnev", "spec": {"kind": "plain", "lifetime": GAMMA}, "t": 10, "step": 0.01},
      2, 3002),
-    ({"experiment": "rate", "spec": {"kind": "plain", "lifetime": GAMMA}, "t": 5, "reps": 200}, 2, 15_002),
+    ({"experiment": "rate", "spec": {"kind": "plain", "lifetime": GAMMA}, "t": 5, "reps": 200}, 0, 0),
     ({"experiment": "rate", "spec": {"kind": "delayed", "lifetime": GAMMA,
                                      "delay": {"kind": "uniform", "low": 0.0, "high": 3.0}},
       "t": 5, "reps": 200}, 2, 15_002),
     ({"experiment": "blackwell", "spec": {"kind": "plain", "lifetime": GAMMA}, "t": 5, "h": 1,
+      "reps": 1000}, 0, 0),
+    ({"experiment": "rate", "spec": {"kind": "plain", "lifetime": UNIFORM}, "t": 5, "reps": 200}, 2, 15_002),
+    ({"experiment": "blackwell", "spec": {"kind": "plain", "lifetime": UNIFORM}, "t": 5, "h": 1,
       "reps": 1000}, 4, 30_004),
-], ids=["renewal-solve", "sgibnev", "rate", "rate-delayed", "blackwell"])
+], ids=["renewal-solve", "sgibnev", "rate", "rate-delayed", "blackwell", "rate-uniform", "blackwell-uniform"])
 def test_solver_counters_read_every_solve(tmp_path, capsys, config, calls, points):
     # each extrapolated target solves a grid and its half-step grid through the module
-    # global solve_renewal_equation, and the grid-point hook counts the solution's length
+    # global solve_renewal_equation, and the grid-point hook counts the solution's length;
+    # the rate and window targets of an Erlang law, and its g, are closed forms (no solve)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(dict(config, seed=1, out=str(tmp_path / "res"))))
     tracer = TRACER_NAMES["Tracer"]()
