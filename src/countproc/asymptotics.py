@@ -22,12 +22,21 @@ Closed-form constants (the long-run rate of a modulated process, the
 variance-drift constant for laws with three finite moments, the
 residual/noise cross-term limit) live here next to their estimators.
 
-Error bars.  A mean over paths carries the sample standard deviation over
-sqrt(reps).  On renewal specs the noise M(t) = N(t) - rate (t + R(t) - D)
-has mean 0 at every t (Wald's identity), so ``estimate_rate`` (plain and
-delayed specs) uses it as a control variate: the slope is fitted once on
-all paths, joined in chunk order, and the bar is the standard deviation of
-the controlled terms with two degrees of freedom spent (``_controlled_mean``).
+Error bars.  No estimator but ``residual_limit_ks`` joins the paths: each
+writes a chunk's per-path terms (N(t)/t and the noise, the conditional
+means below, ...) as a few rows and reduces them while the chunk is in
+cache (``_moments``), to the number of paths and each row's mean, mean
+magnitude, least and largest value, and R, the triangular factor of the
+rows' centred cross-products (``_Moments``).  The chunks' summaries are
+merged in chunk order by the pairwise update of Chan, Golub & LeVeque
+(1983), so an estimate's memory is that of one chunk at any reps.  A mean
+of a combination w . x of the rows is read off the merged summary, with
+the sample standard deviation |R w| / sqrt(n - 1) over sqrt(n).  On
+renewal specs the noise M(t) = N(t) - rate (t + R(t) - D) has mean 0 at
+every t (Wald's identity), so ``estimate_rate`` (plain and delayed specs)
+uses it as a control variate: the slope is fitted once from the merged
+co-moments, and the bar is the standard deviation of the controlled terms
+with two degrees of freedom spent (``_controlled_mean``).
 ``estimate_rm_cross`` and ``estimate_variance_drift`` first condition on the
 past F_t (conditional Monte Carlo): given F_t the residual R(t) depends only
 on the age a = t - S_{N(t)-1}, with E[R^k | F_t] = e_k(a) / tail(a)
@@ -40,8 +49,9 @@ atoms, not lattice) conditions the window the same way: given F_t it
 counts E[U(h - R); R <= h | a], U the renewal function on [0, h].  On an
 Erlang law that is a closed form over the Poisson clock's points
 (``renewal_solver.erlang_window_given_age``), with no solve and no table;
-on other laws it is read from one table of the age and carries the
-table's numerical error as ``quadrature``.  A conditioned estimate sees the sampler only
+on other laws it is read from one table of the ages possible at t, built
+before the paths, and carries the table's numerical error as
+``quadrature``.  A conditioned estimate sees the sampler only
 through N and a (on an Exponential law it is exact for any sampler), so
 it carries the plain mean of R - E[R | a], or of the window minus its
 conditional mean, 0 by the tower property, as ``sampler_check``, the
@@ -61,9 +71,10 @@ floor, d sqrt(3) / n (``Estimate.floor``).
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import partial, reduce
 from typing import Sequence
 
 import numpy as np
@@ -405,6 +416,31 @@ def _events_around(clock, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
         size, later = later, 2 * later
 
 
+def _jobs(spec: ProcessSpec, ts: Sequence[float], reps: int, seed: int) -> list[tuple]:
+    """The ``_simulate_chunk`` arguments of each chunk of a run, in index order."""
+    ts = np.asarray(ts, dtype=float)
+    if reps < 1:
+        raise ValueError("reps must be at least 1")
+    if not np.all(ts >= 0):  # NaN fails this too
+        raise ValueError(f"query times must be nonnegative numbers, got {ts.tolist()}")
+    return [(spec, ts, min(_CHUNK_ROWS, reps - start), seed, i)
+            for i, start in enumerate(range(0, reps, _CHUNK_ROWS))]
+
+
+def _chunks(jobs: list[tuple], threads: int, summarize):
+    """``summarize`` of each chunk's per-path summaries (``_simulate_chunk``),
+    in chunk index order.  With one thread the chunks are drawn as the result
+    is iterated, so only one chunk's summaries are alive at a time; a pool
+    hands back only what ``summarize`` keeps of each."""
+    def work(job):
+        return summarize(_simulate_chunk(*job))
+
+    if threads > 1 and len(jobs) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(work, jobs))
+    return map(work, jobs)
+
+
 def path_statistics(
     spec: ProcessSpec, ts: Sequence[float], reps: int, seed: int, threads: int = 1
 ) -> dict[str, np.ndarray]:
@@ -412,21 +448,109 @@ def path_statistics(
 
     Returns arrays of shape (reps, len(ts)) keyed ``count``/``residual``/``age``,
     plus ``delay`` for delayed specs.  Bit-reproducible from (spec, ts,
-    reps, seed) for any thread count.
+    reps, seed) for any thread count.  The estimators other than
+    ``residual_limit_ks`` never hold these arrays: they reduce each chunk as
+    it is folded (``_moments``).
     """
-    ts = np.asarray(ts, dtype=float)
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
-    if not np.all(ts >= 0):  # NaN fails this too
-        raise ValueError(f"query times must be nonnegative numbers, got {ts.tolist()}")
-    jobs = [(spec, ts, min(_CHUNK_ROWS, reps - start), seed, i)
-            for i, start in enumerate(range(0, reps, _CHUNK_ROWS))]
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(_simulate_chunk, *zip(*jobs)))
-    else:
-        chunks = [_simulate_chunk(*job) for job in jobs]
+    chunks = list(_chunks(_jobs(spec, ts, reps, seed), threads, lambda stats: stats))
     return {key: np.concatenate([chunk[key] for chunk in chunks]) for key in chunks[0]}
+
+
+# ---------------------------------------------------------------------------
+# Streamed moments
+# ---------------------------------------------------------------------------
+
+
+def _triangular_root(x: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Upper-triangular R with R^T R = x x^T, for x of shape (k, n), by modified
+    Gram-Schmidt on the rows of x, in place, with ``row`` (n values) as
+    scratch.  R is as accurate as a Householder factor's (Bjorck 1967), so a
+    combination of rows that cancels keeps a spread of the size of its
+    rounding, where the cross-product matrix itself would keep only the
+    rounding of its square.  The dot products are numpy's own loops, not
+    BLAS calls, whose threads could change the bits."""
+    k = x.shape[0]
+    root = np.zeros((k, k))
+    for j in range(k):
+        root[j, j] = norm = math.sqrt(float(np.einsum("i,i", x[j], x[j])))
+        if norm > 0:  # a row with no spread leaves a zero row of R
+            x[j] /= norm
+            for i in range(j + 1, k):
+                root[j, i] = dot = float(np.einsum("i,i", x[j], x[i]))
+                x[i] -= np.multiply(x[j], dot, out=row)
+    return root
+
+
+@dataclass(frozen=True)
+class _Moments:
+    """What an estimate needs of a (k, n) array of per-path terms, one row per
+    term: the number of paths n, each row's ``mean``, ``size`` (mean |x|) and
+    least and largest value, and ``root``, the triangular factor R of the
+    centred cross-products: R^T R = sum over paths of (x - mean)(x - mean)^T.
+    A mean of w . x over the paths has the sample variance |R w|^2 / (n - 1)."""
+
+    n: int
+    mean: np.ndarray
+    root: np.ndarray
+    size: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    @classmethod
+    def of(cls, x: np.ndarray, row: np.ndarray) -> _Moments:
+        """The moments of ``x``, computed in place over it with ``row`` (one
+        row's length) as scratch: no other array as long as a row is made."""
+        n = x.shape[1]
+        mean, lo, hi = np.mean(x, axis=1), np.min(x, axis=1), np.max(x, axis=1)
+        size = np.abs(mean)  # the mean |x| of a row of one sign
+        for i in np.flatnonzero((lo < 0) & (hi > 0)):
+            size[i] = np.mean(np.abs(x[i], out=row))
+        x -= mean[:, None]
+        return cls(n, mean, _triangular_root(x, row), size, lo, hi)
+
+    def merge(self, other: _Moments) -> _Moments:
+        """The moments of both sets of paths, by the pairwise update of Chan,
+        Golub & LeVeque (1983): the cross-products add, plus n_a n_b / n times
+        the outer product of the change of mean, here as one more row under
+        the two factors."""
+        n = self.n + other.n
+        delta = other.mean - self.mean
+        rows = np.vstack([self.root, other.root, math.sqrt(self.n * other.n / n) * delta]).T.copy()
+        return _Moments(n, self.mean + delta * (other.n / n), _triangular_root(rows, np.empty(rows.shape[1])),
+                        (self.n * self.size + other.n * other.size) / n,
+                        np.minimum(self.lo, other.lo), np.maximum(self.hi, other.hi))
+
+
+def _moments(spec: ProcessSpec, ts: Sequence[float], reps: int, seed: int, threads: int, k: int,
+             terms) -> _Moments:
+    """The ``_Moments`` of k per-path terms, which ``terms(stats, x)`` writes
+    into the (k, rows) array x from each chunk's summaries, reduced while the
+    chunk is in cache and merged in chunk index order: no array grows with
+    reps, and the bits do not depend on the thread count.
+
+    Each thread writes every chunk into one buffer, and reduces it in place:
+    a fresh (k, rows) array per chunk had the allocator map and fault in
+    fresh pages for some k and not for others (4 800 faults a run at k = 5 on
+    the variance-gamma benchmark config, 0 at k = 6, on a 2-vCPU VM)."""
+    jobs = _jobs(spec, ts, reps, seed)
+
+    def buffer():
+        return np.empty((k + 1, jobs[0][2]))
+
+    # the calling thread's is made before its first chunk, which it then outlives, so
+    # that a run of one chunk peaks as high as a run of many
+    buffers = threading.local()
+    buffers.x = buffer()
+
+    def reduce_chunk(stats):
+        rows = stats["count"].shape[0]
+        if not hasattr(buffers, "x"):  # a pool thread's first chunk
+            buffers.x = buffer()
+        x = buffers.x[:k, :rows]
+        terms(stats, x)
+        return _Moments.of(x, buffers.x[k, :rows])
+
+    return reduce(_Moments.merge, _chunks(jobs, threads, reduce_chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -434,14 +558,16 @@ def path_statistics(
 # ---------------------------------------------------------------------------
 
 
-def _mean_estimate(x: np.ndarray, flags: tuple[str, ...] = (), size: float | None = None) -> Estimate:
-    """Mean of ``x`` with the sample-standard-deviation bar; ``size``, the mean
-    magnitude of the values each term is formed from (mean |x| by default),
-    sets the rounding bound."""
-    n = x.size
-    se = float(np.std(x, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    size = float(np.mean(np.abs(x))) if size is None else size
-    return Estimate(value=float(np.mean(x)), se=se, flags=flags, rounding=_ROUNDING_ULPS * _EPS * size)
+def _mean_estimate(s: _Moments, w, flags: tuple[str, ...] = (), size: float | None = None) -> Estimate:
+    """Mean over the paths of ``s`` of the terms w . x, with the
+    sample-standard-deviation bar; ``size``, the mean magnitude of the values
+    each term is formed from (sum |w_j| mean |x_j| by default, mean |x_j| for
+    one row), sets the rounding bound."""
+    w, n = np.asarray(w, dtype=float), s.n
+    se = math.hypot(*(s.root @ w)) / math.sqrt((n - 1) * n) if n > 1 else 0.0
+    size = float(np.abs(w) @ s.size) if size is None else size
+    return Estimate(value=float(s.mean @ w), se=se, flags=flags,
+                    rounding=_ROUNDING_ULPS * _EPS * size)
 
 
 def _count_floor(spec: ProcessSpec, step: float, n: int) -> float:
@@ -456,26 +582,31 @@ def _count_floor(spec: ProcessSpec, step: float, n: int) -> float:
     return step * math.sqrt(3.0) / n
 
 
-def _controlled_mean(y: np.ndarray, m: np.ndarray, flags: tuple[str, ...] = ()) -> Estimate:
-    """Mean of ``y`` with ``m``, whose mean is known to be 0, as a control variate.
+def _controlled_mean(s: _Moments, w, control: int, flags: tuple[str, ...] = ()) -> Estimate:
+    """Mean of y = w . x with row ``control`` of ``s``, m, whose mean is known
+    to be 0, as a control variate.
 
     The value is mean(y) - beta * mean(m) with the least-squares slope
-    beta = sum (y - mean y)(m - mean m) / sum (m - mean m)^2, 0 when ``m``
-    has no spread; the error bar is std(y - beta m, ddof=2) / sqrt(n), and
-    the rounding bound is set by mean |y| + |beta| mean |m|.  Fewer than
-    three paths leave no degree of freedom for beta: plain mean.
+    beta = sum (y - mean y)(m - mean m) / sum (m - mean m)^2 = (R w . R e) /
+    |R e|^2, e the control's unit vector, 0 when m has no spread; the error
+    bar is |R (w - beta e)| / sqrt((n - 2) n), the standard deviation of
+    y - beta m with two degrees of freedom spent, and the rounding bound is
+    set by mean |y| + |beta| mean |m|.  Fewer than three paths leave no
+    degree of freedom for beta: plain mean.
     """
-    n = y.size
+    n = s.n
     if n < 3:
-        return _mean_estimate(y, flags)
+        return _mean_estimate(s, w, flags)
+    w = np.asarray(w, dtype=float)
     beta = 0.0
-    if m.max() != m.min():  # centring on a rounded mean leaves a constant m some spread
-        mc = m - np.mean(m)
-        beta = float(np.dot(y - np.mean(y), mc)) / float(np.dot(mc, mc))
-    adjusted = y - beta * m
-    se = float(np.std(adjusted, ddof=2) / math.sqrt(n))
-    size = float(np.mean(np.abs(y))) + abs(beta) * float(np.mean(np.abs(m)))
-    return Estimate(value=float(np.mean(adjusted)), se=se, flags=flags,
+    if s.hi[control] != s.lo[control]:  # centring on a rounded mean leaves a constant m some spread
+        rm = s.root[:, control]
+        beta = float((s.root @ w) @ rm) / float(rm @ rm)
+    adjusted = w.copy()
+    adjusted[control] -= beta
+    se = math.hypot(*(s.root @ adjusted)) / math.sqrt((n - 2) * n)
+    size = float(np.abs(w) @ s.size) + abs(beta) * float(s.size[control])
+    return Estimate(value=float(s.mean @ adjusted), se=se, flags=flags,
                     rounding=_ROUNDING_ULPS * _EPS * size)
 
 
@@ -494,25 +625,35 @@ def _noise_at(stats: dict[str, np.ndarray], rate: float, t: float, col: int) -> 
 # ---------------------------------------------------------------------------
 
 
-def _window_given_age(law: LifetimeDistribution, h: float, age: np.ndarray, u_times: np.ndarray,
-                      u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(g, error) at each age: g(a) = E[U(h - R); R <= h | age a], read from one table.
+def _window_table(law: LifetimeDistribution, h: float, t: float, u_times: np.ndarray, u: np.ndarray):
+    """g(a) = E[U(h - R); R <= h | age a] and its error, read at an array of
+    ages by the function returned, from one table built before any path.
 
     U, the renewal function on [0, h] with the event at 0 counted, is read
     at the midpoints of ``_WINDOW_CELLS`` cells of [0, h], each weighted by
     the cell's probability given the age, [tail(a + r_(j-1)) - tail(a + r_j)]
     / tail(a).  The table's ages, ``_WINDOW_AGES`` + 1 of them, are even in
-    log(1 + a / E[T]) from 0 to the oldest age, so the table does not grow
-    with it, and stop where the tail is 0; g is linear between them.  The
-    table's error is twice the change from half as many cells (the midpoint
-    rule's error is a third of that change where the integrand is smooth,
-    and up to all of it where the gap ends inside a cell) plus the distance
-    of each value from the line through its neighbours, the error of a
-    table of half as many ages.
+    log(1 + a / E[T]) from 0 to the oldest age possible at t: t, or the first
+    age of such a grid at which the tail is 0, the end of a bounded support
+    (an age needs a gap longer than itself).  So the table depends on the
+    law, h and t, not on the sample, and does not grow with t; it stops where
+    the tail is 0, and g is linear between its ages.  The table's error is
+    twice the change from half as many cells (the midpoint rule's error is a
+    third of that change where the integrand is smooth, and up to all of it
+    where the gap ends inside a cell) plus the distance of each value from
+    the line through its neighbours, the error of a table of half as many
+    ages.
     """
     scale = law.moment(1)
-    span = math.log1p(max(float(np.max(age, initial=0.0)), scale) / scale)
-    ages = scale * np.expm1(np.linspace(0.0, span, _WINDOW_AGES + 1))
+
+    def grid(top):
+        span = math.log1p(max(top, scale) / scale)
+        return span, scale * np.expm1(np.linspace(0.0, span, _WINDOW_AGES + 1))
+
+    span, ages = grid(t)
+    ended = np.flatnonzero(law.tail(ages) == 0)
+    if ended.size:
+        span, ages = grid(float(ages[ended[0]]))
     r = np.linspace(0.0, h, _WINDOW_CELLS + 1)
     tails = law.tail(ages[:, None] + r)
     n = int(np.count_nonzero(tails[:, 0] > 0))  # a prefix: the tail does not increase
@@ -523,12 +664,21 @@ def _window_given_age(law: LifetimeDistribution, h: float, age: np.ndarray, u_ti
     lam = (ages[1:-1] - ages[:-2]) / (ages[2:] - ages[:-2])
     bend = np.abs(g[1:-1] - g[:-2] - lam * (g[2:] - g[:-2]))
     error = 2.0 * np.abs(g - coarse) + np.pad(bend, 1, mode="edge")
-    # an age's place in the table is arithmetic; np.interp would search the table for
-    # each unsorted age, about 2 ms per 25 000 ages
-    place = np.clip(np.log1p(age / scale) * (_WINDOW_AGES / span), 0.0, n - 1)
-    i = np.minimum(place.astype(int), n - 2)
-    w = place - i
-    return g[i] + w * (g[i + 1] - g[i]), error[i] + w * (error[i + 1] - error[i])
+
+    def read(age: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # an age's place in the table is arithmetic; np.interp would search the table for
+        # each unsorted age, about 2 ms per 25 000 ages
+        place = np.clip(np.log1p(age / scale) * (_WINDOW_AGES / span), 0.0, n - 1)
+        i = np.minimum(place.astype(int), n - 2)
+        w = place - i
+        return g[i] + w * (g[i + 1] - g[i]), error[i] + w * (error[i + 1] - error[i])
+
+    return read
+
+
+def _window(stats: dict[str, np.ndarray], x: np.ndarray) -> None:
+    """The window count N(t + h) - N(t) per path, into the first row of ``x``."""
+    np.subtract(stats["count"][:, 1], stats["count"][:, 0], out=x[0])
 
 
 def estimate_blackwell(
@@ -546,10 +696,10 @@ def estimate_blackwell(
     (``renewal_solver.erlang_phases``) g and U are closed forms over the
     clock's points (``erlang_window_given_age``, ``erlang_mean_count``) and
     ``quadrature`` is their rounding, ``_ROUNDING`` times the mean of g: no
-    solve and no table.  On other laws g is read from one table
-    (``_window_given_age``) with U from ``renewal_function`` on [0, h], and
-    ``quadrature`` is U's ``extrapolate`` error plus the mean over paths of
-    the table's error.  ``sampler_check`` is the plain mean of the window
+    solve and no table.  On other laws g is read from one table built before
+    the paths (``_window_table``) with U from ``renewal_function`` on [0, h],
+    and ``quadrature`` is U's ``extrapolate`` error plus the mean over paths
+    of the table's error.  ``sampler_check`` is the plain mean of the window
     minus g.  Other kinds, lattice processes and laws with atoms, whose
     atoms the cells and the age table would misplace, keep the plain mean.
     Every window estimate and its check carry the count floor of step 1.
@@ -558,34 +708,46 @@ def estimate_blackwell(
         raise ValueError("t and h must be positive")
     if reps < _MIN_WINDOW_REPS:
         raise ValueError(f"blackwell estimation needs at least {_MIN_WINDOW_REPS} replications")
-    stats = path_statistics(spec, [t, t + h], reps, seed, threads=threads)
-    window = stats["count"][:, 1] - stats["count"][:, 0]
     flags, floor = _arithmetic_flags(spec), _count_floor(spec, 1.0, reps)
     if flags or not isinstance(spec, (Plain, Delayed)) or spec.lifetime.atoms():
-        return replace(_mean_estimate(window, flags), floor=floor)
+        s = _moments(spec, [t, t + h], reps, seed, threads, 1, _window)
+        return replace(_mean_estimate(s, [1.0], flags), floor=floor)
     law = spec.lifetime
     phases = renewal_solver.erlang_phases(law)
-    age = stats["age"][:, 0]
-    aged = ~np.isnan(age)
-    g, error = np.zeros(reps), np.zeros(reps)
     if phases is None:
         u_step = renewal_solver.fitted_step(h, [law])
         u, u_error = renewal_solver.renewal_function(law, h, u_step)
         u_times = u_step * np.arange(u.size)
-        g[aged], error[aged] = _window_given_age(law, h, age[aged], u_times, u)
+        given_age = _window_table(law, h, t, u_times, u)
         renewal = partial(np.interp, xp=u_times, fp=u)
     else:
-        g[aged] = renewal_solver.erlang_window_given_age(phases, h, age[aged])
+        def given_age(age):
+            return renewal_solver.erlang_window_given_age(phases, h, age), 0.0
         renewal = partial(renewal_solver.erlang_mean_count, phases)
-    if not aged.all():  # U(t + h - D) where D <= t + h, else 0
-        rest = t + h - stats["delay"][~aged]
-        g[np.flatnonzero(~aged)[rest >= 0]] = renewal(rest[rest >= 0])
+
+    def terms(stats, x):
+        # rows: the window minus g, g, and g's table error
+        age = stats["age"][:, 0]
+        aged = ~np.isnan(age)
+        if aged.all():
+            x[1], x[2] = given_age(age)
+        else:  # U(t + h - D) where D <= t + h, else 0
+            x[1:] = 0.0
+            x[1, aged], x[2, aged] = given_age(age[aged])
+            rest = t + h - stats["delay"][~aged]
+            x[1, np.flatnonzero(~aged)[rest >= 0]] = renewal(rest[rest >= 0])
+        _window(stats, x)
+        x[0] -= x[1]
+
+    s = _moments(spec, [t, t + h], reps, seed, threads, 3, terms)
+    g_bar = float(s.mean[1])
     if phases is None:
-        quadrature = u_error + float(np.mean(error))
+        quadrature = u_error + float(s.mean[2])
     else:
-        quadrature = renewal_solver._ROUNDING * float(np.mean(g))
-    est = replace(_mean_estimate(g), quadrature=quadrature, floor=floor)
-    check = _mean_estimate(window - g, size=float(np.mean(window)) + float(np.mean(g)))
+        quadrature = renewal_solver._ROUNDING * g_bar
+    est = replace(_mean_estimate(s, [0.0, 1.0, 0.0]), quadrature=quadrature, floor=floor)
+    # the window's mean is the check's plus g's
+    check = _mean_estimate(s, [1.0, 0.0, 0.0], size=float(s.mean[0]) + 2.0 * g_bar)
     return ConditionedEstimate(**vars(est), sampler_check=replace(check, quadrature=quadrature, floor=floor))
 
 
@@ -603,12 +765,16 @@ def estimate_rate(
     """
     if not t > 0:
         raise ValueError("t must be positive")
-    stats = path_statistics(spec, [t], reps, seed, threads=threads)
-    y = stats["count"][:, 0] / t
-    if not isinstance(spec, (Plain, Delayed)):
-        est = _mean_estimate(y)
-    else:
-        est = _controlled_mean(y, _noise_at(stats, spec.lifetime.renewal_rate, t, 0) / t)
+    renewal = isinstance(spec, (Plain, Delayed))
+
+    def terms(stats, x):
+        # rows: N(t)/t, and M(t)/t on a renewal spec
+        np.divide(stats["count"][:, 0], t, out=x[0])
+        if renewal:
+            np.divide(_noise_at(stats, spec.lifetime.renewal_rate, t, 0), t, out=x[1])
+
+    s = _moments(spec, [t], reps, seed, threads, 2 if renewal else 1, terms)
+    est = _controlled_mean(s, [1.0, 0.0], 1) if renewal else _mean_estimate(s, [1.0])
     return replace(est, floor=_count_floor(spec, 1.0 / t, reps))
 
 
@@ -632,32 +798,44 @@ def residual_limit_ks(
     return KSResult(statistic=stat, threshold=1.95 / math.sqrt(n) + 0.01)
 
 
-def _given_age(spec: Plain, t: float, reps: int, seed: int, threads: int):
-    """Per-path conditional means given F_t, from one simulation to t.
+_LEAD, _R1, _M, _CHECK = range(4)  # the rows of ``_given_age``'s terms
 
-    Returns (r1, r2, m, y, check): r_k = E[R(t)^k | age], evaluated in
-    ``_CHUNK_ROWS`` slices so that the law's temporaries stay small;
-    m = E[M(t) | F_t] = N - rate (t + r1), of mean 0; y = E[R(t) M(t) | F_t]
-    = r1 (N - rate t) - rate r2; and check, the plain mean of R(t) - r1.
+
+def _given_age(spec: Plain, t: float, reps: int, seed: int, threads: int,
+               lead: tuple[float, float, float]) -> tuple[_Moments, Estimate]:
+    """Per-path conditional means given F_t, reduced over one simulation to t.
+
+    With r_k = E[R(t)^k | age], y = E[R(t) M(t) | F_t] = r1 (N - rate t) -
+    rate r2 and m = E[M(t) | F_t] = N - rate (t + r1), of mean 0, returns the
+    ``_Moments`` of the rows a y + b r1 + c r2 for ``lead`` = (a, b, c), r1,
+    m and R - r1 (indexed ``_LEAD`` ... ``_CHECK``), and check, the plain
+    mean of R(t) - r1.  Only these four rows are reduced: each is a row of
+    the chunk's factor (``_triangular_root``), whose cost grows with the
+    square of the number of rows.
     """
     law = spec.lifetime
     if math.isinf(law.moment(2)):
         raise ValueError("conditioning on the age needs a finite second moment")
     rate = law.renewal_rate
-    stats = path_statistics(spec, [t], reps, seed, threads=threads)
-    age, r = stats["age"][:, 0], stats["residual"][:, 0]
-    r1, r2 = np.empty_like(age), np.empty_like(age)
-    for lo in range(0, age.size, _CHUNK_ROWS):
-        part = slice(lo, lo + _CHUNK_ROWS)
-        r1[part], r2[part] = law.residual_moments(age[part])
+    a, b, c = lead
+
+    def terms(stats, x):
+        age, r = stats["age"][:, 0], stats["residual"][:, 0]
+        x[_R1], r2 = law.residual_moments(age)
+        n = stats["count"][:, 0] - rate * t
+        np.subtract(n, rate * x[_R1], out=x[_M])
+        y = np.multiply(n, x[_R1], out=x[_LEAD])
+        y -= rate * r2
+        y *= a
+        y += b * x[_R1]
+        y += c * r2
+        np.subtract(r, x[_R1], out=x[_CHECK])
+
+    s = _moments(spec, [t], reps, seed, threads, 4, terms)
     # R = S_N - t and the age t - S_{N-1} are differences of event times near
-    # t: the rounding of R - r1 scales with t, not with R - r1
-    check = _mean_estimate(r - r1, size=t + float(np.mean(r)) + float(np.mean(r1)))
-    n = stats["count"][:, 0] - rate * t
-    m = n - rate * r1
-    y = np.multiply(n, r1, out=n)  # in place: n is not needed again
-    y -= rate * r2
-    return r1, r2, m, y, check
+    # t: the rounding of R - r1 scales with t + mean(R) + mean(r1), not with R - r1
+    check = _mean_estimate(s, np.eye(4)[_CHECK], size=t + float(s.mean[_CHECK]) + 2.0 * float(s.mean[_R1]))
+    return s, check
 
 
 def estimate_variance_drift(
@@ -687,14 +865,12 @@ def estimate_variance_drift(
     if math.isinf(sigma2):
         raise ValueError("variance drift needs a finite second moment")
     rate = spec.lifetime.renewal_rate
-    r1, psi, m, y, check = _given_age(spec, t, reps, seed, threads)
-    r1_bar = float(np.mean(r1))
-    # psi = rate^2 r2 + rate (rate^2 var T - 2 rate mean(r1)) r1 + 2 rate y, built in
-    # place in r2's array; its mean is the plug-in drift less (rate mean(r1))^2
-    psi *= rate**2
-    psi += (rate**3 * sigma2 - 2.0 * rate**2 * r1_bar) * r1
-    psi += 2.0 * rate * y
-    est = _controlled_mean(psi, m, _arithmetic_flags(spec))
+    # the lead row is psi less its term in mean(r1), whose mean is the plug-in drift
+    # less (rate mean(r1))^2
+    s, check = _given_age(spec, t, reps, seed, threads, (2.0 * rate, rate**3 * sigma2, rate**2))
+    r1_bar = float(s.mean[_R1])
+    psi = np.eye(4)[_LEAD] - 2.0 * rate**2 * r1_bar * np.eye(4)[_R1]
+    est = _controlled_mean(s, psi, _M, _arithmetic_flags(spec))
     return ConditionedEstimate(**vars(replace(est, value=est.value + (rate * r1_bar) ** 2)),
                                sampler_check=check)
 
@@ -733,8 +909,8 @@ def estimate_rm_cross(
     """
     if not isinstance(spec, Plain):
         raise TypeError("the residual/noise cross moment is defined for plain renewal specs")
-    _, _, m, y, check = _given_age(spec, t, reps, seed, threads)
-    return ConditionedEstimate(**vars(_controlled_mean(y, m, _arithmetic_flags(spec))),
+    s, check = _given_age(spec, t, reps, seed, threads, (1.0, 0.0, 0.0))
+    return ConditionedEstimate(**vars(_controlled_mean(s, np.eye(4)[_LEAD], _M, _arithmetic_flags(spec))),
                                sampler_check=check)
 
 
@@ -755,15 +931,16 @@ def diffusion_scaling(
     (N(nt) - rate*nt - rate*R(nt))/sqrt(n), has mean 0 at every n by Wald's
     identity, so its paired mean checks the simulation at finite n.
 
-    The variance is the sample variance of the scaled count, the mean of
-    psi = (X - mean X)^2 reps/(reps - 1).  Wald's second identity,
-    E[M(nt)^2] = rate^2 var T E[N(nt)], makes C = (M(nt)^2 - rate^2 var T
-    N(nt))/n a mean-0 control for psi (``_controlled_mean``), which removes
-    the noise's share of the spread.  psi and C move together when the
-    sampler's variance is wrong, so the controlled variance cannot see that
-    fault: ``wald_second_mean``, the plain mean of C against its target 0,
-    checks it.  var C is infinite when E[T^4] is: such a law keeps the plain
-    bar on the variance and has no ``wald_second_target``.
+    The variance is the sample variance of the scaled count X, the mean of
+    psi = (X - mean X)^2 reps/(reps - 1), whose terms are read off the rows
+    X^2 and X: (X - mean X)^2 = X^2 - 2 mean(X) X + mean(X)^2.  Wald's
+    second identity, E[M(nt)^2] = rate^2 var T E[N(nt)], makes C = (M(nt)^2
+    - rate^2 var T N(nt))/n a mean-0 control for psi (``_controlled_mean``),
+    which removes the noise's share of the spread.  psi and C move together
+    when the sampler's variance is wrong, so the controlled variance cannot
+    see that fault: ``wald_second_mean``, the plain mean of C against its
+    target 0, checks it.  var C is infinite when E[T^4] is: such a law keeps
+    the plain bar on the variance and has no ``wald_second_target``.
     """
     if not isinstance(spec, Plain):
         raise TypeError("diffusion scaling is defined for plain renewal specs")
@@ -776,21 +953,28 @@ def diffusion_scaling(
     rate = spec.lifetime.renewal_rate
     horizon = n * t
     finite_m4 = not math.isinf(spec.lifetime.excess_moment(4, 0.0))
-    stats = path_statistics(spec, [horizon], reps, seed, threads=threads)
-    scaled = (stats["count"][:, 0] - rate * horizon) / math.sqrt(n)
-    scaled_resid = rate * stats["residual"][:, 0] / math.sqrt(n)
-    m = _noise_at(stats, rate, horizon, 0)
-    wald_second = (m * m - rate**2 * sigma2 * stats["count"][:, 0]) / n
-    psi = (scaled - np.mean(scaled)) ** 2 * (reps / (reps - 1))
 
+    def terms(stats, x):
+        # rows: X, X^2, rate R(nt)/sqrt(n) and C
+        count = stats["count"][:, 0]
+        x[0] = (count - rate * horizon) / math.sqrt(n)
+        np.square(x[0], out=x[1])
+        x[2] = rate * stats["residual"][:, 0] / math.sqrt(n)
+        m = _noise_at(stats, rate, horizon, 0)
+        x[3] = (m * m - rate**2 * sigma2 * count) / n
+
+    s = _moments(spec, [horizon], reps, seed, threads, 4, terms)
+    bias, x_bar = reps / (reps - 1), float(s.mean[0])
+    psi = np.array([-2.0 * x_bar, 1.0, 0.0, 0.0]) * bias  # less its constant term, mean(X)^2 bias
+    variance = _controlled_mean(s, psi, 3) if finite_m4 else _mean_estimate(s, psi)
     return DiffusionScalingResult(
-        variance=_controlled_mean(psi, wald_second) if finite_m4 else _mean_estimate(psi),
+        variance=replace(variance, value=variance.value + x_bar**2 * bias),
         variance_target=rate**3 * sigma2 * t,
-        scaled_count_mean=_mean_estimate(scaled),
-        scaled_residual_mean=_mean_estimate(scaled_resid),
+        scaled_count_mean=_mean_estimate(s, [1.0, 0.0, 0.0, 0.0]),
+        scaled_residual_mean=_mean_estimate(s, [0.0, 0.0, 1.0, 0.0]),
         residual_mean_bound=rate**2 * m2 / math.sqrt(n),
-        scaled_noise_mean=_mean_estimate(scaled - scaled_resid),
-        wald_second_mean=_mean_estimate(wald_second),
+        scaled_noise_mean=_mean_estimate(s, [1.0, 0.0, -1.0, 0.0]),
+        wald_second_mean=_mean_estimate(s, [0.0, 0.0, 0.0, 1.0]),
         wald_second_target=0.0 if finite_m4 else None,
     )
 
@@ -809,9 +993,11 @@ def truncated_rate_indicator_mean(
     if not v > 0:
         raise ValueError("v must be positive")
     lam_v = 1.0 / spec.lifetime.truncated_mean(v)
-    stats = path_statistics(spec, [t], reps, seed, threads=threads)
-    ind = (stats["residual"][:, 0] <= v).astype(float)
-    return _mean_estimate(ind * lam_v)
+    def terms(stats, x):
+        np.multiply(stats["residual"][:, 0] <= v, lam_v, out=x[0])
+
+    s = _moments(spec, [t], reps, seed, threads, 1, terms)
+    return _mean_estimate(s, [1.0])
 
 
 def wald_ratio(
@@ -823,8 +1009,10 @@ def wald_ratio(
     1 for the modulated and stationary-sequence kinds.
     """
     mean_gap = 1.0 / spec_rate(spec)
-    stats = path_statistics(spec, [t], reps, seed, threads=threads)
-    s = _elapsed_at(stats, t, 0)
-    w = mean_gap * stats["count"][:, 0]
-    ratio = float(np.mean(s) / np.mean(w))
-    return replace(_mean_estimate((s - ratio * w) / np.mean(w)), value=ratio)
+    def terms(stats, x):
+        x[0] = _elapsed_at(stats, t, 0)
+        np.multiply(mean_gap, stats["count"][:, 0], out=x[1])
+
+    s = _moments(spec, [t], reps, seed, threads, 2, terms)
+    ratio = float(s.mean[0] / s.mean[1])
+    return replace(_mean_estimate(s, np.array([1.0, -ratio]) / s.mean[1]), value=ratio)

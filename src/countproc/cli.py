@@ -183,8 +183,8 @@ def validate_config(obj: Mapping) -> tuple[ExperimentConfig | None, list[str]]:
         except ValueError as exc:
             errors.append(f"step: {exc}")
     if kind in ("rate", "blackwell") and exp.knobs & {"t", "h"} <= knobs.keys() \
-            and isinstance(spec, (Plain, Delayed)):
-        try:  # the step of the target read at t and, for a window, at t + h
+            and isinstance(spec, (Plain, Delayed)) and _erlang(spec) is None:
+        try:  # the step of the target read at t and, for a window, at t + h; a closed form reads none
             _solver_step(spec, *(knobs[k] for k in ("t", "h") if k in exp.knobs))
         except ValueError as exc:
             errors.append(f"spec: {exc}")

@@ -326,7 +326,8 @@ class TestValidate:
          "spec: Deterministic(value=1e-07) has an atom at 1e-07: a step below it splits [0, 50] "
          "into more than 524288 cells"),
         ({"experiment": "rate", "spec": {"kind": "delayed", "delay": {"kind": "deterministic", "value": 1e-7},
-                                         "lifetime": GAMMA_SPEC["lifetime"]}, "t": 50, "reps": 10},
+                                         "lifetime": {"kind": "uniform", "low": 0.0, "high": 2.0}},
+          "t": 50, "reps": 10},
          "spec: Deterministic(value=1e-07) has an atom at 1e-07: a step below it splits [0, 50] "
          "into more than 524288 cells"),
     ], ids=["renewal-solve-deterministic", "renewal-solve-mixture", "sgibnev-mixture", "rate-plain",
@@ -339,6 +340,20 @@ class TestValidate:
             assert main([command, str(cfg)]) == 2
             assert capsys.readouterr().err.splitlines() == [f"invalid: {message}"]
         assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("experiment,knobs", [("rate", {"t": 50}), ("blackwell", {"t": 50, "h": 1})])
+    def test_closed_form_target_needs_no_solver_step(self, tmp_path, capsys, experiment, knobs):
+        # an Erlang law after a constant delay has closed-form targets: the delay's atom at
+        # 1e-7, which no solver grid on [0, 50] could fit, is no reason to reject the config
+        spec = {"kind": "delayed", "delay": {"kind": "deterministic", "value": 1e-7},
+                "lifetime": GAMMA_SPEC["lifetime"]}
+        cfg = write_config(tmp_path, {"experiment": experiment, "spec": spec, **knobs, "reps": 20000,
+                                      "seed": 3, "out": str(tmp_path / "res")})
+        assert main(["validate", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"PASS {experiment}") and "closed-form error" in out
 
     @pytest.mark.parametrize("experiment,span,step", [
         ("sgibnev", 200, 0.02), ("sgibnev", 100, 0.01), ("renewal-solve", 100, 0.005),
